@@ -27,9 +27,7 @@ from typing import Any, Callable
 
 from ..bsp.runner import run_reference
 from ..core.checkpoint import SimulationAborted
-from ..core.parsim import ParallelEMSimulation
-from ..core.seqsim import SequentialEMSimulation
-from ..core.simulator import build_params
+from ..core.simulator import build_params, make_engine
 from ..emio.faults import FATAL_IO_FAULTS, FaultPlan
 from .case import ReproCase
 from .config import ConformConfig
@@ -128,9 +126,9 @@ def _build_engine(
         io_overlap=config.io_overlap,
         crash=crash,
     )
-    if config.engine == "parallel":
-        return ParallelEMSimulation(alg, params, backend=config.backend, **kwargs)
-    return SequentialEMSimulation(alg, params, **kwargs)
+    return make_engine(
+        alg, params, engine=config.engine, backend=config.backend, **kwargs
+    )
 
 
 def run_case(config: ConformConfig) -> CaseResult:

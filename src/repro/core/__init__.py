@@ -5,7 +5,7 @@ from .context import ContextStore
 from .parsim import ParallelEMSimulation
 from .routing import RoutingStats, simulate_routing
 from .seqsim import SequentialEMSimulation
-from .simulator import build_params, simulate
+from .simulator import build_params, make_engine, simulate
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "SequentialEMSimulation",
     "ParallelEMSimulation",
     "simulate",
+    "make_engine",
     "build_params",
     "SimulationReport",
     "SuperstepReport",

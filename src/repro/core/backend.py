@@ -14,7 +14,8 @@ phase; a backend decides *where* that work physically runs:
   message payloads and per-worker ledger deltas.
 
 Both backends execute the identical per-processor code
-(:class:`~repro.core.parsim._RealProcessor`) with identical per-processor
+(:class:`~repro.core.processor.RealProcessor`, or the subclass the engine
+names — Algorithm 3 adds its round phases) with identical per-processor
 RNG streams, so counted model costs, outputs, and reports are equal between
 them — the golden equivalence suite asserts this.  On a multi-core host the
 process backend overlaps the processors' computation and (host-side)
@@ -38,6 +39,7 @@ from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence
 
 from ..obs.profile import NULL_PROFILER
+from .processor import RealProcessor
 
 __all__ = ["InlineBackend", "ProcessBackend", "make_backend"]
 
@@ -133,12 +135,10 @@ class InlineBackend:
         pass
 
 
-def _worker_main(conn, init_args: tuple) -> None:
-    """Command loop of one worker process: owns one ``_RealProcessor``."""
-    from .parsim import _RealProcessor
-
+def _worker_main(conn, proc_cls: type, init_args: tuple) -> None:
+    """Command loop of one worker process: owns one ``proc_cls`` processor."""
     try:
-        proc = _RealProcessor(*init_args)
+        proc = proc_cls(*init_args)
         _send_msg(conn, ("ok", None))
     except BaseException as exc:  # noqa: BLE001 - must reach the parent
         _send_msg(conn, ("err", exc))
@@ -173,7 +173,9 @@ class ProcessBackend:
     #: the slowest worker answers — that wait IS the superstep barrier).
     profiler = NULL_PROFILER
 
-    def __init__(self, init_args_list: Sequence[tuple]):
+    def __init__(
+        self, init_args_list: Sequence[tuple], proc_cls: type = RealProcessor
+    ):
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         # Exact pipe traffic: both sides speak the _send_msg/_recv_msg wire
@@ -187,14 +189,19 @@ class ProcessBackend:
         for init_args in init_args_list:
             parent, child = ctx.Pipe()
             worker = ctx.Process(
-                target=_worker_main, args=(child, init_args), daemon=True
+                target=_worker_main, args=(child, proc_cls, init_args), daemon=True
             )
             worker.start()
             child.close()
             self._conns.append(parent)
             self._workers.append(worker)
         # Startup barrier: every worker reports its processor constructed.
-        self._recv_all()
+        # If one could not be, reap them all — nobody will call close().
+        try:
+            self._recv_all()
+        except BaseException:
+            self.close()
+            raise
 
     def _recv_all(self) -> list:
         results: list = []
@@ -246,12 +253,12 @@ class ProcessBackend:
         self._workers = []
 
 
-def make_backend(kind: str, init_args_list: Sequence[tuple]):
-    """Build the backend named ``kind`` over per-processor init tuples."""
+def make_backend(
+    kind: str, init_args_list: Sequence[tuple], proc_cls: type = RealProcessor
+):
+    """Build the backend named ``kind``: one ``proc_cls`` per init tuple."""
     if kind == "inline":
-        from .parsim import _RealProcessor
-
-        return InlineBackend([_RealProcessor(*args) for args in init_args_list])
+        return InlineBackend([proc_cls(*args) for args in init_args_list])
     if kind == "process":
-        return ProcessBackend(init_args_list)
+        return ProcessBackend(init_args_list, proc_cls)
     raise ValueError(f"unknown backend {kind!r} (expected 'inline' or 'process')")

@@ -21,7 +21,7 @@ from .parsim import ParallelEMSimulation
 from .seqsim import SequentialEMSimulation
 from .stats import SimulationReport
 
-__all__ = ["simulate", "build_params"]
+__all__ = ["simulate", "make_engine", "build_params"]
 
 
 def build_params(
@@ -42,6 +42,40 @@ def build_params(
         k=k,
         strict=strict,
     )
+
+
+def make_engine(
+    algorithm: BSPAlgorithm,
+    params: SimulationParams,
+    engine: Literal["auto", "sequential", "parallel"] = "auto",
+    backend: Literal["inline", "process"] = "inline",
+    **engine_kwargs,
+) -> SequentialEMSimulation | ParallelEMSimulation:
+    """Build the engine for ``params`` — the one place that picks the class
+    from ``engine``/``backend`` (see :func:`simulate`); ``engine_kwargs`` go
+    to its constructor as they are."""
+    p = params.machine.p
+    requested = engine
+    if engine == "auto":
+        engine = "sequential" if p == 1 else "parallel"
+    if engine == "parallel":
+        return ParallelEMSimulation(algorithm, params, backend=backend, **engine_kwargs)
+    if engine != "sequential":
+        raise ValueError(f"unknown engine {engine!r}")
+    if backend != "inline":
+        # Name both knobs: the caller must change either `backend` (to
+        # "inline") or `engine` (to "parallel", which accepts p == 1).
+        how = (
+            f"engine='auto' resolved to 'sequential' because machine.p={p}"
+            if requested == "auto"
+            else f"engine={requested!r}"
+        )
+        raise ValueError(
+            f"backend={backend!r} requires the parallel engine, but {how}; "
+            f"pass engine='parallel' (it accepts p=1) or backend='inline' "
+            "(the sequential engine has a single real processor)"
+        )
+    return SequentialEMSimulation(algorithm, params, **engine_kwargs)
 
 
 def simulate(
@@ -78,82 +112,14 @@ def simulate(
         accepts ``p == 1`` and exercises the packet-scatter path).
     strict:
         Enforce Theorem 1's side conditions (slackness etc.).
-    faults:
-        Optional :class:`~repro.emio.faults.FaultPlan` injecting disk faults
-        (transient errors, corruption, latency spikes, disk death) into the
-        simulated arrays.  Transient faults are masked by bounded retries
-        (``retry``); fatal faults need ``checkpoint=True`` to recover.
-    retry:
-        Retry policy for transient faults; defaults to
-        :class:`~repro.emio.faults.RetryPolicy` whenever ``faults`` is given.
-    checkpoint:
-        Checkpoint at every compound-superstep barrier and re-run a
-        superstep after a fatal I/O fault (at most ``max_recoveries`` times).
-        The run's fault/retry/recovery tallies land in ``report.faults``.
-    backend:
-        Where the parallel engine's real processors execute: ``"inline"``
-        (default, the reference) or ``"process"`` (one ``multiprocessing``
-        worker per processor; see :mod:`repro.core.backend`).  Counted
-        costs, outputs, and reports are identical.  Rejected for the
-        sequential engine.
-    context_cache:
-        Context-swap fast path: keep pickled context bytes host-side with a
-        dirty bit and charge the identical parallel I/O without
-        re-materializing blocks (see :class:`~repro.core.context.ContextStore`).
-        Auto-disabled under fault injection.  Model costs are unchanged.
-    fast_io:
-        Short-circuit the disk arrays' data plane when no faults, traces, or
-        dead disks are active (see :class:`~repro.emio.diskarray.DiskArray`).
-        Counters and stored blocks stay identical; only wall-clock changes.
-    observer:
-        A :class:`~repro.obs.spans.Collector` receiving structured telemetry:
-        nested spans per superstep/phase with wall-clock timing and counted
-        I/O attributes, per-disk counter samples, and run metrics (see
-        :mod:`repro.obs`).  Under the process backend, per-worker spans are
-        merged into one coherent timeline.  Attaching an observer never
-        changes counted costs, outputs, or reports, and does not force the
-        arrays off the fast data plane; export with
-        :func:`repro.obs.write_chrome_trace` / :func:`repro.obs.write_jsonl`.
-        A ``Collector(profile=True)`` also collects the wall-clock
-        attribution profile (``repro.obs.build_report``, DESIGN §11).
-    events:
-        A :class:`~repro.obs.live.RunEventLog` streaming run/superstep
-        lifecycle events as line-flushed JSONL during the run (``repro
-        watch <file>`` tails it).  Read-only like ``observer``.
-    storage:
-        Block-storage plane backing the simulated disks: ``"memory"``
-        (default, plain dicts), ``"file"`` (one preallocated track file per
-        drive, accessed with ``pread``/``pwrite``), or ``"mmap"`` (the same
-        files through ``mmap``).  Outputs, counted costs, ledgers, and
-        traces are byte-identical across planes — the model charges I/O
-        before data moves, so where the bytes live is invisible to the
-        accounting (see ``DESIGN.md`` §8).  Non-memory planes make
-        truly out-of-core runs possible: resident heap stays bounded by a
-        handful of blocks while the dataset lives in the track files.
-    storage_dir:
-        Directory for the track files on non-memory planes.  ``None``
-        (default) uses a private temporary directory removed when the run
-        finishes; an explicit path persists after the run (useful for
-        checkpoint/resume across processes) and must be empty or carry the
-        storage marker file from a previous run.
-    io_overlap:
-        Overlap host I/O with computation on non-memory planes: writes are
-        queued to a bounded per-drive background flusher (write-behind with
-        read-after-write overlay), sequential-track access patterns trigger
-        readahead, and near-adjacent slot reads coalesce into single
-        syscalls.  Superstep fsyncs, journal commits, snapshots, and crash
-        injection all quiesce the queue first, so counted costs, outputs,
-        ledgers, checkpoint bytes, and crash semantics are byte-identical
-        to the synchronous plane (DESIGN §12).  Buffer memory is bounded by
-        ``M/4`` record-bytes across the drives.  Ignored on ``"memory"``.
-    crash:
-        Optional :class:`~repro.emio.faults.CrashPlan` crashing the run at
-        one crash point around a checkpoint barrier (torn write, lost
-        pre-fsync writes, or a kill between journal stages).  Requires
-        ``checkpoint=True`` and a non-memory storage plane; the crash
-        surfaces as :class:`~repro.emio.faults.HostCrash`.  Recovery is
-        :func:`~repro.core.checkpoint.scrub` plus a fresh engine — see
-        ``repro crashcheck`` and DESIGN §9.
+    the engine knobs:
+        ``faults``, ``retry``, ``checkpoint``, ``max_recoveries``,
+        ``backend``, ``context_cache``, ``fast_io``, ``observer``, ``events``,
+        ``storage``, ``storage_dir``, ``io_overlap`` and ``crash`` go to the
+        engine's constructor unchanged and are documented once, on
+        :class:`~repro.core.seqsim.SequentialEMSimulation` (``backend`` on
+        :class:`~repro.core.parsim.ParallelEMSimulation`, the engine that has
+        processors to place; it is rejected for the sequential engine).
     records:
         Record plane the algorithm's supersteps run on: ``None`` keeps the
         algorithm's current mode (``"object"`` by default), ``"object"``
@@ -175,10 +141,11 @@ def simulate(
     if records is not None:
         algorithm.set_record_mode(records)
     params = build_params(algorithm, machine, v, k=k, strict=strict)
-    requested = engine
-    if engine == "auto":
-        engine = "sequential" if machine.p == 1 else "parallel"
-    kwargs = dict(
+    return make_engine(
+        algorithm,
+        params,
+        engine=engine,
+        backend=backend,
         seed=seed,
         faults=faults,
         retry=retry,
@@ -193,25 +160,4 @@ def simulate(
         io_overlap=io_overlap,
         crash=crash,
         **engine_kwargs,
-    )
-    if engine == "sequential":
-        if backend != "inline":
-            # Name both knobs: the caller must change either `backend` (to
-            # "inline") or `engine` (to "parallel", which accepts p == 1).
-            how = (
-                f"engine='auto' resolved to 'sequential' because machine.p="
-                f"{machine.p}"
-                if requested == "auto"
-                else f"engine={requested!r}"
-            )
-            raise ValueError(
-                f"backend={backend!r} requires the parallel engine, but {how}; "
-                f"pass engine='parallel' (it accepts p=1) or backend='inline' "
-                "(the sequential engine has a single real processor)"
-            )
-        sim = SequentialEMSimulation(algorithm, params, **kwargs)
-    elif engine == "parallel":
-        sim = ParallelEMSimulation(algorithm, params, backend=backend, **kwargs)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return sim.run()
+    ).run()

@@ -35,9 +35,7 @@ from typing import Any, Callable
 
 from .bsp.program import BSPAlgorithm
 from .core.checkpoint import scrub
-from .core.parsim import ParallelEMSimulation
-from .core.seqsim import SequentialEMSimulation
-from .core.simulator import build_params
+from .core.simulator import build_params, make_engine
 from .emio.faults import CRASH_STAGES, CrashPlan, HostCrash
 from .params import MachineParams
 
@@ -105,9 +103,9 @@ def _build_engine(
         io_overlap=io_overlap,
         crash=crash,
     )
-    if machine.p > 1 or backend != "inline":
-        return ParallelEMSimulation(alg, params, backend=backend, **kwargs)
-    return SequentialEMSimulation(alg, params, **kwargs)
+    # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
+    engine = "auto" if backend == "inline" else "parallel"
+    return make_engine(alg, params, engine=engine, backend=backend, **kwargs)
 
 
 def explore(

@@ -19,6 +19,18 @@ of completed supersteps times the steps remaining when the caller declared
 an ``expected_steps`` hint (``eta_s`` is ``null`` without one — compound
 superstep counts are algorithm-dependent and the log does not guess).
 
+``run_finished`` carries ``io_ops``, defined once for both engines
+(:meth:`repro.core.engine.EMEngine._counted_io_ops`) as every counted
+parallel I/O operation the run's report accounts for::
+
+    init_io_ops + sum(superstep phases.total) + output_io_ops
+        + checkpoint_io_ops + recovery_io_ops
+
+I/O spent on a superstep attempt that a fatal fault rolled back is in none
+of these terms and is not counted.  ``bytes_moved`` is host traffic, not a
+model cost: storage-plane bytes for in-process processors, pipe bytes under
+the process backend.
+
 Like every ``repro.obs`` surface, the event log is read-only with respect
 to the simulation: emitting events never changes counted costs, ledgers,
 or outputs (the golden suite proves byte identity with the bus on or off).
