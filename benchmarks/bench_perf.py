@@ -25,6 +25,11 @@ performance knobs introduced by the fast path work:
 * ``seq_file_fast_overlap`` — the overlapped file plane with the fast
   knobs on; ``ratio_file_overlap_fast`` (x ``seq_fast``) is the
   acceptance ratio for the storage-plane gap
+* ``seq_file_fast_vector``/``seq_file_fast_vector_overlap`` — the file
+  plane like for like with ``seq_fast_vector`` (fast knobs, vector
+  records), without and with ``io_overlap``; ``ratio_file_fast_vector``
+  (x ``seq_fast_vector``) is the file/memory gap the ROADMAP wants <= 2x,
+  soft-warned above 3x
 
 For every workload the harness *asserts* that each engine's fast and
 observed configurations report exactly the same parallel I/O operation
@@ -124,6 +129,27 @@ CONFIGS = [
             "io_overlap": True,
             "context_cache": True,
             "fast_io": True,
+        },
+    ),
+    (
+        "seq_file_fast_vector",
+        "sequential",
+        {
+            "storage": "file",
+            "context_cache": True,
+            "fast_io": True,
+            "records": "vector",
+        },
+    ),
+    (
+        "seq_file_fast_vector_overlap",
+        "sequential",
+        {
+            "storage": "file",
+            "io_overlap": True,
+            "context_cache": True,
+            "fast_io": True,
+            "records": "vector",
         },
     ),
 ]
@@ -226,7 +252,7 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
             r = _run_config(cname, engine, kwargs, wl["make"], v)
             configs[cname] = r
             print(
-                f"  {cname:17s} wall={r['wall_s']:8.3f}s  io={r['io_ops']:7d}  "
+                f"  {cname:28s} wall={r['wall_s']:8.3f}s  io={r['io_ops']:7d}  "
                 f"comm={r['comm_packets']:6d}  comp={r['comp_ops']:.3g}"
             )
         # Dual-accounting invariant: fast configs must count exactly like
@@ -248,6 +274,8 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
             # computation must not move a single counted cost either.
             ("seq_file_overlap", "seq_reference"),
             ("seq_file_fast_overlap", "seq_reference"),
+            ("seq_file_fast_vector", "seq_reference"),
+            ("seq_file_fast_vector_overlap", "seq_reference"),
         ]:
             for kct in COUNTED:
                 if configs[fast][kct] != configs[ref][kct]:
@@ -311,6 +339,18 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
                 / configs["seq_fast"]["wall_s"],
                 3,
             ),
+            # The like-for-like file/memory gap: fast knobs and vector
+            # records on both sides.
+            "ratio_file_fast_vector": round(
+                configs["seq_file_fast_vector"]["wall_s"]
+                / configs["seq_fast_vector"]["wall_s"],
+                3,
+            ),
+            "ratio_file_fast_vector_overlap": round(
+                configs["seq_file_fast_vector_overlap"]["wall_s"]
+                / configs["seq_fast_vector"]["wall_s"],
+                3,
+            ),
         }
         print(
             f"  speedups: seq_fast={entry['speedup_seq_fast']}x  "
@@ -325,8 +365,16 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
         print(
             f"  file plane vs memory: sync={entry['ratio_file_sync']}x  "
             f"overlap={entry['ratio_file_overlap']}x  "
-            f"overlap_fast={entry['ratio_file_overlap_fast']}x"
+            f"overlap_fast={entry['ratio_file_overlap_fast']}x  "
+            f"fast_vector={entry['ratio_file_fast_vector']}x  "
+            f"fast_vector_overlap={entry['ratio_file_fast_vector_overlap']}x"
         )
+        if entry["ratio_file_fast_vector"] > 3.0:
+            print(
+                f"::warning::{name}: seq_file_fast_vector is "
+                f"{entry['ratio_file_fast_vector']}x seq_fast_vector "
+                "(file/memory gap above 3x)"
+            )
         # Soft signal only: wall-clock noise on shared CI runners dwarfs the
         # span layer's cost (sub-0.2s runs are all jitter), so this never
         # fails the run and only warns when the baseline is measurable.

@@ -90,7 +90,7 @@ class RealProcessor:
         self.storage_spec = spec if sole else spec.for_proc(index)
         self.array = DiskArray(
             m.D, m.B, faults=faults, retry=retry, proc=index, fast_io=fast_io,
-            storage=self.storage_spec,
+            storage=self.storage_spec, M=m.M,
         )
         self.allocator = RegionAllocator(self.array)
         self.contexts = ContextStore(

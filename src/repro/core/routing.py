@@ -28,12 +28,24 @@ The two phases follow the paper:
 
 The returned region satisfies Definition 2, and reading any run of
 consecutive destination slots achieves full disk parallelism.
+
+Both phases are a *schedule*: every ``(disk, track)`` a round reads and
+writes follows from the bucket tables before a byte moves.  Each phase is
+therefore a lazy generator of ``(reads, write_addrs)`` rounds that
+:func:`_move_rounds` hands to :meth:`~repro.emio.diskarray.DiskArray
+.read_rounds` / ``write_rounds``, :attr:`~repro.emio.diskarray.DiskArray
+.rounds_in_flight` rounds at a time — at most ``M/4`` records in memory,
+one round on any array that is not on the fast data plane.  A round's
+reads and writes never share a track (phase 1 copies the bucket store into
+scratch, phase 2 scratch into the new region), so reading a chunk's
+rounds before writing them moves the same blocks to the same places.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from ..emio.disk import DiskError
 from ..emio.diskarray import DiskArray
@@ -59,6 +71,95 @@ class RoutingStats:
     @property
     def io_ops(self) -> int:
         return self.phase1_ops + self.phase2_ops
+
+
+#: One round of a phase: the tracks it reads, and where each block read goes.
+Round = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+
+
+def _move_rounds(array: DiskArray, rounds: Iterable[Round]) -> None:
+    """Execute a phase: one parallel read plus one parallel write per round."""
+    rounds = iter(rounds)
+    for reads, write_addrs in rounds:
+        ahead = array.rounds_in_flight - 1
+        if not ahead:
+            # The paper's loop as it stands: an array that moves round by
+            # round pays for no chunk lists (measured on the reference plane).
+            blocks = array.parallel_read(reads)
+            array.parallel_write(
+                [(d, t, blk) for (d, t), blk in zip(write_addrs, blocks)]
+            )
+            continue
+        chunk = [(reads, write_addrs), *islice(rounds, ahead)]
+        # The blocks are bound to no name: a chunk's must be garbage before
+        # the next chunk's are read, or two chunks are in memory at once.
+        array.write_rounds(
+            [
+                [(d, t, blk) for (d, t), blk in zip(write_addrs, blocks)]
+                for (_, write_addrs), blocks in zip(
+                    chunk, array.read_rounds([reads for reads, _ in chunk])
+                )
+            ]
+        )
+
+
+def _phase1_rounds(
+    queues: list[list[list[tuple[int, int]]]], D: int, copy_base: int
+) -> Iterator[Round]:
+    """Round ``j`` reads bucket ``d``'s next block off disk ``(d + j) mod D``
+    and writes it to its sorted position in bucket ``d``'s copy on disk ``d``.
+
+    ``queues[d][disk]`` is the FIFO of ``(track, copy position)`` pairs of
+    bucket ``d``'s blocks on ``disk``.
+    """
+    remaining = sum(len(fifo) for per_disk in queues for fifo in per_disk)
+    # FIFO consumption via per-queue cursors: list.pop(0) is O(queue) and
+    # turns phase 1 quadratic in the bucket size.
+    heads = [[0] * D for _ in queues]
+    j = 0
+    while remaining > 0:
+        reads: list[tuple[int, int]] = []
+        write_addrs: list[tuple[int, int]] = []
+        for d, per_disk in enumerate(queues):
+            src = (d + j) % D
+            if heads[d][src] < len(per_disk[src]):
+                track, copy_pos = per_disk[src][heads[d][src]]
+                heads[d][src] += 1
+                reads.append((src, track))
+                write_addrs.append((d, copy_base + copy_pos))
+        j += 1
+        if reads:
+            remaining -= len(reads)
+            yield reads, write_addrs
+
+
+def _phase2_rounds(
+    bucket_range: list[tuple[int, int]], D: int, copy_base: int, region_base: int
+) -> Iterator[Round]:
+    """Round ``j`` reads the next block of every bucket's sorted copy and
+    writes it to its final place in the striped region.
+
+    Bucket ``d`` (``bucket_range[d]`` = first linear target, size) sends
+    copy position ``q`` to linear position ``offset_d + q``; a start
+    stagger of ``(offset_d - d) mod D`` rounds gives round ``j`` the write
+    disks ``(d + j) mod D`` — pairwise distinct, the paper's schedule
+    (``write_rounds`` refuses a round that is not).
+    """
+    shifts = [(off - d) % D if size else 0 for d, (off, size) in enumerate(bucket_range)]
+    total_rounds = max(
+        (shift + size for shift, (_, size) in zip(shifts, bucket_range)), default=0
+    )
+    for j in range(total_rounds):
+        reads = []
+        write_addrs = []
+        for d, (off, size) in enumerate(bucket_range):
+            q = j - shifts[d]
+            if 0 <= q < size:
+                reads.append((d, copy_base + q))
+                tgt = off + q
+                write_addrs.append((tgt % D, region_base + tgt // D))
+        if reads:
+            yield reads, write_addrs
 
 
 def simulate_routing(
@@ -145,7 +246,7 @@ def simulate_routing(
     # ---- Phase 1: gather bucket d onto disk d, sorted by target ----
     max_bucket = max(len(es) for es in entries)
     copy_base = allocator.allocate(max_bucket)
-    # Per (bucket, source-disk) FIFOs of (track, copy_track, target).
+    # Per (bucket, source-disk) FIFOs of (track, copy position).
     queues: list[list[list[tuple[int, int]]]] = []
     for b in range(buckets.nbuckets):
         off = bucket_range[b][0]
@@ -155,67 +256,12 @@ def simulate_routing(
         queues.append(per_disk)
 
     ops_before = array.parallel_ops
-    remaining = stats.total_blocks
-    # FIFO consumption via per-queue cursors: list.pop(0) is O(queue) and
-    # turns phase 1 quadratic in the bucket size.
-    heads = [[0] * D for _ in range(len(queues))]
-    j = 0
-    while remaining > 0:
-        reads: list[tuple[int, int]] = []
-        writes_meta: list[tuple[int, int]] = []  # (bucket, copy_pos)
-        for d in range(min(D, buckets.nbuckets)):
-            src = (d + j) % D
-            if d < len(queues) and heads[d][src] < len(queues[d][src]):
-                track, copy_pos = queues[d][src][heads[d][src]]
-                heads[d][src] += 1
-                reads.append((src, track))
-                writes_meta.append((d, copy_pos))
-        j += 1
-        if not reads:
-            continue
-        blocks = array.parallel_read(reads)
-        array.parallel_write(
-            [
-                (bucket, copy_base + pos, blk)
-                for (bucket, pos), blk in zip(writes_meta, blocks)
-            ]
-        )
-        remaining -= len(reads)
+    _move_rounds(array, _phase1_rounds(queues, D, copy_base))
     stats.phase1_ops = array.parallel_ops - ops_before
 
     # ---- Phase 2: stripe the sorted copies into the target region ----
-    # Bucket d's copy position q targets linear position offset_d + q; a
-    # start stagger of (offset_d - d) mod D rounds gives round j the write
-    # disks (d + j) mod D — pairwise distinct, the paper's schedule.
     ops_before = array.parallel_ops
-    shifts = [
-        (bucket_range[d][0] - d) % D if bucket_range[d][1] else 0
-        for d in range(min(D, buckets.nbuckets))
-    ]
-    sizes = [bucket_range[d][1] for d in range(min(D, buckets.nbuckets))]
-    total_rounds = max(
-        (shifts[d] + sizes[d] for d in range(len(sizes))), default=0
-    )
-    for j in range(total_rounds):
-        reads = []
-        targets = []
-        for d in range(len(sizes)):
-            q = j - shifts[d]
-            if 0 <= q < sizes[d]:
-                reads.append((d, copy_base + q))
-                targets.append(bucket_range[d][0] + q)
-        if not reads:
-            continue
-        blocks = array.parallel_read(reads)
-        writes = []
-        seen = set()
-        for tgt, blk in zip(targets, blocks):
-            td, tt = tgt % D, region.base + tgt // D
-            if td in seen:  # pragma: no cover - schedule guarantees distinct
-                raise DiskError("phase 2 write collision; stagger broken")
-            seen.add(td)
-            writes.append((td, tt, blk))
-        array.parallel_write(writes)
+    _move_rounds(array, _phase2_rounds(bucket_range, D, copy_base, region.base))
     stats.phase2_ops = array.parallel_ops - ops_before
 
     allocator.release(copy_base, max_bucket)

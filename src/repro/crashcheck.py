@@ -89,10 +89,13 @@ def _build_engine(
     storage_dir: str,
     crash: CrashPlan | None,
     max_recoveries: int = 8,
-    io_overlap: bool = False,
+    records: str | None = None,
+    **engine_kwargs,
 ):
     """One engine over a fresh algorithm instance, storage plane attached."""
     alg = algorithm_factory()
+    if records is not None:
+        alg.set_record_mode(records)
     params = build_params(alg, machine, v, k=k)
     kwargs = dict(
         seed=seed,
@@ -100,8 +103,8 @@ def _build_engine(
         max_recoveries=max_recoveries,
         storage=storage,
         storage_dir=storage_dir,
-        io_overlap=io_overlap,
         crash=crash,
+        **engine_kwargs,
     )
     # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
     engine = "auto" if backend == "inline" else "parallel"
@@ -123,6 +126,7 @@ def explore(
     io_overlap: bool = False,
     observer: Any = None,
     log: Callable[[str], None] | None = None,
+    **plane,
 ) -> CrashCheckResult:
     """Crash at every crash point of the run; verify every recovery.
 
@@ -131,15 +135,19 @@ def explore(
     ``ConformConfig.algorithm`` is exactly such a factory.  ``root`` is a
     scratch directory the sweep fills with one storage root per crash
     point (``golden``, ``pt0``, ``pt1``, ...), left behind for post-mortem.
+    ``plane`` picks the data plane every engine of the sweep runs on:
+    ``records=`` (as :func:`~repro.core.simulator.simulate` takes it) and
+    engine knobs such as ``fast_io=True, context_cache=True``.
     """
     say = log or (lambda _msg: None)
+    plane["io_overlap"] = io_overlap
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
     golden_dir = os.path.join(root, "golden")
 
     golden_out, golden_rep = _build_engine(
         algorithm_factory, machine, v, k, seed, backend, storage,
-        golden_dir, crash=None, io_overlap=io_overlap,
+        golden_dir, crash=None, **plane,
     ).run()
     checkpoints = golden_rep.faults.checkpoints_taken
     golden_summary = golden_rep.ledger.summary()
@@ -161,7 +169,7 @@ def explore(
         outcome = _explore_point(
             algorithm_factory, machine, v, k, seed, backend, storage,
             point_dir, plan, point, stage, golden_out, golden_summary,
-            observer, result, io_overlap,
+            observer, result, plane,
         )
         result.outcomes.append(outcome)
         verdict = "ok  " if outcome.ok else "FAIL"
@@ -186,13 +194,13 @@ def _explore_point(
     golden_summary,
     observer,
     result,
-    io_overlap=False,
+    plane,
 ) -> CrashPointOutcome:
     """Crash at one point, scrub, recover, and compare against golden."""
     try:
         _build_engine(
             algorithm_factory, machine, v, k, seed, backend, storage,
-            point_dir, crash=plan, io_overlap=io_overlap,
+            point_dir, crash=plan, **plane,
         ).run()
     except HostCrash:
         pass
@@ -219,7 +227,7 @@ def _explore_point(
 
     engine = _build_engine(
         algorithm_factory, machine, v, k, seed, backend, storage,
-        point_dir, crash=None, max_recoveries=0, io_overlap=io_overlap,
+        point_dir, crash=None, max_recoveries=0, **plane,
     )
     try:
         if res.checkpoint is not None:

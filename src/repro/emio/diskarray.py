@@ -68,6 +68,10 @@ class DiskArray:
         A :class:`~repro.emio.storage.StorageSpec` choosing where the
         drives' tracks live (memory / file / mmap).  Defaults to the
         in-heap memory plane.  The plane never changes counted costs.
+    M:
+        The owning processor's internal memory in records.  It bounds how
+        many rounds of a schedule may be in flight at once
+        (:attr:`rounds_in_flight`); an array that is not told holds one.
     """
 
     def __init__(
@@ -80,6 +84,7 @@ class DiskArray:
         proc: int = 0,
         fast_io: bool = False,
         storage: "StorageSpec | None" = None,
+        M: int | None = None,
     ):
         if D < 1:
             raise DiskError(f"D must be >= 1, got {D}")
@@ -120,6 +125,8 @@ class DiskArray:
         # full physical-attempt path so traces stay byte-identical.
         self._fast = bool(fast_io) and faults is None and ntracks is None
         self.hooked = False
+        # A quarter of memory's worth of full rounds (D*B records each).
+        self._chunk_rounds = max(1, (M or 0) // (4 * D * max(B, 1)))
         # -- robustness state ---------------------------------------------------
         self.dead_disks: set[int] = set()
         self.retry_reads = 0  # extra parallel ops spent re-reading
@@ -138,6 +145,16 @@ class DiskArray:
     def fast_data_plane(self) -> bool:
         """True when the counted-cost short-circuits are active."""
         return self._fast and not self.hooked and not self.dead_disks
+
+    @property
+    def rounds_in_flight(self) -> int:
+        """How many rounds of a schedule to hand :meth:`read_rounds` /
+        :meth:`write_rounds` at a time: at most ``M/4`` records' worth on
+        the fast data plane, where a chunk moves with one transfer per
+        drive; one round everywhere else, so that a traced, faulty, bounded
+        or degraded array makes its physical attempts read, write, read,
+        write — the order its trace and its fault streams are defined on."""
+        return self._chunk_rounds if self.fast_data_plane else 1
 
     def set_profiler(self, profiler) -> None:
         """Install an attribution profiler on the array and its storages.
@@ -245,8 +262,14 @@ class DiskArray:
 
     # -- parallel primitives ---------------------------------------------------
 
-    @staticmethod
-    def _assert_one_per_disk(disk_ids: Sequence[int]) -> None:
+    def _check_round(self, kind: str, disk_ids: Sequence[int]) -> None:
+        """The model's rule for one parallel op: 1..D tracks, one per disk."""
+        if not disk_ids:
+            raise DiskError(f"parallel {kind} of no tracks: a round holds 1..D")
+        if len(disk_ids) > self.D:
+            raise DiskError(
+                f"parallel {kind} of {len(disk_ids)} tracks exceeds D={self.D}"
+            )
         if len(set(disk_ids)) != len(disk_ids):
             raise DiskError(
                 "parallel I/O operation touches a disk twice: "
@@ -297,9 +320,11 @@ class DiskArray:
         ops = list(ops)
         if not ops:
             return []
-        if len(ops) > self.D:
-            raise DiskError(f"parallel read of {len(ops)} tracks exceeds D={self.D}")
-        self._assert_one_per_disk([d for d, _ in ops])
+        self._check_round("read", [d for d, _ in ops])
+        return self._read_round(ops)
+
+    def _read_round(self, ops: list[tuple[int, int]]) -> list[Block | None]:
+        """One validated, non-empty round of :meth:`parallel_read`."""
         if self.fast_data_plane:
             self.parallel_ops += 1
             out: list[Block | None] = []
@@ -349,9 +374,11 @@ class DiskArray:
         ops = list(ops)
         if not ops:
             return
-        if len(ops) > self.D:
-            raise DiskError(f"parallel write of {len(ops)} tracks exceeds D={self.D}")
-        self._assert_one_per_disk([d for d, _, _ in ops])
+        self._check_round("write", [d for d, _, _ in ops])
+        self._write_round(ops)
+
+    def _write_round(self, ops: list[tuple[int, int, Block | None]]) -> None:
+        """One validated, non-empty round of :meth:`parallel_write`."""
         if self.fast_data_plane:
             self.parallel_ops += 1
             B = self.B
@@ -391,7 +418,88 @@ class DiskArray:
                     self._charge_backoff(attempts[idx])
                     retry_q.append((idx, (d, t, blk)))
 
+    # -- scheduled rounds --------------------------------------------------------
+
+    def read_rounds(
+        self, rounds: Sequence[Sequence[tuple[int, int]]]
+    ) -> list[list[Block | None]]:
+        """Several parallel reads whose addresses are all known up front.
+
+        Each inner list is exactly one counted parallel operation (1..D
+        tracks, one per disk); all of them are checked before any data
+        moves, so a malformed schedule leaves the array untouched.  Counted
+        costs are those of one :meth:`parallel_read` per round.  On the
+        fast data plane several rounds move as one grouped load per drive.
+        """
+        for ops in rounds:
+            self._check_round("read", [d for d, _ in ops])
+        if len(rounds) == 1 or not self.fast_data_plane:
+            return [self._read_round(ops) for ops in rounds]
+        blocks = iter(self._load_grouped([a for ops in rounds for a in ops])[0])
+        self.parallel_ops += len(rounds)
+        return [[next(blocks) for _ in ops] for ops in rounds]
+
+    def write_rounds(
+        self, rounds: Sequence[Sequence[tuple[int, int, Block | None]]]
+    ) -> None:
+        """The write-side twin of :meth:`read_rounds`: one counted parallel
+        operation per inner list; on the fast data plane several rounds
+        move as one grouped store per drive.  A drive receives its blocks
+        in round order either way, so the storage plane sees the puts of
+        the round-by-round loop."""
+        for ops in rounds:
+            self._check_round("write", [d for d, _, _ in ops])
+        if len(rounds) == 1 or not self.fast_data_plane:
+            for ops in rounds:
+                self._write_round(ops)
+            return
+        self._store_grouped([op for ops in rounds for op in ops])
+        self.parallel_ops += len(rounds)
+
     # -- batched helpers ---------------------------------------------------------
+
+    def _load_grouped(
+        self, addrs: list[tuple[int, int]]
+    ) -> tuple[list[Block | None], int]:
+        """Fast-plane data movement of a read: one ``_load_many`` per drive
+        (file-backed planes coalesce near-adjacent slot extents into single
+        preads) and per-disk ``reads`` charged.  Returns the blocks in
+        ``addrs`` order and the longest per-drive queue; ``parallel_ops``
+        is the caller's to charge."""
+        disks = self.disks
+        per_disk: list[list[int]] = [[] for _ in range(self.D)]
+        for d, t in addrs:
+            per_disk[d].append(t)
+        loaded = [
+            iter(disks[d]._load_many(ts)) if ts else None
+            for d, ts in enumerate(per_disk)
+        ]
+        out: list[Block | None] = [next(loaded[d]) for d, _ in addrs]
+        for d, ts in enumerate(per_disk):
+            disks[d].reads += len(ts)
+        return out, max(map(len, per_disk))
+
+    def _store_grouped(self, ops: list[tuple[int, int, Block | None]]) -> int:
+        """Fast-plane data movement of a write: blocks validated, high-water
+        marks raised, then one ``_store_many`` per drive (file-backed planes
+        merge adjacent slot runs into single pwrites) and per-disk
+        ``writes`` charged.  Returns the longest per-drive queue;
+        ``parallel_ops`` is the caller's to charge."""
+        B = self.B
+        disks = self.disks
+        per_disk: list[list[tuple[int, Block | None]]] = [[] for _ in range(self.D)]
+        for d, t, blk in ops:
+            if blk is not None:
+                blk.validate(B)
+            per_disk[d].append((t, blk))
+            disk = disks[d]
+            if disk._high_water < t < SHADOW_TRACK_BASE:
+                disk._high_water = t
+        for d, items in enumerate(per_disk):
+            if items:
+                disks[d]._store_many(items)
+                disks[d].writes += len(items)
+        return max(map(len, per_disk))
 
     def read_batched(self, addrs: Iterable[tuple[int, int]]) -> list[Block | None]:
         """Read many ``(disk, track)`` addresses using as few parallel ops as possible.
@@ -409,23 +517,8 @@ class DiskArray:
             # to round r (a round can never be closed by the D-item cap,
             # since it holds at most one item per disk and there are only D
             # disks), so it uses exactly max-per-disk-count rounds.
-            # Loads are grouped per disk and handed to _load_many, so
-            # file-backed planes coalesce one fetch's near-adjacent slot
-            # extents into single preads instead of one syscall per track.
-            counts = [0] * self.D
-            disks = self.disks
-            per_disk: list[list[int]] = [[] for _ in range(self.D)]
-            for d, t in addrs:
-                counts[d] += 1
-                per_disk[d].append(t)
-            loaded = [
-                iter(disks[d]._load_many(ts)) if ts else None
-                for d, ts in enumerate(per_disk)
-            ]
-            out: list[Block | None] = [next(loaded[d]) for d, _ in addrs]
-            for d, c in enumerate(counts):
-                disks[d].reads += c
-            self.parallel_ops += max(counts)
+            out, rounds = self._load_grouped(addrs)
+            self.parallel_ops += rounds
             return out
         results: list[Block | None] = [None] * len(addrs)
         pending = list(enumerate(addrs))
@@ -456,28 +549,8 @@ class DiskArray:
         if self.fast_data_plane:
             if not pending:
                 return 0
-            # Same round-count equivalence as read_batched.  Stores are
-            # grouped per disk and handed to _store_many, so file-backed
-            # planes coalesce one flush's adjacent-slot images into single
-            # pwrites instead of one syscall per track.
-            counts = [0] * self.D
-            B = self.B
-            disks = self.disks
-            per_disk: list[list[tuple[int, Block | None]]] = [[] for _ in range(self.D)]
-            for d, t, blk in pending:
-                counts[d] += 1
-                if blk is not None:
-                    blk.validate(B)
-                per_disk[d].append((t, blk))
-                disk = disks[d]
-                if disk._high_water < t < SHADOW_TRACK_BASE:
-                    disk._high_water = t
-            for d, items in enumerate(per_disk):
-                if items:
-                    disks[d]._store_many(items)
-            for d, c in enumerate(counts):
-                disks[d].writes += c
-            self.parallel_ops += max(counts)
+            # Same round-count equivalence as read_batched.
+            self.parallel_ops += self._store_grouped(pending)
             return self.parallel_ops - before
         while pending:
             used: set[int] = set()

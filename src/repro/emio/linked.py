@@ -23,6 +23,7 @@ measures empirically.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .disk import Block, DiskError
@@ -125,35 +126,52 @@ class LinkedBuckets:
         the ``D-1`` surviving disks and the permutation ranges over those
         only, so every bucket stays spread evenly over the drives that can
         actually serve it — Lemma 2 balance at ``D-1``.
+
+        The cycles go to :meth:`~repro.emio.diskarray.DiskArray.write_rounds`
+        :attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight` at a time:
+        placed, then written, cycle by cycle unless the array is on the
+        fast data plane, where a group's cycles reach each drive in one
+        transfer.
         """
         ops_before = self.array.parallel_ops
         live = self.array.live_disks
         D = len(live)
-        for start in range(0, len(blocks), D):
-            cycle = blocks[start : start + D]
-            perm = list(range(D))
-            if self.schedule == "rotate":
-                r = self._cycle % D
-                perm = perm[r:] + perm[:r]
-            elif self.schedule == "random":
-                self.rng.shuffle(perm)
-            elif self.schedule == "balance":
-                perm = self._balanced_assignment(cycle, live)
-            self._cycle += 1
-            writes = []
-            for i, blk in enumerate(cycle):
-                disk = live[perm[i]]
-                track = self._next_track(disk)
-                bucket = self.bucket_of(blk.dest)
-                if not (0 <= bucket < self.nbuckets):
-                    raise DiskError(
-                        f"block dest {blk.dest} maps to invalid bucket {bucket}"
-                    )
-                self.table[bucket][disk].append((track, blk.dest))
-                writes.append((disk, track, blk))
-            self.array.parallel_write(writes)
-            self.blocks_written += len(cycle)
+        starts = iter(range(0, len(blocks), D))
+        while chunk := list(islice(starts, self.array.rounds_in_flight)):
+            self.array.write_rounds(
+                [self._place_cycle(blocks[start : start + D], live) for start in chunk]
+            )
+        self.blocks_written += len(blocks)
         return self.array.parallel_ops - ops_before
+
+    def _place_cycle(
+        self, cycle: Sequence[Block], live: Sequence[int]
+    ) -> list[tuple[int, int, Block]]:
+        """Assign one write cycle's blocks to disks and tracks and enter
+        them in the bucket tables; returns the cycle's ``(disk, track,
+        block)`` writes."""
+        D = len(live)
+        perm = list(range(D))
+        if self.schedule == "rotate":
+            r = self._cycle % D
+            perm = perm[r:] + perm[:r]
+        elif self.schedule == "random":
+            self.rng.shuffle(perm)
+        elif self.schedule == "balance":
+            perm = self._balanced_assignment(cycle, live)
+        self._cycle += 1
+        writes = []
+        for i, blk in enumerate(cycle):
+            disk = live[perm[i]]
+            track = self._next_track(disk)
+            bucket = self.bucket_of(blk.dest)
+            if not (0 <= bucket < self.nbuckets):
+                raise DiskError(
+                    f"block dest {blk.dest} maps to invalid bucket {bucket}"
+                )
+            self.table[bucket][disk].append((track, blk.dest))
+            writes.append((disk, track, blk))
+        return writes
 
     def _balanced_assignment(
         self, cycle: Sequence[Block], live: Sequence[int]

@@ -8,8 +8,12 @@ live is therefore a free choice — this module makes it a pluggable plane:
 * :class:`MemoryStorage` — the historical behaviour: a dict of live
   ``Block`` objects.  Fast, identity-preserving, heap-bound.
 * :class:`FileStorage` — one preallocated file per drive.  Tracks map to
-  runs of fixed-size *slots*; each stored image is a length-prefixed pickle
-  written with ``os.pwrite`` / read with ``os.pread``.  Slot runs freed by
+  runs of :data:`SLOT_BYTES` *slots*; each stored image is a sealed frame
+  written with ``os.pwrite`` / read with ``os.pread`` — several at once
+  through ``put_many`` / ``get_many``, which merge adjacent runs into one
+  syscall (the unit is small so that a batch lies dense on the platter).
+  ndarray records travel as raw little-endian images behind a fixed binary
+  header, everything else as a pickle.  Slot runs freed by
   ``discard_track`` are reused (best-fit).  This is the true out-of-core
   plane: datasets are bounded by the filesystem, not the heap.
 * :class:`MmapStorage` — the same on-disk format accessed through ``mmap``,
@@ -74,13 +78,14 @@ import weakref
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Protocol
+from functools import lru_cache
+from typing import Iterator, Protocol
+
+import numpy as np
 
 from ..obs.profile import NULL_PROFILER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a circular import
-    from .disk import Block
-    from .faults import CrashPlan
+from .disk import Block, DiskError
+from .faults import ChecksumError, CrashPlan, CrashyStorage
 
 __all__ = [
     "STORAGE_KINDS",
@@ -103,6 +108,9 @@ STORAGE_KINDS = ("memory", "file", "mmap")
 #: non-empty directory *without* it is refused (it is somebody else's data);
 #: one *with* it is reused, which is what crash-resume needs.
 STORAGE_MARKER = ".em-storage.json"
+#: On-disk format the marker records; bumped whenever track files written by
+#: the old code would misread under the new (2: slot unit, vector image).
+STORAGE_VERSION = 2
 
 # Per-slot frame: magic | write generation | payload length, then a CRC32
 # sealing header + payload.  The generation tag distinguishes two
@@ -115,29 +123,35 @@ FRAME_MAGIC = 0x454D5331  # "EMS1"
 FRAME_BYTES = _FRAME.size + _CRC.size
 
 
-def _seal_frame(payload: bytes, gen: int) -> bytes:
-    """Frame ``payload`` for storage: sealed header + payload."""
-    prefix = _FRAME.pack(FRAME_MAGIC, gen & 0xFFFFFFFF, len(payload))
-    crc = zlib.crc32(payload, zlib.crc32(prefix))
-    return prefix + _CRC.pack(crc) + payload
+def _seal_frame(head: bytes, body, gen: int, pad: int = 0) -> bytes:
+    """Frame the payload ``head + body`` (an image as :func:`_encode_block`
+    returns it): sealed header, payload, then ``pad`` zero bytes — the
+    slack of the slot run, outside the frame.
+
+    The one ``join`` is the only copy a payload makes on its way to the
+    platter; the CRC32 runs over header and payload in place.
+    """
+    prefix = _FRAME.pack(FRAME_MAGIC, gen & 0xFFFFFFFF, len(head) + len(body))
+    crc = zlib.crc32(body, zlib.crc32(head, zlib.crc32(prefix)))
+    return b"".join((prefix, _CRC.pack(crc), head, body, bytes(pad)))
 
 
-def _open_frame(raw: bytes, path: str, base: int, length: int, gen: int) -> bytes:
+def _open_frame(raw: bytes, path: str, base: int, length: int, gen: int) -> memoryview:
     """Validate one framed slot image against the map's expectations.
 
-    Returns the payload, or raises :class:`~repro.emio.faults.ChecksumError`
-    (a retriable :class:`~repro.emio.disk.DiskError`) if the frame is short,
-    the magic or CRC32 is wrong, or the stored generation/length disagree
-    with what the track map recorded at write time.
+    Returns the payload as a view into ``raw`` (no copy), or raises
+    :class:`~repro.emio.faults.ChecksumError` (a retriable
+    :class:`~repro.emio.disk.DiskError`) if the frame is short, the magic
+    or CRC32 is wrong, or the stored generation/length disagree with what
+    the track map recorded at write time.
     """
-    from .faults import ChecksumError
-
     expect_gen = gen & 0xFFFFFFFF
     if len(raw) >= FRAME_BYTES + length:
-        magic, stored_gen, stored_len = _FRAME.unpack_from(raw)
-        (stored_crc,) = _CRC.unpack_from(raw, _FRAME.size)
-        payload = raw[FRAME_BYTES : FRAME_BYTES + length]
-        crc = zlib.crc32(payload, zlib.crc32(raw[: _FRAME.size]))
+        view = memoryview(raw)
+        magic, stored_gen, stored_len = _FRAME.unpack_from(view)
+        (stored_crc,) = _CRC.unpack_from(view, _FRAME.size)
+        payload = view[FRAME_BYTES : FRAME_BYTES + length]
+        crc = zlib.crc32(payload, zlib.crc32(view[: _FRAME.size]))
         if (
             magic == FRAME_MAGIC
             and stored_gen == expect_gen
@@ -157,59 +171,60 @@ def _open_frame(raw: bytes, path: str, base: int, length: int, gen: int) -> byte
     )
 
 
-#: First byte of a vectorized (raw fixed-width) slot image.  Pickle streams
-#: of protocol >= 2 always start with 0x80, so the two image flavours are
-#: distinguished by their first byte alone.
-_VEC_TAG = b"V"
-_VEC_HLEN = struct.Struct("<I")
+# A vectorized (raw fixed-width) slot image: a fixed header — tag, record
+# count, dest, src, msg, seq, dummy, descr length — then the dtype's descr
+# and the array's little-endian bytes.  Pickle streams of protocol >= 2
+# always start with 0x80, so the two image flavours are distinguished by
+# their first byte alone.
+_VEC_TAG = 0x56  # "V"
+_VEC_HEAD = struct.Struct("<BIqqqqBH")
 
 
-def _descr_to_dtype(descr):
-    """Rebuild a dtype from its JSON-round-tripped ``descr`` form."""
-    import numpy as np
-
-    if isinstance(descr, str):
-        return np.dtype(descr)
-    fields = []
-    for f in descr:
-        if len(f) == 3:
-            fields.append((f[0], f[1], tuple(f[2])))
-        else:
-            fields.append((f[0], f[1]))
-    return np.dtype(fields)
+@lru_cache(maxsize=256)
+def _descr_of(dtype: np.dtype) -> bytes:
+    """A dtype's JSON ``descr``, space-padded so that the array bytes after
+    it start 8-byte aligned within the frame: decode is a zero-copy
+    ``frombuffer``, and aligned views keep numpy on its fast loops."""
+    descr = json.dumps(
+        dtype.descr if dtype.names else dtype.str, separators=(",", ":")
+    ).encode("ascii")
+    return descr + b" " * (-(FRAME_BYTES + _VEC_HEAD.size + len(descr)) % 8)
 
 
-def _encode_block(block: "Block") -> bytes:
-    """Serialize one block into a slot image.
+@lru_cache(maxsize=256)
+def _dtype_of(descr: bytes) -> np.dtype:
+    """Inverse of :func:`_descr_of` (JSON turned the field tuples into lists)."""
+    parsed = json.loads(descr)
+    if isinstance(parsed, str):
+        return np.dtype(parsed)
+    return np.dtype(
+        [(f[0], f[1], tuple(f[2])) if len(f) == 3 else (f[0], f[1]) for f in parsed]
+    )
 
-    ndarray payloads become a tagged raw image — a one-byte tag, a small
-    JSON header (dtype descr, record count, routing metadata) and the
-    array's little-endian bytes — so the vectorized plane's storage path is
-    a memcpy, not a pickle of boxed objects.  Everything else (lists,
-    pickled-context bytes) keeps the historical pickle image byte-for-byte;
+
+def _encode_block(block: Block) -> tuple[bytes, "bytes | np.ndarray"]:
+    """Serialize one block into a slot image, returned as ``(head, body)``.
+
+    ndarray payloads become a raw image — the fixed header plus the cached
+    descr, and the array's own buffer, uncopied — so the vectorized plane's
+    storage path is one memcpy (in :func:`_seal_frame`), not a pickle of
+    boxed objects.  Everything else (lists, pickled-context bytes) keeps
+    the historical pickle image byte-for-byte, with an empty body;
     memoryview payloads are materialized first since pickle refuses them.
     """
-    import numpy as np
-
     records = block.records
     if isinstance(records, np.ndarray) and records.ndim == 1:
         arr = np.ascontiguousarray(records)
         if arr.dtype.byteorder == ">":  # canonical images are little-endian
             arr = arr.astype(arr.dtype.newbyteorder("<"))
-        descr = arr.dtype.descr if arr.dtype.names else arr.dtype.str
-        header = json.dumps(
-            {
-                "d": descr,
-                "n": int(arr.shape[0]),
-                "b": [block.dest, block.src, block.msg, block.seq, int(block.dummy)],
-            },
-            separators=(",", ":"),
-        ).encode("ascii")
-        return _VEC_TAG + _VEC_HLEN.pack(len(header)) + header + arr.tobytes()
+        descr = _descr_of(arr.dtype)
+        head = _VEC_HEAD.pack(
+            _VEC_TAG, arr.shape[0], block.dest, block.src, block.msg, block.seq,
+            block.dummy, len(descr),
+        )
+        return head + descr, arr.view(np.uint8)
     if isinstance(records, memoryview):
-        from .disk import Block as _Block
-
-        block = _Block(
+        block = Block(
             records=bytes(records),
             dest=block.dest,
             src=block.src,
@@ -217,29 +232,20 @@ def _encode_block(block: "Block") -> bytes:
             seq=block.seq,
             dummy=block.dummy,
         )
-    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL), b""
 
 
-def _decode_block(payload: bytes) -> "Block":
+def _decode_block(payload: memoryview) -> Block:
     """Inverse of :func:`_encode_block` (dispatch on the first byte)."""
-    if payload[:1] == _VEC_TAG:
-        import numpy as np
-
-        from .disk import Block as _Block
-
-        (hlen,) = _VEC_HLEN.unpack_from(payload, 1)
-        head = json.loads(payload[1 + _VEC_HLEN.size : 1 + _VEC_HLEN.size + hlen])
-        arr = np.frombuffer(
-            payload,
-            dtype=_descr_to_dtype(head["d"]),
-            count=head["n"],
-            offset=1 + _VEC_HLEN.size + hlen,
-        )
-        dest, src, msg, seq, dummy = head["b"]
-        return _Block(
-            records=arr, dest=dest, src=src, msg=msg, seq=seq, dummy=bool(dummy)
-        )
-    return pickle.loads(payload)
+    if payload[0] != _VEC_TAG:
+        return pickle.loads(payload)
+    _tag, n, dest, src, msg, seq, dummy, dlen = _VEC_HEAD.unpack_from(payload)
+    body = _VEC_HEAD.size + dlen
+    arr = np.frombuffer(
+        payload, dtype=_dtype_of(bytes(payload[_VEC_HEAD.size : body])),
+        count=n, offset=body,
+    )
+    return Block(records=arr, dest=dest, src=src, msg=msg, seq=seq, dummy=bool(dummy))
 
 
 def _fsync_dir(path: str) -> None:
@@ -270,11 +276,11 @@ class BlockStorage(Protocol):
     read_bytes: int
     write_bytes: int
 
-    def get(self, track: int) -> "Block | None": ...  # pragma: no cover
+    def get(self, track: int) -> Block | None: ...  # pragma: no cover
 
-    def peek(self, track: int) -> "Block | None": ...  # pragma: no cover
+    def peek(self, track: int) -> Block | None: ...  # pragma: no cover
 
-    def put(self, track: int, block: "Block | None") -> bool: ...  # pragma: no cover
+    def put(self, track: int, block: Block | None) -> bool: ...  # pragma: no cover
 
     def discard(self, track: int) -> bool: ...  # pragma: no cover
 
@@ -316,16 +322,16 @@ class MemoryStorage(_ProfiledStorage):
     kind = "memory"
 
     def __init__(self) -> None:
-        self._tracks: dict[int, "Block | None"] = {}
+        self._tracks: dict[int, Block | None] = {}
         self.read_bytes = 0
         self.write_bytes = 0
 
-    def get(self, track: int) -> "Block | None":
+    def get(self, track: int) -> Block | None:
         return self._tracks.get(track)
 
     peek = get
 
-    def put(self, track: int, block: "Block | None") -> bool:
+    def put(self, track: int, block: Block | None) -> bool:
         prev = self._tracks.get(track)
         self._tracks[track] = block
         return prev is not None
@@ -336,7 +342,7 @@ class MemoryStorage(_ProfiledStorage):
     def tracks(self) -> Iterator[int]:
         return (t for t, b in self._tracks.items() if b is not None)
 
-    def tracks_view(self) -> dict[int, "Block | None"]:
+    def tracks_view(self) -> dict[int, Block | None]:
         """The raw dict, for tests that plant blocks directly."""
         return self._tracks
 
@@ -350,8 +356,6 @@ class MemoryStorage(_ProfiledStorage):
         return None  # nothing on disk to reference; checkpoints carry the data
 
     def restore(self, snap: dict | None) -> None:
-        from .disk import DiskError
-
         raise DiskError("MemoryStorage holds no on-disk state to restore from")
 
 
@@ -367,7 +371,7 @@ class _TracksView:
 
     __getitem__ = get
 
-    def __setitem__(self, track: int, block: "Block | None") -> None:
+    def __setitem__(self, track: int, block: Block | None) -> None:
         self._storage.put(track, block)
 
     def __contains__(self, track: int) -> bool:
@@ -377,11 +381,19 @@ class _TracksView:
         return sum(1 for _ in self._storage.tracks())
 
 
+#: Allocation unit of a track file.  A frame occupies
+#: ``ceil((FRAME_BYTES + payload) / SLOT_BYTES)`` slots, so a batch of frames
+#: lies dense on the platter; with a unit large enough to hold any frame
+#: whole, a batched transfer would move mostly slack (DESIGN §8).
+SLOT_BYTES = 512
+#: Dead bytes one coalesced transfer may carry between two frames: a
+#: multi-track read sweeps over a gap up to this long rather than issue a
+#: second syscall (gap bytes are read but never counted — only the per-frame
+#: spans are), and a slot run's slack is zero-filled, so that neighbouring
+#: runs merge into one write, only up to this long.
+_COALESCE_GAP_BYTES = 1 << 14
 #: Tracks of readahead scheduled once a sequential streak is detected.
 _RA_DEPTH = 8
-#: Free slots a coalesced multi-track read may skip over (gap bytes are
-#: read but never counted — only the per-frame spans are).
-_COALESCE_GAP_SLOTS = 8
 
 #: Live flusher pools in this process.  Diagnostics and torture tests reach
 #: pools they have no handle on (e.g. inside a process-backend worker, to
@@ -688,8 +700,8 @@ class _FlusherPool:
 
     def _flush_batch(self, batch: list[list]) -> None:
         """Put a drained batch on the platter, merging byte-adjacent entries
-        into single scatter writes (``pwritev``) — the multi-slot syscall
-        batching of ``put_many``, applied again across queued frames."""
+        into single writes — the multi-slot syscall batching of
+        ``put_many``, applied again across queued frames."""
         storage = self._storage
         i = 0
         while i < len(batch):
@@ -699,10 +711,8 @@ class _FlusherPool:
             while j < len(batch) and batch[j][1] == end:
                 end += len(batch[j][2])
                 j += 1
-            if j - i == 1:
-                storage._platter_write(start, batch[i][2])
-            else:
-                storage._platter_writev(start, [e[2] for e in batch[i:j]])
+            data = batch[i][2] if j - i == 1 else b"".join(e[2] for e in batch[i:j])
+            storage._platter_write(start, data)
             i = j
 
     def _fill_readahead(self, req: tuple[int, int, int, int, int]) -> None:
@@ -724,21 +734,21 @@ class _FlusherPool:
 
 
 class FileStorage(_ProfiledStorage):
-    """One preallocated track file per drive; pickled images in slot runs.
+    """One preallocated track file per drive; framed images in slot runs.
 
     Layout: the file is an array of ``slot_bytes``-sized slots.  A stored
     block occupies a *contiguous run* of slots holding a sealed frame
     (magic, write generation, payload length, CRC32 — see :func:`_seal_frame`)
-    followed by the pickle of the block.  A track map (``track -> (base
-    slot, run length, payload length, generation)``) lives in memory —
-    tracks are sparse (the shadow namespace starts at ``1 << 40``) so
-    positional addressing is impossible.  Freed runs enter a
-    neighbour-coalescing free list and are reused best-fit; runs freed at
+    followed by the block's image and zeros up to the end of the run, so
+    the file's bytes are a function of the put sequence alone.  A track map
+    (``track -> (base slot, run length, payload length, generation)``)
+    lives in memory — tracks are sparse (the shadow namespace starts at
+    ``1 << 40``) so positional addressing is impossible.  Freed runs enter
+    a neighbour-coalescing free list and are reused best-fit; runs freed at
     the file tail shrink the bump pointer.
 
-    ``slot_bytes`` is a power of two sized so one ``B``-record payload fits
-    a single slot with pickling overhead to spare; oversized images simply
-    span several slots, costing exactly one ``pread``/``pwrite`` either way.
+    ``slot_bytes`` defaults to :data:`SLOT_BYTES` whatever ``B`` is (the
+    parameter stays because every plane is built as ``make(disk_id, B)``).
     """
 
     kind = "file"
@@ -751,15 +761,8 @@ class FileStorage(_ProfiledStorage):
         io_overlap: bool = False,
         overlap_budget: int = 0,
     ):
-        from .disk import Block
-
         self.path = os.fspath(path)
-        if slot_bytes is None:
-            payload = max(1, B) * Block.BYTES_PER_RECORD
-            slot_bytes = 256
-            while slot_bytes < 2 * payload + FRAME_BYTES + 96:
-                slot_bytes *= 2
-        self.slot_bytes = int(slot_bytes)
+        self.slot_bytes = int(slot_bytes or SLOT_BYTES)
         creating = not os.path.exists(self.path)
         # O_RDWR|O_CREAT without O_TRUNC: reopening an existing track file
         # (crash-resume) must keep its contents.
@@ -819,17 +822,6 @@ class FileStorage(_ProfiledStorage):
 
     def _platter_write(self, offset: int, data: bytes) -> None:
         os.pwrite(self._fd, data, offset)
-
-    def _platter_writev(self, offset: int, bufs: list[bytes]) -> None:
-        """Write byte-contiguous buffers starting at ``offset`` in one
-        syscall where the platform allows (the flusher pool merges adjacent
-        queue entries into these scatter writes)."""
-        if hasattr(os, "pwritev"):
-            os.pwritev(self._fd, bufs, offset)
-        else:  # pragma: no cover - non-POSIX fallback
-            for buf in bufs:
-                self._platter_write(offset, buf)
-                offset += len(buf)
 
     def _read_at(self, offset: int, nbytes: int) -> bytes:
         pool = self._pool
@@ -934,7 +926,7 @@ class FileStorage(_ProfiledStorage):
 
     # -- BlockStorage ------------------------------------------------------------
 
-    def _load(self, track: int, count: bool) -> "Block | None":
+    def _load(self, track: int, count: bool) -> Block | None:
         ext = self._map.get(track)
         if ext is None:
             return None
@@ -950,53 +942,58 @@ class FileStorage(_ProfiledStorage):
                 raw = self._read_at(base * self.slot_bytes, FRAME_BYTES + length)
             finally:
                 prof.pop()
-        payload = _open_frame(raw, self.path, base, length, gen)
+        return self._decode_frame(raw, ext, count)
+
+    def _decode_frame(self, raw: bytes, ext: tuple[int, int, int, int], count: bool) -> Block:
+        """Validate and decode the frame ``raw`` read from extent ``ext``."""
+        payload = _open_frame(raw, self.path, ext[0], ext[2], ext[3])
         if count:
             self.read_bytes += len(raw)
+        prof = self.profiler
         prof.push("serialize")
         try:
             return _decode_block(payload)
         finally:
             prof.pop()
 
-    def _note_sequential(self, track: int) -> None:
-        """Streak detection: two consecutive tracks arm readahead.
+    def _note_sequential(self, lo: int, hi: int) -> None:
+        """Streak detection: two reads in a row that chain track ranges
+        (``lo`` follows the previous read's ``hi``) arm readahead past ``hi``.
 
         Only while the write queue is drained — a write-heavy phase
         invalidates the cache on every put, so scheduling fills there is
         pure background churn that competes with the engine for the GIL.
         """
-        if track == self._ra_last + 1:
-            self._ra_streak += 1
-        else:
-            self._ra_streak = 1
-        self._ra_last = track
-        if self._ra_streak >= 2 and not self._pool._queued_bytes:
+        pool = self._pool
+        self._ra_streak = self._ra_streak + 1 if lo == self._ra_last + 1 else 1
+        self._ra_last = hi
+        if self._ra_streak >= 2 and not pool._queued_bytes:
             ahead = []
-            for t in range(track + 1, track + 1 + _RA_DEPTH):
+            for t in range(hi + 1, hi + 1 + _RA_DEPTH):
                 ext = self._map.get(t)
                 if ext is None:
                     break
                 ahead.append((t, ext[0], ext[2], ext[3]))
             if ahead:
-                self._pool.ra_schedule(ahead)
+                pool.ra_schedule(ahead)
 
-    def get(self, track: int) -> "Block | None":
+    def get(self, track: int) -> Block | None:
         if self._pool is not None:
-            self._note_sequential(track)
+            self._note_sequential(track, track)
         return self._load(track, count=True)
 
-    def get_many(self, tracks: list[int]) -> list["Block | None"]:
-        """Read several tracks, coalescing near-adjacent extents into single
-        preads (the read-side mirror of :meth:`put_many`).
+    def get_many(self, tracks: list[int]) -> list[Block | None]:
+        """Read several tracks, coalescing extents no further apart than
+        :data:`_COALESCE_GAP_BYTES` into single preads (the read-side
+        mirror of :meth:`put_many`).
 
         Observability counters are byte-identical to per-track ``get`` calls:
         only each frame's span (``FRAME_BYTES + payload``) is counted, never
-        the gap padding a coalesced read sweeps over.  Readahead-cached
-        frames are consumed first; a trailing sequential streak schedules
-        the next extents into the cache.
+        the gap a coalesced read sweeps over.  Readahead-cached frames are
+        consumed first; a trailing sequential streak schedules the next
+        extents into the cache.
         """
-        exts: list[tuple[int, int, int, int]] = []  # (base, track, length, gen)
+        exts: list[tuple[int, int, int, int]] = []  # (base, nslots, length, track)
         raws: dict[int, bytes] = {}
         pool = self._pool
         for t in set(tracks):
@@ -1008,9 +1005,10 @@ class FileStorage(_ProfiledStorage):
                 if hit is not None:
                     raws[t] = hit
                     continue
-            exts.append((ext[0], t, ext[2], ext[3]))
+            exts.append((ext[0], ext[1], ext[2], t))
         exts.sort()
         slot_bytes = self.slot_bytes
+        gap_slots = _COALESCE_GAP_BYTES // slot_bytes
         prof = self.profiler
         prof.push("syscall_io")
         try:
@@ -1018,64 +1016,41 @@ class FileStorage(_ProfiledStorage):
             while i < len(exts):
                 start = exts[i][0]
                 j = i
-                end_slot = start + self._map[exts[i][1]][1]
                 while j + 1 < len(exts) and (
-                    exts[j + 1][0] <= end_slot + _COALESCE_GAP_SLOTS
+                    exts[j + 1][0] - exts[j][0] - exts[j][1] <= gap_slots
                 ):
                     j += 1
-                    end_slot = exts[j][0] + self._map[exts[j][1]][1]
-                last_base, _t, last_len, _g = exts[j]
-                span = (last_base - start) * slot_bytes + FRAME_BYTES + last_len
+                span = (exts[j][0] - start) * slot_bytes + FRAME_BYTES + exts[j][2]
                 raw = self._read_at(start * slot_bytes, span)
-                for base, t, length, _gen in exts[i : j + 1]:
+                for base, _nslots, length, t in exts[i : j + 1]:
                     off = (base - start) * slot_bytes
                     raws[t] = raw[off : off + FRAME_BYTES + length]
                 i = j + 1
         finally:
             prof.pop()
-        out: list["Block | None"] = []
+        out: list[Block | None] = []
         for t in tracks:
             ext = self._map.get(t)
-            if ext is None:
-                out.append(None)
-                continue
-            raw = raws[t]
-            payload = _open_frame(raw, self.path, ext[0], ext[2], ext[3])
-            self.read_bytes += len(raw)
-            prof.push("serialize")
-            try:
-                out.append(_decode_block(payload))
-            finally:
-                prof.pop()
+            out.append(None if ext is None else self._decode_frame(raws[t], ext, count=True))
         if pool is not None and tracks:
             # Batch-granular streak: consecutive batches that chain track
             # ranges arm readahead past the batch's end.
-            lo, hi = min(tracks), max(tracks)
-            self._ra_streak = self._ra_streak + 1 if lo == self._ra_last + 1 else 1
-            self._ra_last = hi
-            if self._ra_streak >= 2 and not pool._queued_bytes:
-                ahead = []
-                for t in range(hi + 1, hi + 1 + _RA_DEPTH):
-                    ext = self._map.get(t)
-                    if ext is None:
-                        break
-                    ahead.append((t, ext[0], ext[2], ext[3]))
-                if ahead:
-                    pool.ra_schedule(ahead)
+            self._note_sequential(min(tracks), max(tracks))
         return out
 
-    def peek(self, track: int) -> "Block | None":
+    def peek(self, track: int) -> Block | None:
         return self._load(track, count=False)
 
-    def _place(self, track: int, block: "Block | None") -> tuple[bool, tuple | None]:
+    def _place(self, track: int, block: Block | None) -> tuple[bool, tuple | None]:
         """Metadata half of a put: allocate/release and update the map.
 
         Returns ``(prev_present, pending_write)`` where ``pending_write``
-        is ``(base slot, run length, sealed frame)`` — or ``None`` when the
-        put was a deletion.  The caller performs the actual write, which is
-        what lets :meth:`put_many` coalesce adjacent runs into one pwrite
-        (allocation never depends on written bytes, so deferring the data
-        movement leaves every map/free-list transition identical).
+        is ``(byte offset, sealed frame padded to the end of its slot
+        run)`` — or ``None`` when the put was a deletion.  The caller
+        performs the actual write, which is what lets :meth:`put_many`
+        merge adjacent runs into one pwrite (allocation never depends on
+        written bytes, so deferring the data movement leaves every
+        map/free-list transition identical).
         """
         if self._pool is not None:
             # Any map mutation fences the readahead cache (a stale platter
@@ -1092,72 +1067,71 @@ class FileStorage(_ProfiledStorage):
         prof = self.profiler
         prof.push("serialize")
         try:
-            payload = _encode_block(block)
+            head, body = _encode_block(block)
         finally:
             prof.pop()
-        need = -(-(FRAME_BYTES + len(payload)) // self.slot_bytes)
+        length = len(head) + len(body)
+        slot_bytes = self.slot_bytes
+        need = -(-(FRAME_BYTES + length) // slot_bytes)
         if prev is not None and prev[1] == need and (prev[0], prev[1]) not in self._pinned:
             base = prev[0]  # overwrite in place
         else:
             if prev is not None:
                 self._release(prev[0], prev[1])
             base = self._alloc(need)
-        record = _seal_frame(payload, self._gen)
-        self.write_bytes += len(record)
-        self._map[track] = (base, need, len(payload), self._gen)
-        return prev is not None, (base, need, record)
+        pad = need * slot_bytes - FRAME_BYTES - length
+        record = _seal_frame(
+            head, body, self._gen, pad if pad <= _COALESCE_GAP_BYTES else 0
+        )
+        self.write_bytes += FRAME_BYTES + length
+        self._map[track] = (base, need, length, self._gen)
+        return prev is not None, (base * slot_bytes, record)
 
-    def put(self, track: int, block: "Block | None") -> bool:
+    def put(self, track: int, block: Block | None) -> bool:
         prev_present, pending = self._place(track, block)
         if pending is not None:
-            base, _need, record = pending
             prof = self.profiler
             prof.push("syscall_io")
             try:
-                self._write_at(base * self.slot_bytes, record)
+                self._write_at(*pending)
             finally:
                 prof.pop()
         return prev_present
 
-    def put_many(self, items: list[tuple[int, "Block | None"]]) -> list[bool]:
-        """Store several tracks, coalescing adjacent slot runs into one pwrite.
+    def put_many(self, items: list[tuple[int, Block | None]]) -> list[bool]:
+        """Store several tracks, merging byte-adjacent slot runs into one pwrite.
 
-        Map and free-list transitions are exactly those of in-order ``put``
-        calls; only the data movement is batched.  Gaps between merged
-        frames (intra-run slack past a frame's end) are zero-filled — those
-        bytes belong to the runs being written, so no live or pinned extent
-        is touched.  Duplicate tracks in one batch fall back to plain puts
-        (a later put may free and reuse the earlier one's slots).
+        Map, free-list and file-byte transitions are exactly those of
+        in-order ``put`` calls (every frame is already padded to the end of
+        its run); only the data movement is batched.  Duplicate tracks in
+        one batch fall back to plain puts (a later put may free and reuse
+        the earlier one's slots).
         """
         tracks = [t for t, _ in items]
         if len(set(tracks)) != len(tracks):
             return [self.put(t, b) for t, b in items]
         prev_flags: list[bool] = []
-        writes: list[tuple[int, int, bytes]] = []
+        writes: list[tuple[int, bytes]] = []
         for track, block in items:
             prev_present, pending = self._place(track, block)
             prev_flags.append(prev_present)
             if pending is not None:
                 writes.append(pending)
-        writes.sort(key=lambda w: w[0])
+        writes.sort()
         prof = self.profiler
         prof.push("syscall_io")
         try:
             i = 0
             while i < len(writes):
-                start, need, record = writes[i]
-                end_slot = start + need
-                buf = bytearray(record)
+                start, record = writes[i]
+                end = start + len(record)
                 j = i + 1
-                while j < len(writes) and writes[j][0] == end_slot:
-                    nbase, nneed, nrecord = writes[j]
-                    pad = (nbase - start) * self.slot_bytes - len(buf)
-                    if pad:
-                        buf += b"\x00" * pad
-                    buf += nrecord
-                    end_slot = nbase + nneed
+                while j < len(writes) and writes[j][0] == end:
+                    end += len(writes[j][1])
                     j += 1
-                self._write_at(start * self.slot_bytes, bytes(buf))
+                if j - i > 1:
+                    record = b"".join(w[1] for w in writes[i:j])
+                self._write_at(start, record)
                 i = j
         finally:
             prof.pop()
@@ -1239,8 +1213,6 @@ class FileStorage(_ProfiledStorage):
         }
 
     def restore(self, snap: dict | None) -> None:
-        from .disk import DiskError
-
         if snap is None:
             raise DiskError(
                 f"storage file {self.path}: checkpoint carries no storage "
@@ -1321,12 +1293,6 @@ class MmapStorage(FileStorage):
         with self._mm_lock:
             self._mm[offset : offset + len(data)] = data
 
-    def _platter_writev(self, offset: int, bufs: list[bytes]) -> None:
-        with self._mm_lock:
-            for buf in bufs:
-                self._mm[offset : offset + len(buf)] = buf
-                offset += len(buf)
-
     def sync(self) -> None:
         self._quiesce()
         prof = self.profiler
@@ -1358,8 +1324,6 @@ class MmapStorage(FileStorage):
 
 def _claim_dir(root: str) -> None:
     """Create or adopt a storage directory, refusing foreign data."""
-    from .disk import DiskError
-
     marker = os.path.join(root, STORAGE_MARKER)
     if os.path.exists(root):
         if not os.path.isdir(root):
@@ -1373,9 +1337,23 @@ def _claim_dir(root: str) -> None:
             )
     else:
         os.makedirs(root, exist_ok=True)
-    if not os.path.exists(marker):
+    if os.path.exists(marker):
+        try:
+            with open(marker, encoding="utf-8") as fh:
+                found = json.load(fh)["version"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DiskError(
+                f"storage_dir {root!r}: unreadable {STORAGE_MARKER} marker ({exc!r})"
+            ) from exc
+        if found != STORAGE_VERSION:
+            raise DiskError(
+                f"storage_dir {root!r} holds em-storage format version {found}; "
+                f"this build reads and writes version {STORAGE_VERSION} — point "
+                "storage_dir at an empty directory"
+            )
+    else:
         with open(marker, "w", encoding="utf-8") as fh:
-            json.dump({"format": "em-storage", "version": 1}, fh)
+            json.dump({"format": "em-storage", "version": STORAGE_VERSION}, fh)
             fh.flush()
             os.fsync(fh.fileno())
         # Make the claim itself durable: the marker's directory entry (and
@@ -1452,15 +1430,13 @@ class StorageSpec:
     kind: str = "memory"
     root: str | None = None
     owned: bool = False
-    crash: "CrashPlan | None" = None
+    crash: CrashPlan | None = None
     proc: int = 0
     io_overlap: bool = False
     overlap_budget: int = 0
 
     @classmethod
     def create(cls, kind: str = "memory", root: str | os.PathLike | None = None) -> "StorageSpec":
-        from .disk import DiskError
-
         if kind not in STORAGE_KINDS:
             raise DiskError(
                 f"unknown storage kind {kind!r} (expected one of {STORAGE_KINDS})"
@@ -1494,7 +1470,7 @@ class StorageSpec:
             self.io_overlap, self.overlap_budget,
         )
 
-    def with_crash(self, plan: "CrashPlan | None") -> "StorageSpec":
+    def with_crash(self, plan: CrashPlan | None) -> "StorageSpec":
         """This spec with a byte-level crash plan attached."""
         return StorageSpec(
             self.kind, self.root, self.owned, plan, self.proc,
@@ -1522,8 +1498,6 @@ class StorageSpec:
             io_overlap=self.io_overlap, overlap_budget=self.overlap_budget,
         )
         if self.crash is not None:
-            from .faults import CrashyStorage
-
             store = CrashyStorage(store, self.crash, self.proc, disk_id)
         return store
 

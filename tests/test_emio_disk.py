@@ -168,3 +168,33 @@ class TestStoragePlaneDurability:
         out1, _ = self._simulate(storage="file", storage_dir=root)
         out2, _ = self._simulate(storage="file", storage_dir=root)
         assert out1 == out2
+
+    def test_other_format_version_refused_naming_both(self, tmp_path):
+        """Track files of another on-disk format version would misread
+        (slot unit, vector image): adopting their directory is a typed
+        error naming both versions, raised before any file is touched.
+        A fresh directory and a same-version one are accepted (the crash
+        sweeps resume on such a directory at every crash point)."""
+        import json
+
+        from repro.emio.storage import STORAGE_MARKER, STORAGE_VERSION, StorageSpec
+
+        old = tmp_path / "v1"
+        old.mkdir()
+        (old / STORAGE_MARKER).write_text('{"format": "em-storage", "version": 1}')
+        (old / "disk0.dat").write_bytes(b"old-format tracks")
+        with pytest.raises(DiskError) as exc_info:
+            self._simulate(storage="file", storage_dir=old)
+        message = str(exc_info.value)
+        assert "version 1" in message and f"version {STORAGE_VERSION}" in message
+        assert (old / "disk0.dat").read_bytes() == b"old-format tracks"
+
+        (old / STORAGE_MARKER).write_text("not json")
+        with pytest.raises(DiskError, match="unreadable"):
+            StorageSpec.create("file", old)
+
+        fresh = tmp_path / "fresh"
+        spec = StorageSpec.create("mmap", fresh)
+        assert json.loads((fresh / STORAGE_MARKER).read_text())["version"] == STORAGE_VERSION
+        assert StorageSpec.create("mmap", fresh).root == spec.root  # same version: adopted
+        assert spec.for_proc(1).root == spec.for_proc(1).root  # sub-roots too

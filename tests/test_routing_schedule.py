@@ -1,0 +1,330 @@
+"""The file plane moves data by schedule (DESIGN §6, §8).
+
+``simulate_routing`` and ``LinkedBuckets.append_blocks`` hand whole chunks
+of rounds to ``DiskArray.read_rounds`` / ``write_rounds``; on the fast data
+plane a chunk reaches each drive as one transfer.  These tests pin what
+that must not change — counted costs, track maps, the bytes of the track
+files — and what the primitives, the tight slots and the binary vector
+image promise on their own.
+"""
+
+import hashlib
+import os
+import random
+import tempfile
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.routing import simulate_routing
+from repro.core.simulator import simulate
+from repro.crashcheck import explore
+from repro.emio.codec import codecs
+from repro.emio.disk import Block, DiskError
+from repro.emio.diskarray import DiskArray
+from repro.emio.faults import ChecksumError
+from repro.emio.layout import RegionAllocator
+from repro.emio.linked import LinkedBuckets
+from repro.emio.storage import FRAME_BYTES, FileStorage, StorageSpec
+from repro.emio.trace import IOTrace
+from repro.outofcore import OutOfCoreSort, serialized_size, verify_digests
+from repro.params import MachineParams
+
+from .test_crash_consistency import small_sort
+
+B = 16
+V = 16
+
+
+# -- (a) chunked == round by round ---------------------------------------------------
+
+
+def _blocks(rng: random.Random, n: int) -> list[Block]:
+    """Message blocks of every fill level, vector and object records mixed."""
+    out = []
+    for i in range(n):
+        fill = rng.randrange(B + 1)
+        keys = [rng.randrange(1 << 40) for _ in range(fill)]
+        records = keys if i % 5 == 0 else np.asarray(keys, dtype="<i8")
+        out.append(Block(records=records, dest=rng.randrange(V), src=i % V, msg=i, seq=0))
+    return out
+
+
+def _two_supersteps(array: DiskArray, supersteps: list[list[list[Block]]]):
+    """Append each superstep's groups and reorganize; the second superstep
+    reuses the slots the first one freed."""
+    allocator = RegionAllocator(array)
+    D = array.D
+    stats, region = [], None
+    for groups in supersteps:
+        buckets = LinkedBuckets(
+            array, allocator, nbuckets=D, bucket_of=lambda dest: dest * D // V,
+            rng=random.Random(1),
+        )
+        for group in groups:
+            buckets.append_blocks(group)
+        new_region, st_ = simulate_routing(
+            array, allocator, buckets, nslots=V, slot_of=lambda dest: dest
+        )
+        buckets.free()
+        if region is not None:
+            region.free()
+        region = new_region
+        stats.append(st_)
+    delivered = [
+        [(b.dest, b.msg, [int(r) for r in b.records]) for b in slot]
+        for slot in region.read_slots(range(V))
+    ]
+    array.sync_storage()
+    return stats, delivered
+
+
+def _fingerprint(array: DiskArray) -> dict:
+    files = []
+    for disk in array.disks:
+        with open(disk.storage.path, "rb") as fh:
+            files.append(hashlib.sha256(fh.read()).hexdigest())
+    return {
+        "parallel_ops": array.parallel_ops,
+        "reads": [d.reads for d in array.disks],
+        "writes": [d.writes for d in array.disks],
+        "high_water": array.high_water_per_disk,
+        "used_tracks": array.used_tracks_per_disk,
+        "maps": [dict(d.storage._map) for d in array.disks],
+        "free": [dict(d.storage._free_start) for d in array.disks],
+        "io_bytes": (array.storage_read_bytes, array.storage_write_bytes),
+        "files": files,
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    D=st.sampled_from([1, 2, 4, 8]),
+    plane=st.sampled_from(["file", "mmap"]),
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=3),
+                   min_size=2, max_size=2),
+)
+def test_chunked_equals_round_by_round(D, plane, seed, sizes):
+    rng = random.Random(seed)
+    supersteps = [[_blocks(rng, n) for n in groups] for groups in sizes]
+    runs = {}
+    with tempfile.TemporaryDirectory() as root:
+        # M=None holds one round in flight: the round-by-round execution.
+        for name, M in (("chunked", 1 << 20), ("rounds", None)):
+            spec = StorageSpec.create(plane, os.path.join(root, name))
+            array = DiskArray(D, B, fast_io=True, storage=spec, M=M)
+            try:
+                assert array.rounds_in_flight == (1 if M is None else M // (4 * D * B))
+                stats, delivered = _two_supersteps(array, supersteps)
+                runs[name] = (stats, delivered, _fingerprint(array))
+            finally:
+                array.close_storage()
+    assert runs["chunked"] == runs["rounds"]
+
+
+def test_traced_array_keeps_round_by_round_order(tmp_path):
+    """A hooked array never takes the chunked path: its trace is the
+    reference plane's, attempt for attempt."""
+    supersteps = [[_blocks(random.Random(5), 40)]]
+    traces = []
+    for fast in (True, False):
+        spec = StorageSpec.create("file", tmp_path / f"fast{fast}")
+        array = DiskArray(4, B, fast_io=fast, storage=spec, M=1 << 20)
+        trace = IOTrace.attach(array)
+        try:
+            assert array.rounds_in_flight == 1
+            _two_supersteps(array, supersteps)
+        finally:
+            array.close_storage()
+        traces.append([(op.kind, op.disks, op.tracks) for op in trace.ops])
+    assert traces[0] == traces[1]
+    kinds = "".join(op[0] for op in traces[0])
+    assert "RWRW" in kinds  # routing reads and writes round by round
+
+
+# -- (b) a malformed schedule moves nothing ------------------------------------------
+
+
+def _loaded_array(tmp_path, fast: bool) -> DiskArray:
+    spec = StorageSpec.create("file" if fast else "memory", tmp_path / "arr" if fast else None)
+    array = DiskArray(2, B, fast_io=fast, storage=spec, M=1 << 20)
+    array.write_rounds([[(0, t, Block(records=[t])), (1, t, Block(records=[-t]))]
+                        for t in range(3)])
+    return array
+
+
+def _state(array: DiskArray):
+    return (
+        array.parallel_ops,
+        [(d.reads, d.writes, d.used_tracks, d.high_water) for d in array.disks],
+        [sorted(d.occupied()) for d in array.disks],
+    )
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_malformed_round_is_refused_before_data_moves(tmp_path, fast):
+    array = _loaded_array(tmp_path, fast)
+    try:
+        assert array.parallel_ops == 3
+        before = _state(array)
+        good_r = [(0, 0), (1, 0)]
+        good_w = [(0, 5, Block(records=[5])), (1, 5, Block(records=[5]))]
+        for bad in ([(0, 1), (0, 2)], [(0, 1), (1, 1), (0, 2)], []):
+            with pytest.raises(DiskError):
+                array.read_rounds([good_r, bad])
+            with pytest.raises(DiskError):
+                array.write_rounds([good_w, [(d, t, Block(records=[0])) for d, t in bad]])
+            assert _state(array) == before
+        got = array.read_rounds([good_r, [(1, 2)]])
+        assert [[b.records for b in r] for r in got] == [[[0], [0]], [[-2]]]
+        assert array.parallel_ops == 5
+    finally:
+        array.close_storage()
+
+
+# -- (c) the vector image ------------------------------------------------------------
+
+
+def _file_storage(tmp_path) -> FileStorage:
+    return StorageSpec.create("file", tmp_path / "st").make(0, B)
+
+
+@pytest.mark.parametrize("codec", sorted(codecs()))
+def test_vector_image_round_trip(tmp_path, codec):
+    dtype = codecs()[codec].dtype
+    full = np.arange(2 * B).view(dtype)[:B] if dtype.names else np.arange(B).astype(dtype)
+    cases = {
+        0: Block(records=full, dest=3, src=2, msg=7, seq=1),
+        1: Block(records=full[:0], dest=0, src=0),  # empty block
+        2: Block(records=full[:5], dest=-1, src=-1, dummy=True),
+        3: Block(records=full[1:4], dest=1 << 40, src=5, msg=(1 << 62), seq=1 << 33),
+    }
+    store = _file_storage(tmp_path)
+    try:
+        store.put_many(list(cases.items()))
+        for track, want in cases.items():
+            for got in (store.get(track), store.get_many([track])[0]):
+                assert got.records.dtype == dtype
+                assert got.records.tolist() == want.records.tolist()
+                assert (got.dest, got.src, got.msg, got.seq, got.dummy) == (
+                    want.dest, want.src, want.msg, want.seq, want.dummy)
+    finally:
+        store.close()
+
+
+def test_vector_image_is_little_endian_and_aligned(tmp_path):
+    store = _file_storage(tmp_path)
+    try:
+        store.put(0, Block(records=np.arange(B, dtype=">i8"), dest=1))
+        got = store.get(0).records
+        assert got.dtype == np.dtype("<i8") and got.tolist() == list(range(B))
+        assert got.flags.aligned
+    finally:
+        store.close()
+
+
+def test_flipped_header_byte_is_a_checksum_error(tmp_path):
+    store = _file_storage(tmp_path)
+    try:
+        store.put(0, Block(records=np.arange(B, dtype="<i8"), dest=1))
+        store.sync()
+        base = store._map[0][0] * store.slot_bytes
+        for offset in (0, 1, 5, 13, 37, 40):  # tag, count, dest, src, dummy, descr
+            with open(store.path, "r+b") as fh:
+                fh.seek(base + FRAME_BYTES + offset)
+                byte = fh.read(1)
+                fh.seek(base + FRAME_BYTES + offset)
+                fh.write(bytes([byte[0] ^ 0x01]))
+            with pytest.raises(ChecksumError):
+                store.get(0)
+            with open(store.path, "r+b") as fh:
+                fh.seek(base + FRAME_BYTES + offset)
+                fh.write(byte)
+            assert store.get(0).dest == 1
+    finally:
+        store.close()
+
+
+# -- (d) the fast plane stays out of core --------------------------------------------
+
+
+def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
+    """The fast-plane twin of ``test_storage_oom``'s reference-plane bound.
+
+    This workload's dataset is about the size of its declared ``M``, so the
+    quarter of ``M`` a schedule may hold in flight is not small beside the
+    quarter-of-dataset bound.  The chunk is therefore measured — the heap
+    one ``read_rounds`` call returns holding — and allowed twice (the
+    decoded blocks, and their images on the way to the platter); everything
+    else obeys the reference plane's bound.  A second chunk kept alive, or
+    anything proportional to the dataset, breaks it.
+    """
+    N, V_, SEED, RECLEN = 320_000, 64, 0, 64
+    alg = OutOfCoreSort(N, V_, seed=SEED, reclen=RECLEN)
+    machine = MachineParams(p=1, M=alg.context_size(), D=8, B=1024)
+    serialized = serialized_size(SEED, N, V_, RECLEN)
+    chunk_heap = [0]
+    read_rounds = DiskArray.read_rounds
+
+    def measured(self, rounds):
+        before = tracemalloc.get_traced_memory()[0]
+        out = read_rounds(self, rounds)
+        assert len(out) <= self.rounds_in_flight
+        chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[0] - before)
+        return out
+
+    monkeypatch.setattr(DiskArray, "read_rounds", measured)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    out, _report = simulate(alg, machine, v=V_, seed=SEED, storage="file", fast_io=True)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    verify_digests(out, SEED, N, V_, RECLEN)
+    assert chunk_heap[0] > 0
+    assert 4 * (peak - 2 * chunk_heap[0]) <= serialized, (
+        f"peak heap {peak} less two chunks of {chunk_heap[0]} exceeds 1/4 of "
+        f"the {serialized}-byte dataset"
+    )
+
+
+# -- crash coverage of the plane the benchmark runs ----------------------------------
+
+
+@pytest.mark.parametrize("io_overlap", [False, True])
+@pytest.mark.parametrize("plane", ["file", "mmap"])
+def test_fast_vector_plane_recovers_every_crash_point(tmp_path, plane, io_overlap):
+    machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
+    res = explore(
+        small_sort, machine, 4, tmp_path, storage=plane, io_overlap=io_overlap,
+        fast_io=True, context_cache=True, records="vector",
+    )
+    assert res.total_points > 0
+    assert res.passed, [str(o) for o in res.failures]
+    actions = {o.action for o in res.outcomes}
+    assert "restart" in actions and any(a.startswith("resume@") for a in actions)
+
+
+@pytest.mark.parametrize("impl", ["file", "mmap"])
+def test_coalesced_write_over_budget_drains_at_quiesce(tmp_path, impl):
+    """One ``put_many`` transfer larger than ``overlap_budget`` must not
+    wedge the write-behind queue: ``sync`` puts all of it on the platter."""
+    spec = StorageSpec.create(impl, tmp_path / "st").with_overlap(1 << 16)
+    store = spec.make(0, 1024)
+    try:
+        items = [(t, Block(records=np.full(1024, t, dtype="<i8"))) for t in range(64)]
+        assert 64 * 8192 > 4 * store._pool.budget
+        store.put_many(items)
+        store.sync()
+        assert store._pool.pending_bytes == 0
+        with open(store.path, "rb") as fh:
+            platter = fh.read()
+        for t, blk in items:
+            base, _n, length, _gen = store._map[t]
+            frame = platter[base * store.slot_bytes:][: FRAME_BYTES + length]
+            assert frame.endswith(blk.records.tobytes())
+    finally:
+        store.close()
