@@ -12,6 +12,15 @@ equivalences relied on:
 * ``np.argsort(kind="stable")`` grouping == dict ``setdefault``/append
   insertion order (stability preserves original order within a group).
 * :func:`owners_of_indices` == ``owner_of_index`` mapped over an array.
+
+**Output flavour follows input flavour.**  A codec-eligible algorithm keeps
+its result as canonical codec bytes in both record modes; what the caller
+gets back is decided by what the caller handed in and nothing else: an
+ndarray that :func:`int64_array` accepted gives read-only array views out,
+a Python sequence gives lists of plain ``int``s out (:func:`share_output`).
+The algorithm records which at construction, so the pickled algorithm
+carries it to process workers.  The record mode never enters into it, so
+the object and vector planes agree byte for byte on any given input.
 """
 
 from __future__ import annotations
@@ -22,7 +31,14 @@ import numpy as np
 
 I64 = np.dtype("<i8")
 
-__all__ = ["I64", "int64_array", "as_i64", "sample_positions", "owners_of_indices"]
+__all__ = [
+    "I64",
+    "int64_array",
+    "share_output",
+    "as_i64",
+    "sample_positions",
+    "owners_of_indices",
+]
 
 
 def int64_array(data: Sequence[Any]) -> np.ndarray | None:
@@ -46,6 +62,19 @@ def int64_array(data: Sequence[Any]) -> np.ndarray | None:
         except OverflowError:
             return None
     return None
+
+
+def share_output(codec, result: bytes | None, as_array: bool) -> np.ndarray | list:
+    """One vp's output from its canonical result bytes.
+
+    ``as_array`` (the algorithm was handed an ndarray) yields the codec's
+    zero-copy read-only view over the bytes — empty for an empty or
+    unfinished share — so the keys are never boxed; otherwise the decoded
+    list of plain Python records.
+    """
+    if as_array:
+        return codec.from_bytes(result or b"")
+    return [] if result is None else codec.decode(codec.from_bytes(result))
 
 
 def as_i64(payload: Any) -> np.ndarray:

@@ -16,6 +16,11 @@ images and counted costs agree with the object plane by construction.  The
 vector mode groups pairs by owner with a stable argsort and scatters
 arrivals by fancy indexing; message payloads stay flat interleaved arrays,
 preserving the legacy record count of ``2 * npairs`` per message.
+
+**Output flavour.**  The outputs are the values, so ``values`` decides: an
+ndarray in gives read-only ``<i8`` array views out, a Python sequence in
+gives lists of plain ``int``s out — in both record modes alike (see
+:mod:`._vec`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,13 @@ import numpy as np
 from ..bsp.collectives import owner_of_index, share_bounds
 from ..bsp.program import BSPAlgorithm, VPContext
 from ..emio.codec import get_codec
-from ._vec import I64, as_i64, int64_array, owners_of_indices
+from ._vec import (
+    I64,
+    as_i64,
+    int64_array,
+    owners_of_indices,
+    share_output,
+)
 
 __all__ = ["CGMPermutation"]
 
@@ -61,6 +72,7 @@ class CGMPermutation(BSPAlgorithm):
             self._codec = None
             self.values = list(values)
             self.perm = list(perm)
+        self._array_out = self._codec is not None and isinstance(values, np.ndarray)
         self.v = v
         self.n = len(values)
 
@@ -178,10 +190,9 @@ class CGMPermutation(BSPAlgorithm):
             st["result"] = out.tobytes()
             ctx.vote_halt()
 
-    def output(self, pid: int, state) -> list:
+    def output(self, pid: int, state) -> list | np.ndarray:
         if self._codec is None:
             return state["result"] if state["result"] is not None else []
-        if state["result"] is None:
-            return []
-        codec = get_codec(state["enc"])
-        return codec.decode(codec.from_bytes(state["result"]))
+        return share_output(
+            get_codec(state["enc"]), state["result"], self._array_out
+        )

@@ -27,6 +27,10 @@ mode decodes the bytes and runs the per-record reference logic; the
 ``"vector"`` mode runs ``np.sort``/``searchsorted`` kernels over zero-copy
 views and ships ndarray message payloads.  Ineligible inputs (custom keys,
 non-int records) keep the historical list-state path untouched.
+
+**Output flavour.**  An ndarray in gives read-only ``<i8`` array views out,
+a Python sequence in gives lists of plain ``int``s out — in both record
+modes alike (see :mod:`._vec`).
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ from ..bsp.collectives import (
 )
 from ..bsp.program import BSPAlgorithm, VPContext
 from ..emio.codec import get_codec
-from ._vec import I64, as_i64, int64_array, sample_positions
+from ._vec import (
+    I64,
+    as_i64,
+    int64_array,
+    sample_positions,
+    share_output,
+)
 
 __all__ = ["CGMSampleSort"]
 
@@ -57,7 +67,8 @@ class CGMSampleSort(BSPAlgorithm):
     data:
         The records to sort (any totally ordered values, or use ``key``).
         Plain int64 data (or a signed integer ndarray) enables the
-        vectorized record plane (``RECORD_MODES`` grows ``"vector"``).
+        vectorized record plane (``RECORD_MODES`` grows ``"vector"``); the
+        ndarray also makes every output an ``<i8`` array instead of a list.
     v:
         Number of virtual processors; ``len(data) >= v*v`` is required for
         the regular-sampling balance guarantee.
@@ -79,6 +90,7 @@ class CGMSampleSort(BSPAlgorithm):
         self.key = key
         self.n = len(data)
         arr = int64_array(data) if key is None else None
+        self._array_out = arr is not None and isinstance(data, np.ndarray)
         if arr is not None:
             self._codec = "i64"
             self.data = arr
@@ -228,10 +240,9 @@ class CGMSampleSort(BSPAlgorithm):
             st["result"] = result.tobytes()
             ctx.vote_halt()
 
-    def output(self, pid: int, state) -> list:
+    def output(self, pid: int, state) -> list | np.ndarray:
         if self._codec is None:
             return state["result"] if state["result"] is not None else []
-        if state["result"] is None:
-            return []
-        codec = get_codec(state["enc"])
-        return codec.decode(codec.from_bytes(state["result"]))
+        return share_output(
+            get_codec(state["enc"]), state["result"], self._array_out
+        )

@@ -35,7 +35,7 @@ from typing import Any, Iterable, Sequence
 
 from . import workloads as wl
 from .baselines import SORTING_BASELINES
-from .conform.oracles import check_theorem1_io, theorem1_io_bound
+from .conform.oracles import check_theorem1_io, plain_outputs, theorem1_io_bound
 from .core.simulator import build_params, simulate
 from .params import MachineParams
 
@@ -247,7 +247,7 @@ def _run_cgm(
     outputs, report = simulate(
         alg, machine, v, seed=0, backend=backend, storage=storage
     )
-    flat = [x for part in outputs for x in part]
+    flat = [x for part in plain_outputs(outputs) for x in part]
     params = build_params(_cgm_algorithm(task, v, data, perm), machine, v)
     failures, checked = check_theorem1_io(params, report)
     sim_bound = theorem1_io_bound(params, report)

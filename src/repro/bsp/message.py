@@ -170,7 +170,8 @@ def blocks_to_messages(blocks: Iterable[Block | None]) -> list[Message]:
         groups.setdefault((b.src, b.msg), []).append(b)
     out = []
     for (src, _mid), parts in sorted(groups.items()):
-        parts.sort(key=lambda blk: blk.seq)
+        if len(parts) > 1:
+            parts.sort(key=lambda blk: blk.seq)
         payloads = [p.records for p in parts]
         if any(isinstance(p, np.ndarray) for p in payloads):
             payloads = [p for p in payloads if len(p)] or payloads[:1]

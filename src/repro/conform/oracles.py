@@ -51,12 +51,15 @@ import pickle
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..core.stats import SimulationReport
 from ..params import SimulationParams
 
 __all__ = [
     "OracleFailure",
     "ORACLES",
+    "plain_outputs",
     "canonical_record",
     "record_bytes",
     "check_outputs",
@@ -98,6 +101,28 @@ class OracleFailure:
 # -- canonical run records (plane equivalence) ------------------------------
 
 
+def _plain(x: Any) -> Any:
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (list, tuple)):
+        items = [_plain(e) for e in x]
+        if any(new is not old for new, old in zip(items, x)):
+            return tuple(items) if isinstance(x, tuple) else items
+    return x
+
+
+def plain_outputs(outputs: list[Any]) -> list[Any]:
+    """Per-vp outputs with every ndarray, at any depth, as a plain list.
+
+    An array-fed sort or permutation answers in arrays (see
+    :mod:`repro.algorithms._vec`); comparing and serialising go through
+    this one form, so such a run is judged by value like any other.  A
+    share that holds no array is returned as the very object it was, so
+    list-fed runs serialise byte for byte as before.
+    """
+    return [_plain(o) for o in outputs]
+
+
 def canonical_record(outputs: list[Any], report: SimulationReport) -> dict:
     """Everything two equivalent planes must agree on, as one plain dict.
 
@@ -106,7 +131,7 @@ def canonical_record(outputs: list[Any], report: SimulationReport) -> dict:
     routing breakdowns (``repr`` of the stat dataclasses pins every field).
     """
     return {
-        "outputs": outputs,
+        "outputs": plain_outputs(outputs),
         "summary": report.summary(),
         "supersteps": [
             (
@@ -135,6 +160,7 @@ def check_outputs(
     plane: str, outputs: list[Any], reference: list[Any]
 ) -> list[OracleFailure]:
     """Invariant I3: engine outputs equal the in-memory reference outputs."""
+    outputs, reference = plain_outputs(outputs), plain_outputs(reference)
     if outputs == reference:
         return []
     bad = [

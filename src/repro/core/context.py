@@ -12,8 +12,9 @@ outgrows its declaration fails loudly instead of silently breaking the space
 accounting.
 
 **Context-swap fast path** (``cache=True``): the store keeps the pickled
-bytes of every slot host-side together with a dirty bit (the fresh pickle is
-compared against the cached bytes).  On the disk array's fast data plane a
+bytes of every slot host-side; every save replaces them with the fresh
+pickle (there is no dirty bit: nothing would read one, and finding out costs
+a compare of the whole context).  On the disk array's fast data plane a
 swap then charges the *identical* parallel I/O the reference path would — via
 :meth:`~repro.emio.diskarray.DiskArray.charge_batched`, which replays the
 exact greedy round packing arithmetic — without re-materializing ``Block``
@@ -133,19 +134,11 @@ class ContextStore:
             self._used[slot] = -(-max(len(data), 1) // chunk)
 
     def _slot_addrs(self, slots: Sequence[int], counts: Sequence[int]):
-        """(disk, track) addresses of the used prefixes of ``slots``.
-
-        Equivalent to ``region.addr(slot, i)`` over the prefixes but without
-        the per-block bounds checking (slots and counts are already
-        validated by the callers).
-        """
-        D = self.array.D
-        base = self.region.base
-        offs = self.region.offsets
+        """(disk, track) addresses of the used prefixes of ``slots``."""
+        slot_addrs = self.region.slot_addrs
         addrs: list[tuple[int, int]] = []
         for slot, n in zip(slots, counts):
-            q0 = offs[slot]
-            addrs.extend(((q0 + i) % D, base + (q0 + i) // D) for i in range(n))
+            addrs.extend(slot_addrs(slot, n))
         return addrs
 
     def save_group(self, slots: Sequence[int], states: Sequence[Any]) -> None:
@@ -163,7 +156,10 @@ class ContextStore:
                     )
                 self._used[slot] = len(blocks)
                 ops.extend(
-                    (*self.region.addr(slot, i), blk) for i, blk in enumerate(blocks)
+                    (d, t, blk)
+                    for (d, t), blk in zip(
+                        self.region.slot_addrs(slot, len(blocks)), blocks
+                    )
                 )
             self.array.write_batched(ops)
             return
@@ -182,14 +178,12 @@ class ContextStore:
             blobs.append(data)
             counts.append(-(-max(len(data), 1) // chunk))
         if self.array.fast_data_plane:
-            # Clean and dirty slots alike charge the identical merged write
-            # the reference path performs — the dirty bit only decides
-            # whether the cached bytes need replacing.
+            # A slot whose bytes did not change charges the identical merged
+            # write the reference path performs.
             self.array.charge_batched("W", self._slot_addrs(slots, counts))
             for slot, data, n in zip(slots, blobs, counts):
                 self._used[slot] = n
-                if self._cached[slot] != data:
-                    self._cached[slot] = data
+                self._cached[slot] = data
         else:
             # Physical path (e.g. a traced array): materialize and write the
             # blocks exactly as the reference path would.
@@ -198,8 +192,10 @@ class ContextStore:
                 self._used[slot] = n
                 self._cached[slot] = data
                 ops.extend(
-                    (*self.region.addr(slot, i), blk)
-                    for i, blk in enumerate(bytes_to_blocks(data, self.B))
+                    (d, t, blk)
+                    for (d, t), blk in zip(
+                        self.region.slot_addrs(slot, n), bytes_to_blocks(data, self.B)
+                    )
                 )
             self.array.write_batched(ops)
 
@@ -220,12 +216,8 @@ class ContextStore:
             finally:
                 prof.pop()
         self.cache_misses += len(slots)
-        addrs = []
-        counts = []
-        for slot in slots:
-            counts.append(self._used[slot])
-            addrs.extend(self.region.addr(slot, i) for i in range(self._used[slot]))
-        flat = self.array.read_batched(addrs)
+        counts = [self._used[s] for s in slots]
+        flat = self.array.read_batched(self._slot_addrs(slots, counts))
         out, pos = [], 0
         for c in counts:
             out.append(

@@ -90,10 +90,10 @@ class SequentialEMSimulation(EMEngine):
         :class:`~repro.core.checkpoint.SimulationAborted` carrying the last
         good checkpoint (hand it to :meth:`resume_from_checkpoint`).
     context_cache:
-        Context-swap fast path: keep pickled context bytes host-side with a
-        dirty bit; swaps charge the identical counted I/O without moving
-        block data (see :class:`~repro.core.context.ContextStore`).  Model
-        costs and outputs are unchanged; only host wall-clock improves.
+        Context-swap fast path: keep pickled context bytes host-side;
+        swaps charge the identical counted I/O without moving block data
+        (see :class:`~repro.core.context.ContextStore`).  Model costs and
+        outputs are unchanged; only host wall-clock improves.
         Auto-disabled under fault injection.
     fast_io:
         Enable the disk array's fast data plane — counted-cost-identical

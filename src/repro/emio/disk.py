@@ -157,40 +157,28 @@ class Disk:
             self._occupied += 1 if not prev_present else -1
 
     def _load_many(self, tracks: list[int]) -> list[Block | None]:
-        """Read several tracks at once, coalescing backend reads.
-
-        Storage planes that implement ``get_many`` (FileStorage/MmapStorage)
-        merge near-adjacent slot extents into single preads; others fall
-        back to per-track gets.  Access counters are the caller's business
-        (``DiskArray.read_batched`` charges per address either way).
-        """
-        get_many = getattr(self.storage, "get_many", None)
-        if get_many is not None:
-            return get_many(tracks)
-        get = self.storage.get
-        return [get(t) for t in tracks]
+        """Read several tracks with one storage call (file-backed planes
+        coalesce near-adjacent slot extents into single preads).  Access
+        counters are the caller's business (``DiskArray`` charges per
+        address)."""
+        return self.storage.get_many(tracks)
 
     def _store_many(self, items: list[tuple[int, Block | None]]) -> None:
-        """Place several blocks at once, coalescing backend writes.
-
-        Storage planes that implement ``put_many`` (FileStorage/MmapStorage)
-        merge adjacent-slot images into single pwrites; others fall back to
-        per-track puts.  Occupancy bookkeeping is identical either way.
-        """
-        put_many = getattr(self.storage, "put_many", None)
-        if put_many is not None:
-            prev = put_many(items)
-            for (track, block), prev_present in zip(items, prev):
-                if prev_present != (block is not None):
-                    self._occupied += 1 if not prev_present else -1
-        else:
-            for track, block in items:
-                self._store(track, block)
+        """Place several blocks with one storage call (file-backed planes
+        merge adjacent slot runs into single pwrites); the occupancy
+        bookkeeping is that of in-order :meth:`_store` calls."""
+        for (_track, block), prev_present in zip(items, self.storage.put_many(items)):
+            if prev_present != (block is not None):
+                self._occupied += 1 if not prev_present else -1
 
     def discard_track(self, track: int) -> None:
         """Drop a track's contents (deallocation; no access is charged)."""
         if self.storage.discard(track):
             self._occupied -= 1
+
+    def discard_range(self, lo: int, hi: int) -> None:
+        """:meth:`discard_track` over tracks ``lo .. hi-1`` in one storage call."""
+        self._occupied -= self.storage.discard_range(lo, hi)
 
     # -- inspection (free of charge; simulator-internal) -----------------------
 

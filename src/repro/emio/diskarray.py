@@ -501,6 +501,28 @@ class DiskArray:
                 disks[d].writes += len(items)
         return max(map(len, per_disk))
 
+    @staticmethod
+    def _greedy_rounds(disk_ids: Iterable[int]) -> list[list[int]]:
+        """Pack items into rounds of at most one per disk, in one pass.
+
+        Takes each item's disk and returns, per round, the items' indices.
+        The greedy packing (fill a round in input order, skipping disks it
+        already holds) puts the r-th occurrence of a disk into round r: a
+        round holds at most one item per disk, so the D-item cap can never
+        bind first.  Bucketing by occurrence count therefore gives the
+        greedy's rounds, each in input order, without re-scanning the
+        leftovers once per round.
+        """
+        rounds: list[list[int]] = []
+        seen: dict[int, int] = {}
+        for i, d in enumerate(disk_ids):
+            r = seen.get(d, 0)
+            seen[d] = r + 1
+            if r == len(rounds):
+                rounds.append([])
+            rounds[r].append(i)
+        return rounds
+
     def read_batched(self, addrs: Iterable[tuple[int, int]]) -> list[Block | None]:
         """Read many ``(disk, track)`` addresses using as few parallel ops as possible.
 
@@ -513,30 +535,16 @@ class DiskArray:
         if self.fast_data_plane:
             if not addrs:
                 return []
-            # The greedy packing below assigns the r-th occurrence of a disk
-            # to round r (a round can never be closed by the D-item cap,
-            # since it holds at most one item per disk and there are only D
-            # disks), so it uses exactly max-per-disk-count rounds.
+            # The r-th occurrence of a disk goes to round r (see
+            # _greedy_rounds), so exactly max-per-disk-count rounds are used.
             out, rounds = self._load_grouped(addrs)
             self.parallel_ops += rounds
             return out
         results: list[Block | None] = [None] * len(addrs)
-        pending = list(enumerate(addrs))
-        while pending:
-            used: set[int] = set()
-            round_ops: list[tuple[int, tuple[int, int]]] = []
-            rest: list[tuple[int, tuple[int, int]]] = []
-            for item in pending:
-                d = item[1][0]
-                if d in used or len(round_ops) == self.D:
-                    rest.append(item)
-                else:
-                    used.add(d)
-                    round_ops.append(item)
-            blocks = self.parallel_read([a for _, a in round_ops])
-            for (idx, _), blk in zip(round_ops, blocks):
-                results[idx] = blk
-            pending = rest
+        for idxs in self._greedy_rounds(d for d, _ in addrs):
+            blocks = self.parallel_read([addrs[i] for i in idxs])
+            for i, blk in zip(idxs, blocks):
+                results[i] = blk
         return results
 
     def write_batched(self, ops: Iterable[tuple[int, int, Block | None]]) -> int:
@@ -552,18 +560,8 @@ class DiskArray:
             # Same round-count equivalence as read_batched.
             self.parallel_ops += self._store_grouped(pending)
             return self.parallel_ops - before
-        while pending:
-            used: set[int] = set()
-            round_ops: list[tuple[int, int, Block | None]] = []
-            rest: list[tuple[int, int, Block | None]] = []
-            for item in pending:
-                if item[0] in used or len(round_ops) == self.D:
-                    rest.append(item)
-                else:
-                    used.add(item[0])
-                    round_ops.append(item)
-            self.parallel_write(round_ops)
-            pending = rest
+        for idxs in self._greedy_rounds(op[0] for op in pending):
+            self.parallel_write([pending[i] for i in idxs])
         return self.parallel_ops - before
 
     def charge_batched(self, kind: str, addrs: Iterable[tuple[int, int]]) -> int:

@@ -191,8 +191,7 @@ class RegionAllocator:
         if tracks_per_disk <= 0:
             return
         for disk in self.array.disks:
-            for t in range(base, base + tracks_per_disk):
-                disk.discard_track(t)
+            disk.discard_range(base, base + tracks_per_disk)
         if base + tracks_per_disk == self.next_track:
             self.next_track = base
             self._coalesce_tail()
@@ -309,8 +308,28 @@ class StripedRegion:
             )
         return self._linear_addr(self.offsets[slot] + i)
 
-    def slot_addrs(self, slot: int) -> list[tuple[int, int]]:
-        return [self.addr(slot, i) for i in range(self.slot_sizes[slot])]
+    def slot_addrs(self, slot: int, count: int | None = None) -> list[tuple[int, int]]:
+        """Addresses of the first ``count`` blocks of ``slot`` (default: all).
+
+        What :meth:`addr` gives block by block, with the slot and the
+        freed state checked once for the whole run.
+        """
+        if self._freed:
+            raise DiskError(f"region {self.name!r} used after free")
+        if not (0 <= slot < self.nslots):
+            raise DiskError(f"slot {slot} outside region {self.name!r}")
+        size = self.slot_sizes[slot]
+        if count is None:
+            count = size
+        elif not (0 <= count <= size):
+            raise DiskError(
+                f"{count} blocks outside slot {slot} of size {size} "
+                f"in region {self.name!r}"
+            )
+        D = self.array.D
+        base = self.base
+        q0 = self.offsets[slot]
+        return [(q % D, base + q // D) for q in range(q0, q0 + count)]
 
     # -- I/O ---------------------------------------------------------------------
 

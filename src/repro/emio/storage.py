@@ -267,7 +267,11 @@ class BlockStorage(Protocol):
 
     ``put``/``discard`` return whether a block was present before, so the
     :class:`~repro.emio.disk.Disk` occupancy counter stays O(1) on every
-    plane.  ``read_bytes``/``write_bytes`` count payload bytes actually
+    plane.  The batch forms are part of the protocol, not an extra: every
+    plane answers ``get_many``/``put_many``/``discard_range`` exactly as
+    the in-order per-track calls would (same blocks, same prev-present
+    flags, same stored state), and only the data movement may be batched.
+    ``read_bytes``/``write_bytes`` count payload bytes actually
     moved (0 forever on the memory plane) and feed the observer's
     ``storage_read_bytes``/``storage_write_bytes`` samples.
     """
@@ -278,11 +282,19 @@ class BlockStorage(Protocol):
 
     def get(self, track: int) -> Block | None: ...  # pragma: no cover
 
+    def get_many(self, tracks: list[int]) -> list[Block | None]: ...  # pragma: no cover
+
     def peek(self, track: int) -> Block | None: ...  # pragma: no cover
 
     def put(self, track: int, block: Block | None) -> bool: ...  # pragma: no cover
 
+    def put_many(
+        self, items: list[tuple[int, Block | None]]
+    ) -> list[bool]: ...  # pragma: no cover
+
     def discard(self, track: int) -> bool: ...  # pragma: no cover
+
+    def discard_range(self, lo: int, hi: int) -> int: ...  # pragma: no cover
 
     def tracks(self) -> Iterator[int]: ...  # pragma: no cover
 
@@ -338,6 +350,25 @@ class MemoryStorage(_ProfiledStorage):
 
     def discard(self, track: int) -> bool:
         return self._tracks.pop(track, None) is not None
+
+    # The batch forms are the per-track calls in order, minus one method
+    # dispatch per track (50k tracks a superstep on a 10M-key sort).
+
+    def get_many(self, tracks: list[int]) -> list[Block | None]:
+        return list(map(self._tracks.get, tracks))
+
+    def put_many(self, items: list[tuple[int, Block | None]]) -> list[bool]:
+        stored = self._tracks
+        prev_flags: list[bool] = []
+        for track, block in items:
+            prev_flags.append(stored.get(track) is not None)
+            stored[track] = block
+        return prev_flags
+
+    def discard_range(self, lo: int, hi: int) -> int:
+        """Drop tracks ``lo .. hi-1``; returns how many held a block."""
+        pop = self._tracks.pop
+        return sum(pop(t, None) is not None for t in range(lo, hi))
 
     def tracks(self) -> Iterator[int]:
         return (t for t, b in self._tracks.items() if b is not None)
@@ -1146,6 +1177,21 @@ class FileStorage(_ProfiledStorage):
             self._ra_streak = 0
         self._release(ext[0], ext[1])
         return True
+
+    def discard_range(self, lo: int, hi: int) -> int:
+        """Drop tracks ``lo .. hi-1``; returns how many held a block.
+
+        The slot runs are released in track order, as per-track
+        :meth:`discard` calls would, so the free list ends up the same.
+        """
+        pop = self._map.pop
+        exts = [ext for t in range(lo, hi) if (ext := pop(t, None)) is not None]
+        if exts and self._pool is not None:
+            self._pool.ra_invalidate()
+            self._ra_streak = 0
+        for base, nslots, _length, _gen in exts:
+            self._release(base, nslots)
+        return len(exts)
 
     def tracks(self) -> Iterator[int]:
         return iter(list(self._map))
