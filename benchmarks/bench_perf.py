@@ -17,19 +17,11 @@ performance knobs introduced by the fast path work:
 * ``seq_file_storage``  — sequential engine on the out-of-core file plane
   (track files in a private tempdir); measures the pread/pwrite + pickle
   cost of true external storage against the in-heap reference
-* ``seq_file_overlap``  — the file plane with ``io_overlap=True`` (DESIGN
-  §12): write-behind flusher + readahead hide platter time behind
-  computation; same counted costs, reported next to the synchronous file
-  plane's wall clock as ``ratio_file_overlap`` / ``ratio_file_sync``
-  (x the in-heap reference)
-* ``seq_file_fast_overlap`` — the overlapped file plane with the fast
-  knobs on; ``ratio_file_overlap_fast`` (x ``seq_fast``) is the
-  acceptance ratio for the storage-plane gap
-* ``seq_file_fast_vector``/``seq_file_fast_vector_overlap`` — the file
-  plane like for like with ``seq_fast_vector`` (fast knobs, vector
-  records), without and with ``io_overlap``; ``ratio_file_fast_vector``
-  (x ``seq_fast_vector``) is the file/memory gap the ROADMAP wants <= 2x,
-  soft-warned above 3x
+  (``ratio_file_sync``)
+* ``seq_file_fast_vector`` — the file plane like for like with
+  ``seq_fast_vector`` (fast knobs, vector records);
+  ``ratio_file_fast_vector`` (x ``seq_fast_vector``) is the file/memory
+  gap the ROADMAP wants <= 2x, soft-warned above 3x
 
 For every workload the harness *asserts* that each engine's fast and
 observed configurations report exactly the same parallel I/O operation
@@ -117,36 +109,10 @@ CONFIGS = [
     ),
     ("seq_file_storage", "sequential", {"storage": "file"}),
     (
-        "seq_file_overlap",
-        "sequential",
-        {"storage": "file", "io_overlap": True},
-    ),
-    (
-        "seq_file_fast_overlap",
-        "sequential",
-        {
-            "storage": "file",
-            "io_overlap": True,
-            "context_cache": True,
-            "fast_io": True,
-        },
-    ),
-    (
         "seq_file_fast_vector",
         "sequential",
         {
             "storage": "file",
-            "context_cache": True,
-            "fast_io": True,
-            "records": "vector",
-        },
-    ),
-    (
-        "seq_file_fast_vector_overlap",
-        "sequential",
-        {
-            "storage": "file",
-            "io_overlap": True,
             "context_cache": True,
             "fast_io": True,
             "records": "vector",
@@ -270,12 +236,7 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
             # Storage-plane invariant (DESIGN §8): moving the tracks out of
             # heap must not move a single counted cost.
             ("seq_file_storage", "seq_reference"),
-            # Overlap invariant (DESIGN §12): hiding platter time behind
-            # computation must not move a single counted cost either.
-            ("seq_file_overlap", "seq_reference"),
-            ("seq_file_fast_overlap", "seq_reference"),
             ("seq_file_fast_vector", "seq_reference"),
-            ("seq_file_fast_vector_overlap", "seq_reference"),
         ]:
             for kct in COUNTED:
                 if configs[fast][kct] != configs[ref][kct]:
@@ -319,35 +280,16 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
                 - 1.0,
                 4,
             ),
-            # Out-of-core overhead vs the in-heap reference: the overlapped
-            # plane's headline is closing the gap the synchronous file
-            # plane pays (target <= 2x, stretch 1.5x).
+            # Out-of-core overhead vs the in-heap reference.
             "ratio_file_sync": round(
                 configs["seq_file_storage"]["wall_s"]
                 / configs["seq_reference"]["wall_s"],
-                3,
-            ),
-            "ratio_file_overlap": round(
-                configs["seq_file_overlap"]["wall_s"]
-                / configs["seq_reference"]["wall_s"],
-                3,
-            ),
-            # The acceptance ratio: both planes with their fast knobs on,
-            # out-of-core overlapped vs in-heap.
-            "ratio_file_overlap_fast": round(
-                configs["seq_file_fast_overlap"]["wall_s"]
-                / configs["seq_fast"]["wall_s"],
                 3,
             ),
             # The like-for-like file/memory gap: fast knobs and vector
             # records on both sides.
             "ratio_file_fast_vector": round(
                 configs["seq_file_fast_vector"]["wall_s"]
-                / configs["seq_fast_vector"]["wall_s"],
-                3,
-            ),
-            "ratio_file_fast_vector_overlap": round(
-                configs["seq_file_fast_vector_overlap"]["wall_s"]
                 / configs["seq_fast_vector"]["wall_s"],
                 3,
             ),
@@ -364,10 +306,7 @@ def run_suite(quick: bool) -> tuple[dict[str, Any], list[str]]:
         )
         print(
             f"  file plane vs memory: sync={entry['ratio_file_sync']}x  "
-            f"overlap={entry['ratio_file_overlap']}x  "
-            f"overlap_fast={entry['ratio_file_overlap_fast']}x  "
-            f"fast_vector={entry['ratio_file_fast_vector']}x  "
-            f"fast_vector_overlap={entry['ratio_file_fast_vector_overlap']}x"
+            f"fast_vector={entry['ratio_file_fast_vector']}x"
         )
         if entry["ratio_file_fast_vector"] > 3.0:
             print(

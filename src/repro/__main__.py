@@ -91,7 +91,6 @@ def _export_obs(args) -> None:
                 ("p", getattr(args, "procs", None)),
                 ("backend", getattr(args, "backend", None)),
                 ("storage", getattr(args, "storage", None)),
-                ("io_overlap", getattr(args, "io_overlap", False) or None),
             )
             if v is not None
         }
@@ -126,7 +125,6 @@ def _run(args, algorithm, machine, **kw):
         events=_events(args),
         storage=getattr(args, "storage", "memory"),
         storage_dir=getattr(args, "storage_dir", None),
-        io_overlap=getattr(args, "io_overlap", False),
         **kw,
     )
 
@@ -386,14 +384,12 @@ def cmd_crashcheck(args) -> int:
     scratch = args.dir or tempfile.mkdtemp(prefix="repro-crashcheck-")
     print(f"crashcheck: {args.workload} n={args.n} v={args.v} "
           f"p={machine.p} D={machine.D} B={machine.B} M={machine.M} "
-          f"storage={args.storage} backend={args.backend}"
-          f"{' io_overlap' if getattr(args, 'io_overlap', False) else ''}")
+          f"storage={args.storage} backend={args.backend}")
     print(f"  scratch root: {scratch}")
     result = explore(
         cfg.algorithm, machine, args.v, scratch,
         seed=args.seed, crash_seed=args.crash_seed,
         backend=args.backend, storage=args.storage,
-        io_overlap=getattr(args, "io_overlap", False),
         observer=_observer(args),
         log=print if args.verbose else None,
     )
@@ -538,11 +534,6 @@ def main(argv=None) -> int:
         p.add_argument("--storage-dir", metavar="DIR", default=None,
                        help="directory for track files on non-memory planes "
                             "(default: a private tempdir removed after the run)")
-        p.add_argument("--io-overlap", action="store_true",
-                       help="overlap host I/O with computation on non-memory "
-                            "planes (bounded write-behind + readahead; "
-                            "outputs, ledgers, and checkpoint bytes are "
-                            "identical to the synchronous plane)")
         p.add_argument("--profile", action="store_true",
                        help="collect the wall-clock attribution profile and "
                             "print the breakdown table after the run "

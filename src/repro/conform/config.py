@@ -88,10 +88,6 @@ class ConformConfig:
     fast_io: bool = False
     checkpoint: bool = False
     storage: str = "memory"
-    #: Overlapped-I/O axis: run non-memory planes with the background
-    #: flusher pool (write-behind + readahead, DESIGN §12).  Repair folds
-    #: it back to ``False`` on the memory plane (where it is a no-op knob).
-    io_overlap: bool = False
     #: Crash axis: inject one host crash at ``crash_point`` (a global index
     #: over the run's checkpoint-barrier crash stages, see
     #: :data:`~repro.emio.faults.CRASH_STAGES`), then scrub-and-resume.
@@ -240,8 +236,6 @@ class ConformConfig:
             plane.append("ckpt")
         if self.storage != "memory":
             plane.append(f"storage={self.storage}")
-        if self.io_overlap:
-            plane.append("io-overlap")
         if self.records != "object":
             plane.append(f"records={self.records}")
         if self.crash:

@@ -73,7 +73,7 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
     planes = [("primary", config)]
     reference = config.with_(
         fast_io=False, context_cache=False, backend="inline",
-        storage="memory", records="object", io_overlap=False,
+        storage="memory", records="object",
     )
     if reference != config:
         planes.append(("reference", reference))
@@ -84,15 +84,6 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
         filed = config.with_(storage="file")
         if filed not in (p for _, p in planes):
             planes.append(("file-storage", filed))
-        asynced = config.with_(storage="file", io_overlap=True)
-        if asynced not in (p for _, p in planes):
-            planes.append(("async-storage", asynced))
-    else:
-        # Non-memory primaries differentiate against the same plane with the
-        # overlap knob flipped: the flusher pool must be byte-invisible.
-        asynced = config.with_(io_overlap=not config.io_overlap)
-        if asynced not in (p for _, p in planes):
-            planes.append(("async-storage", asynced))
     # The other record mode is a differential plane: counted costs, ledgers,
     # and outputs must be byte-identical across object and vector.
     other = "object" if config.records == "vector" else "vector"
@@ -123,7 +114,6 @@ def _build_engine(
         fast_io=config.fast_io,
         storage=config.storage,
         storage_dir=storage_dir,
-        io_overlap=config.io_overlap,
         crash=crash,
     )
     return make_engine(

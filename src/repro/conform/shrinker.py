@@ -44,8 +44,6 @@ def shrink_candidates(config: ConformConfig) -> Iterator[ConformConfig]:
         yield repair(c.with_(fast_io=False))
     if c.context_cache:
         yield repair(c.with_(context_cache=False))
-    if c.io_overlap:
-        yield repair(c.with_(io_overlap=False))
     if c.storage != "memory":
         yield repair(c.with_(storage="memory"))
     if c.storage == "mmap":

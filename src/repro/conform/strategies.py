@@ -122,7 +122,6 @@ def _draw(rng: random.Random, profile: StrategyProfile) -> dict[str, Any]:
         storage=rng.choices(
             ("memory", "file", "mmap"), weights=profile.storage_weights
         )[0],
-        io_overlap=rng.random() < 0.3,
         sim_seed=rng.randrange(1 << 16),
         fault=rng.choices(FAULT_KINDS, weights=profile.fault_weights)[0],
         fault_seed=rng.randrange(1 << 16),
@@ -215,9 +214,6 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
         d["backend"] = "inline"
     if d.get("storage") not in ("memory", "file", "mmap"):
         d["storage"] = "memory"
-    # Overlap is a no-op knob on the memory plane; fold it to the canonical
-    # form so describe()/shrinking treat it as one config, not two.
-    d["io_overlap"] = bool(d.get("io_overlap", False)) and d["storage"] != "memory"
 
     # -- fault plan implications --
     fault = d.get("fault", "none")
@@ -267,7 +263,7 @@ def _repair_baseline(d: dict[str, Any]) -> ConformConfig:
         n=max(1, int(d.get("n", 8))),
         engine="sequential", backend="inline",
         context_cache=False, checkpoint=False,
-        io_overlap=False, crash=False, fault="none",
+        crash=False, fault="none",
         records="object",
         # One block per disk plus working headroom; every competitor sizes
         # its buffers defensively below this but the bound formulas assume

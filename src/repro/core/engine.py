@@ -38,9 +38,8 @@ from typing import Any
 
 from ..bsp.program import AlgorithmError, BSPAlgorithm
 from ..costs import CostLedger, SuperstepCost
-from ..emio.disk import Block
 from ..emio.faults import FATAL_IO_FAULTS, CrashPlan, FaultPlan, HostCrash, RetryPolicy
-from ..emio.storage import StorageSpec, default_overlap_budget, resolve_storage
+from ..emio.storage import StorageSpec, resolve_storage
 from ..obs.live import RunEventLog
 from ..obs.spans import NULL_OBSERVER, Collector
 from ..params import ParameterError, SimulationParams
@@ -95,7 +94,6 @@ class EMEngine:
         events: "RunEventLog | None" = None,
         storage: "str | StorageSpec" = "memory",
         storage_dir: str | None = None,
-        io_overlap: bool = False,
         crash: CrashPlan | None = None,
     ):
         self.algorithm = algorithm
@@ -139,21 +137,11 @@ class EMEngine:
             )
         spec = resolve_storage(storage, storage_dir)
         try:
-            if io_overlap:
-                # Readahead/write-behind buffers are charged against the
-                # declared memory budget: M/4 records' worth of bytes across
-                # the D drives (a no-op on the memory plane).  Each proc{i}
-                # sub-spec inherits the fields, so every processor gets its
-                # own bounded flusher pool.
-                spec = spec.with_overlap(
-                    default_overlap_budget(m.M, m.D, Block.BYTES_PER_RECORD)
-                )
             if crash is not None:
                 spec = spec.with_crash(crash)
             # The engine claims the root directory; each processor derives
             # (and claims) its proc{i} sub-root from the pickled spec.
             self.storage_spec = spec
-            self.io_overlap = spec.io_overlap
             # Non-memory checkpointed runs publish every barrier atomically
             # through a journal inside the storage root (crash consistency).
             self._journal = (

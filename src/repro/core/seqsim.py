@@ -129,23 +129,14 @@ class SequentialEMSimulation(EMEngine):
         charges I/O before data moves, so where the bytes live is invisible
         to the accounting (see ``DESIGN.md`` §8).  Non-memory planes make
         truly out-of-core runs possible: resident heap stays bounded by a
-        handful of blocks while the dataset lives in the track files.
+        handful of blocks while the dataset lives in the track files.  Host
+        I/O is synchronous; the routing schedule batches it (DESIGN §12).
     storage_dir:
         Directory for the track files on non-memory planes.  ``None``
         (default) uses a private temporary directory removed when the run
         finishes; an explicit path persists after the run (that is what
         checkpoint/resume across processes points at) and must be empty or
         carry the storage marker file from a previous run.
-    io_overlap:
-        Overlap host I/O with computation on non-memory planes: writes are
-        queued to a bounded per-drive background flusher (write-behind with
-        read-after-write overlay), sequential-track access patterns trigger
-        readahead, and near-adjacent slot reads coalesce into single
-        syscalls.  Superstep fsyncs, journal commits, snapshots, and crash
-        injection all quiesce the queue first, so counted costs, outputs,
-        ledgers, checkpoint bytes, and crash semantics are byte-identical
-        to the synchronous plane (DESIGN §12).  Buffer memory is bounded by
-        ``M/4`` record-bytes across the drives.  Ignored on ``"memory"``.
     crash:
         A :class:`~repro.emio.faults.CrashPlan` injecting one hard host
         crash at a chosen barrier stage (torn/lost unsynced writes, or a
@@ -178,7 +169,6 @@ class SequentialEMSimulation(EMEngine):
         events: "RunEventLog | None" = None,
         storage: "str | StorageSpec" = "memory",
         storage_dir: str | None = None,
-        io_overlap: bool = False,
         crash: CrashPlan | None = None,
     ):
         if params.machine.p != 1:
@@ -202,7 +192,6 @@ class SequentialEMSimulation(EMEngine):
             events=events,
             storage=storage,
             storage_dir=storage_dir,
-            io_overlap=io_overlap,
             crash=crash,
         )
         self.pad_to_gamma = pad_to_gamma

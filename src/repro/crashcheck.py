@@ -123,7 +123,6 @@ def explore(
     keep_rate: float = 0.5,
     backend: str = "inline",
     storage: str = "file",
-    io_overlap: bool = False,
     observer: Any = None,
     log: Callable[[str], None] | None = None,
     **plane,
@@ -140,7 +139,6 @@ def explore(
     engine knobs such as ``fast_io=True, context_cache=True``.
     """
     say = log or (lambda _msg: None)
-    plane["io_overlap"] = io_overlap
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
     golden_dir = os.path.join(root, "golden")

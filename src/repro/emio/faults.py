@@ -523,24 +523,17 @@ class CrashyStorage:
     def apply_crash(self, stage: str) -> None:
         """Damage the unsynced suffix of the write stream, then drop the log.
 
-        Quiesce invariant (DESIGN §12): with the overlapped plane on, the
-        write-behind queue is drained *first* and the damage lands through
-        the raw platter primitive — injected wreckage models the platter at
-        crash time and must never be queued behind (or superseded by) legit
-        writes a later ``close()`` would flush over it.
+        The damage goes through the saved raw primitive, not the logging
+        shadow: it models the platter at crash time, not new writes.
         """
-        quiesce = getattr(self._inner, "_quiesce", None)
-        if quiesce is not None:
-            quiesce()
-        platter = getattr(self._inner, "_platter_write", self._raw_write)
         if stage == "torn" and self._wlog:
             offset, data, pre = self._wlog[-1]
             cut = max(1, len(data) // 2)
-            platter(offset, data[:cut] + pre[cut:])
+            self._raw_write(offset, data[:cut] + pre[cut:])
         elif stage == "lost":
             for offset, _data, pre in reversed(self._wlog):
                 if self._rng.random() >= self.plan.keep_rate:
-                    platter(offset, pre)
+                    self._raw_write(offset, pre)
         self._wlog.clear()
 
     def sync(self) -> None:

@@ -46,21 +46,14 @@ valid frame) is therefore *detected* at read time as a
 :func:`verify_extents` applies the same validation to a whole snapshot
 without unpickling anything — the primitive ``scrub()`` is built on.
 
-Overlapped I/O (DESIGN §12): with ``io_overlap=True`` a non-memory storage
-owns a :class:`_FlusherPool` — one bounded background thread per drive that
-performs the raw platter transfers.  ``_write_at`` then *enqueues* sealed
-frames instead of calling ``pwrite`` (write-behind), ``_read_at`` overlays
-any still-queued bytes over what the platter returns (read-after-write
-stays exact), and sequential track streaks schedule readahead into a small
-validated cache.  The queue and the readahead cache together are bounded
-by ``overlap_budget`` bytes, which the engines derive from the declared
-memory budget ``M`` — overlap never smuggles extra working set past the
-model.  The *quiesce invariant*: ``sync``, ``close``, ``snapshot``,
-``restore`` and ``CrashyStorage.apply_crash`` all drain the queue first,
-so every fsync barrier, journal commit, COW pin set, and injected crash
-observes exactly the platter state the synchronous plane would have — the
-counted ledger, byte counters, and crash semantics are identical by
-construction.
+Host I/O is synchronous (DESIGN §12): every transfer is a blocking
+``pread``/``pwrite`` on the engine's thread, issued through the one pair of
+primitives ``_read_at``/``_write_at``.  What keeps the syscall count low is
+the *schedule*, not concurrency — ``DiskArray.read_rounds``/``write_rounds``
+hand whole chunks of rounds to ``get_many``/``put_many``, which coalesce
+them.  A background flusher and a streak-guessing readahead were built,
+measured three times and deleted; nothing outside this module knows how
+host I/O is issued.
 """
 
 from __future__ import annotations
@@ -72,11 +65,8 @@ import pickle
 import shutil
 import struct
 import tempfile
-import threading
-import time
-import weakref
 import zlib
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Protocol
@@ -96,7 +86,6 @@ __all__ = [
     "FileStorage",
     "MmapStorage",
     "StorageSpec",
-    "default_overlap_budget",
     "resolve_storage",
     "verify_extents",
 ]
@@ -423,347 +412,6 @@ SLOT_BYTES = 512
 #: spans are), and a slot run's slack is zero-filled, so that neighbouring
 #: runs merge into one write, only up to this long.
 _COALESCE_GAP_BYTES = 1 << 14
-#: Tracks of readahead scheduled once a sequential streak is detected.
-_RA_DEPTH = 8
-
-#: Live flusher pools in this process.  Diagnostics and torture tests reach
-#: pools they have no handle on (e.g. inside a process-backend worker, to
-#: stall the gates and die with a provably non-empty write-behind queue).
-_LIVE_POOLS: "weakref.WeakSet[_FlusherPool]" = weakref.WeakSet()
-
-
-class _FlusherPool:
-    """One drive's bounded background I/O worker (write-behind + readahead).
-
-    The pool owns a single thread — drives are independent devices, so one
-    in-flight transfer per drive mirrors the machine model.  The engine
-    thread *submits* raw platter writes (``submit``) and readahead requests
-    (``ra_schedule``); the worker performs them through the storage's
-    ``_platter_write``/``_read_at`` primitives, which release the GIL for
-    the actual ``pwrite``/``pread``.
-
-    Sequencing guarantees:
-
-    * Writes flush in submission order.  A queued entry stays visible to
-      :meth:`pending_in` until its platter write *completes* (it is held as
-      ``_inflight`` meanwhile), so overlay reads can never observe a window
-      where a write is neither queued nor on the platter.
-    * A queued entry whose byte range is fully covered by a newer submission
-      is superseded (dropped) — the dominant overwrite-before-flush case.
-    * ``submit`` applies backpressure: it blocks while the queue holds more
-      than ``budget`` bytes, so write-behind memory is hard-bounded.
-    * A worker exception shuts the pool down; it re-raises on the next
-      ``submit``/``quiesce``/``close`` so data loss can never pass silently.
-
-    ``gate`` is a test hook: clearing it stalls the worker *before* each
-    platter transfer, making "read-after-queued-write" and "quiesce drains
-    first" deterministically observable.  It is set in production.
-    """
-
-    def __init__(self, storage: "FileStorage", budget: int):
-        self._storage = storage
-        self.budget = max(int(budget), 1 << 16)
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        # Queue entries are mutable ``[seq, offset, data, alive]`` records:
-        # superseding marks ``alive`` False in place (O(1) via ``_by_off``)
-        # and the worker discards tombstones as it drains.
-        self._writes: deque[list] = deque()
-        self._by_off: dict[int, list] = {}  # offset -> latest queued entry
-        self._inflight: list[list] | None = None
-        self._queued_bytes = 0
-        # Page-granular refcount of queued/in-flight byte ranges.  Reads
-        # consult it lock-free: a page is only ever removed *after* its
-        # bytes are on the platter (or superseded by a covering entry), so
-        # observing every page of a read range absent proves the platter
-        # image is current and the overlay scan can be skipped.
-        self._q_pages: dict[int, int] = {}
-        # Wakeup batching: waking the worker per small write costs two
-        # context switches per frame and would make the overlapped plane
-        # *slower* than a synchronous pwrite.  Submissions accumulate until
-        # the unflushed bytes cross the kick threshold (or a quiesce/close
-        # forces the drain); the worker then writes the whole backlog in
-        # one wake.  Reads stay correct meanwhile via the pending overlay.
-        self._kick = False
-        self._kick_bytes = max(1 << 15, self.budget // 8)
-        self._reads: deque[tuple[int, int, int, int, int]] = deque()
-        self._ra_cache: OrderedDict[int, tuple[int, int, int, bytes]] = OrderedDict()
-        self._ra_bytes = 0
-        self._ra_epoch = 0
-        self._ra_queued: set[int] = set()
-        self._seq = 0
-        self._error: BaseException | None = None
-        self._stopping = False
-        self.gate = threading.Event()
-        self.gate.set()
-        #: Background platter time/ops (drained into the profiler as
-        #: ``syscall_io_bg`` by the owning storage at quiesce points).
-        self.bg_seconds = 0.0
-        self.bg_ops = 0
-        self._thread = threading.Thread(
-            target=self._run, name=f"em-flusher-{os.path.basename(storage.path)}",
-            daemon=True,
-        )
-        _LIVE_POOLS.add(self)
-        self._thread.start()
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes currently queued or in flight (0 when drained).
-
-        ``_queued_bytes`` counts an entry until its platter write completes,
-        so the in-flight item is already included.
-        """
-        with self._lock:
-            return self._queued_bytes
-
-    # -- engine-thread API ------------------------------------------------------
-
-    def _check_error(self) -> None:
-        if self._error is not None:
-            raise self._error
-
-    def _page_incr(self, offset: int, nbytes: int) -> None:
-        pages = self._q_pages
-        for p in range(offset >> 12, ((offset + nbytes - 1) >> 12) + 1):
-            pages[p] = pages.get(p, 0) + 1
-
-    def _page_decr(self, offset: int, nbytes: int) -> None:
-        pages = self._q_pages
-        for p in range(offset >> 12, ((offset + nbytes - 1) >> 12) + 1):
-            left = pages[p] - 1
-            if left:
-                pages[p] = left
-            else:
-                del pages[p]
-
-    def submit(self, offset: int, data: bytes) -> None:
-        """Enqueue one raw platter write (blocks while over budget)."""
-        with self._lock:
-            self._check_error()
-            while (
-                self._queued_bytes + len(data) > self.budget
-                and (self._writes or self._inflight is not None)
-            ):
-                if not self._kick:
-                    self._kick = True
-                    self._work.notify()
-                self._idle.wait()
-                self._check_error()
-            # Supersede: a still-queued entry at this exact offset whose
-            # range the new write covers never needs to reach the platter.
-            # (Partial overlaps simply stack — both flush in order.)
-            prev = self._by_off.get(offset)
-            if prev is not None and prev[3] and len(prev[2]) <= len(data):
-                prev[3] = False
-                self._queued_bytes -= len(prev[2])
-                self._page_decr(offset, len(prev[2]))
-            self._seq += 1
-            entry = [self._seq, offset, data, True]
-            self._writes.append(entry)
-            self._by_off[offset] = entry
-            self._queued_bytes += len(data)
-            self._page_incr(offset, len(data))
-            if not self._kick and self._queued_bytes >= self._kick_bytes:
-                self._kick = True
-                self._work.notify()
-
-    def pending_in(self, offset: int, nbytes: int) -> list[tuple[int, int, bytes]]:
-        """Queued/in-flight writes intersecting ``[offset, offset+nbytes)``,
-        in submission order (the overlay applies them oldest-first)."""
-        # Lock-free fast paths: only the engine thread adds entries, and
-        # the worker removes page refcounts strictly *after* a write hits
-        # the platter, so observing the containers empty — or every page of
-        # the read range absent from the index — proves the platter image
-        # is current.
-        if not self._writes and self._inflight is None:
-            return []
-        pages = self._q_pages
-        if all(
-            p not in pages
-            for p in range(offset >> 12, ((offset + nbytes - 1) >> 12) + 1)
-        ):
-            return []
-        end = offset + nbytes
-        with self._lock:
-            # Submission order needs no sort: the in-flight batch was popped
-            # from the head of the queue, so its seqs precede every queued
-            # entry's.
-            entries = list(self._inflight) if self._inflight else []
-            out = [
-                (e[0], e[1], e[2])
-                for e in entries
-                if e[1] < end and e[1] + len(e[2]) > offset
-            ]
-            out += [
-                (e[0], e[1], e[2])
-                for e in self._writes
-                if e[3] and e[1] < end and e[1] + len(e[2]) > offset
-            ]
-        return out
-
-    def quiesce(self) -> None:
-        """Block until every queued write is on the platter (the barrier)."""
-        with self._lock:
-            if self._writes and not self._kick:
-                self._kick = True
-                self._work.notify()
-            while self._error is None and (
-                self._writes or self._inflight is not None
-            ):
-                self._idle.wait()
-            self._check_error()
-
-    def close(self) -> None:
-        """Drain, stop and join the worker; re-raises a deferred error."""
-        with self._lock:
-            self._stopping = True
-            self._kick = True
-            self._work.notify_all()
-        self.gate.set()
-        self._thread.join()
-        self._check_error()
-
-    # -- readahead --------------------------------------------------------------
-
-    def ra_invalidate(self) -> None:
-        """Drop the readahead cache and fence in-flight fills (any mutation
-        of the track map calls this — stale platter bytes must never win)."""
-        with self._lock:
-            self._ra_epoch += 1
-            self._ra_cache.clear()
-            self._ra_queued.clear()
-            self._ra_bytes = 0
-
-    def ra_schedule(self, requests: list[tuple[int, int, int, int]]) -> None:
-        """Queue background reads of ``(track, base, length, gen)`` extents."""
-        with self._lock:
-            if self._error is not None:
-                return  # readahead is best-effort; the error surfaces on writes
-            epoch = self._ra_epoch
-            queued = False
-            for track, base, length, gen in requests:
-                if track in self._ra_cache or track in self._ra_queued:
-                    continue
-                if self._ra_bytes + FRAME_BYTES + length > self.budget:
-                    break
-                self._ra_queued.add(track)
-                self._reads.append((track, base, length, gen, epoch))
-                queued = True
-            if queued:
-                self._work.notify()
-
-    def ra_take(self, track: int, base: int, length: int, gen: int) -> bytes | None:
-        """Pop a cached readahead image iff it matches the live map entry."""
-        with self._lock:
-            hit = self._ra_cache.pop(track, None)
-            if hit is None:
-                return None
-            self._ra_bytes -= len(hit[3])
-            if hit[:3] == (base, length, gen):
-                return hit[3]
-            return None
-
-    # -- worker -----------------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                while not (self._kick or self._reads or self._stopping):
-                    self._work.wait()
-                if self._writes:
-                    # Drain a whole backlog per wake: the batch stays
-                    # visible to the overlay as in-flight until every
-                    # member is on the platter.  Publish ``_inflight``
-                    # *before* popping — pending_in's lock-free drained
-                    # check must never observe both containers empty while
-                    # an entry is neither queued nor written (momentary
-                    # double-listing is harmless: the overlay is
-                    # idempotent).
-                    n = min(len(self._writes), 64)
-                    batch = [e for e in (self._writes[i] for i in range(n)) if e[3]]
-                    if batch:
-                        self._inflight = batch
-                    for _ in range(n):
-                        e = self._writes.popleft()
-                        if self._by_off.get(e[1]) is e:
-                            del self._by_off[e[1]]
-                    if not batch:  # all tombstones: nothing to transfer
-                        if not self._writes:
-                            self._idle.notify_all()
-                        continue
-                    kind, item = "w", batch
-                else:
-                    self._kick = False
-                    if self._stopping:
-                        return
-                    if not self._reads:
-                        continue
-                    kind, item = "r", self._reads.popleft()
-            self.gate.wait()
-            t0 = time.perf_counter()
-            try:
-                if kind == "w":
-                    self._flush_batch(item)
-                else:
-                    self._fill_readahead(item)
-            except BaseException as exc:  # noqa: BLE001 - reported at the barrier
-                with self._lock:
-                    self._error = exc
-                    self._inflight = None
-                    self._writes.clear()
-                    self._by_off.clear()
-                    self._q_pages.clear()
-                    self._reads.clear()
-                    self._queued_bytes = 0
-                    self._idle.notify_all()
-                return
-            self.bg_seconds += time.perf_counter() - t0
-            self.bg_ops += len(item) if kind == "w" else 1
-            if kind == "w":
-                with self._lock:
-                    self._inflight = None
-                    for entry in item:
-                        self._queued_bytes -= len(entry[2])
-                        self._page_decr(entry[1], len(entry[2]))
-                    self._idle.notify_all()
-
-    def _flush_batch(self, batch: list[list]) -> None:
-        """Put a drained batch on the platter, merging byte-adjacent entries
-        into single writes — the multi-slot syscall batching of
-        ``put_many``, applied again across queued frames."""
-        storage = self._storage
-        i = 0
-        while i < len(batch):
-            start = batch[i][1]
-            end = start + len(batch[i][2])
-            j = i + 1
-            while j < len(batch) and batch[j][1] == end:
-                end += len(batch[j][2])
-                j += 1
-            data = batch[i][2] if j - i == 1 else b"".join(e[2] for e in batch[i:j])
-            storage._platter_write(start, data)
-            i = j
-
-    def _fill_readahead(self, req: tuple[int, int, int, int, int]) -> None:
-        track, base, length, gen, epoch = req
-        # _read_at (not _platter_read): the overlay keeps a readahead that
-        # races a still-queued write of the same extent byte-exact.
-        raw = self._storage._read_at(
-            base * self._storage.slot_bytes, FRAME_BYTES + length
-        )
-        with self._lock:
-            self._ra_queued.discard(track)
-            if self._ra_epoch != epoch or len(raw) != FRAME_BYTES + length:
-                return
-            self._ra_cache[track] = (base, length, gen, raw)
-            self._ra_bytes += len(raw)
-            while self._ra_bytes > self.budget and self._ra_cache:
-                _t, old = self._ra_cache.popitem(last=False)
-                self._ra_bytes -= len(old[3])
-
-
 class FileStorage(_ProfiledStorage):
     """One preallocated track file per drive; framed images in slot runs.
 
@@ -789,8 +437,6 @@ class FileStorage(_ProfiledStorage):
         path: str | os.PathLike,
         B: int,
         slot_bytes: int | None = None,
-        io_overlap: bool = False,
-        overlap_budget: int = 0,
     ):
         self.path = os.fspath(path)
         self.slot_bytes = int(slot_bytes or SLOT_BYTES)
@@ -819,93 +465,37 @@ class FileStorage(_ProfiledStorage):
         self._gen = 0  # current write generation; bumped by snapshot()
         self.read_bytes = 0
         self.write_bytes = 0
-        # Overlapped I/O (DESIGN §12): the pool is built last so its worker
-        # never observes a half-initialized storage.  ``_ra_last``/``_ra_streak``
-        # detect sequential track scans worth readahead.
-        self.io_overlap = bool(io_overlap)
-        self.overlap_budget = int(overlap_budget) if overlap_budget else (1 << 20)
-        self._pool: _FlusherPool | None = None
-        self._ra_last = -2
-        self._ra_streak = 0
-        self._bg_reported_ops = 0
-        self._bg_reported_seconds = 0.0
         self._grow(self.slot_bytes)
         if creating:
             # A fresh storage root must survive a crash immediately after
             # creation: flush the preallocation, then the directory entry.
             os.fsync(self._fd)
             _fsync_dir(os.path.dirname(self.path) or ".")
-        if self.io_overlap:
-            self._pool = _FlusherPool(self, self.overlap_budget)
 
     # -- raw extent I/O --------------------------------------------------------
     #
-    # Two layers: ``_platter_read``/``_platter_write`` are the raw device
-    # primitives (overridden by MmapStorage), while ``_read_at``/``_write_at``
-    # add the overlap dispatch — enqueue on write, pending-write overlay on
-    # read.  CrashyStorage shadows ``_write_at`` on the *instance*, so its
-    # write log records entries at submission time, in submission order,
-    # with overlay-correct preimages — crash determinism is independent of
-    # flusher timing.
-
-    def _platter_read(self, offset: int, nbytes: int) -> bytes:
-        return os.pread(self._fd, nbytes, offset)
-
-    def _platter_write(self, offset: int, data: bytes) -> None:
-        os.pwrite(self._fd, data, offset)
+    # The one pair of device primitives: MmapStorage overrides them, and
+    # CrashyStorage shadows ``_write_at`` on the *instance* to log every
+    # write with its preimage.
 
     def _read_at(self, offset: int, nbytes: int) -> bytes:
-        pool = self._pool
-        if pool is None:
-            return self._platter_read(offset, nbytes)
-        pending = pool.pending_in(offset, nbytes)
-        if not pending:
-            return self._platter_read(offset, nbytes)
-        # The newest pending write covering the whole range serves the read
-        # outright — the dominant write-then-read-back case needs no pread
-        # and no overlay assembly.
-        _seq, off, data = pending[-1]
-        if off <= offset and off + len(data) >= offset + nbytes:
-            return bytes(data[offset - off : offset - off + nbytes])
-        buf = bytearray(self._platter_read(offset, nbytes))
-        if len(buf) < nbytes:  # queued write past the platter's current data
-            buf += b"\x00" * (nbytes - len(buf))
-        for _seq, off, data in pending:
-            lo, hi = max(off, offset), min(off + len(data), offset + nbytes)
-            buf[lo - offset : hi - offset] = data[lo - off : hi - off]
-        return bytes(buf)
+        return os.pread(self._fd, nbytes, offset)
 
     def _write_at(self, offset: int, data: bytes) -> None:
-        pool = self._pool
-        if pool is None:
-            self._platter_write(offset, data)
-        else:
-            pool.submit(offset, bytes(data))
-
-    def _quiesce(self) -> None:
-        """Drain the write-behind queue (no-op on the synchronous plane)."""
-        pool = self._pool
-        if pool is not None:
-            pool.quiesce()
-            self._drain_bg_profile()
-
-    def _drain_bg_profile(self, pool: "_FlusherPool | None" = None) -> None:
-        """Fold the worker's platter time into the profiler (engine thread).
-
-        The pool accumulates privately (the exclusive-time scope stack is
-        single-threaded); deltas land in the ``syscall_io_bg`` category at
-        quiesce points, so hidden-background time stays attributable.
-        """
-        pool = pool if pool is not None else self._pool
-        prof = self.profiler
-        if pool is None or not prof.enabled:
-            return
-        dsec = pool.bg_seconds - self._bg_reported_seconds
-        dops = pool.bg_ops - self._bg_reported_ops
-        if dops or dsec > 0.0:
-            prof.add("syscall_io_bg", dsec, dops)
-            self._bg_reported_seconds = pool.bg_seconds
-            self._bg_reported_ops = pool.bg_ops
+        # pwrite may land fewer bytes than asked (a signal, ENOSPC part-way,
+        # Linux's 0x7ffff000-byte cap on one call): a dropped tail would
+        # only surface later as a CRC failure far from the cause.
+        view = memoryview(data)
+        done = 0
+        while done < len(view):
+            n = os.pwrite(self._fd, view[done:], offset + done)
+            if n <= 0:
+                raise DiskError(
+                    f"storage file {self.path}: pwrite at offset "
+                    f"{offset + done} made no progress, {len(view) - done} of "
+                    f"{len(view)} bytes not written"
+                )
+            done += n
 
     def _grow(self, nbytes: int) -> None:
         if self._size >= nbytes:
@@ -961,18 +551,13 @@ class FileStorage(_ProfiledStorage):
         ext = self._map.get(track)
         if ext is None:
             return None
-        base, _nslots, length, gen = ext
+        base, _nslots, length, _gen = ext
         prof = self.profiler
-        pool = self._pool
-        raw = None
-        if pool is not None:
-            raw = pool.ra_take(track, base, length, gen)
-        if raw is None:
-            prof.push("syscall_io")
-            try:
-                raw = self._read_at(base * self.slot_bytes, FRAME_BYTES + length)
-            finally:
-                prof.pop()
+        prof.push("syscall_io")
+        try:
+            raw = self._read_at(base * self.slot_bytes, FRAME_BYTES + length)
+        finally:
+            prof.pop()
         return self._decode_frame(raw, ext, count)
 
     def _decode_frame(self, raw: bytes, ext: tuple[int, int, int, int], count: bool) -> Block:
@@ -987,30 +572,7 @@ class FileStorage(_ProfiledStorage):
         finally:
             prof.pop()
 
-    def _note_sequential(self, lo: int, hi: int) -> None:
-        """Streak detection: two reads in a row that chain track ranges
-        (``lo`` follows the previous read's ``hi``) arm readahead past ``hi``.
-
-        Only while the write queue is drained — a write-heavy phase
-        invalidates the cache on every put, so scheduling fills there is
-        pure background churn that competes with the engine for the GIL.
-        """
-        pool = self._pool
-        self._ra_streak = self._ra_streak + 1 if lo == self._ra_last + 1 else 1
-        self._ra_last = hi
-        if self._ra_streak >= 2 and not pool._queued_bytes:
-            ahead = []
-            for t in range(hi + 1, hi + 1 + _RA_DEPTH):
-                ext = self._map.get(t)
-                if ext is None:
-                    break
-                ahead.append((t, ext[0], ext[2], ext[3]))
-            if ahead:
-                pool.ra_schedule(ahead)
-
     def get(self, track: int) -> Block | None:
-        if self._pool is not None:
-            self._note_sequential(track, track)
         return self._load(track, count=True)
 
     def get_many(self, tracks: list[int]) -> list[Block | None]:
@@ -1020,23 +582,14 @@ class FileStorage(_ProfiledStorage):
 
         Observability counters are byte-identical to per-track ``get`` calls:
         only each frame's span (``FRAME_BYTES + payload``) is counted, never
-        the gap a coalesced read sweeps over.  Readahead-cached frames are
-        consumed first; a trailing sequential streak schedules the next
-        extents into the cache.
+        the gap a coalesced read sweeps over.
         """
         exts: list[tuple[int, int, int, int]] = []  # (base, nslots, length, track)
         raws: dict[int, bytes] = {}
-        pool = self._pool
         for t in set(tracks):
             ext = self._map.get(t)
-            if ext is None:
-                continue
-            if pool is not None:
-                hit = pool.ra_take(t, ext[0], ext[2], ext[3])
-                if hit is not None:
-                    raws[t] = hit
-                    continue
-            exts.append((ext[0], ext[1], ext[2], t))
+            if ext is not None:
+                exts.append((ext[0], ext[1], ext[2], t))
         exts.sort()
         slot_bytes = self.slot_bytes
         gap_slots = _COALESCE_GAP_BYTES // slot_bytes
@@ -1063,10 +616,6 @@ class FileStorage(_ProfiledStorage):
         for t in tracks:
             ext = self._map.get(t)
             out.append(None if ext is None else self._decode_frame(raws[t], ext, count=True))
-        if pool is not None and tracks:
-            # Batch-granular streak: consecutive batches that chain track
-            # ranges arm readahead past the batch's end.
-            self._note_sequential(min(tracks), max(tracks))
         return out
 
     def peek(self, track: int) -> Block | None:
@@ -1083,11 +632,6 @@ class FileStorage(_ProfiledStorage):
         written bytes, so deferring the data movement leaves every
         map/free-list transition identical).
         """
-        if self._pool is not None:
-            # Any map mutation fences the readahead cache (a stale platter
-            # image must never satisfy a later read).
-            self._pool.ra_invalidate()
-            self._ra_streak = 0
         prev = self._map.get(track)
         if block is None:
             if prev is None:
@@ -1172,9 +716,6 @@ class FileStorage(_ProfiledStorage):
         ext = self._map.pop(track, None)
         if ext is None:
             return False
-        if self._pool is not None:
-            self._pool.ra_invalidate()
-            self._ra_streak = 0
         self._release(ext[0], ext[1])
         return True
 
@@ -1186,9 +727,6 @@ class FileStorage(_ProfiledStorage):
         """
         pop = self._map.pop
         exts = [ext for t in range(lo, hi) if (ext := pop(t, None)) is not None]
-        if exts and self._pool is not None:
-            self._pool.ra_invalidate()
-            self._ra_streak = 0
         for base, nslots, _length, _gen in exts:
             self._release(base, nslots)
         return len(exts)
@@ -1200,9 +738,6 @@ class FileStorage(_ProfiledStorage):
         return _TracksView(self)
 
     def sync(self) -> None:
-        # Quiesce invariant (DESIGN §12): the fsync barrier must cover every
-        # queued write, so the durability point is exactly the sync plane's.
-        self._quiesce()
         prof = self.profiler
         prof.push("syscall_io")
         try:
@@ -1212,19 +747,8 @@ class FileStorage(_ProfiledStorage):
 
     def close(self) -> None:
         if not self._closed:
-            try:
-                pool = self._pool
-                if pool is not None:
-                    # Drain and join before the fd goes away; a deferred
-                    # worker error still surfaces (after the fd is closed).
-                    self._pool = None
-                    try:
-                        pool.close()
-                    finally:
-                        self._drain_bg_profile(pool)
-            finally:
-                os.close(self._fd)
-                self._closed = True
+            os.close(self._fd)
+            self._closed = True
 
     # -- snapshot / restore (checkpoint-by-reference) ----------------------------
 
@@ -1237,7 +761,6 @@ class FileStorage(_ProfiledStorage):
         extents are never recycled while ``scrub()`` could still fall back
         to them.
         """
-        self._quiesce()  # pins must reference platter-settled extents
         snap_gen = self._gen
         self._gen += 1
         live = frozenset(
@@ -1269,10 +792,6 @@ class FileStorage(_ProfiledStorage):
                 f"storage file {self.path}: snapshot slot size "
                 f"{snap['slot_bytes']} != {self.slot_bytes} (different B?)"
             )
-        self._quiesce()
-        if self._pool is not None:
-            self._pool.ra_invalidate()
-            self._ra_last, self._ra_streak = -2, 0
         self._map = {int(t): tuple(ext) for t, ext in snap["map"].items()}
         self._free_start = {base: size for size, base in snap["free"]}
         self._free_end = {base + size: base for size, base in snap["free"]}
@@ -1292,12 +811,8 @@ class FileStorage(_ProfiledStorage):
 
 
 class MmapStorage(FileStorage):
-    """The :class:`FileStorage` format accessed through a shared ``mmap``.
-
-    The platter primitives slice the mapping under ``_mm_lock``: with the
-    flusher pool on, a remap (growth closes and reopens the mapping) must
-    never pull the pages out from under an in-flight background transfer.
-    """
+    """The :class:`FileStorage` format accessed through a shared ``mmap``:
+    the device primitives slice the mapping, growth closes and reopens it."""
 
     kind = "mmap"
 
@@ -1306,24 +821,20 @@ class MmapStorage(FileStorage):
         path: str | os.PathLike,
         B: int,
         slot_bytes: int | None = None,
-        io_overlap: bool = False,
-        overlap_budget: int = 0,
     ):
         self._mm: mmap.mmap | None = None
-        self._mm_lock = threading.Lock()
-        super().__init__(path, B, slot_bytes, io_overlap, overlap_budget)
+        super().__init__(path, B, slot_bytes)
         if self._mm is None:
             self._remap()
 
     def _remap(self) -> None:
-        with self._mm_lock:
-            if self._mm is not None:
-                # Push dirty pages down before dropping the mapping: a crash
-                # between remaps must not lose writes that only ever lived in
-                # the old mapping's pages.
-                self._mm.flush()
-                self._mm.close()
-            self._mm = mmap.mmap(self._fd, self._size)
+        if self._mm is not None:
+            # Push dirty pages down before dropping the mapping: a crash
+            # between remaps must not lose writes that only ever lived in
+            # the old mapping's pages.
+            self._mm.flush()
+            self._mm.close()
+        self._mm = mmap.mmap(self._fd, self._size)
 
     def _grow(self, nbytes: int) -> None:
         if self._size >= nbytes:
@@ -1331,16 +842,13 @@ class MmapStorage(FileStorage):
         super()._grow(nbytes)
         self._remap()
 
-    def _platter_read(self, offset: int, nbytes: int) -> bytes:
-        with self._mm_lock:
-            return bytes(self._mm[offset : offset + nbytes])
+    def _read_at(self, offset: int, nbytes: int) -> bytes:
+        return bytes(self._mm[offset : offset + nbytes])
 
-    def _platter_write(self, offset: int, data: bytes) -> None:
-        with self._mm_lock:
-            self._mm[offset : offset + len(data)] = data
+    def _write_at(self, offset: int, data: bytes) -> None:
+        self._mm[offset : offset + len(data)] = data
 
     def sync(self) -> None:
-        self._quiesce()
         prof = self.profiler
         prof.push("syscall_io")
         try:
@@ -1352,20 +860,11 @@ class MmapStorage(FileStorage):
     def close(self) -> None:
         if self._closed:
             return
-        try:
-            pool = self._pool
-            if pool is not None:
-                self._pool = None
-                try:
-                    pool.close()
-                finally:
-                    self._drain_bg_profile(pool)
-        finally:
-            if self._mm is not None:
-                self._mm.flush()
-                self._mm.close()
-                self._mm = None
-            super().close()
+        if self._mm is not None:
+            self._mm.flush()
+            self._mm.close()
+            self._mm = None
+        super().close()
 
 
 def _claim_dir(root: str) -> None:
@@ -1465,12 +964,6 @@ class StorageSpec:
     :class:`~repro.emio.faults.CrashyStorage` so the engines can inflict
     deterministic byte-level crash damage.  ``proc`` records which real
     processor this spec builds for (it seeds the per-disk crash streams).
-
-    ``io_overlap``/``overlap_budget`` carry the overlapped-I/O knob: every
-    non-memory storage then owns a :class:`_FlusherPool` bounded to
-    ``overlap_budget`` bytes per drive.  The fields survive :meth:`for_proc`,
-    so process-backend workers build their per-drive pools from the same
-    recipe.
     """
 
     kind: str = "memory"
@@ -1478,8 +971,6 @@ class StorageSpec:
     owned: bool = False
     crash: CrashPlan | None = None
     proc: int = 0
-    io_overlap: bool = False
-    overlap_budget: int = 0
 
     @classmethod
     def create(cls, kind: str = "memory", root: str | os.PathLike | None = None) -> "StorageSpec":
@@ -1511,27 +1002,11 @@ class StorageSpec:
         sub = self.proc_root(index)
         _claim_dir(sub)
         # The engine-level root owns cleanup; per-proc specs never do.
-        return StorageSpec(
-            self.kind, sub, False, self.crash, index,
-            self.io_overlap, self.overlap_budget,
-        )
+        return StorageSpec(self.kind, sub, False, self.crash, index)
 
     def with_crash(self, plan: CrashPlan | None) -> "StorageSpec":
         """This spec with a byte-level crash plan attached."""
-        return StorageSpec(
-            self.kind, self.root, self.owned, plan, self.proc,
-            self.io_overlap, self.overlap_budget,
-        )
-
-    def with_overlap(self, budget: int) -> "StorageSpec":
-        """This spec with the overlapped-I/O plane on (``budget`` bytes per
-        drive bounding write-behind queue + readahead cache together)."""
-        if self.kind == "memory":
-            return self  # nothing to overlap; the dict plane has no platter
-        return StorageSpec(
-            self.kind, self.root, self.owned, self.crash, self.proc,
-            True, int(budget),
-        )
+        return StorageSpec(self.kind, self.root, self.owned, plan, self.proc)
 
     def make(self, disk_id: int, B: int) -> BlockStorage:
         """Build the storage of drive ``disk_id``."""
@@ -1539,10 +1014,7 @@ class StorageSpec:
             return MemoryStorage()
         path = os.path.join(self.root, f"disk{disk_id}.dat")
         impl = FileStorage if self.kind == "file" else MmapStorage
-        store: BlockStorage = impl(
-            path, B,
-            io_overlap=self.io_overlap, overlap_budget=self.overlap_budget,
-        )
+        store: BlockStorage = impl(path, B)
         if self.crash is not None:
             store = CrashyStorage(store, self.crash, self.proc, disk_id)
         return store
@@ -1562,13 +1034,3 @@ def resolve_storage(
         return storage
     return StorageSpec.create(storage, storage_dir)
 
-
-def default_overlap_budget(M: int, D: int, bytes_per_record: int = 8) -> int:
-    """Per-drive byte budget for overlapped-I/O buffers.
-
-    A quarter of the declared memory budget ``M`` (in record bytes), split
-    evenly across the ``D`` drives, floored at 64 KiB so tiny test machines
-    still overlap usefully.  Write-behind queue and readahead cache each
-    stay under this bound per drive, keeping total buffer memory O(M).
-    """
-    return max(1 << 16, M * bytes_per_record // 4 // max(D, 1))

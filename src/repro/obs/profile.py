@@ -13,15 +13,8 @@ Category taxonomy (see DESIGN.md §11):
     Algorithm supersteps — the simulated computation itself.
 ``syscall_io``
     Raw storage-plane data movement: ``pread``/``pwrite``/``fsync`` on the
-    file plane, page-cache copies on the mmap plane.  *Foreground* time —
-    the engine thread was blocked for its duration.
-``syscall_io_bg``
-    Storage-plane transfers performed by the overlapped-I/O flusher pool
-    (DESIGN §12) concurrently with computation.  Hidden time: it overlaps
-    other categories and is excluded from the exclusive-time invariant
-    (accrued via :meth:`CategoryProfiler.add` at quiesce points, not via
-    the scope stack), so ``engine`` totals may exceed attributed wall-clock
-    only through this category.
+    file plane, page-cache copies on the mmap plane.  Host I/O is
+    synchronous: the engine thread is blocked for its duration.
 ``serialize``
     Encoding/decoding between objects and bytes: block image
     encode/decode, context pickling, record codec conversions.
@@ -70,7 +63,6 @@ __all__ = [
 CATEGORIES = (
     "kernel",
     "syscall_io",
-    "syscall_io_bg",
     "serialize",
     "layout",
     "routing",
@@ -84,7 +76,6 @@ CATEGORIES = (
 CATEGORY_COLORS = {
     "kernel": "thread_state_running",
     "syscall_io": "rail_load",
-    "syscall_io_bg": "thread_state_sleeping",
     "serialize": "thread_state_iowait",
     "layout": "rail_idle",
     "routing": "rail_animation",
@@ -172,18 +163,6 @@ class CategoryProfiler:
         """Context-manager form of ``push``/``pop`` (cold paths)."""
         return _Scope(self, cat)
 
-    def add(self, cat: str, seconds: float, count: int = 1) -> None:
-        """Accrue pre-measured time to ``cat`` outside the scope stack.
-
-        For *overlapped* activity (``syscall_io_bg``) whose duration was
-        measured on another thread and is drained at a quiesce point: the
-        scope stack would double-bill the engine's concurrent category, so
-        the seconds are added directly.  Callers must only drain from the
-        thread that owns this profiler.
-        """
-        self.totals[cat] = self.totals.get(cat, 0.0) + seconds
-        self.counts[cat] = self.counts.get(cat, 0) + count
-
     # -- run lifecycle --------------------------------------------------------
 
     def start(self) -> None:
@@ -268,9 +247,6 @@ class NullProfiler:
 
     def scope(self, cat: str) -> _NullScope:
         return _NULL_SCOPE
-
-    def add(self, cat: str, seconds: float, count: int = 1) -> None:
-        pass
 
     def start(self) -> None:
         pass

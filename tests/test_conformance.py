@@ -60,7 +60,7 @@ class TestRepair:
                 assert (cfg.p, cfg.v, cfg.k) == (1, 1, None)
                 assert cfg.engine == "sequential" and cfg.backend == "inline"
                 assert cfg.fault == "none" and not cfg.crash
-                assert not cfg.checkpoint and not cfg.io_overlap
+                assert not cfg.checkpoint
                 assert cfg.records == "object"
                 assert cfg.M >= 2 * cfg.D * cfg.B
                 cfg.baseline_sorter()  # constructible, i.e. admissible
@@ -114,14 +114,10 @@ class TestEquivalentPlanes:
     def test_plain_config_gets_fastpath_and_storage_planes(self):
         planes = dict(equivalent_planes(small_config()))
         assert set(planes) == {
-            "primary", "fastpath", "file-storage", "async-storage",
-            "vector-records",
+            "primary", "fastpath", "file-storage", "vector-records",
         }
         assert planes["fastpath"].fast_io and planes["fastpath"].context_cache
         assert planes["file-storage"].storage == "file"
-        assert not planes["file-storage"].io_overlap
-        assert planes["async-storage"].storage == "file"
-        assert planes["async-storage"].io_overlap
         assert planes["vector-records"].records == "vector"
 
     def test_fast_config_gets_a_reference_plane(self):
@@ -129,8 +125,7 @@ class TestEquivalentPlanes:
             equivalent_planes(small_config(fast_io=True, context_cache=True))
         )
         assert set(planes) == {
-            "primary", "reference", "file-storage", "async-storage",
-            "vector-records",
+            "primary", "reference", "file-storage", "vector-records",
         }
         assert not planes["reference"].fast_io
 
@@ -140,7 +135,7 @@ class TestEquivalentPlanes:
         planes = dict(equivalent_planes(cfg))
         assert set(planes) == {
             "primary", "reference", "fastpath", "file-storage",
-            "async-storage", "vector-records",
+            "vector-records",
         }
         assert planes["reference"].backend == "inline"
 
@@ -168,18 +163,6 @@ class TestEquivalentPlanes:
         # The file plane is only added when the primary is on memory; a
         # non-memory primary already exercises the storage differential.
         assert "file-storage" not in planes
-        # ... but it does get the overlap differential on its own plane.
-        assert planes["async-storage"].storage == "mmap"
-        assert planes["async-storage"].io_overlap
-
-    def test_overlap_config_differentiates_against_sync_plane(self):
-        planes = dict(equivalent_planes(
-            small_config(storage="file", io_overlap=True)
-        ))
-        assert planes["primary"].io_overlap
-        assert not planes["reference"].io_overlap
-        assert planes["async-storage"].storage == "file"
-        assert not planes["async-storage"].io_overlap
 
     def test_planes_never_flip_counted_knobs(self):
         cfg = small_config(p=2, v=4, engine="parallel", checkpoint=True)
@@ -200,14 +183,8 @@ class TestOracles:
         assert result.checks["lemma2_balance"] > 0
         assert result.checks["theorem1_io"] > 0
         # One equivalence check per non-primary plane: fastpath +
-        # file-storage + async-storage + vector-records.
-        assert result.checks["plane_equivalence"] == 4
-
-    def test_overlap_case_passes_all_oracles(self):
-        result = run_case(small_config(storage="file", io_overlap=True))
-        assert result.passed, [str(f) for f in result.failures]
-        # The async-storage differential plane flips overlap off.
-        assert result.checks["plane_equivalence"] >= 1
+        # file-storage + vector-records.
+        assert result.checks["plane_equivalence"] == 3
 
     def test_kill_case_exercises_resume_or_skip(self):
         cfg = small_config(fault="kill", checkpoint=True, dead_after=10)
@@ -289,13 +266,13 @@ class TestBaselineWorkloads:
         cfg = repair(dict(
             workload="guidesort", p=4, v=8, k=3, engine="parallel",
             backend="process", fault="kill", crash=True, checkpoint=True,
-            records="vector", io_overlap=True, storage="file",
+            records="vector", storage="file",
             n=50, M=1, D=2, B=8,
         ))
         assert (cfg.p, cfg.v, cfg.k) == (1, 1, None)
         assert cfg.engine == "sequential" and cfg.backend == "inline"
         assert cfg.fault == "none" and not cfg.crash and not cfg.checkpoint
-        assert cfg.records == "object" and not cfg.io_overlap
+        assert cfg.records == "object"
         assert cfg.storage == "file"  # the live axes survive repair
         assert cfg.n == 50 and cfg.B == 8
         assert cfg.M >= 2 * cfg.D * cfg.B
@@ -378,6 +355,18 @@ class TestReproCase:
         cmd = case.replay_command(path)
         assert cmd.startswith("PYTHONPATH=src python -m repro conform --repro ")
         assert str(path) in cmd
+
+    def test_case_saved_with_the_retired_overlap_axis_loads_and_runs(self):
+        """Saved cases carry whole configs; one written while ``io_overlap``
+        was a conform axis drops the key and replays on the plane it named."""
+        payload = json.loads(self.make().to_json())
+        payload["config"].update(storage="file", io_overlap=True)
+        payload["original"]["io_overlap"] = True
+        case = ReproCase.from_json(json.dumps(payload))
+        assert case.config == small_config(storage="file")
+        assert case.original == small_config(n=256)
+        result = run_case(case.config)
+        assert result.passed, [str(f) for f in result.failures]
 
 
 # -- the tier-1 fuzz budget ---------------------------------------------------

@@ -198,3 +198,55 @@ class TestStoragePlaneDurability:
         assert json.loads((fresh / STORAGE_MARKER).read_text())["version"] == STORAGE_VERSION
         assert StorageSpec.create("mmap", fresh).root == spec.root  # same version: adopted
         assert spec.for_proc(1).root == spec.for_proc(1).root  # sub-roots too
+
+    def test_short_pwrite_is_completed(self, tmp_path, monkeypatch):
+        """``pwrite`` may land fewer bytes than asked; the tail must follow
+        instead of surfacing later as a CRC failure far from the cause."""
+        import os as _os
+
+        import numpy as np
+
+        from repro.emio.storage import FileStorage
+
+        real_pwrite = _os.pwrite
+        calls = []
+
+        def half_pwrite(fd, data, offset):
+            calls.append(len(data))
+            return real_pwrite(fd, bytes(data[: max(1, len(data) // 2)]), offset)
+
+        store = FileStorage(tmp_path / "d0.dat", B=1024)
+        try:
+            monkeypatch.setattr(_os, "pwrite", half_pwrite)
+            items = [(t, Block(records=np.full(1024, t, dtype="<i8"))) for t in range(8)]
+            store.put_many(items)  # adjacent runs: one merged transfer
+            written = store.write_bytes
+            assert len(calls) > 1 and calls[0] > written // 2
+            monkeypatch.setattr(_os, "pwrite", real_pwrite)
+            for t, blk in items:
+                assert np.array_equal(store.get(t).records, blk.records)
+        finally:
+            store.close()
+        whole = FileStorage(tmp_path / "d1.dat", B=1024)
+        try:
+            whole.put_many(items)
+            assert whole.write_bytes == written
+        finally:
+            whole.close()
+        assert (tmp_path / "d0.dat").read_bytes() == (tmp_path / "d1.dat").read_bytes()
+
+    def test_pwrite_without_progress_is_a_typed_error(self, tmp_path, monkeypatch):
+        import os as _os
+
+        from repro.emio.storage import FileStorage
+
+        store = FileStorage(tmp_path / "d0.dat", B=16)
+        try:
+            monkeypatch.setattr(_os, "pwrite", lambda fd, data, offset: 0)
+            with pytest.raises(DiskError) as exc_info:
+                store.put(3, Block(records=list(range(16))))
+            message = str(exc_info.value)
+            assert store.path in message and "offset 0" in message
+            assert "bytes not written" in message
+        finally:
+            store.close()

@@ -330,6 +330,16 @@ class TestTrend:
         assert compare_trend(history, window=8).status == "ok"
         assert compare_trend(history, window=18).status == "regressed"
 
+    def test_retired_config_keys_in_history_are_ignored(self):
+        """A row the bench no longer produces (the deleted overlap configs)
+        stays in the history file as the record and never gates."""
+        old = entry(sort={"wall_s": 1.0, "io_ops": 100},
+                    sort_overlap={"wall_s": 0.1, "io_ops": 7})
+        latest = entry(sort={"wall_s": 1.1, "io_ops": 100})
+        verdict = compare_trend([old, old, latest])
+        assert verdict.status == "ok" and not verdict.regressions
+        assert "sort_overlap" not in verdict.render()
+
 
 # -- golden byte-identity matrix ----------------------------------------------------
 

@@ -141,11 +141,10 @@ def test_delaunay_circumcircles_empty(seed, n):
             assert (q[0] - ux) ** 2 + (q[1] - uy) ** 2 >= r2 * (1 - 1e-7)
 
 
-# -- FileStorage free-list allocator (DESIGN §9, §12) ---------------------------
+# -- FileStorage free-list allocator (DESIGN §9) --------------------------------
 #
 # The slot allocator is pure metadata: allocation never depends on written
-# bytes, so its transitions are identical on the synchronous and overlapped
-# planes.  Two angles: a model-based test through the public put/put_many/
+# bytes.  Two angles: a model-based test through the public put/put_many/
 # discard/snapshot API, and a direct best-fit/coalescing check on the raw
 # _alloc/_release pair.
 
@@ -199,9 +198,9 @@ def _storage_ops(draw):
     return ops
 
 
-@given(ops=_storage_ops(), overlap=st.booleans())
+@given(ops=_storage_ops())
 @slow
-def test_file_storage_free_list_model(ops, overlap):
+def test_file_storage_free_list_model(ops):
     import os
     import tempfile
 
@@ -214,10 +213,7 @@ def test_file_storage_free_list_model(ops, overlap):
         return Block(records=list(range(track, track + size)))
 
     with tempfile.TemporaryDirectory() as root:
-        stg = FileStorage(
-            os.path.join(root, "d0.track"), B=128, slot_bytes=64,
-            io_overlap=overlap, overlap_budget=1 << 16,
-        )
+        stg = FileStorage(os.path.join(root, "d0.track"), B=128, slot_bytes=64)
         try:
             model = {}
             for op in ops:

@@ -294,37 +294,14 @@ def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
 # -- crash coverage of the plane the benchmark runs ----------------------------------
 
 
-@pytest.mark.parametrize("io_overlap", [False, True])
 @pytest.mark.parametrize("plane", ["file", "mmap"])
-def test_fast_vector_plane_recovers_every_crash_point(tmp_path, plane, io_overlap):
+def test_fast_vector_plane_recovers_every_crash_point(tmp_path, plane):
     machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
     res = explore(
-        small_sort, machine, 4, tmp_path, storage=plane, io_overlap=io_overlap,
+        small_sort, machine, 4, tmp_path, storage=plane,
         fast_io=True, context_cache=True, records="vector",
     )
     assert res.total_points > 0
     assert res.passed, [str(o) for o in res.failures]
     actions = {o.action for o in res.outcomes}
     assert "restart" in actions and any(a.startswith("resume@") for a in actions)
-
-
-@pytest.mark.parametrize("impl", ["file", "mmap"])
-def test_coalesced_write_over_budget_drains_at_quiesce(tmp_path, impl):
-    """One ``put_many`` transfer larger than ``overlap_budget`` must not
-    wedge the write-behind queue: ``sync`` puts all of it on the platter."""
-    spec = StorageSpec.create(impl, tmp_path / "st").with_overlap(1 << 16)
-    store = spec.make(0, 1024)
-    try:
-        items = [(t, Block(records=np.full(1024, t, dtype="<i8"))) for t in range(64)]
-        assert 64 * 8192 > 4 * store._pool.budget
-        store.put_many(items)
-        store.sync()
-        assert store._pool.pending_bytes == 0
-        with open(store.path, "rb") as fh:
-            platter = fh.read()
-        for t, blk in items:
-            base, _n, length, _gen = store._map[t]
-            frame = platter[base * store.slot_bytes:][: FRAME_BYTES + length]
-            assert frame.endswith(blk.records.tobytes())
-    finally:
-        store.close()

@@ -55,47 +55,6 @@ class KillerSort(CGMSampleSort):
         super().superstep(ctx)
 
 
-class KillerQueueSort(CGMSampleSort):
-    """Sample sort that dies with a provably non-empty write-behind queue.
-
-    In the worker process, the first superstep-1 call stalls every flusher
-    gate.  Context saves happen per *round* (after all of a round's
-    superstep calls), so the test runs with ``k=2``: round 1's saves pile
-    up in the stalled write-behind queues, and round 2's first superstep
-    call observes the queued bytes and SIGKILLs the worker mid-superstep —
-    the overlapped plane's worst case: committed checkpoint on the platter,
-    uncommitted post-barrier writes still in RAM.
-    """
-
-    def __init__(self, data, v, flag_path: str):
-        super().__init__(data, v)
-        self.flag_path = flag_path
-        self.host_pid = os.getpid()
-        self._stalled = False
-
-    def superstep(self, ctx) -> None:
-        if (
-            ctx.step == 1
-            and os.getpid() != self.host_pid
-            and os.path.exists(self.flag_path)
-        ):
-            from repro.emio.storage import _LIVE_POOLS
-
-            pools = list(_LIVE_POOLS)
-            if not self._stalled:
-                self._stalled = True
-                assert pools, "worker has no flusher pools: overlap not wired"
-                for pool in pools:
-                    pool.gate.clear()
-            elif any(pool.pending_bytes for pool in pools):
-                try:
-                    os.unlink(self.flag_path)
-                except FileNotFoundError:  # pragma: no cover - sibling raced
-                    pass
-                os.kill(os.getpid(), signal.SIGKILL)
-        super().superstep(ctx)
-
-
 def _machine(p=2):
     return MachineParams(p=p, M=1 << 18, D=4, B=16, b=32)
 
@@ -209,55 +168,4 @@ class TestWorkerKillResume:
         outputs, report = fresh.resume_from_checkpoint(ckpt)
         assert outputs == _reference_outputs()
         assert report.faults.resumed_from_step == ckpt.step
-        assert report.faults.recovery_io_ops == 0
-
-
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="SIGKILL protocol assumes fork workers",
-)
-class TestOverlapQueueKillResume:
-    def test_sigkill_with_nonempty_write_behind_queue(self, tmp_path):
-        """The overlapped plane's torture case: the worker dies while writes
-        sit in its flusher queues.  Those writes are simply lost (they are
-        post-barrier), the quiesce-before-fsync invariant guarantees the
-        committed checkpoint is complete, and scrub + resume on the same
-        storage_dir must golden-verify with zero recovery I/O."""
-        from repro.core.checkpoint import scrub
-
-        flag = tmp_path / "kill.flag"
-        flag.write_text("armed")
-        storage_dir = str(tmp_path / "tracks")
-
-        alg = KillerQueueSort(uniform_keys(N, seed=SEED), v=V,
-                              flag_path=str(flag))
-        dying = ParallelEMSimulation(
-            alg, build_params(alg, _machine(), v=V, k=2), seed=SEED,
-            backend="process", checkpoint=True,
-            storage="file", storage_dir=storage_dir, io_overlap=True,
-        )
-        with pytest.raises((EOFError, OSError, BrokenPipeError)):
-            dying.run()
-        assert not flag.exists(), "the worker died before disarming the flag"
-        assert dying.last_checkpoint is not None
-
-        res = scrub(storage_dir)
-        assert not res.quarantined, res.errors
-        assert res.checkpoint is not None
-
-        clean = CGMSampleSort(uniform_keys(N, seed=SEED), v=V)
-        fresh = ParallelEMSimulation(
-            clean, build_params(clean, _machine(), v=V, k=2), seed=SEED,
-            backend="process", checkpoint=True,
-            storage="file", storage_dir=storage_dir, io_overlap=True,
-        )
-        outputs, report = fresh.resume_from_checkpoint(res.checkpoint)
-
-        ref_alg = CGMSampleSort(uniform_keys(N, seed=SEED), v=V)
-        ref = ParallelEMSimulation(
-            ref_alg, build_params(ref_alg, _machine(), v=V, k=2), seed=SEED,
-        )
-        ref_outputs, _ = ref.run()
-        assert outputs == ref_outputs
-        assert report.faults.resumed_from_step == res.checkpoint.step
         assert report.faults.recovery_io_ops == 0
