@@ -33,12 +33,16 @@ Both phases are a *schedule*: every ``(disk, track)`` a round reads and
 writes follows from the bucket tables before a byte moves.  Each phase is
 therefore a lazy generator of ``(reads, write_addrs)`` rounds that
 :func:`_move_rounds` hands to :meth:`~repro.emio.diskarray.DiskArray
-.read_rounds` / ``write_rounds``, :attr:`~repro.emio.diskarray.DiskArray
-.rounds_in_flight` rounds at a time — at most ``M/4`` records in memory,
-one round on any array that is not on the fast data plane.  A round's
-reads and writes never share a track (phase 1 copies the bucket store into
-scratch, phase 2 scratch into the new region), so reading a chunk's
-rounds before writing them moves the same blocks to the same places.
+.move_rounds`, :attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight`
+rounds at a time — at most ``M/4`` records in memory, one round on any
+array that is not on the fast data plane.  A round's reads and writes
+never share a track (phase 1 copies the bucket store into scratch, phase 2
+scratch into the new region), so reading a chunk's rounds before writing
+them moves the same blocks to the same places.  And neither phase looks
+inside a block — the tables already say where each one goes — so the
+blocks travel *sealed*: on the file planes the stored frame is checked and
+written back as read, never decoded.  A message block is encoded once, at
+``write_messages``, and decoded once, at ``fetch_messages``.
 """
 
 from __future__ import annotations
@@ -80,27 +84,8 @@ Round = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 def _move_rounds(array: DiskArray, rounds: Iterable[Round]) -> None:
     """Execute a phase: one parallel read plus one parallel write per round."""
     rounds = iter(rounds)
-    for reads, write_addrs in rounds:
-        ahead = array.rounds_in_flight - 1
-        if not ahead:
-            # The paper's loop as it stands: an array that moves round by
-            # round pays for no chunk lists (measured on the reference plane).
-            blocks = array.parallel_read(reads)
-            array.parallel_write(
-                [(d, t, blk) for (d, t), blk in zip(write_addrs, blocks)]
-            )
-            continue
-        chunk = [(reads, write_addrs), *islice(rounds, ahead)]
-        # The blocks are bound to no name: a chunk's must be garbage before
-        # the next chunk's are read, or two chunks are in memory at once.
-        array.write_rounds(
-            [
-                [(d, t, blk) for (d, t), blk in zip(write_addrs, blocks)]
-                for (_, write_addrs), blocks in zip(
-                    chunk, array.read_rounds([reads for reads, _ in chunk])
-                )
-            ]
-        )
+    while chunk := list(islice(rounds, array.rounds_in_flight)):
+        array.move_rounds(chunk)
 
 
 def _phase1_rounds(
@@ -143,7 +128,7 @@ def _phase2_rounds(
     copy position ``q`` to linear position ``offset_d + q``; a start
     stagger of ``(offset_d - d) mod D`` rounds gives round ``j`` the write
     disks ``(d + j) mod D`` — pairwise distinct, the paper's schedule
-    (``write_rounds`` refuses a round that is not).
+    (``move_rounds`` refuses a round that is not).
     """
     shifts = [(off - d) % D if size else 0 for d, (off, size) in enumerate(bucket_range)]
     total_rounds = max(

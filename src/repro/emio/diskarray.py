@@ -148,7 +148,7 @@ class DiskArray:
 
     @property
     def rounds_in_flight(self) -> int:
-        """How many rounds of a schedule to hand :meth:`read_rounds` /
+        """How many rounds of a schedule to hand :meth:`move_rounds` /
         :meth:`write_rounds` at a time: at most ``M/4`` records' worth on
         the fast data plane, where a chunk moves with one transfer per
         drive; one round everywhere else, so that a traced, faulty, bounded
@@ -420,33 +420,58 @@ class DiskArray:
 
     # -- scheduled rounds --------------------------------------------------------
 
-    def read_rounds(
-        self, rounds: Sequence[Sequence[tuple[int, int]]]
-    ) -> list[list[Block | None]]:
-        """Several parallel reads whose addresses are all known up front.
+    def move_rounds(
+        self,
+        rounds: Sequence[tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]],
+    ) -> None:
+        """Several rounds of a relay whose addresses are all known up front:
+        round ``(reads, write_addrs)`` reads the tracks ``reads`` and writes
+        the ``i``-th of them to ``write_addrs[i]``.
 
-        Each inner list is exactly one counted parallel operation (1..D
-        tracks, one per disk); all of them are checked before any data
-        moves, so a malformed schedule leaves the array untouched.  Counted
-        costs are those of one :meth:`parallel_read` per round.  On the
-        fast data plane several rounds move as one grouped load per drive.
+        Each round is exactly one counted parallel read plus one counted
+        parallel write (1..D tracks, one per disk, each); all of them are
+        checked before any data moves, so a malformed schedule leaves the
+        array untouched.  Nobody looks inside a relayed block, so on the
+        fast data plane the rounds' reads, then their writes, move as one
+        ``get_sealed`` / ``put_sealed`` per drive: what travels is the
+        storage plane's sealed value (the frame as read, checked but not
+        decoded; the ``Block`` itself in the heap), and no round may read a
+        track an earlier round of the same call writes.  Everywhere else
+        the rounds run one by one, read, write, read, write.
         """
-        for ops in rounds:
-            self._check_round("read", [d for d, _ in ops])
-        if len(rounds) == 1 or not self.fast_data_plane:
-            return [self._read_round(ops) for ops in rounds]
-        blocks = iter(self._load_grouped([a for ops in rounds for a in ops])[0])
-        self.parallel_ops += len(rounds)
-        return [[next(blocks) for _ in ops] for ops in rounds]
+        for reads, write_addrs in rounds:
+            self._check_round("read", [d for d, _ in reads])
+            self._check_round("write", [d for d, _ in write_addrs])
+            if len(reads) != len(write_addrs):
+                raise DiskError(
+                    f"relay round reads {len(reads)} tracks but writes {len(write_addrs)}"
+                )
+        if not self.fast_data_plane:
+            for reads, write_addrs in rounds:
+                blocks = self._read_round(reads)
+                self._write_round(
+                    [(d, t, blk) for (d, t), blk in zip(write_addrs, blocks)]
+                )
+            return
+        sealed, _ = self._load_grouped([a for reads, _ in rounds for a in reads], sealed=True)
+        targets = [a for _, write_addrs in rounds for a in write_addrs]
+        self._store_grouped(
+            [(d, t, value) for (d, t), value in zip(targets, sealed)], sealed=True
+        )
+        self.parallel_ops += 2 * len(rounds)
 
     def write_rounds(
         self, rounds: Sequence[Sequence[tuple[int, int, Block | None]]]
     ) -> None:
-        """The write-side twin of :meth:`read_rounds`: one counted parallel
-        operation per inner list; on the fast data plane several rounds
-        move as one grouped store per drive.  A drive receives its blocks
-        in round order either way, so the storage plane sees the puts of
-        the round-by-round loop."""
+        """Several parallel writes whose addresses are all known up front.
+
+        Each inner list is exactly one counted parallel operation (1..D
+        tracks, one per disk); all of them are checked before any data
+        moves, so a malformed schedule leaves the array untouched.  Counted
+        costs are those of one :meth:`parallel_write` per round.  On the
+        fast data plane several rounds move as one grouped store per
+        drive; a drive receives its blocks in round order either way, so
+        the storage plane sees the puts of the round-by-round loop."""
         for ops in rounds:
             self._check_round("write", [d for d, _, _ in ops])
         if len(rounds) == 1 or not self.fast_data_plane:
@@ -459,37 +484,38 @@ class DiskArray:
     # -- batched helpers ---------------------------------------------------------
 
     def _load_grouped(
-        self, addrs: list[tuple[int, int]]
-    ) -> tuple[list[Block | None], int]:
+        self, addrs: list[tuple[int, int]], sealed: bool = False
+    ) -> tuple[list, int]:
         """Fast-plane data movement of a read: one ``_load_many`` per drive
         (file-backed planes coalesce near-adjacent slot extents into single
-        preads) and per-disk ``reads`` charged.  Returns the blocks in
-        ``addrs`` order and the longest per-drive queue; ``parallel_ops``
-        is the caller's to charge."""
+        preads) and per-disk ``reads`` charged.  Returns the blocks (or
+        ``sealed`` values) in ``addrs`` order and the longest per-drive
+        queue; ``parallel_ops`` is the caller's to charge."""
         disks = self.disks
         per_disk: list[list[int]] = [[] for _ in range(self.D)]
         for d, t in addrs:
             per_disk[d].append(t)
         loaded = [
-            iter(disks[d]._load_many(ts)) if ts else None
+            iter(disks[d]._load_many(ts, sealed)) if ts else None
             for d, ts in enumerate(per_disk)
         ]
-        out: list[Block | None] = [next(loaded[d]) for d, _ in addrs]
+        out = [next(loaded[d]) for d, _ in addrs]
         for d, ts in enumerate(per_disk):
             disks[d].reads += len(ts)
         return out, max(map(len, per_disk))
 
-    def _store_grouped(self, ops: list[tuple[int, int, Block | None]]) -> int:
-        """Fast-plane data movement of a write: blocks validated, high-water
-        marks raised, then one ``_store_many`` per drive (file-backed planes
-        merge adjacent slot runs into single pwrites) and per-disk
-        ``writes`` charged.  Returns the longest per-drive queue;
-        ``parallel_ops`` is the caller's to charge."""
+    def _store_grouped(self, ops: list[tuple[int, int, object]], sealed: bool = False) -> int:
+        """Fast-plane data movement of a write: blocks validated (``sealed``
+        values were, when first written), high-water marks raised, then one
+        ``_store_many`` per drive (file-backed planes merge adjacent slot
+        runs into single pwrites) and per-disk ``writes`` charged.  Returns
+        the longest per-drive queue; ``parallel_ops`` is the caller's to
+        charge."""
         B = self.B
         disks = self.disks
-        per_disk: list[list[tuple[int, Block | None]]] = [[] for _ in range(self.D)]
+        per_disk: list[list[tuple[int, object]]] = [[] for _ in range(self.D)]
         for d, t, blk in ops:
-            if blk is not None:
+            if blk is not None and not sealed:
                 blk.validate(B)
             per_disk[d].append((t, blk))
             disk = disks[d]
@@ -497,7 +523,7 @@ class DiskArray:
                 disk._high_water = t
         for d, items in enumerate(per_disk):
             if items:
-                disks[d]._store_many(items)
+                disks[d]._store_many(items, sealed)
                 disks[d].writes += len(items)
         return max(map(len, per_disk))
 

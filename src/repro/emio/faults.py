@@ -436,6 +436,17 @@ class FaultyDisk(Disk):
         else:
             self._sums[track] = block_checksum(block)
 
+    # A freed track's checksum goes with its contents.
+
+    def discard_track(self, track: int) -> None:
+        super().discard_track(track)
+        self._sums.pop(track, None)
+
+    def discard_range(self, lo: int, hi: int) -> None:
+        super().discard_range(lo, hi)
+        for track in range(lo, hi):
+            self._sums.pop(track, None)
+
 
 @dataclass(frozen=True)
 class CrashPlan:

@@ -157,6 +157,27 @@ class TestFaultyArray:
             array.parallel_read([(0, 0)])
         assert isinstance(ei.value.__cause__, ChecksumError)
 
+    def test_released_tracks_drop_their_checksums(self):
+        array = DiskArray(2, 8, faults=FaultPlan(seed=SEED))
+        allocator = RegionAllocator(array)
+        keep, base = allocator.allocate(2), allocator.allocate(3)
+        array.parallel_write([(0, keep, Block(records=[0])), (1, keep, Block(records=[0]))])
+        for t in range(base, base + 3):
+            array.parallel_write([(0, t, Block(records=[t])), (1, t, Block(records=[-t]))])
+        assert all(set(range(base, base + 3)) <= set(d._sums) for d in array.disks)
+        allocator.release(base, 3)
+        assert [sorted(d._sums) for d in array.disks] == [[keep], [keep]]
+        # A track rewritten afterwards verifies against its new sum only.
+        array.parallel_write([(0, base, Block(records=[7, 7]))])
+        assert array.parallel_read([(0, base)])[0].records == [7, 7]
+        assert sorted(array.disks[0]._sums) == [keep, base]
+        array.disks[0].storage.tracks_view()[base].records[0] = 8  # rot in place
+        with pytest.raises(RetryExhaustedError) as ei:
+            array.parallel_read([(0, base)])
+        assert isinstance(ei.value.__cause__, ChecksumError)
+        array.disks[0].discard_track(base)
+        assert sorted(array.disks[0]._sums) == [keep]
+
     def test_latency_spikes_counted(self):
         plan = FaultPlan(seed=SEED, latency_rate=0.5, latency_stall_ops=3)
         array = DiskArray(2, 8, faults=plan)

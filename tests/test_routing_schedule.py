@@ -1,7 +1,7 @@
 """The file plane moves data by schedule (DESIGN §6, §8).
 
 ``simulate_routing`` and ``LinkedBuckets.append_blocks`` hand whole chunks
-of rounds to ``DiskArray.read_rounds`` / ``write_rounds``; on the fast data
+of rounds to ``DiskArray.move_rounds`` / ``write_rounds``; on the fast data
 plane a chunk reaches each drive as one transfer.  These tests pin what
 that must not change — counted costs, track maps, the bytes of the track
 files — and what the primitives, the tight slots and the binary vector
@@ -173,15 +173,26 @@ def test_malformed_round_is_refused_before_data_moves(tmp_path, fast):
         before = _state(array)
         good_r = [(0, 0), (1, 0)]
         good_w = [(0, 5, Block(records=[5])), (1, 5, Block(records=[5]))]
+        good_moves = [(good_r, [(1, 5), (0, 5)]), ([(1, 2)], [(0, 6)])]
         for bad in ([(0, 1), (0, 2)], [(0, 1), (1, 1), (0, 2)], []):
-            with pytest.raises(DiskError):
-                array.read_rounds([good_r, bad])
             with pytest.raises(DiskError):
                 array.write_rounds([good_w, [(d, t, Block(records=[0])) for d, t in bad]])
             assert _state(array) == before
-        got = array.read_rounds([good_r, [(1, 2)]])
-        assert [[b.records for b in r] for r in got] == [[[0], [0]], [[-2]]]
-        assert array.parallel_ops == 5
+            # A bad read round, a bad write round: anywhere in a chunk.
+            for bad_move in ((bad, [(0, 7), (1, 7)][: len(bad)]), ([(0, 1), (1, 1)], bad)):
+                for at in range(len(good_moves) + 1):
+                    chunk = [*good_moves[:at], bad_move, *good_moves[at:]]
+                    with pytest.raises(DiskError):
+                        array.move_rounds(chunk)
+                    assert _state(array) == before
+        with pytest.raises(DiskError):  # a round writes every block it reads
+            array.move_rounds([*good_moves, (good_r, [(0, 7)])])
+        assert _state(array) == before
+        array.move_rounds(good_moves)
+        moved = array.parallel_read([(1, 5), (0, 5)]), array.parallel_read([(0, 6)])
+        assert [[b.records for b in r] for r in moved] == [[[0], [0]], [[-2]]]
+        assert array.parallel_ops == 3 + 4 + 2
+        assert [d.used_tracks for d in array.disks] == [5, 4]
     finally:
         array.close_storage()
 
@@ -258,35 +269,37 @@ def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
     This workload's dataset is about the size of its declared ``M``, so the
     quarter of ``M`` a schedule may hold in flight is not small beside the
     quarter-of-dataset bound.  The chunk is therefore measured — the heap
-    one ``read_rounds`` call returns holding — and allowed twice (the
-    decoded blocks, and their images on the way to the platter); everything
-    else obeys the reference plane's bound.  A second chunk kept alive, or
-    anything proportional to the dataset, breaks it.
+    one ``move_rounds`` call holds at its worst: the sealed frames of its
+    rounds (``tracemalloc`` sees the reads they are views of) plus one
+    write buffer — and allowed once; everything else obeys the reference
+    plane's bound.  A second chunk kept alive, a decoded copy of the first,
+    or anything proportional to the dataset, breaks it.
     """
     N, V_, SEED, RECLEN = 320_000, 64, 0, 64
     alg = OutOfCoreSort(N, V_, seed=SEED, reclen=RECLEN)
     machine = MachineParams(p=1, M=alg.context_size(), D=8, B=1024)
     serialized = serialized_size(SEED, N, V_, RECLEN)
-    chunk_heap = [0]
-    read_rounds = DiskArray.read_rounds
+    chunk_heap, peak_before = [0], [0]
+    move_rounds = DiskArray.move_rounds
 
     def measured(self, rounds):
-        before = tracemalloc.get_traced_memory()[0]
-        out = read_rounds(self, rounds)
-        assert len(out) <= self.rounds_in_flight
-        chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[0] - before)
-        return out
+        assert len(rounds) <= self.rounds_in_flight
+        before, peak = tracemalloc.get_traced_memory()
+        peak_before[0] = max(peak_before[0], peak)
+        tracemalloc.reset_peak()
+        move_rounds(self, rounds)
+        chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[1] - before)
 
-    monkeypatch.setattr(DiskArray, "read_rounds", measured)
+    monkeypatch.setattr(DiskArray, "move_rounds", measured)
     tracemalloc.start()
     tracemalloc.reset_peak()
     out, _report = simulate(alg, machine, v=V_, seed=SEED, storage="file", fast_io=True)
-    _, peak = tracemalloc.get_traced_memory()
+    peak = max(peak_before[0], tracemalloc.get_traced_memory()[1])
     tracemalloc.stop()
     verify_digests(out, SEED, N, V_, RECLEN)
     assert chunk_heap[0] > 0
-    assert 4 * (peak - 2 * chunk_heap[0]) <= serialized, (
-        f"peak heap {peak} less two chunks of {chunk_heap[0]} exceeds 1/4 of "
+    assert 4 * (peak - chunk_heap[0]) <= serialized, (
+        f"peak heap {peak} less one chunk of {chunk_heap[0]} exceeds 1/4 of "
         f"the {serialized}-byte dataset"
     )
 
