@@ -63,8 +63,8 @@ def test_ablation_blocking_factor(benchmark):
 def test_ablation_random_vs_roundrobin_writes(benchmark):
     benchmark(lambda: None)  # timing anchor; the emitted table is the artifact
     n = 2048
-    rnd = run_perm(n, seed=3, round_robin_writes=False)
-    rr = run_perm(n, seed=3, round_robin_writes=True)
+    rnd = run_perm(n, seed=3, write_schedule="random")
+    rr = run_perm(n, seed=3, write_schedule="rotate")
     worst_rnd = rnd.max_load_ratio
     worst_rr = rr.max_load_ratio
     emit(

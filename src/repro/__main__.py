@@ -15,6 +15,7 @@ computation) and the paper's theoretical bound for comparison.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import workloads
@@ -430,28 +431,19 @@ def cmd_perf_report(args) -> int:
 
         from .obs import ProfileReport
 
-        with open(args.load) as fh:
-            report = ProfileReport.from_dict(json.load(fh))
+        try:
+            with open(args.load) as fh:
+                report = ProfileReport.from_dict(json.load(fh))
+        except (OSError, ValueError) as exc:
+            # JSONDecodeError and a failed schema check are both ValueErrors.
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"perf report: cannot load {args.load}: {reason}",
+                  file=sys.stderr)
+            return 2
         print(report.render())
         return 0
     args.profile = True  # the attribution table is the whole point
     return _PERF_WORKLOADS[args.workload](args)
-
-
-def cmd_perf_trend(args) -> int:
-    """Compare the latest bench entry against its trajectory."""
-    from .obs.trend import compare_trend, load_history
-
-    history = load_history(args.history)
-    verdict = compare_trend(
-        history, window=args.window, threshold=args.threshold
-    )
-    print(verdict.render())
-    if verdict.status == "counted_drift":
-        return 1  # hard: counted costs must never drift
-    if verdict.status == "regressed":
-        return 1 if args.strict else 0  # soft unless --strict
-    return 0
 
 
 def cmd_watch(args) -> int:
@@ -459,6 +451,10 @@ def cmd_watch(args) -> int:
     from .obs import tail_events
     from .obs.live import format_event
 
+    if not (args.follow or os.path.exists(args.file)):
+        print(f"watch: {args.file}: no such file (--follow waits for it)",
+              file=sys.stderr)
+        return 2
     try:
         for ev in tail_events(
             args.file, follow=args.follow, timeout=args.timeout
@@ -629,7 +625,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "perf",
-        help="wall-clock attribution reports and bench-trajectory trends",
+        help="wall-clock attribution reports",
     )
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
@@ -647,25 +643,6 @@ def main(argv=None) -> int:
                    help="print a saved --profile-out report instead of running")
     p.set_defaults(func=cmd_perf_report, compare_baselines=False,
                    compare_pram=False, rows=None)
-
-    p = perf_sub.add_parser(
-        "trend",
-        help="compare the latest BENCH_HISTORY.jsonl entry against its "
-             "same-host trajectory (soft wall-clock verdict, hard counted "
-             "drift)",
-    )
-    p.add_argument("--history", metavar="FILE",
-                   default="benchmarks/BENCH_HISTORY.jsonl",
-                   help="history file written by benchmarks/bench_perf.py")
-    p.add_argument("--window", type=int, default=8,
-                   help="prior same-host entries in the trajectory median")
-    p.add_argument("--threshold", type=float, default=1.5,
-                   help="wall-clock ratio above the median that regresses")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on a soft wall-clock regression too "
-                        "(counted drift always fails)")
-    p.set_defaults(func=cmd_perf_trend, trace_out=None, jsonl_out=None,
-                   metrics=False)
 
     p = sub.add_parser(
         "watch",
@@ -696,7 +673,5 @@ if __name__ == "__main__":
         # Downstream pager/head closed the pipe (e.g. `repro watch ... |
         # head`): exit quietly, redirecting stdout so the interpreter's
         # shutdown flush doesn't raise again.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)

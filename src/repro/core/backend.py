@@ -223,7 +223,13 @@ class ProcessBackend:
         if first_err is not None:
             # All workers have answered the round (they are idle and
             # consistent at the barrier), so recovery can roll them back.
-            raise first_err
+            try:
+                raise first_err
+            finally:
+                # No cycle through this frame: what the traceback holds (a
+                # failed startup's last worker and its sentinel pipes) goes
+                # when the caller drops the exception, not at the next GC.
+                del first_err, payload
         return results
 
     def call_all(self, method: str, args_list: Sequence[tuple] | None = None) -> list:

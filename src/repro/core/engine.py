@@ -81,7 +81,6 @@ class EMEngine:
         params: SimulationParams,
         seed: int = 0,
         enforce_gamma: bool = True,
-        round_robin_writes: bool = False,
         write_schedule: str | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
@@ -98,9 +97,7 @@ class EMEngine:
     ):
         self.algorithm = algorithm
         self.params = params
-        self.write_schedule = write_schedule or (
-            "rotate" if round_robin_writes else "random"
-        )
+        self.write_schedule = write_schedule or "random"
         self.faults = faults
         self.checkpoint_enabled = checkpoint
         self.max_recoveries = max_recoveries

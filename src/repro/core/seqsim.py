@@ -64,13 +64,13 @@ class SequentialEMSimulation(EMEngine):
     enforce_gamma:
         Enforce the declared per-superstep communication bound on both the
         sending and receiving side.
-    round_robin_writes:
-        Ablation switch: replace the random write permutation with a
-        deterministic rotation (see the ABL benchmark).
     write_schedule:
-        Explicit disk-write schedule ("random", "rotate", "static",
-        "balance"); overrides ``round_robin_writes``.  "balance" is the
-        paper's deterministic variant for predetermined (CGM) traffic.
+        Disk-write schedule ("random", "rotate", "static", "balance"; see
+        :class:`~repro.emio.linked.LinkedBuckets`); ``None`` is "random",
+        the paper's.  "rotate" is the ablation that replaces the random
+        write permutation with a deterministic rotation (see the ABL
+        benchmark); "balance" is the paper's deterministic variant for
+        predetermined (CGM) traffic.
     faults:
         A :class:`~repro.emio.faults.FaultPlan` injecting disk faults
         (transient errors, corruption, latency spikes, disk death) into the
@@ -157,7 +157,6 @@ class SequentialEMSimulation(EMEngine):
         seed: int = 0,
         pad_to_gamma: bool = False,
         enforce_gamma: bool = True,
-        round_robin_writes: bool = False,
         write_schedule: str | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
@@ -180,7 +179,6 @@ class SequentialEMSimulation(EMEngine):
             params,
             seed=seed,
             enforce_gamma=enforce_gamma,
-            round_robin_writes=round_robin_writes,
             write_schedule=write_schedule,
             faults=faults,
             retry=retry,

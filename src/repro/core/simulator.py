@@ -136,7 +136,7 @@ def simulate(
         does not support the requested mode raises ``AlgorithmError``.
     engine_kwargs:
         Passed through to the engine (e.g. ``pad_to_gamma=True`` for the
-        sequential engine, ``round_robin_writes=True`` for ablations).
+        sequential engine, ``write_schedule="rotate"`` for ablations).
 
     Returns
     -------

@@ -239,6 +239,17 @@ class StripedRegion:
         slot_sizes: Sequence[int],
         name: str = "",
     ):
+        self._stripe(array, allocator, slot_sizes, name)
+        self.base = allocator.allocate(self.tracks_per_disk)
+
+    def _stripe(
+        self,
+        array: DiskArray,
+        allocator: RegionAllocator,
+        slot_sizes: Sequence[int],
+        name: str,
+    ) -> None:
+        """Everything about the region but where its track range starts."""
         self.array = array
         self.allocator = allocator
         self.name = name
@@ -252,7 +263,6 @@ class StripedRegion:
         self.tracks_per_disk = (
             -(-self.total_blocks // array.D) if self.total_blocks else 0
         )
-        self.base = allocator.allocate(self.tracks_per_disk)
         self._freed = False
 
     @classmethod
@@ -271,21 +281,8 @@ class StripedRegion:
         separately, so no fresh allocation must happen.
         """
         region = cls.__new__(cls)
-        region.array = array
-        region.allocator = allocator
-        region.name = name
-        region.slot_sizes = list(slot_sizes)
-        region.offsets = [0]
-        for s in region.slot_sizes:
-            if s < 0:
-                raise DiskError(f"negative slot size in region {name!r}")
-            region.offsets.append(region.offsets[-1] + s)
-        region.total_blocks = region.offsets[-1]
-        region.tracks_per_disk = (
-            -(-region.total_blocks // array.D) if region.total_blocks else 0
-        )
+        region._stripe(array, allocator, slot_sizes, name)
         region.base = base
-        region._freed = False
         return region
 
     @property
@@ -426,21 +423,3 @@ class ConsecutiveRegion(StripedRegion):
     ):
         self.blocks_per_item = blocks_per_item
         super().__init__(array, allocator, [blocks_per_item] * nslots, name=name)
-
-    # Backwards-compatible aliases used by the context store.
-    def item_addrs(self, item: int) -> list[tuple[int, int]]:
-        return self.slot_addrs(item)
-
-    def read_item(self, item: int) -> list[Block | None]:
-        return self.read_slot(item)
-
-    def write_item(self, item: int, blocks: Sequence[Block | None]) -> None:
-        self.write_slot(item, blocks)
-
-    def read_items(self, items: Sequence[int]) -> list[list[Block | None]]:
-        return self.read_slots(items)
-
-    def write_items(
-        self, items: Sequence[int], blocks_per: Sequence[Sequence[Block | None]]
-    ) -> None:
-        self.write_slots(items, blocks_per)

@@ -22,9 +22,9 @@ makes that accounting *visible inside a run*:
 * :mod:`repro.obs.live` — :class:`~repro.obs.live.RunEventLog`, an
   append-only line-flushed JSONL heartbeat/event bus written *during* the
   run (``repro watch <file>`` tails it).
-* :mod:`repro.obs.trend` — bench-trajectory regression tracking over the
-  schema-versioned, host-fingerprinted ``BENCH_HISTORY.jsonl`` that
-  ``benchmarks/bench_perf.py`` appends to (``repro perf trend``).
+
+Wall-clock numbers are compared across runs in one place, outside this
+package: ``benchmarks/suite`` and its ``compare.py``.
 
 Attach via ``simulate(..., observer=Collector())`` or the CLI flags
 ``--trace-out FILE`` / ``--jsonl-out FILE`` / ``--metrics`` / ``--profile``

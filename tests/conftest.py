@@ -7,12 +7,14 @@ seed; the deadline is dropped because shared runners have noisy clocks).
 Select it with ``HYPOTHESIS_PROFILE=ci``; the workflow sets that and pins
 ``--hypothesis-seed=0`` for the parts derandomization does not cover.
 
-Every test also runs under a leak check: no thread and no child process
-it started may still be alive when it ends.
+Every test also runs under a leak check: no thread, child process, open
+file descriptor or owned storage root it created may outlive it.
 """
 
+import glob
 import multiprocessing
 import os
+import tempfile
 import threading
 
 import pytest
@@ -29,15 +31,42 @@ if settings is not None:
         settings.load_profile(profile)
 
 
+def _open_fds():
+    """``(fd, target)`` of every open descriptor; empty where ``/proc`` is absent."""
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return set()
+    fds = set()
+    for fd in names:
+        try:
+            fds.add((fd, os.readlink(f"/proc/self/fd/{fd}")))
+        except OSError:
+            pass  # the descriptor the listing itself held
+    return fds
+
+
+def _storage_roots():
+    """The owned roots ``StorageSpec.create`` makes when given no directory."""
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "em-storage-*")))
+
+
 @pytest.fixture(autouse=True)
-def no_leaked_threads_or_children():
-    """Nothing a test starts may outlive it: ``src/repro`` runs on one
-    thread, and a process backend joins its workers on every exit path
-    (the SIGKILL tests reap what they kill).  A leak is fixed at its
-    source — a missing ``close()``/``join()`` — not allow-listed here."""
-    before = set(threading.enumerate())
+def no_leaks():
+    """Nothing a test starts or opens may outlive it: ``src/repro`` runs on
+    one thread, a process backend joins its workers on every exit path (the
+    SIGKILL tests reap what they kill), every storage plane closes its track
+    files and an engine removes the temp root it claimed, on error paths
+    too.  A leak is fixed at its source — a missing ``close()``/``join()``/
+    ``cleanup()`` — not allow-listed here."""
+    threads = set(threading.enumerate())
+    fds, roots = _open_fds(), _storage_roots()
     yield
-    leaked = [t.name for t in threading.enumerate() if t not in before]
+    leaked = [t.name for t in threading.enumerate() if t not in threads]
     assert not leaked, f"threads left running: {leaked}"
     children = multiprocessing.active_children()
     assert not children, f"child processes left running: {children}"
+    leaked = sorted(_open_fds() - fds)
+    assert not leaked, f"file descriptors left open: {leaked}"
+    leaked = sorted(_storage_roots() - roots)
+    assert not leaked, f"storage roots left behind: {leaked}"

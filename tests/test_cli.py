@@ -54,3 +54,41 @@ class TestCLI:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_perf_report_runs_and_perf_trend_is_gone(self, capsys):
+        assert main(["perf", "report", "--n", "256", "--v", "4"]) == 0
+        assert "wall-clock attribution" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["perf", "trend"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'trend'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ("not json", "Expecting value"),
+            ('{"wall": 1.0, "tracks": {}}', "schema None, expected 1"),
+        ],
+        ids=["missing", "not-json", "wrong-schema"],
+    )
+    def test_perf_report_load_names_the_file_and_the_reason(
+        self, content, reason, tmp_path, capsys
+    ):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["perf", "report", "--load", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err and reason in err
+
+    def test_watch_missing_file_without_follow_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        assert main(["watch", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err
+        # --follow keeps waiting for the file to appear (here: until timeout).
+        assert main(["watch", str(path), "--follow", "--timeout", "0.3"]) == 0
+        assert capsys.readouterr() == ("", "")

@@ -129,9 +129,9 @@ class TestStripedRegion:
         array = DiskArray(4, 4)
         region = ConsecutiveRegion(array, RegionAllocator(array), 8, 2, "c")
         for j in range(8):
-            region.write_item(j, [Block(records=[j]), Block(records=[j])])
+            region.write_slot(j, [Block(records=[j]), Block(records=[j])])
         array.reset_stats()
-        region.read_items([2, 3, 4, 5])  # 8 blocks over 4 disks
+        region.read_slots([2, 3, 4, 5])  # 8 blocks over 4 disks
         assert array.parallel_ops == 2
 
     def test_overfull_slot_rejected(self):

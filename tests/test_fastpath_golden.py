@@ -12,6 +12,7 @@ mid-run kill-and-resume.
 import pytest
 
 from repro.algorithms.graphs.listranking import CGMListRanking
+from repro.algorithms.permutation import CGMPermutation
 from repro.algorithms.sorting import CGMSampleSort
 from repro.core.checkpoint import SimulationAborted
 from repro.core.parsim import ParallelEMSimulation
@@ -20,7 +21,7 @@ from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace
 from repro.params import MachineParams
-from repro.workloads import random_linked_list, uniform_keys
+from repro.workloads import random_linked_list, random_permutation, uniform_keys
 
 FAST = {"context_cache": True, "fast_io": True}
 
@@ -31,6 +32,15 @@ def make_sort(n=512, v=8):
 
 def make_listrank(n=192, v=8):
     return CGMListRanking(random_linked_list(n, seed=5), v=v), v
+
+
+def make_permute(n=512, v=8):
+    return CGMPermutation(
+        uniform_keys(n, seed=5), random_permutation(n, seed=5), v=v
+    ), v
+
+
+WORKLOADS = [make_sort, make_listrank, make_permute]
 
 
 def build(make, engine, seed=0, p=4, **kwargs):
@@ -58,7 +68,7 @@ def golden(sim):
 
 
 class TestSequentialGolden:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("seed", [0, 3])
     def test_fast_equals_reference(self, make, seed):
         ref = golden(build(make, "sequential", seed=seed))
@@ -96,16 +106,17 @@ class TestSequentialGolden:
 
 
 class TestParallelGolden:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", WORKLOADS)
     def test_fast_inline_equals_reference(self, make):
         ref = golden(build(make, "parallel"))
         fast = golden(build(make, "parallel", **FAST))
         assert fast == ref
 
     def test_fast_process_equals_reference(self):
-        ref = golden(build(make_sort, "parallel"))
-        fast = golden(build(make_sort, "parallel", backend="process", **FAST))
-        assert fast == ref
+        for make in WORKLOADS:
+            ref = golden(build(make, "parallel"))
+            fast = golden(build(make, "parallel", backend="process", **FAST))
+            assert fast == ref, make.__name__
 
     def test_context_cache_alone_over_process_backend(self):
         """context_cache without fast_io, with workers in real subprocesses:

@@ -32,6 +32,8 @@ from repro.obs import (
 from repro.params import MachineParams
 from repro.workloads import uniform_keys
 
+from .test_fastpath_golden import WORKLOADS, build
+
 
 def make_sim(engine, p=2, n=384, v=8, seed=0, **kwargs):
     alg = CGMSampleSort(uniform_keys(n, seed=7), v=v)
@@ -223,11 +225,12 @@ class TestGoldenNonInterference:
     @pytest.mark.parametrize("fast", [False, True])
     def test_observer_changes_nothing(self, engine, fast):
         kw = {"context_cache": fast, "fast_io": fast}
-        ref = golden(make_sim(engine, **kw))
-        obs = Collector()
-        watched = golden(make_sim(engine, observer=obs, **kw))
-        assert watched == ref  # byte-identical frozen blobs
-        assert obs.spans and all(s.t1 is not None for s in obs.spans)
+        for make in WORKLOADS:
+            ref = golden(build(make, engine, p=2, **kw))
+            obs = Collector()
+            watched = golden(build(make, engine, p=2, observer=obs, **kw))
+            assert watched == ref, make.__name__  # byte-identical frozen blobs
+            assert obs.spans and all(s.t1 is not None for s in obs.spans)
 
     def test_observer_changes_nothing_process_backend(self):
         ref = golden(make_sim("parallel"))

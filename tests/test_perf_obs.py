@@ -1,6 +1,6 @@
-"""Perf observatory tests: attribution profiler, live event bus, trend.
+"""Perf observatory tests: attribution profiler, live event bus.
 
-Three surfaces (DESIGN §11), three invariants:
+Two surfaces (DESIGN §11), three invariants:
 
 * the :class:`CategoryProfiler` is an honest exclusive-time accountant —
   nested scopes carve time out of their parents and the totals never exceed
@@ -41,12 +41,6 @@ from repro.obs.profile import (
     CategoryProfiler,
     NULL_PROFILER,
     validate_report_dict,
-)
-from repro.obs.trend import (
-    append_history,
-    compare_trend,
-    host_fingerprint,
-    load_history,
 )
 from repro.params import MachineParams
 from repro.workloads import uniform_keys
@@ -261,84 +255,6 @@ class TestRunEventLog:
         assert "run started" in lines[0] and "workload=sort" in lines[0]
         assert "io_ops=5" in lines[2]
         assert "run finished" in lines[-1]
-
-
-# -- trend tracking -----------------------------------------------------------------
-
-
-def entry(host_id="h0", **results):
-    return {
-        "schema": 1,
-        "t": 0.0,
-        "host": {"id": host_id},
-        "results": {k: v for k, v in results.items()},
-    }
-
-
-class TestTrend:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        e = append_history(
-            path, {"sort": {"wall_s": 0.5, "io_ops": 100}}, t=123.0
-        )
-        assert e["host"]["id"] == host_fingerprint()["id"]
-        (loaded,) = load_history(path)
-        assert loaded["results"]["sort"] == {"wall_s": 0.5, "io_ops": 100}
-        assert loaded["t"] == 123.0
-
-    def test_load_is_lenient_strict_raises(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        append_history(path, {"k": {"wall_s": 1.0}}, t=0.0)
-        with open(path, "a") as fh:
-            fh.write("garbage line\n")
-            fh.write('{"schema": 77, "results": {}}\n')
-        assert len(load_history(path)) == 1  # bad lines skipped
-        with pytest.raises(ValueError):
-            load_history(path, strict=True)
-
-    def test_verdicts(self):
-        base = entry(sort={"wall_s": 1.0, "io_ops": 100})
-        assert compare_trend([]).status == "insufficient"
-        assert compare_trend([base]).status == "insufficient"
-        ok = compare_trend(
-            [base, base, entry(sort={"wall_s": 1.1, "io_ops": 100})]
-        )
-        assert ok.status == "ok" and ok.ok
-        slow = compare_trend(
-            [base, base, entry(sort={"wall_s": 9.0, "io_ops": 100})]
-        )
-        assert slow.status == "regressed"
-        assert slow.regressions[0]["kind"] == "wall"
-        drift = compare_trend(
-            [base, entry(sort={"wall_s": 9.0, "io_ops": 101})]
-        )
-        assert drift.status == "counted_drift"  # hard even when wall also slow
-        assert "counted drift" in drift.render()
-
-    def test_other_hosts_are_ignored(self):
-        laptop = entry("laptop", sort={"wall_s": 0.1, "io_ops": 100})
-        ci = entry("ci", sort={"wall_s": 9.0, "io_ops": 100})
-        # The slow CI run only compares against its own host's history.
-        assert compare_trend([laptop, laptop, ci]).status == "insufficient"
-        assert compare_trend([laptop, ci, ci]).status == "ok"
-
-    def test_window_bounds_the_trajectory(self):
-        old = entry(sort={"wall_s": 0.1, "io_ops": 100})
-        recent = entry(sort={"wall_s": 1.0, "io_ops": 100})
-        latest = entry(sort={"wall_s": 1.2, "io_ops": 100})
-        history = [old] * 10 + [recent] * 8 + [latest]
-        assert compare_trend(history, window=8).status == "ok"
-        assert compare_trend(history, window=18).status == "regressed"
-
-    def test_retired_config_keys_in_history_are_ignored(self):
-        """A row the bench no longer produces (the deleted overlap configs)
-        stays in the history file as the record and never gates."""
-        old = entry(sort={"wall_s": 1.0, "io_ops": 100},
-                    sort_overlap={"wall_s": 0.1, "io_ops": 7})
-        latest = entry(sort={"wall_s": 1.1, "io_ops": 100})
-        verdict = compare_trend([old, old, latest])
-        assert verdict.status == "ok" and not verdict.regressions
-        assert "sort_overlap" not in verdict.render()
 
 
 # -- golden byte-identity matrix ----------------------------------------------------

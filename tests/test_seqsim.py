@@ -99,7 +99,7 @@ def test_round_robin_ablation_preserves_output():
     ref_out, _ = run_reference(AllToAllExchange(), v)
     params = make_params(AllToAllExchange(), v, D=4, k=2)
     em_out, _ = SequentialEMSimulation(
-        AllToAllExchange(), params, seed=2, round_robin_writes=True
+        AllToAllExchange(), params, seed=2, write_schedule="rotate"
     ).run()
     assert em_out == ref_out
 

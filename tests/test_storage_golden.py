@@ -15,13 +15,13 @@ from repro.core.checkpoint import SimulationAborted
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace
 
-from .test_fastpath_golden import FAST, build, golden, make_listrank, make_sort
+from .test_fastpath_golden import FAST, WORKLOADS, build, golden, make_sort
 
 PLANES = ("file", "mmap")
 
 
 class TestSequentialPlanes:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_equals_memory(self, make, plane):
         ref = golden(build(make, "sequential"))
@@ -57,7 +57,7 @@ class TestSequentialPlanes:
 
 
 class TestParallelPlanes:
-    @pytest.mark.parametrize("make", [make_sort, make_listrank])
+    @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_inline_equals_memory(self, make, plane):
         ref = golden(build(make, "parallel"))
@@ -68,9 +68,10 @@ class TestParallelPlanes:
     def test_plane_over_process_backend(self, plane):
         """Each worker claims its own per-processor storage subdirectory;
         the counted run must still match the inline memory reference."""
-        ref = golden(build(make_sort, "parallel"))
-        got = golden(build(make_sort, "parallel", backend="process", storage=plane))
-        assert got == ref
+        for make in WORKLOADS:
+            ref = golden(build(make, "parallel"))
+            got = golden(build(make, "parallel", backend="process", storage=plane))
+            assert got == ref, make.__name__
 
     def test_plane_process_fast_knobs_together(self):
         ref = golden(build(make_sort, "parallel"))
