@@ -32,10 +32,10 @@ def main() -> None:
     machine = MachineParams(p=1, M=1 << 18, D=4, B=64, b=64)
 
     # --- (a) an observed sequential run -------------------------------------
+    # No knob passed: in the heap, fast_io / context_cache are on by default.
     obs = Collector()
     out, report = simulate(
-        CGMSampleSort(data, v), machine, v=v, seed=1,
-        fast_io=True, context_cache=True, observer=obs,
+        CGMSampleSort(data, v), machine, v=v, seed=1, observer=obs,
     )
     assert [x for part in out for x in part] == sorted(data)
 

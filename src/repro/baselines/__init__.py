@@ -21,7 +21,7 @@ Modern rivals (PAPERS.md; the bake-off competitors):
   Arge's buffer tree and the bulk priority queue built on it.
 
 ``SORTING_BASELINES`` is the registry of counted-cost sorters sharing the
-``cls(machine, key=None, *, storage=None, fast_io=False)`` constructor and
+``cls(machine, key=None, *, storage=None, fast_io=None)`` constructor and
 the ``sort(data) -> (result, stats)`` / ``predicted_io_ops(n)`` contract;
 registering a sorter here auto-enrolls it in ``tests/test_baselines.py``,
 the conform fuzzer's workload pool and the ``repro bakeoff`` sweep.

@@ -103,7 +103,7 @@ class BufferTree:
         *,
         array=None,
         storage: "str | StorageSpec | None" = None,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
     ):
         if machine.p != 1:
             raise ValueError("BufferTree is the single-processor baseline")
@@ -510,7 +510,7 @@ class BufferTreePQ:
         *,
         array=None,
         storage: "str | StorageSpec | None" = None,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
     ):
         self.tree = BufferTree(
             machine, key=key, array=array, storage=storage, fast_io=fast_io
@@ -590,7 +590,7 @@ class BufferTreeSort:
         key: Callable | None = None,
         *,
         storage: "str | StorageSpec | None" = None,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
     ):
         if machine.p != 1:
             raise ValueError("BufferTreeSort is the single-processor baseline")

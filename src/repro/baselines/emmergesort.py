@@ -62,7 +62,9 @@ class KWayMergeSort:
     storage:
         Optional storage plane (kind string or :class:`StorageSpec`).
     fast_io:
-        Use the array's vectorized batched paths (identical counted cost).
+        The array's fast data plane (identical counted cost); ``None``
+        derives it from the storage plane, as
+        :class:`~repro.emio.diskarray.DiskArray` documents.
     """
 
     def __init__(
@@ -71,7 +73,7 @@ class KWayMergeSort:
         key: Callable | None = None,
         *,
         storage: "str | StorageSpec | None" = None,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
     ):
         if machine.p != 1:
             raise ValueError("KWayMergeSort is the single-processor baseline")

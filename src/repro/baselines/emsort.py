@@ -57,7 +57,9 @@ class EMMergeSort:
         Optional storage plane (a kind string or :class:`StorageSpec`);
         counted-cost-invisible like the simulation's storage planes.
     fast_io:
-        Use the array's vectorized batched paths (identical counted cost).
+        The array's fast data plane (identical counted cost); ``None``
+        derives it from the storage plane, as
+        :class:`~repro.emio.diskarray.DiskArray` documents.
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class EMMergeSort:
         key: Callable | None = None,
         *,
         storage: "str | StorageSpec | None" = None,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
     ):
         if machine.p != 1:
             raise ValueError("EMMergeSort is the single-processor baseline")

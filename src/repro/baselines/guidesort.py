@@ -81,7 +81,9 @@ class Guidesort:
     storage:
         Optional storage plane (kind string or :class:`StorageSpec`).
     fast_io:
-        Use the array's vectorized batched paths (identical counted cost).
+        The array's fast data plane (identical counted cost); ``None``
+        derives it from the storage plane, as
+        :class:`~repro.emio.diskarray.DiskArray` documents.
     """
 
     def __init__(
@@ -90,7 +92,7 @@ class Guidesort:
         key: Callable | None = None,
         *,
         storage: "str | StorageSpec | None" = None,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
     ):
         if machine.p != 1:
             raise ValueError("Guidesort is the single-processor baseline")

@@ -24,13 +24,14 @@ __all__ = ["StripedFile", "baseline_array", "open_array"]
 def baseline_array(
     machine: MachineParams,
     storage: "str | StorageSpec | None" = None,
-    fast_io: bool = False,
+    fast_io: bool | None = None,
 ) -> DiskArray:
     """A :class:`DiskArray` for one baseline run.
 
     ``storage`` is either a ready :class:`StorageSpec` or a plane kind
     (``"memory"``/``"file"``/``"mmap"``; a non-memory kind gets an owned
-    temporary root).  Both the storage plane and ``fast_io`` are
+    temporary root).  Both the storage plane and ``fast_io`` (``None``:
+    derived from the plane, see :class:`DiskArray`) are
     counted-cost-invisible: the batched paths charge identical parallel-op
     rounds either way, so they are safe differential planes for the
     competitors exactly as for the simulation engines.
@@ -46,7 +47,7 @@ def baseline_array(
 def open_array(
     machine: MachineParams,
     storage: "str | StorageSpec | None" = None,
-    fast_io: bool = False,
+    fast_io: bool | None = None,
 ) -> Iterator[DiskArray]:
     """``baseline_array`` as a context manager: closes the storage plane and
     removes owned temporary roots when the baseline finishes."""

@@ -29,7 +29,7 @@ CLI: ``python -m repro conform --seed 0 --budget 50`` (see ``--help``).
 from .case import ReproCase
 from .config import ConformConfig
 from .oracles import ORACLES, OracleFailure
-from .runner import CaseResult, FuzzStats, fuzz, run_case
+from .runner import REFERENCE, CaseResult, FuzzStats, fuzz, run_case
 from .shrinker import shrink
 from .strategies import StrategyProfile, random_config, repair
 
@@ -42,6 +42,7 @@ __all__ = [
     "FuzzStats",
     "run_case",
     "fuzz",
+    "REFERENCE",
     "shrink",
     "StrategyProfile",
     "random_config",

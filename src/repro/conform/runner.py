@@ -41,7 +41,15 @@ from .oracles import (
 )
 from .strategies import DEFAULT, StrategyProfile, random_config
 
-__all__ = ["CaseResult", "FuzzStats", "run_case", "fuzz", "equivalent_planes"]
+__all__ = [
+    "CaseResult", "FuzzStats", "run_case", "fuzz", "equivalent_planes", "REFERENCE",
+]
+
+#: The reference plane's engine knobs, spelled once: the per-attempt physical
+#: path of the disk array and contexts read back from the disk image.  Left
+#: at ``None`` the knobs follow the storage plane (fast in the heap), so a
+#: run that is *meant* as the oracle of a comparison passes ``**REFERENCE``.
+REFERENCE = {"fast_io": False, "context_cache": False}
 
 
 @dataclass
@@ -72,8 +80,7 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
     """
     planes = [("primary", config)]
     reference = config.with_(
-        fast_io=False, context_cache=False, backend="inline",
-        storage="memory", records="object",
+        **REFERENCE, backend="inline", storage="memory", records="object",
     )
     if reference != config:
         planes.append(("reference", reference))
@@ -194,7 +201,7 @@ def _run_baseline_case(config: ConformConfig, result: CaseResult) -> None:
     want = pickle.dumps(sorted(data))
     planes = [
         ("primary", config.storage, config.fast_io),
-        ("reference", "memory", False),
+        ("reference", "memory", REFERENCE["fast_io"]),
         ("file-storage", "file", config.fast_io),
     ]
     costs: dict[str, int] = {}

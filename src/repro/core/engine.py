@@ -87,8 +87,8 @@ class EMEngine:
         checkpoint: bool = False,
         max_recoveries: int = 8,
         backend: str = "inline",
-        context_cache: bool = False,
-        fast_io: bool = False,
+        context_cache: bool | None = None,
+        fast_io: bool | None = None,
         observer: Collector | None = None,
         events: "RunEventLog | None" = None,
         storage: "str | StorageSpec" = "memory",
@@ -139,6 +139,9 @@ class EMEngine:
             # The engine claims the root directory; each processor derives
             # (and claims) its proc{i} sub-root from the pickled spec.
             self.storage_spec = spec
+            # What a knob left at None means is the storage plane's call.
+            self.fast_io = spec.fast_plane(fast_io)
+            self.context_cache = spec.fast_plane(context_cache)
             # Non-memory checkpointed runs publish every barrier atomically
             # through a journal inside the storage root (crash consistency).
             self._journal = (
@@ -152,7 +155,7 @@ class EMEngine:
                 [
                     (
                         i, algorithm, params, seed, self.write_schedule,
-                        faults, retry, enforce_gamma, context_cache, fast_io,
+                        faults, retry, enforce_gamma, self.context_cache, self.fast_io,
                         observe, spec, self.obs.profile.enabled, self.SOLE,
                     )
                     for i in range(self.p)
@@ -289,6 +292,8 @@ class EMEngine:
             D=m.D,
             B=m.B,
             storage=self.storage_spec.kind,
+            fast_io=self.fast_io,
+            context_cache=self.context_cache,
             **extra,
         )
 

@@ -96,9 +96,19 @@ class SequentialEMSimulation(EMEngine):
         outputs are unchanged; only host wall-clock improves.
         Auto-disabled under fault injection.
     fast_io:
-        Enable the disk array's fast data plane — counted-cost-identical
+        The disk array's fast data plane — counted-cost-identical
         short-circuits of the parallel primitives, legal only on a healthy,
         untraced array (auto-disabled otherwise).
+
+        Who selects the plane (both knobs): ``None``, the default, asks the
+        storage plane (:meth:`StorageSpec.fast_plane
+        <repro.emio.storage.StorageSpec.fast_plane>`) — on with
+        ``storage="memory"``, where nothing is lost, off on ``"file"`` /
+        ``"mmap"``, where the fast plane would double the out-of-core heap
+        promise (DESIGN §8).  ``True`` / ``False`` are honoured on every
+        plane; ``False`` for both is the *reference plane* the golden tests
+        name (``repro.conform.REFERENCE``).  ``run_started`` carries the
+        resolved values.
     observer:
         Optional :class:`~repro.obs.spans.Collector` receiving nested spans
         (superstep > phase), per-disk counter samples, and run metrics.
@@ -162,8 +172,8 @@ class SequentialEMSimulation(EMEngine):
         retry: RetryPolicy | None = None,
         checkpoint: bool = False,
         max_recoveries: int = 8,
-        context_cache: bool = False,
-        fast_io: bool = False,
+        context_cache: bool | None = None,
+        fast_io: bool | None = None,
         observer: Collector | None = None,
         events: "RunEventLog | None" = None,
         storage: "str | StorageSpec" = "memory",

@@ -92,8 +92,8 @@ def simulate(
     checkpoint: bool = False,
     max_recoveries: int = 8,
     backend: Literal["inline", "process"] = "inline",
-    context_cache: bool = False,
-    fast_io: bool = False,
+    context_cache: bool | None = None,
+    fast_io: bool | None = None,
     observer: Collector | None = None,
     events: RunEventLog | None = None,
     storage: str = "memory",
@@ -121,6 +121,10 @@ def simulate(
         :class:`~repro.core.seqsim.SequentialEMSimulation` (``backend`` on
         :class:`~repro.core.parsim.ParallelEMSimulation`, the engine that has
         processors to place; it is rejected for the sequential engine).
+        ``fast_io`` and ``context_cache`` left at ``None`` are derived from
+        the storage plane: on with ``storage="memory"``, off on ``"file"`` /
+        ``"mmap"``; pass ``False`` for the per-attempt reference path,
+        ``True`` for the fast file plane.
     io_overlap:
         Deprecated and ignored: the overlapped-I/O plane it selected was
         deleted (DESIGN §12) and host I/O is always synchronous.  ``True``

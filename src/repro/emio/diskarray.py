@@ -64,6 +64,14 @@ class DiskArray:
     proc:
         Real-processor index this array belongs to (selects the fault
         streams and the plan's ``dead_proc`` target).
+    fast_io:
+        Ask for the fast data plane (:attr:`fast_data_plane`): ``True`` /
+        ``False`` are honoured, ``None`` (default) lets the storage plane
+        decide (:meth:`StorageSpec.fast_plane
+        <repro.emio.storage.StorageSpec.fast_plane>`: on in the heap, off on
+        ``file`` / ``mmap``).  Whatever was asked, an array with ``faults``
+        or ``ntracks``, a traced one and a degraded one run the physical
+        path.
     storage:
         A :class:`~repro.emio.storage.StorageSpec` choosing where the
         drives' tracks live (memory / file / mmap).  Defaults to the
@@ -82,7 +90,7 @@ class DiskArray:
         faults: "FaultPlan | FaultInjector | None" = None,
         retry: RetryPolicy | None = None,
         proc: int = 0,
-        fast_io: bool = False,
+        fast_io: bool | None = None,
         storage: "StorageSpec | None" = None,
         M: int | None = None,
     ):
@@ -123,7 +131,7 @@ class DiskArray:
         # retry machinery that provably cannot fire on a healthy array.
         # ``hooked`` is set by IOTrace.attach: a traced array always runs the
         # full physical-attempt path so traces stay byte-identical.
-        self._fast = bool(fast_io) and faults is None and ntracks is None
+        self._fast = spec.fast_plane(fast_io) and faults is None and ntracks is None
         self.hooked = False
         # A quarter of memory's worth of full rounds (D*B records each).
         self._chunk_rounds = max(1, (M or 0) // (4 * D * max(B, 1)))
@@ -611,7 +619,7 @@ class DiskArray:
         if not self.fast_data_plane:
             raise DiskError(
                 "charge_batched requires the fast data plane "
-                "(healthy, unbounded, untraced array with fast_io=True)"
+                "(healthy, unbounded, untraced array with fast_io on)"
             )
         if kind not in ("R", "W"):
             raise DiskError(f"charge_batched kind must be 'R' or 'W', got {kind!r}")

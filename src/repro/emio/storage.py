@@ -1060,6 +1060,19 @@ class StorageSpec:
         _claim_dir(root)
         return cls(kind, root, owned)
 
+    def fast_plane(self, knob: bool | None) -> bool:
+        """Resolve a ``fast_io`` / ``context_cache`` knob on this plane.
+
+        An explicit bool is honoured.  ``None`` — the default wherever
+        either knob is spelled — is on exactly when the tracks live on the
+        heap: there the fast plane holds nothing the reference plane does
+        not.  On ``file`` / ``mmap`` it keeps up to ``M/4`` records of a
+        relay in flight and the pickled contexts host-side, twice the
+        out-of-core heap promise (DESIGN §8), so those planes are fast only
+        by request.
+        """
+        return self.kind == "memory" if knob is None else bool(knob)
+
     def proc_root(self, index: int) -> str | None:
         """Path of processor ``index``'s sub-root (not created)."""
         if self.kind == "memory":

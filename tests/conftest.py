@@ -8,12 +8,15 @@ Select it with ``HYPOTHESIS_PROFILE=ci``; the workflow sets that and pins
 ``--hypothesis-seed=0`` for the parts derandomization does not cover.
 
 Every test also runs under a leak check: no thread, child process, open
-file descriptor or owned storage root it created may outlive it.
+file descriptor or owned storage root it created may outlive it.  The
+session keeps its temporary files in a directory of its own, so the roots it
+looks at are the ones it made.
 """
 
 import glob
 import multiprocessing
 import os
+import shutil
 import tempfile
 import threading
 
@@ -44,6 +47,27 @@ def _open_fds():
         except OSError:
             pass  # the descriptor the listing itself held
     return fds
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_tmpdir():
+    """Point ``tempfile`` (and, through ``TMPDIR``, every child this session
+    starts) at a directory only this session uses, so that ``no_leaks`` never
+    blames a test for an ``em-storage-*`` root another pytest session in the
+    same container made meanwhile.  Yields the temp dir it replaced."""
+    system = tempfile.gettempdir()
+    own = tempfile.mkdtemp(prefix="repro-pytest-", dir=system)
+    saved_env = os.environ.get("TMPDIR")
+    os.environ["TMPDIR"] = tempfile.tempdir = own
+    try:
+        yield system
+    finally:
+        tempfile.tempdir = system
+        if saved_env is None:
+            del os.environ["TMPDIR"]
+        else:
+            os.environ["TMPDIR"] = saved_env
+        shutil.rmtree(own, ignore_errors=True)
 
 
 def _storage_roots():

@@ -1,16 +1,36 @@
-"""Shared test fixtures: small BSP algorithms exercising the simulation."""
+"""Shared test fixtures: small BSP algorithms exercising the simulation,
+and the check that a golden helper built the plane it was asked for."""
 
 from __future__ import annotations
 
 from repro.bsp.program import BSPAlgorithm, VPContext
 
 __all__ = [
+    "assert_plane",
     "RingShift",
     "AllToAllExchange",
     "TotalExchangeSum",
     "MultiRoundAccumulate",
     "NoCommunication",
 ]
+
+
+def assert_plane(sim, fast_io=None, context_cache=None, faults=None, **_other):
+    """Fail unless ``sim``'s local processors run the plane its builder named.
+
+    Called by the golden suites' ``build`` helpers with the keywords they
+    passed the engine.  A fast-vs-reference comparison says nothing once both
+    sides run one plane, and a default can move under it without one failure
+    (it did: the knobs left at ``None`` now follow the storage plane) — so a
+    side that named a knob is checked against it.  Fault injection forces the
+    physical path whatever was asked; a process backend keeps its arrays in
+    the workers (``procs is None``), where there is nothing to look at.
+    """
+    for pr in sim.procs or ():
+        if fast_io is not None:
+            assert pr.array.fast_data_plane is (fast_io and faults is None)
+        if context_cache is not None:
+            assert pr.contexts.cache is (context_cache and faults is None)
 
 
 class RingShift(BSPAlgorithm):

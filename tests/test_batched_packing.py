@@ -1,10 +1,11 @@
 """``read_batched`` / ``write_batched`` pack their rounds in one pass.
 
-The physical path (no ``fast_io``: a traced, faulty, bounded or plain
-default array) used to re-scan the leftover addresses once per round.  The
-one-pass bucketing must be the same greedy: the old loop is kept here as the
-oracle, and the round lists handed to ``parallel_read`` / ``parallel_write``,
-the returned blocks, every counter and the recorded ``IOTrace`` must agree.
+The physical path (a traced, faulty, bounded or degraded array, or one
+built with ``fast_io=False``) used to re-scan the leftover addresses once
+per round.  The one-pass bucketing must be the same greedy: the old loop is
+kept here as the oracle, and the round lists handed to ``parallel_read`` /
+``parallel_write``, the returned blocks, every counter and the recorded
+``IOTrace`` must agree.
 """
 
 import pickle
@@ -126,9 +127,13 @@ def test_one_pass_packing_is_the_greedy(batch):
 
 @pytest.mark.parametrize("D", [1, 2, 4, 8])
 def test_round_count_is_the_busiest_disk(D):
-    """Standard consecutive format packs perfectly; one hot disk serialises."""
-    array = DiskArray(D, B=4)
-    striped = [(q % D, q // D, Block(records=[q])) for q in range(5 * D + 1)]
-    assert array.write_batched(striped) == 6
-    hot = [(0, 100 + i, Block(records=[i])) for i in range(7)]
-    assert array.write_batched(hot) == 7
+    """Standard consecutive format packs perfectly; one hot disk serialises
+    — on the physical path's one-pass packing and on the fast plane's
+    arithmetic alike."""
+    for fast_io in (False, True):
+        array = DiskArray(D, B=4, fast_io=fast_io)
+        assert array.fast_data_plane is fast_io
+        striped = [(q % D, q // D, Block(records=[q])) for q in range(5 * D + 1)]
+        assert array.write_batched(striped) == 6
+        hot = [(0, 100 + i, Block(records=[i])) for i in range(7)]
+        assert array.write_batched(hot) == 7

@@ -61,31 +61,36 @@ class TestDisk:
 
 
 class TestDiskArray:
+    """The model's rules for one array, on the physical path by name; the
+    ``FastPlane`` twin below holds the fast data plane to the same rules."""
+
+    FAST_IO = False
+
     def test_parallel_read_counts_one_op(self):
-        da = DiskArray(D=4, B=4)
+        da = DiskArray(D=4, B=4, fast_io=self.FAST_IO)
         da.parallel_write([(0, 0, Block(records=[1])), (1, 0, Block(records=[2]))])
         got = da.parallel_read([(0, 0), (1, 0)])
         assert [b.records for b in got] == [[1], [2]]
         assert da.parallel_ops == 2  # one write + one read
 
     def test_same_disk_twice_in_one_op_rejected(self):
-        da = DiskArray(D=4, B=4)
+        da = DiskArray(D=4, B=4, fast_io=self.FAST_IO)
         with pytest.raises(DiskError):
             da.parallel_read([(1, 0), (1, 1)])
 
     def test_too_many_tracks_in_one_op_rejected(self):
-        da = DiskArray(D=2, B=4)
+        da = DiskArray(D=2, B=4, fast_io=self.FAST_IO)
         with pytest.raises(DiskError):
             da.parallel_read([(0, 0), (1, 0), (0, 1)])
 
     def test_empty_op_is_free(self):
-        da = DiskArray(D=2, B=4)
+        da = DiskArray(D=2, B=4, fast_io=self.FAST_IO)
         assert da.parallel_read([]) == []
         da.parallel_write([])
         assert da.parallel_ops == 0
 
     def test_read_batched_preserves_order(self):
-        da = DiskArray(D=3, B=4)
+        da = DiskArray(D=3, B=4, fast_io=self.FAST_IO)
         for d in range(3):
             for t in range(2):
                 da.disks[d].write_track(t, Block(records=[d * 10 + t]))
@@ -93,7 +98,7 @@ class TestDiskArray:
         assert [b.records[0] for b in got] == [21, 0, 20, 11]
 
     def test_read_batched_packs_distinct_disks_into_one_op(self):
-        da = DiskArray(D=4, B=4)
+        da = DiskArray(D=4, B=4, fast_io=self.FAST_IO)
         for d in range(4):
             da.disks[d].write_track(0, Block(records=[d]))
         da.parallel_ops = 0
@@ -101,7 +106,7 @@ class TestDiskArray:
         assert da.parallel_ops == 1
 
     def test_read_batched_same_disk_needs_multiple_ops(self):
-        da = DiskArray(D=4, B=4)
+        da = DiskArray(D=4, B=4, fast_io=self.FAST_IO)
         for t in range(3):
             da.disks[0].write_track(t, Block(records=[t]))
         da.parallel_ops = 0
@@ -109,11 +114,15 @@ class TestDiskArray:
         assert da.parallel_ops == 3
 
     def test_write_batched_returns_op_count(self):
-        da = DiskArray(D=2, B=4)
+        da = DiskArray(D=2, B=4, fast_io=self.FAST_IO)
         n = da.write_batched(
             [(0, 0, Block(records=[])), (1, 0, Block(records=[])), (0, 1, Block(records=[]))]
         )
         assert n == 2
+
+
+class TestDiskArrayFastPlane(TestDiskArray):
+    FAST_IO = True
 
 
 class TestStoragePlaneDurability:

@@ -3,18 +3,24 @@
 Covers the O(1) disk occupancy counter, the arithmetic I/O charging of
 ``charge_batched`` (it must reproduce the physical batched primitives'
 counters exactly), the single-copy ``pack_records``, the memoized
-``Block.validate``, and the gating of the fast data plane.
+``Block.validate``, and the gating of the fast data plane: who selects it
+(the knob, else the storage plane) and what forces the physical path.
 """
 
 import random
 
 import pytest
 
+from repro.core.simulator import build_params, make_engine
 from repro.emio.disk import Block, Disk, DiskError
 from repro.emio.diskarray import DiskArray
-from repro.emio.faults import FaultPlan
+from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.layout import pack_records, unpack_records
+from repro.emio.storage import StorageSpec
 from repro.emio.trace import IOTrace
+from repro.params import MachineParams
+
+from .helpers import RingShift
 
 
 def blk(i, B=8):
@@ -62,7 +68,7 @@ class TestChargeBatched:
         ops = [
             (rng.randrange(D), rng.randrange(30), blk(i)) for i in range(rng.randrange(1, 60))
         ]
-        physical = DiskArray(D, 8)
+        physical = DiskArray(D, 8, fast_io=False)
         rounds_physical = physical.write_batched(list(ops))
         charged = DiskArray(D, 8, fast_io=True)
         rounds_charged = charged.charge_batched("W", [(d, t) for d, t, _b in ops])
@@ -79,7 +85,7 @@ class TestChargeBatched:
         addrs = [
             (rng.randrange(D), rng.randrange(30)) for _ in range(rng.randrange(1, 60))
         ]
-        physical = DiskArray(D, 8)
+        physical = DiskArray(D, 8, fast_io=False)
         physical.read_batched(list(addrs))
         charged = DiskArray(D, 8, fast_io=True)
         charged.charge_batched("R", addrs)
@@ -93,8 +99,22 @@ class TestChargeBatched:
         assert array.parallel_ops == 0
 
     def test_requires_fast_data_plane(self):
-        with pytest.raises(DiskError, match="fast data plane"):
-            DiskArray(4, 8).charge_batched("R", [(0, 0)])
+        """Charging without moving data is refused wherever the physical path
+        runs: by request, and unasked on an array that is bounded, faulty,
+        traced or degraded (the heap default alone is fast)."""
+        physical = [
+            DiskArray(4, 8, fast_io=False),
+            DiskArray(4, 8, ntracks=16),
+            DiskArray(4, 8, faults=FaultPlan(seed=0, read_error_rate=0.5)),
+        ]
+        traced, degraded = DiskArray(4, 8), DiskArray(4, 8)
+        IOTrace.attach(traced)
+        degraded.mark_dead(2)
+        for array in (*physical, traced, degraded):
+            with pytest.raises(DiskError, match="fast data plane"):
+                array.charge_batched("R", [(0, 0)])
+            assert array.parallel_ops == 0
+        assert DiskArray(4, 8).charge_batched("R", [(0, 0)]) == 1
 
     def test_rejects_bad_kind(self):
         array = DiskArray(4, 8, fast_io=True)
@@ -102,9 +122,43 @@ class TestChargeBatched:
             array.charge_batched("X", [(0, 0)])
 
 
+#: The truth table's axes.  ``None`` is every signature's default.
+KNOBS = (None, True, False)
+KINDS = ("memory", "file", "mmap")
+D_, B_, M_ = 4, 8, 1 << 10
+
+
+def _wanted(knob, kind):
+    """The rule: an explicit knob is honoured, ``None`` is fast on the heap."""
+    return kind == "memory" if knob is None else knob
+
+
+def _refuses_charge(array) -> bool:
+    try:
+        array.charge_batched("R", [])
+    except DiskError:
+        return True
+    return False
+
+
 class TestFastPlaneGating:
-    def test_plain_array_is_not_fast(self):
-        assert DiskArray(4, 8).fast_data_plane is False
+    """Who selects the plane: ``fast_io`` when given, else the storage plane
+    (:meth:`StorageSpec.fast_plane`); and what overrides the selection."""
+
+    def test_plain_array_is_not_fast(self, tmp_path):
+        """... exactly when its tracks are not on the heap: an array built
+        with no knob asks its storage plane."""
+        assert StorageSpec().fast_plane(None) is True
+        assert DiskArray(4, 8).fast_data_plane is True
+        for kind in ("file", "mmap"):
+            spec = StorageSpec.create(kind, tmp_path / kind)
+            assert spec.fast_plane(None) is False
+            assert spec.fast_plane(True) is True
+            array = DiskArray(4, 8, storage=spec)
+            try:
+                assert array.fast_data_plane is False
+            finally:
+                array.close_storage()
 
     def test_fast_io_enables(self):
         assert DiskArray(4, 8, fast_io=True).fast_data_plane is True
@@ -128,11 +182,75 @@ class TestFastPlaneGating:
         array.dead_disks.add(2)
         assert array.fast_data_plane is False
 
+    @pytest.mark.parametrize(
+        "condition", ["healthy", "faults", "ntracks", "traced", "dead"]
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("knob", KNOBS, ids=["default", "on", "off"])
+    def test_array_truth_table(self, knob, kind, condition, tmp_path):
+        kwargs = {} if knob is None else {"fast_io": knob}
+        if condition == "faults":
+            kwargs["faults"] = FaultPlan(seed=0, read_error_rate=0.5)
+        if condition == "ntracks":
+            kwargs["ntracks"] = 16
+        spec = StorageSpec.create(kind, tmp_path)  # the heap plane takes no root
+        array = DiskArray(D_, B_, storage=spec, M=M_, **kwargs)
+        try:
+            if condition == "traced":
+                IOTrace.attach(array)
+            if condition == "dead":
+                array.mark_dead(2)
+            fast = _wanted(knob, kind) and condition == "healthy"
+            assert array.fast_data_plane is fast
+            assert array.rounds_in_flight == (M_ // (4 * D_ * B_) if fast else 1)
+            assert _refuses_charge(array) is not fast
+        finally:
+            array.close_storage()
+
+    @pytest.mark.parametrize("condition", ["healthy", "faults", "traced", "dead"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("knob", KNOBS, ids=["default", "on", "off"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_simulate_truth_table(self, p, knob, kind, condition, tmp_path):
+        """The same table through the front door: the engine resolves both
+        knobs once, every processor's array and context store follow, and
+        the run still answers right on whichever plane that is."""
+        alg = RingShift(payload_size=4, rounds=2)
+        machine = MachineParams(p=p, M=1 << 12, D=D_, B=B_, b=16)
+        kwargs = {} if knob is None else {"fast_io": knob, "context_cache": knob}
+        if condition == "faults":
+            kwargs.update(
+                faults=FaultPlan(seed=0, read_error_rate=0.02), retry=RetryPolicy()
+            )
+        sim = make_engine(
+            alg, build_params(alg, machine, v=4), storage=kind,
+            storage_dir=tmp_path, **kwargs,
+        )
+        wanted = _wanted(knob, kind)
+        assert (sim.fast_io, sim.context_cache) == (wanted, wanted)
+        for pr in sim.procs:
+            if condition == "traced":
+                IOTrace.attach(pr.array)
+            if condition == "dead":
+                pr.array.mark_dead(2)
+            fast = wanted and condition == "healthy"
+            assert pr.array.fast_data_plane is fast
+            assert pr.array.rounds_in_flight == (
+                machine.M // (4 * D_ * B_) if fast else 1
+            )
+            assert _refuses_charge(pr.array) is not fast
+            # Only an injector takes the cache away: a traced or degraded
+            # array keeps it and runs its swaps on the physical path.
+            assert pr.contexts.cache is (wanted and condition != "faults")
+        outputs, _report = sim.run()
+        assert outputs == [[((i - 2) % 4) * 1000 + j for j in range(4)] for i in range(4)]
+
     def test_fast_primitives_count_like_reference(self):
         """The short-circuited primitives store the same blocks and count
         the same accesses as the reference plane."""
-        ref = DiskArray(4, 8)
+        ref = DiskArray(4, 8, fast_io=False)
         fast = DiskArray(4, 8, fast_io=True)
+        assert (ref.fast_data_plane, fast.fast_data_plane) == (False, True)
         ops = [(d, 0, blk(d)) for d in range(4)]
         for arr in (ref, fast):
             arr.parallel_write(list(ops))

@@ -19,6 +19,7 @@ import warnings
 import pytest
 
 from repro.algorithms.sorting import CGMSampleSort
+from repro.conform import REFERENCE
 from repro.core.checkpoint import freeze
 from repro.core.simulator import simulate
 from repro.obs import (
@@ -255,6 +256,40 @@ class TestRunEventLog:
         assert "run started" in lines[0] and "workload=sort" in lines[0]
         assert "io_ops=5" in lines[2]
         assert "run finished" in lines[-1]
+
+
+class TestRunStartedNamesThePlane:
+    """``fast_io`` / ``context_cache`` left at ``None`` are derived from the
+    storage plane; the run's first event says what they resolved to, so a
+    reader of the stream knows which plane the wall-clock was spent on."""
+
+    @pytest.mark.parametrize(
+        "engine,backend,p",
+        [("sequential", "inline", 1), ("parallel", "process", 2)],
+    )
+    @pytest.mark.parametrize(
+        "storage,knobs,fast",
+        [("memory", {}, True), ("file", {}, False), ("memory", REFERENCE, False)],
+        ids=["default-memory", "default-file", "reference-memory"],
+    )
+    def test_resolved_knobs_in_meta(
+        self, engine, backend, p, storage, knobs, fast, tmp_path
+    ):
+        alg = CGMSampleSort(uniform_keys(256, seed=7), v=4)
+        machine = MachineParams(p=p, M=1 << 18, D=2, B=16, b=32)
+        with RunEventLog(tmp_path / "run.jsonl") as events:
+            simulate(
+                alg, machine, v=4, engine=engine, backend=backend,
+                storage=storage, events=events, **knobs,
+            )
+        started = read_events(events.path, strict=True)[0]
+        assert started["kind"] == "run_started"
+        meta = started["meta"]
+        assert (meta["storage"], meta["fast_io"], meta["context_cache"]) == (
+            storage, fast, fast,
+        )
+        line = format_event(started)
+        assert f"fast_io={fast}" in line and f"context_cache={fast}" in line
 
 
 # -- golden byte-identity matrix ----------------------------------------------------

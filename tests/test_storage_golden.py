@@ -15,7 +15,16 @@ from repro.core.checkpoint import SimulationAborted
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace
 
-from .test_fastpath_golden import FAST, WORKLOADS, build, golden, make_sort
+from repro.conform import REFERENCE
+
+from .test_fastpath_golden import (
+    FAST,
+    WORKLOADS,
+    build,
+    golden,
+    ledger_only,
+    make_sort,
+)
 
 PLANES = ("file", "mmap")
 
@@ -24,19 +33,19 @@ class TestSequentialPlanes:
     @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_equals_memory(self, make, plane):
-        ref = golden(build(make, "sequential"))
+        ref = golden(build(make, "sequential", **REFERENCE))
         got = golden(build(make, "sequential", storage=plane))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_with_fast_knobs(self, plane):
-        ref = golden(build(make_sort, "sequential"))
+        ref = golden(build(make_sort, "sequential", **REFERENCE))
         got = golden(build(make_sort, "sequential", storage=plane, **FAST))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_with_checkpointing(self, plane):
-        ref = golden(build(make_sort, "sequential", checkpoint=True))
+        ref = golden(build(make_sort, "sequential", checkpoint=True, **REFERENCE))
         got = golden(build(make_sort, "sequential", checkpoint=True, storage=plane))
         assert got == ref
 
@@ -44,7 +53,7 @@ class TestSequentialPlanes:
     def test_trace_byte_identical(self, plane):
         """The physical operation stream itself is plane-independent."""
         sims, traces = [], []
-        for kwargs in ({}, {"storage": plane}):
+        for kwargs in (REFERENCE, {"storage": plane}):
             sim = build(make_sort, "sequential", **kwargs)
             traces.append(IOTrace.attach(sim.array))
             sims.append(sim)
@@ -60,7 +69,7 @@ class TestParallelPlanes:
     @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_inline_equals_memory(self, make, plane):
-        ref = golden(build(make, "parallel"))
+        ref = golden(build(make, "parallel", **REFERENCE))
         got = golden(build(make, "parallel", storage=plane))
         assert got == ref
 
@@ -69,16 +78,16 @@ class TestParallelPlanes:
         """Each worker claims its own per-processor storage subdirectory;
         the counted run must still match the inline memory reference."""
         for make in WORKLOADS:
-            ref = golden(build(make, "parallel"))
+            ref = golden(build(make, "parallel", **REFERENCE))
             got = golden(build(make, "parallel", backend="process", storage=plane))
-            assert got == ref, make.__name__
+            assert got == ledger_only(ref), make.__name__
 
     def test_plane_process_fast_knobs_together(self):
-        ref = golden(build(make_sort, "parallel"))
+        ref = golden(build(make_sort, "parallel", **REFERENCE))
         got = golden(
             build(make_sort, "parallel", backend="process", storage="file", **FAST)
         )
-        assert got == ref
+        assert got == ledger_only(ref)
 
 
 class TestFaultsOnPlanes:
@@ -99,7 +108,7 @@ class TestFaultsOnPlanes:
                 )
             )
 
-        assert run(storage=plane) == run()
+        assert run(storage=plane) == run(**REFERENCE)
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_corruption_detected_on_plane(self, plane):
@@ -118,13 +127,13 @@ class TestFaultsOnPlanes:
                 )
             )
 
-        assert run(storage=plane) == run()
+        assert run(storage=plane) == run(**REFERENCE)
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_kill_and_resume_onto_plane(self, plane):
         """A run killed on the memory plane resumes onto a file/mmap engine
         via the portable checkpoint blobs (different root: no re-attach)."""
-        expected = golden(build(make_sort, "sequential"))["outputs"]
+        expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=40)
         dying = build(
             make_sort,
@@ -148,7 +157,7 @@ class TestFaultsOnPlanes:
     def test_kill_on_plane_resume_on_memory(self, plane):
         """The reverse direction: checkpoints taken on a non-memory plane
         stay portable (the pickled state blobs are plane-independent)."""
-        expected = golden(build(make_sort, "sequential"))["outputs"]
+        expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=40)
         dying = build(
             make_sort,

@@ -31,17 +31,21 @@ from repro.bsp.collectives import (
     regular_samples,
 )
 from repro.bsp.program import AlgorithmError
-from repro.core.simulator import simulate
+from repro.conform import REFERENCE
+from repro.core.simulator import build_params, make_engine, simulate
 from repro.emio.disk import Block
 from repro.emio.faults import _corrupted_copy, block_checksum
 from repro.emio.storage import FileStorage, verify_extents
 from repro.outofcore import OutOfCoreSort, verify_digests
 from repro.params import MachineParams
 
+from .helpers import assert_plane
+
 SEED = 3
 N, V = 4096, 8
 
-#: engine x backend x storage x fast-path corners of the golden matrix.
+#: engine x backend x storage x fast-path corners of the golden matrix; a
+#: knob a corner does not name is the reference plane's (see ``_run``).
 MATRIX = [
     dict(engine="sequential", backend="inline", storage="memory"),
     dict(engine="sequential", backend="inline", storage="file",
@@ -56,6 +60,20 @@ MATRIX = [
 def _machine(cfg):
     p = 1 if cfg["engine"] == "sequential" else 2
     return MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
+
+
+def _run(cfg, mode):
+    """One corner of the matrix on record plane ``mode``.  A corner's unnamed
+    knobs are ``REFERENCE``'s, not the storage plane's default, so the matrix
+    keeps a reference-plane memory row next to its fast file rows."""
+    alg = OutOfCoreSort(N, V, seed=5)
+    alg.set_record_mode(mode)
+    knobs = {**REFERENCE, **cfg}
+    sim = make_engine(
+        alg, build_params(alg, _machine(cfg), v=V), seed=SEED, **knobs
+    )
+    assert_plane(sim, **knobs)
+    return sim.run()
 
 
 def _counted(outputs, report):
@@ -76,10 +94,7 @@ class TestGoldenMatrix:
     def test_outofcore_sort_object_vs_vector(self, cfg):
         images = {}
         for mode in ("object", "vector"):
-            alg = OutOfCoreSort(N, V, seed=5)
-            outputs, report = simulate(
-                alg, _machine(cfg), v=V, seed=SEED, records=mode, **cfg
-            )
+            outputs, report = _run(cfg, mode)
             verify_digests(outputs, 5, N, V)
             images[mode] = _counted(outputs, report)
         assert images["object"] == images["vector"]
@@ -87,10 +102,7 @@ class TestGoldenMatrix:
     def test_matrix_configs_agree_on_outputs(self):
         outs = []
         for cfg in MATRIX:
-            alg = OutOfCoreSort(N, V, seed=5)
-            outputs, _ = simulate(
-                alg, _machine(cfg), v=V, seed=SEED, records="vector", **cfg
-            )
+            outputs, _ = _run(cfg, "vector")
             outs.append(repr(outputs))
         assert len(set(outs)) == 1
 
