@@ -223,9 +223,10 @@ def _run_competitor(
         "ok": bool(stats.io_ops <= bound),
         "match": pickle.dumps(out, protocol=4) == ref_bytes,
     }
-    mism = getattr(stats, "guide_mismatches", None)
-    if mism is not None:
-        entry["guide_mismatches"] = int(mism)
+    if name == "guidesort":
+        # Schema v1 carries the counter on the cells of the one rival that
+        # has a prefetch schedule to referee.
+        entry["guide_mismatches"] = int(stats.guide_mismatches)
     return entry
 
 

@@ -4,7 +4,8 @@ all on the same counted substrate.
 1997-era opponents:
 
 * :class:`EMMergeSort` — classical sequential external mergesort
-  (superblock-striped, fan-in ``M/(DB) - 1``).
+  (superblock-striped, fan-in ``M/(DB) - 1``); shares its merge skeleton
+  with :class:`KWayMergeSort` below.
 * :class:`NaiveEMPermute` / :class:`SortBasedEMPermute` — unblocked and
   sort-based external permutation.
 * :class:`EMTranspose` — sequential external matrix transpose.
@@ -20,23 +21,30 @@ Modern rivals (PAPERS.md; the bake-off competitors):
 * :class:`BufferTree` / :class:`BufferTreePQ` / :class:`BufferTreeSort` —
   Arge's buffer tree and the bulk priority queue built on it.
 
-``SORTING_BASELINES`` is the registry of counted-cost sorters sharing the
-``cls(machine, key=None, *, storage=None, fast_io=None)`` constructor and
-the ``sort(data) -> (result, stats)`` / ``predicted_io_ops(n)`` contract;
-registering a sorter here auto-enrolls it in ``tests/test_baselines.py``,
-the conform fuzzer's workload pool and the ``repro bakeoff`` sweep.
+``SORTING_BASELINES`` is the registry of counted-cost sorters.  What one
+*is* is written once, in :mod:`~repro.baselines.striping`: every entry
+subclasses :class:`CountedSorter` (``cls(machine, key=None, *,
+storage=None, fast_io=None)``, ``sort(data) -> (result, SortStats)``) and
+supplies ``_sort(array, data)`` plus ``predicted_io_ops(n)``.  Registering
+a sorter here auto-enrolls it in ``tests/test_baselines.py``, the conform
+fuzzer's workload pool and the ``repro bakeoff`` sweep.
 """
 
 from .buffertree import BufferTree, BufferTreePQ, BufferTreeSort, BufferTreeStats
 from .empermute import NaiveEMPermute, PermuteStats, SortBasedEMPermute
 from .emsearch import EMBatchedSearch, SearchStats
-from .emmergesort import KWayMergeSort, KWayStats
-from .emsort import EMMergeSort, EMSortStats
+from .emsort import EMMergeSort, KWayMergeSort
 from .emtranspose import EMTranspose
-from .guidesort import Guidesort, GuidesortStats
+from .guidesort import Guidesort
 from .pramsim import EMPRAMSimulator, PRAMListRanking, PRAMStats
 from .sibeyn import SibeynKaufmannSimulation, SibeynStats
-from .striping import StripedFile, baseline_array, open_array
+from .striping import (
+    CountedSorter,
+    SortStats,
+    StripedFile,
+    baseline_array,
+    open_array,
+)
 
 #: name -> class for every counted-cost external sorter on the shared contract
 SORTING_BASELINES = {
@@ -47,12 +55,11 @@ SORTING_BASELINES = {
 }
 
 __all__ = [
+    "CountedSorter",
+    "SortStats",
     "EMMergeSort",
-    "EMSortStats",
     "KWayMergeSort",
-    "KWayStats",
     "Guidesort",
-    "GuidesortStats",
     "BufferTree",
     "BufferTreePQ",
     "BufferTreeSort",

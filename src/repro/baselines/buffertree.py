@@ -33,25 +33,21 @@ from typing import Any, Callable, Iterable, Sequence
 from ..emio.disk import Block
 from ..emio.storage import StorageSpec
 from ..params import MachineParams
-from .striping import baseline_array, open_array
+from .striping import CountedSorter, SortStats, baseline_array
 
 __all__ = ["BufferTree", "BufferTreePQ", "BufferTreeSort", "BufferTreeStats"]
 
 
 @dataclass
 class BufferTreeStats:
-    """Counted costs of one buffer-tree session."""
+    """Event counters of one buffer-tree session (the counted I/O is the
+    tree's ``io_ops``, read live off its array)."""
 
-    n: int = 0
     inserts: int = 0
     empties: int = 0  # bulk buffer-emptying events
     leaf_splits: int = 0
     node_splits: int = 0
-    io_ops: int = 0  # parallel I/O operations
     comp_ops: float = 0.0
-
-    def io_time(self, machine: MachineParams) -> float:
-        return machine.G * self.io_ops
 
 
 class _Alloc:
@@ -578,36 +574,24 @@ class BufferTreePQ:
         self._cache = collected
 
 
-class BufferTreeSort:
+class BufferTreeSort(CountedSorter):
     """Sorting through a buffer tree: bulk-insert everything, then one
     full flush and an in-order leaf traversal.  The counted cost is the
     amortized ``O((n/B) log_{M/B}(n/B))`` buffer-tree bound (divided by
     ``D`` for the batched stripes)."""
 
-    def __init__(
-        self,
-        machine: MachineParams,
-        key: Callable | None = None,
-        *,
-        storage: "str | StorageSpec | None" = None,
-        fast_io: bool | None = None,
-    ):
-        if machine.p != 1:
-            raise ValueError("BufferTreeSort is the single-processor baseline")
-        self.machine = machine
-        self.key = key
-        self.storage = storage
-        self.fast_io = fast_io
-
-    def sort(self, data: Sequence[Any]) -> tuple[list[Any], BufferTreeStats]:
-        with open_array(self.machine, self.storage, self.fast_io) as array:
-            tree = BufferTree(self.machine, key=self.key, array=array)
-            tree.bulk_insert(data)
-            result = tree.items()
-            stats = tree.stats
-            stats.n = len(data)
-            stats.io_ops = array.parallel_ops
-            return result, stats
+    def _sort(self, array, data: Sequence[Any]) -> tuple[list[Any], SortStats]:
+        tree = BufferTree(self.machine, key=self.key, array=array)
+        tree.bulk_insert(data)
+        result = tree.items()
+        # The tree's own session counters (empties, splits) stay on
+        # ``tree.stats``; the contract's record carries the counted costs.
+        return result, SortStats(
+            n=len(data),
+            fan_in=tree.degree,
+            io_ops=array.parallel_ops,
+            comp_ops=tree.stats.comp_ops,
+        )
 
     # -- analytic bound -------------------------------------------------------------
 

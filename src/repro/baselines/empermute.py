@@ -24,7 +24,8 @@ from typing import Any, Sequence
 from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
 from ..params import MachineParams
-from .emsort import EMMergeSort, EMSortStats
+from .emsort import EMMergeSort
+from .striping import SortStats, StripedFile
 
 __all__ = ["NaiveEMPermute", "SortBasedEMPermute", "PermuteStats"]
 
@@ -49,29 +50,18 @@ class NaiveEMPermute:
     ) -> tuple[list[Any], PermuteStats]:
         """Return ``y`` with ``y[perm[i]] = values[i]`` and counted I/O."""
         m = self.machine
-        B, D = m.B, m.D
+        B = m.B
         n = len(values)
         stats = PermuteStats(n=n)
-        array = DiskArray(D, B)
+        array = DiskArray(m.D, B)
         nblocks = -(-n // B) if n else 0
-
-        def addr(block_idx: int, base: int) -> tuple[int, int]:
-            return block_idx % D, base + block_idx // D
-
-        src_base, dst_base = 0, nblocks + 1
+        src = StripedFile(array, 0, nblocks)
+        dst = StripedFile(array, nblocks + 1, nblocks)
         # Load input (blocked, counted).
-        array.write_batched(
-            [
-                (*addr(j, src_base), Block(records=list(values[j * B : (j + 1) * B])))
-                for j in range(nblocks)
-            ]
-        )
+        src.write_blocks(0, [values[j * B : (j + 1) * B] for j in range(nblocks)])
         # Destination starts as empty blocks of the right shape.
-        array.write_batched(
-            [
-                (*addr(j, dst_base), Block(records=[None] * min(B, n - j * B)))
-                for j in range(nblocks)
-            ]
+        dst.write_blocks(
+            0, [[None] * min(B, n - j * B) for j in range(nblocks)]
         )
 
         # One-block caches: the classical naive algorithm still avoids
@@ -81,26 +71,22 @@ class NaiveEMPermute:
         for i in range(n):
             sb = i // B
             if src_cache is None or src_cache[0] != sb:
-                (blk,) = array.parallel_read([addr(sb, src_base)])
+                (blk,) = array.parallel_read([src.addr(sb)])
                 src_cache = (sb, list(blk.records))
             val = src_cache[1][i % B]
             target = perm[i]
             db = target // B
             if dst_cache is None or dst_cache[0] != db:
                 if dst_cache is not None:
-                    array.parallel_write(
-                        [(*addr(dst_cache[0], dst_base), dst_cache[1])]
-                    )
-                (dblk,) = array.parallel_read([addr(db, dst_base)])
+                    array.parallel_write([(*dst.addr(dst_cache[0]), dst_cache[1])])
+                (dblk,) = array.parallel_read([dst.addr(db)])
                 dst_cache = (db, dblk)
             dst_cache[1].records[target % B] = val
             stats.comp_ops += 1
         if dst_cache is not None:
-            array.parallel_write([(*addr(dst_cache[0], dst_base), dst_cache[1])])
+            array.parallel_write([(*dst.addr(dst_cache[0]), dst_cache[1])])
 
-        out: list[Any] = []
-        for blk in array.read_batched([addr(j, dst_base) for j in range(nblocks)]):
-            out.extend(blk.records)
+        out = [x for blk in dst.read_blocks(0, nblocks) for x in blk]
         stats.io_ops = array.parallel_ops
         return out, stats
 
@@ -114,7 +100,7 @@ class SortBasedEMPermute:
 
     def permute(
         self, values: Sequence[Any], perm: Sequence[int]
-    ) -> tuple[list[Any], EMSortStats]:
+    ) -> tuple[list[Any], SortStats]:
         """Return ``y`` with ``y[perm[i]] = values[i]`` and the sort's stats."""
         tagged = [(perm[i], values[i]) for i in range(len(values))]
         ordered, stats = self._sorter.sort(tagged)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
 from ..params import MachineParams
 from .emsort import EMMergeSort
+from .striping import StripedFile
 
 __all__ = ["EMBatchedSearch", "SearchStats"]
 
@@ -56,10 +56,8 @@ class EMBatchedSearch:
         array = DiskArray(m.D, m.B)
         B = m.B
         nblocks = -(-len(keys) // B) if keys else 0
-        array.write_batched(
-            (j % m.D, j // m.D, Block(records=list(keys[j * B : (j + 1) * B])))
-            for j in range(nblocks)
-        )
+        keyfile = StripedFile(array, 0, nblocks)
+        keyfile.write_blocks(0, [keys[j * B : (j + 1) * B] for j in range(nblocks)])
         answers = [-1] * len(queries)
         window_start = -1  # first block of the cached D-block window
         window: list[Any] = []
@@ -71,13 +69,7 @@ class EMBatchedSearch:
                 # Sequential streaming with full disk parallelism: fetch the
                 # next D consecutive (striped) blocks in one operation.
                 window_start = blk
-                take = min(m.D, nblocks - blk)
-                got = array.parallel_read(
-                    [((blk + j) % m.D, (blk + j) // m.D) for j in range(take)]
-                )
-                window = []
-                for g in got:
-                    window.extend(g.records if g is not None else [])
+                window = [x for b in keyfile.read_blocks(blk, m.D) for x in b]
             return window[i - window_start * B]
 
         ki = 0

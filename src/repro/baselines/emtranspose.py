@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from ..params import MachineParams
 from .empermute import SortBasedEMPermute
-from .emsort import EMSortStats
+from .striping import SortStats
 
 __all__ = ["EMTranspose"]
 
@@ -32,7 +32,7 @@ class EMTranspose:
 
     def transpose(
         self, entries: Sequence[Any], r: int, c: int
-    ) -> tuple[list[Any], EMSortStats]:
+    ) -> tuple[list[Any], SortStats]:
         """Return the ``c x r`` row-major transpose and counted I/O stats."""
         if len(entries) != r * c:
             raise ValueError(f"expected {r * c} entries, got {len(entries)}")

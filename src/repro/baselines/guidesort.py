@@ -10,7 +10,7 @@ blocks must be fetched.  With that schedule the merge prefetches ``D``
 blocks per parallel read, and staggered run striping (run ``r`` starts on
 disk ``r mod D``) keeps lockstep batches on distinct drives, so merge-pass
 reads cost ``~n/(DB)`` instead of the demand-driven ``n/B`` of
-:class:`~repro.baselines.emmergesort.KWayMergeSort` — while the fan-in
+:class:`~repro.baselines.emsort.KWayMergeSort` — while the fan-in
 stays ``Theta(M/B)``, a factor ``D`` above
 :class:`~repro.baselines.emsort.EMMergeSort`'s superblock striping.
 
@@ -28,30 +28,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from ..emio.storage import StorageSpec
-from ..params import MachineParams
-from .striping import StripedFile, open_array
+from .striping import CountedSorter, SortStats, StripedFile
 
-__all__ = ["Guidesort", "GuidesortStats"]
-
-
-@dataclass
-class GuidesortStats:
-    """Counted costs of one Guidesort run."""
-
-    n: int = 0
-    runs_formed: int = 0
-    merge_passes: int = 0
-    fan_in: int = 0
-    io_ops: int = 0  # parallel I/O operations
-    comp_ops: float = 0.0
-    guide_mismatches: int = 0  # schedule/consumption disagreements (expect 0)
-
-    def io_time(self, machine: MachineParams) -> float:
-        return machine.G * self.io_ops
+__all__ = ["Guidesort"]
 
 
 class _Run:
@@ -67,39 +48,12 @@ class _Run:
         return self.file.nblocks
 
 
-class Guidesort:
+class Guidesort(CountedSorter):
     """Single-processor guide-sequence merge sort over ``D`` striped disks.
 
-    Parameters
-    ----------
-    machine:
-        Machine description; ``M``, ``D``, ``B`` and ``G`` are used.
-    key:
-        Optional sort key (guides store key values, so keys must be
-        totally ordered; ties across runs break by run index in both the
-        guide and the record merge).
-    storage:
-        Optional storage plane (kind string or :class:`StorageSpec`).
-    fast_io:
-        The array's fast data plane (identical counted cost); ``None``
-        derives it from the storage plane, as
-        :class:`~repro.emio.diskarray.DiskArray` documents.
+    Guides store key values, so keys must be totally ordered; ties across
+    runs break by run index in both the guide and the record merge.
     """
-
-    def __init__(
-        self,
-        machine: MachineParams,
-        key: Callable | None = None,
-        *,
-        storage: "str | StorageSpec | None" = None,
-        fast_io: bool | None = None,
-    ):
-        if machine.p != 1:
-            raise ValueError("Guidesort is the single-processor baseline")
-        self.machine = machine
-        self.key = key
-        self.storage = storage
-        self.fast_io = fast_io
 
     @property
     def fan_in(self) -> int:
@@ -123,18 +77,13 @@ class Guidesort:
         guide = StripedFile(array, self._alloc(gblk), gblk, shift=idx % D)
         return _Run(file, guide, nrecords)
 
-    # -- public API -----------------------------------------------------------------
+    # -- the sort -------------------------------------------------------------------
 
-    def sort(self, data: Sequence[Any]) -> tuple[list[Any], GuidesortStats]:
-        """Sort ``data`` through the simulated disks; return (result, stats)."""
-        with open_array(self.machine, self.storage, self.fast_io) as array:
-            return self._sort(array, data)
-
-    def _sort(self, array, data: Sequence[Any]) -> tuple[list[Any], GuidesortStats]:
+    def _sort(self, array, data: Sequence[Any]) -> tuple[list[Any], SortStats]:
         m = self.machine
         B, D, M = m.B, m.D, m.M
         n = len(data)
-        stats = GuidesortStats(n=n, fan_in=self.fan_in)
+        stats = SortStats(n=n, fan_in=self.fan_in)
         keyf = self.key if self.key is not None else (lambda x: x)
         self._next_track = 0
         nblocks = -(-n // B) if n else 0
@@ -217,7 +166,7 @@ class Guidesort:
         array,
         group: Sequence[_Run],
         out_idx: int,
-        stats: GuidesortStats,
+        stats: SortStats,
         keyf: Callable,
     ) -> _Run:
         B, D = self.machine.B, self.machine.D

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
 from ..params import MachineParams
 from .emsort import EMMergeSort
+from .striping import StripedFile
 
 __all__ = ["EMPRAMSimulator", "PRAMStats", "PRAMListRanking"]
 
@@ -46,9 +46,6 @@ class PRAMStats:
     sort_io_ops: int = 0
     scan_io_ops: int = 0
     comp_ops: float = 0.0
-
-    def io_time(self, machine: MachineParams) -> float:
-        return machine.G * self.io_ops
 
 
 class EMPRAMSimulator:
@@ -75,38 +72,33 @@ class EMPRAMSimulator:
         self._mem_blocks = -(-self._size // machine.B) if self._size else 0
         self._reg_blocks = -(-nprocs // machine.B) if nprocs else 0
         self._reg_base = self._mem_blocks + 1
+        # Memory and registers are block ranges of one striped file.
+        self._file = StripedFile(
+            self.array, 0, self._reg_base + self._reg_blocks
+        )
         self._write_stripe(0, list(memory), self._mem_blocks)
         self._write_stripe(self._reg_base, [None] * nprocs, self._reg_blocks)
 
     # -- blocked striped files ----------------------------------------------------
 
-    def _addr(self, blk: int) -> tuple[int, int]:
-        return blk % self.machine.D, blk // self.machine.D
-
     def _write_stripe(self, base: int, items: list[Any], nblocks: int) -> None:
         B = self.machine.B
         before = self.array.parallel_ops
-        self.array.write_batched(
-            [
-                (*self._addr(base + j), Block(records=items[j * B : (j + 1) * B]))
-                for j in range(nblocks)
-            ]
+        self._file.write_blocks(
+            base, [items[j * B : (j + 1) * B] for j in range(nblocks)]
         )
-        delta = self.array.parallel_ops - before
-        self.stats.scan_io_ops += delta
-        self.stats.io_ops += delta
+        self._charge_scan(before)
 
     def _read_stripe(self, base: int, nblocks: int, size: int) -> list[Any]:
         before = self.array.parallel_ops
-        out: list[Any] = []
-        for blk in self.array.read_batched(
-            [self._addr(base + j) for j in range(nblocks)]
-        ):
-            out.extend(blk.records if blk is not None else [])
+        out = [x for blk in self._file.read_blocks(base, nblocks) for x in blk]
+        self._charge_scan(before)
+        return out[:size]
+
+    def _charge_scan(self, before: int) -> None:
         delta = self.array.parallel_ops - before
         self.stats.scan_io_ops += delta
         self.stats.io_ops += delta
-        return out[:size]
 
     def _external_sort(self, items: list[tuple]) -> list[tuple]:
         sorter = EMMergeSort(self.machine, key=lambda t: t[0])

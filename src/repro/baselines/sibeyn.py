@@ -35,6 +35,7 @@ from typing import Any, Literal
 
 from ..bsp.message import blocks_to_messages, message_to_blocks
 from ..bsp.program import AlgorithmError, BSPAlgorithm, VPContext
+from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
 from ..emio.layout import blocks_to_object, pickle_to_blocks
 from ..params import MachineParams
@@ -51,9 +52,6 @@ class SibeynStats:
     blocks_context: int = 0
     blocks_messages: int = 0
     cell_blocks_charged: int = 0  # only in mode="cells"
-
-    def io_time(self, machine: MachineParams) -> float:
-        return machine.G * self.io_ops
 
 
 class SibeynKaufmannSimulation:
@@ -82,11 +80,9 @@ class SibeynKaufmannSimulation:
         # One I/O operation per block: a single disk moves one track at a
         # time.  The accesses are physically performed on the substrate so
         # tracing and op counting agree.
-        from ..emio.disk import Block as _Block
-
         for _ in range(nblocks):
             if kind == "W":
-                self.array.parallel_write([(0, self._track, _Block(records=[]))])
+                self.array.parallel_write([(0, self._track, Block(records=[]))])
                 self._track += 1
             else:
                 self.array.parallel_read([(0, max(self._track - 1, 0))])

@@ -6,19 +6,28 @@ block ``i`` of a file based at track ``base`` lives at
 ``(i % D, base + i // D)`` — and charges all I/O through
 ``read_batched``/``write_batched`` so ``array.parallel_ops`` is directly
 comparable with the simulation's ledger (DESIGN §13).
+
+The module also states, once, what a *counted sorter* is: the
+:class:`CountedSorter` base (constructor, single-processor check, ``sort``
+over one owned array) and the :class:`SortStats` record every registered
+sorter returns.  A rival supplies ``_sort(array, data)`` and
+``predicted_io_ops(n)``; referees read one stats type.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Sequence
 
 from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
 from ..emio.storage import StorageSpec, resolve_storage
 from ..params import MachineParams
 
-__all__ = ["StripedFile", "baseline_array", "open_array"]
+__all__ = [
+    "CountedSorter", "SortStats", "StripedFile", "baseline_array", "open_array",
+]
 
 
 def baseline_array(
@@ -84,16 +93,6 @@ class StripedFile:
         )
         return [list(b.records) if b is not None else [] for b in got]
 
-    def read_blocks_at(self, indices: Sequence[int]) -> list[list[Any]]:
-        """Read an arbitrary set of block indices in one batched request.
-
-        The array packs the addresses greedily into parallel operations,
-        charging the max per-disk count — the counted cost of a prefetch
-        schedule falls out of the layout, not out of trust.
-        """
-        got = self.array.read_batched([self.addr(i) for i in indices])
-        return [list(b.records) if b is not None else [] for b in got]
-
     def write_blocks(self, start: int, blocks: Sequence[Sequence[Any]]) -> None:
         self.array.write_batched(
             [
@@ -101,3 +100,67 @@ class StripedFile:
                 for j, rs in enumerate(blocks)
             ]
         )
+
+
+@dataclass
+class SortStats:
+    """Counted costs of one run of a :class:`CountedSorter`."""
+
+    n: int = 0
+    runs_formed: int = 0
+    merge_passes: int = 0
+    fan_in: int = 0
+    io_ops: int = 0  # parallel I/O operations
+    comp_ops: float = 0.0
+    #: prefetch-schedule/consumption disagreements: only Guidesort has a
+    #: schedule to disagree with, and every referee expects 0
+    guide_mismatches: int = 0
+
+
+class CountedSorter:
+    """A sequential external sorter charged on the shared disk substrate.
+
+    Parameters
+    ----------
+    machine:
+        Machine description; ``M``, ``D`` and ``B`` are used, and ``p``
+        must be 1 (the rivals are sequential by definition).
+    key:
+        Optional sort key.
+    storage:
+        Optional storage plane (a kind string or :class:`StorageSpec`);
+        counted-cost-invisible like the simulation's storage planes.
+    fast_io:
+        The array's fast data plane (identical counted cost); ``None``
+        derives it from the storage plane, as
+        :class:`~repro.emio.diskarray.DiskArray` documents.
+    """
+
+    def __init__(
+        self,
+        machine: MachineParams,
+        key: Callable | None = None,
+        *,
+        storage: "str | StorageSpec | None" = None,
+        fast_io: bool | None = None,
+    ):
+        if machine.p != 1:
+            raise ValueError(
+                f"{type(self).__name__} is the single-processor baseline"
+            )
+        self.machine = machine
+        self.key = key
+        self.storage = storage
+        self.fast_io = fast_io
+
+    def sort(self, data: Sequence[Any]) -> tuple[list[Any], SortStats]:
+        """Sort ``data`` through the simulated disks; return (result, stats)."""
+        with open_array(self.machine, self.storage, self.fast_io) as array:
+            return self._sort(array, data)
+
+    def _sort(self, array: DiskArray, data: Sequence[Any]) -> tuple[list[Any], SortStats]:
+        raise NotImplementedError
+
+    def predicted_io_ops(self, n: int) -> float:
+        """Closed-form bound on the parallel I/O operations of ``sort``."""
+        raise NotImplementedError

@@ -18,11 +18,14 @@ Two properties matter:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..bsp.program import BSPAlgorithm
 from ..emio.faults import FaultPlan, RetryPolicy
 from ..params import MachineParams
+
+if TYPE_CHECKING:
+    from ..baselines import CountedSorter
 
 __all__ = ["ConformConfig", "WORKLOADS", "BASELINE_WORKLOADS", "FAULT_KINDS"]
 
@@ -124,7 +127,7 @@ class ConformConfig:
         return [int(x) for x in wl.uniform_keys(self.n, seed=self.data_seed)]
 
     def baseline_sorter(self, *, storage: str | None = None,
-                        fast_io: bool | None = None):
+                        fast_io: bool | None = None) -> CountedSorter:
         """A fresh competitor sorter over this config's machine.
 
         ``storage``/``fast_io`` override the config's own plane — the runner

@@ -28,6 +28,7 @@ from typing import Any, Callable
 from ..bsp.runner import run_reference
 from ..core.checkpoint import SimulationAborted
 from ..core.simulator import build_params, make_engine
+from ..crashcheck import crash_and_recover
 from ..emio.faults import FATAL_IO_FAULTS, FaultPlan
 from .case import ReproCase
 from .config import ConformConfig
@@ -240,13 +241,12 @@ def _run_baseline_case(config: ConformConfig, result: CaseResult) -> None:
                         f"(n={config.n} M={config.M} D={config.D} B={config.B})",
                     )
                 )
-            mismatches = getattr(stats, "guide_mismatches", 0)
-            if mismatches:
+            if stats.guide_mismatches:
                 result.failures.append(
                     OracleFailure(
                         "plane_equivalence",
                         f"{config.workload}: prefetch schedule disagreed with "
-                        f"consumption order {mismatches} times",
+                        f"consumption order {stats.guide_mismatches} times",
                     )
                 )
     if len(costs) >= 2:
@@ -269,90 +269,77 @@ def _run_crash_case(
     The config's :class:`~repro.emio.faults.CrashPlan` kills the run at one
     checkpoint-barrier crash stage (torn write, lost pre-fsync writes, or a
     kill between journal stages).  Recovery is exactly what a real operator
-    would do: :func:`~repro.core.checkpoint.scrub` the storage root, then
-    resume from the scrubbed checkpoint — on a fresh engine with
-    ``max_recoveries=0``, so the recovery budget cannot paper over storage
-    damage.  Under the commit protocol an honest engine never loses a
-    generation to the scrub, so *any* quarantine is a ``crash_resume``
-    failure in itself.  A crash point past the run's last barrier lets the
-    run finish; that degenerates to a plain conformance check.
+    would do, and what the crash explorer does at every point
+    (:func:`~repro.crashcheck.crash_and_recover`): scrub the storage root,
+    then resume from the scrubbed checkpoint on a fresh engine with
+    ``max_recoveries=0``.  Under the commit protocol an honest engine never
+    loses a generation to the scrub, so *any* quarantine is a
+    ``crash_resume`` failure in itself.  A crash point past the run's last
+    barrier lets the run finish; that degenerates to a plain conformance
+    check.
     """
     import shutil
     import tempfile
 
-    from ..core.checkpoint import scrub
-    from ..emio.faults import HostCrash
-
     root = tempfile.mkdtemp(prefix="conform-crash-")
     try:
-        try:
-            outputs, _report = _build_engine(
-                config, faults=None, storage_dir=root,
-                crash=config.crash_plan(),
-            ).run()
-        except HostCrash:
-            pass
-        except Exception as exc:  # noqa: BLE001 - any crash is a finding
-            result.failures.append(
-                OracleFailure("no_crash", f"crash plane raised {exc!r}")
-            )
-            return
-        else:
-            # The run never reached its crash point: plain conformance check.
-            result.checks["crash_survived"] += 1
-            result.failures.extend(
-                check_outputs("crash-survived", outputs, reference_out)
-            )
-            return
-
-        res = scrub(root)
-        if res.quarantined:
-            result.failures.append(
-                OracleFailure(
-                    "crash_resume",
-                    f"scrub quarantined generations {res.quarantined} after "
-                    f"crash at point {config.crash_point} "
-                    f"({'; '.join(res.errors)}) — the commit protocol should "
-                    "confine damage to uncommitted extents",
-                )
-            )
-            return
-        engine = _build_engine(
-            config, faults=None, max_recoveries=0, storage_dir=root
+        run = crash_and_recover(
+            lambda **kw: _build_engine(config, faults=None, **kw),
+            root,
+            config.crash_plan(),
         )
-        try:
-            if res.checkpoint is not None:
-                outputs, report = engine.resume_from_checkpoint(res.checkpoint)
-            else:
-                outputs, report = engine.run()
-        except Exception as exc:  # noqa: BLE001 - any crash is a finding
-            result.failures.append(
-                OracleFailure(
-                    "crash_resume",
-                    f"recovery after crash at point {config.crash_point} "
-                    f"raised {exc!r}",
-                )
-            )
-            return
-        label = "crash-restart"
-        if res.checkpoint is not None:
-            label = f"crash-resume@{res.checkpoint.step}"
-            result.checks["crash_resume"] += 1
-            faults = report.faults
-            if faults is None or faults.resumed_from_step != res.checkpoint.step:
-                got = None if faults is None else faults.resumed_from_step
-                result.failures.append(
-                    OracleFailure(
-                        "crash_resume",
-                        f"resumed run reports resumed_from_step={got}, "
-                        f"expected {res.checkpoint.step}",
-                    )
-                )
-        else:
-            result.checks["crash_restart"] += 1
-        result.failures.extend(check_outputs(label, outputs, reference_out))
     finally:
         shutil.rmtree(root, ignore_errors=True)
+    if run.action == "no-crash":
+        if run.failure is not None:
+            result.failures.append(
+                OracleFailure("no_crash", f"crash plane raised {run.failure!r}")
+            )
+            return
+        # The run never reached its crash point: plain conformance check.
+        result.checks["crash_survived"] += 1
+        result.failures.extend(
+            check_outputs("crash-survived", run.outputs, reference_out)
+        )
+        return
+    if run.action == "scrub":
+        result.failures.append(
+            OracleFailure(
+                "crash_resume",
+                f"scrub quarantined generations {run.scrub.quarantined} after "
+                f"crash at point {config.crash_point} "
+                f"({'; '.join(run.scrub.errors)}) — the commit protocol should "
+                "confine damage to uncommitted extents",
+            )
+        )
+        return
+    if run.failure is not None:
+        result.failures.append(
+            OracleFailure(
+                "crash_resume",
+                f"recovery after crash at point {config.crash_point} "
+                f"raised {run.failure!r}",
+            )
+        )
+        return
+    ckpt = run.scrub.checkpoint
+    if ckpt is not None:
+        result.checks["crash_resume"] += 1
+        faults = run.report.faults
+        if faults is None or faults.resumed_from_step != ckpt.step:
+            got = None if faults is None else faults.resumed_from_step
+            result.failures.append(
+                OracleFailure(
+                    "crash_resume",
+                    f"resumed run reports resumed_from_step={got}, "
+                    f"expected {ckpt.step}",
+                )
+            )
+    else:
+        result.checks["crash_restart"] += 1
+    result.failures.extend(
+        check_outputs(f"crash-{run.action}", run.outputs, reference_out)
+    )
 
 
 def _run_kill_case(

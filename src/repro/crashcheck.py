@@ -21,10 +21,15 @@ enumerates *all* of them:
    restart from scratch when the crash predates the first commit;
 5. require outputs *and* counted costs byte-identical to the golden run.
 
+Steps 2-4 — the protocol for one crash point — are
+:func:`crash_and_recover`, which reports what happened and judges nothing.
+:func:`explore` loops it over every point and applies step 5; the
+conformance fuzzer's ``crash_resume`` oracle calls it for its config's one
+seeded point and holds the result to the reference outputs instead.  The
+``repro crashcheck`` CLI subcommand is a thin wrapper over :func:`explore`.
+
 The whole sweep is deterministic: same workload, seeds, and machine tuple
-give the same crash points, the same damage, and the same verdicts.  The
-``repro crashcheck`` CLI subcommand and the conformance fuzzer's
-``crash_resume`` oracle are both thin wrappers over :func:`explore`.
+give the same crash points, the same damage, and the same verdicts.
 """
 
 from __future__ import annotations
@@ -34,22 +39,24 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .bsp.program import BSPAlgorithm
-from .core.checkpoint import scrub
+from .core.checkpoint import ScrubResult, scrub
 from .core.simulator import build_params, make_engine
 from .emio.faults import CRASH_STAGES, CrashPlan, HostCrash
 from .params import MachineParams
 
-__all__ = ["CrashPointOutcome", "CrashCheckResult", "explore"]
+__all__ = [
+    "CrashPointOutcome", "CrashCheckResult", "CrashRun", "crash_and_recover",
+    "explore",
+]
 
 
 @dataclass
 class CrashPointOutcome:
     """Verdict for one crash point of the sweep.
 
-    ``action`` is what recovery did: ``"resume@<step>"`` (scrub handed back
-    a committed barrier), ``"restart"`` (crash predates the first commit),
-    or ``"no-crash"`` (the plan's point was never reached — itself a
-    failure inside an exhaustive sweep).
+    ``action`` is :attr:`CrashRun.action`; ``"scrub"`` and ``"no-crash"``
+    (the plan's point was never reached) are failures in themselves inside
+    an exhaustive sweep.
     """
 
     point: int
@@ -78,37 +85,63 @@ class CrashCheckResult:
         return [o for o in self.outcomes if not o.ok]
 
 
-def _build_engine(
-    algorithm_factory: Callable[[], BSPAlgorithm],
-    machine: MachineParams,
-    v: int,
-    k: int | None,
-    seed: int,
-    backend: str,
-    storage: str,
+@dataclass
+class CrashRun:
+    """What one crash point did, before anyone judges it.
+
+    ``action`` is what recovery did: ``"resume@<step>"`` (scrub handed back
+    a committed barrier), ``"restart"`` (crash predates the first commit),
+    ``"scrub"`` (scrub quarantined a generation; nothing was resumed) or
+    ``"no-crash"`` (the run never died of a :class:`HostCrash`: it either
+    finished, and ``outputs``/``report`` are its own, or raised ``failure``).
+    ``failure`` with a recovery action is what the recovery raised.
+    """
+
+    action: str
+    outputs: list[Any] | None = None
+    report: Any = None
+    scrub: ScrubResult | None = None  # set once the wreckage was scrubbed
+    failure: Exception | None = None
+
+
+def crash_and_recover(
+    build: Callable[..., Any],
     storage_dir: str,
-    crash: CrashPlan | None,
-    max_recoveries: int = 8,
-    records: str | None = None,
-    **engine_kwargs,
-):
-    """One engine over a fresh algorithm instance, storage plane attached."""
-    alg = algorithm_factory()
-    if records is not None:
-        alg.set_record_mode(records)
-    params = build_params(alg, machine, v, k=k)
-    kwargs = dict(
-        seed=seed,
-        checkpoint=True,
-        max_recoveries=max_recoveries,
-        storage=storage,
-        storage_dir=storage_dir,
-        crash=crash,
-        **engine_kwargs,
-    )
-    # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
-    engine = "auto" if backend == "inline" else "parallel"
-    return make_engine(alg, params, engine=engine, backend=backend, **kwargs)
+    plan: CrashPlan,
+    observer: Any = None,
+) -> CrashRun:
+    """Drive one crash point: crash, scrub, resume or restart.
+
+    ``build(storage_dir=...)`` returns a fresh engine on the caller's plane
+    and accepts ``crash=`` and ``max_recoveries=``.  The crash run gets
+    ``crash=plan``; recovery gets ``max_recoveries=0`` so no recovery
+    budget can paper over storage damage.  No verdict is passed here — :func:`explore` holds the result
+    to its golden run, the fuzzer's ``crash_resume`` oracle to the
+    reference outputs.
+    """
+    try:
+        outputs, report = build(storage_dir=storage_dir, crash=plan).run()
+    except HostCrash:
+        pass
+    except Exception as exc:  # noqa: BLE001 - any other crash is a finding
+        return CrashRun("no-crash", failure=exc)
+    else:
+        return CrashRun("no-crash", outputs, report)
+
+    res = scrub(storage_dir, observer=observer)
+    if res.quarantined:
+        return CrashRun("scrub", scrub=res)
+    engine = build(storage_dir=storage_dir, max_recoveries=0)
+    try:
+        if res.checkpoint is not None:
+            action = f"resume@{res.checkpoint.step}"
+            outputs, report = engine.resume_from_checkpoint(res.checkpoint)
+        else:
+            action = "restart"
+            outputs, report = engine.run()
+    except Exception as exc:  # noqa: BLE001 - any crash is a finding
+        return CrashRun(action, scrub=res, failure=exc)
+    return CrashRun(action, outputs, report, res)
 
 
 def explore(
@@ -141,12 +174,29 @@ def explore(
     say = log or (lambda _msg: None)
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
-    golden_dir = os.path.join(root, "golden")
+    records = plane.pop("records", None)
 
-    golden_out, golden_rep = _build_engine(
-        algorithm_factory, machine, v, k, seed, backend, storage,
-        golden_dir, crash=None, **plane,
-    ).run()
+    def build(storage_dir: str, crash: CrashPlan | None = None, max_recoveries: int = 8):
+        """One engine over a fresh algorithm instance, storage plane attached."""
+        alg = algorithm_factory()
+        if records is not None:
+            alg.set_record_mode(records)
+        return make_engine(
+            alg,
+            build_params(alg, machine, v, k=k),
+            # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
+            engine="auto" if backend == "inline" else "parallel",
+            backend=backend,
+            seed=seed,
+            checkpoint=True,
+            max_recoveries=max_recoveries,
+            storage=storage,
+            storage_dir=storage_dir,
+            crash=crash,
+            **plane,
+        )
+
+    golden_out, golden_rep = build(os.path.join(root, "golden")).run()
     checkpoints = golden_rep.faults.checkpoints_taken
     golden_summary = golden_rep.ledger.summary()
     total = len(CRASH_STAGES) * checkpoints
@@ -162,98 +212,45 @@ def explore(
 
     for point in range(total):
         stage = CRASH_STAGES[point % len(CRASH_STAGES)]
-        point_dir = os.path.join(root, f"pt{point}")
         plan = CrashPlan(seed=crash_seed, crash_point=point, keep_rate=keep_rate)
-        outcome = _explore_point(
-            algorithm_factory, machine, v, k, seed, backend, storage,
-            point_dir, plan, point, stage, golden_out, golden_summary,
-            observer, result, plane,
+        run = crash_and_recover(
+            build, os.path.join(root, f"pt{point}"), plan, observer
         )
-        result.outcomes.append(outcome)
-        verdict = "ok  " if outcome.ok else "FAIL"
-        detail = f"  {outcome.detail}" if outcome.detail else ""
-        say(f"point {point:3d} [{stage:9s}] {verdict} {outcome.action}{detail}")
+        if run.scrub is not None:
+            result.extents_verified += run.scrub.extents_verified
+        detail = _finding(run, golden_out, golden_summary)
+        result.outcomes.append(
+            CrashPointOutcome(point, stage, run.action, not detail, detail)
+        )
+        verdict = "FAIL" if detail else "ok  "
+        say(f"point {point:3d} [{stage:9s}] {verdict} {run.action}"
+            + (f"  {detail}" if detail else ""))
     return result
 
 
-def _explore_point(
-    algorithm_factory,
-    machine,
-    v,
-    k,
-    seed,
-    backend,
-    storage,
-    point_dir,
-    plan,
-    point,
-    stage,
-    golden_out,
-    golden_summary,
-    observer,
-    result,
-    plane,
-) -> CrashPointOutcome:
-    """Crash at one point, scrub, recover, and compare against golden."""
-    try:
-        _build_engine(
-            algorithm_factory, machine, v, k, seed, backend, storage,
-            point_dir, crash=plan, **plane,
-        ).run()
-    except HostCrash:
-        pass
-    except Exception as exc:  # noqa: BLE001 - any other crash is a finding
-        return CrashPointOutcome(
-            point, stage, "no-crash", False,
-            f"crash run raised {exc!r} instead of HostCrash",
+def _finding(run: CrashRun, golden_out: list[Any], golden_summary: dict) -> str:
+    """Why ``run`` fails the sweep's standard, or ``""`` when it meets it:
+    a crash, a clean scrub, and outputs *and* costs identical to golden."""
+    if run.action == "no-crash":
+        if run.failure is not None:
+            return f"crash run raised {run.failure!r} instead of HostCrash"
+        return "run completed without reaching its crash point"
+    if run.action == "scrub":
+        return (
+            f"scrub quarantined generations {run.scrub.quarantined} "
+            f"({'; '.join(run.scrub.errors)}) — the commit protocol should "
+            "never lose a generation to an injected crash"
         )
-    else:
-        return CrashPointOutcome(
-            point, stage, "no-crash", False,
-            "run completed without reaching its crash point",
-        )
-
-    res = scrub(point_dir, observer=observer)
-    result.extents_verified += res.extents_verified
-    if res.quarantined:
-        return CrashPointOutcome(
-            point, stage, "scrub", False,
-            f"scrub quarantined generations {res.quarantined} "
-            f"({'; '.join(res.errors)}) — the commit protocol should never "
-            "lose a generation to an injected crash",
-        )
-
-    engine = _build_engine(
-        algorithm_factory, machine, v, k, seed, backend, storage,
-        point_dir, crash=None, max_recoveries=0, **plane,
-    )
-    try:
-        if res.checkpoint is not None:
-            action = f"resume@{res.checkpoint.step}"
-            out, rep = engine.resume_from_checkpoint(res.checkpoint)
-        else:
-            action = "restart"
-            out, rep = engine.run()
-    except Exception as exc:  # noqa: BLE001 - any crash is a finding
-        return CrashPointOutcome(
-            point, stage, "resume" if res.checkpoint else "restart", False,
-            f"recovery raised {exc!r}",
-        )
-
-    if out != golden_out:
-        return CrashPointOutcome(
-            point, stage, action, False,
-            "recovered outputs differ from the golden run",
-        )
-    summary = rep.ledger.summary()
+    if run.failure is not None:
+        return f"recovery raised {run.failure!r}"
+    if run.outputs != golden_out:
+        return "recovered outputs differ from the golden run"
+    summary = run.report.ledger.summary()
     if summary != golden_summary:
         diff = {
             key: (golden_summary[key], summary[key])
             for key in golden_summary
             if summary.get(key) != golden_summary[key]
         }
-        return CrashPointOutcome(
-            point, stage, action, False,
-            f"recovered cost ledger differs from golden: {diff}",
-        )
-    return CrashPointOutcome(point, stage, action, True)
+        return f"recovered cost ledger differs from golden: {diff}"
+    return ""

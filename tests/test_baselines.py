@@ -12,9 +12,11 @@ import pytest
 from repro import workloads
 from repro.baselines import (
     SORTING_BASELINES,
+    EMBatchedSearch,
     EMMergeSort,
     EMPRAMSimulator,
     EMTranspose,
+    KWayMergeSort,
     NaiveEMPermute,
     PRAMListRanking,
     SibeynKaufmannSimulation,
@@ -22,6 +24,8 @@ from repro.baselines import (
 )
 from repro.bsp.runner import run_reference
 from repro.params import MachineParams
+
+from .helpers import AllToAllExchange, TotalExchangeSum
 
 MACHINE = MachineParams(p=1, M=256, D=2, B=16, b=16)
 
@@ -194,8 +198,6 @@ class TestPRAMSimulator:
 
 class TestSibeynKaufmann:
     def test_transparent(self):
-        from .helpers import AllToAllExchange, TotalExchangeSum
-
         for alg_cls in (AllToAllExchange, TotalExchangeSum):
             ref, _ = run_reference(alg_cls(), 8)
             out, stats = SibeynKaufmannSimulation(alg_cls(), 8, MACHINE).run()
@@ -204,8 +206,6 @@ class TestSibeynKaufmann:
 
     def test_no_disk_parallelism(self):
         """All accesses land on one disk regardless of the machine's D."""
-        from .helpers import AllToAllExchange
-
         machine = MachineParams(p=1, M=4096, D=8, B=16, b=16)
         sim = SibeynKaufmannSimulation(AllToAllExchange(), 8, machine)
         sim.run()
@@ -213,8 +213,6 @@ class TestSibeynKaufmann:
         assert all(d.accesses == 0 for d in sim.array.disks[1:])
 
     def test_cells_mode_charges_more(self):
-        from .helpers import AllToAllExchange
-
         _, packed = SibeynKaufmannSimulation(
             AllToAllExchange(), 8, MACHINE, mode="packed"
         ).run()
@@ -222,3 +220,86 @@ class TestSibeynKaufmann:
             AllToAllExchange(), 8, MACHINE, mode="cells"
         ).run()
         assert cells.io_ops > packed.io_ops
+
+
+# -- characterisation: counted costs as recorded at the parent of PR 22 -----------
+#
+# ``BENCH_BAKEOFF.json`` pins the four registered sorters; these pin the rivals
+# outside the registry and the shape of the two merge sorts, so a refactor of
+# the shared plumbing that moves a counted cost fails here.  The numbers were
+# taken from the tree *before* the rivals were put on one base; do not edit
+# them to make a change pass.
+
+MACHINE_B = MachineParams(p=1, M=128, D=4, B=8, b=8)
+
+
+def _permute(cls, machine, n, seed):
+    perm = workloads.random_permutation(n, seed=seed)
+    return cls(machine).permute(list(range(n)), perm)[1]
+
+
+def _transpose(machine, r, c):
+    entries = workloads.matrix_entries(r, c, seed=r + c)
+    return EMTranspose(machine).transpose(entries, r, c)[1]
+
+
+def _search(machine, n, m, seed):
+    keys = sorted(workloads.uniform_keys(n, seed=seed))
+    queries = workloads.uniform_keys(m, seed=seed + 1)
+    return EMBatchedSearch(machine).search(keys, queries)[1]
+
+
+def _listrank(machine, n, seed):
+    return PRAMListRanking(machine).rank(workloads.random_linked_list(n, seed=seed))[1]
+
+
+def _sibeyn(machine, alg_cls, v, mode):
+    return SibeynKaufmannSimulation(alg_cls(), v, machine, mode=mode).run()[1]
+
+
+RIVAL_COSTS = {  # id -> (run, (io_ops, comp_ops))
+    "naive-permute-a": (lambda: _permute(NaiveEMPermute, MACHINE, 300, 3), (615, 300.0)),
+    "naive-permute-b": (lambda: _permute(NaiveEMPermute, MACHINE_B, 517, 11), (1144, 517.0)),
+    "sort-permute-a": (lambda: _permute(SortBasedEMPermute, MACHINE, 300, 3), (60, 3168.0)),
+    "sort-permute-b": (lambda: _permute(SortBasedEMPermute, MACHINE_B, 517, 11), (136, 6179.0)),
+    "transpose-a": (lambda: _transpose(MACHINE, 8, 16), (16, 1024.0)),
+    "transpose-b": (lambda: _transpose(MACHINE_B, 13, 29), (72, 3649.0)),
+    "search-a": (lambda: _search(MACHINE, 400, 150, 5), (46, 1350.0)),
+    "search-b": (lambda: _search(MACHINE_B, 333, 401, 6), (126, 5145.0)),
+    "pram-listrank-a": (lambda: _listrank(MACHINE, 33, 2), (464, 14964.0)),
+    "pram-listrank-b": (lambda: _listrank(MACHINE_B, 100, 4), (1796, 71554.0)),
+    # The Sibeyn-Kaufmann engine counts I/O only (no comp_ops on its stats).
+    "sibeyn-packed-a": (lambda: _sibeyn(MACHINE, AllToAllExchange, 8, "packed"), (176, None)),
+    "sibeyn-packed-b": (lambda: _sibeyn(MACHINE_B, TotalExchangeSum, 6, "packed"), (72, None)),
+    "sibeyn-cells-a": (lambda: _sibeyn(MACHINE, AllToAllExchange, 8, "cells"), (98352, None)),
+    "sibeyn-cells-b": (lambda: _sibeyn(MACHINE_B, TotalExchangeSum, 6, "cells"), (73776, None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RIVAL_COSTS))
+def test_unregistered_rival_counted_costs_are_pinned(case):
+    run, want = RIVAL_COSTS[case]
+    stats = run()
+    assert (stats.io_ops, getattr(stats, "comp_ops", None)) == want
+
+
+SINGLE_PASS = (MACHINE, 1000)
+MULTI_PASS = (MachineParams(p=1, M=64, D=2, B=8, b=8), 2048)
+
+
+@pytest.mark.parametrize(
+    "cls, regime, want",
+    [  # (runs_formed, merge_passes, fan_in, io_ops, comp_ops)
+        (EMMergeSort, SINGLE_PASS, (4, 1, 7, 192, 11768.0)),
+        (KWayMergeSort, SINGLE_PASS, (4, 1, 15, 223, 11768.0)),
+        (EMMergeSort, MULTI_PASS, (32, 4, 3, 1536, 30400.0)),
+        (KWayMergeSort, MULTI_PASS, (32, 2, 7, 1280, 26624.0)),
+    ],
+    ids=["emsort-single", "kway-single", "emsort-multi", "kway-multi"],
+)
+def test_merge_sort_shape_is_pinned(cls, regime, want):
+    machine, n = regime
+    data = workloads.uniform_keys(n, seed=1)
+    out, st = cls(machine).sort(data)
+    assert out == sorted(data)
+    assert (st.runs_formed, st.merge_passes, st.fan_in, st.io_ops, st.comp_ops) == want

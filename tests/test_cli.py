@@ -34,6 +34,29 @@ class TestCLI:
         assert main(["listrank", "--n", "128", "--v", "4", "--compare-pram"]) == 0
         assert "PRAM simulation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "cmd, rows",
+        [
+            (["sort", "--compare-baselines"], ["EM mergesort", "Sibeyn-Kaufmann"]),
+            (["permute", "--compare-baselines"], ["naive permutation"]),
+            (["listrank", "--compare-pram"], ["PRAM simulation"]),
+        ],
+    )
+    def test_rival_rows_print_on_a_multiprocessor_machine(self, cmd, rows, capsys):
+        """The rivals are sequential: with ``--procs 2`` they run on the same
+        machine at ``p=1`` and report what they report without ``--procs``."""
+        base = [cmd[0], "--n", "128", "--v", "4", *cmd[1:]]
+        assert main(base) == 0
+        single = capsys.readouterr().out
+        assert main([*base, "-p", "2"]) == 0
+        multi = capsys.readouterr().out
+        assert "p=2" in multi
+        for row in rows:
+            want = next(ln for ln in single.splitlines() if row in ln)
+            got = [ln for ln in multi.splitlines() if row in ln]
+            # The PRAM row ends in a ratio to the (p-dependent) CGM run.
+            assert got and got[0].split(" (")[0] == want.split(" (")[0]
+
     def test_machines_overview(self, capsys):
         assert main(["machines", "--n", "512", "--v", "4"]) == 0
         out = capsys.readouterr().out

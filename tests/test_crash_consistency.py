@@ -453,6 +453,34 @@ class TestCrashExplorer:
         assert res.passed, [str(o) for o in res.failures]
         assert res.total_points > 0
 
+    def test_protocol_verdicts_are_pinned(self, tmp_path):
+        """Both callers of ``crash_and_recover`` — the sweep and the fuzzer's
+        ``crash_resume`` oracle — give the verdicts recorded at the parent of
+        PR 22, when each still carried its own copy of the protocol."""
+        from repro.conform.runner import run_case
+        from repro.conform.strategies import repair
+        from repro.crashcheck import explore
+
+        machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
+        res = explore(small_sort, machine, 4, tmp_path)
+        # Four barriers; only the last stage ("committed") of a barrier leaves
+        # its generation behind, so each resume step starts one point late.
+        actions = ["restart"] * 4 + ["resume@0"] * 5 + ["resume@1"] * 5 \
+            + ["resume@2"] * 5 + ["resume@3"]
+        assert [(o.stage, o.action, o.ok) for o in res.outcomes] == [
+            (CRASH_STAGES[i % len(CRASH_STAGES)], action, True)
+            for i, action in enumerate(actions)
+        ]
+        assert (res.checkpoints, res.extents_verified) == (4, 184)
+
+        for point, checks in ((0, {"crash_restart": 1}), (4, {"crash_resume": 1}),
+                              (6, {"crash_resume": 1}), (10_000, {"crash_survived": 1})):
+            cfg = repair(dict(workload="sort", n=64, v=4, p=1, M=4096, D=2,
+                              B=16, b=16, crash=True, crash_point=point,
+                              crash_seed=3))
+            result = run_case(cfg)
+            assert result.passed and dict(result.checks) == checks, point
+
     def test_planted_missing_fsync_is_caught(self, tmp_path):
         """The planted bug class: an engine that no longer syncs the track
         files before committing.  The 'lost' stage then rolls back writes
