@@ -31,28 +31,40 @@ consecutive destination slots achieves full disk parallelism.
 
 Both phases are a *schedule*: every ``(disk, track)`` a round reads and
 writes follows from the bucket tables before a byte moves.  Each phase is
-therefore a lazy generator of ``(reads, write_addrs)`` rounds that
-:func:`_move_rounds` hands to :meth:`~repro.emio.diskarray.DiskArray
-.move_rounds`, :attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight`
-rounds at a time — at most ``M/4`` records in memory, one round on any
-array that is not on the fast data plane.  A round's reads and writes
-never share a track (phase 1 copies the bucket store into scratch, phase 2
-scratch into the new region), so reading a chunk's rounds before writing
-them moves the same blocks to the same places.  And neither phase looks
-inside a block — the tables already say where each one goes — so the
+therefore a lazy generator of ``(reads, write_addrs)`` rounds, and
+:func:`simulate_routing` hands both to one call of
+:meth:`~repro.emio.diskarray.DiskArray.move_rounds`, which checks every
+round of both and charges them as the paper does: one parallel read and one
+parallel write per round, on the drives and up to the tracks the round
+names, the scratch range allocated and released.  An array that is not on
+the fast data plane then runs them as written, one round at a time.  On the
+fast data plane the two schedules are *composed* before data moves: phase 2
+reads exactly the tracks phase 1 writes, so each of its reads is resolved,
+through phase 1's own write address -> source map, to the bucket-store
+track the block started on, and the block makes one hop, from there to its
+final ``(tgt % D, region.base + tgt // D)``,
+:attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight` rounds' worth at a
+time — at most ``M/4`` records in memory.  The copy on disk ``d`` is charged
+and never written: the same bargain the context cache strikes for a swap
+(DESIGN §6).  The schedule stays two-phase because the *count* is the
+paper's claim; how many times the bytes are carried is ours to choose, and
+deriving the hop from the two schedules, not from a second reading of the
+bucket tables, is what keeps the two from drifting apart.  Neither phase
+looks inside a block — the tables already say where each one goes — so the
 blocks travel *sealed*: on the file planes the stored frame is checked and
 written back as read, never decoded.  A message block is encoded once, at
-``write_messages``, and decoded once, at ``fetch_messages``.
+``write_messages``, decoded once, at ``fetch_messages``, and moved once in
+between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterator
 
 from ..emio.disk import DiskError
-from ..emio.diskarray import DiskArray
+from ..emio.diskarray import DiskArray, Round
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
 
@@ -77,15 +89,17 @@ class RoutingStats:
         return self.phase1_ops + self.phase2_ops
 
 
-#: One round of a phase: the tracks it reads, and where each block read goes.
-Round = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+class _Schedule:
+    """One phase's rounds, generated afresh on every walk: off the fast
+    data plane ``move_rounds`` walks a schedule to check it before it walks
+    it to run it, and never holds it; on it one walk keeps the addresses."""
 
+    def __init__(self, rounds: Callable[..., Iterator[Round]], *args):
+        self._rounds = rounds
+        self._args = args
 
-def _move_rounds(array: DiskArray, rounds: Iterable[Round]) -> None:
-    """Execute a phase: one parallel read plus one parallel write per round."""
-    rounds = iter(rounds)
-    while chunk := list(islice(rounds, array.rounds_in_flight)):
-        array.move_rounds(chunk)
+    def __iter__(self) -> Iterator[Round]:
+        return self._rounds(*self._args)
 
 
 def _phase1_rounds(
@@ -172,6 +186,11 @@ def simulate_routing(
     is responsible for freeing the bucket store afterwards.
     """
     D = array.D
+    if buckets.nbuckets > D:
+        raise DiskError(
+            f"SimulateRouting requires nbuckets ({buckets.nbuckets}) <= D ({D}): "
+            "phase 1 copies bucket i onto disk i"
+        )
     stats = RoutingStats(
         total_blocks=buckets.total_blocks,
         max_load_ratio=buckets.max_load_ratio(),
@@ -181,9 +200,10 @@ def simulate_routing(
     )
 
     # ---- Sizing and target assignment (metadata only; the bucket tables
-    # record every block's destination, so no I/O happens here).  One walk
-    # of the tables caches each entry's slot so the target pass below does
-    # not re-derive it. ----
+    # record every block's destination, so no I/O happens here, and nothing
+    # is allocated until the tables are known to be routable).  One walk of
+    # the tables caches each entry's slot so the target pass below does not
+    # re-derive it. ----
     slot_sizes = [0] * nslots
     triples: list[list[tuple[int, int, int]]] = []  # (src_disk, track, slot)
     for b in range(buckets.nbuckets):
@@ -194,18 +214,11 @@ def simulate_routing(
                 slot_sizes[s] += 1
                 ts.append((disk, track, s))
         triples.append(ts)
-    region = StripedRegion(array, allocator, slot_sizes, name=name)
-
-    if buckets.nbuckets > D:
-        raise DiskError(
-            f"SimulateRouting requires nbuckets ({buckets.nbuckets}) <= D ({D}): "
-            "phase 1 copies bucket i onto disk i"
-        )
 
     # Per-bucket target lists: targets[b][i] = final linear position of the
     # i-th table entry of bucket b (entries enumerated disk-major).  Each
     # bucket's targets must form a contiguous linear range.
-    cursors = list(region.offsets[:nslots])
+    cursors = list(accumulate(slot_sizes, initial=0))  # the region's slot offsets
     entries: list[list[tuple[int, int, int]]] = []  # (src_disk, track, target)
     bucket_range: list[tuple[int, int]] = []
     for b in range(buckets.nbuckets):
@@ -225,10 +238,12 @@ def simulate_routing(
         entries.append(es)
         bucket_range.append((lo if lo is not None else 0, len(es)))
 
+    region = StripedRegion(array, allocator, slot_sizes, name=name)
     if stats.total_blocks == 0:
         return region, stats
 
-    # ---- Phase 1: gather bucket d onto disk d, sorted by target ----
+    # ---- Phase 1 gathers bucket d onto disk d, sorted by target; phase 2
+    # stripes the sorted copies into the target region ----
     max_bucket = max(len(es) for es in entries)
     copy_base = allocator.allocate(max_bucket)
     # Per (bucket, source-disk) FIFOs of (track, copy position).
@@ -240,14 +255,9 @@ def simulate_routing(
             per_disk[disk].append((track, tgt - off))
         queues.append(per_disk)
 
-    ops_before = array.parallel_ops
-    _move_rounds(array, _phase1_rounds(queues, D, copy_base))
-    stats.phase1_ops = array.parallel_ops - ops_before
-
-    # ---- Phase 2: stripe the sorted copies into the target region ----
-    ops_before = array.parallel_ops
-    _move_rounds(array, _phase2_rounds(bucket_range, D, copy_base, region.base))
-    stats.phase2_ops = array.parallel_ops - ops_before
-
+    stats.phase1_ops, stats.phase2_ops = array.move_rounds(
+        _Schedule(_phase1_rounds, queues, D, copy_base),
+        _Schedule(_phase2_rounds, bucket_range, D, copy_base, region.base),
+    )
     allocator.release(copy_base, max_bucket)
     return region, stats

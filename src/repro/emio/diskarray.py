@@ -24,7 +24,8 @@ written to a disk *before* it died is gone — reading it raises
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from ..obs.profile import NULL_PROFILER
 from .disk import SHADOW_TRACK_BASE, Block, Disk, DiskError
@@ -41,6 +42,9 @@ from .faults import (
 )
 
 __all__ = ["DiskArray"]
+
+#: One round of a relay: the tracks it reads, and where each block read goes.
+Round = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
 
 
 class DiskArray:
@@ -156,11 +160,12 @@ class DiskArray:
 
     @property
     def rounds_in_flight(self) -> int:
-        """How many rounds of a schedule to hand :meth:`move_rounds` /
-        :meth:`write_rounds` at a time: at most ``M/4`` records' worth on
-        the fast data plane, where a chunk moves with one transfer per
-        drive; one round everywhere else, so that a traced, faulty, bounded
-        or degraded array makes its physical attempts read, write, read,
+        """How many rounds of a schedule move at a time — those
+        :meth:`move_rounds` keeps in flight, those to hand
+        :meth:`write_rounds`: at most ``M/4`` records' worth on the fast
+        data plane, where a chunk moves with one transfer per drive; one
+        round everywhere else, so that a traced, faulty, bounded or
+        degraded array makes its physical attempts read, write, read,
         write — the order its trace and its fault streams are defined on."""
         return self._chunk_rounds if self.fast_data_plane else 1
 
@@ -428,45 +433,143 @@ class DiskArray:
 
     # -- scheduled rounds --------------------------------------------------------
 
-    def move_rounds(
-        self,
-        rounds: Sequence[tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]],
-    ) -> None:
-        """Several rounds of a relay whose addresses are all known up front:
-        round ``(reads, write_addrs)`` reads the tracks ``reads`` and writes
-        the ``i``-th of them to ``write_addrs[i]``.
+    def move_rounds(self, rounds: Iterable[Round], then: Iterable[Round] = ()) -> tuple[int, int]:
+        """A relay whose addresses are all known up front: the schedule
+        ``rounds`` and, after it, the schedule ``then``.  Round ``(reads,
+        write_addrs)`` reads the tracks ``reads`` and writes the ``i``-th of
+        them to ``write_addrs[i]``.  Returns the parallel operations each
+        schedule cost.
 
         Each round is exactly one counted parallel read plus one counted
-        parallel write (1..D tracks, one per disk, each); all of them are
-        checked before any data moves, so a malformed schedule leaves the
-        array untouched.  Nobody looks inside a relayed block, so on the
-        fast data plane the rounds' reads, then their writes, move as one
-        ``get_sealed`` / ``put_sealed`` per drive: what travels is the
-        storage plane's sealed value (the frame as read, checked but not
-        decoded; the ``Block`` itself in the heap), and no round may read a
-        track an earlier round of the same call writes.  Everywhere else
-        the rounds run one by one, read, write, read, write.
+        parallel write (1..D tracks, one per disk, each); every round of
+        both schedules is checked before any data moves or any counter
+        changes, so a malformed schedule leaves the array untouched.  Off
+        the fast data plane, which holds nothing of a schedule, that takes
+        one walk to check it and another to run it, so it must start over
+        on every ``iter()`` (a list does).  No round may read a
+        track an earlier round of its own schedule writes, and ``then`` may
+        write no track that either schedule reads.
+
+        Off the fast data plane the rounds run one by one, read, write,
+        read, write, ``rounds`` to the end and then ``then``.  On it the
+        two schedules are charged like that — ``parallel_ops``, per-disk
+        ``reads`` / ``writes``, high-water marks — and *composed* before
+        data moves (:meth:`_compose`): a read of ``then`` from a track
+        ``rounds`` writes is resolved to the track ``rounds`` read it from,
+        so each block makes one hop, source to final target, and the copy
+        in between is charged but never stored (what its track held before
+        stays; the range is the caller's scratch to release).  A write of
+        ``rounds`` that ``then`` does not read is stored, a read of ``then``
+        that ``rounds`` did not write is loaded, as they stand.  The hops
+        come from the two schedules' own addresses, so what is counted and
+        what moves cannot drift apart; they move :attr:`rounds_in_flight`
+        rounds' worth at a time (:meth:`_relay_sealed`).
         """
-        for reads, write_addrs in rounds:
+        schedules = (rounds, then)
+        if not self.fast_data_plane:
+            if any(iter(schedule) is schedule for schedule in schedules):
+                raise TypeError("a relay schedule is walked twice: pass a list, not an iterator")
+            for schedule in schedules:
+                for _ in self._checked(schedule):
+                    pass
+            ops = []
+            for schedule in schedules:
+                before = self.parallel_ops
+                for reads, write_addrs in schedule:
+                    # One expression: a round's blocks die with it, not with the next read.
+                    self._write_round(
+                        [(d, t, blk) for (d, t), blk in zip(write_addrs, self._read_round(reads))]
+                    )
+                ops.append(self.parallel_ops - before)
+            return ops[0], ops[1]
+        # Held flat, a schedule is two address lists and a count of rounds.
+        reads: list[list[tuple[int, int]]] = [[], []]
+        writes: list[list[tuple[int, int]]] = [[], []]
+        ops = [0, 0]
+        for i, schedule in enumerate(schedules):
+            for round_reads, write_addrs in self._checked(schedule):
+                reads[i] += round_reads
+                writes[i] += write_addrs
+                ops[i] += 2
+        disks = self.disks
+        for d, _ in chain(*reads):
+            disks[d].reads += 1
+        for d, t in chain(*writes):
+            disk = disks[d]
+            disk.writes += 1
+            if disk._high_water < t < SHADOW_TRACK_BASE:
+                disk._high_water = t
+        self.parallel_ops += sum(ops)
+        sources, targets = self._compose(reads[0], writes[0], reads[1], writes[1])
+        del reads, writes  # while blocks are in flight, only their hops are held
+        D = self.D
+        step = self.rounds_in_flight * D
+        for lo in range(0, len(sources), step):
+            self._relay_sealed(
+                [(sources[i : i + D], targets[i : i + D])
+                 for i in range(lo, min(lo + step, len(sources)), D)]
+            )
+        return ops[0], ops[1]
+
+    def _checked(self, schedule: Iterable[Round]) -> Iterator[Round]:
+        """The rounds of ``schedule``, each checked on its way out: 1..D
+        tracks read, one per disk, and as many written, one per disk."""
+        for reads, write_addrs in schedule:
             self._check_round("read", [d for d, _ in reads])
             self._check_round("write", [d for d, _ in write_addrs])
             if len(reads) != len(write_addrs):
                 raise DiskError(
                     f"relay round reads {len(reads)} tracks but writes {len(write_addrs)}"
                 )
-        if not self.fast_data_plane:
-            for reads, write_addrs in rounds:
-                blocks = self._read_round(reads)
-                self._write_round(
-                    [(d, t, blk) for (d, t), blk in zip(write_addrs, blocks)]
-                )
-            return
-        sealed, _ = self._load_grouped([a for reads, _ in rounds for a in reads], sealed=True)
-        targets = [a for _, write_addrs in rounds for a in write_addrs]
-        self._store_grouped(
-            [(d, t, value) for (d, t), value in zip(targets, sealed)], sealed=True
-        )
-        self.parallel_ops += 2 * len(rounds)
+            yield reads, write_addrs
+
+    def _compose(
+        self,
+        reads: list[tuple[int, int]],
+        writes: list[tuple[int, int]],
+        then_reads: list[tuple[int, int]],
+        then_writes: list[tuple[int, int]],
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Two relay schedules, each as its flat read and write addresses,
+        as one list of hops (sources, targets): the blocks the first writes
+        where the second does not read them, in the first's order; then the
+        second's blocks, every read of a track the first writes replaced by
+        the track the first read it from, in the order of their targets
+        (track, then disk: the order a striped region is read back in, so on
+        the file planes its frames lie in the track files the way the next
+        fetch sweeps them)."""
+        source = dict(zip(writes, reads))
+        unread = source.keys() - then_reads
+        kept = [(r, w) for r, w in zip(reads, writes) if w in unread] if unread else []
+        D = self.D
+        keys = [t * D + d for d, t in then_writes]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        get = source.get
+        sources = [r for r, _ in kept] + [get(then_reads[i], then_reads[i]) for i in order]
+        targets = [w for _, w in kept] + [then_writes[i] for i in order]
+        return sources, targets
+
+    def _relay_sealed(self, rounds: Sequence[Round]) -> None:
+        """Fast-plane data movement of a chunk of relay rounds: one
+        ``get_sealed`` per source drive, then one ``put_sealed`` per target
+        drive.  What travels is the storage plane's sealed value (the frame
+        as read, checked but not decoded; the ``Block`` itself in the heap),
+        and every frame of the chunk is checked before its first write.
+        Counters are the caller's to charge."""
+        disks = self.disks
+        tracks: list[list[int]] = [[] for _ in disks]
+        for reads, _ in rounds:
+            for d, t in reads:
+                tracks[d].append(t)
+        sealed = [iter(disks[d]._load_many(ts, sealed=True)) if ts else None
+                  for d, ts in enumerate(tracks)]
+        items: list[list[tuple[int, object]]] = [[] for _ in disks]
+        for reads, write_addrs in rounds:
+            for (src, _), (d, t) in zip(reads, write_addrs):
+                items[d].append((t, next(sealed[src])))
+        for d, placed in enumerate(items):
+            if placed:
+                disks[d]._store_many(placed, sealed=True)
 
     def write_rounds(
         self, rounds: Sequence[Sequence[tuple[int, int, Block | None]]]
@@ -491,20 +594,18 @@ class DiskArray:
 
     # -- batched helpers ---------------------------------------------------------
 
-    def _load_grouped(
-        self, addrs: list[tuple[int, int]], sealed: bool = False
-    ) -> tuple[list, int]:
+    def _load_grouped(self, addrs: list[tuple[int, int]]) -> tuple[list, int]:
         """Fast-plane data movement of a read: one ``_load_many`` per drive
         (file-backed planes coalesce near-adjacent slot extents into single
-        preads) and per-disk ``reads`` charged.  Returns the blocks (or
-        ``sealed`` values) in ``addrs`` order and the longest per-drive
-        queue; ``parallel_ops`` is the caller's to charge."""
+        preads) and per-disk ``reads`` charged.  Returns the blocks in
+        ``addrs`` order and the longest per-drive queue; ``parallel_ops``
+        is the caller's to charge."""
         disks = self.disks
         per_disk: list[list[int]] = [[] for _ in range(self.D)]
         for d, t in addrs:
             per_disk[d].append(t)
         loaded = [
-            iter(disks[d]._load_many(ts, sealed)) if ts else None
+            iter(disks[d]._load_many(ts)) if ts else None
             for d, ts in enumerate(per_disk)
         ]
         out = [next(loaded[d]) for d, _ in addrs]
@@ -512,18 +613,17 @@ class DiskArray:
             disks[d].reads += len(ts)
         return out, max(map(len, per_disk))
 
-    def _store_grouped(self, ops: list[tuple[int, int, object]], sealed: bool = False) -> int:
-        """Fast-plane data movement of a write: blocks validated (``sealed``
-        values were, when first written), high-water marks raised, then one
-        ``_store_many`` per drive (file-backed planes merge adjacent slot
-        runs into single pwrites) and per-disk ``writes`` charged.  Returns
-        the longest per-drive queue; ``parallel_ops`` is the caller's to
-        charge."""
+    def _store_grouped(self, ops: list[tuple[int, int, Block | None]]) -> int:
+        """Fast-plane data movement of a write: blocks validated,
+        high-water marks raised, then one ``_store_many`` per drive
+        (file-backed planes merge adjacent slot runs into single pwrites)
+        and per-disk ``writes`` charged.  Returns the longest per-drive
+        queue; ``parallel_ops`` is the caller's to charge."""
         B = self.B
         disks = self.disks
-        per_disk: list[list[tuple[int, object]]] = [[] for _ in range(self.D)]
+        per_disk: list[list[tuple[int, Block | None]]] = [[] for _ in range(self.D)]
         for d, t, blk in ops:
-            if blk is not None and not sealed:
+            if blk is not None:
                 blk.validate(B)
             per_disk[d].append((t, blk))
             disk = disks[d]
@@ -531,7 +631,7 @@ class DiskArray:
                 disk._high_water = t
         for d, items in enumerate(per_disk):
             if items:
-                disks[d]._store_many(items, sealed)
+                disks[d]._store_many(items)
                 disks[d].writes += len(items)
         return max(map(len, per_disk))
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.emio.disk import Block
+from repro.emio.disk import Block, DiskError
 from repro.emio.diskarray import DiskArray
 from repro.emio.layout import RegionAllocator
 from repro.emio.linked import LinkedBuckets
@@ -160,6 +160,27 @@ class TestSimulateRouting(_OnPlane):
         _, stats = simulate_routing(array, alloc, store, v, lambda d: d)
         r_max = 512 // D + D  # balanced buckets whp
         assert stats.phase2_ops <= 2 * (2 * r_max + D)
+
+    @pytest.mark.parametrize("why", ["more buckets than disks", "targets not contiguous"])
+    def test_refused_call_allocates_and_charges_nothing(self, why):
+        """Both refusals come before the region exists: nothing to leak."""
+        v, D = 8, 2
+        array = DiskArray(D, 8, fast_io=self.FAST_IO)
+        alloc = RegionAllocator(array)
+        if why == "more buckets than disks":
+            store = LinkedBuckets(array, alloc, nbuckets=D + 1, rng=random.Random(0),
+                                  bucket_of=lambda dest: dest * (D + 1) // v)
+        else:  # bucket_of does not factor through slot_of monotonically
+            store = LinkedBuckets(array, alloc, nbuckets=D, rng=random.Random(0),
+                                  bucket_of=lambda dest: dest % D)
+        store.append_blocks(blocks_for([i % v for i in range(24)]))
+        before = (alloc.next_track, list(alloc._free), array.parallel_ops,
+                  [(d.reads, d.writes, d.high_water, d.used_tracks) for d in array.disks])
+        with pytest.raises(DiskError, match="nbuckets|not contiguous"):
+            simulate_routing(array, alloc, store, v, lambda d: d)
+        assert before == (
+            alloc.next_track, list(alloc._free), array.parallel_ops,
+            [(d.reads, d.writes, d.high_water, d.used_tracks) for d in array.disks])
 
 
 class TestLinkedBucketsFastPlane(TestLinkedBuckets):

@@ -269,28 +269,30 @@ def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
     This workload's dataset is about the size of its declared ``M``, so the
     quarter of ``M`` a schedule may hold in flight is not small beside the
     quarter-of-dataset bound.  The chunk is therefore measured — the heap
-    one ``move_rounds`` call holds at its worst: the sealed frames of its
-    rounds (``tracemalloc`` sees the reads they are views of) plus one
-    write buffer — and allowed once; everything else obeys the reference
-    plane's bound.  A second chunk kept alive, a decoded copy of the first,
-    or anything proportional to the dataset, breaks it.
+    one chunk of the composed relay (``DiskArray._relay_sealed``) holds at
+    its worst: the sealed frames of its rounds (``tracemalloc`` sees the
+    reads they are views of) plus one write buffer — and allowed once;
+    everything else, the two schedules and the hop map ``move_rounds``
+    composes them into included, obeys the reference plane's bound.  A
+    second chunk kept alive, a decoded copy of the first, or anything
+    proportional to the dataset, breaks it.
     """
     N, V_, SEED, RECLEN = 320_000, 64, 0, 64
     alg = OutOfCoreSort(N, V_, seed=SEED, reclen=RECLEN)
     machine = MachineParams(p=1, M=alg.context_size(), D=8, B=1024)
     serialized = serialized_size(SEED, N, V_, RECLEN)
     chunk_heap, peak_before = [0], [0]
-    move_rounds = DiskArray.move_rounds
+    relay_sealed = DiskArray._relay_sealed
 
     def measured(self, rounds):
         assert len(rounds) <= self.rounds_in_flight
         before, peak = tracemalloc.get_traced_memory()
         peak_before[0] = max(peak_before[0], peak)
         tracemalloc.reset_peak()
-        move_rounds(self, rounds)
+        relay_sealed(self, rounds)
         chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[1] - before)
 
-    monkeypatch.setattr(DiskArray, "move_rounds", measured)
+    monkeypatch.setattr(DiskArray, "_relay_sealed", measured)
     tracemalloc.start()
     tracemalloc.reset_peak()
     out, _report = simulate(alg, machine, v=V_, seed=SEED, storage="file", fast_io=True)
@@ -318,3 +320,65 @@ def test_fast_vector_plane_recovers_every_crash_point(tmp_path, plane):
     assert res.passed, [str(o) for o in res.failures]
     actions = {o.action for o in res.outcomes}
     assert "restart" in actions and any(a.startswith("resume@") for a in actions)
+
+
+def test_crash_between_two_chunks_of_a_composed_relay_resumes(tmp_path, monkeypatch):
+    """The window the composed relay opens: some targets of a reorganize
+    written, the rest still only in the bucket store, and — unlike the
+    two-hop relay — no scratch copy anywhere.  Nothing in it is referenced
+    by a committed barrier, so losing unsynced writes there and resuming
+    must reproduce the golden outputs and ledger, for every relay of the
+    run that has a second chunk."""
+    from repro.core.simulator import build_params, make_engine
+    from repro.crashcheck import crash_and_recover
+    from repro.emio.faults import CrashPlan, HostCrash
+
+    machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
+    # One round in flight, so that a relay of this small sort has chunks to
+    # crash between; counted costs do not depend on the chunk.
+    monkeypatch.setattr(DiskArray, "rounds_in_flight", property(lambda self: 1))
+
+    def build(storage_dir, crash=None, max_recoveries=8):
+        alg = small_sort()
+        alg.set_record_mode("vector")
+        return make_engine(
+            alg, build_params(alg, machine, 4), seed=0, checkpoint=True,
+            max_recoveries=max_recoveries, storage="file", storage_dir=storage_dir,
+            crash=crash, fast_io=True, context_cache=True,
+        )
+
+    relay_sealed = DiskArray._relay_sealed
+    chunks_of: list[int] = []  # per relay of the run, how many chunks it moved
+    die_at = [None]  # (relay, chunk) after which the host dies, once
+
+    def relay(self, rounds):
+        relay_sealed(self, rounds)
+        chunks_of[-1] += 1
+        if die_at[0] == (len(chunks_of) - 1, chunks_of[-1]):
+            die_at[0] = None
+            self.crash_storage("lost")
+            raise HostCrash("injected host crash between two chunks of a relay")
+
+    move_rounds = DiskArray.move_rounds
+
+    def counted(self, rounds, then=()):
+        chunks_of.append(0)
+        return move_rounds(self, rounds, then)
+
+    monkeypatch.setattr(DiskArray, "_relay_sealed", relay)
+    monkeypatch.setattr(DiskArray, "move_rounds", counted)
+    golden_out, golden_rep = build(str(tmp_path / "golden")).run()
+    relays = [(i, n) for i, n in enumerate(chunks_of) if n >= 2]
+    assert relays and golden_rep.faults.checkpoints_taken >= 2
+    never = CrashPlan(seed=7, crash_point=10**6)  # arms the write log; never fires itself
+    actions = set()
+    for i, n in relays:
+        del chunks_of[:]
+        die_at[0] = (i, n // 2)
+        run = crash_and_recover(build, str(tmp_path / f"relay{i}"), never)
+        assert die_at[0] is None and run.failure is None, run.failure
+        assert run.action != "no-crash" and run.action != "scrub"
+        assert run.outputs == golden_out
+        assert run.report.ledger.summary() == golden_rep.ledger.summary()
+        actions.add(run.action.split("@")[0])
+    assert "resume" in actions
