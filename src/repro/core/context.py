@@ -11,18 +11,36 @@ declared bound ``mu`` is enforced on every save: an algorithm whose state
 outgrows its declaration fails loudly instead of silently breaking the space
 accounting.
 
-**Context-swap fast path** (``cache=True``): the store keeps the pickled
-bytes of every slot host-side; every save replaces them with the fresh
-pickle (there is no dirty bit: nothing would read one, and finding out costs
-a compare of the whole context).  On the disk array's fast data plane a
-swap then charges the *identical* parallel I/O the reference path would — via
+**Context-swap fast path** (``cache=True``): the store *holds* every slot's
+state object host-side — the memory image a virtual processor's context
+already is — and hands that same object back at the next load.  A save still
+pickles each state once, because the pickle's length is what the paper's
+accounting is defined on: the slot's block count (``_used``), the ``mu``
+refusal (:func:`~repro.emio.layout.check_context_bound`) and the parallel I/O
+a swap is charged.  On the disk array's fast data plane nobody reads the
+bytes, so the stream is metered as the pickler emits it and never assembled
+(:class:`_Meter`), and the swap charges the *identical* parallel I/O the
+reference path would — via
 :meth:`~repro.emio.diskarray.DiskArray.charge_batched`, which replays the
-exact greedy round packing arithmetic — without re-materializing ``Block``
-objects; loads unpickle straight from the cached bytes.  On a traced array
-the physical path runs unchanged (traces stay byte-identical), and the cache
-is refused entirely on a fault-injecting array, where the disk image is
-authoritative (corruption must be observable).  The model-cost ledger is
-byte-identical either way; only host wall-clock changes.
+exact greedy round packing arithmetic — without materializing a single
+``Block``; a load charges the same way and unpickles nothing.  There is no
+dirty bit: every save re-measures, so a kernel that grows its state in place
+is re-counted (and refused past ``mu``) at the next save.
+
+*Aliasing contract*: between a load and the next save of a slot, the kernel
+owns the held object and may mutate it in place; nobody else reads it.  This
+is the aliasing the in-memory reference runner (:mod:`repro.bsp.runner`,
+invariant I3 of DESIGN §5) has always had, so every algorithm is already
+tested under it.  A checkpoint freezes the states into a blob at the barrier
+and every recovery thaws fresh objects from it (:meth:`prime_cache`,
+:meth:`import_all`), so no held object ever outlives a rollback.
+
+On a traced array the physical path runs unchanged — the blocks written are
+cut from the fresh pickle and the load still reads them, so traces stay
+byte-identical — and the cache is refused entirely on a fault-injecting
+array, where the disk image is authoritative (corruption must be
+observable).  The model-cost ledger is byte-identical either way; only host
+wall-clock and heap change.
 """
 
 from __future__ import annotations
@@ -42,6 +60,24 @@ from ..emio.layout import (
 )
 
 __all__ = ["ContextStore"]
+
+
+class _Meter:
+    """A write-only file that is as long as what was written to it, and keeps
+    nothing else.  ``pickle.Pickler(meter, protocol).dump(state)`` emits the
+    very stream ``pickle.dumps(state, protocol)`` assembles — the same
+    opcodes in the same frames; only where a frame is flushed to differs — and
+    hands a large buffer (an ndarray's data) to :meth:`write` as it stands,
+    so measuring a context copies none of it."""
+
+    def __init__(self) -> None:
+        self.nbytes = 0
+
+    def write(self, data) -> None:
+        self.nbytes += memoryview(data).nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
 
 
 class ContextStore:
@@ -87,7 +123,9 @@ class ContextStore:
         # per virtual processor, like the bucket pointer tables.
         self._used = [0] * nslots
         self.cache = bool(cache) and array.injector is None
-        self._cached: list[bytes | None] = [None] * nslots
+        # Held state objects, boxed so that a state which *is* ``None`` still
+        # reads as present; ``None`` marks a slot the cache does not hold.
+        self._cached: list[tuple[Any] | None] = [None] * nslots
         # Cheap always-on tallies, sampled by the observability layer
         # (repro.obs) as the context-cache hit rate.
         self.cache_hits = 0
@@ -106,20 +144,20 @@ class ContextStore:
         return self.load_group([slot])[0]
 
     def invalidate_cache(self) -> None:
-        """Drop all cached context bytes (next loads hit the disk image)."""
+        """Drop every held context (next loads hit the disk image)."""
         self._cached = [None] * self.nslots
 
     def prime_cache(self, states: Sequence[Any]) -> None:
         """Re-seed the cache from checkpointed states (attach-time recovery).
 
-        On the fast data plane, cached saves are charge-only: the bytes live
+        On the fast data plane, cached saves are charge-only: the states live
         in ``_cached`` and the disk image of this region holds nothing.  A
         fresh process that re-attaches the storage plane therefore cannot
         read contexts back from disk — the checkpoint's portable
-        ``proc_states`` are the only copy, and they must be re-pickled into
-        the cache before the first load.  Pure host-side bookkeeping: no
-        counted I/O, and the recomputed block counts equal the attach
-        reference's ``ctx_used`` (same pickle protocol as ``save_group``).
+        ``proc_states`` are the only copy.  ``states`` is the freshly thawed
+        list and is held as it is, no copy and no pickle; the slots' block
+        counts are the attach reference's ``ctx_used``, which the caller
+        installs.  Pure host-side bookkeeping: no counted I/O.
         """
         if not self.cache:
             return
@@ -127,11 +165,7 @@ class ContextStore:
             raise DiskError(
                 f"priming {len(states)} contexts into {self.nslots} slots"
             )
-        chunk = self.B * 8
-        for slot, state in enumerate(states):
-            data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-            self._cached[slot] = data
-            self._used[slot] = -(-max(len(data), 1) // chunk)
+        self._cached = [(state,) for state in states]
 
     def _slot_addrs(self, slots: Sequence[int], counts: Sequence[int]):
         """(disk, track) addresses of the used prefixes of ``slots``."""
@@ -164,40 +198,42 @@ class ContextStore:
             self.array.write_batched(ops)
             return
 
+        # One pickle per state: its length is what the block count, the mu
+        # refusal and the charge are defined on.  Only a physical array (a
+        # traced one) cuts its blocks from the bytes; the fast data plane
+        # meters the stream and never assembles it.  Nobody keeps them.
         chunk = self.B * 8  # bytes per block (Block.BYTES_PER_RECORD)
+        physical = not self.array.fast_data_plane
         counts: list[int] = []
-        blobs: list[bytes] = []
+        ops: list = []
         prof = self.array.profiler
         for slot, state in zip(slots, states):
             prof.push("serialize")
             try:
-                data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+                if physical:
+                    data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+                else:
+                    data = _Meter()
+                    pickle.Pickler(data, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
             finally:
                 prof.pop()
             check_context_bound(data, self.mu)
-            blobs.append(data)
-            counts.append(-(-max(len(data), 1) // chunk))
-        if self.array.fast_data_plane:
-            # A slot whose bytes did not change charges the identical merged
-            # write the reference path performs.
-            self.array.charge_batched("W", self._slot_addrs(slots, counts))
-            for slot, data, n in zip(slots, blobs, counts):
-                self._used[slot] = n
-                self._cached[slot] = data
-        else:
-            # Physical path (e.g. a traced array): materialize and write the
-            # blocks exactly as the reference path would.
-            ops = []
-            for slot, data, n in zip(slots, blobs, counts):
-                self._used[slot] = n
-                self._cached[slot] = data
+            n = -(-max(len(data), 1) // chunk)
+            counts.append(n)
+            if physical:
                 ops.extend(
                     (d, t, blk)
                     for (d, t), blk in zip(
                         self.region.slot_addrs(slot, n), bytes_to_blocks(data, self.B)
                     )
                 )
+        if physical:
             self.array.write_batched(ops)
+        else:
+            self.array.charge_batched("W", self._slot_addrs(slots, counts))
+        for slot, state, n in zip(slots, states, counts):
+            self._used[slot] = n
+            self._cached[slot] = (state,)
 
     def load_group(self, slots: Sequence[int]) -> list[Any]:
         """Read a whole group of contexts with jointly packed parallel ops."""
@@ -209,12 +245,7 @@ class ContextStore:
                 self.array.charge_batched("R", addrs)
             else:
                 self.array.read_batched(addrs)  # physical read; data == cache
-            prof = self.array.profiler
-            prof.push("serialize")
-            try:
-                return [pickle.loads(self._cached[s]) for s in slots]
-            finally:
-                prof.pop()
+            return [self._cached[s][0] for s in slots]
         self.cache_misses += len(slots)
         counts = [self._used[s] for s in slots]
         flat = self.array.read_batched(self._slot_addrs(slots, counts))
@@ -248,9 +279,10 @@ class ContextStore:
     def import_all(self, states: Sequence[Any], group_size: int | None = None) -> None:
         """Rewrite every context from ``states`` (restore path).
 
-        The cache is invalidated first: a restore replaces every slot, so
-        stale bytes must never survive it (save_group then re-caches the
-        restored pickles, keeping the fast path hot across a recovery).
+        The cache is invalidated first: a restore replaces every slot, so a
+        stale object must never survive it (save_group then holds the
+        restored states as they are, keeping the fast path hot across a
+        recovery).
         """
         if len(states) != self.nslots:
             raise DiskError(

@@ -30,17 +30,31 @@ The returned region satisfies Definition 2, and reading any run of
 consecutive destination slots achieves full disk parallelism.
 
 Both phases are a *schedule*: every ``(disk, track)`` a round reads and
-writes follows from the bucket tables before a byte moves.  Each phase is
-therefore a lazy generator of ``(reads, write_addrs)`` rounds, and
-:func:`simulate_routing` hands both to one call of
-:meth:`~repro.emio.diskarray.DiskArray.move_rounds`, which checks every
-round of both and charges them as the paper does: one parallel read and one
-parallel write per round, on the drives and up to the tracks the round
-names, the scratch range allocated and released.  An array that is not on
-the fast data plane then runs them as written, one round at a time.  On the
-fast data plane the two schedules are *composed* before data moves: phase 2
-reads exactly the tracks phase 1 writes, so each of its reads is resolved,
-through phase 1's own write address -> source map, to the bucket-store
+writes follows from the bucket tables before a byte moves.  Each is built
+once, in closed form, as a :class:`~repro.emio.diskarray.RelaySchedule` —
+five integer arrays (round id, read disk, read track, write disk, write
+track), one row per block:
+
+* bucket ``d``'s ``i``-th block on disk ``s`` is read in phase-1 round
+  ``((s - d) mod D) + i*D`` — the ``i``-th time the paper's rotation brings
+  bucket ``d`` to disk ``s`` — and written to ``(d, copy_base + q)``, ``q``
+  its position in the sorted copy;
+* copy position ``q`` of bucket ``d`` leaves in phase-2 round ``shift_d + q``
+  for ``((off_d + q) mod D, region.base + (off_d + q) div D)``;
+
+rounds in which nothing moves are dropped and the rows lie in (round, bucket)
+order.  Slots, targets and the per-bucket contiguity check come from one
+stable sort of the table entries by slot, and ``slot_of`` is called once per
+distinct destination.  :func:`simulate_routing` hands both schedules to one
+call of :meth:`~repro.emio.diskarray.DiskArray.move_rounds`, which checks
+every round of both and charges them as the paper does: one parallel read
+and one parallel write per round, on the drives and up to the tracks the
+round names, the scratch range allocated and released.  An array that is not
+on the fast data plane then runs them as written, one round at a time — the
+schedule iterates as ``(reads, write_addrs)`` rounds of Python-int pairs.  On
+the fast data plane the two schedules are *composed* before data moves:
+phase 2 reads exactly the tracks phase 1 writes, so each of its reads is
+resolved, by a join on phase 1's own write addresses, to the bucket-store
 track the block started on, and the block makes one hop, from there to its
 final ``(tgt % D, region.base + tgt // D)``,
 :attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight` rounds' worth at a
@@ -55,16 +69,22 @@ blocks travel *sealed*: on the file planes the stored frame is checked and
 written back as read, never decoded.  A message block is encoded once, at
 ``write_messages``, decoded once, at ``fetch_messages``, and moved once in
 between.
+
+Whatever leaves the arrays for a report, a :class:`StripedRegion`, a trace or
+a checkpoint leaves through ``tolist()``: a numpy integer in ``slot_sizes``
+or in an ``IOTrace`` op would change pickled golden images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable
+
+import numpy as np
 
 from ..emio.disk import DiskError
-from ..emio.diskarray import DiskArray, Round
+from ..emio.diskarray import DiskArray, RelaySchedule
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
 
@@ -89,76 +109,87 @@ class RoutingStats:
         return self.phase1_ops + self.phase2_ops
 
 
-class _Schedule:
-    """One phase's rounds, generated afresh on every walk: off the fast
-    data plane ``move_rounds`` walks a schedule to check it before it walks
-    it to run it, and never holds it; on it one walk keeps the addresses."""
-
-    def __init__(self, rounds: Callable[..., Iterator[Round]], *args):
-        self._rounds = rounds
-        self._args = args
-
-    def __iter__(self) -> Iterator[Round]:
-        return self._rounds(*self._args)
-
-
-def _phase1_rounds(
-    queues: list[list[list[tuple[int, int]]]], D: int, copy_base: int
-) -> Iterator[Round]:
-    """Round ``j`` reads bucket ``d``'s next block off disk ``(d + j) mod D``
-    and writes it to its sorted position in bucket ``d``'s copy on disk ``d``.
-
-    ``queues[d][disk]`` is the FIFO of ``(track, copy position)`` pairs of
-    bucket ``d``'s blocks on ``disk``.
-    """
-    remaining = sum(len(fifo) for per_disk in queues for fifo in per_disk)
-    # FIFO consumption via per-queue cursors: list.pop(0) is O(queue) and
-    # turns phase 1 quadratic in the bucket size.
-    heads = [[0] * D for _ in queues]
-    j = 0
-    while remaining > 0:
-        reads: list[tuple[int, int]] = []
-        write_addrs: list[tuple[int, int]] = []
-        for d, per_disk in enumerate(queues):
-            src = (d + j) % D
-            if heads[d][src] < len(per_disk[src]):
-                track, copy_pos = per_disk[src][heads[d][src]]
-                heads[d][src] += 1
-                reads.append((src, track))
-                write_addrs.append((d, copy_base + copy_pos))
-        j += 1
-        if reads:
-            remaining -= len(reads)
-            yield reads, write_addrs
-
-
-def _phase2_rounds(
-    bucket_range: list[tuple[int, int]], D: int, copy_base: int, region_base: int
-) -> Iterator[Round]:
-    """Round ``j`` reads the next block of every bucket's sorted copy and
-    writes it to its final place in the striped region.
-
-    Bucket ``d`` (``bucket_range[d]`` = first linear target, size) sends
-    copy position ``q`` to linear position ``offset_d + q``; a start
-    stagger of ``(offset_d - d) mod D`` rounds gives round ``j`` the write
-    disks ``(d + j) mod D`` — pairwise distinct, the paper's schedule
-    (``move_rounds`` refuses a round that is not).
-    """
-    shifts = [(off - d) % D if size else 0 for d, (off, size) in enumerate(bucket_range)]
-    total_rounds = max(
-        (shift + size for shift, (_, size) in zip(shifts, bucket_range)), default=0
+def _in_round_order(raw_round, bucket, D, read_disk, read_track, write_disk, write_track):
+    """Rows as a schedule: ordered by (round, bucket) — a bucket moves at
+    most one block a round, so the order is total — and the rounds
+    renumbered without the empty ones."""
+    order = np.argsort(raw_round * D + bucket)
+    raw_round = raw_round[order]
+    ids = np.cumsum(np.diff(raw_round, prepend=raw_round[:1]) != 0)
+    return RelaySchedule(
+        ids, read_disk[order], read_track[order], write_disk[order], write_track[order]
     )
-    for j in range(total_rounds):
-        reads = []
-        write_addrs = []
-        for d, (off, size) in enumerate(bucket_range):
-            q = j - shifts[d]
-            if 0 <= q < size:
-                reads.append((d, copy_base + q))
-                tgt = off + q
-                write_addrs.append((tgt % D, region_base + tgt // D))
-        if reads:
-            yield reads, write_addrs
+
+
+def _plan(
+    buckets: LinkedBuckets, D: int, nslots: int, slot_of: Callable[[int], int]
+) -> tuple[list[int], int, RelaySchedule, RelaySchedule]:
+    """Everything SimulateRouting reads off the bucket tables: the target
+    region's slot sizes, the largest bucket, and both phases' schedules with
+    the tracks of the bucket copies and of the target region counted from 0
+    — neither is allocated yet, and nothing is until the tables are known to
+    be routable.  Metadata only: the tables record every block's
+    destination, so no I/O happens here.  What this works on dies with it;
+    the two schedules are all a reorganization holds of its tables."""
+    # The tables as arrays, in table order: bucket by bucket, within a
+    # bucket disk by disk, within a disk first in first out.
+    nb = buckets.nbuckets
+    fifos = [fifo for per_disk in buckets.table for fifo in per_disk]
+    fifo_len = np.fromiter(map(len, fifos), dtype=np.int64, count=len(fifos))
+    n = int(fifo_len.sum())
+    table = np.fromiter(
+        chain.from_iterable(chain.from_iterable(fifos)), dtype=np.int64, count=2 * n
+    ).reshape(n, 2)
+    track, dest = table[:, 0], table[:, 1]
+    bucket, disk = np.divmod(np.repeat(np.arange(nb * D), fifo_len), D)
+    # How many blocks of its bucket lie before it on its disk.
+    depth = np.arange(n) - np.repeat(np.cumsum(fifo_len) - fifo_len, fifo_len)
+
+    dests, first_at, dest_id = np.unique(dest, return_index=True, return_inverse=True)
+    slots = [slot_of(d) for d in dests.tolist()]
+    for d, s, i in zip(dests.tolist(), slots, first_at.tolist()):
+        if not 0 <= s < nslots:
+            raise DiskError(
+                f"bucket {bucket[i]}: dest {d} maps to slot {s}, outside 0..{nslots - 1}"
+            )
+    slot = np.asarray(slots, dtype=np.int64)[dest_id]
+    slot_sizes = np.bincount(slot, minlength=nslots).tolist()
+
+    # The final linear position of every block: a slot's blocks follow the
+    # earlier slots' in table order, so one stable sort by slot ranks them
+    # all.  Each bucket's targets must form a contiguous linear range.
+    target = np.empty(n, dtype=np.int64)
+    target[np.argsort(slot, kind="stable")] = np.arange(n)
+    size = np.bincount(bucket, minlength=nb)
+    filled = np.flatnonzero(size)
+    starts = (np.cumsum(size) - size)[filled]  # a bucket's rows are consecutive
+    off = np.zeros(nb, dtype=np.int64)
+    if n:
+        off[filled] = np.minimum.reduceat(target, starts)
+        gaps = np.maximum.reduceat(target, starts) - off[filled] + 1 != size[filled]
+        if gaps.any():
+            raise DiskError(
+                f"bucket {filled[gaps.argmax()]} targets are not contiguous "
+                "(bucket_of must factor through slot_of monotonically)"
+            )
+
+    # Phase 1 gathers bucket d onto disk d, sorted by target.
+    phase1 = _in_round_order(
+        (disk - bucket) % D + depth * D, bucket, D,
+        disk, track, bucket, target - off[bucket],
+    )
+    # Phase 2 stripes the sorted copies into the target region, each front
+    # to back; a bucket's rows being consecutive, row i of the table stands
+    # for copy position i - start.  The start stagger of (off_d - d) mod D
+    # rounds gives round j the write disks (d + j) mod D — pairwise distinct,
+    # the paper's schedule (``move_rounds`` refuses a round that is not).
+    q = np.arange(n) - np.repeat(starts, size[filled])
+    final = off[bucket] + q
+    phase2 = _in_round_order(
+        (off[bucket] - bucket) % D + q, bucket, D,
+        bucket, q, final % D, final // D,
+    )
+    return slot_sizes, int(size.max(initial=0)), phase1, phase2
 
 
 def simulate_routing(
@@ -199,65 +230,15 @@ def simulate_routing(
         ),
     )
 
-    # ---- Sizing and target assignment (metadata only; the bucket tables
-    # record every block's destination, so no I/O happens here, and nothing
-    # is allocated until the tables are known to be routable).  One walk of
-    # the tables caches each entry's slot so the target pass below does not
-    # re-derive it. ----
-    slot_sizes = [0] * nslots
-    triples: list[list[tuple[int, int, int]]] = []  # (src_disk, track, slot)
-    for b in range(buckets.nbuckets):
-        ts = []
-        for disk, bucket_entries in enumerate(buckets.table[b]):
-            for track, dest in bucket_entries:
-                s = slot_of(dest)
-                slot_sizes[s] += 1
-                ts.append((disk, track, s))
-        triples.append(ts)
-
-    # Per-bucket target lists: targets[b][i] = final linear position of the
-    # i-th table entry of bucket b (entries enumerated disk-major).  Each
-    # bucket's targets must form a contiguous linear range.
-    cursors = list(accumulate(slot_sizes, initial=0))  # the region's slot offsets
-    entries: list[list[tuple[int, int, int]]] = []  # (src_disk, track, target)
-    bucket_range: list[tuple[int, int]] = []
-    for b in range(buckets.nbuckets):
-        es = []
-        lo, hi = None, None
-        for disk, track, s in triples[b]:
-            tgt = cursors[s]
-            cursors[s] += 1
-            es.append((disk, track, tgt))
-            lo = tgt if lo is None else min(lo, tgt)
-            hi = tgt if hi is None else max(hi, tgt)
-        if es and hi - lo + 1 != len(es):
-            raise DiskError(
-                f"bucket {b} targets are not contiguous "
-                "(bucket_of must factor through slot_of monotonically)"
-            )
-        entries.append(es)
-        bucket_range.append((lo if lo is not None else 0, len(es)))
-
+    slot_sizes, max_bucket, phase1, phase2 = _plan(buckets, D, nslots, slot_of)
     region = StripedRegion(array, allocator, slot_sizes, name=name)
     if stats.total_blocks == 0:
         return region, stats
 
-    # ---- Phase 1 gathers bucket d onto disk d, sorted by target; phase 2
-    # stripes the sorted copies into the target region ----
-    max_bucket = max(len(es) for es in entries)
     copy_base = allocator.allocate(max_bucket)
-    # Per (bucket, source-disk) FIFOs of (track, copy position).
-    queues: list[list[list[tuple[int, int]]]] = []
-    for b in range(buckets.nbuckets):
-        off = bucket_range[b][0]
-        per_disk: list[list[tuple[int, int]]] = [[] for _ in range(D)]
-        for disk, track, tgt in entries[b]:
-            per_disk[disk].append((track, tgt - off))
-        queues.append(per_disk)
-
-    stats.phase1_ops, stats.phase2_ops = array.move_rounds(
-        _Schedule(_phase1_rounds, queues, D, copy_base),
-        _Schedule(_phase2_rounds, bucket_range, D, copy_base, region.base),
-    )
+    phase1.write_track += copy_base
+    phase2.read_track += copy_base
+    phase2.write_track += region.base
+    stats.phase1_ops, stats.phase2_ops = array.move_rounds(phase1, phase2)
     allocator.release(copy_base, max_bucket)
     return region, stats

@@ -147,6 +147,12 @@ class Disk:
             block.validate(self.B)
         self.writes += 1
         self._store(track, block)
+        self._raise_high_water(track)
+
+    def _raise_high_water(self, track: int) -> None:
+        """The high-water rule, written once: the mark is the highest
+        *ordinary* track ever written — a shadow track is a remapped write,
+        not capacity, and neither raises the mark nor hides a lower one."""
         if self._high_water < track < SHADOW_TRACK_BASE:
             self._high_water = track
 

@@ -24,8 +24,9 @@ written to a disk *before* it died is gone — reading it raises
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ..obs.profile import NULL_PROFILER
 from .disk import SHADOW_TRACK_BASE, Block, Disk, DiskError
@@ -41,10 +42,59 @@ from .faults import (
     TransientDiskError,
 )
 
-__all__ = ["DiskArray"]
+__all__ = ["DiskArray", "RelaySchedule"]
 
 #: One round of a relay: the tracks it reads, and where each block read goes.
 Round = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
+
+
+class RelaySchedule:
+    """The rounds of a relay as five equal-length integer arrays.
+
+    One row per block moved, rows in round order: ``round`` (the row's round
+    id — non-decreasing from 0, no id skipped, so no round is empty), the
+    ``(read_disk, read_track)`` the row reads and the ``(write_disk,
+    write_track)`` its block goes to.  :meth:`DiskArray.move_rounds` checks,
+    charges and composes schedules in this form without looking at a row in
+    Python; iterating one yields the same rounds as ``(reads, write_addrs)``
+    lists of Python-int pairs, afresh on every walk — what the round-by-round
+    planes run and what a trace records.
+    """
+
+    __slots__ = ("round", "read_disk", "read_track", "write_disk", "write_track")
+
+    def __init__(self, round, read_disk, read_track, write_disk, write_track):
+        self.round, self.read_disk, self.read_track, self.write_disk, self.write_track = (
+            np.asarray(column, dtype=np.int64)
+            for column in (round, read_disk, read_track, write_disk, write_track)
+        )
+
+    @classmethod
+    def from_rounds(cls, rounds: Sequence[Round]) -> "RelaySchedule":
+        """Well-formed ``rounds`` (as many writes as reads in each, and at
+        least one) flattened into the five arrays."""
+        sizes = [len(reads) for reads, _ in rounds]
+        reads = np.array(
+            [addr for round_reads, _ in rounds for addr in round_reads], dtype=np.int64
+        ).reshape(-1, 2)
+        writes = np.array(
+            [addr for _, write_addrs in rounds for addr in write_addrs], dtype=np.int64
+        ).reshape(-1, 2)
+        ids = np.repeat(np.arange(len(rounds)), np.asarray(sizes, dtype=np.intp))
+        return cls(ids, reads[:, 0], reads[:, 1], writes[:, 0], writes[:, 1])
+
+    @property
+    def nrounds(self) -> int:
+        return int(self.round[-1]) + 1 if len(self.round) else 0
+
+    def __iter__(self) -> Iterator[Round]:
+        # A round at a time: a walk holds no more of the schedule than that.
+        edges = np.searchsorted(self.round, np.arange(self.nrounds + 1)).tolist()
+        for lo, hi in zip(edges, edges[1:]):
+            yield (
+                list(zip(self.read_disk[lo:hi].tolist(), self.read_track[lo:hi].tolist())),
+                list(zip(self.write_disk[lo:hi].tolist(), self.write_track[lo:hi].tolist())),
+            )
 
 
 class DiskArray:
@@ -276,12 +326,18 @@ class DiskArray:
     # -- parallel primitives ---------------------------------------------------
 
     def _check_round(self, kind: str, disk_ids: Sequence[int]) -> None:
-        """The model's rule for one parallel op: 1..D tracks, one per disk."""
+        """The model's rule for one parallel op: 1..D tracks, one per disk,
+        on drives the array has."""
         if not disk_ids:
             raise DiskError(f"parallel {kind} of no tracks: a round holds 1..D")
         if len(disk_ids) > self.D:
             raise DiskError(
                 f"parallel {kind} of {len(disk_ids)} tracks exceeds D={self.D}"
+            )
+        if not 0 <= min(disk_ids) <= max(disk_ids) < self.D:
+            raise DiskError(
+                f"parallel {kind} names a disk outside 0..{self.D - 1}: "
+                f"disk ids {sorted(disk_ids)}"
             )
         if len(set(disk_ids)) != len(disk_ids):
             raise DiskError(
@@ -401,8 +457,7 @@ class DiskArray:
                     blk.validate(B)
                 disk.writes += 1
                 disk._store(t, blk)
-                if disk._high_water < t < SHADOW_TRACK_BASE:
-                    disk._high_water = t
+                disk._raise_high_water(t)
             return
         fresh = [
             (i, (*self._resolve_write(d, t), blk))
@@ -433,9 +488,12 @@ class DiskArray:
 
     # -- scheduled rounds --------------------------------------------------------
 
-    def move_rounds(self, rounds: Iterable[Round], then: Iterable[Round] = ()) -> tuple[int, int]:
+    def move_rounds(
+        self, rounds: "RelaySchedule | Iterable[Round]", then: "RelaySchedule | Iterable[Round]" = ()
+    ) -> tuple[int, int]:
         """A relay whose addresses are all known up front: the schedule
-        ``rounds`` and, after it, the schedule ``then``.  Round ``(reads,
+        ``rounds`` and, after it, the schedule ``then`` — each a
+        :class:`RelaySchedule` or a plain list of rounds.  Round ``(reads,
         write_addrs)`` reads the tracks ``reads`` and writes the ``i``-th of
         them to ``write_addrs[i]``.  Returns the parallel operations each
         schedule cost.
@@ -443,35 +501,47 @@ class DiskArray:
         Each round is exactly one counted parallel read plus one counted
         parallel write (1..D tracks, one per disk, each); every round of
         both schedules is checked before any data moves or any counter
-        changes, so a malformed schedule leaves the array untouched.  Off
-        the fast data plane, which holds nothing of a schedule, that takes
-        one walk to check it and another to run it, so it must start over
-        on every ``iter()`` (a list does).  No round may read a
-        track an earlier round of its own schedule writes, and ``then`` may
-        write no track that either schedule reads.
+        changes — a :class:`RelaySchedule` in bulk, on its arrays; a list
+        round by round — so a malformed schedule leaves the array untouched.
+        Off the fast data plane, which holds nothing of a list it is
+        handed, that takes one walk to check it and another to run it, so
+        it must start over on every ``iter()`` (a list and a
+        :class:`RelaySchedule` do).  No round may read a track an earlier
+        round of its own schedule writes, and ``then`` may write no track
+        that either schedule reads.
 
         Off the fast data plane the rounds run one by one, read, write,
-        read, write, ``rounds`` to the end and then ``then``.  On it the
-        two schedules are charged like that — ``parallel_ops``, per-disk
-        ``reads`` / ``writes``, high-water marks — and *composed* before
-        data moves (:meth:`_compose`): a read of ``then`` from a track
-        ``rounds`` writes is resolved to the track ``rounds`` read it from,
-        so each block makes one hop, source to final target, and the copy
-        in between is charged but never stored (what its track held before
-        stays; the range is the caller's scratch to release).  A write of
-        ``rounds`` that ``then`` does not read is stored, a read of ``then``
-        that ``rounds`` did not write is loaded, as they stand.  The hops
-        come from the two schedules' own addresses, so what is counted and
-        what moves cannot drift apart; they move :attr:`rounds_in_flight`
-        rounds' worth at a time (:meth:`_relay_sealed`).
+        read, write, ``rounds`` to the end and then ``then``.  On it a list
+        is flattened once into the same five arrays, and the two schedules
+        are charged like that — ``parallel_ops``, per-disk ``reads`` /
+        ``writes``, high-water marks (:meth:`_charge`) — and *composed*
+        before data moves (:meth:`_compose`): a read of ``then`` from a
+        track ``rounds`` writes is resolved to the track ``rounds`` read it
+        from, so each block makes one hop, source to final target, and the
+        copy in between is charged but never stored (what its track held
+        before stays; the range is the caller's scratch to release).  A
+        write of ``rounds`` that ``then`` does not read is stored, a read of
+        ``then`` that ``rounds`` did not write is loaded, as they stand.
+        The hops come from the two schedules' own addresses, so what is
+        counted and what moves cannot drift apart; they move
+        :attr:`rounds_in_flight` rounds' worth at a time
+        (:meth:`_relay_sealed`).  No row of a schedule is touched in Python
+        on the way; what reaches a storage plane goes through ``tolist()``.
         """
-        schedules = (rounds, then)
-        if not self.fast_data_plane:
-            if any(iter(schedule) is schedule for schedule in schedules):
-                raise TypeError("a relay schedule is walked twice: pass a list, not an iterator")
-            for schedule in schedules:
-                for _ in self._checked(schedule):
-                    pass
+        schedules = [rounds, then]
+        fast = self.fast_data_plane
+        if not fast and any(iter(schedule) is schedule for schedule in schedules):
+            raise TypeError("a relay schedule is walked twice: pass a list, not an iterator")
+        for i, schedule in enumerate(schedules):
+            if isinstance(schedule, RelaySchedule):
+                self._check_schedule(schedule)
+            elif fast:
+                schedule = list(schedule)
+                self._check_rounds(schedule)
+                schedules[i] = RelaySchedule.from_rounds(schedule)
+            else:
+                self._check_rounds(schedule)
+        if not fast:
             ops = []
             for schedule in schedules:
                 before = self.parallel_ops
@@ -482,94 +552,122 @@ class DiskArray:
                     )
                 ops.append(self.parallel_ops - before)
             return ops[0], ops[1]
-        # Held flat, a schedule is two address lists and a count of rounds.
-        reads: list[list[tuple[int, int]]] = [[], []]
-        writes: list[list[tuple[int, int]]] = [[], []]
-        ops = [0, 0]
-        for i, schedule in enumerate(schedules):
-            for round_reads, write_addrs in self._checked(schedule):
-                reads[i] += round_reads
-                writes[i] += write_addrs
-                ops[i] += 2
-        disks = self.disks
-        for d, _ in chain(*reads):
-            disks[d].reads += 1
-        for d, t in chain(*writes):
-            disk = disks[d]
-            disk.writes += 1
-            if disk._high_water < t < SHADOW_TRACK_BASE:
-                disk._high_water = t
+        first, second = schedules
+        for kind, disk_ids, tracks in (
+            ("R", (first.read_disk, second.read_disk), (first.read_track, second.read_track)),
+            ("W", (first.write_disk, second.write_disk), (first.write_track, second.write_track)),
+        ):
+            disk_ids, tracks = np.concatenate(disk_ids), np.concatenate(tracks)
+            self._charge(kind, [tracks[disk_ids == d] for d in range(self.D)])
+        ops = 2 * first.nrounds, 2 * second.nrounds
         self.parallel_ops += sum(ops)
-        sources, targets = self._compose(reads[0], writes[0], reads[1], writes[1])
-        del reads, writes  # while blocks are in flight, only their hops are held
-        D = self.D
-        step = self.rounds_in_flight * D
-        for lo in range(0, len(sources), step):
-            self._relay_sealed(
-                [(sources[i : i + D], targets[i : i + D])
-                 for i in range(lo, min(lo + step, len(sources)), D)]
-            )
-        return ops[0], ops[1]
+        hops = self._compose(first, second)
+        del schedules, first, second  # while blocks are in flight, only their hops are held
+        step = self.rounds_in_flight * self.D
+        for lo in range(0, len(hops[0]), step):
+            self._relay_sealed(*(column[lo : lo + step] for column in hops))
+        return ops
 
-    def _checked(self, schedule: Iterable[Round]) -> Iterator[Round]:
-        """The rounds of ``schedule``, each checked on its way out: 1..D
+    def _check_rounds(self, rounds: Iterable[Round]) -> None:
+        """Refuse the first round of ``rounds`` that breaks a rule: 1..D
         tracks read, one per disk, and as many written, one per disk."""
-        for reads, write_addrs in schedule:
+        for reads, write_addrs in rounds:
             self._check_round("read", [d for d, _ in reads])
             self._check_round("write", [d for d, _ in write_addrs])
             if len(reads) != len(write_addrs):
                 raise DiskError(
                     f"relay round reads {len(reads)} tracks but writes {len(write_addrs)}"
                 )
-            yield reads, write_addrs
 
-    def _compose(
-        self,
-        reads: list[tuple[int, int]],
-        writes: list[tuple[int, int]],
-        then_reads: list[tuple[int, int]],
-        then_writes: list[tuple[int, int]],
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Two relay schedules, each as its flat read and write addresses,
-        as one list of hops (sources, targets): the blocks the first writes
-        where the second does not read them, in the first's order; then the
-        second's blocks, every read of a track the first writes replaced by
-        the track the first read it from, in the order of their targets
-        (track, then disk: the order a striped region is read back in, so on
-        the file planes its frames lie in the track files the way the next
-        fetch sweeps them)."""
-        source = dict(zip(writes, reads))
-        unread = source.keys() - then_reads
-        kept = [(r, w) for r, w in zip(reads, writes) if w in unread] if unread else []
+    def _check_schedule(self, schedule: RelaySchedule) -> None:
+        """The rules of :meth:`_check_rounds` on a schedule's arrays, all
+        rounds at once: no round id skipped (no empty round), every disk one
+        of the array's, and no (round, disk) pair twice on either side —
+        which also caps a round at ``D`` rows; the five columns being of one
+        length is the equal-lengths rule.  A schedule that fails is walked
+        round by round, so the refusal is the one the first broken round
+        would get on its own."""
+        D, ids = self.D, schedule.round
+        sides = (schedule.read_disk, schedule.write_disk)
+        ok = all(
+            len(column) == len(ids)
+            for column in (*sides, schedule.read_track, schedule.write_track)
+        )
+        if ok and len(ids):
+            ok = ids[0] == 0 and np.isin(np.diff(ids), (0, 1)).all()
+            ok = ok and all(
+                0 <= disk.min() and disk.max() < D and np.bincount(ids * D + disk).max() == 1
+                for disk in sides
+            )
+        if not ok:
+            self._check_rounds(schedule)
+            raise DiskError("malformed relay schedule")
+
+    def _compose(self, first: RelaySchedule, then: RelaySchedule) -> tuple[np.ndarray, ...]:
+        """Two relay schedules as one list of hops — four arrays: source
+        disk, source track, target disk, target track.  First the blocks
+        ``first`` writes where ``then`` does not read them, in ``first``'s
+        order; then ``then``'s blocks, every read of a track ``first``
+        writes replaced by the track ``first`` read it from (the last write
+        of a track wins, as it would on the platter), in the order of their
+        targets (track, then disk: the order a striped region is read back
+        in, so on the file planes its frames lie in the track files the way
+        the next fetch sweeps them).  A sort and a search join the two
+        schedules on ``track * D + disk``."""
         D = self.D
-        keys = [t * D + d for d, t in then_writes]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        get = source.get
-        sources = [r for r, _ in kept] + [get(then_reads[i], then_reads[i]) for i in order]
-        targets = [w for _, w in kept] + [then_writes[i] for i in order]
-        return sources, targets
+        wrote = first.write_track * D + first.write_disk
+        wanted = then.read_track * D + then.read_disk
+        # The stable sort keeps equal keys in schedule order, so the rightmost
+        # match of a key is the last write of that track.
+        by_key = np.argsort(wrote, kind="stable")
+        wrote_sorted = wrote[by_key]
+        at = np.searchsorted(wrote_sorted, wanted, side="right") - 1
+        found = at >= 0
+        found[found] = wrote_sorted[at[found]] == wanted[found]
+        writer = by_key[at[found]]  # the rows of ``first`` whose blocks ``then`` picks up
+        src_disk, src_track = then.read_disk.copy(), then.read_track.copy()
+        src_disk[found] = first.read_disk[writer]
+        src_track[found] = first.read_track[writer]
+        kept = np.flatnonzero(~np.isin(wrote, wanted))
+        order = np.argsort(then.write_track * D + then.write_disk, kind="stable")
+        return (
+            np.concatenate((first.read_disk[kept], src_disk[order])),
+            np.concatenate((first.read_track[kept], src_track[order])),
+            np.concatenate((first.write_disk[kept], then.write_disk[order])),
+            np.concatenate((first.write_track[kept], then.write_track[order])),
+        )
 
-    def _relay_sealed(self, rounds: Sequence[Round]) -> None:
-        """Fast-plane data movement of a chunk of relay rounds: one
-        ``get_sealed`` per source drive, then one ``put_sealed`` per target
-        drive.  What travels is the storage plane's sealed value (the frame
-        as read, checked but not decoded; the ``Block`` itself in the heap),
-        and every frame of the chunk is checked before its first write.
-        Counters are the caller's to charge."""
+    def _relay_sealed(
+        self, src_disk: np.ndarray, src_track: np.ndarray,
+        dst_disk: np.ndarray, dst_track: np.ndarray,
+    ) -> None:
+        """Fast-plane data movement of a chunk of hops: one ``get_sealed``
+        per source drive, then one ``put_sealed`` per target drive, each
+        drive's tracks in hop order.  What travels is the storage plane's
+        sealed value (the frame as read, checked but not decoded; the
+        ``Block`` itself in the heap), and every frame of the chunk is
+        checked before its first write.  Counters are the caller's to
+        charge."""
         disks = self.disks
-        tracks: list[list[int]] = [[] for _ in disks]
-        for reads, _ in rounds:
-            for d, t in reads:
-                tracks[d].append(t)
-        sealed = [iter(disks[d]._load_many(ts, sealed=True)) if ts else None
-                  for d, ts in enumerate(tracks)]
-        items: list[list[tuple[int, object]]] = [[] for _ in disks]
-        for reads, write_addrs in rounds:
-            for (src, _), (d, t) in zip(reads, write_addrs):
-                items[d].append((t, next(sealed[src])))
-        for d, placed in enumerate(items):
-            if placed:
-                disks[d]._store_many(placed, sealed=True)
+        by_src = np.argsort(src_disk, kind="stable")
+        tracks = src_track[by_src].tolist()
+        sealed: list = []  # sealed[i] is what hop by_src[i] carries
+        for d, n in enumerate(np.bincount(src_disk, minlength=self.D).tolist()):
+            if n:
+                sealed += disks[d]._load_many(tracks[len(sealed) : len(sealed) + n], sealed=True)
+        carried = np.empty(len(by_src), dtype=np.intp)
+        carried[by_src] = np.arange(len(by_src))
+        by_dst = np.argsort(dst_disk, kind="stable")
+        tracks = dst_track[by_dst].tolist()
+        carried = carried[by_dst].tolist()
+        lo = 0
+        for d, n in enumerate(np.bincount(dst_disk, minlength=self.D).tolist()):
+            if n:
+                disks[d]._store_many(
+                    [(t, sealed[i]) for t, i in zip(tracks[lo : lo + n], carried[lo : lo + n])],
+                    sealed=True,
+                )
+                lo += n
 
     def write_rounds(
         self, rounds: Sequence[Sequence[tuple[int, int, Block | None]]]
@@ -609,30 +707,44 @@ class DiskArray:
             for d, ts in enumerate(per_disk)
         ]
         out = [next(loaded[d]) for d, _ in addrs]
-        for d, ts in enumerate(per_disk):
-            disks[d].reads += len(ts)
-        return out, max(map(len, per_disk))
+        return out, self._charge("R", per_disk)
 
     def _store_grouped(self, ops: list[tuple[int, int, Block | None]]) -> int:
-        """Fast-plane data movement of a write: blocks validated,
-        high-water marks raised, then one ``_store_many`` per drive
-        (file-backed planes merge adjacent slot runs into single pwrites)
-        and per-disk ``writes`` charged.  Returns the longest per-drive
-        queue; ``parallel_ops`` is the caller's to charge."""
+        """Fast-plane data movement of a write: blocks validated, then one
+        ``_store_many`` per drive (file-backed planes merge adjacent slot
+        runs into single pwrites), per-disk ``writes`` and high-water marks
+        charged.  Returns the longest per-drive queue; ``parallel_ops`` is
+        the caller's to charge."""
         B = self.B
-        disks = self.disks
         per_disk: list[list[tuple[int, Block | None]]] = [[] for _ in range(self.D)]
         for d, t, blk in ops:
             if blk is not None:
                 blk.validate(B)
             per_disk[d].append((t, blk))
-            disk = disks[d]
-            if disk._high_water < t < SHADOW_TRACK_BASE:
-                disk._high_water = t
         for d, items in enumerate(per_disk):
             if items:
-                disks[d]._store_many(items)
-                disks[d].writes += len(items)
+                self.disks[d]._store_many(items)
+        return self._charge("W", [[t for t, _ in items] for items in per_disk])
+
+    def _charge(self, kind: str, per_disk: "Sequence[Sequence[int] | np.ndarray]") -> int:
+        """Charge a batch of accesses, given as the tracks it touches on
+        each drive (lists or arrays), to the per-disk ``reads`` or
+        ``writes`` and, a write, to the high-water marks — by the rule
+        :meth:`Disk._raise_high_water <repro.emio.disk.Disk._raise_high_water>`
+        holds: a shadow track in the batch neither counts nor hides the
+        ordinary ones beside it.  Returns the longest per-drive queue — the
+        rounds the greedy packing of the batch takes; ``parallel_ops`` is
+        the caller's to charge."""
+        for disk, tracks in zip(self.disks, per_disk):
+            if kind == "R":
+                disk.reads += len(tracks)
+            elif len(tracks):
+                disk.writes += len(tracks)
+                top = int(tracks.max()) if isinstance(tracks, np.ndarray) else max(tracks)
+                disk._raise_high_water(top)
+                if disk._high_water < top:  # a shadow track tops the batch: track by track
+                    for t in map(int, tracks):
+                        disk._raise_high_water(t)
         return max(map(len, per_disk))
 
     @staticmethod
@@ -723,24 +835,10 @@ class DiskArray:
             )
         if kind not in ("R", "W"):
             raise DiskError(f"charge_batched kind must be 'R' or 'W', got {kind!r}")
-        counts = [0] * self.D
-        if kind == "R":
-            for d, _t in addrs:
-                counts[d] += 1
-            for d, c in enumerate(counts):
-                self.disks[d].reads += c
-        else:
-            maxt = [-1] * self.D
-            for d, t in addrs:
-                counts[d] += 1
-                if t > maxt[d]:
-                    maxt[d] = t
-            for d, c in enumerate(counts):
-                disk = self.disks[d]
-                disk.writes += c
-                if disk._high_water < maxt[d] < SHADOW_TRACK_BASE:
-                    disk._high_water = maxt[d]
-        rounds = max(counts) if any(counts) else 0
+        per_disk: list[list[int]] = [[] for _ in range(self.D)]
+        for d, t in addrs:
+            per_disk[d].append(t)
+        rounds = self._charge(kind, per_disk)
         self.parallel_ops += rounds
         return rounds
 
@@ -778,9 +876,9 @@ class DiskArray:
             disk.storage.restore(snap)
             tracks = list(disk.storage.tracks())
             disk._occupied = len(tracks)
-            disk._high_water = max(
-                (t for t in tracks if t < SHADOW_TRACK_BASE), default=-1
-            )
+            disk._high_water = -1
+            for t in tracks:
+                disk._raise_high_water(t)
 
     @property
     def storage_read_bytes(self) -> int:

@@ -182,6 +182,28 @@ class TestSimulateRouting(_OnPlane):
             alloc.next_track, list(alloc._free), array.parallel_ops,
             [(d.reads, d.writes, d.high_water, d.used_tracks) for d in array.disks])
 
+    @pytest.mark.parametrize("slot", [-1, 8, 1 << 40])
+    def test_slot_outside_the_region_is_refused_before_any_allocation(self, slot):
+        """``slot_sizes[slot_of(dest)]`` unchecked: -1 wrapped silently into
+        the last slot and misrouted, a large one was a bare IndexError."""
+        v, D = 8, 2
+        array, alloc, store = self.make_store(D=D, v=v, seed=3)
+        store.append_blocks(blocks_for([i % v for i in range(24)]))
+
+        def state():
+            return (
+                alloc.next_track, list(alloc._free), array.parallel_ops,
+                [(d.reads, d.writes, d.used_tracks, d.high_water) for d in array.disks],
+                [sorted(d.occupied()) for d in array.disks],
+            )
+
+        before = state()
+        with pytest.raises(DiskError, match=rf"bucket 1: dest 5 maps to slot {slot}, outside 0\.\.7"):
+            simulate_routing(array, alloc, store, v, lambda d: slot if d == 5 else d)
+        assert state() == before
+        region, stats = simulate_routing(array, alloc, store, v, lambda d: d)
+        assert stats.total_blocks == 24 and region.slot_sizes == [3] * v
+
 
 class TestLinkedBucketsFastPlane(TestLinkedBuckets):
     FAST_IO = True

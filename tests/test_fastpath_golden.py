@@ -1,7 +1,7 @@
 """Golden equivalence suite for the context-swap/disk fast path.
 
 The fast path (``fast_io=True`` data-plane short-circuits plus
-``context_cache=True`` pickled-bytes caching) is allowed to change *host
+``context_cache=True`` held-object context caching) is allowed to change *host
 wall-clock only*.  Everything the model counts — outputs, the cost ledger,
 per-superstep phase breakdowns, routing statistics, and even the physical
 I/O trace — must be byte-identical to the reference path.  These tests pin

@@ -93,6 +93,26 @@ class TestChargeBatched:
         for dp, dc in zip(physical.disks, charged.disks):
             assert dc.reads == dp.reads
 
+    def test_shadow_track_in_a_batch_hides_no_ordinary_track(self):
+        """One rule, once: a batch that mixes a shadow track with ordinary
+        ones charges the marks ``write_batched`` leaves — the mark of a
+        drive is its highest *ordinary* track, not nothing because the
+        batch's highest is a shadow."""
+        from repro.emio.disk import SHADOW_TRACK_BASE
+
+        D = 4
+        ops = [(0, 3, blk(0)), (0, SHADOW_TRACK_BASE + 2, blk(1)), (0, 7, blk(2)),
+               (1, SHADOW_TRACK_BASE, blk(3)), (2, 5, blk(4)), (2, 1, blk(5))]
+        arrays = {name: DiskArray(D, 8, fast_io=fast)
+                  for name, fast in (("physical", False), ("stored", True), ("charged", True))}
+        rounds = {name: arrays[name].write_batched(list(ops)) for name in ("physical", "stored")}
+        rounds["charged"] = arrays["charged"].charge_batched("W", [(d, t) for d, t, _b in ops])
+        assert rounds == {"physical": 3, "stored": 3, "charged": 3}
+        for array in arrays.values():
+            assert array.parallel_ops == 3
+            assert [d.writes for d in array.disks] == [3, 1, 2, 0]
+            assert array.high_water_per_disk == [7, -1, 5, -1]
+
     def test_empty_batch_charges_nothing(self):
         array = DiskArray(4, 8, fast_io=True)
         assert array.charge_batched("R", []) == 0

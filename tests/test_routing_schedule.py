@@ -272,10 +272,10 @@ def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
     one chunk of the composed relay (``DiskArray._relay_sealed``) holds at
     its worst: the sealed frames of its rounds (``tracemalloc`` sees the
     reads they are views of) plus one write buffer — and allowed once;
-    everything else, the two schedules and the hop map ``move_rounds``
-    composes them into included, obeys the reference plane's bound.  A
-    second chunk kept alive, a decoded copy of the first, or anything
-    proportional to the dataset, breaks it.
+    everything else, the two schedules' index arrays and the hop arrays
+    ``move_rounds`` composes them into included, obeys the reference
+    plane's bound.  A second chunk kept alive, a decoded copy of the first,
+    or anything proportional to the dataset, breaks it.
     """
     N, V_, SEED, RECLEN = 320_000, 64, 0, 64
     alg = OutOfCoreSort(N, V_, seed=SEED, reclen=RECLEN)
@@ -284,12 +284,13 @@ def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
     chunk_heap, peak_before = [0], [0]
     relay_sealed = DiskArray._relay_sealed
 
-    def measured(self, rounds):
-        assert len(rounds) <= self.rounds_in_flight
+    def measured(self, *hops):
+        assert len({len(column) for column in hops}) == 1
+        assert len(hops[0]) <= self.rounds_in_flight * self.D
         before, peak = tracemalloc.get_traced_memory()
         peak_before[0] = max(peak_before[0], peak)
         tracemalloc.reset_peak()
-        relay_sealed(self, rounds)
+        relay_sealed(self, *hops)
         chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[1] - before)
 
     monkeypatch.setattr(DiskArray, "_relay_sealed", measured)
@@ -351,8 +352,8 @@ def test_crash_between_two_chunks_of_a_composed_relay_resumes(tmp_path, monkeypa
     chunks_of: list[int] = []  # per relay of the run, how many chunks it moved
     die_at = [None]  # (relay, chunk) after which the host dies, once
 
-    def relay(self, rounds):
-        relay_sealed(self, rounds)
+    def relay(self, *hops):
+        relay_sealed(self, *hops)
         chunks_of[-1] += 1
         if die_at[0] == (len(chunks_of) - 1, chunks_of[-1]):
             die_at[0] = None
