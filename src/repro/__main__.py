@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import workloads
+from .core.engine import RunConfig
 from .core.simulator import simulate
 from .params import MachineParams
 
@@ -118,15 +119,16 @@ def _machine(args, mu: int) -> MachineParams:
 
 
 def _run(args, algorithm, machine, **kw):
-    """``simulate`` with the CLI's backend and observability flags applied."""
-    return simulate(
-        algorithm, machine, seed=args.seed,
+    """``simulate`` with the CLI's run flags and observability flags applied."""
+    config = RunConfig(
+        seed=args.seed,
         backend=args.backend if machine.p > 1 else "inline",
-        observer=_observer(args),
-        events=_events(args),
         storage=getattr(args, "storage", "memory"),
         storage_dir=getattr(args, "storage_dir", None),
-        **kw,
+    )
+    return simulate(
+        algorithm, machine, config=config,
+        observer=_observer(args), events=_events(args), **kw,
     )
 
 

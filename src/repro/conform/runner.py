@@ -27,6 +27,7 @@ from typing import Any, Callable
 
 from ..bsp.runner import run_reference
 from ..core.checkpoint import SimulationAborted
+from ..core.engine import RunConfig
 from ..core.simulator import build_params, make_engine
 from ..crashcheck import crash_and_recover
 from ..emio.faults import FATAL_IO_FAULTS, FaultPlan
@@ -102,31 +103,25 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
     return planes
 
 
-def _build_engine(
-    config: ConformConfig,
-    faults: FaultPlan | None,
-    max_recoveries: int = 8,
-    storage_dir: str | None = None,
-    crash=None,
-):
-    """One engine instance for ``config`` (fresh algorithm, fresh params)."""
+def _build_engine(config: ConformConfig, faults: FaultPlan | None, **knobs):
+    """One engine instance for ``config`` (fresh algorithm, fresh params);
+    ``knobs`` (``storage_dir``, ``crash``, ``max_recoveries``) complete its
+    :class:`~repro.core.engine.RunConfig`."""
     alg = config.algorithm()
     params = build_params(alg, config.machine(), config.v, k=config.k)
-    kwargs = dict(
+    plane = RunConfig(
+        engine=config.engine,
+        backend=config.backend,
         seed=config.sim_seed,
+        storage=config.storage,
+        fast_io=config.fast_io,
+        context_cache=config.context_cache,
+        records=config.records,
         faults=faults,
         retry=config.retry_policy() if faults is not None else None,
         checkpoint=config.checkpoint,
-        max_recoveries=max_recoveries,
-        context_cache=config.context_cache,
-        fast_io=config.fast_io,
-        storage=config.storage,
-        storage_dir=storage_dir,
-        crash=crash,
     )
-    return make_engine(
-        alg, params, engine=config.engine, backend=config.backend, **kwargs
-    )
+    return make_engine(alg, params, plane, **knobs)
 
 
 def run_case(config: ConformConfig) -> CaseResult:

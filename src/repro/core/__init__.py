@@ -2,6 +2,7 @@
 
 from .checkpoint import SimulationAborted, SuperstepCheckpoint
 from .context import ContextStore
+from .engine import RunConfig
 from .parsim import ParallelEMSimulation
 from .routing import RoutingStats, simulate_routing
 from .seqsim import SequentialEMSimulation
@@ -16,6 +17,7 @@ __all__ = [
     "ParallelEMSimulation",
     "simulate",
     "make_engine",
+    "RunConfig",
     "build_params",
     "SimulationReport",
     "SuperstepReport",

@@ -41,7 +41,10 @@ from typing import Any, Sequence
 from ..obs.profile import NULL_PROFILER
 from .processor import RealProcessor
 
-__all__ = ["InlineBackend", "ProcessBackend", "make_backend"]
+__all__ = ["InlineBackend", "ProcessBackend", "make_backend", "BACKENDS"]
+
+#: The backends :func:`make_backend` builds, by name.
+BACKENDS = ("inline", "process")
 
 # -- pipe wire format ---------------------------------------------------------
 #
@@ -267,4 +270,4 @@ def make_backend(
         return InlineBackend([proc_cls(*args) for args in init_args_list])
     if kind == "process":
         return ProcessBackend(init_args_list, proc_cls)
-    raise ValueError(f"unknown backend {kind!r} (expected 'inline' or 'process')")
+    raise ValueError(f"unknown backend {kind!r} (expected one of {BACKENDS})")

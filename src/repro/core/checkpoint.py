@@ -315,6 +315,6 @@ class SimulationAborted(RuntimeError):
     the "mid-run kill" path.
     """
 
-    def __init__(self, message: str, checkpoint: SuperstepCheckpoint | None = None):
+    def __init__(self, message: str, last: SuperstepCheckpoint | None = None):
         super().__init__(message)
-        self.checkpoint = checkpoint
+        self.checkpoint = last

@@ -30,20 +30,27 @@ and collect the answers* (``backend.call_all``) — and charges every barrier
 phase as the model prescribes, the maximum over processors.  The sequential
 engine is the case of one local processor; a subclass supplies only
 :meth:`EMEngine._superstep`, the one place where the paper's algorithms differ.
+
+How the host runs all this — engine, backend, storage plane, data plane,
+record plane, faults, checkpoints, crashes — is one frozen
+:class:`RunConfig`, declared and checked here, once.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..bsp.program import AlgorithmError, BSPAlgorithm
 from ..costs import CostLedger, SuperstepCost
 from ..emio.faults import FATAL_IO_FAULTS, CrashPlan, FaultPlan, HostCrash, RetryPolicy
-from ..emio.storage import StorageSpec, resolve_storage
+from ..emio.linked import WRITE_SCHEDULES
+from ..emio.storage import STORAGE_KINDS, StorageSpec
 from ..obs.live import RunEventLog
 from ..obs.spans import NULL_OBSERVER, Collector
 from ..params import ParameterError, SimulationParams
-from .backend import make_backend
+from .backend import BACKENDS, make_backend
 from .checkpoint import (
     CheckpointJournal,
     SimulationAborted,
@@ -55,14 +62,212 @@ from .processor import RealProcessor
 from .routing import RoutingStats
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
-__all__ = ["EMEngine"]
+__all__ = ["EMEngine", "RunConfig", "ENGINES", "RECORD_MODES"]
+
+#: ``RunConfig.engine`` values; ``"auto"`` picks by ``p``.
+ENGINES = ("auto", "sequential", "parallel")
+#: ``RunConfig.records`` values besides ``None`` (keep the algorithm's mode).
+RECORD_MODES = ("object", "vector")
+
+
+def _refuse_unknown(field: str, value: Any, allowed: tuple, none_ok: bool = False) -> None:
+    """Raise a :class:`ParameterError` naming ``field`` and ``allowed``
+    unless ``value`` is one of them (or ``None``, where that means a default)."""
+    if value in allowed or (none_ok and value is None):
+        return
+    expected = f"None or one of {allowed}" if none_ok else f"one of {allowed}"
+    raise ParameterError(f"unknown {field} {value!r} (expected {expected})")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """How the host runs a simulation: every engine knob, declared once.
+
+    :class:`~repro.params.SimulationParams` holds what the paper
+    parameterises — the machine ``(p, M, D, B, b, G, g, L)`` and the virtual
+    machine ``(v, k, mu, gamma)``; a ``RunConfig`` holds the rest.
+    :func:`~repro.core.simulator.simulate`,
+    :func:`~repro.core.simulator.make_engine` and both engines take one as
+    ``config=`` and accept its fields as keywords too (folded by :meth:`of`:
+    a keyword wins over the same field of ``config``; a name that is no
+    field is a ``TypeError``).  Every enumerated value is refused at
+    construction, naming the field and what it allows — before any storage
+    root is claimed, written or loaded.  ``RunConfig(**repro.conform.REFERENCE)``
+    is the reference plane.  The run's sinks, ``observer`` and ``events``,
+    are arguments of the engine, not fields: they watch a run and change
+    nothing in it.
+
+    Fields
+    ------
+    engine:
+        ``"auto"`` picks Algorithm 1
+        (:class:`~repro.core.seqsim.SequentialEMSimulation`) for ``p == 1``
+        and Algorithm 3 (:class:`~repro.core.parsim.ParallelEMSimulation`)
+        otherwise; the other values force an engine (the parallel engine
+        accepts ``p == 1`` and exercises the packet-scatter path).  Read by
+        ``make_engine``, which picks the class.
+    backend:
+        Where the parallel engine's real processors run: ``"inline"``
+        (default, the reference) in-process, ``"process"`` one
+        ``multiprocessing`` worker each.  Outputs, ledgers and reports are
+        identical (see :mod:`repro.core.backend`).  The sequential engine
+        has one local processor and refuses ``"process"``.
+    seed:
+        Seed of the random disk-write permutations (Step 1(d)) and, under
+        Algorithm 3, of the packet scatter (processor ``i`` draws from
+        ``"{seed}/proc{i}"``).
+    storage:
+        Block-storage plane backing the simulated disks: ``"memory"``
+        (default, plain dicts), ``"file"`` (one preallocated track file per
+        drive, accessed with ``pread``/``pwrite``), or ``"mmap"`` (the same
+        files through ``mmap``).  Outputs, counted costs, ledgers, and traces
+        are byte-identical across planes — the model charges I/O before data
+        moves, so where the bytes live is invisible to the accounting (see
+        ``DESIGN.md`` §8).  Non-memory planes make truly out-of-core runs
+        possible: resident heap stays bounded by a handful of blocks while
+        the dataset lives in the track files.  Host I/O is synchronous; the
+        routing schedule batches it (DESIGN §12).
+    storage_dir:
+        Directory for the track files on non-memory planes.  ``None``
+        (default) uses a private temporary directory removed when the run
+        finishes; an explicit path persists after the run (that is what
+        checkpoint/resume across processes points at) and must be empty or
+        carry the storage marker file from a previous run.
+    fast_io:
+        The disk array's fast data plane — counted-cost-identical
+        short-circuits of the parallel primitives, legal only on a healthy,
+        untraced array (auto-disabled otherwise).
+    context_cache:
+        Context-swap fast path: hold each context's state object host-side;
+        swaps charge the identical counted I/O without moving block data
+        (see :class:`~repro.core.context.ContextStore`).  Model costs and
+        outputs are unchanged; only host wall-clock improves.
+        Auto-disabled under fault injection.
+
+        Who selects the plane (both knobs): ``None``, the default, asks the
+        storage plane (:meth:`StorageSpec.fast_plane
+        <repro.emio.storage.StorageSpec.fast_plane>`) — on with
+        ``storage="memory"``, where nothing is lost, off on ``"file"`` /
+        ``"mmap"``, where the fast plane would double the out-of-core heap
+        promise (DESIGN §8).  ``True`` / ``False`` are honoured on every
+        plane; ``False`` for both is the *reference plane* the golden tests
+        name (``repro.conform.REFERENCE``).  The engine's own config holds
+        the resolved values, and so does ``run_started``.
+    records:
+        Record plane the algorithm's supersteps run on: ``None`` keeps the
+        algorithm's current mode (``"object"`` by default), ``"object"``
+        forces the per-record reference plane, ``"vector"`` selects the
+        numpy kernels of codec-eligible algorithms (see
+        :mod:`repro.emio.codec` and ``DESIGN.md`` §10).  Counted costs,
+        ledgers, and outputs are identical across modes.  The engine sets
+        it before it claims a storage root; an algorithm that does not
+        support the mode raises ``AlgorithmError`` there.
+    faults:
+        A :class:`~repro.emio.faults.FaultPlan` injecting disk faults
+        (transient errors, corruption, latency spikes, disk death) into the
+        simulated arrays, or None for healthy ones.  Transient faults are
+        masked by bounded retries (``retry``); fatal faults need
+        ``checkpoint=True`` to recover.
+    retry:
+        :class:`~repro.emio.faults.RetryPolicy` bounding the transient-fault
+        retries (defaults to ``RetryPolicy()`` whenever ``faults`` is given).
+    checkpoint:
+        Take a host-side checkpoint at every compound-superstep barrier and
+        recover from fatal I/O faults by restoring it.  Off by default: the
+        checkpoint reads are charged as real parallel I/O.  The run's
+        fault/retry/recovery tallies land in ``report.faults``.
+    max_recoveries:
+        Fatal-fault recovery budget; exceeding it raises
+        :class:`~repro.core.checkpoint.SimulationAborted` carrying the last
+        good checkpoint (hand it to ``resume_from_checkpoint``).
+    crash:
+        A :class:`~repro.emio.faults.CrashPlan` injecting one hard host
+        crash at a chosen barrier stage (torn/lost unsynced writes, or a
+        kill around the journal commit).  Requires ``checkpoint=True`` and
+        a non-memory plane; the run dies with
+        :class:`~repro.emio.faults.HostCrash` and is meant to be scrubbed
+        (:func:`~repro.core.checkpoint.scrub`) and resumed by a fresh engine
+        (see ``repro crashcheck`` and DESIGN §9).
+    write_schedule:
+        Disk-write schedule ("random", "rotate", "static", "balance"; see
+        :class:`~repro.emio.linked.LinkedBuckets`); ``None`` is "random",
+        the paper's.  "rotate" is the ablation that replaces the random
+        write permutation with a deterministic rotation (see the ABL
+        benchmark); "balance" is the paper's deterministic variant for
+        predetermined (CGM) traffic.
+    pad_to_gamma:
+        If True, pad every group's message traffic with dummy blocks to the
+        worst case ``k * ceil(gamma/B)`` the analysis assumes (Lemma 3's
+        "introduction of dummy blocks").  Costs rise to the analytic bound;
+        results are unaffected.  Algorithm 1 only: the parallel engine
+        refuses it.
+    enforce_gamma:
+        Enforce the declared per-superstep communication bound on both the
+        sending and receiving side.
+    """
+
+    engine: str = "auto"
+    backend: str = "inline"
+    seed: int = 0
+    storage: str = "memory"
+    storage_dir: str | os.PathLike | None = None
+    fast_io: bool | None = None
+    context_cache: bool | None = None
+    records: str | None = None
+    faults: FaultPlan | None = None
+    retry: RetryPolicy | None = None
+    checkpoint: bool = False
+    max_recoveries: int = 8
+    crash: CrashPlan | None = None
+    write_schedule: str | None = None
+    pad_to_gamma: bool = False
+    enforce_gamma: bool = True
+
+    def __post_init__(self) -> None:
+        _refuse_unknown("engine", self.engine, ENGINES)
+        _refuse_unknown("backend", self.backend, BACKENDS)
+        _refuse_unknown("storage", self.storage, STORAGE_KINDS)
+        _refuse_unknown("records", self.records, RECORD_MODES, none_ok=True)
+        _refuse_unknown("write_schedule", self.write_schedule, WRITE_SCHEDULES, none_ok=True)
+        if self.crash is not None and (self.storage == "memory" or not self.checkpoint):
+            raise ParameterError(
+                "crash= injects byte-level damage at checkpoint barriers; "
+                "it requires checkpoint=True and a non-memory storage plane"
+            )
+
+    @classmethod
+    def of(cls, config: RunConfig | None = None, **knobs: Any) -> RunConfig:
+        """``config`` (every field at its default when ``None``) with
+        ``knobs`` replacing the fields they name — the one place keyword
+        call sites are folded into a config."""
+        if config is None:
+            return cls(**knobs)
+        if not isinstance(config, cls):
+            raise TypeError(f"config must be a RunConfig, got {config!r}")
+        return replace(config, **knobs) if knobs else config
 
 
 class EMEngine:
     """Barrier lifecycle of an EM-BSP simulation (see the module docstring).
 
-    The knobs are documented once, on
-    :class:`~repro.core.seqsim.SequentialEMSimulation`.
+    ``config`` / ``**knobs`` say how the host runs it (:class:`RunConfig`).
+    ``observer`` is an optional :class:`~repro.obs.spans.Collector`
+    receiving nested spans (superstep > phase), per-disk counter samples,
+    and run metrics — purely read-only at phase boundaries: counted costs,
+    outputs, and reports are byte-identical with and without it, and the
+    fast data plane stays available (unlike
+    :meth:`repro.emio.trace.IOTrace.attach`); export with
+    :func:`repro.obs.write_chrome_trace` / :func:`repro.obs.write_jsonl`.  A
+    ``Collector(profile=True)`` additionally receives the wall-clock
+    attribution profile (DESIGN §11): the engine installs its
+    :class:`~repro.obs.profile.CategoryProfiler` into the disk arrays (and
+    therefore the storage plane) and bills each phase to its category.
+    ``events`` is an optional :class:`~repro.obs.live.RunEventLog`: the
+    engine streams ``run_started`` / ``superstep_started`` /
+    ``superstep_finished`` / ``run_finished`` events (with counted io_ops,
+    storage bytes moved, and an ETA when the log has an ``expected_steps``
+    hint) as line-flushed JSONL (``repro watch <file>`` tails it) —
+    read-only like the observer.
     """
 
     #: ``run_started``'s ``engine`` field.
@@ -79,31 +284,17 @@ class EMEngine:
         self,
         algorithm: BSPAlgorithm,
         params: SimulationParams,
-        seed: int = 0,
-        enforce_gamma: bool = True,
-        write_schedule: str | None = None,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        checkpoint: bool = False,
-        max_recoveries: int = 8,
-        backend: str = "inline",
-        context_cache: bool | None = None,
-        fast_io: bool | None = None,
+        config: RunConfig | None = None,
+        *,
         observer: Collector | None = None,
-        events: "RunEventLog | None" = None,
-        storage: "str | StorageSpec" = "memory",
-        storage_dir: str | None = None,
-        crash: CrashPlan | None = None,
+        events: RunEventLog | None = None,
+        **knobs: Any,
     ):
+        config = RunConfig.of(config, **knobs)
         self.algorithm = algorithm
         self.params = params
-        self.write_schedule = write_schedule or "random"
-        self.faults = faults
-        self.checkpoint_enabled = checkpoint
-        self.max_recoveries = max_recoveries
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.events = events
-        self.crash_plan = crash
         self._crash_counter = 0
 
         m = params.machine
@@ -123,40 +314,42 @@ class EMEngine:
         self._recovery_io_ops = 0
         self._resumed_from: int | None = None
 
-        # Validate before resolve_storage claims an owned temp root, and hand
-        # the root back if anything later in the constructor fails (an unknown
-        # backend, a worker whose processor cannot be built).
-        kind = storage.kind if isinstance(storage, StorageSpec) else storage
-        if crash is not None and (kind in (None, "memory") or not checkpoint):
-            raise ParameterError(
-                "crash= injects byte-level damage at checkpoint barriers; "
-                "it requires checkpoint=True and a non-memory storage plane"
-            )
-        spec = resolve_storage(storage, storage_dir)
+        # Refuse what this engine cannot run and put the algorithm on its
+        # record plane before the storage root is claimed; hand the root back
+        # if anything later in the constructor fails (a worker whose
+        # processor cannot be built).
+        self._refuse(config)
+        if config.records is not None:
+            algorithm.set_record_mode(config.records)
+        spec = StorageSpec.create(config.storage, config.storage_dir).with_crash(
+            config.crash
+        )
         try:
-            if crash is not None:
-                spec = spec.with_crash(crash)
             # The engine claims the root directory; each processor derives
             # (and claims) its proc{i} sub-root from the pickled spec.
             self.storage_spec = spec
-            # What a knob left at None means is the storage plane's call.
-            self.fast_io = spec.fast_plane(fast_io)
-            self.context_cache = spec.fast_plane(context_cache)
+            # What a knob left at None means is the storage plane's call; the
+            # processors are handed the resolved config.
+            self.config = config = replace(
+                config,
+                fast_io=spec.fast_plane(config.fast_io),
+                context_cache=spec.fast_plane(config.context_cache),
+            )
+            self.fast_io, self.context_cache = config.fast_io, config.context_cache
             # Non-memory checkpointed runs publish every barrier atomically
             # through a journal inside the storage root (crash consistency).
             self._journal = (
                 CheckpointJournal(spec.root)
-                if checkpoint and spec.kind != "memory"
+                if config.checkpoint and spec.kind != "memory"
                 else None
             )
             observe = observer is not None and not self.SOLE
             self.backend = make_backend(
-                backend,
+                config.backend,
                 [
                     (
-                        i, algorithm, params, seed, self.write_schedule,
-                        faults, retry, enforce_gamma, self.context_cache, self.fast_io,
-                        observe, spec, self.obs.profile.enabled, self.SOLE,
+                        i, algorithm, params, config, spec, observe,
+                        self.obs.profile.enabled, self.SOLE,
                     )
                     for i in range(self.p)
                 ],
@@ -180,6 +373,32 @@ class EMEngine:
                 if pr.obs.enabled:
                     pr.obs.share_profile(self.obs.profile)
                 pr.array.set_profiler(self.obs.profile)
+
+    def _refuse(self, config: RunConfig) -> None:
+        """The knobs only one engine can honour, refused by name."""
+        p = self.p
+        if not self.SOLE:
+            if config.pad_to_gamma:
+                raise ParameterError(
+                    "pad_to_gamma=True pads Algorithm 1's groups to the analysis' "
+                    "worst case; the parallel engine has no groups to pad"
+                )
+            return
+        if p != 1:
+            raise ParameterError(f"{type(self).__name__} requires p=1, got p={p}")
+        if config.backend != "inline":
+            # Name both knobs: the caller must change either `backend` (to
+            # "inline") or `engine` (to "parallel", which accepts p == 1).
+            how = (
+                f"engine='auto' resolved to 'sequential' because machine.p={p}"
+                if config.engine == "auto"
+                else f"engine={config.engine!r}"
+            )
+            raise ValueError(
+                f"backend={config.backend!r} requires the parallel engine, but "
+                f"{how}; pass engine='parallel' (it accepts p=1) or "
+                "backend='inline' (the sequential engine has a single real processor)"
+            )
 
     # -- main entry ------------------------------------------------------------------
 
@@ -220,7 +439,7 @@ class EMEngine:
             if ckpt is None:
                 self._emit_run_started()
                 self._load_input()
-                if self.checkpoint_enabled:
+                if self.config.checkpoint:
                     self._guarded_checkpoint(0)
                 start = 0
             else:
@@ -372,7 +591,7 @@ class EMEngine:
                 with self.obs.span("superstep", step=step, cat="layout") as sp:
                     finished = self._superstep(step)
                     sp.add(io_ops=self.report.supersteps[-1].phases.total)
-                if not finished and self.checkpoint_enabled:
+                if not finished and self.config.checkpoint:
                     self._take_checkpoint(step + 1)
                 self.obs.profile.mark_superstep(step)
                 if self.events is not None:
@@ -410,10 +629,10 @@ class EMEngine:
                 f"(run with checkpoint=True): {exc}",
                 None,
             ) from exc
-        if self._recoveries > self.max_recoveries:
+        if self._recoveries > self.config.max_recoveries:
             raise SimulationAborted(
                 f"fatal I/O fault after exhausting max_recoveries="
-                f"{self.max_recoveries}: {exc}",
+                f"{self.config.max_recoveries}: {exc}",
                 self.last_checkpoint,
             ) from exc
         self._restore(self.last_checkpoint)
@@ -464,7 +683,7 @@ class EMEngine:
         write log, then the engine dies — modelling a whole-host crash that
         takes the workers' page caches with it.
         """
-        plan = self.crash_plan
+        plan = self.config.crash
         if plan is None:
             return
         point = self._crash_counter
@@ -571,8 +790,8 @@ class EMEngine:
 
     def _attach_fault_report(self) -> None:
         if (
-            self.faults is None
-            and not self.checkpoint_enabled
+            self.config.faults is None
+            and not self.config.checkpoint
             and self._resumed_from is None
         ):
             return

@@ -210,24 +210,13 @@ class ParallelEMSimulation(_Placement, EMEngine):
     :class:`~repro.core.seqsim.SequentialEMSimulation` (messages still pass
     through the packet-scatter path, but there is only one bin to scatter to).
 
-    Every knob but ``backend`` is the sequential engine's; see
-    :class:`~repro.core.seqsim.SequentialEMSimulation` for the semantics.
-
-    Parameters
-    ----------
-    backend:
-        ``"inline"`` (default, the reference) simulates the real processors
-        in-process; ``"process"`` runs each on its own ``multiprocessing``
-        worker.  Outputs, ledgers, and reports are identical — see
-        :mod:`repro.core.backend`.
-    observer:
-        Optional :class:`~repro.obs.spans.Collector`.  The engine emits
-        barrier-level spans (superstep > fetch/compute/write/reorganize) on
-        its own track; every real processor collects its own spans, samples,
-        and metrics worker-side — under the process backend they travel back
-        over the pipes — and the engine merges them into ``observer`` as one
-        coherent timeline (``perf_counter`` is host-wide monotonic).  Counted
-        costs, outputs, and reports are byte-identical with and without it.
+    Built like every engine (see :class:`~repro.core.engine.RunConfig`);
+    ``backend`` places the real processors.  Under an ``observer`` the engine
+    emits barrier-level spans (superstep > fetch/compute/write/reorganize)
+    on its own track; every real processor collects its own spans, samples,
+    and metrics worker-side — under the process backend they travel back
+    over the pipes — and the engine merges them into ``observer`` as one
+    coherent timeline (``perf_counter`` is host-wide monotonic).
     """
 
     ENGINE = "parallel"

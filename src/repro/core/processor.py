@@ -20,13 +20,12 @@ a ``multiprocessing`` worker (:mod:`repro.core.backend`).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..bsp.message import blocks_to_messages
 from ..bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
-from ..emio.faults import FaultPlan, RetryPolicy
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
 from ..emio.storage import StorageSpec
@@ -34,6 +33,9 @@ from ..obs.spans import NULL_OBSERVER, Collector, NullObserver
 from ..params import SimulationParams
 from .checkpoint import freeze, thaw
 from .context import ContextStore
+
+if TYPE_CHECKING:
+    from .engine import RunConfig
 
 __all__ = ["RealProcessor"]
 
@@ -44,12 +46,14 @@ class RealProcessor:
     Self-contained and picklable-by-construction (built from its init tuple
     inside a worker when the process backend is used).
 
-    ``sole`` marks the only processor of a ``p = 1`` machine under
-    Algorithm 1: it owns the storage root itself instead of a ``proc{i}``
-    sub-root, draws from the engine's ``random.Random(seed)`` stream, and
-    names its regions without a processor tag.  ``observe`` gives the
-    processor a telemetry track of its own (spans, samples, metrics),
-    drained to the engine by :meth:`drain_obs`.
+    ``config`` is the engine's :class:`~repro.core.engine.RunConfig` with
+    ``fast_io`` / ``context_cache`` already resolved against ``spec``, the
+    engine's storage plane.  ``sole`` marks the only processor of a
+    ``p = 1`` machine under Algorithm 1: it owns the storage root itself
+    instead of a ``proc{i}`` sub-root, draws from the engine's
+    ``random.Random(seed)`` stream, and names its regions without a
+    processor tag.  ``observe`` gives the processor a telemetry track of its
+    own (spans, samples, metrics), drained to the engine by :meth:`drain_obs`.
     """
 
     def __init__(
@@ -57,15 +61,9 @@ class RealProcessor:
         index: int,
         algorithm: BSPAlgorithm,
         params: SimulationParams,
-        seed: int,
-        write_schedule: str,
-        faults: FaultPlan | None,
-        retry: RetryPolicy | None,
-        enforce_gamma: bool,
-        context_cache: bool,
-        fast_io: bool,
+        config: RunConfig,
+        spec: StorageSpec,
         observe: bool = False,
-        storage: StorageSpec | None = None,
         profile: bool = False,
         sole: bool = False,
     ):
@@ -78,25 +76,25 @@ class RealProcessor:
         self.k = params.k
         self.vpp = s.v // m.p  # virtual processors per real processor
         self.nbatches = self.vpp // self.k  # groups of k swapped through memory
-        self.gamma = algorithm.comm_bound() if enforce_gamma else None
-        self.write_schedule = write_schedule
+        self.gamma = algorithm.comm_bound() if config.enforce_gamma else None
+        self.write_schedule = config.write_schedule or "random"
         self.tag = "" if sole else f"p{index}"
         # Per-processor deterministic RNG stream: identical across backends,
         # independent across processors (no cross-processor draw ordering).
+        seed = config.seed
         self.rng = random.Random(seed if sole else f"{seed}/proc{index}")
         # Each real processor owns its drives, so each gets its own storage
         # sub-root (claimed worker-side under the process backend).
-        spec = storage if storage is not None else StorageSpec()
         self.storage_spec = spec if sole else spec.for_proc(index)
         self.array = DiskArray(
-            m.D, m.B, faults=faults, retry=retry, proc=index, fast_io=fast_io,
-            storage=self.storage_spec, M=m.M,
+            m.D, m.B, faults=config.faults, retry=config.retry, proc=index,
+            fast_io=config.fast_io, storage=self.storage_spec, M=m.M,
         )
         self.allocator = RegionAllocator(self.array)
         self.contexts = ContextStore(
             self.array, self.allocator, self.vpp, s.mu, m.B,
             name=f"ctx@{self.tag}" if self.tag else "contexts",
-            cache=context_cache,
+            cache=config.context_cache,
         )
         self.incoming: StripedRegion | None = None
         self.buckets: LinkedBuckets | None = None

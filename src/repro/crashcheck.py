@@ -35,11 +35,12 @@ give the same crash points, the same damage, and the same verdicts.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .bsp.program import BSPAlgorithm
 from .core.checkpoint import ScrubResult, scrub
+from .core.engine import RunConfig
 from .core.simulator import build_params, make_engine
 from .emio.faults import CRASH_STAGES, CrashPlan, HostCrash
 from .params import MachineParams
@@ -151,14 +152,11 @@ def explore(
     root: str | os.PathLike,
     *,
     k: int | None = None,
-    seed: int = 0,
     crash_seed: int = 7,
     keep_rate: float = 0.5,
-    backend: str = "inline",
-    storage: str = "file",
     observer: Any = None,
     log: Callable[[str], None] | None = None,
-    **plane,
+    **knobs,
 ) -> CrashCheckResult:
     """Crash at every crash point of the run; verify every recovery.
 
@@ -167,36 +165,26 @@ def explore(
     ``ConformConfig.algorithm`` is exactly such a factory.  ``root`` is a
     scratch directory the sweep fills with one storage root per crash
     point (``golden``, ``pt0``, ``pt1``, ...), left behind for post-mortem.
-    ``plane`` picks the data plane every engine of the sweep runs on:
-    ``records=`` (as :func:`~repro.core.simulator.simulate` takes it) and
-    engine knobs such as ``fast_io=True, context_cache=True``.
+    ``knobs`` (:class:`~repro.core.engine.RunConfig` fields, e.g.
+    ``records="vector", fast_io=True, context_cache=True``) pick the plane
+    every engine of the sweep runs on; ``storage`` defaults to ``"file"``
+    here, and every run is checkpointed.
     """
     say = log or (lambda _msg: None)
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
-    records = plane.pop("records", None)
+    plane = RunConfig.of(RunConfig(storage="file"), **knobs)
+    # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
+    auto = plane.engine == "auto" and plane.backend != "inline"
+    plane = replace(plane, checkpoint=True, engine="parallel" if auto else plane.engine)
 
-    def build(storage_dir: str, crash: CrashPlan | None = None, max_recoveries: int = 8):
-        """One engine over a fresh algorithm instance, storage plane attached."""
+    def build(**kw):
+        """One engine over a fresh algorithm instance, on the sweep's plane
+        with ``kw`` (``storage_dir``, ``crash``, ``max_recoveries``) set."""
         alg = algorithm_factory()
-        if records is not None:
-            alg.set_record_mode(records)
-        return make_engine(
-            alg,
-            build_params(alg, machine, v, k=k),
-            # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
-            engine="auto" if backend == "inline" else "parallel",
-            backend=backend,
-            seed=seed,
-            checkpoint=True,
-            max_recoveries=max_recoveries,
-            storage=storage,
-            storage_dir=storage_dir,
-            crash=crash,
-            **plane,
-        )
+        return make_engine(alg, build_params(alg, machine, v, k=k), plane, **kw)
 
-    golden_out, golden_rep = build(os.path.join(root, "golden")).run()
+    golden_out, golden_rep = build(storage_dir=os.path.join(root, "golden")).run()
     checkpoints = golden_rep.faults.checkpoints_taken
     golden_summary = golden_rep.ledger.summary()
     total = len(CRASH_STAGES) * checkpoints

@@ -30,7 +30,10 @@ from .disk import Block, DiskError
 from .diskarray import DiskArray
 from .layout import RegionAllocator
 
-__all__ = ["LinkedBuckets"]
+__all__ = ["LinkedBuckets", "WRITE_SCHEDULES"]
+
+#: The disk-assignment policies of a write cycle (see ``schedule`` below).
+WRITE_SCHEDULES = ("random", "rotate", "static", "balance")
 
 
 class LinkedBuckets:
@@ -80,7 +83,7 @@ class LinkedBuckets:
         chunk: int = 16,
         schedule: str = "random",
     ):
-        if schedule not in ("random", "rotate", "static", "balance"):
+        if schedule not in WRITE_SCHEDULES:
             raise ValueError(f"unknown write schedule {schedule!r}")
         self.array = array
         self.allocator = allocator

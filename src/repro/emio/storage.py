@@ -1111,7 +1111,8 @@ class StorageSpec:
 def resolve_storage(
     storage: "str | StorageSpec | None", storage_dir: str | os.PathLike | None
 ) -> StorageSpec:
-    """Normalize the engine-level ``storage=``/``storage_dir=`` knobs."""
+    """Normalize a ``storage=`` argument (a kind, a spec, or ``None``) and its
+    ``storage_dir`` into a :class:`StorageSpec` (the baselines' arrays)."""
     if storage is None:
         storage = "memory"
     if isinstance(storage, StorageSpec):
