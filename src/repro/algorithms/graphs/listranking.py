@@ -1,13 +1,14 @@
 """CGM list ranking (Table 1, Group C) — contract, solve small, expand.
 
 The coarse-grained list-ranking strategy of Cáceres et al. [11]: repeatedly
-contract the list by randomized independent-set absorption until the reduced
+contract the list by removing an independent set of nodes until the reduced
 list fits in a single virtual processor's memory (``O(n/v)`` nodes), solve it
-locally there, then undo the contractions in reverse order.  Each contraction
-round removes an expected constant fraction of the nodes, so ``O(log v)``
-rounds suffice to shrink by the factor ``v`` — the ``lambda = O(log p)``
-behaviour of Table 1's Group C (compare the PRAM baseline's
-``Theta(log n)`` full sort-and-scan passes).
+locally there, then undo the contractions in reverse order.  Each round is
+*one* superstep each way and removes an expected third of the list, so
+``R = O(log v)`` rounds shrink it by the factor ``v`` and the whole run takes
+``2R + 4`` supersteps: that ``R`` is this algorithm's ``lambda``, the
+``O(log p)`` of Table 1's Group C once ``v`` is a constant multiple of ``p``
+(compare the PRAM baseline's ``Theta(log n)`` full sort-and-scan passes).
 
 Per node ``u`` the algorithm maintains a successor ``succ(u)`` and an edge
 weight ``w(u)`` (the weight of the edge ``u -> succ(u)``); the *rank* of
@@ -16,15 +17,31 @@ With unit weights that is the distance to the tail; with arbitrary weights
 this computes suffix sums over the list — the primitive the Euler-tour
 applications (:mod:`repro.algorithms.graphs.treealgos`) build on.
 
-Contraction round ``r``: every node gets a deterministic pseudo-random coin
-``coin(u, r)``; a node ``u`` with ``coin = 1`` whose successor ``s`` has
-``coin = 0`` (and is not the tail) *absorbs* ``s``: ``succ(u) <- succ(s)``
-and ``w(u) <- w(u) + w(s)``; ``s`` records ``(round, x = succ(s), w(s))``
-for the expansion phase, where its rank becomes ``rank(x) + w(s)``.
+The schedule:
+
+* **Link back** (superstep 0): every non-tail ``u`` tells its successor's
+  owner ``pred(succ(u)) = u``, so the list is doubly linked.
+* **Contract round** ``r`` (one superstep each): apply round ``r - 1``'s
+  updates, then remove every active non-tail node ``s`` whose priority
+  ``(_prio(s, r), s)`` is strictly below both neighbours' (a missing
+  predecessor counts as ``+inf``).  Two adjacent nodes cannot both be
+  minima of their 3-windows, so the removed set is independent; it holds an
+  expected third of the list.  A removed ``s`` sends ``succ <- x,
+  w += w(s)`` to its predecessor ``p`` and ``pred <- p`` to its successor
+  ``x``, which logs ``s`` under round ``r``; ``w(s)`` stays frozen at ``s``.
+  Active counts ride along to vp 0, which tells every vp to gather in the
+  round it sees the total at most ``gather_threshold`` (a one-round lag).
+* **Gather, solve**: the survivors go to vp 0, which ranks them by walking
+  back from the tail and scatters the ranks.  A list no longer than the
+  threshold gathers at superstep 0 and skips contraction altogether.
+* **Expand round** ``r`` (one superstep each, last round first): every node
+  ``x`` pushes ``rank(x)`` to each ``s`` it logged in round ``r``, and ``s``
+  sets ``rank(s) = rank(x) + w(s)``.
 
 Contexts are stored as parallel lists indexed by ``node - lo`` — an order
 of magnitude tighter under pickling than per-node dicts, which directly
-reduces the generated EM algorithm's I/O volume.
+reduces the generated EM algorithm's I/O volume.  Messages are flat integer
+runs with no per-record tags.
 """
 
 from __future__ import annotations
@@ -38,29 +55,47 @@ from ...bsp.program import BSPAlgorithm, VPContext
 
 __all__ = ["CGMListRanking"]
 
+_MASK = 0xFFFFFFFFFFFFFFFF
 
-def _coin(node: int, rnd: int, seed: int) -> int:
-    """Deterministic pseudo-random coin, computable by every vp without
-    communication (both endpoints of an edge can evaluate it)."""
+
+def _prio(node: int, rnd: int, seed: int) -> int:
+    """Deterministic 64-bit pseudo-random priority of ``node`` in round
+    ``rnd``, computable by every vp without communication (both endpoints
+    of an edge can evaluate it).  Callers compare ``(_prio, node)`` pairs,
+    so a tie falls to the node id."""
     x = (node * 0x9E3779B97F4A7C15 + rnd * 0xBF58476D1CE4E5B9 + seed * 0x94D049BB) \
-        & 0xFFFFFFFFFFFFFFFF
+        & _MASK
     x ^= x >> 31
-    x = (x * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    return (x >> 17) & 1
+    return (x * 0x9E3779B97F4A7C15) & _MASK
 
 
-def _coin_arr(nodes: np.ndarray, rnd: int, seed: int) -> np.ndarray:
-    """:func:`_coin` over a node array — bit-identical, uint64 wraparound
-    plays the role of the ``& 0xFFFF...`` masks (mod-2**64 arithmetic is
+def _prio_arr(nodes: np.ndarray, rnd: int, seed: int) -> np.ndarray:
+    """:func:`_prio` over a node array, as uint64 — bit-identical, uint64
+    wraparound plays the role of the ``& _MASK`` (mod-2**64 arithmetic is
     associative, so hoisting the round/seed term out is exact)."""
-    add = np.uint64(
-        (rnd * 0xBF58476D1CE4E5B9 + seed * 0x94D049BB) & 0xFFFFFFFFFFFFFFFF
-    )
+    add = np.uint64((rnd * 0xBF58476D1CE4E5B9 + seed * 0x94D049BB) & _MASK)
     with np.errstate(over="ignore"):
         x = nodes.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + add
         x ^= x >> np.uint64(31)
         x *= np.uint64(0x9E3779B97F4A7C15)
-    return ((x >> np.uint64(17)) & np.uint64(1)).astype(np.int64)
+    return x
+
+
+def _coin(node: int, rnd: int, seed: int) -> int:
+    """Deterministic pseudo-random coin: one bit of :func:`_prio`."""
+    return (_prio(node, rnd, seed) >> 17) & 1
+
+
+def _coin_arr(nodes: np.ndarray, rnd: int, seed: int) -> np.ndarray:
+    """:func:`_coin` over a node array — bit-identical."""
+    return ((_prio_arr(nodes, rnd, seed) >> np.uint64(17)) & np.uint64(1)).astype(
+        np.int64
+    )
+
+
+def _below(hu: np.ndarray, u: np.ndarray, hv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(hu, u) < (hv, v)`` elementwise."""
+    return (hu < hv) | ((hu == hv) & (u < v))
 
 
 class CGMListRanking(BSPAlgorithm):
@@ -77,14 +112,13 @@ class CGMListRanking(BSPAlgorithm):
         Optional per-node edge weights (``w(u)`` for the edge out of ``u``);
         default is 1 for every non-tail node.  The tail's value is ignored.
     seed:
-        Seed of the contraction coins.
+        Seed of the contraction priorities.
 
     Output ``j`` is the list of ``(node, rank)`` pairs for vp ``j``'s nodes.
 
-    The ``"vector"`` record mode swaps the per-node coin and removal-round
-    scans for numpy kernels; contexts and message payloads are untouched
-    (the mixed-tag payloads are not codec-encodable), so golden identity
-    with the object plane is structural.
+    The ``"vector"`` record mode computes each round's removal mask with
+    numpy (:func:`_prio_arr`); contexts and message payloads are untouched,
+    so golden identity with the object plane is structural.
     """
 
     RECORD_MODES = ("object", "vector")
@@ -135,14 +169,17 @@ class CGMListRanking(BSPAlgorithm):
         return {
             "lo": lo,
             "m": m,
-            "succ": succ,
-            "w": w,
-            "active": [True] * m,
-            "rem_round": [-1] * m,  # contraction round at which removed
-            "rem_x": [0] * m,  # successor at removal
-            "rem_w": [0] * m,  # weight at removal
+            "succ": succ,  # -1 once the node is contracted away
+            "pred": [-1] * m,  # -1: the head (or not yet linked back)
+            "w": w,  # frozen at removal: rank(s) = rank(x) + w(s)
+            "live": m,  # active nodes
             "rank": [None] * m,
-            "phase": "C1",
+            # Expansion log: round r's removed nodes s and the local index of
+            # the successor x that ranks each, from log_at[r] on.
+            "log_x": [],
+            "log_s": [],
+            "log_at": [],
+            "phase": "GATHER" if self.n <= self.gather_threshold else "LINK",
             "round": 0,
             "R": None,  # contraction rounds executed (set at gather)
             "eround": None,
@@ -152,20 +189,16 @@ class CGMListRanking(BSPAlgorithm):
 
     def superstep(self, ctx: VPContext) -> None:
         phase = ctx.state["phase"]
-        if phase == "C1":
-            self._contract_request(ctx)
-        elif phase == "C2":
-            self._contract_reply(ctx)
-        elif phase == "C3":
-            self._contract_apply(ctx)
+        if phase == "LINK":
+            self._link_back(ctx)
+        elif phase == "CONTRACT":
+            self._contract(ctx)
+        elif phase == "GATHER":
+            self._gather(ctx)
         elif phase == "SOLVE":
             self._solve(ctx)
-        elif phase == "EINIT":
-            self._expand_init(ctx)
-        elif phase == "EB":
-            self._expand_reply(ctx)
-        elif phase == "EC":
-            self._expand_apply(ctx)
+        elif phase == "EXPAND":
+            self._expand(ctx)
         elif phase == "DONE":
             ctx.vote_halt()
         else:  # pragma: no cover - defensive
@@ -174,102 +207,120 @@ class CGMListRanking(BSPAlgorithm):
     def _owner(self, node: int, v: int) -> int:
         return owner_of_index(node, self.n, v)
 
-    def _contract_request(self, ctx: VPContext) -> None:
-        st = ctx.state
-        rnd, lo = st["round"], st["lo"]
-        by_dest: dict[int, list] = {}
-        if self.record_mode == "vector":
-            active_idx = np.flatnonzero(np.asarray(st["active"], bool))
-            nactive = len(active_idx)
-            u_arr = active_idx + lo
-            s_arr = np.asarray(st["succ"], np.int64)[active_idx]
-            nontail = s_arr != u_arr
-            u_arr, s_arr = u_arr[nontail], s_arr[nontail]
-            hit = (_coin_arr(u_arr, rnd, self.seed) == 1) & (
-                _coin_arr(s_arr, rnd, self.seed) == 0
-            )
-            for u, s in zip(u_arr[hit].tolist(), s_arr[hit].tolist()):
-                by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend(
-                    ("A", u, s)
-                )
-        else:
-            nactive = 0
-            for li in range(st["m"]):
-                if not st["active"][li]:
-                    continue
-                nactive += 1
-                u = lo + li
-                s = st["succ"][li]
-                if s == u:
-                    continue  # tail
-                if _coin(u, rnd, self.seed) == 1 and _coin(s, rnd, self.seed) == 0:
-                    by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend(
-                        ("A", u, s)
-                    )
-        # Piggyback the active count for vp 0's gather decision.
-        by_dest.setdefault(0, []).extend(("N", ctx.pid, nactive))
-        ctx.charge(st["m"])
-        ctx.send_all(by_dest)
-        st["phase"] = "C2"
-
-    def _contract_reply(self, ctx: VPContext) -> None:
-        st = ctx.state
-        rnd, lo = st["round"], st["lo"]
-        by_dest: dict[int, list] = {}
-        total_active = 0
-        for m in ctx.incoming:
-            it = iter(m.payload)
-            for tag in it:
-                if tag == "A":
-                    u, s = next(it), next(it)
-                    li = s - lo
-                    if st["active"][li] and st["succ"][li] != s:
-                        # s is absorbed: record undo info, deactivate.
-                        st["rem_round"][li] = rnd
-                        st["rem_x"][li] = st["succ"][li]
-                        st["rem_w"][li] = st["w"][li]
-                        st["active"][li] = False
-                        by_dest.setdefault(self._owner(u, ctx.nprocs), []).extend(
-                            ("R", u, st["succ"][li], st["w"][li])
-                        )
-                elif tag == "N":
-                    _pid, cnt = next(it), next(it)
-                    total_active += cnt
-        if ctx.pid == 0:
-            decision = "G" if total_active <= self.gather_threshold else "C"
-            for dest in range(ctx.nprocs):
-                ctx.send(dest, ["D", decision])
-        ctx.charge(st["m"])
-        ctx.send_all(by_dest)
-        st["phase"] = "C3"
-
-    def _contract_apply(self, ctx: VPContext) -> None:
+    def _link_back(self, ctx: VPContext) -> None:
         st = ctx.state
         lo = st["lo"]
-        decision = None
-        for m in ctx.incoming:
-            it = iter(m.payload)
-            for tag in it:
-                if tag == "R":
-                    u, x, w_s = next(it), next(it), next(it)
-                    li = u - lo
-                    st["succ"][li] = x
-                    st["w"][li] += w_s
-                elif tag == "D":
-                    decision = next(it)
+        by_dest: dict[int, list] = {}
+        for li, s in enumerate(st["succ"]):
+            if s != lo + li:
+                by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend((s, lo + li))
         ctx.charge(st["m"])
-        if decision == "G":
-            # Ship the reduced list to vp 0 for the sequential solve.
-            st["R"] = st["round"] + 1
-            payload = []
-            for li in range(st["m"]):
-                if st["active"][li]:
-                    payload.extend((lo + li, st["succ"][li], st["w"][li]))
-            ctx.send(0, payload)
-            st["phase"] = "SOLVE"
+        ctx.send_all(by_dest)
+        st["phase"] = "CONTRACT"
+
+    def _contract(self, ctx: VPContext) -> None:
+        """Apply the previous round's updates, then run round ``st["round"]``.
+
+        A round-``r`` message is ``[k, live, gather]`` followed by ``k``
+        successor updates ``(p, x, w(s))`` and then pred updates ``(x, p,
+        s)``; ``live`` counts for vp 0 only.  Round 0 receives the link-back
+        pairs ``(x, p)`` instead.
+        """
+        st = ctx.state
+        lo, rnd = st["lo"], st["round"]
+        succ, pred, w = st["succ"], st["pred"], st["w"]
+        total, gather = 0, False
+        if rnd == 0:
+            for m in ctx.incoming:
+                it = iter(m.payload)
+                for x in it:
+                    pred[x - lo] = next(it)
         else:
-            st["round"] += 1
-            self._contract_request(ctx)  # emits C1 messages; sets phase C2
+            log_x, log_s = st["log_x"], st["log_s"]
+            st["log_at"].append(len(log_s))
+            for m in ctx.incoming:
+                pl = m.payload
+                split = 3 + 3 * pl[0]
+                total += pl[1]
+                gather = gather or bool(pl[2])
+                it = iter(pl[3:split])
+                for p in it:
+                    li = p - lo
+                    succ[li] = next(it)
+                    w[li] += next(it)
+                it = iter(pl[split:])
+                for x in it:
+                    li = x - lo
+                    pred[li] = next(it)
+                    log_x.append(li)
+                    log_s.append(next(it))
+        if gather:
+            self._gather(ctx)
+            return
+
+        ctx.charge(st["m"])
+        v = ctx.nprocs
+        to_pred: dict[int, list] = {}
+        to_succ: dict[int, list] = {}
+        leaving = self._leaving(st, rnd)
+        for li in leaving:
+            p, x = pred[li], succ[li]
+            if p >= 0:
+                to_pred.setdefault(self._owner(p, v), []).extend((p, x, w[li]))
+            to_succ.setdefault(self._owner(x, v), []).extend((x, p, lo + li))
+            succ[li] = -1
+        st["live"] -= len(leaving)
+        # vp 0 decides on the counts of the round before: one round of lag.
+        decide = ctx.pid == 0 and rnd > 0 and total <= self.gather_threshold
+        dests = range(v) if decide else sorted({0, *to_pred, *to_succ})
+        for d in dests:
+            head = to_pred.get(d, ())
+            ctx.send(d, [len(head) // 3, st["live"] if d == 0 else 0, int(decide),
+                         *head, *to_succ.get(d, ())])
+        st["round"] = rnd + 1
+
+    def _leaving(self, st: dict, rnd: int) -> list[int]:
+        """Local indices of the nodes removed in round ``rnd``, ascending:
+        the active non-tail nodes whose priority is below both neighbours'."""
+        lo, seed = st["lo"], self.seed
+        if self.record_mode == "vector":
+            succ = np.asarray(st["succ"], np.int64)
+            idx = np.flatnonzero(succ >= 0)
+            idx = idx[succ[idx] != idx + lo]  # the tail is never removed
+            u, s = idx + lo, succ[idx]
+            p = np.asarray(st["pred"], np.int64)[idx]
+            hu = _prio_arr(u, rnd, seed)
+            hp = _prio_arr(np.maximum(p, 0), rnd, seed)
+            mask = _below(hu, u, _prio_arr(s, rnd, seed), s) & (
+                (p < 0) | _below(hu, u, hp, p)
+            )
+            return idx[mask].tolist()
+        out = []
+        pred = st["pred"]
+        for li, s in enumerate(st["succ"]):
+            u = lo + li
+            if s < 0 or s == u:
+                continue  # contracted away, or the tail
+            key = (_prio(u, rnd, seed), u)
+            if key < (_prio(s, rnd, seed), s):
+                p = pred[li]
+                if p < 0 or key < (_prio(p, rnd, seed), p):
+                    out.append(li)
+        return out
+
+    def _gather(self, ctx: VPContext) -> None:
+        """Ship the reduced list to vp 0 for the sequential solve."""
+        st = ctx.state
+        lo, w = st["lo"], st["w"]
+        payload = []
+        for li, s in enumerate(st["succ"]):
+            if s >= 0:
+                payload.extend((lo + li, s, w[li]))
+        ctx.charge(st["m"])
+        if payload:
+            ctx.send(0, payload)
+        st["R"] = st["round"]
+        st["phase"] = "SOLVE"
 
     def _solve(self, ctx: VPContext) -> None:
         st = ctx.state
@@ -302,72 +353,37 @@ class CGMListRanking(BSPAlgorithm):
             for u, r in ranks.items():
                 by_dest.setdefault(self._owner(u, ctx.nprocs), []).extend((u, r))
             ctx.send_all(by_dest)
-        st["phase"] = "EINIT"
+        st["eround"] = st["R"]
+        st["phase"] = "EXPAND"
 
-    def _expand_init(self, ctx: VPContext) -> None:
-        st = ctx.state
-        for m in ctx.incoming:
-            it = iter(m.payload)
-            for u in it:
-                st["rank"][u - st["lo"]] = next(it)
-        st["eround"] = st["R"] - 1
-        self._expand_request(ctx)
+    def _expand(self, ctx: VPContext) -> None:
+        """Take in ranks ``(s, r)``, then push expansion round ``eround - 1``.
 
-    def _expand_request(self, ctx: VPContext) -> None:
-        """Emit rank requests for nodes removed in the current expansion round."""
+        The first expand superstep receives the solved ranks themselves;
+        after that ``r`` is ``rank(x)`` and ``rank(s) = r + w(s)``.
+        """
         st = ctx.state
-        if st["eround"] is not None and st["eround"] >= 0:
-            er, lo = st["eround"], st["lo"]
-            by_dest: dict[int, list] = {}
-            if self.record_mode == "vector":
-                removed = np.flatnonzero(
-                    np.asarray(st["rem_round"], np.int64) == er
-                ).tolist()
-            else:
-                removed = [
-                    li for li in range(st["m"]) if st["rem_round"][li] == er
-                ]
-            for li in removed:
-                x = st["rem_x"][li]
-                by_dest.setdefault(self._owner(x, ctx.nprocs), []).extend(
-                    (lo + li, x)
-                )
-            ctx.charge(st["m"])
-            ctx.send_all(by_dest)
-            # Even with zero local requests the vp must stay in lockstep:
-            # other vps may have requests for *it* in this round.
-            st["phase"] = "EB"
-            return
-        st["phase"] = "DONE"
-        ctx.vote_halt()
-
-    def _expand_reply(self, ctx: VPContext) -> None:
-        st = ctx.state
-        lo = st["lo"]
-        by_dest: dict[int, list] = {}
+        lo, rank, w = st["lo"], st["rank"], st["w"]
+        solved = st["eround"] == st["R"]
         for m in ctx.incoming:
             it = iter(m.payload)
             for s in it:
-                x = next(it)
-                r = st["rank"][x - lo]
-                if r is None:  # pragma: no cover - defensive
-                    raise AssertionError(f"rank of {x} unknown during expansion")
-                by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend((s, r))
-        ctx.charge(st["m"])
-        ctx.send_all(by_dest)
-        st["phase"] = "EC"
-
-    def _expand_apply(self, ctx: VPContext) -> None:
-        st = ctx.state
-        lo = st["lo"]
-        for m in ctx.incoming:
-            it = iter(m.payload)
-            for s in it:
-                rank_x = next(it)
                 li = s - lo
-                st["rank"][li] = rank_x + st["rem_w"][li]
-        st["eround"] -= 1
-        self._expand_request(ctx)
+                rank[li] = next(it) if solved else next(it) + w[li]
+        ctx.charge(st["m"])
+        er = st["eround"] = st["eround"] - 1
+        if er < 0:
+            st["phase"] = "DONE"
+            ctx.vote_halt()
+            return
+        log_at = st["log_at"]
+        end = log_at[er + 1] if er + 1 < len(log_at) else len(st["log_s"])
+        by_dest: dict[int, list] = {}
+        for x, s in zip(st["log_x"][log_at[er]:end], st["log_s"][log_at[er]:end]):
+            by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend((s, rank[x]))
+        # Even with nothing to push the vp stays in lockstep: other vps may
+        # push to *it* this round.
+        ctx.send_all(by_dest)
 
     def output(self, pid: int, state) -> list[tuple[int, Any]]:
         lo = state["lo"]

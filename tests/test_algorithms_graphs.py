@@ -1,6 +1,11 @@
 """Tests for Group C CGM graph algorithms."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import workloads
 from repro.algorithms.graphs import (
@@ -13,6 +18,7 @@ from repro.algorithms.graphs import (
     subtree_sizes,
     tree_depths,
 )
+from repro.algorithms.graphs.listranking import _prio, _prio_arr
 from repro.bsp.runner import run_reference
 from repro.core.simulator import simulate
 from repro.params import MachineParams
@@ -20,12 +26,14 @@ from repro.params import MachineParams
 MACHINE = MachineParams(p=1, M=1 << 16, D=2, B=32, b=32)
 
 
-def true_ranks(succ):
+def true_ranks(succ, values=None):
+    """The pointer walk: follow ``succ`` from each node, summing weights."""
+
     def walk(i):
         r = 0
         while succ[i] != i:
+            r += 1 if values is None else values[i]
             i = succ[i]
-            r += 1
         return r
 
     return [walk(i) for i in range(len(succ))]
@@ -37,6 +45,21 @@ def ranks_from(outputs, n):
         for node, r in part:
             out[node] = r
     return out
+
+
+class WatchedListRanking(CGMListRanking):
+    """List ranking that logs ``(round, s, pred(s), succ(s))`` for every node
+    it removes, as the round saw them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.left = []
+
+    def _leaving(self, st, rnd):
+        out = super()._leaving(st, rnd)
+        lo = st["lo"]
+        self.left.extend((rnd, lo + li, st["pred"][li], st["succ"][li]) for li in out)
+        return out
 
 
 class TestListRanking:
@@ -68,13 +91,75 @@ class TestListRanking:
             CGMListRanking([0, 1], 2)  # two self-loops
 
     def test_lambda_logarithmic(self):
+        """R = 5 contraction rounds take 256 nodes below the gather threshold
+        of 64, and each round costs one superstep each way: 2R + 4 = 14.
+        That is less than half the 31 that random mate paid at two
+        supersteps a round each way, and far fewer than the O(log n)
+        pointer-jumping steps a PRAM simulation would need *with a sort
+        each*."""
         n, v = 256, 8
         succ = workloads.random_linked_list(n, seed=3)
         _, ledger = run_reference(CGMListRanking(succ, v), v)
-        # O(log v) contraction + expansion rounds, 3 supersteps each,
-        # far fewer than the O(log n) a PRAM simulation would need per
-        # pointer-jumping *with a sort each*.
-        assert ledger.num_supersteps <= 20 * max(1, v.bit_length())
+        assert ledger.num_supersteps == 14
+
+    @pytest.mark.parametrize("records", ["object", "vector"])
+    def test_short_list_skips_contraction(self, records):
+        # n <= gather_threshold: gather, solve, apply -- no round can help.
+        n, v = 64, 4
+        succ = workloads.random_linked_list(n, seed=1)
+        alg = CGMListRanking(succ, v)
+        assert n <= alg.gather_threshold
+        out, report = simulate(alg, MACHINE, v=v, seed=1, records=records)
+        assert ranks_from(out, n) == true_ranks(succ)
+        assert report.num_supersteps == 3
+
+    @pytest.mark.parametrize("records", ["object", "vector"])
+    @given(
+        n=st.integers(1, 600),
+        v=st.integers(1, 16),
+        seed=st.integers(0, 1 << 16),
+        wseed=st.none() | st.integers(0, 1 << 16),
+    )
+    @example(n=3, v=16, seed=1, wseed=7)
+    @example(n=65, v=16, seed=2, wseed=None)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_ranks_equal_the_pointer_walk(self, records, n, v, seed, wseed):
+        succ = workloads.random_linked_list(n, seed=seed)
+        values = None
+        if wseed is not None:  # weights include 0 and negatives
+            rng = random.Random(wseed)
+            values = [rng.randint(-3, 3) for _ in range(n)]
+        alg = CGMListRanking(succ, v, values=values, seed=seed)
+        alg.set_record_mode(records)
+        out, _ = run_reference(alg, v)
+        assert ranks_from(out, n) == true_ranks(succ, values)
+
+    def test_prio_arr_matches_prio(self):
+        nodes = np.array([0, 1, 2, 63, 1000, (1 << 40) + 3, (1 << 62) - 1], np.int64)
+        for rnd in (0, 1, 9):
+            for seed in (0, 12345, 1 << 40):
+                assert _prio_arr(nodes, rnd, seed).tolist() == [
+                    _prio(int(u), rnd, seed) for u in nodes.tolist()
+                ]
+
+    @pytest.mark.parametrize("records", ["object", "vector"])
+    def test_no_two_adjacent_nodes_leave_in_one_round(self, records):
+        n, v = 3000, 8
+        succ = workloads.random_linked_list(n, seed=11)
+        alg = WatchedListRanking(succ, v)
+        alg.set_record_mode(records)
+        out, _ = run_reference(alg, v)
+        assert ranks_from(out, n) == true_ranks(succ)
+        rounds: dict[int, dict[int, tuple[int, int]]] = {}
+        for rnd, s, p, x in alg.left:
+            rounds.setdefault(rnd, {})[s] = (p, x)
+        assert len(rounds) >= 3
+        for left in rounds.values():
+            for p, x in left.values():
+                assert p not in left and x not in left
+        # A 3-window minimum: an expected third of the list leaves at once.
+        assert 0.3 < len(rounds[0]) / n < 0.37
 
     @pytest.mark.parametrize("seed", range(3))
     def test_em_sequential_matches(self, seed):
