@@ -19,8 +19,10 @@ import os
 import sys
 
 from . import workloads
+from .core.backend import BACKENDS
 from .core.engine import RunConfig
 from .core.simulator import simulate
+from .emio.storage import STORAGE_KINDS
 from .params import MachineParams
 
 
@@ -518,7 +520,7 @@ def main(argv=None) -> int:
                        help="memory per processor (default: 2 contexts)")
         p.add_argument("--G", type=float, default=1.0, help="I/O cost coefficient")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend", choices=("inline", "process"), default="inline",
+        p.add_argument("--backend", choices=BACKENDS, default="inline",
                        help="parallel-engine backend (used when p > 1)")
         p.add_argument("--trace-out", metavar="FILE", default=None,
                        help="write a Chrome trace-event file (Perfetto-loadable)")
@@ -526,7 +528,7 @@ def main(argv=None) -> int:
                        help="write the raw telemetry as JSON lines")
         p.add_argument("--metrics", action="store_true",
                        help="print the run's metrics registry")
-        p.add_argument("--storage", choices=("memory", "file", "mmap"),
+        p.add_argument("--storage", choices=STORAGE_KINDS,
                        default="memory",
                        help="block-storage plane backing the simulated disks "
                             "(file/mmap run truly out-of-core; outputs and "
@@ -593,10 +595,10 @@ def main(argv=None) -> int:
     )
     p.add_argument("--quick", action="store_true",
                    help="run the small CI subset of the sweep")
-    p.add_argument("--backend", choices=("inline", "process"),
+    p.add_argument("--backend", choices=BACKENDS,
                    default="inline",
                    help="execution backend for the CGM side")
-    p.add_argument("--storage", choices=("memory", "file", "mmap"),
+    p.add_argument("--storage", choices=STORAGE_KINDS,
                    default="memory",
                    help="storage plane for every engine (counted-cost "
                         "invisible)")

@@ -86,13 +86,6 @@ def _coin(node: int, rnd: int, seed: int) -> int:
     return (_prio(node, rnd, seed) >> 17) & 1
 
 
-def _coin_arr(nodes: np.ndarray, rnd: int, seed: int) -> np.ndarray:
-    """:func:`_coin` over a node array — bit-identical."""
-    return ((_prio_arr(nodes, rnd, seed) >> np.uint64(17)) & np.uint64(1)).astype(
-        np.int64
-    )
-
-
 def _below(hu: np.ndarray, u: np.ndarray, hv: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``(hu, u) < (hv, v)`` elementwise."""
     return (hu < hv) | ((hu == hv) & (u < v))

@@ -24,6 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
+from ..core.backend import BACKENDS
+from ..emio.storage import STORAGE_KINDS
 from .config import BASELINE_WORKLOADS, FAULT_KINDS, WORKLOADS, ConformConfig
 
 __all__ = ["StrategyProfile", "DEFAULT", "QUICK", "random_config", "repair"]
@@ -43,7 +45,7 @@ class StrategyProfile:
     workloads: tuple[str, ...] = WORKLOADS
     allow_process: bool = True
     process_rate: float = 0.25
-    #: (memory, file, mmap) storage-plane draw weights.
+    #: Storage-plane draw weights, one per entry of ``STORAGE_KINDS``.
     storage_weights: tuple[float, ...] = (0.6, 0.25, 0.15)
     #: Fraction of configs that crash at one random checkpoint-barrier
     #: stage and must scrub-and-resume (the ``crash_resume`` oracle).
@@ -119,9 +121,7 @@ def _draw(rng: random.Random, profile: StrategyProfile) -> dict[str, Any]:
         context_cache=rng.random() < 0.4,
         fast_io=rng.random() < 0.4,
         checkpoint=rng.random() < 0.3,
-        storage=rng.choices(
-            ("memory", "file", "mmap"), weights=profile.storage_weights
-        )[0],
+        storage=rng.choices(STORAGE_KINDS, weights=profile.storage_weights)[0],
         sim_seed=rng.randrange(1 << 16),
         fault=rng.choices(FAULT_KINDS, weights=profile.fault_weights)[0],
         fault_seed=rng.randrange(1 << 16),
@@ -210,9 +210,9 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
     d["engine"] = engine
     if engine != "parallel":
         d["backend"] = "inline"
-    elif d.get("backend") not in ("inline", "process"):
+    elif d.get("backend") not in BACKENDS:
         d["backend"] = "inline"
-    if d.get("storage") not in ("memory", "file", "mmap"):
+    if d.get("storage") not in STORAGE_KINDS:
         d["storage"] = "memory"
 
     # -- fault plan implications --
@@ -270,7 +270,7 @@ def _repair_baseline(d: dict[str, Any]) -> ConformConfig:
         # at least a couple of blocks of memory.
         M=max(int(d.get("M", 0)), 2 * D * B),
     )
-    if d.get("storage") not in ("memory", "file", "mmap"):
+    if d.get("storage") not in STORAGE_KINDS:
         d["storage"] = "memory"
     d["crash_point"] = max(0, int(d.get("crash_point", 0)))
     d["crash_seed"] = int(d.get("crash_seed", 0))

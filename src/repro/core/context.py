@@ -48,7 +48,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Sequence
 
-from ..emio.disk import DiskError
+from ..emio.disk import Block, DiskError
 from ..emio.diskarray import DiskArray
 from ..emio.layout import (
     ConsecutiveRegion,
@@ -56,7 +56,6 @@ from ..emio.layout import (
     blocks_to_object,
     bytes_to_blocks,
     check_context_bound,
-    pickle_to_blocks,
 )
 
 __all__ = ["ContextStore"]
@@ -177,63 +176,42 @@ class ContextStore:
 
     def save_group(self, slots: Sequence[int], states: Sequence[Any]) -> None:
         """Write a whole group of contexts with jointly packed parallel ops."""
-        if not self.cache:
-            ops: list = []
-            for slot, state in zip(slots, states):
-                blocks = pickle_to_blocks(
-                    state, self.B, max_records=self.mu,
-                    profiler=self.array.profiler,
-                )
-                if len(blocks) > self.blocks_per_context:
-                    raise DiskError(  # pragma: no cover - pickle_to_blocks guards
-                        f"context of slot {slot} exceeds its preallocated area"
-                    )
-                self._used[slot] = len(blocks)
-                ops.extend(
-                    (d, t, blk)
-                    for (d, t), blk in zip(
-                        self.region.slot_addrs(slot, len(blocks)), blocks
-                    )
-                )
-            self.array.write_batched(ops)
-            return
-
         # One pickle per state: its length is what the block count, the mu
-        # refusal and the charge are defined on.  Only a physical array (a
-        # traced one) cuts its blocks from the bytes; the fast data plane
-        # meters the stream and never assembles it.  Nobody keeps them.
-        chunk = self.B * 8  # bytes per block (Block.BYTES_PER_RECORD)
-        physical = not self.array.fast_data_plane
+        # refusal and the charge are defined on.  The blocks are cut from the
+        # bytes, except where the cache holds the state and the fast data
+        # plane charges the write without storing it: there the stream is
+        # metered and never assembled.
+        metered = self.cache and self.array.fast_data_plane
+        chunk = self.B * Block.BYTES_PER_RECORD
         counts: list[int] = []
         ops: list = []
         prof = self.array.profiler
         for slot, state in zip(slots, states):
             prof.push("serialize")
             try:
-                if physical:
-                    data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-                else:
+                if metered:
                     data = _Meter()
                     pickle.Pickler(data, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+                else:
+                    data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
             finally:
                 prof.pop()
             check_context_bound(data, self.mu)
             n = -(-max(len(data), 1) // chunk)
             counts.append(n)
-            if physical:
-                ops.extend(
-                    (d, t, blk)
-                    for (d, t), blk in zip(
-                        self.region.slot_addrs(slot, n), bytes_to_blocks(data, self.B)
-                    )
-                )
-        if physical:
-            self.array.write_batched(ops)
+            addrs = self.region.slot_addrs(slot, n)
+            if metered:
+                ops += addrs
+            else:
+                ops += [(d, t, blk) for (d, t), blk in zip(addrs, bytes_to_blocks(data, self.B))]
+        if metered:
+            self.array.charge_batched("W", ops)
         else:
-            self.array.charge_batched("W", self._slot_addrs(slots, counts))
+            self.array.write_batched(ops)
         for slot, state, n in zip(slots, states, counts):
             self._used[slot] = n
-            self._cached[slot] = (state,)
+            if self.cache:
+                self._cached[slot] = (state,)
 
     def load_group(self, slots: Sequence[int]) -> list[Any]:
         """Read a whole group of contexts with jointly packed parallel ops."""

@@ -24,6 +24,8 @@ written to a disk *before* it died is gone — reading it raises
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,6 +48,9 @@ __all__ = ["DiskArray", "RelaySchedule"]
 
 #: One round of a relay: the tracks it reads, and where each block read goes.
 Round = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
+
+#: The fields of a batched transfer's ``(disk, track[, block])`` tuples.
+_DISK, _TRACK, _BLOCK = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class RelaySchedule:
@@ -179,7 +184,7 @@ class DiskArray:
         self.parallel_ops = 0
         # -- fast data plane ----------------------------------------------------
         # When enabled (and the array is healthy, unbounded, and untraced)
-        # the parallel primitives take a short-circuit that produces the
+        # a batch moves with one transfer per drive, which produces the
         # *identical* counted costs (parallel_ops, per-disk reads/writes,
         # high-water marks, stored blocks) while skipping the fault/remap/
         # retry machinery that provably cannot fire on a healthy array.
@@ -211,12 +216,13 @@ class DiskArray:
     @property
     def rounds_in_flight(self) -> int:
         """How many rounds of a schedule move at a time — those
-        :meth:`move_rounds` keeps in flight, those to hand
-        :meth:`write_rounds`: at most ``M/4`` records' worth on the fast
-        data plane, where a chunk moves with one transfer per drive; one
-        round everywhere else, so that a traced, faulty, bounded or
-        degraded array makes its physical attempts read, write, read,
-        write — the order its trace and its fault streams are defined on."""
+        :meth:`move_rounds` keeps in flight, and the most whole rounds a
+        caller should hand :meth:`write_batched` in one batch: at most
+        ``M/4`` records' worth on the fast data plane, where a batch moves
+        with one transfer per drive; one round everywhere else, so that a
+        traced, faulty, bounded or degraded array makes its physical
+        attempts read, write, read, write — the order its trace and its
+        fault streams are defined on."""
         return self._chunk_rounds if self.fast_data_plane else 1
 
     def set_profiler(self, profiler) -> None:
@@ -384,24 +390,17 @@ class DiskArray:
         how many disks participate.  Transient faults are retried per the
         array's :class:`RetryPolicy` (each retry round counts as one extra
         parallel operation); reads of blocks lost with a dead disk raise
-        :class:`DataLossError`.
+        :class:`DataLossError`.  A checked round is a batch whose greedy
+        packing is that one round, so it runs as :meth:`read_batched`.
         """
         ops = list(ops)
-        if not ops:
-            return []
-        self._check_round("read", [d for d, _ in ops])
-        return self._read_round(ops)
+        if ops:
+            self._check_round("read", [d for d, _ in ops])
+        return self.read_batched(ops)
 
     def _read_round(self, ops: list[tuple[int, int]]) -> list[Block | None]:
-        """One validated, non-empty round of :meth:`parallel_read`."""
-        if self.fast_data_plane:
-            self.parallel_ops += 1
-            out: list[Block | None] = []
-            for d, t in ops:
-                disk = self.disks[d]
-                disk.reads += 1
-                out.append(disk.storage.get(t))
-            return out
+        """One checked, non-empty round of reads on the physical plane:
+        attempts, retries and degraded-mode remaps, each attempt counted."""
         results: list[Block | None] = [None] * len(ops)
         fresh = [(i, self._resolve_read(d, t)) for i, (d, t) in enumerate(ops)]
         retry_q: list[tuple[int, tuple[int, int]]] = []
@@ -438,27 +437,17 @@ class DiskArray:
 
         Transient faults are retried; writes aimed at a dead disk are
         remapped onto the surviving drives (degraded mode), so no write is
-        ever silently dropped.
+        ever silently dropped.  Runs as :meth:`write_batched`, like
+        :meth:`parallel_read`.
         """
         ops = list(ops)
-        if not ops:
-            return
-        self._check_round("write", [d for d, _, _ in ops])
-        self._write_round(ops)
+        if ops:
+            self._check_round("write", [d for d, _, _ in ops])
+        self.write_batched(ops)
 
     def _write_round(self, ops: list[tuple[int, int, Block | None]]) -> None:
-        """One validated, non-empty round of :meth:`parallel_write`."""
-        if self.fast_data_plane:
-            self.parallel_ops += 1
-            B = self.B
-            for d, t, blk in ops:
-                disk = self.disks[d]
-                if blk is not None:
-                    blk.validate(B)
-                disk.writes += 1
-                disk._store(t, blk)
-                disk._raise_high_water(t)
-            return
+        """One checked, non-empty round of writes on the physical plane,
+        like :meth:`_read_round`."""
         fresh = [
             (i, (*self._resolve_write(d, t), blk))
             for i, (d, t, blk) in enumerate(ops)
@@ -669,62 +658,45 @@ class DiskArray:
                 )
                 lo += n
 
-    def write_rounds(
-        self, rounds: Sequence[Sequence[tuple[int, int, Block | None]]]
-    ) -> None:
-        """Several parallel writes whose addresses are all known up front.
+    # -- batched transfers -------------------------------------------------------
 
-        Each inner list is exactly one counted parallel operation (1..D
-        tracks, one per disk); all of them are checked before any data
-        moves, so a malformed schedule leaves the array untouched.  Counted
-        costs are those of one :meth:`parallel_write` per round.  On the
-        fast data plane several rounds move as one grouped store per
-        drive; a drive receives its blocks in round order either way, so
-        the storage plane sees the puts of the round-by-round loop."""
-        for ops in rounds:
-            self._check_round("write", [d for d, _, _ in ops])
-        if len(rounds) == 1 or not self.fast_data_plane:
-            for ops in rounds:
-                self._write_round(ops)
-            return
-        self._store_grouped([op for ops in rounds for op in ops])
-        self.parallel_ops += len(rounds)
+    def _batch(self, kind: str, ops: Iterable[tuple]) -> tuple[dict, dict[int, list[int]]]:
+        """The one grouping step of a batched transfer, ``kind`` ``"R"`` or
+        ``"W"``: ``ops`` (``(disk, track, ...)`` tuples) grouped by drive,
+        each drive's in batch order — returned as the ops and as their
+        tracks, both keyed by disk id; the tracks in drive order, the order
+        the drives are served in.
 
-    # -- batched helpers ---------------------------------------------------------
-
-    def _load_grouped(self, addrs: list[tuple[int, int]]) -> tuple[list, int]:
-        """Fast-plane data movement of a read: one ``_load_many`` per drive
-        (file-backed planes coalesce near-adjacent slot extents into single
-        preads) and per-disk ``reads`` charged.  Returns the blocks in
-        ``addrs`` order and the longest per-drive queue; ``parallel_ops``
-        is the caller's to charge."""
-        disks = self.disks
-        per_disk: list[list[int]] = [[] for _ in range(self.D)]
-        for d, t in addrs:
-            per_disk[d].append(t)
-        loaded = [
-            iter(disks[d]._load_many(ts)) if ts else None
-            for d, ts in enumerate(per_disk)
-        ]
-        out = [next(loaded[d]) for d, _ in addrs]
-        return out, self._charge("R", per_disk)
-
-    def _store_grouped(self, ops: list[tuple[int, int, Block | None]]) -> int:
-        """Fast-plane data movement of a write: blocks validated, then one
-        ``_store_many`` per drive (file-backed planes merge adjacent slot
-        runs into single pwrites), per-disk ``writes`` and high-water marks
-        charged.  Returns the longest per-drive queue; ``parallel_ops`` is
-        the caller's to charge."""
-        B = self.B
-        per_disk: list[list[tuple[int, Block | None]]] = [[] for _ in range(self.D)]
-        for d, t, blk in ops:
-            if blk is not None:
-                blk.validate(B)
-            per_disk[d].append((t, blk))
-        for d, items in enumerate(per_disk):
-            if items:
-                self.disks[d]._store_many(items)
-        return self._charge("W", [[t for t, _ in items] for items in per_disk])
+        A batch that names a disk the array does not have, or a track no
+        drive has (negative, or past a bounded drive's capacity), is
+        refused with a :class:`DiskError` before any counter or byte moves,
+        on either plane; the test is one range check over the per-drive
+        minima and maxima, not one per address.  On the fast data plane the
+        batch is charged here (:meth:`_charge`): the per-disk counters and
+        ``parallel_ops`` by the rounds its greedy packing takes, the
+        longest per-drive queue (:meth:`_greedy_rounds` puts a drive's r-th
+        access in round r).  Off it each physical attempt counts itself."""
+        groups: defaultdict[int, list] = defaultdict(list)
+        for op in ops:
+            groups[op[0]].append(op)
+        tracks = {d: list(map(_TRACK, groups[d])) for d in sorted(groups)}
+        if tracks:
+            verb = "read" if kind == "R" else "write"
+            if not 0 <= min(tracks) <= max(tracks) < self.D:
+                raise DiskError(
+                    f"batched {verb} names a disk outside 0..{self.D - 1}: "
+                    f"disk ids {sorted(tracks)}"
+                )
+            lo, hi = min(map(min, tracks.values())), max(map(max, tracks.values()))
+            capacity = self.disks[0].capacity
+            if lo < 0 or (capacity is not None and hi >= capacity):
+                raise DiskError(
+                    f"batched {verb} names a track outside the drives: tracks "
+                    f"{lo}..{hi}, capacity {capacity}"
+                )
+        if self.fast_data_plane:
+            self.parallel_ops += self._charge(kind, [tracks.get(d, ()) for d in range(self.D)])
+        return groups, tracks
 
     def _charge(self, kind: str, per_disk: "Sequence[Sequence[int] | np.ndarray]") -> int:
         """Charge a batch of accesses, given as the tracks it touches on
@@ -775,39 +747,46 @@ class DiskArray:
         Addresses are greedily packed into rounds with at most one access per
         disk per round, preserving the input order of the returned blocks.
         Layouts in *standard consecutive format* always pack perfectly
-        (ceil(n/D) rounds).
+        (ceil(n/D) rounds).  On the fast data plane the batch moves as one
+        ``_load_many`` per drive (file-backed planes coalesce near-adjacent
+        slot extents into single preads); off it round by round.
         """
         addrs = list(addrs)
+        _, tracks = self._batch("R", addrs)
         if self.fast_data_plane:
-            if not addrs:
-                return []
-            # The r-th occurrence of a disk goes to round r (see
-            # _greedy_rounds), so exactly max-per-disk-count rounds are used.
-            out, rounds = self._load_grouped(addrs)
-            self.parallel_ops += rounds
-            return out
+            disks = self.disks
+            loaded = {d: iter(disks[d]._load_many(ts)) for d, ts in tracks.items()}
+            return [next(loaded[d]) for d, _ in addrs]
         results: list[Block | None] = [None] * len(addrs)
-        for idxs in self._greedy_rounds(d for d, _ in addrs):
-            blocks = self.parallel_read([addrs[i] for i in idxs])
-            for i, blk in zip(idxs, blocks):
+        for idxs in self._greedy_rounds(map(_DISK, addrs)):
+            for i, blk in zip(idxs, self._read_round([addrs[i] for i in idxs])):
                 results[i] = blk
         return results
 
     def write_batched(self, ops: Iterable[tuple[int, int, Block | None]]) -> int:
         """Write many ``(disk, track, block)`` triples in packed parallel ops.
 
-        Returns the number of parallel operations used.
+        Every block is checked against ``B`` and every address as in
+        :meth:`read_batched` before anything moves.  On the fast data plane
+        the batch moves as one ``_store_many`` per drive (file-backed planes
+        merge adjacent slot runs into single pwrites); a drive receives its
+        blocks in batch order, so the storage plane sees the puts of the
+        round-by-round loop.  Returns the number of parallel operations used.
         """
         before = self.parallel_ops
-        pending = list(ops)
+        ops = list(ops)
+        B = self.B
+        for blk in map(_BLOCK, ops):
+            if blk is not None:
+                blk.validate(B)
+        groups, tracks = self._batch("W", ops)
         if self.fast_data_plane:
-            if not pending:
-                return 0
-            # Same round-count equivalence as read_batched.
-            self.parallel_ops += self._store_grouped(pending)
-            return self.parallel_ops - before
-        for idxs in self._greedy_rounds(op[0] for op in pending):
-            self.parallel_write([pending[i] for i in idxs])
+            disks = self.disks
+            for d, ts in tracks.items():
+                disks[d]._store_many(list(zip(ts, map(_BLOCK, groups[d]))))
+        else:
+            for idxs in self._greedy_rounds(map(_DISK, ops)):
+                self._write_round([ops[i] for i in idxs])
         return self.parallel_ops - before
 
     def charge_batched(self, kind: str, addrs: Iterable[tuple[int, int]]) -> int:
@@ -816,11 +795,12 @@ class DiskArray:
         ``kind`` is ``"R"`` or ``"W"``.  Increments ``parallel_ops`` by the
         exact number of rounds the greedy packing of :meth:`read_batched` /
         :meth:`write_batched` would use for ``addrs`` (max per-disk count;
-        see the round-count equivalence note there), plus the per-disk
-        access counters and, for writes, the high-water marks — but touches
-        no block data.  This is the substrate of the context-swap fast path:
-        a cached (clean) context swap charges the identical parallel I/O the
-        reference path would, so Theorem 1 accounting is unchanged.
+        see :meth:`_batch`), plus the per-disk access counters and, for
+        writes, the high-water marks — but touches no block data.  This is
+        the substrate of the context-swap fast path: a cached (clean)
+        context swap charges the identical parallel I/O the reference path
+        would, so Theorem 1 accounting is unchanged.  It refuses the
+        addresses :meth:`read_batched` / :meth:`write_batched` refuse.
 
         Only legal on the fast data plane: a faulty, bounded, or traced
         array must run the physical path (faults may fire; traces record
@@ -835,12 +815,9 @@ class DiskArray:
             )
         if kind not in ("R", "W"):
             raise DiskError(f"charge_batched kind must be 'R' or 'W', got {kind!r}")
-        per_disk: list[list[int]] = [[] for _ in range(self.D)]
-        for d, t in addrs:
-            per_disk[d].append(t)
-        rounds = self._charge(kind, per_disk)
-        self.parallel_ops += rounds
-        return rounds
+        before = self.parallel_ops
+        self._batch(kind, addrs)
+        return self.parallel_ops - before
 
     # -- storage plane -----------------------------------------------------------
 

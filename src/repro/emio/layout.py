@@ -332,19 +332,11 @@ class StripedRegion:
 
     def read_slot(self, slot: int) -> list[Block | None]:
         """Read all blocks of one slot (fully parallel)."""
-        return self.array.read_batched(self.slot_addrs(slot))
+        return self.read_slots([slot])[0]
 
     def write_slot(self, slot: int, blocks: Sequence[Block | None]) -> None:
         """Write all blocks of one slot (fully parallel)."""
-        if len(blocks) > self.slot_sizes[slot]:
-            raise DiskError(
-                f"slot {slot} of region {self.name!r}: {len(blocks)} blocks "
-                f"exceed slot size {self.slot_sizes[slot]}"
-            )
-        padded = list(blocks) + [None] * (self.slot_sizes[slot] - len(blocks))
-        self.array.write_batched(
-            [(d, t, blk) for (d, t), blk in zip(self.slot_addrs(slot), padded)]
-        )
+        self.write_slots([slot], [blocks])
 
     def read_slots(self, slots: Sequence[int]) -> list[list[Block | None]]:
         """Read several slots with jointly packed parallel operations."""

@@ -130,19 +130,21 @@ class LinkedBuckets:
         only, so every bucket stays spread evenly over the drives that can
         actually serve it — Lemma 2 balance at ``D-1``.
 
-        The cycles go to :meth:`~repro.emio.diskarray.DiskArray.write_rounds`
+        The cycles go to :meth:`~repro.emio.diskarray.DiskArray.write_batched`
         :attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight` at a time:
         placed, then written, cycle by cycle unless the array is on the
-        fast data plane, where a group's cycles reach each drive in one
-        transfer.
+        fast data plane, where a batch of cycles reaches each drive in one
+        transfer.  Each cycle is a permutation of the live drives and only
+        the last can be partial, so the batch's greedy packing gives back
+        exactly its cycles, in order: one parallel write each.
         """
         ops_before = self.array.parallel_ops
         live = self.array.live_disks
         D = len(live)
         starts = iter(range(0, len(blocks), D))
         while chunk := list(islice(starts, self.array.rounds_in_flight)):
-            self.array.write_rounds(
-                [self._place_cycle(blocks[start : start + D], live) for start in chunk]
+            self.array.write_batched(
+                [op for start in chunk for op in self._place_cycle(blocks[start : start + D], live)]
             )
         self.blocks_written += len(blocks)
         return self.array.parallel_ops - ops_before

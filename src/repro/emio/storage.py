@@ -61,9 +61,10 @@ without unpickling anything — the primitive ``scrub()`` is built on.
 Host I/O is synchronous (DESIGN §12): every transfer is a blocking
 ``pread``/``pwrite`` on the engine's thread, issued through the one pair of
 primitives ``_read_at``/``_write_at``.  What keeps the syscall count low is
-the *schedule*, not concurrency — ``DiskArray.move_rounds``/``write_rounds``
-hand whole chunks of rounds to ``get_sealed``/``put_sealed``/``put_many``,
-which coalesce them.  A background flusher and a streak-guessing readahead were built,
+the *schedule*, not concurrency — ``DiskArray.move_rounds`` hands whole
+chunks of rounds to ``get_sealed``/``put_sealed``, and the batched transfers
+hand a batch to ``get_many``/``put_many``, one call per drive, which
+coalesce them.  A background flusher and a streak-guessing readahead were built,
 measured three times and deleted; nothing outside this module knows how
 host I/O is issued.
 """

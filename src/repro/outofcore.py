@@ -225,6 +225,7 @@ def _main(argv: list[str] | None = None) -> int:
     import tracemalloc
 
     from .core.simulator import simulate
+    from .emio.storage import STORAGE_KINDS
     from .params import MachineParams
 
     ap = argparse.ArgumentParser(description=_main.__doc__)
@@ -237,8 +238,7 @@ def _main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget-mb", type=float, default=5.0,
                     help="peak-heap budget enforced via tracemalloc")
-    ap.add_argument("--storage", choices=("memory", "file", "mmap"),
-                    default="file")
+    ap.add_argument("--storage", choices=STORAGE_KINDS, default="file")
     ap.add_argument("--storage-dir", default=None)
     args = ap.parse_args(argv)
 

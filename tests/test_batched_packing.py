@@ -3,9 +3,9 @@
 The physical path (a traced, faulty, bounded or degraded array, or one
 built with ``fast_io=False``) used to re-scan the leftover addresses once
 per round.  The one-pass bucketing must be the same greedy: the old loop is
-kept here as the oracle, and the round lists handed to ``parallel_read`` /
-``parallel_write``, the returned blocks, every counter and the recorded
-``IOTrace`` must agree.
+kept here as the oracle, and the round lists handed to the physical round
+primitives (``_read_round`` / ``_write_round``), the returned blocks, every
+counter and the recorded ``IOTrace`` must agree.
 """
 
 import pickle
@@ -58,7 +58,7 @@ def _greedy_write(array: DiskArray, ops) -> int:
 
 
 class _Recorded:
-    """An array whose ``parallel_read`` / ``parallel_write`` calls are logged."""
+    """An array whose physical rounds are logged."""
 
     def __init__(self, D: int, dead: int | None):
         self.array = DiskArray(D, B=4)
@@ -66,18 +66,18 @@ class _Recorded:
         self.rounds: list[tuple[str, list]] = []
         if dead is not None:
             self.array.mark_dead(dead)
-        inner_read, inner_write = self.array.parallel_read, self.array.parallel_write
+        inner_read, inner_write = self.array._read_round, self.array._write_round
 
-        def parallel_read(ops):
+        def read_round(ops):
             self.rounds.append(("R", [tuple(a) for a in ops]))
             return inner_read(ops)
 
-        def parallel_write(ops):
+        def write_round(ops):
             self.rounds.append(("W", [(d, t, id(b)) for d, t, b in ops]))
             return inner_write(ops)
 
-        self.array.parallel_read = parallel_read
-        self.array.parallel_write = parallel_write
+        self.array._read_round = read_round
+        self.array._write_round = write_round
 
     def state(self):
         a = self.array

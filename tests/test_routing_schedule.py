@@ -1,7 +1,7 @@
 """The file plane moves data by schedule (DESIGN §6, §8).
 
 ``simulate_routing`` and ``LinkedBuckets.append_blocks`` hand whole chunks
-of rounds to ``DiskArray.move_rounds`` / ``write_rounds``; on the fast data
+of rounds to ``DiskArray.move_rounds`` / ``write_batched``; on the fast data
 plane a chunk reaches each drive as one transfer.  These tests pin what
 that must not change — counted costs, track maps, the bytes of the track
 files — and what the primitives, the tight slots and the binary vector
@@ -152,8 +152,7 @@ def test_traced_array_keeps_round_by_round_order(tmp_path):
 def _loaded_array(tmp_path, fast: bool) -> DiskArray:
     spec = StorageSpec.create("file" if fast else "memory", tmp_path / "arr" if fast else None)
     array = DiskArray(2, B, fast_io=fast, storage=spec, M=1 << 20)
-    array.write_rounds([[(0, t, Block(records=[t])), (1, t, Block(records=[-t]))]
-                        for t in range(3)])
+    array.write_batched([(d, t, Block(records=[-t if d else t])) for t in range(3) for d in (0, 1)])
     return array
 
 
@@ -174,10 +173,11 @@ def test_malformed_round_is_refused_before_data_moves(tmp_path, fast):
         good_r = [(0, 0), (1, 0)]
         good_w = [(0, 5, Block(records=[5])), (1, 5, Block(records=[5]))]
         good_moves = [(good_r, [(1, 5), (0, 5)]), ([(1, 2)], [(0, 6)])]
-        for bad in ([(0, 1), (0, 2)], [(0, 1), (1, 1), (0, 2)], []):
+        for bad_addr in ((2, 1), (-1, 1), (0, -1)):  # anywhere in a batch
             with pytest.raises(DiskError):
-                array.write_rounds([good_w, [(d, t, Block(records=[0])) for d, t in bad]])
+                array.write_batched([*good_w, (*bad_addr, Block(records=[0])), *good_w])
             assert _state(array) == before
+        for bad in ([(0, 1), (0, 2)], [(0, 1), (1, 1), (0, 2)], []):
             # A bad read round, a bad write round: anywhere in a chunk.
             for bad_move in ((bad, [(0, 7), (1, 7)][: len(bad)]), ([(0, 1), (1, 1)], bad)):
                 for at in range(len(good_moves) + 1):

@@ -22,7 +22,6 @@ from repro.algorithms._vec import (
     owners_of_indices,
     sample_positions,
 )
-from repro.algorithms.graphs.listranking import _coin, _coin_arr
 from repro.algorithms.permutation import CGMPermutation
 from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.collectives import (
@@ -186,14 +185,6 @@ class TestKernelEquivalence:
                 idx = np.arange(n)
                 assert owners_of_indices(idx, n, v).tolist() == [
                     owner_of_index(i, n, v) for i in range(n)
-                ]
-
-    def test_coin_arr_matches_coin(self):
-        nodes = np.arange(500, dtype=np.int64)
-        for rnd in (0, 1, 7):
-            for seed in (0, 12345, 99991):
-                assert _coin_arr(nodes, rnd, seed).tolist() == [
-                    _coin(int(u), rnd, seed) for u in range(500)
                 ]
 
     def test_searchsorted_matches_partition_by_splitters(self):
