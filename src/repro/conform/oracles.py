@@ -270,7 +270,11 @@ def theorem1_io_bound(
       contexts are ``k*cbp`` consecutive blocks of a striped region, read at
       full parallelism up to one alignment op.
     * fetch messages: ``ceil(T_{s-1}/D) + 2G`` — each group's slot range is
-      consecutive in the reorganized region (Definition 2).
+      consecutive in the reorganized region (Definition 2).  With one group
+      (``G == 1``) Step 2 is skipped and the one fetch reads the retained
+      bucket store, which one append left with at most ``ceil(T_{s-1}/D)``
+      blocks on a drive; :func:`check_theorem1_io` holds that fetch to the
+      store's heaviest drive exactly.
     * write messages: ``ceil(T_s/D) + G`` — linked-bucket appends write full
       cycles of ``D`` blocks, one partial cycle per group (per scatter
       round on the parallel engine).
@@ -324,8 +328,15 @@ def check_theorem1_io(
     ``RoutingStats.io_ops`` — two independent measurements of the same
     ops, so any engine-side double/under-charge breaks the equality even
     when the run is far below the asymptotic bound).
+
+    Where each processor has one group, Step 2 is skipped and the exact
+    layer is two equalities instead: ``reorganize == 0``, and the next
+    superstep's ``fetch_messages`` equals the max over processors of the
+    retained store's heaviest drive, ``max_d sum_b bucket_loads[b][d]``.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
+    skipped = params.groups_per_processor == 1
+    store_load = 0  # heaviest drive of the store the next fetch reads
     failures = []
     for s, bound in zip(report.supersteps, bounds):
         if s.phases.total > bound:
@@ -338,7 +349,29 @@ def check_theorem1_io(
                 )
             )
         routing = s.routing_stats()
-        if routing:
+        if skipped:
+            if s.phases.reorganize:
+                failures.append(
+                    OracleFailure(
+                        "theorem1_io",
+                        f"superstep {s.index}: one group a processor skips "
+                        f"Step 2, but reorganize charged {s.phases.reorganize} ops",
+                    )
+                )
+            if s.phases.fetch_messages != store_load:
+                failures.append(
+                    OracleFailure(
+                        "theorem1_io",
+                        f"superstep {s.index}: fetch_messages charged "
+                        f"{s.phases.fetch_messages} ops, but the retained store's "
+                        f"heaviest drive holds {store_load} blocks",
+                    )
+                )
+            store_load = max(
+                (max(map(sum, zip(*r.bucket_loads)), default=0) for r in routing),
+                default=0,
+            )
+        elif routing:
             expected = max(r.io_ops for r in routing)
             if s.phases.reorganize != expected:
                 failures.append(

@@ -24,7 +24,12 @@ Per round:
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
-next compound superstep.
+next compound superstep.  The paper assumes ``v/(pk) >= D`` batches per
+processor; with one (``v == p*k``) the next superstep's one fetch reads the
+whole store, which one append left with at most ``ceil(n/D)`` blocks on a
+drive — what the region would cost — so the store itself is kept as the
+incoming messages and no round is charged
+(:meth:`~repro.core.processor.RealProcessor.deliver`).
 
 **Backends** (see :mod:`repro.core.backend`): the per-processor work lives in
 :class:`_RealProcessor` (the shared :class:`~repro.core.processor.RealProcessor`
@@ -55,7 +60,7 @@ from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
 from .processor import RealProcessor
-from .routing import RoutingStats, simulate_routing
+from .routing import RoutingStats
 from .stats import PhaseBreakdown
 
 __all__ = ["ParallelEMSimulation"]
@@ -76,10 +81,18 @@ class _Placement:
     def bucket_of_vp(self, vp: int) -> int:
         """Local disk bucket of a block destined for ``vp``.
 
-        "Each bucket contains the blocks for ``(v/pk)/D`` batches": batches
-        are ranged evenly into the ``D`` buckets.
+        "Each bucket contains the blocks for ``(v/pk)/D`` batches": the
+        paper assumes ``v/(pk) >= D``.  The processor's ``v/p`` virtual
+        processors are ranged evenly into the ``D`` buckets, as Algorithm 1
+        ranges its ``v``; where ``D`` divides the batch count this is
+        exactly the paper's map, batches ranged evenly into buckets.  Ranging
+        batches would use only ``v/(pk)`` buckets when ``1 < v/(pk) < D``
+        and leave the other drives idle in phase 1; ranging vps, a batch may
+        span two buckets, and each bucket is still a contiguous vp range, as
+        Algorithm 2 requires.  With one batch nothing is reorganized
+        (:meth:`~repro.core.processor.RealProcessor.deliver`).
         """
-        return self.batch_of_vp(vp) * self.params.machine.D // self.nbatches
+        return (vp % self.vpp) * self.params.machine.D // self.vpp
 
 
 class _RealProcessor(_Placement, RealProcessor):
@@ -177,20 +190,14 @@ class _RealProcessor(_Placement, RealProcessor):
         return len(rblocks), delta
 
     def reorganize(self, step: int) -> tuple[RoutingStats, int]:
-        """Step 2: Algorithm 2 on the local buckets."""
+        """Step 2 on the local buckets: one slot per batch."""
         if self.obs.enabled:
             self._sample_disks()
         with self.obs.span("reorganize", step=step, cat="routing") as sp:
             t = self.array.parallel_ops
-            new_incoming, routing = simulate_routing(
-                self.array,
-                self.allocator,
-                self.buckets,
-                nslots=self.nbatches,
-                slot_of=self.batch_of_vp,
-                name=f"incoming@p{self.index}s{step + 1}",
+            routing = self.deliver(
+                self.nbatches, self.batch_of_vp, f"incoming@p{self.index}s{step + 1}"
             )
-            self.swap_incoming(new_incoming)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=routing.total_blocks)
         if self.obs.enabled:

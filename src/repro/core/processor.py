@@ -2,13 +2,14 @@
 
 A real processor owns ``D`` local disks (a :class:`~repro.emio.diskarray.DiskArray`),
 their track allocator, the contexts of the virtual processors it simulates,
-the incoming message region of the next compound superstep, the bucket
-store of the current one, and a deterministic RNG stream.  Algorithm 1 runs
-on a machine with exactly one of them, Algorithm 3 on ``p``; what a
-processor does *around the barrier* — load the input, run a group of
-virtual processors in memory, export / restore / re-attach its half of a
-checkpoint, take crash damage, unload the output, tally its faults — is the
-same work in both and lives here once.
+the bucket store of the current compound superstep, the incoming messages
+of the next one, and a deterministic RNG stream.  Algorithm 1 runs on a
+machine with exactly one of them, Algorithm 3 on ``p``; what a processor
+does *around the barrier* — load the input, run a group of virtual
+processors in memory, turn the bucket store into the next incoming
+messages (Step 2), export / restore / re-attach its half of a checkpoint,
+take crash damage, unload the output, tally its faults — is the same work
+in both and lives here once.
 
 Every method takes and returns plain picklable values plus the parallel
 I/O operations the call itself performed, so
@@ -26,18 +27,22 @@ from ..bsp.message import blocks_to_messages
 from ..bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
-from ..emio.layout import RegionAllocator, StripedRegion
+from ..emio.layout import RegionAllocator, SlotReads, StripedRegion
 from ..emio.linked import LinkedBuckets
 from ..emio.storage import StorageSpec
 from ..obs.spans import NULL_OBSERVER, Collector, NullObserver
 from ..params import SimulationParams
 from .checkpoint import freeze, thaw
 from .context import ContextStore
+from .routing import RoutingStats, simulate_routing
 
 if TYPE_CHECKING:
     from .engine import RunConfig
 
 __all__ = ["RealProcessor"]
+
+#: How an incoming-message store is re-attached, by its ``reference()`` tag.
+_ADOPT = {"region": StripedRegion.adopt, "store": LinkedBuckets.adopt}
 
 
 class RealProcessor:
@@ -96,7 +101,9 @@ class RealProcessor:
             name=f"ctx@{self.tag}" if self.tag else "contexts",
             cache=config.context_cache,
         )
-        self.incoming: StripedRegion | None = None
+        # The incoming messages: a region Algorithm 2 laid out, or the last
+        # superstep's bucket store itself (one group; see deliver()).
+        self.incoming: SlotReads | None = None
         self.buckets: LinkedBuckets | None = None
         # Worker-side telemetry: spans/samples/metrics collected here and
         # drained to the engine (over the pipe, under the process backend)
@@ -200,12 +207,37 @@ class RealProcessor:
         )
         return self.buckets
 
-    def swap_incoming(self, region: StripedRegion | None) -> None:
-        """Retire the bucket store and the consumed incoming region; install
+    def deliver(
+        self, nslots: int, slot_of: Callable[[int], int], name: str
+    ) -> RoutingStats:
+        """Step 2: make this superstep's bucket store the next one's incoming
+        messages, in ``nslots`` slots by ``slot_of(dest)``.
+
+        With more than one group, Algorithm 2 reorganizes the store into a
+        fresh standard-consecutive region named ``name``.  With one group
+        (``nbatches == 1``) one fetch will read every slot at once, and the
+        store, filled by one append, already costs that fetch what the region
+        would: it is kept as it stands (:meth:`LinkedBuckets.retain`) and no
+        round is charged.
+        """
+        store = self.buckets
+        if self.nbatches == 1:
+            incoming, routing = store.retain(nslots, slot_of), RoutingStats.of(store)
+        else:
+            incoming, routing = simulate_routing(
+                self.array, self.allocator, store, nslots=nslots, slot_of=slot_of,
+                name=name,
+            )
+        self.swap_incoming(incoming)
+        return routing
+
+    def swap_incoming(self, region: SlotReads | None) -> None:
+        """Retire the consumed incoming messages and the bucket store — unless
+        the store is ``region`` itself, retained as it stands — and install
         ``region`` as the next compound superstep's incoming messages."""
-        if self.buckets is not None:
+        if self.buckets is not None and self.buckets is not region:
             self.buckets.free()
-            self.buckets = None
+        self.buckets = None
         if self.incoming is not None:
             self.incoming.free()
         self.incoming = region
@@ -217,8 +249,8 @@ class RealProcessor:
     ) -> tuple[bytes, bytes | None, Any, set[int], int, dict | None]:
         """This processor's half of a barrier checkpoint.
 
-        Reading the contexts and the incoming region off the simulated disks
-        is charged as real parallel I/O (the returned delta); holding the
+        Reading the contexts and the incoming messages off the simulated
+        disks is charged as real parallel I/O (the returned delta); holding the
         pickled snapshot on the host side is free, like writing it to a
         durable service outside the machine model.
         """
@@ -260,9 +292,7 @@ class RealProcessor:
             "disks": self.array.snapshot_storage(),
             "alloc": (self.allocator.next_track, list(self.allocator._free)),
             "ctx_used": list(self.contexts._used),
-            "incoming": None
-            if inc is None
-            else (list(inc.slot_sizes), inc.base, inc.name),
+            "incoming": None if inc is None else inc.reference(),
         }
 
     def attach_storage(
@@ -291,10 +321,8 @@ class RealProcessor:
             if state_blob is not None and self.contexts.cache:
                 self.contexts.prime_cache(thaw(state_blob))
             if ref["incoming"] is not None:
-                slot_sizes, base, name = ref["incoming"]
-                self.incoming = StripedRegion.adopt(
-                    self.array, self.allocator, slot_sizes, base, name=name
-                )
+                kind, *layout = ref["incoming"]
+                self.incoming = _ADOPT[kind](self.array, self.allocator, *layout)
         return 0
 
     def restore_checkpoint(
@@ -311,6 +339,9 @@ class RealProcessor:
             if rng_state is not None:
                 self.rng.setstate(rng_state)
             self.contexts.import_all(thaw(state_blob), group_size=self.k)
+            # The blob holds blocks by slot, not where they lay: a retained
+            # bucket store comes back as a region, whose one fetch costs the
+            # same on a healthy array.
             if inc_blob is not None:
                 slot_sizes, blocks = thaw(inc_blob)
                 region = StripedRegion(

@@ -6,6 +6,17 @@ in ``D`` buckets in *standard linked format*; they must be brought into
 phase of the next compound superstep can read each group's messages with
 fully parallel I/O (Figure 2 of the paper).
 
+That is the whole reason to run it, so the engines run it only where there
+is more than one group to fetch for.  A real processor that simulates all
+its virtual processors in one group (``k == v`` under Algorithm 1,
+``v == p*k`` under Algorithm 3 — below the paper's ``v/(pk) >= D``) fills its
+store with one append, and one fetch reads the whole store: its largest
+per-disk load, ``ceil(n/D)``, is what reading a consecutive region costs.  There
+:meth:`~repro.core.processor.RealProcessor.deliver` keeps the store as the
+next superstep's incoming messages
+(:meth:`~repro.emio.linked.LinkedBuckets.retain`), records
+:meth:`RoutingStats.of` it for the Lemma 2 oracle, and charges no round.
+
 The two phases follow the paper:
 
 * **Phase 1** — "Allocate space for a copy of bucket *i* on disk *i* ...  For
@@ -103,6 +114,18 @@ class RoutingStats:
     # X_{j,k} variables of Lemma 2, kept so conformance oracles can check
     # the balance bound and the phase-1/phase-2 round counts after the fact.
     bucket_loads: tuple[tuple[int, ...], ...] = ()
+
+    @classmethod
+    def of(cls, buckets: LinkedBuckets) -> "RoutingStats":
+        """The store's diagnostics, before any round is charged (both phase
+        counts stay 0 where Step 2 is skipped)."""
+        return cls(
+            total_blocks=buckets.total_blocks,
+            max_load_ratio=buckets.max_load_ratio(),
+            bucket_loads=tuple(
+                tuple(buckets.bucket_disk_loads(b)) for b in range(buckets.nbuckets)
+            ),
+        )
 
     @property
     def io_ops(self) -> int:
@@ -222,14 +245,7 @@ def simulate_routing(
             f"SimulateRouting requires nbuckets ({buckets.nbuckets}) <= D ({D}): "
             "phase 1 copies bucket i onto disk i"
         )
-    stats = RoutingStats(
-        total_blocks=buckets.total_blocks,
-        max_load_ratio=buckets.max_load_ratio(),
-        bucket_loads=tuple(
-            tuple(buckets.bucket_disk_loads(b)) for b in range(buckets.nbuckets)
-        ),
-    )
-
+    stats = RoutingStats.of(buckets)
     slot_sizes, max_bucket, phase1, phase2 = _plan(buckets, D, nslots, slot_of)
     region = StripedRegion(array, allocator, slot_sizes, name=name)
     if stats.total_blocks == 0:

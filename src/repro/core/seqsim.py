@@ -13,7 +13,8 @@ memory in groups of ``k = floor(M/mu)``; per compound superstep and group:
 
 After all ``v/k`` groups, Step 2 (:func:`repro.core.routing.simulate_routing`,
 the paper's Algorithm 2) reorganizes the buckets into the next superstep's
-incoming region.
+incoming region — unless there is one group (``k == v``), whose store is kept
+as it stands (:meth:`~repro.core.processor.RealProcessor.deliver`).
 
 The execution is *transparent*: outputs are identical to the in-memory
 reference runner for every algorithm and every valid parameter choice
@@ -32,7 +33,6 @@ from ..bsp.message import message_to_blocks
 from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
-from .routing import simulate_routing
 from .stats import PhaseBreakdown
 
 __all__ = ["SequentialEMSimulation"]
@@ -149,18 +149,10 @@ class SequentialEMSimulation(EMEngine):
             proc._sample_disks(obs)
         with obs.span("reorganize", cat="routing") as sp:
             t = array.parallel_ops
-            new_incoming, routing = simulate_routing(
-                array,
-                self.allocator,
-                buckets,
-                nslots=v,
-                slot_of=lambda dest: dest,
-                name=f"incoming@{step + 1}",
-            )
+            routing = proc.deliver(v, lambda dest: dest, f"incoming@{step + 1}")
             d = array.parallel_ops - t
             phases.reorganize += d
             sp.add(io_ops=d, blocks=routing.total_blocks)
-        proc.swap_incoming(new_incoming)
 
         # BSP*-equivalent communication cost of the *virtual* machine
         # (diagnostic; the real machine has p=1 and no router traffic).

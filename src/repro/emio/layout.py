@@ -36,6 +36,7 @@ from .diskarray import DiskArray
 
 __all__ = [
     "RegionAllocator",
+    "SlotReads",
     "StripedRegion",
     "ConsecutiveRegion",
     "blocks_needed",
@@ -221,7 +222,44 @@ class RegionAllocator:
         return self.next_track
 
 
-class StripedRegion:
+class SlotReads:
+    """How an incoming-message store is read: by slot.
+
+    :class:`StripedRegion` and a retained bucket store
+    (:meth:`repro.emio.linked.LinkedBuckets.retain`) both answer these calls
+    from their ``array``, ``slot_sizes`` and ``slot_addrs(slot)``, so the
+    engines fetch from either without asking which one they hold.
+    """
+
+    array: DiskArray
+    slot_sizes: list[int]
+
+    @property
+    def nslots(self) -> int:
+        return len(self.slot_sizes)
+
+    def slot_addrs(self, slot: int) -> list[tuple[int, int]]:
+        """``(disk, track)`` addresses of slot ``slot``'s blocks, in order."""
+        raise NotImplementedError
+
+    def read_slot(self, slot: int) -> list[Block | None]:
+        """Read all blocks of one slot."""
+        return self.read_slots([slot])[0]
+
+    def read_slots(self, slots: Sequence[int]) -> list[list[Block | None]]:
+        """Read several slots with jointly packed parallel operations."""
+        addrs: list[tuple[int, int]] = []
+        for s in slots:
+            addrs.extend(self.slot_addrs(s))
+        flat = self.array.read_batched(addrs)
+        out, pos = [], 0
+        for s in slots:
+            out.append(flat[pos : pos + self.slot_sizes[s]])
+            pos += self.slot_sizes[s]
+        return out
+
+
+class StripedRegion(SlotReads):
     """A striped on-disk region holding ``len(slot_sizes)`` variable-size items.
 
     Item ``j``'s blocks occupy linear positions ``offset[j] .. offset[j+1])``
@@ -285,9 +323,9 @@ class StripedRegion:
         region.base = base
         return region
 
-    @property
-    def nslots(self) -> int:
-        return len(self.slot_sizes)
+    def reference(self) -> tuple:
+        """What :meth:`adopt` needs to rebuild this region over its tracks."""
+        return ("region", list(self.slot_sizes), self.base, self.name)
 
     def _linear_addr(self, q: int) -> tuple[int, int]:
         return q % self.array.D, self.base + q // self.array.D
@@ -328,27 +366,11 @@ class StripedRegion:
         q0 = self.offsets[slot]
         return [(q % D, base + q // D) for q in range(q0, q0 + count)]
 
-    # -- I/O ---------------------------------------------------------------------
-
-    def read_slot(self, slot: int) -> list[Block | None]:
-        """Read all blocks of one slot (fully parallel)."""
-        return self.read_slots([slot])[0]
+    # -- I/O (reads: :class:`SlotReads`; any run of slots is fully parallel) ----
 
     def write_slot(self, slot: int, blocks: Sequence[Block | None]) -> None:
         """Write all blocks of one slot (fully parallel)."""
         self.write_slots([slot], [blocks])
-
-    def read_slots(self, slots: Sequence[int]) -> list[list[Block | None]]:
-        """Read several slots with jointly packed parallel operations."""
-        addrs: list[tuple[int, int]] = []
-        for s in slots:
-            addrs.extend(self.slot_addrs(s))
-        flat = self.array.read_batched(addrs)
-        out, pos = [], 0
-        for s in slots:
-            out.append(flat[pos : pos + self.slot_sizes[s]])
-            pos += self.slot_sizes[s]
-        return out
 
     def write_slots(
         self, slots: Sequence[int], blocks_per: Sequence[Sequence[Block | None]]

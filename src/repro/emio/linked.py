@@ -18,6 +18,12 @@ Lemma 2 shows that the random permutation writes leave every bucket spread
 almost evenly over the disks — the property the reorganization step
 (:mod:`repro.core.routing`) relies on, and which the ``LEM2`` benchmark
 measures empirically.
+
+A store filled by *one* :meth:`~LinkedBuckets.append_blocks` call — a real
+processor that simulates all its virtual processors in one group — needs no
+reorganization: :meth:`~LinkedBuckets.retain` serves it, as it stands, as the
+next compound superstep's incoming messages, read by slot like a
+:class:`~repro.emio.layout.StripedRegion`.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 from .disk import Block, DiskError
 from .diskarray import DiskArray
-from .layout import RegionAllocator
+from .layout import RegionAllocator, SlotReads
 
 __all__ = ["LinkedBuckets", "WRITE_SCHEDULES"]
 
@@ -36,7 +42,7 @@ __all__ = ["LinkedBuckets", "WRITE_SCHEDULES"]
 WRITE_SCHEDULES = ("random", "rotate", "static", "balance")
 
 
-class LinkedBuckets:
+class LinkedBuckets(SlotReads):
     """``nbuckets`` buckets of message blocks in standard linked format.
 
     Free tracks are drawn from ``allocator`` in chunks of ``chunk`` tracks
@@ -104,6 +110,9 @@ class LinkedBuckets:
             [[] for _ in range(array.D)] for _ in range(nbuckets)
         ]
         self.blocks_written = 0
+        # The read side, set by retain(): each slot's (disk, track) addresses.
+        self.slot_sizes: list[int] = []
+        self._slot_addrs: list[list[tuple[int, int]]] = []
 
     def _grab_chunk(self) -> None:
         base = self.allocator.allocate(self.chunk)
@@ -236,9 +245,72 @@ class LinkedBuckets:
     def total_blocks(self) -> int:
         return sum(self.bucket_size(j) for j in range(self.nbuckets))
 
+    # -- reading back (Step 2 with one group: the store as it stands) ------------
+
+    def retain(self, nslots: int, slot_of: Callable[[int], int]) -> "LinkedBuckets":
+        """Serve this store as the next compound superstep's incoming messages.
+
+        Its blocks are grouped into ``nslots`` slots by ``slot_of(dest)``,
+        each slot's in table order — bucket, disk, first in first out: the
+        order Algorithm 2 (:func:`~repro.core.routing.simulate_routing`) lays
+        a slot out in.  Metadata only, no I/O; returns the store.
+
+        Sound when one :meth:`append_blocks` call filled the store, which is
+        the case when a real processor simulates all its virtual processors
+        in one group.  Every cycle of that call is a permutation of the live
+        drives and only its last is partial, so no drive holds more than
+        ``ceil(n/live)`` of the ``n`` blocks.  Reading them all (the fetching
+        phase of the one group) then costs what reading a consecutive region
+        of ``n`` blocks costs on a healthy array, without Algorithm 2's
+        copies.
+        """
+        slots: dict[int, int] = {}
+        per_slot: list[list[tuple[int, int]]] = [[] for _ in range(nslots)]
+        for per_disk in self.table:
+            for disk, entries in enumerate(per_disk):
+                for track, dest in entries:
+                    s = slots.get(dest)
+                    if s is None:
+                        s = slots[dest] = slot_of(dest)
+                        if not 0 <= s < nslots:
+                            raise DiskError(
+                                f"dest {dest} maps to slot {s}, outside 0..{nslots - 1}"
+                            )
+                    per_slot[s].append((disk, track))
+        self._slot_addrs = per_slot
+        self.slot_sizes = [len(addrs) for addrs in per_slot]
+        return self
+
+    def slot_addrs(self, slot: int) -> list[tuple[int, int]]:
+        return self._slot_addrs[slot]
+
+    def reference(self) -> tuple:
+        """What :meth:`adopt` needs to rebuild this retained store: its track
+        ranges and its table read out by slot."""
+        return ("store", list(self._ranges), self._slot_addrs)
+
+    @classmethod
+    def adopt(
+        cls,
+        array: DiskArray,
+        allocator: RegionAllocator,
+        ranges: Sequence[tuple[int, int]],
+        slot_addrs: Sequence[Sequence[tuple[int, int]]],
+    ) -> "LinkedBuckets":
+        """Rebuild a retained store over track ranges that are *already
+        allocated* — re-attaching a storage-plane checkpoint, as
+        :meth:`StripedRegion.adopt <repro.emio.layout.StripedRegion.adopt>`
+        does for a region.  It reads and frees; it is never appended to."""
+        store = cls(array, allocator, nbuckets=0, bucket_of=None, rng=None)
+        store._ranges = list(ranges)
+        store._slot_addrs = [list(addrs) for addrs in slot_addrs]
+        store.slot_sizes = [len(addrs) for addrs in slot_addrs]
+        return store
+
     def free(self) -> None:
         """Release all reserved track ranges back to the allocator."""
         for base, size in self._ranges:
             self.allocator.release(base, size)
         self._ranges.clear()
         self._free_tracks = [[] for _ in range(self.array.D)]
+        self._slot_addrs, self.slot_sizes = [], []

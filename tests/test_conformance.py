@@ -220,7 +220,7 @@ class TestOracles:
     def test_theorem1_consistency_catches_a_tampered_counter(self):
         """The drill the fuzzer exists for: inflate one phase counter and
         the theorem1_io oracle must flag that superstep."""
-        cfg = small_config()
+        cfg = small_config(k=2)  # two groups: Algorithm 2 runs
         _outputs, report = _build_engine(cfg, faults=None).run()
         fails, n = check_theorem1_io(report.params, report)
         assert fails == [] and n > 0

@@ -342,8 +342,9 @@ def test_crash_between_two_chunks_of_a_composed_relay_resumes(tmp_path, monkeypa
     def build(storage_dir, crash=None, max_recoveries=8):
         alg = small_sort()
         alg.set_record_mode("vector")
+        # k = 2: two groups, so Step 2 runs Algorithm 2 (one group keeps its store).
         return make_engine(
-            alg, build_params(alg, machine, 4), seed=0, checkpoint=True,
+            alg, build_params(alg, machine, 4, k=2), seed=0, checkpoint=True,
             max_recoveries=max_recoveries, storage="file", storage_dir=storage_dir,
             crash=crash, fast_io=True, context_cache=True,
         )
