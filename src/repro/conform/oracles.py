@@ -270,18 +270,19 @@ def theorem1_io_bound(
       contexts are ``k*cbp`` consecutive blocks of a striped region, read at
       full parallelism up to one alignment op.
     * fetch messages: ``ceil(T_{s-1}/D) + 2G`` — each group's slot range is
-      consecutive in the reorganized region (Definition 2).  With one group
-      (``G == 1``) Step 2 is skipped and the one fetch reads the retained
-      bucket store, which one append left with at most ``ceil(T_{s-1}/D)``
-      blocks on a drive; :func:`check_theorem1_io` holds that fetch to the
-      store's heaviest drive exactly.
+      consecutive in the reorganized region (Definition 2) — plus, where a
+      processor kept superstep ``s-1``'s bucket store, the ``4*ceil(N/D)``
+      the Step 2 rule (:func:`~repro.core.routing.keep_store`) lets a kept
+      store's fetch spend in place of Algorithm 2's rounds, summed over
+      processors: ``4 (ceil(T_{s-1}/D) + p)``.
     * write messages: ``ceil(T_s/D) + G`` — linked-bucket appends write full
       cycles of ``D`` blocks, one partial cycle per group (per scatter
       round on the parallel engine).
-    * reorganize: per processor ``2*min(T, D*maxq + D) + 2*min(T, D + maxb)``
-      where ``maxq`` is that processor's worst (bucket, disk) queue length
-      and ``maxb`` its largest bucket — the exact round counts of Algorithm
-      2's two phases; the superstep charges the max over processors.
+    * reorganize: per processor that runs Algorithm 2,
+      ``2*min(T, D*maxq + D) + 2*min(T, D + maxb)`` where ``maxq`` is that
+      processor's worst (bucket, disk) queue length and ``maxb`` its largest
+      bucket — the exact round counts of Algorithm 2's two phases; the
+      superstep charges the max over processors (0 for a kept store).
 
     Summed over supersteps this is the ``O(lambda * (v/p) * mu/(D*B))`` of
     Theorem 1 with explicit constants and lower-order terms.  The bound is
@@ -293,14 +294,18 @@ def theorem1_io_bound(
     groups = params.groups_per_processor
     kcbp = params.k * params.context_blocks_per_vp
     bounds = []
-    prev = 0
+    prev, prev_kept = 0, False
     for s in report.supersteps:
         T = s.message_blocks
         ctx = 2 * groups * (-(-kcbp // D) + 1)
         fetch = -(-prev // D) + 2 * groups
+        if prev_kept:
+            fetch += 4 * (-(-prev // D) + m.p)
         write = -(-T // D) + groups
         reorg = 0
         for routing in s.routing_stats():
+            if routing.kept:
+                continue
             tp = routing.total_blocks
             maxq = max(
                 (max(loads) for loads in routing.bucket_loads if loads),
@@ -313,8 +318,20 @@ def theorem1_io_bound(
             ph2 = 2 * min(tp, D + maxb)
             reorg = max(reorg, ph1 + ph2)
         bounds.append(ctx + fetch + write + reorg)
-        prev = T
+        prev, prev_kept = T, any(r.kept for r in s.routing_stats())
     return bounds if per_superstep else sum(bounds)
+
+
+def _fetch_ops(routing: list, D: int) -> int:
+    """What the fetches of the incoming set that Step 2 left behind cost,
+    from its ``group_loads``: per group the max over processors of the
+    heaviest drive (a kept store) or ``ceil(m/D)`` (Algorithm 2's region),
+    summed over groups."""
+    per_proc = [
+        [max(row) if r.kept else -(-sum(row) // D) for row in r.group_loads]
+        for r in routing
+    ]
+    return sum(map(max, zip(*per_proc)))
 
 
 def check_theorem1_io(
@@ -323,20 +340,22 @@ def check_theorem1_io(
     """Per-superstep counted I/O against :func:`theorem1_io_bound`.
 
     Two layers per superstep: the closed-form *upper bound* on the phase
-    total, and an *exact* cross-check of the ``reorganize`` phase counter
-    against Algorithm 2's own op counts (``max`` over processors of
-    ``RoutingStats.io_ops`` — two independent measurements of the same
-    ops, so any engine-side double/under-charge breaks the equality even
-    when the run is far below the asymptotic bound).
+    total, and an *exact* layer on the two phases Step 2 decides, from its
+    own :class:`~repro.core.routing.RoutingStats` — two independent
+    measurements of the same ops, so any engine-side double/under-charge
+    breaks an equality even when the run is far below the asymptotic bound:
 
-    Where each processor has one group, Step 2 is skipped and the exact
-    layer is two equalities instead: ``reorganize == 0``, and the next
-    superstep's ``fetch_messages`` equals the max over processors of the
-    retained store's heaviest drive, ``max_d sum_b bucket_loads[b][d]``.
+    * ``reorganize`` equals the max over processors of Algorithm 2's own op
+      counts (``RoutingStats.io_ops``) — 0 where every processor kept its
+      store (``routing.kept``);
+    * the next superstep's ``fetch_messages`` equals what the incoming set
+      costs by its ``group_loads``: per fetch group, the max over processors
+      of the kept store's heaviest drive, or of ``ceil(m/D)`` for a region
+      Algorithm 2 laid out, summed over groups.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
-    skipped = params.groups_per_processor == 1
-    store_load = 0  # heaviest drive of the store the next fetch reads
+    D = params.machine.D
+    fetch = 0  # what this superstep's fetches of the incoming set cost
     failures = []
     for s, bound in zip(report.supersteps, bounds):
         if s.phases.total > bound:
@@ -348,38 +367,28 @@ def check_theorem1_io(
                     f"(phases={s.phases!r})",
                 )
             )
-        routing = s.routing_stats()
-        if skipped:
-            if s.phases.reorganize:
-                failures.append(
-                    OracleFailure(
-                        "theorem1_io",
-                        f"superstep {s.index}: one group a processor skips "
-                        f"Step 2, but reorganize charged {s.phases.reorganize} ops",
-                    )
+        if s.phases.fetch_messages != fetch:
+            failures.append(
+                OracleFailure(
+                    "theorem1_io",
+                    f"superstep {s.index}: fetch_messages charged "
+                    f"{s.phases.fetch_messages} ops, but the incoming set's "
+                    f"group loads (heaviest drive where kept) cost {fetch}",
                 )
-            if s.phases.fetch_messages != store_load:
-                failures.append(
-                    OracleFailure(
-                        "theorem1_io",
-                        f"superstep {s.index}: fetch_messages charged "
-                        f"{s.phases.fetch_messages} ops, but the retained store's "
-                        f"heaviest drive holds {store_load} blocks",
-                    )
-                )
-            store_load = max(
-                (max(map(sum, zip(*r.bucket_loads)), default=0) for r in routing),
-                default=0,
             )
-        elif routing:
+        routing = s.routing_stats()
+        if routing:
             expected = max(r.io_ops for r in routing)
             if s.phases.reorganize != expected:
+                kept = all(r.kept for r in routing)
                 failures.append(
                     OracleFailure(
                         "theorem1_io",
                         f"superstep {s.index}: reorganize phase charged "
-                        f"{s.phases.reorganize} ops but Algorithm 2's own "
-                        f"stats count {expected}",
+                        f"{s.phases.reorganize} ops but "
+                        + ("every processor kept its store"
+                           if kept else f"Algorithm 2's own stats count {expected}"),
                     )
                 )
+        fetch = _fetch_ops(routing, D)
     return failures, 2 * len(bounds)

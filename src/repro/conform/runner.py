@@ -345,7 +345,8 @@ def _run_kill_case(
     ``max_recoveries=0`` turns the first fatal fault into a
     :class:`SimulationAborted` carrying the last checkpoint — the "machine
     burned down" scenario.  Resuming on a fresh, healthy engine must
-    reproduce the reference outputs and report the resume step.  Two
+    reproduce the reference outputs, report the resume step and pass the
+    Theorem 1 oracle.  Two
     non-failures: the doomed disk outlived the run (plain output check),
     and death before the first checkpoint (nothing to resume; counted as
     skipped).
@@ -385,6 +386,12 @@ def _run_kill_case(
                     f"expected {ckpt.step}",
                 )
             )
+        # Every superstep of the resumed report ran healthy (the checkpoint
+        # predates the death), and the portable restore puts the incoming set
+        # back where it lay, so the exact Theorem 1 layer holds across it.
+        fails, n = check_theorem1_io(report.params, report)
+        result.checks["theorem1_io"] += n
+        result.failures.extend(fails)
         return
     except FATAL_IO_FAULTS:
         # Fatal fault outside the recovery scope (e.g. while loading input):

@@ -24,12 +24,12 @@ Per round:
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
-next compound superstep.  The paper assumes ``v/(pk) >= D`` batches per
-processor; with one (``v == p*k``) the next superstep's one fetch reads the
-whole store, which one append left with at most ``ceil(n/D)`` blocks on a
-drive — what the region would cost — so the store itself is kept as the
-incoming messages and no round is charged
-(:meth:`~repro.core.processor.RealProcessor.deliver`).
+next compound superstep — or, where reading the store as it stands costs the
+next superstep's batch fetches no more than Algorithm 2 could (always with
+``D <= 5``, and with one batch, ``v == p*k``), keeps the store itself as the
+incoming messages and charges no round
+(:meth:`~repro.core.processor.RealProcessor.deliver`).  Each processor
+decides for itself.
 
 **Backends** (see :mod:`repro.core.backend`): the per-processor work lives in
 :class:`_RealProcessor` (the shared :class:`~repro.core.processor.RealProcessor`
@@ -89,8 +89,7 @@ class _Placement:
         batches would use only ``v/(pk)`` buckets when ``1 < v/(pk) < D``
         and leave the other drives idle in phase 1; ranging vps, a batch may
         span two buckets, and each bucket is still a contiguous vp range, as
-        Algorithm 2 requires.  With one batch nothing is reorganized
-        (:meth:`~repro.core.processor.RealProcessor.deliver`).
+        Algorithm 2 requires.
         """
         return (vp % self.vpp) * self.params.machine.D // self.vpp
 

@@ -34,7 +34,7 @@ from ..obs.spans import NULL_OBSERVER, Collector, NullObserver
 from ..params import SimulationParams
 from .checkpoint import freeze, thaw
 from .context import ContextStore
-from .routing import RoutingStats, simulate_routing
+from .routing import RoutingStats, keep_store, simulate_routing
 
 if TYPE_CHECKING:
     from .engine import RunConfig
@@ -102,7 +102,7 @@ class RealProcessor:
             cache=config.context_cache,
         )
         # The incoming messages: a region Algorithm 2 laid out, or the last
-        # superstep's bucket store itself (one group; see deliver()).
+        # superstep's bucket store itself (see deliver()).
         self.incoming: SlotReads | None = None
         self.buckets: LinkedBuckets | None = None
         # Worker-side telemetry: spans/samples/metrics collected here and
@@ -211,23 +211,26 @@ class RealProcessor:
         self, nslots: int, slot_of: Callable[[int], int], name: str
     ) -> RoutingStats:
         """Step 2: make this superstep's bucket store the next one's incoming
-        messages, in ``nslots`` slots by ``slot_of(dest)``.
+        messages, in ``nslots`` slots by ``slot_of(dest)``; the ``nbatches``
+        fetch groups take the slots in equal consecutive runs.
 
-        With more than one group, Algorithm 2 reorganizes the store into a
-        fresh standard-consecutive region named ``name``.  With one group
-        (``nbatches == 1``) one fetch will read every slot at once, and the
-        store, filled by one append, already costs that fetch what the region
-        would: it is kept as it stands (:meth:`LinkedBuckets.retain`) and no
-        round is charged.
+        The store's tables say, before any block moves, what each group's
+        fetch would cost reading the store as it stands (``group_loads``).
+        Where :func:`~repro.core.routing.keep_store` finds that no dearer than
+        Algorithm 2 could be, the store is kept (:meth:`LinkedBuckets.retain`)
+        and no round is charged; otherwise Algorithm 2 reorganizes it into a
+        fresh standard-consecutive region named ``name``.
         """
         store = self.buckets
-        if self.nbatches == 1:
-            incoming, routing = store.retain(nslots, slot_of), RoutingStats.of(store)
+        loads = store.retain(nslots, slot_of).group_loads(self.nbatches)
+        if keep_store(loads, self.array.D):
+            incoming, routing = store, RoutingStats.of(store)
         else:
             incoming, routing = simulate_routing(
                 self.array, self.allocator, store, nslots=nslots, slot_of=slot_of,
                 name=name,
             )
+        routing.group_loads, routing.kept = loads, incoming is store
         self.swap_incoming(incoming)
         return routing
 
@@ -257,9 +260,12 @@ class RealProcessor:
         with self.obs.span("checkpoint", cat="checkpoint") as sp:
             t = self.array.parallel_ops
             state_blob = freeze(self.contexts.export_all(group_size=group_size))
-            if self.incoming is not None:
-                blocks = self.incoming.read_slots(range(self.incoming.nslots))
-                inc_blob = freeze((self.incoming.slot_sizes, blocks))
+            inc = self.incoming
+            if inc is not None:
+                layout = (inc.slot_sizes, inc.read_slots(range(inc.nslots)))
+                if isinstance(inc, LinkedBuckets):  # keep each block's drive
+                    layout += (inc.slot_drives(),)
+                inc_blob = freeze(layout)
             else:
                 inc_blob = None
             delta = self.array.parallel_ops - t
@@ -339,17 +345,22 @@ class RealProcessor:
             if rng_state is not None:
                 self.rng.setstate(rng_state)
             self.contexts.import_all(thaw(state_blob), group_size=self.k)
-            # The blob holds blocks by slot, not where they lay: a retained
-            # bucket store comes back as a region, whose one fetch costs the
-            # same on a healthy array.
+            # The blob holds blocks by slot, and a kept store's drives too: it
+            # comes back with every block on its drive, so each fetch costs
+            # what it would have.
             if inc_blob is not None:
-                slot_sizes, blocks = thaw(inc_blob)
-                region = StripedRegion(
-                    self.array, self.allocator, slot_sizes,
-                    name=f"incoming@{self.tag}resume{step}",
-                )
-                region.write_slots(range(region.nslots), blocks)
-                self.incoming = region
+                slot_sizes, blocks, *drives = thaw(inc_blob)
+                if drives:
+                    self.incoming = LinkedBuckets.rewrite(
+                        self.array, self.allocator, drives[0], blocks
+                    )
+                else:
+                    region = StripedRegion(
+                        self.array, self.allocator, slot_sizes,
+                        name=f"incoming@{self.tag}resume{step}",
+                    )
+                    region.write_slots(range(region.nslots), blocks)
+                    self.incoming = region
             return self.array.parallel_ops - t
 
     def apply_crash(self, stage: str) -> int:

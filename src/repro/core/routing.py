@@ -6,16 +6,30 @@ in ``D`` buckets in *standard linked format*; they must be brought into
 phase of the next compound superstep can read each group's messages with
 fully parallel I/O (Figure 2 of the paper).
 
-That is the whole reason to run it, so the engines run it only where there
-is more than one group to fetch for.  A real processor that simulates all
-its virtual processors in one group (``k == v`` under Algorithm 1,
-``v == p*k`` under Algorithm 3 — below the paper's ``v/(pk) >= D``) fills its
-store with one append, and one fetch reads the whole store: its largest
-per-disk load, ``ceil(n/D)``, is what reading a consecutive region costs.  There
-:meth:`~repro.core.processor.RealProcessor.deliver` keeps the store as the
-next superstep's incoming messages
-(:meth:`~repro.emio.linked.LinkedBuckets.retain`), records
-:meth:`RoutingStats.of` it for the Lemma 2 oracle, and charges no round.
+That is the whole reason to run it, so the engines run it only where it can
+pay.  The bucket store can be read by slot as it stands
+(:meth:`~repro.emio.linked.LinkedBuckets.retain`): the next superstep's fetch
+of group ``g`` then costs ``max_d load[g][d]``, the heaviest drive among the
+blocks of that group's slots (Algorithm 1: ``k`` consecutive vp slots;
+Algorithm 3: one batch slot).  Algorithm 2 costs at least two parallel
+operations a round over at least ``ceil(N/D)`` rounds in each of its two
+phases, and the region it lays out is then fetched in ``ceil(m_g/D)`` per
+group.  :func:`keep_store` is the rule, taken from the store's own tables
+before a block moves: keep the store when
+
+    ``sum_g max_d load[g][d]  <=  4*ceil(N/D) + sum_g ceil(m_g/D)``,
+
+the right-hand side being a lower bound on Algorithm 2 plus the region's
+fetch, so a processor is never charged more than Algorithm 2 would have
+charged it and Theorem 1's bound stands.  The left-hand side is at most
+``N``, so with ``D <= 5`` drives the store is always kept; so is the store
+of a processor with one group (one fetch, which one append left at
+``ceil(N/D)`` on a healthy array).  Where the rule keeps the store,
+:meth:`~repro.core.processor.RealProcessor.deliver` installs it as the next
+superstep's incoming messages and charges no round; otherwise it runs
+:func:`simulate_routing`.  Either way :class:`RoutingStats` records the
+``group_loads`` the rule read and whether the store was ``kept``, for the
+Lemma 2 and Theorem 1 oracles.
 
 The two phases follow the paper:
 
@@ -90,7 +104,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,12 +113,12 @@ from ..emio.diskarray import DiskArray, RelaySchedule
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
 
-__all__ = ["simulate_routing", "RoutingStats"]
+__all__ = ["simulate_routing", "RoutingStats", "keep_store"]
 
 
 @dataclass
 class RoutingStats:
-    """Diagnostics of one SimulateRouting invocation."""
+    """Diagnostics of one Step 2: the store's loads, and what it charged."""
 
     total_blocks: int = 0
     phase1_ops: int = 0
@@ -114,11 +128,16 @@ class RoutingStats:
     # X_{j,k} variables of Lemma 2, kept so conformance oracles can check
     # the balance bound and the phase-1/phase-2 round counts after the fact.
     bucket_loads: tuple[tuple[int, ...], ...] = ()
+    # Per fetch group, per disk: the store's blocks of that group's slots —
+    # what keep_store decided on, and what the next fetch of each group
+    # costs: its heaviest drive if the store was kept, ceil(sum/D) if not.
+    group_loads: tuple[tuple[int, ...], ...] = ()
+    kept: bool = False  # the store is the next incoming set; no round charged
 
     @classmethod
     def of(cls, buckets: LinkedBuckets) -> "RoutingStats":
         """The store's diagnostics, before any round is charged (both phase
-        counts stay 0 where Step 2 is skipped)."""
+        counts stay 0 where Step 2 keeps the store)."""
         return cls(
             total_blocks=buckets.total_blocks,
             max_load_ratio=buckets.max_load_ratio(),
@@ -130,6 +149,16 @@ class RoutingStats:
     @property
     def io_ops(self) -> int:
         return self.phase1_ops + self.phase2_ops
+
+
+def keep_store(group_loads: Sequence[Sequence[int]], D: int) -> bool:
+    """Step 2's rule: keep the bucket store whose fetch groups hold
+    ``group_loads[g][d]`` blocks on drive ``d`` when reading it as it stands
+    costs no more than a lower bound on Algorithm 2's two phases plus the
+    fetch of the region it would lay out (module docstring)."""
+    n = sum(map(sum, group_loads))
+    floor = 4 * -(-n // D) + sum(-(-sum(row) // D) for row in group_loads)
+    return sum(max(row, default=0) for row in group_loads) <= floor
 
 
 def _in_round_order(raw_round, bucket, D, read_disk, read_track, write_disk, write_track):

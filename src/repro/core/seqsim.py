@@ -13,8 +13,9 @@ memory in groups of ``k = floor(M/mu)``; per compound superstep and group:
 
 After all ``v/k`` groups, Step 2 (:func:`repro.core.routing.simulate_routing`,
 the paper's Algorithm 2) reorganizes the buckets into the next superstep's
-incoming region — unless there is one group (``k == v``), whose store is kept
-as it stands (:meth:`~repro.core.processor.RealProcessor.deliver`).
+incoming region — unless the store, read as it stands, costs the next fetch
+no more than Algorithm 2 could, and is kept
+(:meth:`~repro.core.processor.RealProcessor.deliver`; always with ``D <= 5``).
 
 The execution is *transparent*: outputs are identical to the in-memory
 reference runner for every algorithm and every valid parameter choice

@@ -19,11 +19,11 @@ almost evenly over the disks — the property the reorganization step
 (:mod:`repro.core.routing`) relies on, and which the ``LEM2`` benchmark
 measures empirically.
 
-A store filled by *one* :meth:`~LinkedBuckets.append_blocks` call — a real
-processor that simulates all its virtual processors in one group — needs no
-reorganization: :meth:`~LinkedBuckets.retain` serves it, as it stands, as the
-next compound superstep's incoming messages, read by slot like a
-:class:`~repro.emio.layout.StripedRegion`.
+The store can also be read as it stands: :meth:`~LinkedBuckets.retain` serves
+it, by slot like a :class:`~repro.emio.layout.StripedRegion`, as the next
+compound superstep's incoming messages, and :meth:`~LinkedBuckets.group_loads`
+says from the tables alone what each fetch group would pay to read it — the
+numbers Step 2 decides on (:func:`repro.core.routing.keep_store`).
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ class LinkedBuckets(SlotReads):
     def total_blocks(self) -> int:
         return sum(self.bucket_size(j) for j in range(self.nbuckets))
 
-    # -- reading back (Step 2 with one group: the store as it stands) ------------
+    # -- reading back (Step 2 keeps the store as it stands) ---------------------
 
     def retain(self, nslots: int, slot_of: Callable[[int], int]) -> "LinkedBuckets":
         """Serve this store as the next compound superstep's incoming messages.
@@ -253,16 +253,19 @@ class LinkedBuckets(SlotReads):
         Its blocks are grouped into ``nslots`` slots by ``slot_of(dest)``,
         each slot's in table order — bucket, disk, first in first out: the
         order Algorithm 2 (:func:`~repro.core.routing.simulate_routing`) lays
-        a slot out in.  Metadata only, no I/O; returns the store.
+        a slot out in, so a fetch hands every virtual processor the blocks it
+        would have read from the region.  Metadata only, no I/O; returns the
+        store.
 
-        Sound when one :meth:`append_blocks` call filled the store, which is
-        the case when a real processor simulates all its virtual processors
-        in one group.  Every cycle of that call is a permutation of the live
-        drives and only its last is partial, so no drive holds more than
-        ``ceil(n/live)`` of the ``n`` blocks.  Reading them all (the fetching
-        phase of the one group) then costs what reading a consecutive region
-        of ``n`` blocks costs on a healthy array, without Algorithm 2's
-        copies.
+        Always correct; cheap only where the blocks a fetch reads together
+        are spread over the drives.  Whether they are is a count over the
+        tables (:meth:`group_loads`), and the caller decides on it: the
+        engines keep the store only where reading it costs no more than
+        Algorithm 2 could (:func:`~repro.core.routing.keep_store`; with
+        ``D <= 5`` drives, always).  A store that one append filled — one
+        group — has at most ``ceil(n/live)`` of its ``n`` blocks on a drive,
+        since every cycle is a permutation of the live drives and only the
+        last is partial.
         """
         slots: dict[int, int] = {}
         per_slot: list[list[tuple[int, int]]] = [[] for _ in range(nslots)]
@@ -280,6 +283,24 @@ class LinkedBuckets(SlotReads):
         self._slot_addrs = per_slot
         self.slot_sizes = [len(addrs) for addrs in per_slot]
         return self
+
+    def group_loads(self, ngroups: int) -> tuple[tuple[int, ...], ...]:
+        """Per fetch group, per drive, the blocks of a :meth:`retain`-ed store
+        that group reads: the slots split into ``ngroups`` equal consecutive
+        runs (Algorithm 1: ``k`` vp slots a group; Algorithm 3: one batch
+        slot).  Reading group ``g``'s slots costs its heaviest drive."""
+        loads = [[0] * self.array.D for _ in range(ngroups)]
+        width = self.nslots // ngroups
+        for s, addrs in enumerate(self._slot_addrs):
+            row = loads[s // width]
+            for disk, _track in addrs:
+                row[disk] += 1
+        return tuple(map(tuple, loads))
+
+    def slot_drives(self) -> list[list[int]]:
+        """Each slot's blocks' drives, in slot order: what a portable
+        checkpoint keeps so that :meth:`rewrite` puts them back."""
+        return [[disk for disk, _track in addrs] for addrs in self._slot_addrs]
 
     def slot_addrs(self, slot: int) -> list[tuple[int, int]]:
         return self._slot_addrs[slot]
@@ -306,6 +327,37 @@ class LinkedBuckets(SlotReads):
         store._slot_addrs = [list(addrs) for addrs in slot_addrs]
         store.slot_sizes = [len(addrs) for addrs in slot_addrs]
         return store
+
+    @classmethod
+    def rewrite(
+        cls,
+        array: DiskArray,
+        allocator: RegionAllocator,
+        slot_drives: Sequence[Sequence[int]],
+        blocks: Sequence[Sequence[Block | None]],
+    ) -> "LinkedBuckets":
+        """Write a retained store back from a portable checkpoint: slot by
+        slot, each block on the drive :meth:`slot_drives` recorded, in one
+        freshly allocated track range.  Each fetch group's heaviest drive is
+        then what it was, so the resumed superstep charges what the
+        uninterrupted one did.  The write costs the heaviest drive."""
+        per_drive = [0] * array.D
+        for drives in slot_drives:
+            for d in drives:
+                per_drive[d] += 1
+        size = max(per_drive)
+        base = allocator.allocate(size)
+        nxt = [base] * array.D
+        slot_addrs, writes = [], []
+        for drives, blks in zip(slot_drives, blocks):
+            addrs = []
+            for d, blk in zip(drives, blks):
+                addrs.append((d, nxt[d]))
+                writes.append((d, nxt[d], blk))
+                nxt[d] += 1
+            slot_addrs.append(addrs)
+        array.write_batched(writes)
+        return cls.adopt(array, allocator, [(base, size)], slot_addrs)
 
     def free(self) -> None:
         """Release all reserved track ranges back to the allocator."""

@@ -219,11 +219,16 @@ class TestOracles:
 
     def test_theorem1_consistency_catches_a_tampered_counter(self):
         """The drill the fuzzer exists for: inflate one phase counter and
-        the theorem1_io oracle must flag that superstep."""
-        cfg = small_config(k=2)  # two groups: Algorithm 2 runs
-        _outputs, report = _build_engine(cfg, faults=None).run()
+        the theorem1_io oracle must flag that superstep — here the
+        reorganize counter of a superstep that runs Algorithm 2 (eight
+        drives, and traffic the identity permutations pile onto one drive
+        a group, so Step 2 does not keep the store)."""
+        from .test_kept_store import piled
+
+        _outputs, report = piled().run()
         fails, n = check_theorem1_io(report.params, report)
         assert fails == [] and n > 0
+        assert report.supersteps[0].phases.reorganize > 0
         report.supersteps[0].phases.reorganize *= 2
         fails, _n = check_theorem1_io(report.params, report)
         assert any(

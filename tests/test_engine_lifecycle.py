@@ -240,10 +240,15 @@ class TestRunFinishedIoOps:
         assert bool(rep.faults.recoveries) == faulty
         assert emitted == _counted_total(rep)
 
-    def test_engines_agree_at_p1(self, tmp_path):
+    def test_engines_agree_at_p1(self, tmp_path, monkeypatch):
         """On this sort Algorithm 3 at p=1 charges exactly what Algorithm 1
         does (asserted below, so the comparison stays meaningful) — and then
-        the two engines must stream the same number."""
+        the two engines must stream the same number.  The agreement is
+        Algorithm 2's: a kept store holds the blocks where each engine's own
+        write cycles put them, so Step 2 is forced onto Algorithm 2."""
+        from .test_kept_store import always_route
+
+        always_route(monkeypatch)
 
         def run(cls):
             alg = CGMSampleSort(uniform_keys(512, seed=11), v=4)

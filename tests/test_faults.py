@@ -308,8 +308,14 @@ class TestEngineFaultTransparency:
         assert rep.faults.disks_died == 1
         assert rep.faults.recoveries >= 1
 
-    def test_permutation_under_death(self):
+    def test_permutation_under_death(self, monkeypatch):
+        """The death is timed inside Algorithm 2, which four drives never
+        need (the store is kept), so Step 2 is forced onto it."""
         import random as _random
+
+        from .test_kept_store import always_route
+
+        always_route(monkeypatch)
 
         vals = [f"v{i}" for i in range(256)]
         perm = list(range(256))

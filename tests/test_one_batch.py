@@ -39,6 +39,8 @@ from repro.emio.layout import RegionAllocator
 from repro.emio.linked import WRITE_SCHEDULES, LinkedBuckets
 from repro.params import MachineParams
 
+from .test_kept_store import always_route
+
 N = 128  # above list ranking's gather threshold at v = 4: contraction rounds
 #: Algorithm 1 with k == v and Algorithm 3 with v == p*k.
 SHAPES = {"alg1": dict(p=1, v=4, k=4), "alg3": dict(p=2, v=4, k=2)}
@@ -214,7 +216,7 @@ def test_theorem1_oracle_catches_one_op_planted_in_a_kept_store_superstep(shape)
     step.phases.fetch_messages -= 1
     step.phases.reorganize += 1
     fails = check_theorem1_io(report.params, report)[0]
-    assert any("skips Step 2" in f.message for f in fails)
+    assert any("kept its store" in f.message for f in fails)
 
 
 # -- Algorithm 3's bucket map ------------------------------------------------------------
@@ -246,7 +248,9 @@ def test_bucket_map_is_the_papers_where_D_divides_the_batch_count():
 
 def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     """p = 2, v = 16, k = 4: two batches a processor over D = 4 drives.  Ranged
-    by batch, only buckets 0 and 2 fill and phase 1 leaves two drives idle."""
+    by batch, only buckets 0 and 2 fill and phase 1 leaves two drives idle.
+    On four drives Step 2 would keep every store, so Algorithm 2 is forced."""
+    always_route(monkeypatch)
     place = SimpleNamespace(vpp=8, k=4, nbatches=2,
                             params=SimpleNamespace(machine=SimpleNamespace(D=4)))
     assert {_Placement.bucket_of_vp(place, vp) for vp in range(8)} == {0, 1, 2, 3}

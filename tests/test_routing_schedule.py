@@ -34,6 +34,7 @@ from repro.outofcore import OutOfCoreSort, serialized_size, verify_digests
 from repro.params import MachineParams
 
 from .test_crash_consistency import small_sort
+from .test_kept_store import always_route
 
 B = 16
 V = 16
@@ -294,6 +295,8 @@ def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
         chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[1] - before)
 
     monkeypatch.setattr(DiskArray, "_relay_sealed", measured)
+    # The measured chunk is Algorithm 2's; force it where the store would be kept.
+    always_route(monkeypatch)
     tracemalloc.start()
     tracemalloc.reset_peak()
     out, _report = simulate(alg, machine, v=V_, seed=SEED, storage="file", fast_io=True)
@@ -336,13 +339,14 @@ def test_crash_between_two_chunks_of_a_composed_relay_resumes(tmp_path, monkeypa
 
     machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
     # One round in flight, so that a relay of this small sort has chunks to
-    # crash between; counted costs do not depend on the chunk.
+    # crash between; counted costs do not depend on the chunk.  Two drives
+    # keep every store, so Step 2 is forced onto Algorithm 2.
     monkeypatch.setattr(DiskArray, "rounds_in_flight", property(lambda self: 1))
+    always_route(monkeypatch)
 
     def build(storage_dir, crash=None, max_recoveries=8):
         alg = small_sort()
         alg.set_record_mode("vector")
-        # k = 2: two groups, so Step 2 runs Algorithm 2 (one group keeps its store).
         return make_engine(
             alg, build_params(alg, machine, 4, k=2), seed=0, checkpoint=True,
             max_recoveries=max_recoveries, storage="file", storage_dir=storage_dir,
