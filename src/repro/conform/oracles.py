@@ -341,9 +341,10 @@ def check_theorem1_io(
 
     Two layers per superstep: the closed-form *upper bound* on the phase
     total, and an *exact* layer on the two phases Step 2 decides, from its
-    own :class:`~repro.core.routing.RoutingStats` — two independent
-    measurements of the same ops, so any engine-side double/under-charge
-    breaks an equality even when the run is far below the asymptotic bound:
+    own :class:`~repro.core.routing.RoutingStats`, and on the context swaps
+    the group order decides — two independent measurements of the same ops,
+    so any engine-side double/under-charge breaks an equality even when the
+    run is far below the asymptotic bound:
 
     * ``reorganize`` equals the max over processors of Algorithm 2's own op
       counts (``RoutingStats.io_ops``) — 0 where every processor kept its
@@ -351,13 +352,47 @@ def check_theorem1_io(
     * the next superstep's ``fetch_messages`` equals what the incoming set
       costs by its ``group_loads``: per fetch group, the max over processors
       of the kept store's heaviest drive, or of ``ceil(m/D)`` for a region
-      Algorithm 2 laid out, summed over groups.
+      Algorithm 2 laid out, summed over groups;
+    * the contexts: the groups a superstep writes back are the groups the
+      next one fetches, unchanged, and the one it holds in memory is fetched
+      by nobody (:func:`~repro.core.processor.group_order`), so each
+      ``fetch_context`` equals the ``write_context`` before it — 0 with one
+      group a processor.  The input load and the output unload move the same
+      groups once more, each charged as one max over processors rather than
+      a sum over rounds of maxima: equal to the first fetch and the last
+      write with one processor, no more than them with several.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
     D = params.machine.D
+    sole = params.machine.p == 1
     fetch = 0  # what this superstep's fetches of the incoming set cost
+    ctx = None  # ... and of the contexts (None: the input load precedes it)
     failures = []
+
+    def ends(what: str, got: int, phase: str, want: int) -> None:
+        if (got != want) if sole else (got > want):
+            failures.append(
+                OracleFailure(
+                    "theorem1_io",
+                    f"{what} charged {got} ops, but the {phase} moving the "
+                    f"same contexts cost {want}",
+                )
+            )
+
     for s, bound in zip(report.supersteps, bounds):
+        if ctx is None:
+            ends("input load", report.init_io_ops, "first fetch_context",
+                 s.phases.fetch_context)
+        elif s.phases.fetch_context != ctx:
+            failures.append(
+                OracleFailure(
+                    "theorem1_io",
+                    f"superstep {s.index}: fetch_context charged "
+                    f"{s.phases.fetch_context} ops, but writing those contexts "
+                    f"back before it cost {ctx}",
+                )
+            )
+        ctx = s.phases.write_context
         if s.phases.total > bound:
             failures.append(
                 OracleFailure(
@@ -391,4 +426,6 @@ def check_theorem1_io(
                     )
                 )
         fetch = _fetch_ops(routing, D)
-    return failures, 2 * len(bounds)
+    if ctx is not None:
+        ends("output unload", report.output_io_ops, "last write_context", ctx)
+    return failures, 3 * len(bounds)

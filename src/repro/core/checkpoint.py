@@ -3,7 +3,9 @@
 The compound-superstep barrier is the natural recovery point of the
 simulation: between two compound supersteps the *entire* live state of the
 virtual machine is (a) the virtual-processor contexts in their standard
-consecutive region, (b) the incoming-message region produced by Algorithm 2,
+consecutive region — all but the one group a processor holds in memory
+across the barrier, which the checkpoint reads from memory and every restore
+holds again — (b) the incoming-message region produced by Algorithm 2,
 (c) the engine's RNG state, and (d) the cost ledger.  Nothing else persists
 across the barrier — the bucket stores are freed by the reorganization step.
 A checkpoint is therefore a faithful snapshot of exactly those four things,

@@ -35,6 +35,15 @@ tested under it.  A checkpoint freezes the states into a blob at the barrier
 and every recovery thaws fresh objects from it (:meth:`prime_cache`,
 :meth:`import_all`), so no held object ever outlives a rollback.
 
+**The resident group** (``save_group(..., hold=True)``): the group a barrier
+leaves in memory, because the next compound superstep runs it first
+(:func:`~repro.core.processor.group_order`).  It is measured like any save
+but neither written nor charged, and the next :meth:`ContextStore.load_group`
+of its slots hands the same objects back at no I/O.  Its tracks hold an older
+state or nothing, so every recovery holds it again from a checkpoint's
+states — :meth:`ContextStore.import_all`'s ``resident`` on a portable
+restore, a held save after an attach — never from disk.
+
 On a traced array the physical path runs unchanged — the blocks written are
 cut from the fresh pickle and the load still reads them, so traces stay
 byte-identical — and the cache is refused entirely on a fault-injecting
@@ -125,6 +134,9 @@ class ContextStore:
         # Held state objects, boxed so that a state which *is* ``None`` still
         # reads as present; ``None`` marks a slot the cache does not hold.
         self._cached: list[tuple[Any] | None] = [None] * nslots
+        # The resident group, slot -> state: the one group a barrier leaves in
+        # memory (``save_group(..., hold=True)``).  Its disk image is stale.
+        self._resident: dict[int, Any] = {}
         # Cheap always-on tallies, sampled by the observability layer
         # (repro.obs) as the context-cache hit rate.
         self.cache_hits = 0
@@ -143,8 +155,10 @@ class ContextStore:
         return self.load_group([slot])[0]
 
     def invalidate_cache(self) -> None:
-        """Drop every held context (next loads hit the disk image)."""
+        """Drop every held context, the resident group's too (next loads hit
+        the disk image)."""
         self._cached = [None] * self.nslots
+        self._resident = {}
 
     def prime_cache(self, states: Sequence[Any]) -> None:
         """Re-seed the cache from checkpointed states (attach-time recovery).
@@ -174,14 +188,25 @@ class ContextStore:
             addrs.extend(slot_addrs(slot, n))
         return addrs
 
-    def save_group(self, slots: Sequence[int], states: Sequence[Any]) -> None:
-        """Write a whole group of contexts with jointly packed parallel ops."""
+    def save_group(
+        self, slots: Sequence[int], states: Sequence[Any], hold: bool = False
+    ) -> None:
+        """Write a whole group of contexts with jointly packed parallel ops.
+
+        ``hold`` keeps the group in memory instead, as the *resident* group:
+        the group a barrier leaves in memory, which the next superstep runs
+        first.  It is measured (block count, ``mu`` refusal) but neither
+        written nor charged, and the next :meth:`load_group` of these slots
+        hands the states back at no I/O.  One group is resident at a time.
+        """
+        if hold and self._resident.keys() - set(slots):
+            raise DiskError("a second group cannot be held beside the resident one")
         # One pickle per state: its length is what the block count, the mu
         # refusal and the charge are defined on.  The blocks are cut from the
-        # bytes, except where the cache holds the state and the fast data
-        # plane charges the write without storing it: there the stream is
-        # metered and never assembled.
-        metered = self.cache and self.array.fast_data_plane
+        # bytes, except where nothing reads them — a held group, or a cached
+        # state whose write the fast data plane charges without storing it:
+        # there the stream is metered and never assembled.
+        metered = hold or (self.cache and self.array.fast_data_plane)
         chunk = self.B * Block.BYTES_PER_RECORD
         counts: list[int] = []
         ops: list = []
@@ -199,12 +224,16 @@ class ContextStore:
             check_context_bound(data, self.mu)
             n = -(-max(len(data), 1) // chunk)
             counts.append(n)
+            if hold:
+                continue
             addrs = self.region.slot_addrs(slot, n)
             if metered:
                 ops += addrs
             else:
                 ops += [(d, t, blk) for (d, t), blk in zip(addrs, bytes_to_blocks(data, self.B))]
-        if metered:
+        if hold:
+            self._resident = dict(zip(slots, states))
+        elif metered:
             self.array.charge_batched("W", ops)
         else:
             self.array.write_batched(ops)
@@ -212,9 +241,17 @@ class ContextStore:
             self._used[slot] = n
             if self.cache:
                 self._cached[slot] = (state,)
+            if not hold:
+                self._resident.pop(slot, None)
 
     def load_group(self, slots: Sequence[int]) -> list[Any]:
-        """Read a whole group of contexts with jointly packed parallel ops."""
+        """Read a whole group of contexts with jointly packed parallel ops —
+        none for the resident group, which is handed back as it is held."""
+        held = [s in self._resident for s in slots]
+        if any(held):
+            if not all(held):
+                raise DiskError(f"slots {list(slots)} straddle the resident group")
+            return [self._resident[s] for s in slots]
         if self.cache and all(self._cached[s] is not None for s in slots):
             self.cache_hits += len(slots)
             counts = [self._used[s] for s in slots]
@@ -254,8 +291,15 @@ class ContextStore:
             out.extend(self.load_group(range(base, min(base + g, self.nslots))))
         return out
 
-    def import_all(self, states: Sequence[Any], group_size: int | None = None) -> None:
-        """Rewrite every context from ``states`` (restore path).
+    def import_all(
+        self,
+        states: Sequence[Any],
+        group_size: int | None = None,
+        resident: int | None = None,
+    ) -> None:
+        """Rewrite every context from ``states`` (restore path); group
+        ``resident`` (of ``group_size``) is held in memory, not written, as
+        it was at the barrier the states come from.
 
         The cache is invalidated first: a restore replaces every slot, so a
         stale object must never survive it (save_group then holds the
@@ -270,4 +314,4 @@ class ContextStore:
         g = group_size or self.nslots
         for base in range(0, self.nslots, g):
             hi = min(base + g, self.nslots)
-            self.save_group(range(base, hi), states[base:hi])
+            self.save_group(range(base, hi), states[base:hi], hold=base // g == resident)

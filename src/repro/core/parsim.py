@@ -22,6 +22,12 @@ Per round:
   cut packets into blocks of size ``B`` and append them to their local
   ``D``-bucket stores with random-permutation disk writes.
 
+The rounds run their batches in ascending cyclic order, each compound
+superstep starting with the batch the one before ended with
+(:func:`~repro.core.processor.group_order`), on every processor alike: that
+batch stays in memory across the barrier, so its context write-back and
+fetch are skipped — with one batch (``v == p*k``), every one.
+
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
 next compound superstep — or, where reading the store as it stands costs the
@@ -59,7 +65,7 @@ from ..bsp.message import Packet, message_to_packets, packet_to_blocks
 from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
-from .processor import RealProcessor
+from .processor import RealProcessor, group_order
 from .routing import RoutingStats
 from .stats import PhaseBreakdown
 
@@ -163,7 +169,9 @@ class _RealProcessor(_Placement, RealProcessor):
             sp.add(comp_ops=comp, packets=len(packets))
         with self.obs.span("write_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            self.contexts.save_group(self.slots(j), new_states)
+            # The last round's group stays in memory: it opens the next superstep.
+            last = group_order(step, self.nbatches)[-1]
+            self.contexts.save_group(self.slots(j), new_states, hold=j == last)
             save_io = self.array.parallel_ops - t
             sp.add(io_ops=save_io)
         return {
@@ -241,7 +249,7 @@ class ParallelEMSimulation(_Placement, EMEngine):
         blocks_generated = 0
 
         obs = self.obs
-        for j in range(self.nbatches):
+        for j in group_order(step, self.nbatches):
             # ---- Fetching phase: local reads + gather h-relation ----
             # inbound[q] = blocks for processor q's current k vps.
             with obs.span("fetch_barrier", batch=j, cat="layout") as sp:

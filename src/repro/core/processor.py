@@ -39,10 +39,21 @@ from .routing import RoutingStats, keep_store, simulate_routing
 if TYPE_CHECKING:
     from .engine import RunConfig
 
-__all__ = ["RealProcessor"]
+__all__ = ["RealProcessor", "group_order"]
 
 #: How an incoming-message store is re-attached, by its ``reference()`` tag.
 _ADOPT = {"region": StripedRegion.adopt, "store": LinkedBuckets.adopt}
+
+
+def group_order(step: int, ngroups: int) -> list[int]:
+    """The order compound superstep ``step`` runs its groups (Algorithm 3:
+    batches) in: ascending and cyclic, starting one group further back each
+    superstep (``-step mod ngroups``), so it starts with the group the
+    superstep before ended with.  That group stays in memory across the
+    barrier, so its write-back and its next fetch are skipped.  (Alternating
+    ascending and descending saves the same; this keeps the direction of
+    travel the groups always had.)"""
+    return [(g - step) % ngroups for g in range(ngroups)]
 
 
 class RealProcessor:
@@ -157,13 +168,15 @@ class RealProcessor:
     # -- input, computation, message regions -----------------------------------
 
     def load_input(self) -> int:
-        """Create and store the initial contexts, ``k`` at a time."""
+        """Create and store the initial contexts, ``k`` at a time; the group
+        superstep 0 runs first stays in memory."""
         alg = self.algorithm
         with self.obs.span("load_input", cat="layout") as sp:
             t = self.array.parallel_ops
+            first = group_order(0, self.nbatches)[0]
             for j in range(self.nbatches):
                 states = [alg.initial_state(vp, self.v) for vp in self.vps(j)]
-                self.contexts.save_group(self.slots(j), states)
+                self.contexts.save_group(self.slots(j), states, hold=j == first)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta)
         return delta
@@ -253,9 +266,10 @@ class RealProcessor:
         """This processor's half of a barrier checkpoint.
 
         Reading the contexts and the incoming messages off the simulated
-        disks is charged as real parallel I/O (the returned delta); holding the
-        pickled snapshot on the host side is free, like writing it to a
-        durable service outside the machine model.
+        disks is charged as real parallel I/O (the returned delta) — all but
+        the resident group's, which is read from memory; holding the pickled
+        snapshot on the host side is free, like writing it to a durable
+        service outside the machine model.
         """
         with self.obs.span("checkpoint", cat="checkpoint") as sp:
             t = self.array.parallel_ops
@@ -301,8 +315,14 @@ class RealProcessor:
             "incoming": None if inc is None else inc.reference(),
         }
 
+    def _hold_resident(self, states: list[Any], step: int) -> None:
+        """Hold the group that opens superstep ``step`` in memory again, from
+        a checkpoint's ``states`` (local slot order)."""
+        slots = self.slots(group_order(step, self.nbatches)[0])
+        self.contexts.save_group(slots, [states[s] for s in slots], hold=True)
+
     def attach_storage(
-        self, ref: dict, rng_state: Any, step: int, state_blob: bytes | None = None
+        self, ref: dict, rng_state: Any, step: int, state_blob: bytes
     ) -> int:
         """Re-attach the checkpoint's on-disk track files (no rehydration).
 
@@ -323,9 +343,12 @@ class RealProcessor:
             self.contexts.invalidate_cache()
             # Cache-mode saves are charge-only on the fast plane, so the
             # attached disk image has no context bytes — reseed the cache
-            # from the checkpoint's portable states (no counted I/O).
-            if state_blob is not None and self.contexts.cache:
-                self.contexts.prime_cache(thaw(state_blob))
+            # from the checkpoint's portable states (no counted I/O).  The
+            # resident group never reached the disk at all: hold it again.
+            states = thaw(state_blob)
+            if self.contexts.cache:
+                self.contexts.prime_cache(states)
+            self._hold_resident(states, step)
             if ref["incoming"] is not None:
                 kind, *layout = ref["incoming"]
                 self.incoming = _ADOPT[kind](self.array, self.allocator, *layout)
@@ -344,7 +367,10 @@ class RealProcessor:
             self.swap_incoming(None)
             if rng_state is not None:
                 self.rng.setstate(rng_state)
-            self.contexts.import_all(thaw(state_blob), group_size=self.k)
+            self.contexts.import_all(
+                thaw(state_blob), group_size=self.k,
+                resident=group_order(step, self.nbatches)[0],
+            )
             # The blob holds blocks by slot, and a kept store's drives too: it
             # comes back with every block on its drive, so each fetch costs
             # what it would have.

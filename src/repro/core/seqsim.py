@@ -11,6 +11,11 @@ memory in groups of ``k = floor(M/mu)``; per compound superstep and group:
    to randomly permuted disks into ``D`` destination buckets in standard
    linked format (Step 1(d)), and write the changed contexts back (Step 1(e)).
 
+The groups run in ascending cyclic order, each superstep starting with the
+group the one before ended with (:func:`~repro.core.processor.group_order`):
+that group stays in memory across the barrier, so its Step 1(e) and the next
+Step 1(a) are skipped — with one group, every context swap is.
+
 After all ``v/k`` groups, Step 2 (:func:`repro.core.routing.simulate_routing`,
 the paper's Algorithm 2) reorganizes the buckets into the next superstep's
 incoming region — unless the store, read as it stands, costs the next fetch
@@ -34,6 +39,7 @@ from ..bsp.message import message_to_blocks
 from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
+from .processor import group_order
 from .stats import PhaseBreakdown
 
 __all__ = ["SequentialEMSimulation"]
@@ -87,7 +93,8 @@ class SequentialEMSimulation(EMEngine):
         pad = k * -(-p.bsp.gamma // B) if self.config.pad_to_gamma else 0
 
         obs = self.obs
-        for g in range(self.nbatches):
+        order = group_order(step, self.nbatches)
+        for g in order:
             slots = proc.slots(g)
 
             # -- Fetching phase: Step 1(a) contexts, Step 1(b) messages --
@@ -140,7 +147,7 @@ class SequentialEMSimulation(EMEngine):
 
             with obs.span("write_context", group=g, cat="layout") as sp:
                 t = array.parallel_ops
-                self.contexts.save_group(slots, new_states)
+                self.contexts.save_group(slots, new_states, hold=g == order[-1])
                 d = array.parallel_ops - t
                 phases.write_context += d
                 sp.add(io_ops=d)

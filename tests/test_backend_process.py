@@ -78,9 +78,10 @@ class TestProcessRobustness:
         """A disk death inside a worker rolls every worker back to the
         barrier and the run still completes correctly."""
         expected = golden(build())["outputs"]
-        # v == p*k: one batch a processor, so nothing is reorganized and the
-        # drive sees ~30 accesses in all; death after 20 hits a later read.
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=20, dead_proc=1)
+        # v == p*k: one batch a processor, so nothing is reorganized and no
+        # context is swapped; the drive sees 18 accesses in all, and death
+        # after 10 lands in superstep 2.
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=10, dead_proc=1)
         sim = build(
             backend="process",
             faults=plan,
@@ -96,7 +97,8 @@ class TestProcessRobustness:
         """A checkpoint written by the inline backend restores into process
         workers (and vice-versa the state layout is engine-owned)."""
         expected = golden(build())["outputs"]
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=30, dead_proc=0)
+        # Processor 0's drive 0 sees 15 accesses in all; the 6th is in superstep 2.
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=5, dead_proc=0)
         dying = build(
             faults=plan,
             retry=RetryPolicy(max_retries=2),

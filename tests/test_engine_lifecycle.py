@@ -51,7 +51,10 @@ def build(engine, p, backend, **knobs):
 
 def dying_drive(p):
     """A drive of the last processor dies a few dozen accesses into the run."""
-    return FaultPlan(seed=SEED + 2, dead_disk=0, dead_after=40, dead_proc=p - 1)
+    # 30: inside a superstep on every shape, with or without checkpoints (at
+    # p = 2 the drive sees 42 accesses in all without them, the last two in
+    # the output unload).
+    return FaultPlan(seed=SEED + 2, dead_disk=0, dead_after=30, dead_proc=p - 1)
 
 
 @pytest.fixture(scope="module")
@@ -265,5 +268,8 @@ class TestRunFinishedIoOps:
             assert (
                 rep.init_io_ops, rep.io_ops, rep.output_io_ops,
                 rep.faults.checkpoint_io_ops,
-            ) == (20, 304, 20, 85)
-        assert seq_ops == par_ops == 20 + 304 + 20 + 85
+            ) == (15, 272, 13, 69)
+        # (20, 304, 20, 85) before each superstep's last group stayed in
+        # memory: its write-back and the next fetch of it are gone, and the
+        # cyclic group order hands Algorithm 2 the blocks in a new order.
+        assert seq_ops == par_ops == 15 + 272 + 13 + 69

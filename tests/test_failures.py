@@ -267,7 +267,9 @@ class TestFaultPaths:
         from repro.emio.faults import FaultPlan
         from tests.helpers import AllToAllExchange
 
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=25)
+        # Without checkpoints the drive sees 20 accesses in all (one group:
+        # no context swap); the 13th is in superstep 1.
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=12)
         with pytest.raises(SimulationAborted):
             simulate(AllToAllExchange(), self.MACHINE, v=4, seed=1, faults=plan)
 

@@ -298,8 +298,9 @@ class TestEngineFaultTransparency:
     def test_parallel_disk_death_recovers(self):
         data = sort_input()
         baseline, _ = simulate(CGMSampleSort(list(data), v=8), PAR, v=8, seed=3)
+        # Processor 1's drive 1 sees 49 accesses in all; 21 is in superstep 2.
         plan = FaultPlan(seed=SEED + 2, read_error_rate=0.02,
-                         dead_disk=1, dead_after=50, dead_proc=1)
+                         dead_disk=1, dead_after=20, dead_proc=1)
         out, rep = simulate(
             CGMSampleSort(list(data), v=8), PAR, v=8, seed=3,
             faults=plan, checkpoint=True,
@@ -411,7 +412,7 @@ class TestCheckpointResume:
         baseline, _ = ParallelEMSimulation(
             CGMSampleSort(list(data), v=v), params, seed=3
         ).run()
-        plan = FaultPlan(seed=SEED + 2, dead_disk=1, dead_after=50, dead_proc=1)
+        plan = FaultPlan(seed=SEED + 2, dead_disk=1, dead_after=20, dead_proc=1)
         doomed = ParallelEMSimulation(
             CGMSampleSort(list(data), v=v), params, seed=3,
             faults=plan, checkpoint=True, max_recoveries=0,
