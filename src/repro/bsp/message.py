@@ -1,23 +1,35 @@
 """Messages exchanged between virtual processors, and their blocked form.
 
 A :class:`Message` carries a run of *records* from one virtual processor to
-another within one communication superstep.  For external-memory simulation a
-message is cut into blocks of the disk block size ``B`` ("we cut the messages
-into blocks of size ``B``.  Each block inherits the destination address from
-its original message", Section 5.1); :func:`message_to_blocks` and
-:func:`blocks_to_messages` implement that round trip.
+another within one communication superstep.  For external-memory simulation
+messages are cut into blocks of the disk block size ``B``.  Section 5.1 cuts
+each message on its own ("we cut the messages into blocks of size ``B``.
+Each block inherits the destination address from its original message"),
+which leaves every message's last block part-empty.  Here the cut is per
+*destination group* instead — the ``k`` virtual processors one real
+processor simulates together, key ``dest - dest % k``: :func:`pack_blocks`
+fills each block to ``B`` records before it opens the next, messages (and
+Algorithm 3's packets) may split across blocks, and a segment table beside
+the records (``Block.segs``, not counted against ``B``) says whose records
+are where.  The block inherits the group's key as its destination address,
+so everything that routes blocks — buckets, slots, Algorithm 3's gather —
+routes them as before; :func:`blocks_to_messages` demultiplexes once, when
+the group is simulated.  An empty message is a zero-length segment, so its
+arrival stays observable; a group that receives only empty messages costs
+one block.
 
 Payloads come in two flavours.  The reference plane uses Python lists (one
 object per record); the vectorized plane uses 1-D numpy arrays of a codec
-dtype.  Both flavours block into *slices* — for ndarrays these are zero-copy
-views over the message buffer — and reassemble with a single concatenate.
-Record counts are logical (``len``) either way, so the counted cost model
-cannot tell the flavours apart.
+dtype.  A block keeps its segments' payloads as *slices* — for ndarrays
+zero-copy views over the message buffers — and a message reassembles with a
+single concatenate.  Record counts are logical (``len``) either way, so the
+counted cost model cannot tell the flavours apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable
 
 import numpy as np
@@ -27,25 +39,31 @@ from ..emio.disk import Block
 __all__ = [
     "Message",
     "Packet",
+    "pack_blocks",
+    "pack_by_group",
     "message_to_blocks",
     "blocks_to_messages",
     "message_to_packets",
-    "packet_to_blocks",
 ]
+
+#: One piece of a message bound for a destination group:
+#: ``(dest, src, msg, seq, records)``, ``seq`` the record offset of
+#: ``records`` within message ``msg`` of ``src`` (0 for a whole message).
+Piece = tuple[int, int, int, int, Any]
 
 
 def _slice(records, i: int, j: int):
     """One block/packet payload: list slice (copy) or ndarray view."""
-    if isinstance(records, np.ndarray):
+    if isinstance(records, (np.ndarray, list)):
         return records[i:j]
     return list(records[i:j])
 
 
 def _join(parts: list):
     """Concatenate part payloads in order, preserving the flavour."""
+    if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+        return parts[0]
     if parts and all(isinstance(p, np.ndarray) for p in parts):
-        if len(parts) == 1:
-            return parts[0]
         return np.concatenate(parts)
     payload: list[Any] = []
     for p in parts:
@@ -70,24 +88,72 @@ class Message:
         return iter(self.payload)
 
 
+def pack_blocks(pieces: Iterable[Piece], B: int, dest: int) -> list[Block]:
+    """Pack the pieces bound for one destination group into blocks of ``B``.
+
+    Each block fills to ``B`` records before the next one opens, so a piece
+    may split across blocks; every part gets a segment ``(dest, src, msg,
+    seq, n)`` in its block's table, ``seq`` the part's record offset within
+    its message.  An empty piece is a zero-length segment in the block at
+    hand — a new one only if there is none yet — so ``pieces`` holding ``r``
+    records pack into ``max(1, ceil(r / B))`` blocks.  Every block's
+    destination address is ``dest``, the group's key.
+    """
+    out: list[Block] = []
+    segs: list[tuple[int, int, int, int, int]] = []
+    parts: list[Any] = []
+    room = B
+    for pdest, src, msg, seq, records in pieces:
+        n = len(records)
+        if n == 0:
+            segs.append((pdest, src, msg, seq, 0))
+            parts.append([])
+        i = 0
+        while i < n:
+            if room == 0:
+                out.append(Block(records=tuple(parts), dest=dest, segs=tuple(segs)))
+                segs, parts, room = [], [], B
+            t = min(room, n - i)
+            segs.append((pdest, src, msg, seq + i, t))
+            parts.append(_slice(records, i, i + t))
+            room -= t
+            i += t
+    if segs:
+        out.append(Block(records=tuple(parts), dest=dest, segs=tuple(segs)))
+    return out
+
+
+def pack_by_group(
+    pieces: Iterable[Piece], B: int, k: int
+) -> tuple[list[Block], tuple[int, ...]]:
+    """Step 1(d): pack ``pieces`` per destination group of ``k`` virtual
+    processors (key ``dest - dest % k``), groups in ascending key order,
+    pieces in arrival order within a group.
+
+    Returns the blocks and, group by group, the records packed — counted
+    from the pieces, not the blocks, so that
+    :func:`~repro.conform.oracles.check_theorem1_io` can referee the packing.
+    """
+    groups: dict[int, list[Piece]] = {}
+    for piece in pieces:
+        dest = piece[0]
+        groups.setdefault(dest - dest % k, []).append(piece)
+    blocks: list[Block] = []
+    loads = []
+    for key in sorted(groups):
+        blocks.extend(pack_blocks(groups[key], B, key))
+        loads.append(sum(len(piece[4]) for piece in groups[key]))
+    return blocks, tuple(loads)
+
+
 def message_to_blocks(msg: Message, B: int, msg_id: int) -> list[Block]:
-    """Cut one message into blocks of size ``B`` (blocked format).
+    """Cut one message into blocks of size ``B``: :func:`pack_blocks` of
+    the message alone, keyed by its own destination.
 
     Empty messages still produce one (empty) block so that their arrival is
     observable; the cost model charges them one packet, consistent with BSP*.
     """
-    if len(msg.payload) == 0:
-        return [Block(records=[], dest=msg.dest, src=msg.src, msg=msg_id, seq=0)]
-    return [
-        Block(
-            records=_slice(msg.payload, i, i + B),
-            dest=msg.dest,
-            src=msg.src,
-            msg=msg_id,
-            seq=seq,
-        )
-        for seq, i in enumerate(range(0, len(msg.payload), B))
-    ]
+    return pack_blocks([(msg.dest, msg.src, msg_id, 0, msg.payload)], B, msg.dest)
 
 
 @dataclass
@@ -97,8 +163,8 @@ class Packet:
     The parallel simulation (Algorithm 3) splits generated messages into
     packets of the router's packet size ``b`` and scatters each packet to a
     randomly chosen real processor; ``offset`` is the packet's record offset
-    within the original message so blocks cut from it later keep globally
-    consistent sequence numbers.
+    within the original message, so the segments a receiver packs it into
+    keep globally consistent sequence numbers.
     """
 
     src: int
@@ -110,6 +176,11 @@ class Packet:
     @property
     def size(self) -> int:
         return len(self.records)
+
+    @property
+    def piece(self) -> Piece:
+        """This packet as a piece for :func:`pack_blocks`."""
+        return (self.dest, self.src, self.msg, self.offset, self.records)
 
 
 def message_to_packets(msg: Message, b: int, msg_id: int) -> list[Packet]:
@@ -131,49 +202,25 @@ def message_to_packets(msg: Message, b: int, msg_id: int) -> list[Packet]:
     ]
 
 
-def packet_to_blocks(pkt: Packet, B: int) -> list[Block]:
-    """Cut one packet into disk blocks of at most ``B`` records.
-
-    Block sequence numbers are the record offsets within the original
-    message, so :func:`blocks_to_messages` reassembles payloads in order no
-    matter which real processors the packets travelled through.
-    """
-    if len(pkt.records) == 0:
-        return [
-            Block(records=[], dest=pkt.dest, src=pkt.src, msg=pkt.msg, seq=pkt.offset)
-        ]
-    return [
-        Block(
-            records=_slice(pkt.records, i, i + B),
-            dest=pkt.dest,
-            src=pkt.src,
-            msg=pkt.msg,
-            seq=pkt.offset + i,
-        )
-        for i in range(0, len(pkt.records), B)
-    ]
-
-
 def blocks_to_messages(blocks: Iterable[Block | None]) -> list[Message]:
     """Reassemble messages from a pile of (possibly unordered) blocks.
 
-    Blocks are grouped by ``(src, msg)``, each group's parts concatenated in
-    ``seq`` order.  Dummy and empty slots are ignored.  The result is sorted
-    by ``(src, msg)`` so delivery order is deterministic.  All-ndarray parts
-    rejoin into one array (empty list-payload markers from the empty-message
-    path are dropped first when array parts are present).
+    Every block's segments are grouped by ``(src, msg)``, each group's parts
+    concatenated in ``seq`` order.  Dummy and empty slots are ignored.  The
+    result is sorted by ``(src, msg)`` so delivery order is deterministic.
+    All-ndarray parts rejoin into one array; an empty message comes back
+    with an empty list as its payload.
     """
-    groups: dict[tuple[int, int], list[Block]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, int, Any]]] = {}
     for b in blocks:
         if b is None or b.dummy or b.dest < 0:
             continue
-        groups.setdefault((b.src, b.msg), []).append(b)
+        for (dest, src, msg, seq, _n), part in zip(b.segs, b.records, strict=True):
+            groups.setdefault((src, msg), []).append((seq, dest, part))
     out = []
     for (src, _mid), parts in sorted(groups.items()):
         if len(parts) > 1:
-            parts.sort(key=lambda blk: blk.seq)
-        payloads = [p.records for p in parts]
-        if any(isinstance(p, np.ndarray) for p in payloads):
-            payloads = [p for p in payloads if len(p)] or payloads[:1]
-        out.append(Message(src=src, dest=parts[0].dest, payload=_join(payloads)))
+            parts.sort(key=itemgetter(0))
+        payload = _join([part for _seq, _dest, part in parts if len(part)])
+        out.append(Message(src=src, dest=parts[0][1], payload=payload))
     return out

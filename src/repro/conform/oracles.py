@@ -334,6 +334,23 @@ def _fetch_ops(routing: list, D: int) -> int:
     return sum(map(max, zip(*per_proc)))
 
 
+def _packed_write(packing: list, B: int, D: int) -> tuple[int, int]:
+    """What Step 1(d)'s packing costs by its own record counts, as
+    ``(message blocks, write ops)``: a destination group of ``r`` records
+    packs into ``ceil(r/B)`` full-but-the-last blocks (one if every message
+    in it is empty), and a round's blocks plus its Lemma 3 dummies go out in
+    cycles of ``D``, the round charging its slowest processor."""
+    blocks = ops = 0
+    for round_ in packing:
+        per_proc = [sum(-(-r // B) or 1 for r in loads) for loads, _dummies in round_]
+        blocks += sum(per_proc)
+        ops += max(
+            (-(-(n + dummies) // D) for n, (_loads, dummies) in zip(per_proc, round_)),
+            default=0,
+        )
+    return blocks, ops
+
+
 def check_theorem1_io(
     params: SimulationParams, report: SimulationReport
 ) -> tuple[list[OracleFailure], int]:
@@ -360,10 +377,17 @@ def check_theorem1_io(
       group a processor.  The input load and the output unload move the same
       groups once more, each charged as one max over processors rather than
       a sum over rounds of maxima: equal to the first fetch and the last
-      write with one processor, no more than them with several.
+      write with one processor, no more than them with several;
+    * the packed write (Step 1(d)), from the records the engine packed for
+      each destination group (``SuperstepReport.packing``, counted from the
+      messages, not the blocks): ``message_blocks`` equals the sum over
+      (writing group or receiving processor-round, destination group) of
+      ``ceil(records/B)`` — 1 for a group of empty messages only — and
+      ``write_messages`` equals the sum over rounds of the max over
+      processors of ``ceil((blocks + Lemma 3 dummies)/D)``.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
-    D = params.machine.D
+    D, B = params.machine.D, params.machine.B
     sole = params.machine.p == 1
     fetch = 0  # what this superstep's fetches of the incoming set cost
     ctx = None  # ... and of the contexts (None: the input load precedes it)
@@ -411,6 +435,18 @@ def check_theorem1_io(
                     f"group loads (heaviest drive where kept) cost {fetch}",
                 )
             )
+        if s.packing is not None:
+            blocks, ops = _packed_write(s.packing, B, D)
+            if (s.message_blocks, s.phases.write_messages) != (blocks, ops):
+                failures.append(
+                    OracleFailure(
+                        "theorem1_io",
+                        f"superstep {s.index}: the packed write charged "
+                        f"{s.message_blocks} message blocks in "
+                        f"{s.phases.write_messages} ops, but the records packed "
+                        f"per destination group make {blocks} blocks in {ops}",
+                    )
+                )
         routing = s.routing_stats()
         if routing:
             expected = max(r.io_ops for r in routing)
@@ -428,4 +464,5 @@ def check_theorem1_io(
         fetch = _fetch_ops(routing, D)
     if ctx is not None:
         ends("output unload", report.output_io_ops, "last write_context", ctx)
-    return failures, 3 * len(bounds)
+    packed = sum(s.packing is not None for s in report.supersteps)
+    return failures, 3 * len(bounds) + packed

@@ -547,6 +547,7 @@ class EMEngine:
         blocks_generated: int,
         all_halted: bool,
         routing_all: list[RoutingStats] | None = None,
+        packing: list | None = None,
     ) -> bool:
         """Close compound superstep ``step``'s books: charge its phases to
         the ledger, append its report, record its metrics; return True when
@@ -563,6 +564,7 @@ class EMEngine:
                 message_blocks=blocks_generated,
                 halted=all_halted,
                 routing_all=routing_all,
+                packing=packing,
             )
         )
         if self.obs.enabled:

@@ -19,7 +19,9 @@ Per round:
 * **Writing phase** (Step 1(c)) — generated messages are split into packets
   of size ``b`` and each packet is sent to a *uniformly random* processor
   (balls-into-bins; Lemma 10 bounds the per-processor load whp).  Receivers
-  cut packets into blocks of size ``B`` and append them to their local
+  pack the packets of each destination batch's owner — the ``k`` vps it
+  simulates together — into full blocks of size ``B``
+  (:func:`~repro.bsp.message.pack_by_group`) and append them to their local
   ``D``-bucket stores with random-permutation disk writes.
 
 The rounds run their batches in ascending cyclic order, each compound
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..bsp.message import Packet, message_to_packets, packet_to_blocks
+from ..bsp.message import Packet, message_to_packets, pack_by_group
 from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
@@ -95,7 +97,9 @@ class _Placement:
         batches would use only ``v/(pk)`` buckets when ``1 < v/(pk) < D``
         and leave the other drives idle in phase 1; ranging vps, a batch may
         span two buckets, and each bucket is still a contiguous vp range, as
-        Algorithm 2 requires.
+        Algorithm 2 requires.  A message block, packed per destination batch,
+        is addressed to the batch's first vp, so its bucket is its batch's
+        under either map.
         """
         return (vp % self.vpp) * self.params.machine.D // self.vpp
 
@@ -117,14 +121,7 @@ class _RealProcessor(_Placement, RealProcessor):
         """Step 1(a): read batch ``j``'s blocks, grouped by owning processor."""
         with self.obs.span("fetch", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            if self.incoming is not None:
-                blks = [
-                    blk
-                    for blk in self.incoming.read_slot(j)
-                    if blk is not None and not blk.dummy
-                ]
-            else:
-                blks = []
+            blks = self.fetch_group([j])
             by_owner: dict[int, list[Block]] = {}
             for blk in blks:
                 by_owner.setdefault(self.owner_of_vp(blk.dest), []).append(blk)
@@ -141,9 +138,6 @@ class _RealProcessor(_Placement, RealProcessor):
         """
         b = self.params.machine.b
         vps = self.vps(j)
-        per_vp_blocks: dict[int, list[Block]] = {vp: [] for vp in vps}
-        for blk in inbound:
-            per_vp_blocks[blk.dest].append(blk)
 
         with self.obs.span("fetch_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
@@ -157,7 +151,7 @@ class _RealProcessor(_Placement, RealProcessor):
         sent_records = 0
         halted = True
         with self.obs.span("compute", batch=j, step=step, cat="kernel") as sp:
-            for ctx in self.run_vps(vps, states, per_vp_blocks.values(), step):
+            for ctx in self.run_vps(vps, states, inbound, step):
                 new_states.append(ctx.state)
                 if not ctx.halted:
                     halted = False
@@ -183,18 +177,20 @@ class _RealProcessor(_Placement, RealProcessor):
             "save_io": save_io,
         }
 
-    def write(self, j: int, packets: list[Packet]) -> tuple[int, int]:
-        """Step 1(c): cut received packets into blocks, append to buckets."""
+    def write(
+        self, j: int, packets: list[Packet]
+    ) -> tuple[int, int, tuple[int, ...]]:
+        """Step 1(c): pack received packets into full blocks per destination
+        group, append them to the buckets.  Returns the blocks, the I/O and
+        each destination group's records (for the packing referee)."""
         B = self.params.machine.B
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            rblocks: list[Block] = []
-            for pkt in packets:
-                rblocks.extend(packet_to_blocks(pkt, B))
+            rblocks, loads = pack_by_group((pkt.piece for pkt in packets), B, self.k)
             self.buckets.append_blocks(rblocks)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=len(rblocks), packets=len(packets))
-        return len(rblocks), delta
+        return len(rblocks), delta, loads
 
     def reorganize(self, step: int) -> tuple[RoutingStats, int]:
         """Step 2 on the local buckets: one slot per batch."""
@@ -247,6 +243,7 @@ class ParallelEMSimulation(_Placement, EMEngine):
         marks0 = self.backend.call_all("begin_superstep")
         all_halted = True
         blocks_generated = 0
+        packing: list[list[tuple[tuple[int, ...], int]]] = []
 
         obs = self.obs
         for j in group_order(step, self.nbatches):
@@ -301,10 +298,11 @@ class ParallelEMSimulation(_Placement, EMEngine):
                 writes = self.backend.call_all(
                     "write", [(j, outpackets[q]) for q in range(self.p)]
                 )
-                d = max(io for _n, io in writes)
+                d = max(io for _n, io, _loads in writes)
                 sp.add(io_ops=d, packets=sum(scatter_sent))
-            blocks_generated += sum(n for n, _io in writes)
+            blocks_generated += sum(n for n, _io, _loads in writes)
             phases.write_messages += d
+            packing.append([(loads, 0) for _n, _io, loads in writes])
 
         # ---- Step 2: local reorganization on every processor ----
         with obs.span("reorganize_barrier", cat="routing") as sp:
@@ -325,5 +323,5 @@ class ParallelEMSimulation(_Placement, EMEngine):
             )
         return self._seal_superstep(
             step, cost, phases, worst_routing, blocks_generated, all_halted,
-            routing_all,
+            routing_all, packing,
         )

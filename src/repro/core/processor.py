@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from ..bsp.message import blocks_to_messages
+from ..bsp.message import Message, blocks_to_messages
 from ..bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
@@ -181,22 +181,40 @@ class RealProcessor:
             sp.add(io_ops=delta)
         return delta
 
+    def fetch_group(self, slots: Sequence[int]) -> list[Block]:
+        """Step 1(b): the incoming message blocks of ``slots`` — one group's
+        (Algorithm 3: one batch's) — in one read, empty slots and Lemma 3's
+        dummy blocks dropped."""
+        if self.incoming is None:
+            return []
+        return [
+            blk
+            for blks in self.incoming.read_slots(slots)
+            for blk in blks
+            if blk is not None and not blk.dummy
+        ]
+
     def run_vps(
         self,
         vps: Sequence[int],
         states: Iterable[Any],
-        blocks: Iterable[list[Block]],
+        blocks: Iterable[Block],
         step: int,
     ) -> Iterator[VPContext]:
         """Computation phase: run one group's virtual supersteps in memory.
 
-        Yields every vp's finished :class:`VPContext` in order; the caller —
+        ``blocks`` are every message block bound for the group, in any order;
+        they are demultiplexed here, once, into each vp's messages.  Yields
+        every vp's finished :class:`VPContext` in order; the caller —
         Algorithm 1's group loop or Algorithm 3's round — keeps the new
         state and turns the outbox into blocks or scatter packets.
         """
         alg, gamma = self.algorithm, self.gamma
-        for vp, state, blks in zip(vps, states, blocks):
-            msgs = blocks_to_messages(blks)
+        inbox: dict[int, list[Message]] = {vp: [] for vp in vps}
+        for m in blocks_to_messages(blocks):
+            inbox[m.dest].append(m)
+        for vp, state in zip(vps, states):
+            msgs = inbox[vp]
             if gamma is not None:
                 nrecv = sum(m.size for m in msgs)
                 if nrecv > gamma:

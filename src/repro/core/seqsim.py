@@ -7,7 +7,8 @@ memory in groups of ``k = floor(M/mu)``; per compound superstep and group:
 1. *Fetching phase* — read the group's contexts (Step 1(a)) and incoming
    message blocks (Step 1(b)) from their standard-consecutive regions.
 2. *Computation phase* — run the group's supersteps in memory (Step 1(c)).
-3. *Writing phase* — cut generated messages into blocks of ``B``, write them
+3. *Writing phase* — pack generated messages into full blocks of ``B`` per
+   destination group (:func:`~repro.bsp.message.pack_by_group`), write them
    to randomly permuted disks into ``D`` destination buckets in standard
    linked format (Step 1(d)), and write the changed contexts back (Step 1(e)).
 
@@ -35,7 +36,7 @@ itself prescribes: the group loop and its phase accounting.
 
 from __future__ import annotations
 
-from ..bsp.message import message_to_blocks
+from ..bsp.message import Piece, pack_by_group
 from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
@@ -89,6 +90,7 @@ class SequentialEMSimulation(EMEngine):
         sent_packets = [0] * v
         recv_packets = [0] * v
         dummy_rr = 0
+        packing: list[list[tuple[tuple[int, ...], int]]] = []
         # Lemma 3's dummy blocks: every group's traffic padded to k*ceil(gamma/B).
         pad = k * -(-p.bsp.gamma // B) if self.config.pad_to_gamma else 0
 
@@ -107,16 +109,13 @@ class SequentialEMSimulation(EMEngine):
 
             with obs.span("fetch_messages", group=g, cat="layout") as sp:
                 t = array.parallel_ops
-                if proc.incoming is not None:
-                    group_blocks = proc.incoming.read_slots(slots)
-                else:
-                    group_blocks = [[] for _ in slots]
+                group_blocks = proc.fetch_group(slots)
                 d = array.parallel_ops - t
                 phases.fetch_messages += d
                 sp.add(io_ops=d)
 
             # -- Computation phase: Step 1(c) --
-            group_out_blocks: list[Block] = []
+            pieces: list[Piece] = []
             new_states = []
             with obs.span("compute", group=g, cat="kernel") as sp:
                 comp0 = cost.comp_ops
@@ -130,20 +129,23 @@ class SequentialEMSimulation(EMEngine):
                         sent_packets[ctx.pid] += pk
                         recv_packets[m.dest] += pk
                         cost.records_sent += m.size
-                        group_out_blocks.extend(message_to_blocks(m, B, mi))
+                        pieces.append((m.dest, m.src, mi, 0, m.payload))
                 sp.add(comp_ops=cost.comp_ops - comp0)
 
             # -- Writing phase: Step 1(d) messages, Step 1(e) contexts --
-            while len(group_out_blocks) < pad:
+            group_out_blocks, loads = pack_by_group(pieces, B, k)
+            blocks_generated += len(group_out_blocks)
+            dummies = max(0, pad - len(group_out_blocks))
+            for _ in range(dummies):
                 group_out_blocks.append(Block(records=[], dest=dummy_rr % v, dummy=True))
                 dummy_rr += 1
+            packing.append([(loads, dummies)])
             with obs.span("write_messages", group=g, cat="layout") as sp:
                 t = array.parallel_ops
                 buckets.append_blocks(group_out_blocks)
                 d = array.parallel_ops - t
                 phases.write_messages += d
                 sp.add(io_ops=d, blocks=len(group_out_blocks))
-            blocks_generated += sum(0 if b.dummy else 1 for b in group_out_blocks)
 
             with obs.span("write_context", group=g, cat="layout") as sp:
                 t = array.parallel_ops
@@ -172,5 +174,6 @@ class SequentialEMSimulation(EMEngine):
         if obs.enabled:
             obs.metrics.histogram("lemma2_load_ratio").record(routing.max_load_ratio)
         return self._seal_superstep(
-            step, cost, phases, routing, blocks_generated, all_halted
+            step, cost, phases, routing, blocks_generated, all_halted,
+            packing=packing,
         )

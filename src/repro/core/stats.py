@@ -95,6 +95,11 @@ class SuperstepReport:
     # keeps only the worst-deviation processor, but the reorganize phase is
     # charged as a max over *ops*, so bound checks need all of them).
     routing_all: list[RoutingStats] | None = None
+    # Step 1(d)'s packing, per write round (Algorithm 1: group) and real
+    # processor: the records packed for each destination group, and the
+    # Lemma 3 dummy blocks added — what the exact write referee
+    # (repro.conform.oracles.check_theorem1_io) counts blocks and ops from.
+    packing: list[list[tuple[tuple[int, ...], int]]] | None = None
 
     def routing_stats(self) -> list[RoutingStats]:
         """All per-processor routing stats known for this superstep."""

@@ -55,6 +55,14 @@ class Block:
     dummy:
         True for padding blocks introduced to reach the worst-case traffic
         the analysis assumes ("dummy blocks", Lemma 3).
+    segs:
+        A message block's segment table: one ``(dest, src, msg, seq, n)``
+        per piece of a message it carries — ``n`` records of message ``msg``
+        of ``src`` for ``dest``, starting at record offset ``seq`` — with
+        ``records`` then the tuple of those pieces' payloads, one a segment,
+        in table order (:func:`repro.bsp.message.pack_blocks`).  ``dest`` is
+        then the destination *group*'s first virtual processor.  The table
+        rides beside the records and is not counted against ``B``.
     """
 
     BYTES_PER_RECORD = 8
@@ -65,15 +73,19 @@ class Block:
     msg: int = 0
     seq: int = 0
     dummy: bool = False
+    segs: tuple = ()
 
     def nrecords(self) -> int:
         """Number of records this block carries.
 
         Byte-flavoured payloads (``bytes``/``bytearray``/``memoryview``)
-        count in 8-byte records; every other payload — lists and ndarray
-        slices alike — counts one record per element (``len``).
+        count in 8-byte records; a message block's tuple of segment payloads
+        counts the records of its parts; every other payload — lists and
+        ndarray slices alike — counts one record per element (``len``).
         """
         records = self.records
+        if isinstance(records, tuple):
+            return sum(map(len, records))
         if isinstance(records, (bytes, bytearray)):
             return -(-len(records) // self.BYTES_PER_RECORD)
         if isinstance(records, memoryview):

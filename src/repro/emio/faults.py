@@ -46,7 +46,7 @@ import random
 import zlib
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .disk import Block, Disk, DiskError
 
@@ -295,54 +295,59 @@ class FaultInjector:
         return draw
 
 
+def _canonical_bytes(payload) -> bytes:
+    """A payload's bytes as the checksum sees them: the same whether an
+    ndarray is a view, a slice, or a reloaded copy of the same records."""
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return bytes(payload)
+    if isinstance(payload, np.ndarray):
+        return np.ascontiguousarray(payload).tobytes()
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def block_checksum(block: Block) -> int:
-    """CRC32 over a block's payload and routing metadata."""
+    """CRC32 over a block's payload, routing metadata and segment table
+    (a message block's parts one by one, as they are held)."""
     header = (
         f"{block.dest},{block.src},{block.msg},{block.seq},{int(block.dummy)}|"
+        f"{block.segs}|"
     ).encode()
     payload = block.records
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        data = bytes(payload)
-    elif isinstance(payload, np.ndarray):
-        # Canonical array bytes: same checksum whether the payload is a
-        # view, a slice, or a reloaded copy of the same records.
-        data = np.ascontiguousarray(payload).tobytes()
-    else:
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return zlib.crc32(header + data)
+    if isinstance(payload, tuple):
+        crc = zlib.crc32(header)
+        for part in payload:
+            crc = zlib.crc32(_canonical_bytes(part), crc)
+        return crc
+    return zlib.crc32(header + _canonical_bytes(payload))
 
 
-def _corrupted_copy(block: Block) -> Block:
-    """A copy of ``block`` whose payload differs (a flipped medium bit)."""
-    payload = block.records
+def _corrupted(payload):
+    """``payload`` with its first record changed (a flipped medium bit); a
+    message block's parts keep their shape, the first non-empty one hit."""
+    if isinstance(payload, tuple):
+        hit = next((i for i, part in enumerate(payload) if len(part)), 0)
+        return payload[:hit] + (_corrupted(payload[hit]),) + payload[hit + 1 :]
     if isinstance(payload, memoryview):
         payload = bytes(payload)
     if isinstance(payload, (bytes, bytearray)):
         data = bytes(payload)
-        bad = (bytes([data[0] ^ 0xFF]) + data[1:]) if data else b"\xff"
-    elif isinstance(payload, np.ndarray):
+        return (bytes([data[0] ^ 0xFF]) + data[1:]) if data else b"\xff"
+    if isinstance(payload, np.ndarray):
         if len(payload):
             # Flip every bit of the first record: always a different value,
             # for any dtype, and detected by the canonical-bytes checksum.
             bad = payload.copy()
             first = bytes(b ^ 0xFF for b in np.ascontiguousarray(bad[:1]).tobytes())
             bad[0] = np.frombuffer(first, dtype=payload.dtype)[0]
-        else:
-            bad = np.frombuffer(
-                b"\xff" * payload.dtype.itemsize, dtype=payload.dtype
-            )
-    elif len(payload):
-        bad = ["\x00CORRUPT"] + list(payload[1:])
-    else:
-        bad = ["\x00CORRUPT"]
-    return Block(
-        records=bad,
-        dest=block.dest,
-        src=block.src,
-        msg=block.msg,
-        seq=block.seq,
-        dummy=block.dummy,
-    )
+            return bad
+        return np.frombuffer(b"\xff" * payload.dtype.itemsize, dtype=payload.dtype)
+    return ["\x00CORRUPT"] + list(payload[1:])
+
+
+def _corrupted_copy(block: Block) -> Block:
+    """A copy of ``block`` whose payload differs (a flipped medium bit);
+    routing metadata and segment table stay as they were."""
+    return replace(block, records=_corrupted(block.records))
 
 
 class FaultyDisk(Disk):

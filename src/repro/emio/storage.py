@@ -15,7 +15,8 @@ live is therefore a free choice — this module makes it a pluggable plane:
   or through ``get_sealed`` / ``put_sealed``, which move the frames
   themselves.
   ndarray records travel as raw little-endian images behind a fixed binary
-  header, everything else as a pickle.  Slot runs freed by
+  header (a message block's segment table in it, its parts back to back),
+  everything else as a pickle.  Slot runs freed by
   ``discard_track`` are reused (best-fit).  This is the true out-of-core
   plane: datasets are bounded by the filesystem, not the heap.
 * :class:`MmapStorage` — the same on-disk format accessed through ``mmap``,
@@ -80,10 +81,10 @@ import struct
 import tempfile
 import zlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Protocol
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -112,8 +113,9 @@ STORAGE_KINDS = ("memory", "file", "mmap")
 #: one *with* it is reused, which is what crash-resume needs.
 STORAGE_MARKER = ".em-storage.json"
 #: On-disk format the marker records; bumped whenever track files written by
-#: the old code would misread under the new (2: slot unit, vector image).
-STORAGE_VERSION = 2
+#: the old code would misread under the new (2: slot unit, vector image;
+#: 3: the vector image's segment table).
+STORAGE_VERSION = 3
 
 # Per-slot frame: magic | write generation | payload length, then a CRC32
 # sealing header + payload.  The generation tag distinguishes two
@@ -126,16 +128,20 @@ FRAME_MAGIC = 0x454D5331  # "EMS1"
 FRAME_BYTES = _FRAME.size + _CRC.size
 
 
-def _seal_frame(head: bytes, body, gen: int) -> bytes:
-    """Frame the payload ``head + body`` (an image as :func:`_encode_block`
+def _seal_frame(head: bytes, bodies: Sequence, gen: int) -> bytes:
+    """Frame the payload ``head + bodies`` (an image as :func:`_encode_block`
     returns it): sealed header, then the payload.
 
-    The CRC32 runs over header and payload in place; the one ``join`` is
-    the only copy a payload makes before the write buffer it leaves in.
+    The CRC32 runs over header and payload in place, body buffer by body
+    buffer; the one ``join`` is the only copy a payload makes before the
+    write buffer it leaves in.
     """
-    prefix = _FRAME.pack(FRAME_MAGIC, gen & 0xFFFFFFFF, len(head) + len(body))
-    crc = zlib.crc32(body, zlib.crc32(head, zlib.crc32(prefix)))
-    return b"".join((prefix, _CRC.pack(crc), head, body))
+    length = len(head) + sum(len(body) for body in bodies)
+    prefix = _FRAME.pack(FRAME_MAGIC, gen & 0xFFFFFFFF, length)
+    crc = zlib.crc32(head, zlib.crc32(prefix))
+    for body in bodies:
+        crc = zlib.crc32(body, crc)
+    return b"".join((prefix, _CRC.pack(crc), head, *bodies))
 
 
 def _open_frame(
@@ -176,12 +182,14 @@ def _open_frame(
 
 
 # A vectorized (raw fixed-width) slot image: a fixed header — tag, record
-# count, dest, src, msg, seq, dummy, descr length — then the dtype's descr
-# and the array's little-endian bytes.  Pickle streams of protocol >= 2
-# always start with 0x80, so the two image flavours are distinguished by
-# their first byte alone.
+# count, dest, src, msg, seq, dummy, descr length, segment count — then the
+# segment table (five int64 a segment), the dtype's descr and the records'
+# little-endian bytes, the segments' parts back to back.  Pickle streams of
+# protocol >= 2 always start with 0x80, so the two image flavours are
+# distinguished by their first byte alone.
 _VEC_TAG = 0x56  # "V"
-_VEC_HEAD = struct.Struct("<BIqqqqBH")
+_VEC_HEAD = struct.Struct("<BIqqqqBHI")
+_SEG = struct.Struct("<5q")
 
 
 @lru_cache(maxsize=256)
@@ -206,50 +214,79 @@ def _dtype_of(descr: bytes) -> np.dtype:
     )
 
 
-def _encode_block(block: Block) -> tuple[bytes, "bytes | np.ndarray"]:
-    """Serialize one block into a slot image, returned as ``(head, body)``.
-
-    ndarray payloads become a raw image — the fixed header plus the cached
-    descr, and the array's own buffer, uncopied — so the vectorized plane's
-    storage path is one memcpy (in :func:`_seal_frame`), not a pickle of
-    boxed objects.  Everything else (lists, pickled-context bytes) keeps
-    the historical pickle image byte-for-byte, with an empty body;
-    memoryview payloads are materialized first since pickle refuses them.
-    """
+def _vector_parts(block: Block) -> "list[np.ndarray] | None":
+    """The block's records as 1-D ndarrays of one dtype, ready for the raw
+    image — a plain ndarray payload, or a message block's non-empty parts —
+    or ``None`` where the block must be pickled."""
     records = block.records
-    if isinstance(records, np.ndarray) and records.ndim == 1:
-        arr = np.ascontiguousarray(records)
+    if isinstance(records, np.ndarray):
+        parts = [records] if records.ndim == 1 else []
+    elif isinstance(records, tuple) and block.segs:
+        parts = [part for part in records if len(part)]
+    else:
+        return None
+    if not parts or not all(
+        isinstance(part, np.ndarray) and part.ndim == 1 and part.dtype == parts[0].dtype
+        for part in parts
+    ):
+        return None
+    out = []
+    for part in parts:
+        arr = np.ascontiguousarray(part)
         if arr.dtype.byteorder == ">":  # canonical images are little-endian
             arr = arr.astype(arr.dtype.newbyteorder("<"))
-        descr = _descr_of(arr.dtype)
+        out.append(arr)
+    return out
+
+
+def _encode_block(block: Block) -> tuple[bytes, list]:
+    """Serialize one block into a slot image, returned as ``(head, bodies)``.
+
+    ndarray payloads become a raw image — the fixed header, the segment
+    table and the cached descr, then each part's own buffer, uncopied — so
+    the vectorized plane's storage path is one memcpy (in
+    :func:`_seal_frame`), not a pickle of boxed objects.  Everything else
+    (lists, pickled-context bytes, mixed parts) is a pickle image with no
+    bodies; memoryview payloads are materialized first since pickle refuses
+    them.
+    """
+    arrs = _vector_parts(block)
+    if arrs is not None:
+        descr = _descr_of(arrs[0].dtype)
+        segs = block.segs
         head = _VEC_HEAD.pack(
-            _VEC_TAG, arr.shape[0], block.dest, block.src, block.msg, block.seq,
-            block.dummy, len(descr),
+            _VEC_TAG, sum(arr.shape[0] for arr in arrs), block.dest, block.src,
+            block.msg, block.seq, block.dummy, len(descr), len(segs),
         )
-        return head + descr, arr.view(np.uint8)
-    if isinstance(records, memoryview):
-        block = Block(
-            records=bytes(records),
-            dest=block.dest,
-            src=block.src,
-            msg=block.msg,
-            seq=block.seq,
-            dummy=block.dummy,
-        )
-    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL), b""
+        table = b"".join(_SEG.pack(*seg) for seg in segs)
+        return head + table + descr, [arr.view(np.uint8) for arr in arrs]
+    if isinstance(block.records, memoryview):
+        block = replace(block, records=bytes(block.records))
+    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL), []
 
 
 def _decode_block(payload: memoryview) -> Block:
     """Inverse of :func:`_encode_block` (dispatch on the first byte)."""
     if payload[0] != _VEC_TAG:
         return pickle.loads(payload)
-    _tag, n, dest, src, msg, seq, dummy, dlen = _VEC_HEAD.unpack_from(payload)
-    body = _VEC_HEAD.size + dlen
+    _tag, n, dest, src, msg, seq, dummy, dlen, nsegs = _VEC_HEAD.unpack_from(payload)
+    pos = _VEC_HEAD.size + _SEG.size * nsegs
+    segs = tuple(_SEG.iter_unpack(payload[_VEC_HEAD.size : pos]))
     arr = np.frombuffer(
-        payload, dtype=_dtype_of(bytes(payload[_VEC_HEAD.size : body])),
-        count=n, offset=body,
+        payload, dtype=_dtype_of(bytes(payload[pos : pos + dlen])),
+        count=n, offset=pos + dlen,
     )
-    return Block(records=arr, dest=dest, src=src, msg=msg, seq=seq, dummy=bool(dummy))
+    if not segs:
+        return Block(records=arr, dest=dest, src=src, msg=msg, seq=seq, dummy=bool(dummy))
+    parts: list = []
+    at = 0
+    for seg in segs:  # a zero-length segment is an empty message: []
+        parts.append(arr[at : at + seg[4]] if seg[4] else [])
+        at += seg[4]
+    return Block(
+        records=tuple(parts), dest=dest, src=src, msg=msg, seq=seq,
+        dummy=bool(dummy), segs=segs,
+    )
 
 
 def _fsync_dir(path: str) -> None:
@@ -705,10 +742,10 @@ class FileStorage(_ProfiledStorage):
         prof = self.profiler
         prof.push("serialize")
         try:
-            head, body = _encode_block(block)
+            head, bodies = _encode_block(block)
         finally:
             prof.pop()
-        return _seal_frame(head, body, self._gen)
+        return _seal_frame(head, bodies, self._gen)
 
     def _reseal(self, frame: memoryview) -> "bytes | memoryview":
         """A frame out of :meth:`get_sealed` (this drive's or another's), as
@@ -718,7 +755,7 @@ class FileStorage(_ProfiledStorage):
         re-stamped, header and CRC32, around the same payload."""
         if _FRAME.unpack_from(frame)[1] == self._gen & 0xFFFFFFFF:
             return frame
-        return _seal_frame(b"", frame[FRAME_BYTES:], self._gen)
+        return _seal_frame(b"", [frame[FRAME_BYTES:]], self._gen)
 
     def _put_all(self, items: list, frame_of) -> list[bool]:
         """Store ``(track, value)`` items, ``frame_of(value)`` being the

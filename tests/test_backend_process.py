@@ -79,9 +79,9 @@ class TestProcessRobustness:
         barrier and the run still completes correctly."""
         expected = golden(build())["outputs"]
         # v == p*k: one batch a processor, so nothing is reorganized and no
-        # context is swapped; the drive sees 18 accesses in all, and death
-        # after 10 lands in superstep 2.
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=10, dead_proc=1)
+        # context is swapped; the drive sees 9 accesses in all, and death
+        # after 4 lands in superstep 2.
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=4, dead_proc=1)
         sim = build(
             backend="process",
             faults=plan,
@@ -97,7 +97,7 @@ class TestProcessRobustness:
         """A checkpoint written by the inline backend restores into process
         workers (and vice-versa the state layout is engine-owned)."""
         expected = golden(build())["outputs"]
-        # Processor 0's drive 0 sees 15 accesses in all; the 6th is in superstep 2.
+        # Processor 0's drive 0 sees 9 accesses in all; the 6th is in superstep 3.
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=5, dead_proc=0)
         dying = build(
             faults=plan,

@@ -4,11 +4,10 @@ import pytest
 
 from repro.bsp.message import (
     Message,
-    Packet,
     blocks_to_messages,
     message_to_blocks,
     message_to_packets,
-    packet_to_blocks,
+    pack_blocks,
 )
 from repro.bsp.program import AlgorithmError, VPContext
 from repro.bsp.runner import ReferenceRunner
@@ -28,13 +27,14 @@ class TestMessage:
     def test_empty_message_yields_one_block(self):
         blocks = message_to_blocks(Message(2, 3), B=4, msg_id=9)
         assert len(blocks) == 1
-        assert blocks[0].dest == 3 and blocks[0].src == 2 and blocks[0].msg == 9
+        # A zero-length segment: (dest, src, msg, seq, n).
+        assert blocks[0].dest == 3 and blocks[0].segs == ((3, 2, 9, 0, 0),)
 
     def test_blocking_boundaries(self):
         for n in (1, 3, 4, 5, 8, 9):
             blocks = message_to_blocks(Message(0, 1, list(range(n))), B=4, msg_id=0)
             assert len(blocks) == -(-n // 4)
-            assert sum(len(b.records) for b in blocks) == n
+            assert sum(b.nrecords() for b in blocks) == n
 
 
 class TestPackets:
@@ -47,16 +47,16 @@ class TestPackets:
         assert [p.size for p in pkts] == [8, 8, 4]
         assert [p.offset for p in pkts] == [0, 8, 16]
 
-    def test_packet_to_blocks_seq_is_global_offset(self):
-        pkt = Packet(src=1, dest=2, msg=0, offset=16, records=list(range(10)))
-        blocks = packet_to_blocks(pkt, B=4)
-        assert [b.seq for b in blocks] == [16, 20, 24]
-
     def test_packets_via_blocks_roundtrip(self):
         msg = Message(3, 4, list(range(23)))
-        blocks = []
-        for pkt in message_to_packets(msg, b=7, msg_id=5):
-            blocks.extend(packet_to_blocks(pkt, B=3))
+        pkts = message_to_packets(msg, b=7, msg_id=5)
+        blocks = pack_blocks([pkt.piece for pkt in pkts], B=3, dest=4)
+        # Blocks fill across packet boundaries; a segment's seq is its
+        # record offset within the message.
+        assert [b.nrecords() for b in blocks] == [3] * 7 + [2]
+        assert [seg[3] for b in blocks for seg in b.segs] == [
+            0, 3, 6, 7, 9, 12, 14, 15, 18, 21,
+        ]
         (back,) = blocks_to_messages(reversed(blocks))
         assert back.payload == msg.payload
         assert (back.src, back.dest) == (3, 4)

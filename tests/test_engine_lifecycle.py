@@ -51,10 +51,10 @@ def build(engine, p, backend, **knobs):
 
 def dying_drive(p):
     """A drive of the last processor dies a few dozen accesses into the run."""
-    # 30: inside a superstep on every shape, with or without checkpoints (at
-    # p = 2 the drive sees 42 accesses in all without them, the last two in
+    # 20: inside a superstep on every shape, with or without checkpoints (at
+    # p = 2 the drive sees 30 accesses in all without them, the last two in
     # the output unload).
-    return FaultPlan(seed=SEED + 2, dead_disk=0, dead_after=30, dead_proc=p - 1)
+    return FaultPlan(seed=SEED + 2, dead_disk=0, dead_after=20, dead_proc=p - 1)
 
 
 @pytest.fixture(scope="module")

@@ -253,7 +253,7 @@ class TestFaultPaths:
         from repro.emio.faults import FaultPlan
         from tests.helpers import AllToAllExchange
 
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=25)
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=16)
         out, rep = simulate(
             AllToAllExchange(), self.MACHINE, v=4, seed=1,
             faults=plan, checkpoint=True,
@@ -267,9 +267,9 @@ class TestFaultPaths:
         from repro.emio.faults import FaultPlan
         from tests.helpers import AllToAllExchange
 
-        # Without checkpoints the drive sees 20 accesses in all (one group:
-        # no context swap); the 13th is in superstep 1.
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=12)
+        # Without checkpoints the drive sees 14 accesses in all (one group:
+        # no context swap); the 10th is in superstep 1.
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=9)
         with pytest.raises(SimulationAborted):
             simulate(AllToAllExchange(), self.MACHINE, v=4, seed=1, faults=plan)
 

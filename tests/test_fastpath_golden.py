@@ -201,7 +201,7 @@ class TestFaultInteraction:
         """A run killed by a dead disk resumes on a fast-path engine: the
         restore must invalidate and then re-warm the context cache."""
         expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=40)
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=22)
         dying = build(
             make_sort,
             "sequential",

@@ -322,8 +322,9 @@ class TestEngineFaultTransparency:
         perm = list(range(256))
         _random.Random(1).shuffle(perm)
         baseline, _ = simulate(CGMPermutation(vals, perm, v=8), SEQ, v=8, seed=5)
+        # Drive 2's accesses 7-30 are superstep 0's Algorithm 2.
         plan = FaultPlan(seed=SEED + 1, read_error_rate=0.01,
-                         dead_disk=2, dead_after=60)
+                         dead_disk=2, dead_after=22)
         out, rep = simulate(
             CGMPermutation(vals, perm, v=8), SEQ, v=8, seed=5,
             faults=plan, checkpoint=True,
@@ -378,7 +379,7 @@ class TestCheckpointResume:
         baseline, base_rep = SequentialEMSimulation(
             CountingRingShift(payload_size=4, rounds=3), params, seed=2
         ).run()
-        plan = FaultPlan(seed=SEED + 3, dead_disk=0, dead_after=40)
+        plan = FaultPlan(seed=SEED + 3, dead_disk=0, dead_after=30)
         doomed = SequentialEMSimulation(
             CountingRingShift(payload_size=4, rounds=3), params, seed=2,
             faults=plan, checkpoint=True, max_recoveries=0,

@@ -204,11 +204,12 @@ def test_the_sort_keeps_every_store_and_reads_it_at_its_heaviest_drives():
     assert all(r.kept and r.io_ops == 0 for s in report.supersteps for r in s.routing_stats())
     assert sum(s.phases.reorganize for s in report.supersteps) == 0
     assert check_theorem1_io(report.params, report)[0] == []
-    (big,) = [s for s in report.supersteps if s.message_blocks > 200]
+    (big,) = [s for s in report.supersteps if s.message_blocks > 100]
     (routing,) = big.routing_stats()
     after = report.supersteps[big.index + 1]
     assert after.phases.fetch_messages == sum(map(max, routing.group_loads))
-    assert len(routing.group_loads) == 8 and sum(map(sum, routing.group_loads)) == 261
+    # 261 blocks before each group's messages were packed into full blocks.
+    assert len(routing.group_loads) == 8 and sum(map(sum, routing.group_loads)) == 156
 
 
 def test_theorem1_oracle_catches_one_op_planted_in_a_multi_group_kept_store():
@@ -234,7 +235,7 @@ def test_kill_resume_writes_a_kept_store_back_on_its_drives(backend):
     _out, golden = sort(engine=engine).run()
     dying = sort(
         engine=engine, checkpoint=True, max_recoveries=0, retry=RetryPolicy(max_retries=2),
-        faults=FaultPlan(seed=0, dead_disk=1, dead_after=500),
+        faults=FaultPlan(seed=0, dead_disk=1, dead_after=400),
     )
     with pytest.raises(SimulationAborted) as exc_info:
         dying.run()

@@ -130,7 +130,7 @@ def test_kill_resume_from_a_kept_store(backend):
     it (as a region) to the reference answer."""
     dying = build(
         "alg3", checkpoint=True, max_recoveries=0, retry=RetryPolicy(max_retries=2),
-        faults=FaultPlan(seed=0, dead_disk=0, dead_after=60, dead_proc=0),
+        faults=FaultPlan(seed=0, dead_disk=0, dead_after=50, dead_proc=0),
     )
     with pytest.raises(SimulationAborted) as exc_info:
         dying.run()
@@ -248,8 +248,14 @@ def test_bucket_map_is_the_papers_where_D_divides_the_batch_count():
 
 def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     """p = 2, v = 16, k = 4: two batches a processor over D = 4 drives.  Ranged
-    by batch, only buckets 0 and 2 fill and phase 1 leaves two drives idle.
-    On four drives Step 2 would keep every store, so Algorithm 2 is forced."""
+    by batch, only buckets 0 and 2 hold vps; ranged by vp, all four do.  On
+    four drives Step 2 would keep every store, so Algorithm 2 is forced.
+
+    A message block is packed per destination batch and addressed to the
+    batch's first vp, so its bucket is its batch's under either map: buckets
+    1 and 3 stay empty, and the two maps now run alike.  Packing moved
+    reorganize 1908 -> 2034 ops (the blocks sit in half the buckets) while
+    the total fell 3338 -> 3205."""
     always_route(monkeypatch)
     place = SimpleNamespace(vpp=8, k=4, nbatches=2,
                             params=SimpleNamespace(machine=SimpleNamespace(D=4)))
@@ -267,11 +273,13 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     # in one order and wrote them all back: the cyclic order holds one batch
     # across each barrier and appends the batches' blocks in a new order.
     outputs, reorganize, io_ops = run()
-    assert (reorganize, io_ops) == (1908, 3338)
+    assert (reorganize, io_ops) == (2034, 3205)
     monkeypatch.setattr(
         _Placement, "bucket_of_vp",
         lambda self, vp: _batch_map(vp, self.p, self.v, self.k, self.params.machine.D),
     )
+    # (3092, 4522) under the batch map before the packing, against the vp
+    # map's (1908, 3338).
     old_outputs, old_reorganize, old_io_ops = run()
-    assert (old_reorganize, old_io_ops) == (3092, 4522)
+    assert (old_reorganize, old_io_ops) == (2034, 3205)
     assert old_outputs == outputs

@@ -269,13 +269,15 @@ def test_crashcheck_on_the_fast_vector_plane_keeps_its_counts(tmp_path):
     for o in res.outcomes:
         actions[o.action] = actions.get(o.action, 0) + 1
     assert res.passed
-    assert (res.total_points, res.checkpoints, res.extents_verified) == (20, 4, 56)
+    assert (res.total_points, res.checkpoints, res.extents_verified) == (20, 4, 14)
     assert actions == {"restart": 4, "resume@0": 5, "resume@1": 5, "resume@2": 5,
                        "resume@3": 1}
     # 116 before the one group (k == v) kept its bucket store: the 60 ops of
     # Algorithm 2 went; 56 before the group stayed in memory across each
-    # barrier: its 32 ops of context swap went, every other phase is unchanged.
-    assert res.golden_summary["io_ops"] == 24
+    # barrier: its 32 ops of context swap went, every other phase is unchanged;
+    # 24 before the one group's messages were packed into full blocks: 24
+    # message blocks became 6, and writing and fetching them 12 ops each, 4.
+    assert res.golden_summary["io_ops"] == 8
     assert res.golden_summary["comm_packets"] == 18
 
 

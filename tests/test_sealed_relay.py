@@ -543,7 +543,7 @@ def test_damaged_bucket_store_track_stops_the_composed_relay(tmp_path, plane, da
                 fh.seek(offset)
                 frame = fh.read(FRAME_BYTES + length)
                 fh.seek(offset)
-                fh.write(storage_mod._seal_frame(b"", frame[FRAME_BYTES:], gen - 1))
+                fh.write(storage_mod._seal_frame(b"", [frame[FRAME_BYTES:]], gen - 1))
         else:  # the file ends inside the last frame
             assert base == max(ext[0] for ext in store._map.values())
             os.truncate(store.path, offset + FRAME_BYTES + length // 2)

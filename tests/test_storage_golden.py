@@ -134,7 +134,7 @@ class TestFaultsOnPlanes:
         """A run killed on the memory plane resumes onto a file/mmap engine
         via the portable checkpoint blobs (different root: no re-attach)."""
         expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=40)
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=22)
         dying = build(
             make_sort,
             "sequential",
@@ -158,7 +158,7 @@ class TestFaultsOnPlanes:
         """The reverse direction: checkpoints taken on a non-memory plane
         stay portable (the pickled state blobs are plane-independent)."""
         expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
-        plan = FaultPlan(seed=0, dead_disk=0, dead_after=40)
+        plan = FaultPlan(seed=0, dead_disk=0, dead_after=22)
         dying = build(
             make_sort,
             "sequential",

@@ -65,8 +65,18 @@ class TestIOTrace:
         assert out == ref
         # Every counted op was traced (init + supersteps + output).
         assert len(trace.ops) == sim.array.parallel_ops
-        # The simulation keeps the disks busy: well above single-disk usage.
-        assert trace.utilization() > 1.5 / 4
+        # Exactly the utilization the counted phases imply.  Every context
+        # pickles into one block, and the context region's stride (mu/B = 256
+        # blocks a slot, a multiple of D) puts them all on drive 0: a context
+        # op moves one block.  Each message block is written once and fetched
+        # once, the writes in full cycles of D.
+        assert sim.contexts._used == [1] * 8
+        ctx_ops = report.init_io_ops + report.output_io_ops + sum(
+            s.phases.fetch_context + s.phases.write_context for s in report.supersteps
+        )
+        moved = ctx_ops + 2 * sum(s.message_blocks for s in report.supersteps)
+        assert trace.utilization() == moved / (4 * sim.array.parallel_ops)
+        assert trace.counts()["disk_accesses"] == moved == 68
 
     def test_limit_stops_recording(self):
         array = DiskArray(D=1, B=8)
