@@ -57,6 +57,10 @@ class CGMPrefixSums(BSPAlgorithm):
     def comm_bound(self) -> int:
         return 64 + 8 * 2 * self.v
 
+    def quiet(self, step: int, pid: int) -> bool:
+        # Superstep 1 is vp 0's alone: every other vp waits for its offset.
+        return step == 1 and pid != 0
+
     def initial_state(self, pid: int, nprocs: int):
         lo, hi = share_bounds(self.n, nprocs, pid)
         return {"vals": self.values[lo:hi], "result": None}

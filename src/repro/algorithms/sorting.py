@@ -113,6 +113,10 @@ class CGMSampleSort(BSPAlgorithm):
             self.v * self.v, 4 * -(-self.n // self.v) + self.v
         )
 
+    def quiet(self, step: int, pid: int) -> bool:
+        # Superstep 1 is vp 0's alone: every other vp waits for the splitters.
+        return step == 1 and pid != 0
+
     # -- the algorithm -----------------------------------------------------------
 
     def initial_state(self, pid: int, nprocs: int):

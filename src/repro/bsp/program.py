@@ -217,6 +217,18 @@ class BSPAlgorithm(abc.ABC):
         """Declared maximum records sent (or received) per vp per superstep (gamma)."""
         return self.context_size()
 
+    def quiet(self, step: int, pid: int) -> bool:
+        """Declare vp ``pid`` quiet in superstep ``step``.
+
+        Contract: a quiet vp whose inbox is empty sends nothing, charges no
+        operations, leaves its state unchanged and does not vote halt.  The
+        EM engines then skip the context swap of any group (Algorithm 3:
+        batch) whose vps are all quiet and which receives nothing; the
+        reference runner still runs every quiet vp and refuses a broken
+        declaration with :class:`AlgorithmError`.
+        """
+        return False
+
     # -- conveniences ---------------------------------------------------------------
 
     def run_reference(self, v: int, **kwargs):

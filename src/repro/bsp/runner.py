@@ -10,10 +10,17 @@ packets, with a floor of ``L``.
 The reference runner is the ground truth for invariant **I3** (simulation
 transparency): for every algorithm and input, the EM simulations must produce
 bit-identical outputs to this runner.
+
+It is also where a :meth:`~repro.bsp.program.BSPAlgorithm.quiet` declaration
+is checked rather than trusted: every quiet vp still runs here, and one whose
+inbox is empty but which sends, charges, changes its state (its pickled bytes
+before and after) or votes halt raises :class:`AlgorithmError` — the engines
+would have skipped it.
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import Any
 
 from ..costs import CostLedger, packets_for
@@ -61,13 +68,15 @@ class ReferenceRunner:
             sent_packets = [0] * v
             total_sent = 0
 
-            contexts = []
             for pid in range(v):
+                quiet = not inboxes[pid] and alg.quiet(step, pid)
+                before = _image(states[pid]) if quiet else None
                 ctx = VPContext(
                     pid, v, step, states[pid], inboxes[pid], comm_bound=gamma
                 )
                 alg.superstep(ctx)
-                contexts.append(ctx)
+                if quiet:
+                    _check_quiet(ctx, before)
                 states[pid] = ctx.state
                 if not ctx.halted:
                     all_halted = False
@@ -111,6 +120,29 @@ class ReferenceRunner:
         self.ledger.close()
         outputs = [alg.output(pid, states[pid]) for pid in range(v)]
         return outputs, self.ledger
+
+
+def _image(state: Any) -> bytes:
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _check_quiet(ctx: VPContext, before: bytes) -> None:
+    """Refuse a vp declared quiet, with an empty inbox, that did anything."""
+    broken = [
+        what
+        for what, did in (
+            ("sent messages", ctx.outbox),
+            ("charged operations", ctx.comp_ops),
+            ("voted halt", ctx.halted),
+            ("changed its state", _image(ctx.state) != before),
+        )
+        if did
+    ]
+    if broken:
+        raise AlgorithmError(
+            f"vp {ctx.pid} is declared quiet in superstep {ctx.step} and "
+            f"received nothing, but {' and '.join(broken)}"
+        )
 
 
 def run_reference(

@@ -370,14 +370,18 @@ def check_theorem1_io(
       costs by its ``group_loads``: per fetch group, the max over processors
       of the kept store's heaviest drive, or of ``ceil(m/D)`` for a region
       Algorithm 2 laid out, summed over groups;
-    * the contexts: the groups a superstep writes back are the groups the
-      next one fetches, unchanged, and the one it holds in memory is fetched
-      by nobody (:func:`~repro.core.processor.group_order`), so each
-      ``fetch_context`` equals the ``write_context`` before it — 0 with one
-      group a processor.  The input load and the output unload move the same
-      groups once more, each charged as one max over processors rather than
-      a sum over rounds of maxima: equal to the first fetch and the last
-      write with one processor, no more than them with several;
+    * the contexts, group by group (``SuperstepReport.ran``): a group's
+      contexts are fetched as they were last written back — by the last
+      superstep that ran the group, which is not always the one before, since
+      a group of quiet vps that receives nothing is skipped — and the group a
+      barrier holds in memory is written and fetched at 0
+      (:func:`~repro.core.processor.group_order`), so each group's
+      ``fetch_context`` equals its last ``write_context``, and each
+      superstep's phase totals are those of the groups that ran.  The input
+      load and the output unload move every group once more, each charged as
+      one max over processors rather than a sum over rounds of maxima: equal
+      to the groups' first fetches and last writes with one processor, no
+      more than them with several;
     * the packed write (Step 1(d)), from the records the engine packed for
       each destination group (``SuperstepReport.packing``, counted from the
       messages, not the blocks): ``message_blocks`` equals the sum over
@@ -390,7 +394,8 @@ def check_theorem1_io(
     D, B = params.machine.D, params.machine.B
     sole = params.machine.p == 1
     fetch = 0  # what this superstep's fetches of the incoming set cost
-    ctx = None  # ... and of the contexts (None: the input load precedes it)
+    written: dict[int, tuple[int, int]] = {}  # group -> (step, ops) of its last write
+    first_fetches = 0  # the fetches of what the input load wrote
     failures = []
 
     def ends(what: str, got: int, phase: str, want: int) -> None:
@@ -404,19 +409,35 @@ def check_theorem1_io(
             )
 
     for s, bound in zip(report.supersteps, bounds):
-        if ctx is None:
-            ends("input load", report.init_io_ops, "first fetch_context",
-                 s.phases.fetch_context)
-        elif s.phases.fetch_context != ctx:
-            failures.append(
-                OracleFailure(
-                    "theorem1_io",
-                    f"superstep {s.index}: fetch_context charged "
-                    f"{s.phases.fetch_context} ops, but writing those contexts "
-                    f"back before it cost {ctx}",
+        fetched = wrote = 0
+        for g, got, put in s.ran:
+            if g not in written:
+                first_fetches += got
+                want = got
+            else:
+                last, want = written[g]
+                if got != want:
+                    failures.append(
+                        OracleFailure(
+                            "theorem1_io",
+                            f"superstep {s.index}: group {g}'s fetch_context "
+                            f"charged {got} ops, but writing those contexts back "
+                            f"in superstep {last} cost {want}",
+                        )
+                    )
+            fetched += want
+            wrote += put
+            written[g] = (s.index, put)
+        for phase, want in (("fetch_context", fetched), ("write_context", wrote)):
+            got = getattr(s.phases, phase)
+            if got != want:
+                failures.append(
+                    OracleFailure(
+                        "theorem1_io",
+                        f"superstep {s.index}: {phase} charged {got} ops, but "
+                        f"writing those contexts back, group by group, cost {want}",
+                    )
                 )
-            )
-        ctx = s.phases.write_context
         if s.phases.total > bound:
             failures.append(
                 OracleFailure(
@@ -462,7 +483,9 @@ def check_theorem1_io(
                     )
                 )
         fetch = _fetch_ops(routing, D)
-    if ctx is not None:
-        ends("output unload", report.output_io_ops, "last write_context", ctx)
+    if written:
+        ends("input load", report.init_io_ops, "first fetch_context", first_fetches)
+        ends("output unload", report.output_io_ops, "last write_context",
+             sum(ops for _step, ops in written.values()))
     packed = sum(s.packing is not None for s in report.supersteps)
     return failures, 3 * len(bounds) + packed

@@ -548,6 +548,7 @@ class EMEngine:
         all_halted: bool,
         routing_all: list[RoutingStats] | None = None,
         packing: list | None = None,
+        ran: list[tuple[int, int, int]] | None = None,
     ) -> bool:
         """Close compound superstep ``step``'s books: charge its phases to
         the ledger, append its report, record its metrics; return True when
@@ -565,6 +566,7 @@ class EMEngine:
                 halted=all_halted,
                 routing_all=routing_all,
                 packing=packing,
+                ran=ran,
             )
         )
         if self.obs.enabled:

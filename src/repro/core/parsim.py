@@ -28,7 +28,11 @@ The rounds run their batches in ascending cyclic order, each compound
 superstep starting with the batch the one before ended with
 (:func:`~repro.core.processor.group_order`), on every processor alike: that
 batch stays in memory across the barrier, so its context write-back and
-fetch are skipped — with one batch (``v == p*k``), every one.
+fetch are skipped — with one batch (``v == p*k``), every one.  A batch
+whose vps are all declared quiet (:meth:`~repro.bsp.program.BSPAlgorithm.quiet`)
+and for which every processor's gathered inbound is empty is skipped after
+its gather, on every processor alike: no context swap, no compute, no
+scatter (never the first or last batch of the order).
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
@@ -85,6 +89,12 @@ class _Placement:
     def batch_of_vp(self, vp: int) -> int:
         """Round in which ``vp`` is simulated (its *batch* index)."""
         return (vp % self.vpp) // self.k
+
+    def batch_vps(self, j: int) -> list[int]:
+        """The ``p*k`` virtual processors of batch ``j``, on every processor."""
+        return [
+            i * self.vpp + j * self.k + r for i in range(self.p) for r in range(self.k)
+        ]
 
     def bucket_of_vp(self, vp: int) -> int:
         """Local disk bucket of a block destined for ``vp``.
@@ -246,7 +256,9 @@ class ParallelEMSimulation(_Placement, EMEngine):
         packing: list[list[tuple[tuple[int, ...], int]]] = []
 
         obs = self.obs
-        for j in group_order(step, self.nbatches):
+        order = group_order(step, self.nbatches)
+        ran: list[tuple[int, int, int]] = []
+        for j in order:
             # ---- Fetching phase: local reads + gather h-relation ----
             # inbound[q] = blocks for processor q's current k vps.
             with obs.span("fetch_barrier", batch=j, cat="layout") as sp:
@@ -267,6 +279,17 @@ class ParallelEMSimulation(_Placement, EMEngine):
                     inbound[q].extend(qblocks)
             cost.comm_packets += max(sent_pk[q] + recv_pk[q] for q in range(self.p))
             cost.syncs += 1
+            # One collective decision: a batch of quiet vps that nobody sent
+            # anything is skipped on every processor alike — no context swap,
+            # no compute, no scatter.  The superstep's first and last batches
+            # always run: they carry the resident batch across the barriers.
+            if (
+                j not in (order[0], order[-1])
+                and not any(inbound)
+                and all(self.algorithm.quiet(step, vp) for vp in self.batch_vps(j))
+            ):
+                all_halted = False  # a quiet vp does not vote halt
+                continue
 
             # ---- Computing phase (incl. local context swaps) ----
             with obs.span("compute_barrier", batch=j, cat="kernel") as sp:
@@ -274,8 +297,11 @@ class ParallelEMSimulation(_Placement, EMEngine):
                     "compute", [(j, step, inbound[q]) for q in range(self.p)]
                 )
                 sp.add(comp_ops=max(r["comp"] for r in computes))
-            phases.fetch_context += max(r["fetch_io"] for r in computes)
-            phases.write_context += max(r["save_io"] for r in computes)
+            fetch_ctx = max(r["fetch_io"] for r in computes)
+            save_ctx = max(r["save_io"] for r in computes)
+            phases.fetch_context += fetch_ctx
+            phases.write_context += save_ctx
+            ran.append((j, fetch_ctx, save_ctx))
             cost.comp_ops += max(r["comp"] for r in computes)
             cost.records_sent += sum(r["sent_records"] for r in computes)
             if not all(r["halted"] for r in computes):
@@ -323,5 +349,5 @@ class ParallelEMSimulation(_Placement, EMEngine):
             )
         return self._seal_superstep(
             step, cost, phases, worst_routing, blocks_generated, all_halted,
-            routing_all, packing,
+            routing_all, packing, ran,
         )

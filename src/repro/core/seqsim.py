@@ -15,7 +15,11 @@ memory in groups of ``k = floor(M/mu)``; per compound superstep and group:
 The groups run in ascending cyclic order, each superstep starting with the
 group the one before ended with (:func:`~repro.core.processor.group_order`):
 that group stays in memory across the barrier, so its Step 1(e) and the next
-Step 1(a) are skipped — with one group, every context swap is.
+Step 1(a) are skipped — with one group, every context swap is.  A group whose
+vps are all declared quiet (:meth:`~repro.bsp.program.BSPAlgorithm.quiet`)
+and whose incoming slots are empty is not swapped at all: no fetch, no
+compute, no write-back, no packing (never the first or last group of the
+order, which carry the resident group).
 
 After all ``v/k`` groups, Step 2 (:func:`repro.core.routing.simulate_routing`,
 the paper's Algorithm 2) reorganizes the buckets into the next superstep's
@@ -96,16 +100,20 @@ class SequentialEMSimulation(EMEngine):
 
         obs = self.obs
         order = group_order(step, self.nbatches)
+        ran: list[tuple[int, int, int]] = []
         for g in order:
             slots = proc.slots(g)
+            if g not in (order[0], order[-1]) and self._idle(step, slots):
+                all_halted = False  # a quiet vp does not vote halt
+                continue
 
             # -- Fetching phase: Step 1(a) contexts, Step 1(b) messages --
             with obs.span("fetch_context", group=g, cat="layout") as sp:
                 t = array.parallel_ops
                 states = self.contexts.load_group(slots)
-                d = array.parallel_ops - t
-                phases.fetch_context += d
-                sp.add(io_ops=d)
+                fetch_ctx = array.parallel_ops - t
+                phases.fetch_context += fetch_ctx
+                sp.add(io_ops=fetch_ctx)
 
             with obs.span("fetch_messages", group=g, cat="layout") as sp:
                 t = array.parallel_ops
@@ -153,6 +161,7 @@ class SequentialEMSimulation(EMEngine):
                 d = array.parallel_ops - t
                 phases.write_context += d
                 sp.add(io_ops=d)
+            ran.append((g, fetch_ctx, d))
 
         # -- Step 2: reorganize the generated blocks (Algorithm 2) --
         if obs.enabled:
@@ -175,5 +184,15 @@ class SequentialEMSimulation(EMEngine):
             obs.metrics.histogram("lemma2_load_ratio").record(routing.max_load_ratio)
         return self._seal_superstep(
             step, cost, phases, routing, blocks_generated, all_halted,
-            packing=packing,
+            packing=packing, ran=ran,
         )
+
+    def _idle(self, step: int, vps: list[int]) -> bool:
+        """Whether the group of ``vps`` is skipped in superstep ``step``:
+        every vp of it declared quiet, and its incoming slots (one a vp)
+        empty — which the store's ``slot_sizes`` say before anything is
+        fetched."""
+        if not all(self.algorithm.quiet(step, vp) for vp in vps):
+            return False
+        incoming = self.proc.incoming
+        return incoming is None or not any(incoming.slot_sizes[vp] for vp in vps)

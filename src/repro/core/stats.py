@@ -100,6 +100,12 @@ class SuperstepReport:
     # Lemma 3 dummy blocks added — what the exact write referee
     # (repro.conform.oracles.check_theorem1_io) counts blocks and ops from.
     packing: list[list[tuple[tuple[int, ...], int]]] | None = None
+    # The groups (Algorithm 3: batches) that ran, in run order, each as
+    # ``(group, fetch_context ops, write_context ops)`` (maxima over
+    # processors); a group of quiet vps that received nothing is skipped and
+    # absent.  What the context referee pins each group's fetch to its last
+    # write by.
+    ran: list[tuple[int, int, int]] | None = None
 
     def routing_stats(self) -> list[RoutingStats]:
         """All per-processor routing stats known for this superstep."""
