@@ -8,15 +8,18 @@ Each block inherits the destination address from its original message"),
 which leaves every message's last block part-empty.  Here the cut is per
 *destination group* instead — the ``k`` virtual processors one real
 processor simulates together, key ``dest - dest % k``: :func:`pack_blocks`
-fills each block to ``B`` records before it opens the next, messages (and
-Algorithm 3's packets) may split across blocks, and a segment table beside
-the records (``Block.segs``, not counted against ``B``) says whose records
-are where.  The block inherits the group's key as its destination address,
-so everything that routes blocks — buckets, slots, Algorithm 3's gather —
-routes them as before; :func:`blocks_to_messages` demultiplexes once, when
-the group is simulated.  An empty message is a zero-length segment, so its
-arrival stays observable; a group that receives only empty messages costs
-one block.
+fills each block to ``B`` records before it opens the next, messages may
+split across blocks, and a segment table beside the records (``Block.segs``,
+not counted against ``B``) says whose records are where.  The block inherits
+the group's key as its destination address, so everything that routes
+blocks — buckets, slots, Algorithm 3's gather — routes them as before;
+:func:`blocks_to_messages` demultiplexes once, when the group is simulated.
+An empty message is a zero-length segment, so its arrival stays observable;
+a group that receives only empty messages costs one block.
+
+The same cutter makes Algorithm 3's BSP* packets: a real processor's whole
+round outbox goes through :func:`pack_blocks` with ``b`` for ``B``, and each
+receiver packs the packets' :func:`block_pieces` per destination group.
 
 Payloads come in two flavours.  The reference plane uses Python lists (one
 object per record); the vectorized plane uses 1-D numpy arrays of a codec
@@ -38,12 +41,11 @@ from ..emio.disk import Block
 
 __all__ = [
     "Message",
-    "Packet",
     "pack_blocks",
     "pack_by_group",
+    "block_pieces",
     "message_to_blocks",
     "blocks_to_messages",
-    "message_to_packets",
 ]
 
 #: One piece of a message bound for a destination group:
@@ -53,9 +55,12 @@ Piece = tuple[int, int, int, int, Any]
 
 
 def _slice(records, i: int, j: int):
-    """One block/packet payload: list slice (copy) or ndarray view."""
+    """One block/packet payload: the records themselves when whole, else a
+    list slice (copy) or ndarray view.  Sharing a whole list is safe: it is
+    the sender's copy (``VPContext.send``), and :func:`blocks_to_messages`
+    joins list parts into a new list."""
     if isinstance(records, (np.ndarray, list)):
-        return records[i:j]
+        return records if j - i == len(records) else records[i:j]
     return list(records[i:j])
 
 
@@ -96,8 +101,9 @@ def pack_blocks(pieces: Iterable[Piece], B: int, dest: int) -> list[Block]:
     seq, n)`` in its block's table, ``seq`` the part's record offset within
     its message.  An empty piece is a zero-length segment in the block at
     hand — a new one only if there is none yet — so ``pieces`` holding ``r``
-    records pack into ``max(1, ceil(r / B))`` blocks.  Every block's
-    destination address is ``dest``, the group's key.
+    records pack into ``max(1, ceil(r / B))`` blocks, and no pieces into
+    none.  Every block's destination address is ``dest``, the group's key
+    (for Algorithm 3's packets, ``B = b``, the sending real processor).
     """
     out: list[Block] = []
     segs: list[tuple[int, int, int, int, int]] = []
@@ -105,9 +111,11 @@ def pack_blocks(pieces: Iterable[Piece], B: int, dest: int) -> list[Block]:
     room = B
     for pdest, src, msg, seq, records in pieces:
         n = len(records)
-        if n == 0:
-            segs.append((pdest, src, msg, seq, 0))
-            parts.append([])
+        if n <= room:  # the whole piece fits the block at hand
+            segs.append((pdest, src, msg, seq, n))
+            parts.append(_slice(records, 0, n) if n else [])
+            room -= n
+            continue
         i = 0
         while i < n:
             if room == 0:
@@ -156,49 +164,12 @@ def message_to_blocks(msg: Message, B: int, msg_id: int) -> list[Block]:
     return pack_blocks([(msg.dest, msg.src, msg_id, 0, msg.payload)], B, msg.dest)
 
 
-@dataclass
-class Packet:
-    """A BSP* packet: up to ``b`` records of one message.
-
-    The parallel simulation (Algorithm 3) splits generated messages into
-    packets of the router's packet size ``b`` and scatters each packet to a
-    randomly chosen real processor; ``offset`` is the packet's record offset
-    within the original message, so the segments a receiver packs it into
-    keep globally consistent sequence numbers.
-    """
-
-    src: int
-    dest: int
-    msg: int
-    offset: int
-    records: Any = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.records)
-
-    @property
-    def piece(self) -> Piece:
-        """This packet as a piece for :func:`pack_blocks`."""
-        return (self.dest, self.src, self.msg, self.offset, self.records)
-
-
-def message_to_packets(msg: Message, b: int, msg_id: int) -> list[Packet]:
-    """Split one message into packets of at most ``b`` records.
-
-    Empty messages yield one empty packet (charged one packet by BSP*).
-    """
-    if len(msg.payload) == 0:
-        return [Packet(src=msg.src, dest=msg.dest, msg=msg_id, offset=0)]
+def block_pieces(blocks: Iterable[Block]) -> list[Piece]:
+    """The pieces ``blocks`` carry, one per segment, in table order."""
     return [
-        Packet(
-            src=msg.src,
-            dest=msg.dest,
-            msg=msg_id,
-            offset=i,
-            records=_slice(msg.payload, i, i + b),
-        )
-        for i in range(0, len(msg.payload), b)
+        (dest, src, msg, seq, part)
+        for blk in blocks
+        for (dest, src, msg, seq, _n), part in zip(blk.segs, blk.records, strict=True)
     ]
 
 

@@ -351,6 +351,36 @@ def _packed_write(packing: list, B: int, D: int) -> tuple[int, int]:
     return blocks, ops
 
 
+def _traffic_packets(traffic: list, p: int, b: int) -> int:
+    """What Algorithm 3's h-relations cost by their own record counts: per
+    round, the max over processors of packets sent plus received — in the
+    gather, ``max(1, ceil(records/b))`` per pair of distinct processors; in
+    the scatter, ``n = max(1, ceil(records/b))`` per processor that dealt,
+    all charged to it and ``floor(n/p)`` or ``ceil(n/p)`` to each receiver
+    by its distance from the offset (a processor's own included)."""
+    total = 0
+    for gather, dealt in traffic:
+        load = [0] * p
+        for i, q, records in gather:
+            if i != q:
+                n = max(1, -(-records // b))
+                load[i] += n
+                load[q] += n
+        total += max(load)
+        if dealt is None:
+            continue
+        load = [0] * p
+        for i, (records, offset) in enumerate(dealt):
+            if offset is None:
+                continue
+            n = max(1, -(-records // b))
+            load[i] += n
+            for q in range(p):
+                load[q] += n // p + ((q - offset) % p < n % p)
+        total += max(load)
+    return total
+
+
 def check_theorem1_io(
     params: SimulationParams, report: SimulationReport
 ) -> tuple[list[OracleFailure], int]:
@@ -389,6 +419,12 @@ def check_theorem1_io(
       ``ceil(records/B)`` — 1 for a group of empty messages only — and
       ``write_messages`` equals the sum over rounds of the max over
       processors of ``ceil((blocks + Lemma 3 dummies)/D)``.
+
+    And one exact layer on the network ledger: under Algorithm 3,
+    ``comm_packets`` equals what the gather and the deal cost by the records
+    each processor moved and its deal offset (``SuperstepReport.traffic``):
+    the round's outbox is cut into full packets of ``b`` and dealt
+    round-robin, so the count is fixed by the records alone.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
     D, B = params.machine.D, params.machine.B
@@ -468,6 +504,17 @@ def check_theorem1_io(
                         f"per destination group make {blocks} blocks in {ops}",
                     )
                 )
+        if s.traffic is not None:
+            want = _traffic_packets(s.traffic, params.machine.p, params.machine.b)
+            if s.comm_packets != want:
+                failures.append(
+                    OracleFailure(
+                        "theorem1_io",
+                        f"superstep {s.index}: comm_packets {s.comm_packets}, "
+                        f"but the records gathered and dealt, in full packets "
+                        f"of b = {params.machine.b}, make {want}",
+                    )
+                )
         routing = s.routing_stats()
         if routing:
             expected = max(r.io_ops for r in routing)
@@ -488,4 +535,5 @@ def check_theorem1_io(
         ends("output unload", report.output_io_ops, "last write_context",
              sum(ops for _step, ops in written.values()))
     packed = sum(s.packing is not None for s in report.supersteps)
-    return failures, 3 * len(bounds) + packed
+    dealt = sum(s.traffic is not None for s in report.supersteps)
+    return failures, 3 * len(bounds) + packed + dealt

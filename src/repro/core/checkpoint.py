@@ -70,7 +70,7 @@ class SuperstepCheckpoint:
         Index of the next superstep to execute after restoring.
     rng_state:
         ``random.Random.getstate()`` of the engine's RNG, so restored runs
-        redraw exactly the permutations and scatter targets they would have.
+        redraw exactly the permutations and deal offsets they would have.
     proc_states:
         Per real processor: pickled list of that processor's context states
         (local slot order).

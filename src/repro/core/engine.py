@@ -114,8 +114,8 @@ class RunConfig:
         has one local processor and refuses ``"process"``.
     seed:
         Seed of the random disk-write permutations (Step 1(d)) and, under
-        Algorithm 3, of the packet scatter (processor ``i`` draws from
-        ``"{seed}/proc{i}"``).
+        Algorithm 3, of the packet deal's offsets (processor ``i`` draws
+        from ``"{seed}/proc{i}"``).
     storage:
         Block-storage plane backing the simulated disks: ``"memory"``
         (default, plain dicts), ``"file"`` (one preallocated track file per
@@ -549,6 +549,7 @@ class EMEngine:
         routing_all: list[RoutingStats] | None = None,
         packing: list | None = None,
         ran: list[tuple[int, int, int]] | None = None,
+        traffic: list | None = None,
     ) -> bool:
         """Close compound superstep ``step``'s books: charge its phases to
         the ledger, append its report, record its metrics; return True when
@@ -567,6 +568,7 @@ class EMEngine:
                 routing_all=routing_all,
                 packing=packing,
                 ran=ran,
+                traffic=traffic,
             )
         )
         if self.obs.enabled:

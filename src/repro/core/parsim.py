@@ -16,10 +16,16 @@ Per round:
   It also reads its ``k`` current contexts locally.
 * **Computing phase** (Step 1(b)) — the ``k`` virtual supersteps run; changed
   contexts go back to the local disks.
-* **Writing phase** (Step 1(c)) — generated messages are split into packets
-  of size ``b`` and each packet is sent to a *uniformly random* processor
-  (balls-into-bins; Lemma 10 bounds the per-processor load whp).  Receivers
-  pack the packets of each destination batch's owner — the ``k`` vps it
+* **Writing phase** (Step 1(c)) — the round's whole outbox (every vp of the
+  batch, in message order) is cut into packets of ``b`` records, all full
+  but the last, by the block packer (:func:`~repro.bsp.message.pack_blocks`;
+  a message may split across packets, each packet's segment table says
+  whose records it carries), and the packets are dealt round-robin from one
+  uniformly random offset per processor and round (:func:`deal`).  Each
+  receiver thus gets ``floor(n/p)`` or ``ceil(n/p)`` of a sender's ``n``
+  packets — a deterministic bound beside Lemma 10's whp one.  A round with
+  an empty outbox deals nothing and draws nothing.  Receivers pack the
+  packets' pieces per destination batch's owner — the ``k`` vps it
   simulates together — into full blocks of size ``B``
   (:func:`~repro.bsp.message.pack_by_group`) and append them to their local
   ``D``-bucket stores with random-permutation disk writes.
@@ -67,7 +73,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..bsp.message import Packet, message_to_packets, pack_by_group
+from ..bsp.message import Piece, block_pieces, pack_blocks, pack_by_group
 from ..costs import packets_for
 from ..emio.disk import Block
 from .engine import EMEngine
@@ -75,7 +81,14 @@ from .processor import RealProcessor, group_order
 from .routing import RoutingStats
 from .stats import PhaseBreakdown
 
-__all__ = ["ParallelEMSimulation"]
+__all__ = ["ParallelEMSimulation", "deal"]
+
+
+def deal(packets: list[Block], offset: int, p: int) -> list[list[Block]]:
+    """The writing phase's deal: packet ``t`` goes to processor
+    ``(offset + t) mod p``, so each of the ``p`` receivers gets
+    ``floor(n/p)`` or ``ceil(n/p)`` of the ``n`` packets, in send order."""
+    return [packets[(q - offset) % p :: p] for q in range(p)]
 
 
 class _Placement:
@@ -142,9 +155,10 @@ class _RealProcessor(_Placement, RealProcessor):
     def compute(self, j: int, step: int, inbound: list[Block]) -> dict[str, Any]:
         """Step 1(b): run batch ``j``'s ``k`` virtual supersteps.
 
-        Returns the scatter packets as ``(random target, packet)`` pairs in
-        draw order, plus this processor's cost contributions and the context
-        fetch/save I/O deltas.
+        Returns the round's outbox cut into packets of ``b`` records and
+        the deal offset (``None`` for an empty outbox, which draws no random
+        number; 0 undrawn with one processor), plus this processor's cost
+        contributions and the context fetch/save I/O deltas.
         """
         b = self.params.machine.b
         vps = self.vps(j)
@@ -156,7 +170,7 @@ class _RealProcessor(_Placement, RealProcessor):
             sp.add(io_ops=fetch_io)
 
         new_states: list[Any] = []
-        packets: list[tuple[int, Packet]] = []
+        pieces: list[Piece] = []
         comp = 0.0
         sent_records = 0
         halted = True
@@ -168,8 +182,11 @@ class _RealProcessor(_Placement, RealProcessor):
                 comp += ctx.comp_ops
                 sent_records += ctx.sent_records
                 for mi, msg in enumerate(ctx.outbox):
-                    for pkt in message_to_packets(msg, b, mi):
-                        packets.append((self.rng.randrange(self.p), pkt))
+                    pieces.append((msg.dest, msg.src, mi, 0, msg.payload))
+            packets = pack_blocks(pieces, b, self.index)
+            offset = None
+            if packets:
+                offset = self.rng.randrange(self.p) if self.p > 1 else 0
             sp.add(comp_ops=comp, packets=len(packets))
         with self.obs.span("write_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
@@ -180,6 +197,7 @@ class _RealProcessor(_Placement, RealProcessor):
             sp.add(io_ops=save_io)
         return {
             "packets": packets,
+            "offset": offset,
             "comp": comp,
             "sent_records": sent_records,
             "halted": halted,
@@ -188,15 +206,16 @@ class _RealProcessor(_Placement, RealProcessor):
         }
 
     def write(
-        self, j: int, packets: list[Packet]
+        self, j: int, packets: list[Block]
     ) -> tuple[int, int, tuple[int, ...]]:
-        """Step 1(c): pack received packets into full blocks per destination
-        group, append them to the buckets.  Returns the blocks, the I/O and
-        each destination group's records (for the packing referee)."""
+        """Step 1(c): pack the pieces of the received packets into full
+        blocks per destination group, append them to the buckets.  Returns
+        the blocks, the I/O and each destination group's records (for the
+        packing referee)."""
         B = self.params.machine.B
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            rblocks, loads = pack_by_group((pkt.piece for pkt in packets), B, self.k)
+            rblocks, loads = pack_by_group(block_pieces(packets), B, self.k)
             self.buckets.append_blocks(rblocks)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=len(rblocks), packets=len(packets))
@@ -228,7 +247,8 @@ class ParallelEMSimulation(_Placement, EMEngine):
 
     With ``p=1`` this degenerates to a close cousin of
     :class:`~repro.core.seqsim.SequentialEMSimulation` (messages still pass
-    through the packet-scatter path, but there is only one bin to scatter to).
+    through the packet-scatter path, but every packet is dealt to the one
+    processor, and no offset is drawn).
 
     Built like every engine (see :class:`~repro.core.engine.RunConfig`);
     ``backend`` places the real processors.  Under an ``observer`` the engine
@@ -254,6 +274,7 @@ class ParallelEMSimulation(_Placement, EMEngine):
         all_halted = True
         blocks_generated = 0
         packing: list[list[tuple[tuple[int, ...], int]]] = []
+        traffic: list[tuple[tuple[tuple[int, int, int], ...], tuple | None]] = []
 
         obs = self.obs
         order = group_order(step, self.nbatches)
@@ -267,11 +288,13 @@ class ParallelEMSimulation(_Placement, EMEngine):
                 phases.fetch_messages += d
                 sp.add(io_ops=d)
             inbound: list[list[Block]] = [[] for _ in range(self.p)]
+            gather: list[tuple[int, int, int]] = []
             sent_pk = [0] * self.p
             recv_pk = [0] * self.p
             for i, (by_owner, _io) in enumerate(fetches):
                 for q, qblocks in sorted(by_owner.items()):
                     nrec = sum(b.nrecords() for b in qblocks)
+                    gather.append((i, q, nrec))
                     npk = max(1, packets_for(nrec, m.b))
                     if q != i:
                         sent_pk[i] += npk
@@ -289,6 +312,7 @@ class ParallelEMSimulation(_Placement, EMEngine):
                 and all(self.algorithm.quiet(step, vp) for vp in self.batch_vps(j))
             ):
                 all_halted = False  # a quiet vp does not vote halt
+                traffic.append((tuple(gather), None))
                 continue
 
             # ---- Computing phase (incl. local context swaps) ----
@@ -308,24 +332,28 @@ class ParallelEMSimulation(_Placement, EMEngine):
                 all_halted = False
 
             # ---- Writing phase: scatter h-relation + bucket writes ----
-            outpackets: list[list[Packet]] = [[] for _ in range(self.p)]
-            scatter_sent = [0] * self.p
-            scatter_recv = [0] * self.p
+            # A packet a processor deals to itself is charged (the gather's
+            # are not): DESIGN §13.
+            outpackets: list[list[Block]] = [[] for _ in range(self.p)]
+            scatter_pk = [0] * self.p
             for i, r in enumerate(computes):
-                scatter_sent[i] = len(r["packets"])
-                for target, pkt in r["packets"]:
-                    scatter_recv[target] += 1
-                    outpackets[target].append(pkt)
-            cost.comm_packets += max(
-                scatter_sent[q] + scatter_recv[q] for q in range(self.p)
-            )
+                scatter_pk[i] += len(r["packets"])
+                if r["offset"] is None:
+                    continue
+                for q, got in enumerate(deal(r["packets"], r["offset"], self.p)):
+                    scatter_pk[q] += len(got)
+                    outpackets[q].extend(got)
+            cost.comm_packets += max(scatter_pk)
             cost.syncs += 1
+            traffic.append(
+                (tuple(gather), tuple((r["sent_records"], r["offset"]) for r in computes))
+            )
             with obs.span("write_barrier", batch=j, cat="layout") as sp:
                 writes = self.backend.call_all(
                     "write", [(j, outpackets[q]) for q in range(self.p)]
                 )
                 d = max(io for _n, io, _loads in writes)
-                sp.add(io_ops=d, packets=sum(scatter_sent))
+                sp.add(io_ops=d, packets=sum(len(r["packets"]) for r in computes))
             blocks_generated += sum(n for n, _io, _loads in writes)
             phases.write_messages += d
             packing.append([(loads, 0) for _n, _io, loads in writes])
@@ -349,5 +377,5 @@ class ParallelEMSimulation(_Placement, EMEngine):
             )
         return self._seal_superstep(
             step, cost, phases, worst_routing, blocks_generated, all_halted,
-            routing_all, packing, ran,
+            routing_all, packing, ran, traffic,
         )

@@ -4,9 +4,9 @@ import pytest
 
 from repro.bsp.message import (
     Message,
+    block_pieces,
     blocks_to_messages,
     message_to_blocks,
-    message_to_packets,
     pack_blocks,
 )
 from repro.bsp.program import AlgorithmError, VPContext
@@ -37,20 +37,27 @@ class TestMessage:
             assert sum(b.nrecords() for b in blocks) == n
 
 
+def packets_of(msg: Message, b: int, msg_id: int):
+    """Algorithm 3's cutter on an outbox of one message (``dest`` -1: a
+    packet's address is its sender, none here)."""
+    return pack_blocks([(msg.dest, msg.src, msg_id, 0, msg.payload)], b, -1)
+
+
 class TestPackets:
     def test_empty_message_one_packet(self):
-        pkts = message_to_packets(Message(1, 2), b=8, msg_id=0)
-        assert len(pkts) == 1 and pkts[0].size == 0
+        pkts = packets_of(Message(1, 2), b=8, msg_id=0)
+        assert len(pkts) == 1 and pkts[0].nrecords() == 0
+        assert pkts[0].segs == ((2, 1, 0, 0, 0),)
 
     def test_packet_sizes(self):
-        pkts = message_to_packets(Message(1, 2, list(range(20))), b=8, msg_id=0)
-        assert [p.size for p in pkts] == [8, 8, 4]
-        assert [p.offset for p in pkts] == [0, 8, 16]
+        pkts = packets_of(Message(1, 2, list(range(20))), b=8, msg_id=0)
+        assert [p.nrecords() for p in pkts] == [8, 8, 4]
+        assert [seg[3] for p in pkts for seg in p.segs] == [0, 8, 16]
 
     def test_packets_via_blocks_roundtrip(self):
         msg = Message(3, 4, list(range(23)))
-        pkts = message_to_packets(msg, b=7, msg_id=5)
-        blocks = pack_blocks([pkt.piece for pkt in pkts], B=3, dest=4)
+        pkts = packets_of(msg, b=7, msg_id=5)
+        blocks = pack_blocks(block_pieces(pkts), B=3, dest=4)
         # Blocks fill across packet boundaries; a segment's seq is its
         # record offset within the message.
         assert [b.nrecords() for b in blocks] == [3] * 7 + [2]
@@ -60,6 +67,21 @@ class TestPackets:
         (back,) = blocks_to_messages(reversed(blocks))
         assert back.payload == msg.payload
         assert (back.src, back.dest) == (3, 4)
+
+    def test_packets_fill_across_messages(self):
+        """A round's outbox is one cut: messages share packets, split where
+        a packet fills, and an empty message is a zero-length segment."""
+        outbox = [(5, 1, 0, 0, [1, 2, 3]), (6, 1, 1, 0, []), (7, 2, 0, 0, [4, 5, 6, 7])]
+        pkts = pack_blocks(outbox, 4, 0)
+        assert [p.nrecords() for p in pkts] == [4, 3]
+        assert [p.segs for p in pkts] == [
+            ((5, 1, 0, 0, 3), (6, 1, 1, 0, 0), (7, 2, 0, 0, 1)),
+            ((7, 2, 0, 1, 3),),
+        ]
+        assert list(block_pieces(pkts)) == [
+            (5, 1, 0, 0, [1, 2, 3]), (6, 1, 1, 0, []),
+            (7, 2, 0, 0, [4]), (7, 2, 0, 1, [5, 6, 7]),
+        ]
 
 
 class TestVPContext:

@@ -255,7 +255,10 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     batch's first vp, so its bucket is its batch's under either map: buckets
     1 and 3 stay empty, and the two maps now run alike.  Packing moved
     reorganize 1908 -> 2034 ops (the blocks sit in half the buckets) while
-    the total fell 3338 -> 3205."""
+    the total fell 3338 -> 3205.  Dealing each round's outbox in full
+    packets of ``b`` draws one random number a round instead of one a
+    packet, so the bucket stores' random write permutations differ: (2034,
+    3205) -> (1994, 3145), under either map."""
     always_route(monkeypatch)
     place = SimpleNamespace(vpp=8, k=4, nbatches=2,
                             params=SimpleNamespace(machine=SimpleNamespace(D=4)))
@@ -273,7 +276,7 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     # in one order and wrote them all back: the cyclic order holds one batch
     # across each barrier and appends the batches' blocks in a new order.
     outputs, reorganize, io_ops = run()
-    assert (reorganize, io_ops) == (2034, 3205)
+    assert (reorganize, io_ops) == (1994, 3145)
     monkeypatch.setattr(
         _Placement, "bucket_of_vp",
         lambda self, vp: _batch_map(vp, self.p, self.v, self.k, self.params.machine.D),
@@ -281,5 +284,5 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     # (3092, 4522) under the batch map before the packing, against the vp
     # map's (1908, 3338).
     old_outputs, old_reorganize, old_io_ops = run()
-    assert (old_reorganize, old_io_ops) == (2034, 3205)
+    assert (old_reorganize, old_io_ops) == (1994, 3145)
     assert old_outputs == outputs

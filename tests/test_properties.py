@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from repro.bsp.message import (
     Message,
+    block_pieces,
     blocks_to_messages,
     message_to_blocks,
-    message_to_packets,
+    pack_blocks,
     pack_by_group,
 )
 from repro.bsp.collectives import (
@@ -20,6 +21,7 @@ from repro.bsp.collectives import (
     share_bounds,
 )
 from repro.bsp.runner import run_reference
+from repro.core.parsim import deal
 from repro.core.routing import simulate_routing
 from repro.core.seqsim import SequentialEMSimulation
 from repro.emio.disk import Block
@@ -111,6 +113,18 @@ def test_interleaved_blocks_reassemble(payloads, B, data):
         assert m.payload == payloads[m.src]
 
 
+def _outbox(sizes, vector):
+    """Messages ``(dest, records)`` from vp ``i % 3``, and their pieces."""
+    msgs = []
+    for i, (dest, n) in enumerate(sizes):
+        if vector:
+            payload = np.arange(100 * i, 100 * i + n, dtype=np.int64)
+        else:
+            payload = [(i, r) for r in range(n)]
+        msgs.append(Message(src=i % 3, dest=dest, payload=payload))
+    return msgs, [(m.dest, m.src, mi, 0, m.payload) for mi, m in enumerate(msgs)]
+
+
 @given(
     sizes=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 30)), max_size=10),
     B=st.integers(1, 9),
@@ -123,22 +137,17 @@ def test_interleaved_blocks_reassemble(payloads, B, data):
 def test_group_packer_roundtrip(sizes, B, b, k, vector, data):
     """:func:`pack_by_group` over both record flavours and any destination
     key, fed whole messages (Algorithm 1) or their packets spread over
-    receivers (Algorithm 3): every block holds at most ``B`` records, each
-    receiver packs a key's records into ``max(1, ceil(records/B))`` blocks,
-    and unpacking inverts packing in any block order."""
-    msgs = []
-    for i, (dest, n) in enumerate(sizes):
-        if vector:
-            payload = np.arange(100 * i, 100 * i + n, dtype=np.int64)
-        else:
-            payload = [(i, r) for r in range(n)]
-        msgs.append(Message(src=i % 3, dest=dest, payload=payload))
+    receivers (Algorithm 3's cutter, one message at a time): every block
+    holds at most ``B`` records, each receiver packs a key's records into
+    ``max(1, ceil(records/B))`` blocks, and unpacking inverts packing in any
+    block order."""
+    msgs, whole = _outbox(sizes, vector)
     pieces = []
-    for mi, m in enumerate(msgs):
+    for piece in whole:
         if data.draw(st.booleans(), label="as packets"):
-            pieces += [pkt.piece for pkt in message_to_packets(m, b, mi)]
+            pieces += block_pieces(pack_blocks([piece], b, -1))
         else:
-            pieces.append((m.dest, m.src, mi, 0, m.payload))
+            pieces.append(piece)
     receivers = data.draw(st.integers(1, 3), label="receivers")
     spread = [data.draw(st.integers(0, receivers - 1)) for _ in pieces]
     blocks = []
@@ -168,6 +177,65 @@ def test_group_packer_roundtrip(sizes, B, b, k, vector, data):
             assert got.payload.tolist() == want.payload.tolist()
         else:
             assert got.payload == want.payload
+
+
+@given(
+    sizes=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 30)), max_size=10),
+    b=st.integers(1, 12),
+    B=st.integers(1, 9),
+    k=st.sampled_from([1, 2, 4, 16]),
+    p=st.integers(1, 4),
+    vector=st.booleans(),
+    data=st.data(),
+)
+@slow
+def test_packet_cutter_roundtrip(sizes, b, B, k, p, vector, data):
+    """Algorithm 3's writing phase: a round's outbox cut into packets of
+    ``b`` (:func:`pack_blocks`), dealt from any offset, each receiver packing
+    its packets' pieces per destination group (:func:`pack_by_group`).  Every
+    packet holds at most ``b`` records, ``r`` records cut into
+    ``max(1, ceil(r/b))`` packets (none without a message), and the blocks
+    demultiplex, in any order, back into the outbox."""
+    msgs, pieces = _outbox(sizes, vector)
+    packets = pack_blocks(pieces, b, 0)
+    r = sum(m.size for m in msgs)
+    assert len(packets) == (max(1, -(-r // b)) if msgs else 0)
+    assert all(pkt.nrecords() == b for pkt in packets[:-1])
+    assert all(pkt.nrecords() <= b for pkt in packets)
+    assert sum(pkt.nrecords() for pkt in packets) == r
+    offset = data.draw(st.integers(0, p - 1), label="offset")
+    blocks = []
+    for got in deal(packets, offset, p):
+        blocks += pack_by_group(block_pieces(got), B, k)[0]
+    back = blocks_to_messages(data.draw(st.permutations(blocks), label="order"))
+    want = sorted(enumerate(msgs), key=lambda e: (e[1].src, e[0]))
+    assert [(m.src, m.dest) for m in back] == [(m.src, m.dest) for _mi, m in want]
+    for got, (_mi, m) in zip(back, want):
+        if m.size == 0:
+            assert got.payload == []
+        else:
+            assert isinstance(got.payload, np.ndarray) == vector
+            assert list(got.payload) == list(m.payload)
+
+
+@given(
+    n=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    offsets=st.lists(st.integers(0, 1 << 20), min_size=6, max_size=6),
+)
+def test_deal_balance(n, offsets):
+    """Each receiver gets ``floor(n_i/p)`` or ``ceil(n_i/p)`` of sender
+    ``i``'s ``n_i`` packets, from any offset; together the receivers get
+    every packet once, each in send order."""
+    p = len(n)
+    for ni, offset in zip(n, offsets):
+        packets = list(range(ni))
+        dealt = deal(packets, offset % p, p)
+        assert len(dealt) == p
+        for q, got in enumerate(dealt):
+            assert len(got) in (ni // p, -(-ni // p))
+            assert got == sorted(got)
+            assert all((offset + t) % p == q for t in got)
+        assert sorted(t for got in dealt for t in got) == packets
 
 
 # -- pickle/context round trip ------------------------------------------------------
