@@ -18,8 +18,7 @@ import bisect
 from repro import MachineParams
 from repro.algorithms import CGMMultisearch, CGMSampleSort
 from repro.baselines import EMBatchedSearch, SibeynKaufmannSimulation
-from repro.core.seqsim import SequentialEMSimulation
-from repro.core.simulator import build_params
+from repro.core.simulator import build_params, make_engine, simulate
 from repro.emio.trace import IOTrace
 from repro.workloads import uniform_keys
 
@@ -32,8 +31,8 @@ def main() -> None:
 
     # --- (a) this paper's simulation, traced -------------------------------
     params = build_params(CGMSampleSort(data, v), machine, v=v)
-    sim = SequentialEMSimulation(CGMSampleSort(data, v), params, seed=1)
-    trace = IOTrace.attach(sim.array)
+    sim = make_engine(CGMSampleSort(data, v), params, seed=1)
+    trace = IOTrace.attach(sim.procs[0].array)  # the machine's one processor
     out, report = sim.run()
     assert [x for part in out for x in part] == sorted(data)
 
@@ -57,9 +56,7 @@ def main() -> None:
     queries = uniform_keys(128, seed=6, hi=110 * n)
     ms = CGMMultisearch(keys, queries, v)
     m2 = machine.with_(M=2 * ms.context_size())
-    params = build_params(CGMMultisearch(keys, queries, v), m2, v=v)
-    sim = SequentialEMSimulation(CGMMultisearch(keys, queries, v), params, seed=2)
-    _, ms_rep = sim.run()
+    _, ms_rep = simulate(CGMMultisearch(keys, queries, v), m2, v=v, seed=2)
     _, direct = EMBatchedSearch(m2).search(keys, queries)
     print(f"multisearch, n={n} keys / {len(queries)} queries:")
     print(f"  simulated CGM multisearch : {ms_rep.io_ops:>5} I/O ops "

@@ -31,7 +31,7 @@ def main() -> None:
     data = uniform_keys(n, seed=3)
     machine = MachineParams(p=1, M=1 << 18, D=4, B=64, b=64)
 
-    # --- (a) an observed sequential run -------------------------------------
+    # --- (a) an observed one-processor run ----------------------------------
     # No knob passed: in the heap, fast_io / context_cache are on by default.
     obs = Collector()
     out, report = simulate(
@@ -50,8 +50,8 @@ def main() -> None:
 
     print("metrics:")
     snap = obs.metrics.snapshot()
-    hits = snap["ctx_cache/hits"]["value"]
-    misses = snap["ctx_cache/misses"]["value"]
+    hits = snap["p0/ctx_cache/hits"]["value"]  # processor 0's own metrics
+    misses = snap["p0/ctx_cache/misses"]["value"]
     print(f"  context-cache hit rate  : {hits}/{hits + misses} loads")
     h = snap["lemma2_load_ratio"]
     print(f"  Lemma 2 load ratio      : max {h['max']:.2f} over {h['count']} "

@@ -9,18 +9,18 @@ A faithful, fully instrumented reproduction of
 
 Quick start::
 
-    from repro import MachineParams, BSPParams, SimulationParams
-    from repro import SequentialEMSimulation
+    from repro import MachineParams, simulate
     from repro.algorithms import CGMSampleSort
 
     data = [5, 3, 8, 1, ...]
-    alg = CGMSampleSort(data, v=16)
-    params = SimulationParams(
-        machine=MachineParams(p=1, M=4096, D=4, B=32),
-        bsp=BSPParams(v=16, mu=alg.context_size(), gamma=alg.comm_bound()),
+    outputs, report = simulate(
+        CGMSampleSort(data, v=16), MachineParams(p=1, M=1 << 16, D=4, B=32), v=16
     )
-    outputs, report = SequentialEMSimulation(alg, params).run()
     print(report.summary())
+
+``simulate`` derives the virtual machine ``(v, k, mu, gamma)`` from the
+algorithm's declarations; :func:`repro.core.make_engine` builds the engine
+from explicit :class:`SimulationParams` instead.
 """
 
 from .costs import CostLedger, SuperstepCost, packets_for
@@ -49,10 +49,10 @@ __all__ = [
 
 def __getattr__(name):
     # Lazy imports keep `import repro` light while exposing the full API.
-    if name in ("SequentialEMSimulation", "SimulationReport"):
-        from . import core
+    if name == "SimulationReport":
+        from .core.stats import SimulationReport
 
-        return getattr(core, name)
+        return SimulationReport
     if name in ("BSPAlgorithm", "VPContext", "ReferenceRunner", "run_reference"):
         from . import bsp
 

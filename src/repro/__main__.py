@@ -124,7 +124,7 @@ def _run(args, algorithm, machine, **kw):
     """``simulate`` with the CLI's run flags and observability flags applied."""
     config = RunConfig(
         seed=args.seed,
-        backend=args.backend if machine.p > 1 else "inline",
+        backend=args.backend,
         storage=getattr(args, "storage", "memory"),
         storage_dir=getattr(args, "storage_dir", None),
     )
@@ -521,7 +521,8 @@ def main(argv=None) -> int:
         p.add_argument("--G", type=float, default=1.0, help="I/O cost coefficient")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--backend", choices=BACKENDS, default="inline",
-                       help="parallel-engine backend (used when p > 1)")
+                       help="where the real processors run: in-process or one "
+                       "worker process each (at p = 1 too)")
         p.add_argument("--trace-out", metavar="FILE", default=None,
                        help="write a Chrome trace-event file (Perfetto-loadable)")
         p.add_argument("--jsonl-out", metavar="FILE", default=None,

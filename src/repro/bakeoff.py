@@ -42,7 +42,7 @@ from .params import MachineParams
 __all__ = [
     "SCHEMA_VERSION",
     "TASKS",
-    "ENGINES",
+    "CONTENDERS",
     "BakeoffConfig",
     "default_sweep",
     "pick_v",
@@ -55,7 +55,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 TASKS = ("sort", "permute")
 #: the CGM simulation plus every registered counted-cost sorter
-ENGINES = ("cgm", *SORTING_BASELINES)
+CONTENDERS = ("cgm", *SORTING_BASELINES)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def run_row(
     reference = _reference(task, data, perm)
     ref_bytes = pickle.dumps(reference, protocol=4)
 
-    wanted = tuple(engines) if engines is not None else ENGINES
+    wanted = tuple(engines) if engines is not None else CONTENDERS
     row: dict = {
         "task": task,
         "n": cfg.n,
@@ -314,7 +314,7 @@ def run_sweep(
     return {
         "schema_version": SCHEMA_VERSION,
         "tasks": list(tasks),
-        "engines": list(engines) if engines is not None else list(ENGINES),
+        "engines": list(engines) if engines is not None else list(CONTENDERS),
         "backend": backend,
         "storage": storage,
         "p_cgm": p_cgm,

@@ -3,7 +3,7 @@
 A :class:`ConformConfig` pins *everything* a run depends on: the machine
 tuple ``(p, M, D, B, b, G, g, L)``, the workload and its input size and data
 seed, the virtual machine (``v``, optional explicit ``k``), the execution
-plane (engine, backend, fast-path flags, checkpointing), and the fault plan.
+plane (backend, fast-path flags, checkpointing), and the fault plan.
 Two properties matter:
 
 * **Determinism** — building the same config twice yields byte-identical
@@ -39,7 +39,7 @@ WORKLOADS = ("sort", "permute", "prefix", "listrank", "transpose")
 #: Competitor-sorter workloads: each runs one of the counted-cost external
 #: sorting baselines (``repro.baselines.SORTING_BASELINES``) on the same
 #: DiskArray substrate instead of a CGM simulation.  They share the config
-#: schema but fold the CGM-only axes (``v``, engines, backends, faults,
+#: schema but fold the CGM-only axes (``v``, backends, faults,
 #: crashes, record planes) to their trivial values — see
 #: ``strategies._repair_baseline``.
 BASELINE_WORKLOADS = ("guidesort", "emmergesort", "buffertree")
@@ -85,7 +85,6 @@ class ConformConfig:
     #: runner adds the other mode as a differential plane.
     records: str = "object"
     # -- execution plane --
-    engine: str = "sequential"
     backend: str = "inline"
     context_cache: bool = False
     fast_io: bool = False
@@ -222,6 +221,8 @@ class ConformConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ConformConfig":
+        """The config ``d`` describes; a key that is no field is ignored
+        (an ``"engine"`` from before there was one engine, for one)."""
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{key: val for key, val in d.items() if key in known})
 
@@ -230,7 +231,7 @@ class ConformConfig:
 
     def describe(self) -> str:
         """One line, for fuzzer progress output and repro-case summaries."""
-        plane = [self.engine, self.backend]
+        plane = [self.backend]
         if self.context_cache:
             plane.append("ctx-cache")
         if self.fast_io:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -352,12 +353,20 @@ def _packed_write(packing: list, B: int, D: int) -> tuple[int, int]:
 
 
 def _traffic_packets(traffic: list, p: int, b: int) -> int:
-    """What Algorithm 3's h-relations cost by their own record counts: per
+    """What a superstep's communication costs by its own counts.  With one
+    processor, the virtual machine's h-relation: the max over vps of the
+    packets its rounds' tallies say it sent plus received.  Otherwise, per
     round, the max over processors of packets sent plus received — in the
     gather, ``max(1, ceil(records/b))`` per pair of distinct processors; in
     the scatter, ``n = max(1, ceil(records/b))`` per processor that dealt,
     all charged to it and ``floor(n/p)`` or ``ceil(n/p)`` to each receiver
     by its distance from the offset (a processor's own included)."""
+    if p == 1:
+        vm: Counter[int] = Counter()
+        for tally in traffic:
+            for vp, sent, received in tally:
+                vm[vp] += sent + received
+        return max(vm.values(), default=0)
     total = 0
     for gather, dealt in traffic:
         load = [0] * p
@@ -420,11 +429,13 @@ def check_theorem1_io(
       ``write_messages`` equals the sum over rounds of the max over
       processors of ``ceil((blocks + Lemma 3 dummies)/D)``.
 
-    And one exact layer on the network ledger: under Algorithm 3,
-    ``comm_packets`` equals what the gather and the deal cost by the records
-    each processor moved and its deal offset (``SuperstepReport.traffic``):
-    the round's outbox is cut into full packets of ``b`` and dealt
-    round-robin, so the count is fixed by the records alone.
+    And one exact layer on the network ledger: ``comm_packets`` equals what
+    ``SuperstepReport.traffic`` says was sent.  With several processors
+    that is the gather and the deal, by the records each processor moved
+    and its deal offset: the round's outbox is cut into full packets of
+    ``b`` and dealt round-robin, so the count is fixed by the records alone.
+    With one there is no network, and it is the virtual machine's
+    h-relation, from each round's per-vp packet tallies.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
     D, B = params.machine.D, params.machine.B
@@ -507,12 +518,13 @@ def check_theorem1_io(
         if s.traffic is not None:
             want = _traffic_packets(s.traffic, params.machine.p, params.machine.b)
             if s.comm_packets != want:
+                sent = ("the virtual machine's messages, in packets" if sole
+                        else "the records gathered and dealt, in full packets")
                 failures.append(
                     OracleFailure(
                         "theorem1_io",
                         f"superstep {s.index}: comm_packets {s.comm_packets}, "
-                        f"but the records gathered and dealt, in full packets "
-                        f"of b = {params.machine.b}, make {want}",
+                        f"but {sent} of b = {params.machine.b}, make {want}",
                     )
                 )
         routing = s.routing_stats()

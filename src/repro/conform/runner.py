@@ -76,8 +76,8 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
     The flags flipped here are exactly the ones documented as counted-cost
     invisible: ``fast_io``, ``context_cache``, the process backend, the
     block-storage plane, and the record plane (``records="vector"`` for
-    algorithms that support it).  Engine choice and ``p`` are *not*
-    equivalent planes (they change the counted schedule), and kill configs
+    algorithms that support it).  ``p`` is *not* an equivalent plane (it
+    changes the counted schedule), and kill configs
     run single-plane through the kill-resume protocol instead.
     """
     planes = [("primary", config)]
@@ -110,7 +110,6 @@ def _build_engine(config: ConformConfig, faults: FaultPlan | None, **knobs):
     alg = config.algorithm()
     params = build_params(alg, config.machine(), config.v, k=config.k)
     plane = RunConfig(
-        engine=config.engine,
         backend=config.backend,
         seed=config.sim_seed,
         storage=config.storage,

@@ -56,8 +56,6 @@ def shrink_candidates(config: ConformConfig) -> Iterator[ConformConfig]:
         yield repair(c.with_(v=max(1, c.v // 2)))
     if c.p > 1:
         yield repair(c.with_(p=max(1, c.p // 2)))
-    if c.engine == "parallel" and c.p == 1:
-        yield repair(c.with_(engine="sequential"))
     if c.D > 1:
         yield repair(c.with_(D=max(1, c.D // 2)))
     if c.k is not None:

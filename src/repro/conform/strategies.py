@@ -93,13 +93,8 @@ def random_config(
 def _draw(rng: random.Random, profile: StrategyProfile) -> dict[str, Any]:
     """An unconstrained raw draw; only :func:`repair` makes it admissible."""
     p = rng.choice(profile.p_choices)
-    engine = "parallel" if p > 1 else rng.choice(("sequential", "parallel"))
     backend = "inline"
-    if (
-        engine == "parallel"
-        and profile.allow_process
-        and rng.random() < profile.process_rate
-    ):
+    if profile.allow_process and rng.random() < profile.process_rate:
         backend = "process"
     B = rng.choice(profile.B_choices)
     d = dict(
@@ -116,7 +111,6 @@ def _draw(rng: random.Random, profile: StrategyProfile) -> dict[str, Any]:
         workload=rng.choice(profile.workloads),
         n=rng.randrange(8, profile.n_max + 1),
         data_seed=rng.randrange(1 << 16),
-        engine=engine,
         backend=backend,
         context_cache=rng.random() < 0.4,
         fast_io=rng.random() < 0.4,
@@ -204,13 +198,7 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
         d["k"] = k
 
     # -- execution plane implications --
-    engine = d.get("engine", "auto")
-    if p > 1 or engine not in ("sequential", "parallel"):
-        engine = "parallel" if p > 1 else "sequential"
-    d["engine"] = engine
-    if engine != "parallel":
-        d["backend"] = "inline"
-    elif d.get("backend") not in BACKENDS:
+    if d.get("backend") not in BACKENDS:
         d["backend"] = "inline"
     if d.get("storage") not in STORAGE_KINDS:
         d["storage"] = "memory"
@@ -251,7 +239,7 @@ def _repair_baseline(d: dict[str, Any]) -> ConformConfig:
 
     Competitors are sequential single-processor programs charging I/O
     through the same counted :class:`~repro.emio.disks.DiskArray`, so the
-    CGM-only axes — virtual processors, engines, backends, checkpoints,
+    CGM-only axes — virtual processors, backends, checkpoints,
     faults, crashes, record planes — fold to their trivial values.  The
     live axes are ``(workload, n, data_seed, M, D, B, storage, fast_io)``.
     The machine shape (``p``/``D``/``B``/``b``/costs) is already normalized
@@ -261,7 +249,7 @@ def _repair_baseline(d: dict[str, Any]) -> ConformConfig:
     d.update(
         p=1, v=1, k=None,
         n=max(1, int(d.get("n", 8))),
-        engine="sequential", backend="inline",
+        backend="inline",
         context_cache=False, checkpoint=False,
         crash=False, fault="none",
         records="object",

@@ -18,8 +18,8 @@ way a production system would write them to a separate durable service.
 (reported as ``checkpoint_io_ops``); the write to the checkpoint medium is
 outside the machine model and free.
 
-:class:`SuperstepCheckpoint` is engine-agnostic: the sequential engine uses
-one entry per list, the parallel engine one entry per real processor.
+:class:`SuperstepCheckpoint` holds one entry per real processor in each of
+its lists.
 
 On non-memory storage planes the engines additionally *publish* every
 checkpoint through a :class:`CheckpointJournal` living inside the storage
@@ -69,8 +69,9 @@ class SuperstepCheckpoint:
     step:
         Index of the next superstep to execute after restoring.
     rng_state:
-        ``random.Random.getstate()`` of the engine's RNG, so restored runs
-        redraw exactly the permutations and deal offsets they would have.
+        Per real processor: ``random.Random.getstate()`` of its RNG, so
+        restored runs redraw exactly the permutations and deal offsets they
+        would have.
     proc_states:
         Per real processor: pickled list of that processor's context states
         (local slot order).

@@ -96,8 +96,7 @@ class ContextStore:
     array, allocator:
         The disk substrate of one real processor.
     nslots:
-        Number of contexts stored here (``v`` in the sequential simulation,
-        ``v/p`` per real processor in the parallel one).
+        Number of contexts stored here (``v/p``, one real processor's).
     mu:
         Declared maximum context size in records.
     B:

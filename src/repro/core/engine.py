@@ -1,8 +1,9 @@
-"""The superstep-barrier lifecycle both engines share.
+"""The superstep-barrier lifecycle of the EM simulation.
 
-The paper tells Algorithm 1 (``SeqCompoundSuperstep``) from Algorithm 3
-(``ParCompoundSuperstep``) only *inside* a compound superstep; everything
-around the barrier is the same machine.  :class:`EMEngine` is that machine:
+The paper tells its algorithms apart only *inside* a compound superstep
+(and Algorithm 1, ``SeqCompoundSuperstep``, is Algorithm 3,
+``ParCompoundSuperstep``, on one processor); everything around the barrier
+is the same machine.  :class:`EMEngine` is that machine:
 build the real processors (:class:`~repro.core.processor.RealProcessor`)
 behind a backend, load the input, drive compound supersteps until the
 algorithm halts, checkpoint at every barrier, resume from a checkpoint,
@@ -27,11 +28,11 @@ a superstep re-run can change the simulated algorithm's outputs.
 
 It is written against one verb — *call this method on every real processor
 and collect the answers* (``backend.call_all``) — and charges every barrier
-phase as the model prescribes, the maximum over processors.  The sequential
-engine is the case of one local processor; a subclass supplies only
-:meth:`EMEngine._superstep`, the one place where the paper's algorithms differ.
+phase as the model prescribes, the maximum over processors.  A subclass
+(:class:`~repro.core.parsim.ParallelEMSimulation`) supplies
+:meth:`EMEngine._superstep`, the compound superstep itself.
 
-How the host runs all this — engine, backend, storage plane, data plane,
+How the host runs all this — backend, storage plane, data plane,
 record plane, faults, checkpoints, crashes — is one frozen
 :class:`RunConfig`, declared and checked here, once.
 """
@@ -62,10 +63,8 @@ from .processor import RealProcessor
 from .routing import RoutingStats
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
-__all__ = ["EMEngine", "RunConfig", "ENGINES", "RECORD_MODES"]
+__all__ = ["EMEngine", "RunConfig", "RECORD_MODES"]
 
-#: ``RunConfig.engine`` values; ``"auto"`` picks by ``p``.
-ENGINES = ("auto", "sequential", "parallel")
 #: ``RunConfig.records`` values besides ``None`` (keep the algorithm's mode).
 RECORD_MODES = ("object", "vector")
 
@@ -87,7 +86,7 @@ class RunConfig:
     parameterises — the machine ``(p, M, D, B, b, G, g, L)`` and the virtual
     machine ``(v, k, mu, gamma)``; a ``RunConfig`` holds the rest.
     :func:`~repro.core.simulator.simulate`,
-    :func:`~repro.core.simulator.make_engine` and both engines take one as
+    :func:`~repro.core.simulator.make_engine` and the engine take one as
     ``config=`` and accept its fields as keywords too (folded by :meth:`of`:
     a keyword wins over the same field of ``config``; a name that is no
     field is a ``TypeError``).  Every enumerated value is refused at
@@ -99,23 +98,16 @@ class RunConfig:
 
     Fields
     ------
-    engine:
-        ``"auto"`` picks Algorithm 1
-        (:class:`~repro.core.seqsim.SequentialEMSimulation`) for ``p == 1``
-        and Algorithm 3 (:class:`~repro.core.parsim.ParallelEMSimulation`)
-        otherwise; the other values force an engine (the parallel engine
-        accepts ``p == 1`` and exercises the packet-scatter path).  Read by
-        ``make_engine``, which picks the class.
     backend:
-        Where the parallel engine's real processors run: ``"inline"``
-        (default, the reference) in-process, ``"process"`` one
-        ``multiprocessing`` worker each.  Outputs, ledgers and reports are
-        identical (see :mod:`repro.core.backend`).  The sequential engine
-        has one local processor and refuses ``"process"``.
+        Where the real processors run: ``"inline"`` (default, the
+        reference) in-process, ``"process"`` one ``multiprocessing`` worker
+        each — at ``p = 1`` too.  Outputs, ledgers and reports are identical
+        (see :mod:`repro.core.backend`).
     seed:
-        Seed of the random disk-write permutations (Step 1(d)) and, under
-        Algorithm 3, of the packet deal's offsets (processor ``i`` draws
-        from ``"{seed}/proc{i}"``).
+        Seed of the random disk-write permutations (Step 1(d)) and of the
+        packet deal's offsets: processor ``i`` draws from
+        ``"{seed}/proc{i}"``, the only processor of a ``p = 1`` machine
+        from ``seed`` itself.
     storage:
         Block-storage plane backing the simulated disks: ``"memory"``
         (default, plain dicts), ``"file"`` (one preallocated track file per
@@ -199,14 +191,12 @@ class RunConfig:
         If True, pad every group's message traffic with dummy blocks to the
         worst case ``k * ceil(gamma/B)`` the analysis assumes (Lemma 3's
         "introduction of dummy blocks").  Costs rise to the analytic bound;
-        results are unaffected.  Algorithm 1 only: the parallel engine
-        refuses it.
+        results are unaffected.  Algorithm 1 only: refused when ``p > 1``.
     enforce_gamma:
         Enforce the declared per-superstep communication bound on both the
         sending and receiving side.
     """
 
-    engine: str = "auto"
     backend: str = "inline"
     seed: int = 0
     storage: str = "memory"
@@ -224,7 +214,6 @@ class RunConfig:
     enforce_gamma: bool = True
 
     def __post_init__(self) -> None:
-        _refuse_unknown("engine", self.engine, ENGINES)
         _refuse_unknown("backend", self.backend, BACKENDS)
         _refuse_unknown("storage", self.storage, STORAGE_KINDS)
         _refuse_unknown("records", self.records, RECORD_MODES, none_ok=True)
@@ -270,15 +259,8 @@ class EMEngine:
     read-only like the observer.
     """
 
-    #: ``run_started``'s ``engine`` field.
-    ENGINE = ""
     #: Processor class the backend instantiates once per real processor.
     PROCESSOR = RealProcessor
-    #: Algorithm 1 runs on the machine's only processor: the engine's track is
-    #: the only telemetry track, so its barrier spans carry the counted I/O
-    #: (the parallel engine's per-processor tracks do), and its checkpoints
-    #: hold that processor's RNG state bare rather than in a list.
-    SOLE = False
 
     def __init__(
         self,
@@ -314,11 +296,15 @@ class EMEngine:
         self._recovery_io_ops = 0
         self._resumed_from: int | None = None
 
-        # Refuse what this engine cannot run and put the algorithm on its
+        # Refuse what this machine cannot run and put the algorithm on its
         # record plane before the storage root is claimed; hand the root back
         # if anything later in the constructor fails (a worker whose
         # processor cannot be built).
-        self._refuse(config)
+        if config.pad_to_gamma and self.p > 1:
+            raise ParameterError(
+                "pad_to_gamma=True pads Algorithm 1's groups to the analysis' "
+                f"worst case on a one-processor machine; this one has p={self.p}"
+            )
         if config.records is not None:
             algorithm.set_record_mode(config.records)
         spec = StorageSpec.create(config.storage, config.storage_dir).with_crash(
@@ -343,13 +329,12 @@ class EMEngine:
                 if config.checkpoint and spec.kind != "memory"
                 else None
             )
-            observe = observer is not None and not self.SOLE
             self.backend = make_backend(
                 config.backend,
                 [
                     (
-                        i, algorithm, params, config, spec, observe,
-                        self.obs.profile.enabled, self.SOLE,
+                        i, algorithm, params, config, spec, observer is not None,
+                        self.obs.profile.enabled,
                     )
                     for i in range(self.p)
                 ],
@@ -373,32 +358,6 @@ class EMEngine:
                 if pr.obs.enabled:
                     pr.obs.share_profile(self.obs.profile)
                 pr.array.set_profiler(self.obs.profile)
-
-    def _refuse(self, config: RunConfig) -> None:
-        """The knobs only one engine can honour, refused by name."""
-        p = self.p
-        if not self.SOLE:
-            if config.pad_to_gamma:
-                raise ParameterError(
-                    "pad_to_gamma=True pads Algorithm 1's groups to the analysis' "
-                    "worst case; the parallel engine has no groups to pad"
-                )
-            return
-        if p != 1:
-            raise ParameterError(f"{type(self).__name__} requires p=1, got p={p}")
-        if config.backend != "inline":
-            # Name both knobs: the caller must change either `backend` (to
-            # "inline") or `engine` (to "parallel", which accepts p == 1).
-            how = (
-                f"engine='auto' resolved to 'sequential' because machine.p={p}"
-                if config.engine == "auto"
-                else f"engine={config.engine!r}"
-            )
-            raise ValueError(
-                f"backend={config.backend!r} requires the parallel engine, but "
-                f"{how}; pass engine='parallel' (it accepts p=1) or "
-                "backend='inline' (the sequential engine has a single real processor)"
-            )
 
     # -- main entry ------------------------------------------------------------------
 
@@ -424,11 +383,20 @@ class EMEngine:
         no rehydration I/O — which is the fresh-process crash-recovery path.
         Otherwise the portable pickled state in the checkpoint is rewritten.
         """
+        return self._drive(ckpt)
+
+    def _refuse_checkpoint(self, ckpt: SuperstepCheckpoint) -> None:
+        """Refuse a checkpoint this machine cannot re-enter, by what it holds."""
         if ckpt.nprocs != self.p:
             raise ParameterError(
                 f"checkpoint holds {ckpt.nprocs} processors, machine has {self.p}"
             )
-        return self._drive(ckpt)
+        if not isinstance(ckpt.rng_state, list):
+            raise ParameterError(
+                "checkpoint holds a bare RNG state: it was taken by the retired "
+                "sequential engine, whose checkpoints are not read; rerun from "
+                "the input"
+            )
 
     def _drive(
         self, ckpt: SuperstepCheckpoint | None
@@ -443,6 +411,7 @@ class EMEngine:
                     self._guarded_checkpoint(0)
                 start = 0
             else:
+                self._refuse_checkpoint(ckpt)
                 self._emit_run_started(resumed_from=ckpt.step)
                 self._resumed_from = start = ckpt.step
                 self.last_checkpoint = ckpt
@@ -500,11 +469,8 @@ class EMEngine:
         if self.events is None:
             return
         m = self.params.machine
-        meta = {"engine": self.ENGINE}
-        if not self.SOLE:
-            meta["backend"] = self.backend.name
         self.events.run_started(
-            **meta,
+            backend=self.backend.name,
             algorithm=type(self.algorithm).__name__,
             v=self.v,
             p=self.p,
@@ -657,15 +623,14 @@ class EMEngine:
         """
         self._crash_stage("torn")
         self._crash_stage("lost")
-        with self.obs.span("checkpoint", step=step, cat="checkpoint") as sp:
+        with self.obs.span("checkpoint", step=step, cat="checkpoint"):
             exports = self.backend.call_all(
                 "export_checkpoint", [(self.params.k,)] * self.p
             )
-            rngs = [e[2] for e in exports]  # one RNG stream per processor
             refs = [e[5] for e in exports]
             self.last_checkpoint = SuperstepCheckpoint(
                 step=step,
-                rng_state=rngs[0] if self.SOLE else rngs,
+                rng_state=[e[2] for e in exports],  # one RNG stream per processor
                 proc_states=[e[0] for e in exports],
                 proc_incoming=[e[1] for e in exports],
                 report_blob=freeze((self.report, self.ledger)),
@@ -673,10 +638,7 @@ class EMEngine:
                 storage_refs=refs if any(r is not None for r in refs) else None,
             )
             self._checkpoints_taken += 1
-            delta = max(e[4] for e in exports)
-            self._checkpoint_io_ops += delta
-            if self.SOLE:
-                sp.add(io_ops=delta, bytes=self.last_checkpoint.size_bytes())
+            self._checkpoint_io_ops += max(e[4] for e in exports)
         self._publish_checkpoint()
 
     def _crash_stage(self, stage: str) -> None:
@@ -723,7 +685,7 @@ class EMEngine:
             return False
         return all(
             r["kind"] == spec.kind
-            and r["root"] == (spec.root if self.SOLE else spec.proc_root(i))
+            and r["root"] == spec.proc_root(i)
             for i, r in enumerate(refs)
         )
 
@@ -734,11 +696,9 @@ class EMEngine:
         and RNG streams: every processor rewrites its portable state onto its
         (possibly degraded) disk array — counted as ``recovery_io_ops`` — or,
         given attachable ``refs``, re-attaches its track files at zero I/O."""
-        with self.obs.span("recover", step=ckpt.step, cat="checkpoint") as sp:
+        with self.obs.span("recover", step=ckpt.step, cat="checkpoint"):
             self.report, self.ledger = thaw(ckpt.report_blob)
             rngs = ckpt.rng_state
-            if not isinstance(rngs, list):
-                rngs = [rngs] * self.p
             if refs is None:
                 deltas = self.backend.call_all(
                     "restore_checkpoint",
@@ -756,8 +716,6 @@ class EMEngine:
                     ],
                 )
             self._recovery_io_ops += max(deltas)
-            if self.SOLE:
-                sp.add(io_ops=max(deltas))
         if self.obs.enabled:
             self.obs.metrics.counter("recoveries").inc()
 
@@ -767,11 +725,9 @@ class EMEngine:
         self.ledger.close()
         self.report.ledger = self.ledger
 
-        with self.obs.span("collect_outputs", cat="layout") as sp:
+        with self.obs.span("collect_outputs", cat="layout"):
             collected = self.backend.call_all("collect_outputs")
             self.report.output_io_ops = max(io for _o, io, _hw in collected)
-            if self.SOLE:
-                sp.add(io_ops=self.report.output_io_ops)
         outputs: list[Any] = [None] * self.v
         for outs, _io, _hw in collected:
             for vp, out in outs.items():
@@ -779,8 +735,6 @@ class EMEngine:
         self.report.disk_space_tracks = max(hw for _o, _io, hw in collected)
         self._attach_fault_report()
         if self.obs.enabled:
-            if self.SOLE:
-                self.procs[0].record_totals(self.obs)
             # Pull every processor-side collector's telemetry into the
             # engine's (one coherent merged timeline; see Collector.ingest).
             for payload in self.backend.call_all("drain_obs"):
@@ -788,6 +742,12 @@ class EMEngine:
                     self.obs.ingest(payload)
             mx = self.obs.metrics
             mx.gauge("disk_space_tracks").set(self.report.disk_space_tracks)
+            # The machine's storage-plane bytes beside each processor's own.
+            snap = mx.snapshot()
+            for name in ("storage/read_bytes", "storage/write_bytes"):
+                total = sum(m["value"] for key, m in snap.items() if key.endswith("/" + name))
+                if total:
+                    mx.counter(name).inc(total)
             if self.backend.tx_bytes or self.backend.rx_bytes:
                 mx.counter("backend/tx_bytes").inc(self.backend.tx_bytes)
                 mx.counter("backend/rx_bytes").inc(self.backend.rx_bytes)

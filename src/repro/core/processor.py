@@ -1,15 +1,14 @@
-"""One real processor of the EM-BSP machine — the state both engines share.
+"""One real processor of the EM-BSP machine.
 
 A real processor owns ``D`` local disks (a :class:`~repro.emio.diskarray.DiskArray`),
 their track allocator, the contexts of the virtual processors it simulates,
 the bucket store of the current compound superstep, the incoming messages
-of the next one, and a deterministic RNG stream.  Algorithm 1 runs on a
-machine with exactly one of them, Algorithm 3 on ``p``; what a processor
+of the next one, and a deterministic RNG stream.  The machine has ``p`` of
+them (Algorithm 3; Algorithm 1 is the case ``p = 1``).  What a processor
 does *around the barrier* — load the input, run a group of virtual
 processors in memory, turn the bucket store into the next incoming
 messages (Step 2), export / restore / re-attach its half of a checkpoint,
-take crash damage, unload the output, tally its faults — is the same work
-in both and lives here once.
+take crash damage, unload the output, tally its faults — lives here.
 
 Every method takes and returns plain picklable values plus the parallel
 I/O operations the call itself performed, so
@@ -64,12 +63,10 @@ class RealProcessor:
 
     ``config`` is the engine's :class:`~repro.core.engine.RunConfig` with
     ``fast_io`` / ``context_cache`` already resolved against ``spec``, the
-    engine's storage plane.  ``sole`` marks the only processor of a
-    ``p = 1`` machine under Algorithm 1: it owns the storage root itself
-    instead of a ``proc{i}`` sub-root, draws from the engine's
-    ``random.Random(seed)`` stream, and names its regions without a
-    processor tag.  ``observe`` gives the processor a telemetry track of its
-    own (spans, samples, metrics), drained to the engine by :meth:`drain_obs`.
+    engine's storage plane; the processor claims its own ``proc{i}``
+    sub-root of it.  ``observe`` gives the processor a telemetry track of
+    its own (spans, samples, metrics), drained to the engine by
+    :meth:`drain_obs`.
     """
 
     def __init__(
@@ -81,7 +78,6 @@ class RealProcessor:
         spec: StorageSpec,
         observe: bool = False,
         profile: bool = False,
-        sole: bool = False,
     ):
         self.index = index
         self.algorithm = algorithm
@@ -93,15 +89,18 @@ class RealProcessor:
         self.vpp = s.v // m.p  # virtual processors per real processor
         self.nbatches = self.vpp // self.k  # groups of k swapped through memory
         self.gamma = algorithm.comm_bound() if config.enforce_gamma else None
+        # Lemma 3's dummy blocks: every group's traffic padded to k*ceil(gamma/B).
+        self.pad = self.k * -(-s.gamma // m.B) if config.pad_to_gamma else 0
         self.write_schedule = config.write_schedule or "random"
-        self.tag = "" if sole else f"p{index}"
         # Per-processor deterministic RNG stream: identical across backends,
         # independent across processors (no cross-processor draw ordering).
+        # The machine's only processor draws from the seed itself, the
+        # stream Algorithm 1 has always drawn from.
         seed = config.seed
-        self.rng = random.Random(seed if sole else f"{seed}/proc{index}")
+        self.rng = random.Random(seed if self.p == 1 else f"{seed}/proc{index}")
         # Each real processor owns its drives, so each gets its own storage
         # sub-root (claimed worker-side under the process backend).
-        self.storage_spec = spec if sole else spec.for_proc(index)
+        self.storage_spec = spec.for_proc(index)
         self.array = DiskArray(
             m.D, m.B, faults=config.faults, retry=config.retry, proc=index,
             fast_io=config.fast_io, storage=self.storage_spec, M=m.M,
@@ -109,7 +108,7 @@ class RealProcessor:
         self.allocator = RegionAllocator(self.array)
         self.contexts = ContextStore(
             self.array, self.allocator, self.vpp, s.mu, m.B,
-            name=f"ctx@{self.tag}" if self.tag else "contexts",
+            name=f"ctx@p{index}",
             cache=config.context_cache,
         )
         # The incoming messages: a region Algorithm 2 laid out, or the last
@@ -144,14 +143,14 @@ class RealProcessor:
         inj = self.array.injector
         return self.array.stall_ops + (inj.stats.stall_ops if inj else 0)
 
-    def _sample_disks(self, obs: Collector | NullObserver | None = None) -> None:
-        """Emit one timestamped sample per disk (cumulative ops, queue depth).
+    def _sample_disks(self) -> None:
+        """Emit one timestamped sample per disk (cumulative ops, queue depth)
+        on this processor's track.
 
         Pure reads of counters the array maintains anyway, so sampling can
-        never perturb the counted costs.  Samples go to this processor's own
-        track unless the engine passes its collector.
+        never perturb the counted costs.
         """
-        obs = self.obs if obs is None else obs
+        obs = self.obs
         buckets = self.buckets
         for d, disk in enumerate(self.array.disks):
             obs.sample(f"disk{d}/ops", disk.reads + disk.writes)
@@ -182,17 +181,13 @@ class RealProcessor:
         return delta
 
     def fetch_group(self, slots: Sequence[int]) -> list[Block]:
-        """Step 1(b): the incoming message blocks of ``slots`` — one group's
-        (Algorithm 3: one batch's) — in one read, empty slots and Lemma 3's
-        dummy blocks dropped."""
+        """The incoming message blocks of ``slots`` — one batch's — in one
+        read, empty slots dropped.  Lemma 3's dummy blocks are kept: a batch
+        they were written to is not idle, and the messages they carry are
+        none (:func:`~repro.bsp.message.blocks_to_messages`)."""
         if self.incoming is None:
             return []
-        return [
-            blk
-            for blks in self.incoming.read_slots(slots)
-            for blk in blks
-            if blk is not None and not blk.dummy
-        ]
+        return [blk for blks in self.incoming.read_slots(slots) for blk in blks if blk is not None]
 
     def run_vps(
         self,
@@ -205,9 +200,8 @@ class RealProcessor:
 
         ``blocks`` are every message block bound for the group, in any order;
         they are demultiplexed here, once, into each vp's messages.  Yields
-        every vp's finished :class:`VPContext` in order; the caller —
-        Algorithm 1's group loop or Algorithm 3's round — keeps the new
-        state and turns the outbox into blocks or scatter packets.
+        every vp's finished :class:`VPContext` in order; the caller keeps
+        the new state and the outbox.
         """
         alg, gamma = self.algorithm, self.gamma
         inbox: dict[int, list[Message]] = {vp: [] for vp in vps}
@@ -401,7 +395,7 @@ class RealProcessor:
                 else:
                     region = StripedRegion(
                         self.array, self.allocator, slot_sizes,
-                        name=f"incoming@{self.tag}resume{step}",
+                        name=f"incoming@p{self.index}resume{step}",
                     )
                     region.write_slots(range(region.nslots), blocks)
                     self.incoming = region
@@ -431,26 +425,21 @@ class RealProcessor:
             sp.add(io_ops=delta)
         return outs, delta, self.allocator.high_water
 
-    def record_totals(self, obs: Collector) -> None:
-        """Sample the final per-disk counters and record the context-cache
-        and storage-plane tallies, so ``obs`` carries this processor's
-        end-of-run state."""
-        self._sample_disks(obs)
-        mx = obs.metrics
+    def drain_obs(self) -> dict | None:
+        """Ship this processor's telemetry track to the engine (picklable),
+        with its end-of-run state: the final per-disk samples and the
+        context-cache, storage-plane and retry tallies."""
+        if not self.obs.enabled:
+            return None
+        self._sample_disks()
+        mx = self.obs.metrics
         mx.counter("ctx_cache/hits").inc(self.contexts.cache_hits)
         mx.counter("ctx_cache/misses").inc(self.contexts.cache_misses)
         mx.gauge("disk_space_tracks").set(self.allocator.high_water)
         if self.array.storage_read_bytes or self.array.storage_write_bytes:
             mx.counter("storage/read_bytes").inc(self.array.storage_read_bytes)
             mx.counter("storage/write_bytes").inc(self.array.storage_write_bytes)
-
-    def drain_obs(self) -> dict | None:
-        """Ship this processor's telemetry track to the engine (picklable)."""
-        if not self.obs.enabled:
-            return None
-        self.record_totals(self.obs)
         if self.array.retry_ops or self.array.stall_ops:
-            mx = self.obs.metrics
             mx.counter("retry_ops").inc(self.array.retry_ops)
             mx.counter("stall_ops").inc(self.stall_total())
         return self.obs.drain()

@@ -1,21 +1,21 @@
 """Algorithm 2 — **SimulateRouting**: reorganizing message blocks on disk.
 
-Step 2 of Algorithm 1: the blocks generated during a compound superstep sit
-in ``D`` buckets in *standard linked format*; they must be brought into
-*standard consecutive format*, grouped by destination, so that the fetching
-phase of the next compound superstep can read each group's messages with
-fully parallel I/O (Figure 2 of the paper).
+Step 2 of Algorithms 1 and 3: the blocks a real processor generated during
+a compound superstep sit in its ``D`` buckets in *standard linked format*;
+they must be brought into *standard consecutive format*, grouped by
+destination, so that the fetching phase of the next compound superstep can
+read each group's messages with fully parallel I/O (Figure 2 of the paper).
 
-That is the whole reason to run it, so the engines run it only where it can
+That is the whole reason to run it, so the engine runs it only where it can
 pay.  The bucket store can be read by slot as it stands
 (:meth:`~repro.emio.linked.LinkedBuckets.retain`): the next superstep's fetch
 of group ``g`` then costs ``max_d load[g][d]``, the heaviest drive among the
-blocks of that group's slots (Algorithm 1: ``k`` consecutive vp slots;
-Algorithm 3: one batch slot).  Algorithm 2 costs at least two parallel
-operations a round over at least ``ceil(N/D)`` rounds in each of its two
-phases, and the region it lays out is then fetched in ``ceil(m_g/D)`` per
-group.  :func:`keep_store` is the rule, taken from the store's own tables
-before a block moves: keep the store when
+blocks of that group's ``k`` consecutive slots (one slot per vp).  Algorithm
+2 costs at least two parallel operations a round over at least
+``ceil(N/D)`` rounds in each of its two phases, and the region it lays out
+is then fetched in ``ceil(m_g/D)`` per group.  :func:`keep_store` is the
+rule, taken from the store's own tables before a block moves: keep the
+store when
 
     ``sum_g max_d load[g][d]  <=  4*ceil(N/D) + sum_g ceil(m_g/D)``,
 
@@ -257,13 +257,12 @@ def simulate_routing(
     Parameters
     ----------
     nslots:
-        Number of destination slots in the target region (``v`` in the
-        sequential simulation — one slot per virtual processor; ``v/(p*k)``
-        in the parallel one — one slot per batch).
+        Number of destination slots in the target region (``v/p``, one slot
+        per vp).
     slot_of:
         Maps a block's destination virtual processor to its target slot.
         Each bucket must cover a contiguous slot range (true for the
-        engines' ``bucket_of`` maps, which factor through ``slot_of``).
+        engine's ``bucket_of`` map, which factors through ``slot_of``).
 
     Returns the freshly allocated region and routing statistics.  The caller
     is responsible for freeing the bucket store afterwards.

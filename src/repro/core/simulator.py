@@ -1,8 +1,9 @@
 """Front door for running BSP*/CGM algorithms as EM algorithms.
 
 :func:`simulate` assembles :class:`SimulationParams` from an algorithm's own
-resource declarations, chooses the sequential (Algorithm 1) or parallel
-(Algorithm 3) engine from the machine's ``p``, and runs it.  This is the
+resource declarations and runs the engine
+(:class:`~repro.core.parsim.ParallelEMSimulation`: Algorithm 3, which is
+Algorithm 1 at ``p = 1``) on the machine.  This is the
 "automatically generated EM algorithm" of the paper's conclusion: the caller
 supplies a parallel algorithm and a machine description; blocking, parallel
 disks, and multiple processors are handled by the simulation.
@@ -19,7 +20,6 @@ from ..obs.spans import Collector
 from ..params import BSPParams, MachineParams, SimulationParams
 from .engine import RunConfig
 from .parsim import ParallelEMSimulation
-from .seqsim import SequentialEMSimulation
 from .stats import SimulationReport
 
 __all__ = ["simulate", "make_engine", "build_params"]
@@ -53,16 +53,12 @@ def make_engine(
     observer: Collector | None = None,
     events: RunEventLog | None = None,
     **knobs: Any,
-) -> SequentialEMSimulation | ParallelEMSimulation:
-    """Build the engine ``config.engine`` names for ``params`` — the one place
-    that picks the class (``"auto"``: Algorithm 1 for ``p == 1``, Algorithm 3
-    otherwise).  ``knobs`` are :class:`RunConfig` fields."""
-    config = RunConfig.of(config, **knobs)
-    engine = config.engine
-    if engine == "auto":
-        engine = "sequential" if params.machine.p == 1 else "parallel"
-    cls = ParallelEMSimulation if engine == "parallel" else SequentialEMSimulation
-    return cls(algorithm, params, config, observer=observer, events=events)
+) -> ParallelEMSimulation:
+    """Build the engine for ``params``; ``knobs`` are :class:`RunConfig`
+    fields."""
+    return ParallelEMSimulation(
+        algorithm, params, config, observer=observer, events=events, **knobs
+    )
 
 
 def simulate(

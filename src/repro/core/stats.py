@@ -106,13 +106,16 @@ class SuperstepReport:
     # absent.  What the context referee pins each group's fetch to its last
     # write by.
     ran: list[tuple[int, int, int]] | None = None
-    # Algorithm 3's two h-relations per round, in run order, as
-    # ``(gather, deal)``: the gather as ``(sender, owner, records)`` per pair
-    # of processors that moved blocks (a processor's own blocks included),
-    # the deal as one ``(records, offset)`` per processor — ``offset`` None
-    # where it dealt nothing — or None for a skipped round.  What the exact
-    # scatter referee recomputes ``comm_packets`` from.
-    traffic: list[tuple[tuple[tuple[int, int, int], ...], tuple | None]] | None = None
+    # Each round's communication, in run order.  With several processors,
+    # Algorithm 3's two h-relations as ``(gather, deal)``: the gather as
+    # ``(sender, owner, records)`` per pair of processors that moved blocks
+    # (a processor's own blocks included), the deal as one
+    # ``(records, offset)`` per processor — ``offset`` None where it dealt
+    # nothing — or None for a skipped round.  With one, the virtual
+    # machine's h-relation as ``(vp, packets sent, packets received)`` per
+    # vp the round touched (empty for a skipped round).  What the exact
+    # communication referee recomputes ``comm_packets`` from.
+    traffic: list[tuple] | None = None
 
     def routing_stats(self) -> list[RoutingStats]:
         """All per-processor routing stats known for this superstep."""

@@ -173,10 +173,7 @@ def explore(
     say = log or (lambda _msg: None)
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
-    plane = RunConfig.of(RunConfig(storage="file"), **knobs)
-    # A non-inline backend needs Algorithm 3 even on a p = 1 machine.
-    auto = plane.engine == "auto" and plane.backend != "inline"
-    plane = replace(plane, checkpoint=True, engine="parallel" if auto else plane.engine)
+    plane = replace(RunConfig.of(RunConfig(storage="file"), **knobs), checkpoint=True)
 
     def build(**kw):
         """One engine over a fresh algorithm instance, on the sweep's plane

@@ -19,7 +19,7 @@ of completed supersteps times the steps remaining when the caller declared
 an ``expected_steps`` hint (``eta_s`` is ``null`` without one — compound
 superstep counts are algorithm-dependent and the log does not guess).
 
-``run_finished`` carries ``io_ops``, defined once for both engines
+``run_finished`` carries ``io_ops``, defined once by the engine
 (:meth:`repro.core.engine.EMEngine._counted_io_ops`) as every counted
 parallel I/O operation the run's report accounts for::
 
@@ -69,7 +69,7 @@ class RunEventLog:
         supersteps the caller expects.  Without it ``eta_s`` stays null.
     meta:
         Run description merged into the ``run_started`` event
-        (workload, machine shape, engine, ...).
+        (workload, machine shape, backend, ...).
     """
 
     def __init__(

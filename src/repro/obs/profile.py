@@ -279,9 +279,9 @@ class ProfileReport:
 
     ``tracks`` maps a track name (``"engine"``, ``"p0"``, ...) to
     ``{"wall": float, "totals": {cat: sec}, "counts": {cat: int}}``.  The
-    ``"engine"`` track is the headline: for the sequential engine and the
-    inline backend it covers the whole single-threaded run (worker scopes
-    carve their categories out of the same stack's timeline), so its
+    ``"engine"`` track is the headline: under the inline backend it covers
+    the whole single-threaded run (worker scopes carve their categories out
+    of the same stack's timeline), so its
     attributed fraction is the run's.  Process-backend workers overlap the
     engine in time and are therefore kept as separate tracks — there the
     engine's ``barrier_wait`` is the window the per-processor tracks fill.

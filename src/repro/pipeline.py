@@ -3,7 +3,7 @@
 Table 1's richer rows (LCA, biconnectivity, ear decomposition, the GIS
 example) are *compositions* of CGM building blocks.  :class:`Pipeline`
 packages the composition pattern: it exposes a ``run`` callable to hand to
-any driver, executes every stage through the chosen EM engine on one
+any driver, executes every stage through the EM engine on one
 machine description, and accumulates the stages' reports into a combined
 cost summary — the end-to-end counted cost of the generated EM program.
 
@@ -34,8 +34,6 @@ class Pipeline:
         (CGM algorithms size their contexts as ``Theta(n/v)``).
     seed:
         Base seed; stage ``i`` uses ``seed + i`` so reruns are reproducible.
-    engine:
-        Passed to :func:`repro.core.simulator.simulate`.
     min_k:
         Minimum group size the memory must accommodate.
     """
@@ -44,12 +42,10 @@ class Pipeline:
         self,
         machine: MachineParams,
         seed: int = 0,
-        engine: str = "auto",
         min_k: int = 2,
     ):
         self.machine = machine
         self.seed = seed
-        self.engine = engine
         self.min_k = min_k
         self.reports: list[tuple[str, SimulationReport]] = []
 
@@ -64,7 +60,6 @@ class Pipeline:
             machine,
             v=v,
             seed=self.seed + len(self.reports),
-            engine=self.engine,
         )
         self.reports.append((type(algorithm).__name__, report))
         return outputs

@@ -1,11 +1,16 @@
-"""Shared test fixtures: small BSP algorithms exercising the simulation,
-and the check that a golden helper built the plane it was asked for."""
+"""Shared test fixtures: small BSP algorithms exercising the simulation, a
+runner of one against the reference, and the check that a golden helper
+built the plane it was asked for."""
 
 from __future__ import annotations
 
 from repro.bsp.program import BSPAlgorithm, VPContext
+from repro.bsp.runner import run_reference
+from repro.core.simulator import make_engine
+from repro.params import BSPParams, MachineParams, SimulationParams
 
 __all__ = [
+    "run_on",
     "assert_plane",
     "RingShift",
     "AllToAllExchange",
@@ -13,6 +18,20 @@ __all__ = [
     "MultiRoundAccumulate",
     "NoCommunication",
 ]
+
+
+def run_on(make, p=1, D=2, B=16, k=2, v=8, **knobs):
+    """``make()``'s algorithm on a ``p``-processor machine holding ``k``
+    contexts: its outputs and report, and the reference runner's outputs."""
+    alg = make()
+    mu = alg.context_size()
+    params = SimulationParams(
+        machine=MachineParams(p=p, M=max(mu * k, D * B), D=D, B=B, b=B),
+        bsp=BSPParams(v=v, mu=mu, gamma=max(alg.comm_bound(), 1)),
+        k=k,
+    )
+    outputs, report = make_engine(alg, params, **knobs).run()
+    return outputs, report, run_reference(make(), v)[0]
 
 
 def assert_plane(sim, fast_io=None, context_cache=None, faults=None, **_other):

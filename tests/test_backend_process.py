@@ -1,6 +1,6 @@
 """Process-backend transparency: ``backend="process"`` must be invisible.
 
-The parallel engine's real processors can run inline (the reference) or one
+The engine's real processors can run inline (the reference) or one
 per ``multiprocessing`` worker.  Every counted quantity — outputs, ledger,
 reports — must be identical, and the robustness machinery (fault recovery,
 checkpoint resume, contract enforcement) must work across the process
@@ -14,7 +14,7 @@ from repro.bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from repro.core.backend import InlineBackend, ProcessBackend, make_backend
 from repro.core.checkpoint import SimulationAborted
 from repro.core.parsim import ParallelEMSimulation
-from repro.core.simulator import build_params, simulate
+from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.params import MachineParams
 from repro.workloads import uniform_keys
@@ -129,36 +129,10 @@ class TestBackendPlumbing:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("threads", [])
 
-    def test_sequential_engine_rejects_process_backend(self):
-        alg = CGMSampleSort(uniform_keys(256, seed=5), v=8)
-        machine = MachineParams(p=1, M=1 << 18, D=4, B=16, b=32)
-        with pytest.raises(ValueError, match="parallel engine"):
-            simulate(alg, machine, v=8, engine="sequential", backend="process")
-
-    def test_rejection_names_both_knobs_and_both_remedies(self):
-        """The error must point at `backend` and `engine` by name and spell
-        out both ways to fix the call."""
-        alg = CGMSampleSort(uniform_keys(256, seed=5), v=8)
-        machine = MachineParams(p=1, M=1 << 18, D=4, B=16, b=32)
-        with pytest.raises(ValueError) as exc_info:
-            simulate(alg, machine, v=8, engine="sequential", backend="process")
-        msg = str(exc_info.value)
-        assert "backend='process'" in msg
-        assert "engine='sequential'" in msg
-        assert "engine='parallel'" in msg
-        assert "backend='inline'" in msg
-
-    def test_rejection_explains_auto_resolution(self):
-        """With engine='auto' on p=1 the error must say *why* the sequential
-        engine was picked, so the caller knows p (not their engine arg) is
-        the cause."""
-        alg = CGMSampleSort(uniform_keys(256, seed=5), v=8)
-        machine = MachineParams(p=1, M=1 << 18, D=4, B=16, b=32)
-        with pytest.raises(ValueError) as exc_info:
-            simulate(alg, machine, v=8, engine="auto", backend="process")
-        msg = str(exc_info.value)
-        assert "engine='auto' resolved to 'sequential'" in msg
-        assert "machine.p=1" in msg
+    def test_one_processor_runs_over_a_worker_too(self):
+        """``p = 1`` is the same engine: its one processor may live in a
+        worker, and nothing counted or computed changes."""
+        assert golden(build(p=1, backend="process")) == golden(build(p=1))
 
     def test_workers_shut_down_after_run(self):
         sim = build(p=2, backend="process")

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.bakeoff import (
-    ENGINES,
+    CONTENDERS,
     SCHEMA_VERSION,
     TASKS,
     BakeoffConfig,
@@ -41,8 +41,8 @@ DEEP = BakeoffConfig(4096, 256, 16, 4, "deep")
 
 class TestSweepGeometry:
     def test_engines_cover_the_registry(self):
-        assert ENGINES[0] == "cgm"
-        assert set(ENGINES[1:]) == set(SORTING_BASELINES)
+        assert CONTENDERS[0] == "cgm"
+        assert set(CONTENDERS[1:]) == set(SORTING_BASELINES)
 
     def test_default_sweep_modes_and_size(self):
         sweep = default_sweep()
@@ -77,7 +77,7 @@ class TestQuickSweep:
     def test_every_cell_ran_or_was_skipped_honestly(self, payload):
         assert len(payload["rows"]) == payload["configs"] * len(TASKS)
         for row in payload["rows"]:
-            for name in ENGINES:
+            for name in CONTENDERS:
                 entry = row["engines"][name]
                 if row["mode"] == "deep" and name == "cgm":
                     assert "skipped" in entry
@@ -97,7 +97,7 @@ class TestQuickSweep:
     def test_format_table_shape(self, payload):
         table = format_table(payload)
         assert len(table) == len(payload["rows"])
-        assert all(len(r) == 6 + len(ENGINES) for r in table)
+        assert all(len(r) == 6 + len(CONTENDERS) for r in table)
         # No cell carries the '!' referee mark on a clean sweep.
         assert not any("!" in c for r in table for c in r[6:])
 
@@ -117,7 +117,7 @@ class TestCrossPlane:
     def test_storage_plane_is_invisible(self, task):
         mem = self.cell(task)
         filed = self.cell(task, storage="file")
-        for name in ENGINES:
+        for name in CONTENDERS:
             assert filed[name]["match"] and mem[name]["match"]
             assert filed[name]["io_ops"] == mem[name]["io_ops"]
 

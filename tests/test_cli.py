@@ -66,6 +66,18 @@ class TestCLI:
         assert main(["sort", "--n", "256", "--v", "4", "-p", "2"]) == 0
         assert "p=2" in capsys.readouterr().out
 
+    def test_backend_is_honoured_at_p1(self, tmp_path, capsys):
+        """``--backend process`` on the one-processor default machine runs
+        in a worker and prints what the inline run prints."""
+        from repro.obs.live import read_events
+
+        cmd, log = ["sort", "--n", "256", "--v", "4"], tmp_path / "events.jsonl"
+        assert main(cmd) == 0
+        inline = capsys.readouterr().out
+        assert main([*cmd, "--backend", "process", "--events", str(log)]) == 0
+        assert capsys.readouterr().out == inline + f"wrote run events to {log}\n"
+        assert read_events(log)[0]["meta"]["backend"] == "process"
+
     def test_custom_machine_flags(self, capsys):
         assert main(
             ["permute", "--n", "256", "--v", "4", "-D", "8", "-B", "16",

@@ -42,7 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def small_config(**overrides):
-    """A tiny admissible sequential sort config, tweakable per test."""
+    """A tiny admissible one-processor sort config, tweakable per test."""
     base = dict(workload="sort", n=64, v=4, p=1, M=4096, D=2, B=16, b=16)
     base.update(overrides)
     return repair(base)
@@ -58,7 +58,7 @@ class TestRepair:
             if cfg.is_baseline:
                 # Competitor sorters: the CGM-only axes must be folded away.
                 assert (cfg.p, cfg.v, cfg.k) == (1, 1, None)
-                assert cfg.engine == "sequential" and cfg.backend == "inline"
+                assert cfg.backend == "inline"
                 assert cfg.fault == "none" and not cfg.crash
                 assert not cfg.checkpoint
                 assert cfg.records == "object"
@@ -75,8 +75,7 @@ class TestRepair:
                 assert cfg.checkpoint
                 assert 0 <= cfg.dead_disk < cfg.D
                 assert 0 <= cfg.dead_proc < cfg.p
-            if cfg.engine != "parallel":
-                assert cfg.backend == "inline"
+            assert cfg.backend == "inline"  # QUICK draws no worker processes
             assert params.k >= 1
 
     def test_repair_is_idempotent(self):
@@ -94,7 +93,6 @@ class TestRepair:
         assert cfg.v == 6  # rounded up to a multiple of p
         assert cfg.n >= cfg.v * cfg.v and cfg.n % cfg.v == 0
         assert cfg.M >= cfg.D * cfg.B
-        assert cfg.engine == "parallel"  # p > 1 forces the parallel engine
 
         killed = repair(
             dict(workload="permute", fault="kill", dead_disk=9, dead_proc=7,
@@ -102,9 +100,8 @@ class TestRepair:
         )
         assert killed.checkpoint and killed.dead_disk < 2 and killed.dead_proc == 0
 
-        seq = repair(dict(workload="prefix", p=1, engine="sequential",
-                          backend="process", v=2, n=8))
-        assert seq.backend == "inline"  # sequential engine folds the backend
+        one = repair(dict(workload="prefix", p=1, backend="process", v=2, n=8))
+        assert one.backend == "process"  # p = 1 runs over a worker too
 
 
 # -- equivalent planes --------------------------------------------------------
@@ -130,8 +127,7 @@ class TestEquivalentPlanes:
         assert not planes["reference"].fast_io
 
     def test_process_backend_yields_five_planes(self):
-        cfg = small_config(p=2, v=4, engine="parallel", backend="process",
-                           fast_io=True)
+        cfg = small_config(p=2, v=4, backend="process", fast_io=True)
         planes = dict(equivalent_planes(cfg))
         assert set(planes) == {
             "primary", "reference", "fastpath", "file-storage",
@@ -165,10 +161,10 @@ class TestEquivalentPlanes:
         assert "file-storage" not in planes
 
     def test_planes_never_flip_counted_knobs(self):
-        cfg = small_config(p=2, v=4, engine="parallel", checkpoint=True)
+        cfg = small_config(p=2, v=4, checkpoint=True)
         for _key, plane in equivalent_planes(cfg):
-            assert (plane.engine, plane.p, plane.checkpoint, plane.fault) == (
-                cfg.engine, cfg.p, cfg.checkpoint, cfg.fault
+            assert (plane.p, plane.checkpoint, plane.fault) == (
+                cfg.p, cfg.checkpoint, cfg.fault
             )
 
 
@@ -269,13 +265,13 @@ class TestBaselineWorkloads:
 
     def test_repair_folds_the_cgm_axes(self):
         cfg = repair(dict(
-            workload="guidesort", p=4, v=8, k=3, engine="parallel",
-            backend="process", fault="kill", crash=True, checkpoint=True,
+            workload="guidesort", p=4, v=8, k=3, backend="process",
+            fault="kill", crash=True, checkpoint=True,
             records="vector", storage="file",
             n=50, M=1, D=2, B=8,
         ))
         assert (cfg.p, cfg.v, cfg.k) == (1, 1, None)
-        assert cfg.engine == "sequential" and cfg.backend == "inline"
+        assert cfg.backend == "inline"
         assert cfg.fault == "none" and not cfg.crash and not cfg.checkpoint
         assert cfg.records == "object"
         assert cfg.storage == "file"  # the live axes survive repair
@@ -363,10 +359,11 @@ class TestReproCase:
 
     def test_case_saved_with_the_retired_overlap_axis_loads_and_runs(self):
         """Saved cases carry whole configs; one written while ``io_overlap``
-        was a conform axis drops the key and replays on the plane it named."""
+        (or the engine) was a conform axis drops the key and replays on the
+        plane it named — at p = 1 either engine named the one engine."""
         payload = json.loads(self.make().to_json())
-        payload["config"].update(storage="file", io_overlap=True)
-        payload["original"]["io_overlap"] = True
+        payload["config"].update(storage="file", io_overlap=True, engine="sequential")
+        payload["original"].update(io_overlap=True, engine="parallel")
         case = ReproCase.from_json(json.dumps(payload))
         assert case.config == small_config(storage="file")
         assert case.original == small_config(n=256)
@@ -422,7 +419,7 @@ class TestConformCLI:
 class TestFixedRegressions:
     """Shrunk ReproCases of bugs the fuzzer found, replayed on every run."""
 
-    def crash_resume_eof_case(self, engine, backend):
+    def crash_resume_eof_case(self, p, backend):
         """PR 8 fix: crash_resume EOFError on cached-context file crashes.
 
         With ``context_cache=True`` on the fast data plane, context saves
@@ -436,10 +433,8 @@ class TestFixedRegressions:
         """
         return ReproCase(
             config=ConformConfig(
-                p=2 if engine == "parallel" else 1,
-                D=2, B=8, b=16, M=4096, v=4,
-                workload="listrank", n=48,
-                engine=engine, backend=backend,
+                p=p, D=2, B=8, b=16, M=4096, v=4,
+                workload="listrank", n=48, backend=backend,
                 checkpoint=True, fast_io=True, context_cache=True,
                 storage="file", crash=True, crash_point=4, crash_seed=3,
             ),
@@ -447,12 +442,18 @@ class TestFixedRegressions:
             message="recovery raised EOFError('Ran out of input')",
         )
 
+    # The ids name the machine: "sequential" is p = 1, "parallel" p = 2.
     @pytest.mark.parametrize(
-        "engine,backend",
-        [("parallel", "inline"), ("parallel", "process"), ("sequential", "inline")],
+        "p,backend",
+        [
+            pytest.param(2, "inline", id="parallel-inline"),
+            pytest.param(2, "process", id="parallel-process"),
+            pytest.param(1, "inline", id="sequential-inline"),
+            pytest.param(1, "process", id="sequential-process"),
+        ],
     )
-    def test_crash_resume_survives_cached_context_attach(self, engine, backend):
-        case = self.crash_resume_eof_case(engine, backend)
+    def test_crash_resume_survives_cached_context_attach(self, p, backend):
+        case = self.crash_resume_eof_case(p, backend)
         result = run_case(case.config)
         assert not result.failures, [
             (f.oracle, f.message) for f in result.failures
@@ -460,5 +461,5 @@ class TestFixedRegressions:
         assert result.checks["crash_resume"] >= 1
 
     def test_crash_resume_eof_case_round_trips(self):
-        case = self.crash_resume_eof_case("parallel", "inline")
+        case = self.crash_resume_eof_case(2, "inline")
         assert ReproCase.from_json(case.to_json()) == case

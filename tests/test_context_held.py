@@ -190,7 +190,7 @@ def _engine(storage, backend, storage_dir=None, **knobs):
     if storage != "memory":
         kw.update(storage=storage, storage_dir=str(storage_dir))
     return make_engine(
-        alg, build_params(alg, machine, 8), engine="parallel", backend=backend,
+        alg, build_params(alg, machine, 8), backend=backend,
         seed=0, checkpoint=True, **kw,
     )
 

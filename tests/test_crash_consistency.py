@@ -337,7 +337,7 @@ class TestScrub:
         snap = next(s for s in ref["disks"] if s and s["map"])
         base = next(iter(snap["map"].values()))[0]
         disk_id = ref["disks"].index(snap)
-        with open(os.path.join(root, f"disk{disk_id}.dat"), "r+b") as fh:
+        with open(os.path.join(ref["root"], f"disk{disk_id}.dat"), "r+b") as fh:
             fh.seek(base * snap["slot_bytes"] + FRAME_BYTES)
             fh.write(b"\xff")
         res = scrub(root)

@@ -1,9 +1,9 @@
-"""Cross-engine consistency matrix (invariant I3 at full breadth).
+"""Cross-machine consistency matrix (invariant I3 at full breadth).
 
-Every algorithm in the library runs on the in-memory reference runner, the
-sequential EM engine (Algorithm 1), and the parallel EM engine
-(Algorithm 3, p=2 and p=4) — all four must agree bit-for-bit.  The earlier
-per-module tests cover depth; this matrix covers breadth.
+Every algorithm in the library runs on the in-memory reference runner and
+on the EM engine at p=1 (Algorithm 1), p=2 and p=4 (Algorithm 3) — all four
+must agree bit-for-bit.  The earlier per-module tests cover depth; this
+matrix covers breadth.
 """
 
 import pytest

@@ -1,25 +1,26 @@
-"""The barrier lifecycle is one piece of code — drive it through every engine.
+"""The barrier lifecycle is one piece of code — drive it through every shape.
 
 ``repro.core.engine.EMEngine`` owns run/resume, checkpointing, fatal-fault
-rollback, crash injection, event emission and the fault report for both
-engines.  These tests push each engine shape (sequential, parallel inline
-at p=1 and p=2, parallel over worker processes) through the lifecycle's
-four exits and require the same observable result from all of them:
-outputs equal to the in-memory reference runner and a ``FaultReport`` that
-tells the same story.  They also pin the three places where the engines'
-hand-copied lifecycles had drifted apart: temp roots leaked by a failed
-constructor, workers leaked by a failed process-backend start-up, and the
-meaning of ``run_finished.io_ops``.
+rollback, crash injection, event emission and the fault report.  These
+tests push each machine shape (p=1 and p=2, inline and over worker
+processes) through the lifecycle's four exits and require the same
+observable result from all of them: outputs equal to the in-memory
+reference runner and a ``FaultReport`` that tells the same story.  They
+also pin temp roots leaked by a failed constructor, workers leaked by a
+failed process-backend start-up, the meaning of ``run_finished.io_ops``,
+and what a one-processor machine counts (Algorithm 1's columns).
 """
 
+import dataclasses
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
+from repro.algorithms.graphs import CGMListRanking
 from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.runner import run_reference
-from repro.core import ParallelEMSimulation, SequentialEMSimulation
 from repro.core.backend import ProcessBackend
 from repro.core.checkpoint import SimulationAborted, scrub
 from repro.core.simulator import build_params, make_engine
@@ -28,25 +29,27 @@ from repro.emio.faults import CRASH_STAGES, CrashPlan, FaultPlan, HostCrash
 from repro.emio.storage import StorageSpec
 from repro.obs.live import RunEventLog, read_events
 from repro.params import MachineParams, ParameterError
-from repro.workloads import uniform_keys
+from repro.workloads import random_linked_list, uniform_keys
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
 V = 8
 KEYS = uniform_keys(256, seed=11)
 
-ENGINES = [
-    pytest.param("sequential", 1, "inline", id="sequential"),
-    pytest.param("parallel", 1, "inline", id="parallel-inline-p1"),
-    pytest.param("parallel", 2, "inline", id="parallel-inline-p2"),
-    pytest.param("parallel", 2, "process", id="parallel-process-p2"),
+# The ids name the machine: "sequential" is the one-processor machine
+# (Algorithm 1), "parallel" a two-processor one (Algorithm 3).
+SHAPES = [
+    pytest.param(1, "inline", id="sequential"),
+    pytest.param(1, "process", id="sequential-process"),
+    pytest.param(2, "inline", id="parallel-inline-p2"),
+    pytest.param(2, "process", id="parallel-process-p2"),
 ]
 
 
-def build(engine, p, backend, **knobs):
+def build(p, backend, **knobs):
     alg = CGMSampleSort(list(KEYS), v=V)
     machine = MachineParams(p=p, M=1 << 12, D=4, B=16, b=32)
     params = build_params(alg, machine, v=V)
-    return make_engine(alg, params, engine=engine, backend=backend, seed=3, **knobs)
+    return make_engine(alg, params, backend=backend, seed=3, **knobs)
 
 
 def dying_drive(p):
@@ -63,11 +66,11 @@ def reference():
     return outputs
 
 
-@pytest.mark.parametrize("engine,p,backend", ENGINES)
+@pytest.mark.parametrize("p,backend", SHAPES)
 class TestLifecycleExits:
-    def test_fatal_fault_restores_and_finishes(self, engine, p, backend, reference):
+    def test_fatal_fault_restores_and_finishes(self, p, backend, reference):
         outputs, report = build(
-            engine, p, backend, faults=dying_drive(p), checkpoint=True
+            p, backend, faults=dying_drive(p), checkpoint=True
         ).run()
         assert outputs == reference
         fr = report.faults
@@ -77,37 +80,37 @@ class TestLifecycleExits:
         assert fr.resumed_from_step is None
 
     def test_exhausted_budget_aborts_then_fresh_engine_resumes(
-        self, engine, p, backend, reference
+        self, p, backend, reference
     ):
         doomed = build(
-            engine, p, backend,
+            p, backend,
             faults=dying_drive(p), checkpoint=True, max_recoveries=0,
         )
         with pytest.raises(SimulationAborted, match="max_recoveries") as ei:
             doomed.run()
         ckpt = ei.value.checkpoint
         assert ckpt is doomed.last_checkpoint and ckpt.nprocs == p
-        outputs, report = build(engine, p, backend).resume_from_checkpoint(ckpt)
+        outputs, report = build(p, backend).resume_from_checkpoint(ckpt)
         assert outputs == reference
         fr = report.faults
         assert fr.resumed_from_step == ckpt.step
         assert fr.recoveries == 0 and fr.recovery_io_ops > 0
         assert fr.checkpoints_taken == 0 and fr.disks_died == 0
 
-    def test_fault_before_the_first_checkpoint_aborts(self, engine, p, backend):
+    def test_fault_before_the_first_checkpoint_aborts(self, p, backend):
         # Without checkpointing there is never a barrier to roll back to ...
         with pytest.raises(SimulationAborted, match="no checkpoint") as ei:
-            build(engine, p, backend, faults=dying_drive(p)).run()
+            build(p, backend, faults=dying_drive(p)).run()
         assert ei.value.checkpoint is None
         # ... and with it, a fault while capturing barrier 0 (every context
         # written by load_input reads back corrupt) has none yet either.
         rotten = FaultPlan(seed=SEED, corruption_rate=1.0)
         with pytest.raises(SimulationAborted, match="before the first") as ei:
-            build(engine, p, backend, faults=rotten, checkpoint=True).run()
+            build(p, backend, faults=rotten, checkpoint=True).run()
         assert ei.value.checkpoint is None
 
     def test_host_crash_scrub_attach_resume(
-        self, engine, p, backend, reference, tmp_path
+        self, p, backend, reference, tmp_path
     ):
         root = str(tmp_path / "tracks")
         knobs = dict(checkpoint=True, storage="file", storage_dir=root)
@@ -115,18 +118,29 @@ class TestLifecycleExits:
         # track files have moved on since, barrier 1 is synced but unpublished.
         point = len(CRASH_STAGES) + CRASH_STAGES.index("postsync")
         with pytest.raises(HostCrash, match="postsync"):
-            build(engine, p, backend, crash=CrashPlan(crash_point=point), **knobs).run()
+            build(p, backend, crash=CrashPlan(crash_point=point), **knobs).run()
         found = scrub(root)
         assert found.checkpoint is not None and not found.quarantined
         assert found.checkpoint.step == 0 and found.checkpoint.nprocs == p
         outputs, report = build(
-            engine, p, backend, max_recoveries=0, **knobs
+            p, backend, max_recoveries=0, **knobs
         ).resume_from_checkpoint(found.checkpoint)
         assert outputs == reference
         fr = report.faults
         assert fr.resumed_from_step == 0
         assert fr.recovery_io_ops == 0  # re-attached in place, not rewritten
         assert fr.recoveries == 0
+
+
+def test_a_checkpoint_of_the_retired_sequential_engine_is_refused(tmp_path):
+    """Algorithm 1's own engine kept its one RNG state bare (and its tracks
+    at the storage root): such a checkpoint is refused by name."""
+    knobs = dict(checkpoint=True, storage="file", storage_dir=str(tmp_path / "t"))
+    sim = build(1, "inline", **knobs)
+    sim.run()
+    old = dataclasses.replace(sim.last_checkpoint, rng_state=sim.last_checkpoint.rng_state[0])
+    with pytest.raises(ParameterError, match="bare RNG state"):
+        build(1, "inline", **knobs).resume_from_checkpoint(old)
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +169,27 @@ class _Unbuildable(CGMSampleSort):
         return super().comm_bound()
 
 
-@pytest.mark.parametrize("engine,p,backend", ENGINES)
+@pytest.mark.parametrize("p,backend", SHAPES)
 class TestFailedConstructionLeaksNothing:
-    def test_rejected_knobs(self, engine, p, backend, private_tmpdir):
+    def test_rejected_knobs(self, p, backend, private_tmpdir):
         with pytest.raises(ParameterError, match="checkpoint=True"):
-            build(engine, p, backend, storage="file", crash=CrashPlan())
+            build(p, backend, storage="file", crash=CrashPlan())
         assert os.listdir(private_tmpdir) == []
 
-    def test_processor_constructor_failure(self, engine, p, backend, private_tmpdir):
+    def test_processor_constructor_failure(self, p, backend, private_tmpdir):
         alg = _Unbuildable(list(KEYS), v=V)
         machine = MachineParams(p=p, M=1 << 12, D=4, B=16, b=32)
         params = build_params(alg, machine, v=V)
         alg.armed = True
         with pytest.raises(RuntimeError, match="cannot be built"):
-            make_engine(alg, params, engine=engine, backend=backend, storage="file")
+            make_engine(alg, params, backend=backend, storage="file")
         assert os.listdir(private_tmpdir) == []
         assert multiprocessing.active_children() == []
 
 
 def test_unknown_backend_leaks_no_storage_root(private_tmpdir):
     with pytest.raises(ValueError, match="unknown backend"):
-        build("parallel", 2, "bogus", storage="file")
+        build(2, "bogus", storage="file")
     assert os.listdir(private_tmpdir) == []
 
 
@@ -187,7 +201,7 @@ def test_failed_process_backend_startup_reaps_its_workers(tmp_path):
     foreign.mkdir()
     (foreign / "somebody-elses.dat").write_bytes(b"x")
     with pytest.raises(DiskError) as ei:
-        build("parallel", 2, "process", storage="file", storage_dir=str(tmp_path))
+        build(2, "process", storage="file", storage_dir=str(tmp_path))
     # Checked while the exception (and through its traceback the half-built
     # backend's pipes) is still referenced: reaping must not be left to GC.
     assert multiprocessing.active_children() == []
@@ -230,48 +244,84 @@ def _counted_total(rep):
 
 
 class TestRunFinishedIoOps:
-    @pytest.mark.parametrize("engine", ["sequential", "parallel"])
+    @pytest.mark.parametrize("p", [1, 2], ids=["sequential", "parallel"])
     @pytest.mark.parametrize("faulty", [False, True], ids=["healthy", "rolled-back"])
-    def test_is_the_reports_counted_total(self, tmp_path, engine, faulty):
+    def test_is_the_reports_counted_total(self, tmp_path, p, faulty):
         """Everything the report accounts for — and not the I/O of a
         superstep attempt that a fatal fault rolled back."""
-        knobs = {"faults": dying_drive(1)} if faulty else {}
+        knobs = {"faults": dying_drive(p)} if faulty else {}
         emitted, rep = _streamed(
             tmp_path,
-            lambda ev: build(engine, 1, "inline", checkpoint=True, events=ev, **knobs),
+            lambda ev: build(p, "inline", checkpoint=True, events=ev, **knobs),
         )
         assert bool(rep.faults.recoveries) == faulty
         assert emitted == _counted_total(rep)
 
-    def test_engines_agree_at_p1(self, tmp_path, monkeypatch):
-        """On this sort Algorithm 3 at p=1 charges exactly what Algorithm 1
-        does (asserted below, so the comparison stays meaningful) — and then
-        the two engines must stream the same number.  The agreement is
-        Algorithm 2's: a kept store holds the blocks where each engine's own
-        write cycles put them, so Step 2 is forced onto Algorithm 2."""
-        from .test_kept_store import always_route
 
+# ---------------------------------------------------------------------------
+# What a one-processor machine counts: Algorithm 1's columns, pinned
+
+
+def _suite_list(n):
+    """The benchmark suite's list: ``n`` nodes visited in a random order."""
+    order = np.random.default_rng(3).permutation(n)
+    succ = np.empty(n, dtype=np.int64)
+    succ[order[:-1]], succ[order[-1]] = order[1:], order[-1]
+    return succ.tolist()
+
+
+FAST_VECTOR = dict(context_cache=True, fast_io=True, records="vector")
+
+#: Per run — its algorithm, (M, D, B, b) and knobs — the columns supersteps,
+#: init, fetch_context, fetch_messages, write_messages, write_context,
+#: reorganize, output, comm_packets (the virtual machine's h-relation),
+#: message_blocks, disk_tracks, checkpoint_io_ops and comp_ops, as
+#: Algorithm 1's own engine counted them before the engines were one.
+P1_COLUMNS = {
+    "smoke_sort": (
+        lambda: CGMSampleSort(np.random.default_rng(3).integers(0, 1 << 30, 156_250), 128),
+        (1 << 22, 4, 1024, 2048), FAST_VECTOR,
+        (4, 112, 368, 74, 60, 368, 0, 112, 514, 224, 4736, 0, 3370760)),
+    "smoke_listrank": (
+        lambda: CGMListRanking(_suite_list(2048), 8),
+        (1 << 22, 4, 256, 512), dict(FAST_VECTOR, storage="file", checkpoint=True),
+        (14, 0, 0, 25, 25, 0, 0, 0, 194, 87, 72, 25, 26887)),
+    # Step 2 forced onto Algorithm 2: 15 + 262 + 13 I/O ops, 69 to checkpoint.
+    "forced_algorithm_2_sort": (
+        lambda: CGMSampleSort(uniform_keys(512, seed=11), 4),
+        (1 << 12, 4, 8, 16), dict(seed=3, checkpoint=True),
+        (4, 15, 43, 25, 25, 41, 128, 13, 35, 81, 304, 69, 6224)),
+    "listrank_d8": (
+        lambda: CGMListRanking(random_linked_list(8192, seed=3), 64),
+        (1 << 14, 8, 32, 64), dict(seed=3),
+        (24, 62, 2547, 2938, 1781, 2609, 0, 124, 1404, 11799, 1280, 0, 188558)),
+}
+
+
+@pytest.mark.parametrize("case", list(P1_COLUMNS))
+def test_one_processor_counts_algorithm_1s_columns(case, tmp_path, monkeypatch):
+    """At p = 1 there is no network: every counted column, the streamed
+    ``run_finished.io_ops`` and the exact referee agree with Algorithm 1's."""
+    from repro.conform.oracles import check_theorem1_io
+
+    from .test_kept_store import always_route
+
+    make, (M, D, B, b), knobs, columns = P1_COLUMNS[case]
+    if case == "forced_algorithm_2_sort":
         always_route(monkeypatch)
-
-        def run(cls):
-            alg = CGMSampleSort(uniform_keys(512, seed=11), v=4)
-            machine = MachineParams(p=1, M=1 << 12, D=4, B=8, b=16)
-            params = build_params(alg, machine, v=4)
-            return _streamed(
-                tmp_path / cls.__name__,
-                lambda ev: cls(alg, params, seed=3, checkpoint=True, events=ev),
-            )
-
-        seq_ops, seq_rep = run(SequentialEMSimulation)
-        par_ops, par_rep = run(ParallelEMSimulation)
-        for rep in (seq_rep, par_rep):
-            assert (
-                rep.init_io_ops, rep.io_ops, rep.output_io_ops,
-                rep.faults.checkpoint_io_ops,
-            ) == (15, 262, 13, 69)
-        # (20, 304, 20, 85) before each superstep's last group stayed in
-        # memory: its write-back and the next fetch of it are gone, and the
-        # cyclic group order hands Algorithm 2 the blocks in a new order.
-        # (15, 272, 13, 69) before superstep 1 skipped the group of quiet vps
-        # between its first and last: one fetch and one write-back of 5 ops.
-        assert seq_ops == par_ops == 15 + 262 + 13 + 69
+    if knobs.get("storage") == "file":
+        knobs = dict(knobs, storage_dir=str(tmp_path / "tracks"))
+    alg = make()
+    params = build_params(alg, MachineParams(p=1, M=M, D=D, B=B, b=b), alg.v)
+    emitted, rep = _streamed(tmp_path, lambda ev: make_engine(alg, params, events=ev, **knobs))
+    phases = ("fetch_context", "fetch_messages", "write_messages", "write_context",
+              "reorganize")
+    assert (
+        rep.num_supersteps, rep.init_io_ops,
+        *(sum(getattr(s.phases, f) for s in rep.supersteps) for f in phases),
+        rep.output_io_ops, rep.ledger.total_comm_packets,
+        sum(s.message_blocks for s in rep.supersteps), rep.disk_space_tracks,
+        rep.faults.checkpoint_io_ops if rep.faults else 0, rep.ledger.total_comp,
+    ) == columns
+    assert emitted == _counted_total(rep)
+    assert check_theorem1_io(rep.params, rep)[0] == []

@@ -10,7 +10,6 @@ import pytest
 from repro.bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from repro.bsp.runner import run_reference
 from repro.core.parsim import ParallelEMSimulation
-from repro.core.seqsim import SequentialEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.emio.disk import DiskError
 from repro.params import MachineParams
@@ -127,7 +126,7 @@ def params_for(alg, v=4, p=1):
 class TestContextOverflow:
     def test_sequential_engine_rejects(self):
         with pytest.raises(DiskError, match="context"):
-            SequentialEMSimulation(LyingContext(), params_for(LyingContext())).run()
+            ParallelEMSimulation(LyingContext(), params_for(LyingContext())).run()
 
     def test_parallel_engine_rejects(self):
         with pytest.raises(DiskError, match="context"):
@@ -143,17 +142,17 @@ class TestGammaViolation:
 
     def test_send_side_rejected_in_em(self):
         with pytest.raises(AlgorithmError, match="exceeding"):
-            SequentialEMSimulation(LyingComm(), params_for(LyingComm())).run()
+            ParallelEMSimulation(LyingComm(), params_for(LyingComm())).run()
 
     def test_receive_side_rejected(self):
         # 8 senders x 16 records = 128 > gamma = 16 at vp 0.
         with pytest.raises(AlgorithmError, match="received"):
-            SequentialEMSimulation(
+            ParallelEMSimulation(
                 FloodsOneReceiver(), params_for(FloodsOneReceiver(), v=8)
             ).run()
 
     def test_enforcement_can_be_disabled(self):
-        out, _ = SequentialEMSimulation(
+        out, _ = ParallelEMSimulation(
             FloodsOneReceiver(),
             params_for(FloodsOneReceiver(), v=8),
             enforce_gamma=False,
@@ -166,7 +165,7 @@ class TestBadDestination:
         with pytest.raises(AlgorithmError, match="invalid destination"):
             run_reference(BadDestination(), 4)
         with pytest.raises(AlgorithmError, match="invalid destination"):
-            SequentialEMSimulation(
+            ParallelEMSimulation(
                 BadDestination(), params_for(BadDestination())
             ).run()
 
@@ -178,7 +177,7 @@ class TestNonHalting:
 
     def test_sequential_guard(self):
         with pytest.raises(AlgorithmError, match="MAX_SUPERSTEPS"):
-            SequentialEMSimulation(NeverHalts(), params_for(NeverHalts())).run()
+            ParallelEMSimulation(NeverHalts(), params_for(NeverHalts())).run()
 
     def test_parallel_guard(self):
         with pytest.raises(AlgorithmError, match="MAX_SUPERSTEPS"):
@@ -198,22 +197,24 @@ class TestSimulatorFacade:
         out2, _ = simulate(NoCommunication(), machine2, v=4, k=2)
         assert out2 == out
 
+    def test_unknown_engine_rejected(self):
+        """There is one engine: the knob that chose between two is gone and
+        is refused by name."""
+        from tests.helpers import NoCommunication
+
+        machine = MachineParams(p=1, M=1 << 12, D=2, B=16, b=16)
+        with pytest.raises(TypeError, match="engine"):
+            simulate(NoCommunication(), machine, v=4, engine="sequential")
+
     def test_engine_forced_parallel_on_p1(self):
+        """Algorithm 3 at p = 1 is Algorithm 1: the one engine, on groups
+        of k = 2 over four vps, computes the reference's answer."""
         from tests.helpers import AllToAllExchange
 
         machine = MachineParams(p=1, M=1 << 13, D=2, B=16, b=16)
         ref, _ = run_reference(AllToAllExchange(), 4)
-        out, _ = simulate(
-            AllToAllExchange(), machine, v=4, engine="parallel", k=2
-        )
+        out, _ = simulate(AllToAllExchange(), machine, v=4, k=2)
         assert out == ref
-
-    def test_unknown_engine_rejected(self):
-        from tests.helpers import NoCommunication
-
-        machine = MachineParams(p=1, M=1 << 12, D=2, B=16, b=16)
-        with pytest.raises(ValueError, match="unknown engine"):
-            simulate(NoCommunication(), machine, v=4, engine="quantum")
 
     def test_strict_mode_propagates(self):
         from repro.params import ParameterError

@@ -5,8 +5,8 @@ The fast path (``fast_io=True`` data-plane short-circuits plus
 wall-clock only*.  Everything the model counts — outputs, the cost ledger,
 per-superstep phase breakdowns, routing statistics, and even the physical
 I/O trace — must be byte-identical to the reference path.  These tests pin
-that invariant across engines, seeds, checkpointing, fault injection, and
-mid-run kill-and-resume.
+that invariant at p = 1 and p = 4, across seeds, checkpointing, fault
+injection, and mid-run kill-and-resume.
 
 Left alone, both knobs follow the storage plane (fast in the heap), so each
 side of a comparison names its plane — ``**FAST`` or ``**REFERENCE`` — and
@@ -21,7 +21,6 @@ from repro.algorithms.sorting import CGMSampleSort
 from repro.conform import REFERENCE
 from repro.core.checkpoint import SimulationAborted
 from repro.core.parsim import ParallelEMSimulation
-from repro.core.seqsim import SequentialEMSimulation
 from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace
@@ -50,12 +49,11 @@ def make_permute(n=512, v=8):
 WORKLOADS = [make_sort, make_listrank, make_permute]
 
 
-def build(make, engine, seed=0, p=4, **kwargs):
+def build(make, p, seed=0, **kwargs):
     alg, v = make()
-    machine = MachineParams(p=1 if engine == "sequential" else p, M=1 << 18, D=4, B=16, b=32)
+    machine = MachineParams(p=p, M=1 << 18, D=4, B=16, b=32)
     params = build_params(alg, machine, v=v)
-    cls = SequentialEMSimulation if engine == "sequential" else ParallelEMSimulation
-    sim = cls(alg, params, seed=seed, **kwargs)
+    sim = ParallelEMSimulation(alg, params, seed=seed, **kwargs)
     assert_plane(sim, **kwargs)
     return sim
 
@@ -94,22 +92,22 @@ class TestSequentialGolden:
     @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("seed", [0, 3])
     def test_fast_equals_reference(self, make, seed):
-        ref = golden(build(make, "sequential", seed=seed, **REFERENCE))
-        fast = golden(build(make, "sequential", seed=seed, **FAST))
+        ref = golden(build(make, 1, seed=seed, **REFERENCE))
+        fast = golden(build(make, 1, seed=seed, **FAST))
         assert fast == ref
 
     def test_fast_equals_reference_with_checkpointing(self):
-        ref = golden(build(make_sort, "sequential", checkpoint=True, **REFERENCE))
-        fast = golden(build(make_sort, "sequential", checkpoint=True, **FAST))
+        ref = golden(build(make_sort, 1, checkpoint=True, **REFERENCE))
+        fast = golden(build(make_sort, 1, checkpoint=True, **FAST))
         assert fast == ref
 
     def test_fast_io_alone_with_checkpointing(self):
         """fast_io without context_cache, under checkpointing: the data-plane
         short-circuit must not disturb what checkpoints read back."""
-        ref = golden(build(make_sort, "sequential", checkpoint=True, **REFERENCE))
+        ref = golden(build(make_sort, 1, checkpoint=True, **REFERENCE))
         fast = golden(
             build(
-                make_sort, "sequential", checkpoint=True,
+                make_sort, 1, checkpoint=True,
                 fast_io=True, context_cache=False,
             )
         )
@@ -120,8 +118,8 @@ class TestSequentialGolden:
         producing the exact reference operation stream."""
         sims, traces = [], []
         for kwargs in (REFERENCE, FAST):
-            sim = build(make_sort, "sequential", **kwargs)
-            traces.append(IOTrace.attach(sim.array))
+            sim = build(make_sort, 1, **kwargs)
+            traces.append(IOTrace.attach(sim.procs[0].array))
             sims.append(sim)
         ref_g = golden(sims[0])
         fast_g = golden(sims[1])
@@ -136,24 +134,24 @@ class TestSequentialGolden:
 class TestParallelGolden:
     @pytest.mark.parametrize("make", WORKLOADS)
     def test_fast_inline_equals_reference(self, make):
-        ref = golden(build(make, "parallel", **REFERENCE))
-        fast = golden(build(make, "parallel", **FAST))
+        ref = golden(build(make, 4, **REFERENCE))
+        fast = golden(build(make, 4, **FAST))
         assert fast == ref
 
     def test_fast_process_equals_reference(self):
         for make in WORKLOADS:
-            ref = golden(build(make, "parallel", **REFERENCE))
-            fast = golden(build(make, "parallel", backend="process", **FAST))
+            ref = golden(build(make, 4, **REFERENCE))
+            fast = golden(build(make, 4, backend="process", **FAST))
             assert fast == ledger_only(ref), make.__name__
 
     def test_context_cache_alone_over_process_backend(self):
         """context_cache without fast_io, with workers in real subprocesses:
         each worker's cache is private, so the counted run must still match
         the inline reference byte for byte."""
-        ref = golden(build(make_sort, "parallel", **REFERENCE))
+        ref = golden(build(make_sort, 4, **REFERENCE))
         cached = golden(
             build(
-                make_sort, "parallel", backend="process",
+                make_sort, 4, backend="process",
                 context_cache=True, fast_io=False,
             )
         )
@@ -162,7 +160,7 @@ class TestParallelGolden:
     def test_trace_byte_identical_per_processor(self):
         sims, traces = [], []
         for kwargs in (REFERENCE, FAST):
-            sim = build(make_sort, "parallel", **kwargs)
+            sim = build(make_sort, 4, **kwargs)
             traces.append([IOTrace.attach(pr.array) for pr in sim.procs])
             sims.append(sim)
         assert golden(sims[1]) == golden(sims[0])
@@ -176,9 +174,9 @@ class TestFaultInteraction:
     def test_cache_refused_under_fault_injection(self):
         """The disk image is authoritative when faults can corrupt it."""
         plan = FaultPlan(seed=0, corruption_rate=0.05)
-        sim = build(make_sort, "sequential", faults=plan, retry=RetryPolicy(), **FAST)
-        assert sim.contexts.cache is False
-        assert sim.array.fast_data_plane is False
+        sim = build(make_sort, 1, faults=plan, retry=RetryPolicy(), **FAST)
+        assert sim.procs[0].contexts.cache is False
+        assert sim.procs[0].array.fast_data_plane is False
 
     def test_faulty_run_equal_with_fast_knobs(self):
         """With injection active the knobs are inert: identical runs."""
@@ -187,7 +185,7 @@ class TestFaultInteraction:
             return golden(
                 build(
                     make_sort,
-                    "sequential",
+                    1,
                     faults=plan,
                     retry=RetryPolicy(),
                     checkpoint=True,
@@ -200,11 +198,11 @@ class TestFaultInteraction:
     def test_kill_and_resume_under_fast_path(self):
         """A run killed by a dead disk resumes on a fast-path engine: the
         restore must invalidate and then re-warm the context cache."""
-        expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
+        expected = golden(build(make_sort, 1, **REFERENCE))["outputs"]
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=22)
         dying = build(
             make_sort,
-            "sequential",
+            1,
             faults=plan,
             retry=RetryPolicy(max_retries=2),
             checkpoint=True,
@@ -215,10 +213,10 @@ class TestFaultInteraction:
         ckpt = exc_info.value.checkpoint
         assert ckpt is not None
 
-        fresh = build(make_sort, "sequential", checkpoint=True, **FAST)
+        fresh = build(make_sort, 1, checkpoint=True, **FAST)
         outputs, report = fresh.resume_from_checkpoint(ckpt)
         assert outputs == expected
         assert report.faults.resumed_from_step == ckpt.step
         # The restore re-cached every slot; the fast plane is live again.
-        assert fresh.contexts.cache is True
-        assert all(b is not None for b in fresh.contexts._cached)
+        assert fresh.procs[0].contexts.cache is True
+        assert all(b is not None for b in fresh.procs[0].contexts._cached)

@@ -3,8 +3,8 @@
 Covers the fault model end to end: deterministic injection streams, the
 faulty-disk device semantics (transient errors, checksummed corruption,
 latency spikes, death), the disk array's retry/degraded-mode behaviour, and
-the engines' checkpoint/recovery loop — including the hard acceptance
-criteria: under a seeded fault plan both engines must produce outputs
+the engine's checkpoint/recovery loop — including the hard acceptance
+criteria: under a seeded fault plan the engine, at p = 1 and p > 1, must produce outputs
 *identical* to a fault-free run, and a killed run must resume from its last
 checkpoint without re-running completed supersteps.
 
@@ -19,7 +19,6 @@ import pytest
 from repro.algorithms import CGMPermutation, CGMSampleSort
 from repro.core.checkpoint import SimulationAborted, SuperstepCheckpoint
 from repro.core.parsim import ParallelEMSimulation
-from repro.core.seqsim import SequentialEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
@@ -343,7 +342,7 @@ class TestEngineFaultTransparency:
         data = sort_input()
         plan = FaultPlan(seed=SEED, dead_disk=0, dead_after=80)
         params = build_params(CGMSampleSort(list(data), v=8), SEQ, v=8)
-        eng = SequentialEMSimulation(
+        eng = ParallelEMSimulation(
             CGMSampleSort(list(data), v=8), params, seed=3,
             faults=plan, checkpoint=True, max_recoveries=0,
         )
@@ -376,11 +375,11 @@ class TestCheckpointResume:
         machine = MachineParams(p=1, M=4 * alg.context_size(), D=4, B=16)
         params = build_params(CountingRingShift(payload_size=4, rounds=3),
                              machine, v=v)
-        baseline, base_rep = SequentialEMSimulation(
+        baseline, base_rep = ParallelEMSimulation(
             CountingRingShift(payload_size=4, rounds=3), params, seed=2
         ).run()
         plan = FaultPlan(seed=SEED + 3, dead_disk=0, dead_after=30)
-        doomed = SequentialEMSimulation(
+        doomed = ParallelEMSimulation(
             CountingRingShift(payload_size=4, rounds=3), params, seed=2,
             faults=plan, checkpoint=True, max_recoveries=0,
         )
@@ -394,7 +393,7 @@ class TestCheckpointResume:
         v, params, baseline, base_rep, ckpt = self._kill_and_resume_seq()
         assert ckpt.step >= 1  # the kill happened mid-run, not at the start
         fresh_alg = CountingRingShift(payload_size=4, rounds=3)
-        fresh = SequentialEMSimulation(fresh_alg, params, seed=2)
+        fresh = ParallelEMSimulation(fresh_alg, params, seed=2)
         out, rep = fresh.resume_from_checkpoint(ckpt)
         assert out == baseline
         assert rep.faults.resumed_from_step == ckpt.step
@@ -437,7 +436,7 @@ class TestCheckpointResume:
         from repro.params import ParameterError
 
         with pytest.raises(ParameterError, match="processors"):
-            SequentialEMSimulation(
+            ParallelEMSimulation(
                 CGMSampleSort(list(data), v=8), params, seed=3
             ).resume_from_checkpoint(bogus)
 

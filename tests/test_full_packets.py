@@ -4,11 +4,13 @@ In the writing phase a real processor cuts its whole round's outbox — every
 vp of the batch, in message order — into packets of at most ``b`` records
 with the block packer (a message may split across packets, an empty message
 is a zero-length segment) and deals them round-robin from one random offset:
-packet ``t`` goes to processor ``(offset + t) mod p``.  These tests hold the
-cut and the deal to their counts and to the random numbers they draw, the
-exact scatter referee to planted miscounts and to a per-message packetizer
-planted in the engine, the equivalent planes and backends to one another,
-and kill-resume to the offsets the uninterrupted run drew.
+packet ``t`` goes to processor ``(offset + t) mod p``.  With one processor
+there is no network: nothing is cut or dealt, and the communication charged
+is the virtual machine's h-relation.  These tests hold the cut and the deal
+to their counts and to the random numbers they draw, the exact
+communication referee to planted miscounts, a per-message packetizer and a
+planted +1 on the one-processor charge, the equivalent planes and backends
+to one another, and kill-resume to the offsets the uninterrupted run drew.
 """
 
 import dataclasses
@@ -42,7 +44,7 @@ N, V, K, b = 512, 16, 2, 16  # two batches a processor at p = 4
 def listrank(p, **knobs):
     alg = CGMListRanking(wl.random_linked_list(N, seed=1), V)
     params = build_params(alg, MachineParams(p=p, M=1 << 16, D=2, B=8, b=b), V, k=K)
-    return make_engine(alg, params, engine="parallel", **knobs)
+    return make_engine(alg, params, **knobs)
 
 
 def reference():
@@ -62,7 +64,7 @@ def per_message(monkeypatch):
 # -- the cut and the deal ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("p", [2, 4])
 def test_each_round_cuts_full_packets_and_deals_them_evenly(monkeypatch, p):
     """Every packet of a round but its last holds ``b`` records, ``r``
     records make ``max(1, ceil(r/b))`` packets, each receiver gets
@@ -120,8 +122,9 @@ def test_full_packets_send_fewer_than_one_message_at_a_time(monkeypatch, p):
 def test_only_a_round_with_pieces_draws_a_deal_offset(monkeypatch):
     """TotalExchangeSum's superstep 1 is vp 0's alone: every other
     processor-round sends nothing, deals nothing and draws nothing, so the
-    draws are exactly the rounds that dealt; at ``p = 1`` nothing is drawn
-    and the offset is 0."""
+    draws are exactly the rounds that dealt.  At ``p = 1`` nothing is cut,
+    dealt or drawn: each round records the virtual machine's per-vp
+    packets, and the charge is their h-relation."""
     draws = []
     real = random.Random.randrange
 
@@ -132,11 +135,22 @@ def test_only_a_round_with_pieces_draws_a_deal_offset(monkeypatch):
     for p in (2, 1):
         alg = TotalExchangeSum()
         params = build_params(alg, MachineParams(p=p, M=1 << 16, D=2, B=4, b=8), 4, k=1)
-        engine = make_engine(alg, params, engine="parallel")
+        engine = make_engine(alg, params)
         draws.clear()
         monkeypatch.setattr(random.Random, "randrange", counting)
+        if p == 1:
+            monkeypatch.setattr(parsim, "deal", None)  # no network: no deal
         _out, report = engine.run()
         monkeypatch.undo()
+        if p == 1:
+            assert draws == []
+            # Superstep 1: vp 0 sends one record to each of the 4 vps, and
+            # the other rounds send nothing.
+            assert [t for t in report.supersteps[1].traffic if t] == [
+                ((0, 4, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1))]
+            assert [s.comm_packets for s in report.supersteps] == [
+                parsim.h_relation(s.traffic) for s in report.supersteps]
+            continue
         offsets = [
             offset
             for s in report.supersteps
@@ -144,11 +158,8 @@ def test_only_a_round_with_pieces_draws_a_deal_offset(monkeypatch):
             for _records, offset in round_ or ()
         ]
         assert None in offsets
-        if p == 1:
-            assert draws == [] and set(offsets) == {0, None}
-        else:
-            assert len(draws) == sum(o is not None for o in offsets)
-            assert draws == [(p,)] * len(draws)
+        assert len(draws) == sum(o is not None for o in offsets)
+        assert draws == [(p,)] * len(draws)
 
 
 # -- the exact scatter referee ----------------------------------------------------------
@@ -171,15 +182,12 @@ def test_the_referee_catches_a_planted_packet():
     assert any("comm_packets" in f.message for f in check_theorem1_io(report.params, report)[0])
 
 
-@pytest.mark.parametrize("p", [2, 4])
-def test_the_fuzzer_catches_and_shrinks_a_per_message_packetizer(monkeypatch, p):
-    """Planted: each message cut into its own packets.  The referee finds
-    ``comm_packets`` above what the records dealt make, and the fuzzer
-    shrinks the failing config to a replayable ReproCase."""
-    per_message(monkeypatch)
+def shrunk_failure(p, **profile):
+    """The first case a short fuzz of ``p``-processor runs fails, shrunk to
+    a replayable ReproCase that still fails on ``comm_packets``."""
     profile = dataclasses.replace(
-        QUICK, p_choices=(p,), workloads=("listrank",), baseline_rate=0.0,
-        crash_rate=0.0, fault_weights=(1.0, 0.0, 0.0),
+        QUICK, p_choices=(p,), baseline_rate=0.0, crash_rate=0.0,
+        fault_weights=(1.0, 0.0, 0.0), **profile,
     )
     stats = fuzz(seed=0, budget=5, profile=profile, shrink_budget=20)
     assert not stats.passed
@@ -187,6 +195,25 @@ def test_the_fuzzer_catches_and_shrinks_a_per_message_packetizer(monkeypatch, p)
     assert case.oracle == "theorem1_io" and "comm_packets" in case.message
     assert case.original is not None and case.original.p == p
     assert any("comm_packets" in f.message for f in run_case(case.config).failures)
+    return case
+
+
+def test_the_fuzzer_catches_and_shrinks_a_planted_packet_at_p1(monkeypatch):
+    """Planted: one packet more than the virtual machine's h-relation on a
+    one-processor machine, which the referee recomputes from each round's
+    per-vp tallies."""
+    real = parsim.h_relation
+    monkeypatch.setattr(parsim, "h_relation", lambda tallies: real(tallies) + 1)
+    assert "virtual machine's messages" in shrunk_failure(1).message
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_the_fuzzer_catches_and_shrinks_a_per_message_packetizer(monkeypatch, p):
+    """Planted: each message cut into its own packets.  The referee finds
+    ``comm_packets`` above what the records dealt make, and the fuzzer
+    shrinks the failing config to a replayable ReproCase."""
+    per_message(monkeypatch)
+    shrunk_failure(p, workloads=("listrank",))
 
 
 # -- planes, backends and recovery ------------------------------------------------------

@@ -83,24 +83,27 @@ def test_rule_routes_a_store_piled_onto_one_drive_a_group():
 # -- the fallback: traffic that piles each group onto one drive -----------------------
 
 
-def piled(engine="auto", **knobs):
+def piled(**knobs):
     """D = 8, k = 1, identity write permutations: every vp sends one block to
     each of 8 vps in destination order, so each cycle puts destination d on
     drive d and each fetch group's 8 blocks pile onto one drive.  Read as it
     stands that is 64 ops; Algorithm 2 plus its region's fetch is 54."""
     alg = AllToAllExchange()
     params = build_params(alg, MachineParams(p=1, M=1 << 13, D=8, B=8, b=16), 8, k=1)
-    return make_engine(alg, params, engine=engine, write_schedule="static", **knobs)
+    return make_engine(alg, params, write_schedule="static", **knobs)
 
 
-@pytest.mark.parametrize("engine", ["sequential", "parallel"])
-def test_fallback_runs_algorithm_2_where_the_store_piles(engine):
+# The ids name the machine: "sequential" is the one-processor machine.
+@pytest.mark.parametrize(
+    "backend", ["inline", "process"], ids=["sequential", "sequential-process"]
+)
+def test_fallback_runs_algorithm_2_where_the_store_piles(backend):
     want = run_reference(AllToAllExchange(), 8)[0]
     records = set()
     for knobs in (dict(storage="memory", **REFERENCE), dict(storage="memory", **FAST),
                   dict(storage="file", **FAST)):
-        outputs, report = piled(engine, **knobs).run()
-        assert check_outputs(engine, outputs, want) == []
+        outputs, report = piled(backend=backend, **knobs).run()
+        assert check_outputs(backend, outputs, want) == []
         first = report.supersteps[0]
         (routing,) = first.routing_stats()
         assert not routing.kept and routing.io_ops == first.phases.reorganize == 46
@@ -142,10 +145,9 @@ def _workload(kind, v, n_per):
     D=st.integers(2, 9),
     B=st.sampled_from([2, 4, 8]),
     schedule=st.sampled_from(WRITE_SCHEDULES),
-    engine=st.sampled_from(["sequential", "parallel"]),
     n_per=st.integers(8, 40),
 )
-def test_no_superstep_pays_more_than_algorithm_2(kind, v, kdiv, D, B, schedule, engine, n_per):
+def test_no_superstep_pays_more_than_algorithm_2(kind, v, kdiv, D, B, schedule, n_per):
     """Against the same run with Step 2 forced onto Algorithm 2: identical
     outputs and other phases; each Step 2 plus the fetch of what it left
     costs no more, and neither does the run up to any superstep."""
@@ -157,7 +159,7 @@ def test_no_superstep_pays_more_than_algorithm_2(kind, v, kdiv, D, B, schedule, 
         with pytest.MonkeyPatch.context() as mp:
             if route:
                 always_route(mp)
-            return make_engine(alg, params, engine=engine, write_schedule=schedule).run()
+            return make_engine(alg, params, write_schedule=schedule).run()
 
     out, rep = run(False)
     out_a2, rep_a2 = run(True)
@@ -231,17 +233,16 @@ def test_kill_resume_writes_a_kept_store_back_on_its_drives(backend):
     kept store of eight groups.  The portable checkpoint keeps each block's
     drive, so the resumed run charges, superstep for superstep, what the
     uninterrupted run charged — and the exact referee passes."""
-    engine = "parallel" if backend == "process" else "auto"
-    _out, golden = sort(engine=engine).run()
+    _out, golden = sort().run()
     dying = sort(
-        engine=engine, checkpoint=True, max_recoveries=0, retry=RetryPolicy(max_retries=2),
+        checkpoint=True, max_recoveries=0, retry=RetryPolicy(max_retries=2),
         faults=FaultPlan(seed=0, dead_disk=1, dead_after=400),
     )
     with pytest.raises(SimulationAborted) as exc_info:
         dying.run()
     ckpt = exc_info.value.checkpoint
     assert ckpt is not None and ckpt.step >= 3
-    outputs, report = sort(engine=engine, checkpoint=True, backend=backend).resume_from_checkpoint(ckpt)
+    outputs, report = sort(checkpoint=True, backend=backend).resume_from_checkpoint(ckpt)
     assert check_outputs("resumed", outputs, sort_reference()) == []
     assert report.faults.resumed_from_step == ckpt.step
     assert report.faults.recovery_io_ops > 0  # written back, not attached

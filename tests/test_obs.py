@@ -3,7 +3,7 @@ non-interference.
 
 The load-bearing invariant is the last one: ``simulate(..., observer=...)``
 may change *nothing* the model counts — outputs, ledgers, routing stats,
-reports — on any engine, any backend, fast or reference data plane, and it
+reports — at any p, on any backend, fast or reference data plane, and it
 must not force the arrays off the fast data plane (unlike ``IOTrace.attach``).
 """
 
@@ -15,7 +15,6 @@ import pytest
 from repro.algorithms.sorting import CGMSampleSort
 from repro.core.checkpoint import freeze
 from repro.core.parsim import ParallelEMSimulation
-from repro.core.seqsim import SequentialEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.core.stats import FaultReport, PhaseBreakdown
 from repro.obs import (
@@ -35,14 +34,11 @@ from repro.workloads import uniform_keys
 from .test_fastpath_golden import WORKLOADS, build
 
 
-def make_sim(engine, p=2, n=384, v=8, seed=0, **kwargs):
+def make_sim(p=2, n=384, v=8, seed=0, **kwargs):
     alg = CGMSampleSort(uniform_keys(n, seed=7), v=v)
-    machine = MachineParams(
-        p=1 if engine == "sequential" else p, M=1 << 18, D=4, B=16, b=32
-    )
+    machine = MachineParams(p=p, M=1 << 18, D=4, B=16, b=32)
     params = build_params(alg, machine, v=v)
-    cls = SequentialEMSimulation if engine == "sequential" else ParallelEMSimulation
-    return cls(alg, params, seed=seed, **kwargs)
+    return ParallelEMSimulation(alg, params, seed=seed, **kwargs)
 
 
 # -- metrics registry ---------------------------------------------------------------
@@ -221,29 +217,30 @@ def golden(sim):
 
 
 class TestGoldenNonInterference:
-    @pytest.mark.parametrize("engine", ["sequential", "parallel"])
+    # The ids name the machine: "sequential" is the one-processor machine.
+    @pytest.mark.parametrize("p", [1, 2], ids=["sequential", "parallel"])
     @pytest.mark.parametrize("fast", [False, True])
-    def test_observer_changes_nothing(self, engine, fast):
+    def test_observer_changes_nothing(self, p, fast):
         kw = {"context_cache": fast, "fast_io": fast}
         for make in WORKLOADS:
-            ref = golden(build(make, engine, p=2, **kw))
+            ref = golden(build(make, p, **kw))
             obs = Collector()
-            watched = golden(build(make, engine, p=2, observer=obs, **kw))
+            watched = golden(build(make, p, observer=obs, **kw))
             assert watched == ref, make.__name__  # byte-identical frozen blobs
             assert obs.spans and all(s.t1 is not None for s in obs.spans)
 
     def test_observer_changes_nothing_process_backend(self):
-        ref = golden(make_sim("parallel"))
+        ref = golden(make_sim())
         obs = Collector()
-        watched = golden(make_sim("parallel", backend="process", observer=obs))
+        watched = golden(make_sim(backend="process", observer=obs))
         assert watched == ref
 
     def test_observer_keeps_fast_data_plane(self):
         """Unlike IOTrace.attach, observing must not force the physical path."""
-        sim = make_sim("sequential", observer=Collector(), fast_io=True)
-        assert sim.array.fast_data_plane is True
+        sim = make_sim(1, observer=Collector(), fast_io=True)
+        assert sim.procs[0].array.fast_data_plane is True
         sim.run()
-        assert sim.array.fast_data_plane is True
+        assert sim.procs[0].array.fast_data_plane is True
 
     def test_simulate_front_door(self):
         alg = lambda: CGMSampleSort(uniform_keys(256, seed=7), v=4)  # noqa: E731
@@ -263,7 +260,7 @@ class TestWorkerMerge:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_inline_merge_per_processor(self, p):
         obs = Collector()
-        sim = make_sim("parallel", p=p, observer=obs)
+        sim = make_sim(p, observer=obs)
         sim.run()
         procs = {s.proc for s in obs.spans}
         assert procs == {None, *range(p)}
@@ -283,7 +280,7 @@ class TestWorkerMerge:
         shapes = []
         for backend in ("inline", "process"):
             obs = Collector()
-            make_sim("parallel", p=2, observer=obs, backend=backend).run()
+            make_sim(2, observer=obs, backend=backend).run()
             shapes.append(
                 sorted((s.name, -1 if s.proc is None else s.proc) for s in obs.spans)
             )
@@ -291,7 +288,7 @@ class TestWorkerMerge:
 
     def test_process_backend_counts_pipe_bytes(self):
         obs = Collector()
-        sim = make_sim("parallel", p=2, observer=obs, backend="process")
+        sim = make_sim(2, observer=obs, backend="process")
         sim.run()
         snap = obs.metrics.snapshot()
         assert snap["backend/tx_bytes"]["value"] > 0
@@ -301,9 +298,9 @@ class TestWorkerMerge:
 # -- exporters ----------------------------------------------------------------------
 
 
-def run_observed(tmp_path=None, engine="sequential", **kw):
+def run_observed(tmp_path=None, p=1, **kw):
     obs = Collector()
-    make_sim(engine, observer=obs, **kw).run()
+    make_sim(p, observer=obs, **kw).run()
     return obs
 
 
@@ -356,7 +353,7 @@ class TestChromeTrace:
     def test_p2_process_backend_trace(self, tmp_path):
         """The acceptance-criteria trace: p=2 process-backend sort with one
         track per real processor plus the engine track."""
-        obs = run_observed(engine="parallel", backend="process")
+        obs = run_observed(p=2, backend="process")
         path = str(tmp_path / "trace.json")
         write_chrome_trace(obs, path)
         trace = json.load(open(path))

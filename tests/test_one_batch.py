@@ -61,19 +61,14 @@ def reference_outputs(shape):
     return run_reference(CGMListRanking(wl.random_linked_list(N, seed=1), v), v)[0]
 
 
-def planes(shape):
-    out = [
-        ("memory-reference", dict(storage="memory", **REFERENCE)),
-        ("memory-fast", dict(storage="memory", **FAST)),
-        ("file-reference", dict(storage="file", **REFERENCE)),
-        ("file-fast", dict(storage="file", **FAST)),
-    ]
-    if SHAPES[shape]["p"] > 1:
-        out += [
-            ("memory-fast-process", dict(storage="memory", backend="process", **FAST)),
-            ("file-reference-process", dict(storage="file", backend="process", **REFERENCE)),
-        ]
-    return out
+PLANES = [
+    ("memory-reference", dict(storage="memory", **REFERENCE)),
+    ("memory-fast", dict(storage="memory", **FAST)),
+    ("file-reference", dict(storage="file", **REFERENCE)),
+    ("file-fast", dict(storage="file", **FAST)),
+    ("memory-fast-process", dict(storage="memory", backend="process", **FAST)),
+    ("file-reference-process", dict(storage="file", backend="process", **REFERENCE)),
+]
 
 
 def assert_nothing_reorganized(report):
@@ -95,7 +90,7 @@ def test_every_plane_reads_the_kept_store(shape, schedule):
     and the exact Theorem 1 layer (fetch == heaviest drive) holds."""
     want = reference_outputs(shape)
     records = {}
-    for name, knobs in planes(shape):
+    for name, knobs in PLANES:
         outputs, report = build(shape, write_schedule=schedule, **knobs).run()
         assert check_outputs(name, outputs, want) == []
         assert_nothing_reorganized(report)

@@ -1,9 +1,7 @@
-"""Integration tests for Algorithm 3 (parallel EM simulation)."""
+"""Integration tests for Algorithm 3 (the EM simulation on p processors)."""
 
 import pytest
 
-from repro.bsp.runner import run_reference
-from repro.core.parsim import ParallelEMSimulation
 from repro.params import BSPParams, MachineParams, ParameterError, SimulationParams
 
 from .helpers import (
@@ -12,18 +10,8 @@ from .helpers import (
     NoCommunication,
     RingShift,
     TotalExchangeSum,
+    run_on,
 )
-
-
-def make_params(alg, v, p=2, D=2, B=16, k=None):
-    mu = alg.context_size()
-    M = max(mu * (k or 2), D * B)
-    return SimulationParams(
-        machine=MachineParams(p=p, M=M, D=D, B=B, b=B),
-        bsp=BSPParams(v=v, mu=mu, gamma=max(alg.comm_bound(), 1)),
-        k=k,
-    )
-
 
 ALGS = [
     lambda: RingShift(payload_size=4, rounds=2),
@@ -37,29 +25,20 @@ ALGS = [
 @pytest.mark.parametrize("alg_factory", ALGS)
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_transparency_vs_reference(alg_factory, p):
-    v = 8
-    ref_out, _ = run_reference(alg_factory(), v)
-    params = make_params(alg_factory(), v, p=p, k=2)
-    em_out, _ = ParallelEMSimulation(alg_factory(), params, seed=7).run()
+    em_out, _, ref_out = run_on(alg_factory, p=p, seed=7)
     assert em_out == ref_out
 
 
 @pytest.mark.parametrize("D", [1, 3])
 @pytest.mark.parametrize("k", [1, 4])
 def test_transparency_across_k_and_D(D, k):
-    v = 16
-    ref_out, _ = run_reference(AllToAllExchange(), v)
-    params = make_params(AllToAllExchange(), v, p=2, D=D, k=k)
-    em_out, _ = ParallelEMSimulation(AllToAllExchange(), params, seed=11).run()
+    em_out, _, ref_out = run_on(AllToAllExchange, p=2, D=D, k=k, v=16, seed=11)
     assert em_out == ref_out
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_transparency_independent_of_seed(seed):
-    v = 12
-    ref_out, _ = run_reference(TotalExchangeSum(), v)
-    params = make_params(TotalExchangeSum(), v, p=3, k=2)
-    em_out, _ = ParallelEMSimulation(TotalExchangeSum(), params, seed=seed).run()
+    em_out, _, ref_out = run_on(TotalExchangeSum, p=3, v=12, seed=seed)
     assert em_out == ref_out
 
 
@@ -74,28 +53,21 @@ def test_v_must_divide_into_whole_groups():
 
 
 def test_communication_is_charged():
-    v = 8
-    params = make_params(AllToAllExchange(), v, p=2, k=2)
-    _, report = ParallelEMSimulation(AllToAllExchange(), params, seed=1).run()
+    _, report, _ = run_on(AllToAllExchange, p=2, seed=1)
     assert report.ledger.total_comm_packets > 0
 
 
 def test_io_is_charged_per_processor_max():
-    v = 8
-    params = make_params(MultiRoundAccumulate(rounds=2), v, p=2, k=2)
-    _, report = ParallelEMSimulation(
-        MultiRoundAccumulate(rounds=2), params, seed=1
-    ).run()
+    _, report, _ = run_on(lambda: MultiRoundAccumulate(rounds=2), p=2, seed=1)
     assert report.io_ops > 0
     assert report.io_ops == report.ledger.total_io_ops
 
 
 def test_syncs_scale_with_rounds():
-    v = 16
-    params = make_params(MultiRoundAccumulate(rounds=2), v, p=2, k=2)
-    _, report = ParallelEMSimulation(
-        MultiRoundAccumulate(rounds=2), params, seed=1
-    ).run()
+    _, report, _ = run_on(lambda: MultiRoundAccumulate(rounds=2), p=2, v=16, seed=1)
     # Each compound superstep runs v/(p*k)=4 rounds with >=2 barriers each.
     for s in report.ledger.supersteps:
         assert s.syncs >= 2 * 4
+    # With one processor there is no network: Step 2's barrier alone.
+    _, report, _ = run_on(lambda: MultiRoundAccumulate(rounds=2), v=16, seed=1)
+    assert {s.syncs for s in report.ledger.supersteps} == {1}

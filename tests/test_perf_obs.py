@@ -7,7 +7,7 @@ Two surfaces (DESIGN §11), three invariants:
   the profiled wall-clock;
 * profiling and event streaming are strictly read-only — the golden matrix
   proves counted costs, ledgers, and outputs are byte-identical with the
-  observatory on or off, across engines × backends × storage planes;
+  observatory on or off, across machines × backends × storage planes;
 * the disabled path (``NULL_OBSERVER``/``NULL_PROFILER``) costs ~nothing —
   the overhead guard hard-asserts counted identity and soft-checks wall.
 """
@@ -264,8 +264,11 @@ class TestRunStartedNamesThePlane:
     reader of the stream knows which plane the wall-clock was spent on."""
 
     @pytest.mark.parametrize(
-        "engine,backend,p",
-        [("sequential", "inline", 1), ("parallel", "process", 2)],
+        "backend,p",
+        [
+            pytest.param("inline", 1, id="sequential-inline-1"),
+            pytest.param("process", 2, id="parallel-process-2"),
+        ],
     )
     @pytest.mark.parametrize(
         "storage,knobs,fast",
@@ -273,13 +276,13 @@ class TestRunStartedNamesThePlane:
         ids=["default-memory", "default-file", "reference-memory"],
     )
     def test_resolved_knobs_in_meta(
-        self, engine, backend, p, storage, knobs, fast, tmp_path
+        self, backend, p, storage, knobs, fast, tmp_path
     ):
         alg = CGMSampleSort(uniform_keys(256, seed=7), v=4)
         machine = MachineParams(p=p, M=1 << 18, D=2, B=16, b=32)
         with RunEventLog(tmp_path / "run.jsonl") as events:
             simulate(
-                alg, machine, v=4, engine=engine, backend=backend,
+                alg, machine, v=4, backend=backend,
                 storage=storage, events=events, **knobs,
             )
         started = read_events(events.path, strict=True)[0]
@@ -288,6 +291,8 @@ class TestRunStartedNamesThePlane:
         assert (meta["storage"], meta["fast_io"], meta["context_cache"]) == (
             storage, fast, fast,
         )
+        # One engine: the event names where its processors ran, not which.
+        assert meta["backend"] == backend and "engine" not in meta
         line = format_event(started)
         assert f"fast_io={fast}" in line and f"context_cache={fast}" in line
 
@@ -295,23 +300,20 @@ class TestRunStartedNamesThePlane:
 # -- golden byte-identity matrix ----------------------------------------------------
 
 
-def run_golden(engine, backend, storage, observed, tmp_path):
+def run_golden(p, backend, storage, observed, tmp_path):
     alg = CGMSampleSort(uniform_keys(384, seed=7), v=8)
-    machine = MachineParams(
-        p=1 if engine == "sequential" else 2, M=1 << 18, D=4, B=16, b=32
-    )
+    machine = MachineParams(p=p, M=1 << 18, D=4, B=16, b=32)
     kw = {}
     obs = events = None
     if observed:
         obs = Collector(profile=True)
         events = RunEventLog(
-            tmp_path / f"{engine}-{backend}-{storage}.jsonl",
+            tmp_path / f"p{p}-{backend}-{storage}.jsonl",
             expected_steps=4,
         )
         kw = {"observer": obs, "events": events}
     outputs, report = simulate(
-        alg, machine, v=8, engine=engine, backend=backend, storage=storage,
-        **kw,
+        alg, machine, v=8, backend=backend, storage=storage, **kw,
     )
     if events is not None:
         events.close()
@@ -328,28 +330,28 @@ def run_golden(engine, backend, storage, observed, tmp_path):
     return blob, obs, events
 
 
+# The ids name the machine: "sequential" is p = 1, "parallel" p = 2.
 MATRIX = [
-    ("sequential", "inline", "memory"),
-    ("sequential", "inline", "file"),
-    ("parallel", "inline", "memory"),
-    ("parallel", "inline", "file"),
-    ("parallel", "process", "memory"),
-    ("parallel", "process", "file"),
+    pytest.param(p, backend, storage, id=f"{name}-{backend}-{storage}")
+    for name, p, backend in (
+        ("sequential", 1, "inline"), ("parallel", 2, "inline"), ("parallel", 2, "process")
+    )
+    for storage in ("memory", "file")
 ]
 
 
 class TestGoldenProfilingMatrix:
-    @pytest.mark.parametrize("engine,backend,storage", MATRIX)
+    @pytest.mark.parametrize("p,backend,storage", MATRIX)
     def test_profiling_and_events_change_nothing(
-        self, engine, backend, storage, tmp_path
+        self, p, backend, storage, tmp_path
     ):
-        ref, _, _ = run_golden(engine, backend, storage, False, tmp_path)
-        got, obs, events = run_golden(engine, backend, storage, True, tmp_path)
+        ref, _, _ = run_golden(p, backend, storage, False, tmp_path)
+        got, obs, events = run_golden(p, backend, storage, True, tmp_path)
         assert got == ref  # byte-identical frozen blobs
 
         # The profile is real and schema-valid ...
         report = build_report(
-            obs, meta={"engine": engine, "backend": backend}
+            obs, meta={"p": p, "backend": backend}
         )
         validate_report_dict(report.to_dict())
         assert report.wall > 0 and report.track_totals()
@@ -386,8 +388,8 @@ class TestAttribution:
 class TestOverheadGuard:
     def test_null_observer_counted_identity_and_wall_budget(self, tmp_path):
         """S2: instrumentation must not move a counted cost; wall is soft."""
-        ref, _, _ = run_golden("sequential", "inline", "memory", False, tmp_path)
-        got, _, _ = run_golden("sequential", "inline", "memory", True, tmp_path)
+        ref, _, _ = run_golden(1, "inline", "memory", False, tmp_path)
+        got, _, _ = run_golden(1, "inline", "memory", True, tmp_path)
         assert got == ref  # hard: counted identity
 
         def wall(observed):

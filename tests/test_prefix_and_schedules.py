@@ -8,7 +8,7 @@ import pytest
 from repro import workloads
 from repro.algorithms.prefix import CGMPrefixSums
 from repro.bsp.runner import run_reference
-from repro.core.seqsim import SequentialEMSimulation
+from repro.core.parsim import ParallelEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
@@ -145,7 +145,7 @@ class TestBalanceSchedule:
         params = build_params(alg, MACHINE.with_(M=2 * alg.context_size()), v=8, k=2)
         ref, _ = run_reference(AllToAllExchange(), 8)
         for schedule in ("random", "rotate", "static", "balance"):
-            out, _ = SequentialEMSimulation(
+            out, _ = ParallelEMSimulation(
                 AllToAllExchange(), params, write_schedule=schedule
             ).run()
             assert out == ref
@@ -158,7 +158,7 @@ class TestBalanceSchedule:
         params = build_params(alg, MACHINE.with_(M=2 * alg.context_size()), v=8, k=2)
         reports = []
         for seed in (11, 22):
-            _, report = SequentialEMSimulation(
+            _, report = ParallelEMSimulation(
                 AllToAllExchange(), params, seed=seed, write_schedule="balance"
             ).run()
             reports.append(

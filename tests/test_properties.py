@@ -20,10 +20,8 @@ from repro.bsp.collectives import (
     regular_samples,
     share_bounds,
 )
-from repro.bsp.runner import run_reference
-from repro.core.parsim import deal
+from repro.core.parsim import ParallelEMSimulation, deal
 from repro.core.routing import simulate_routing
-from repro.core.seqsim import SequentialEMSimulation
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
 from repro.emio.layout import (
@@ -35,7 +33,7 @@ from repro.emio.layout import (
 from repro.emio.linked import LinkedBuckets
 from repro.params import BSPParams, MachineParams, SimulationParams
 
-from .helpers import AllToAllExchange, MultiRoundAccumulate
+from .helpers import AllToAllExchange, MultiRoundAccumulate, run_on
 
 slow = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -346,17 +344,7 @@ def test_routing_conserves_blocks(dests, D, seed):
 )
 @settings(max_examples=15, deadline=None)
 def test_seqsim_transparency_random_params(D, B, k, seed):
-    v = 8
-    alg = MultiRoundAccumulate(rounds=3)
-    ref, _ = run_reference(MultiRoundAccumulate(rounds=3), v)
-    params = SimulationParams(
-        machine=MachineParams(p=1, M=max(alg.context_size() * k, D * B), D=D, B=B, b=B),
-        bsp=BSPParams(v=v, mu=alg.context_size(), gamma=alg.comm_bound()),
-        k=k,
-    )
-    out, _ = SequentialEMSimulation(
-        MultiRoundAccumulate(rounds=3), params, seed=seed
-    ).run()
+    out, _, ref = run_on(lambda: MultiRoundAccumulate(rounds=3), D=D, B=B, k=k, seed=seed)
     assert out == ref
 
 
@@ -373,7 +361,7 @@ def test_ledger_total_is_sum_of_components(seed):
         bsp=BSPParams(v=v, mu=alg.context_size(), gamma=alg.comm_bound()),
         k=2,
     )
-    _, report = SequentialEMSimulation(AllToAllExchange(), params, seed=seed).run()
+    _, report = ParallelEMSimulation(AllToAllExchange(), params, seed=seed).run()
     led = report.ledger
     m = led.machine
     total = sum(

@@ -2,12 +2,12 @@
 
 An algorithm declares vp ``pid`` quiet in superstep ``step``
 (``BSPAlgorithm.quiet``): with an empty inbox it sends nothing, charges
-nothing, leaves its state unchanged and does not vote halt.  Both engines
-then skip each group (Algorithm 3: batch) whose vps are all quiet and which
-receives nothing — no context fetch, no compute, no write-back, no packing —
-except the first and last groups of the superstep's order, which carry the
-resident group across the barriers.  These tests hold the reference runner to
-checking the declaration, the engines to "same outputs, never dearer" against
+nothing, leaves its state unchanged and does not vote halt.  The engine
+then skips each group (batch) whose vps are all quiet and which receives
+nothing — no fetch, no compute, no write-back, no packing — except the
+first and last groups of the superstep's order, which carry the resident
+group across the barriers.  These tests hold the reference runner to
+checking the declaration, the engine to "same outputs, never dearer" against
 the same algorithm with nothing declared, the restated Theorem 1 referee to
 miscounts planted across a skip, the recovery paths to skipped groups, and the
 conformance fuzzer to catching a wrong declaration.
@@ -154,21 +154,18 @@ def _workload(kind: str, v: int, n_per: int) -> BSPAlgorithm:
     kdiv=st.sampled_from([1, 2, 4]),
     D=st.integers(2, 5),
     B=st.sampled_from([4, 8]),
-    engine=st.sampled_from(["sequential", "parallel"]),
     storage=st.sampled_from(["memory", "file"]),
     records=st.sampled_from(["object", "vector"]),
     n_per=st.integers(8, 40),
 )
 def test_skipping_quiet_groups_changes_nothing_but_the_context_swaps(
-    kind, p, v, kdiv, D, B, engine, storage, records, n_per
+    kind, p, v, kdiv, D, B, storage, records, n_per
 ):
     """Against the same algorithm with nothing declared: byte-identical
     outputs, the same messages, packets, blocks and operations superstep for
     superstep, context swaps never dearer — strictly cheaper in a superstep
     that skips a group — and the exact referee on both sides."""
     assume(records in _workload(kind, v, n_per).RECORD_MODES)
-    if p > 1:
-        engine = "parallel"
     k = max(1, v // p // kdiv)
 
     def run(declared: bool):
@@ -176,7 +173,7 @@ def test_skipping_quiet_groups_changes_nothing_but_the_context_swaps(
         if not declared:
             declared_nothing(alg)
         params = build_params(alg, MachineParams(p=p, M=1 << 18, D=D, B=B, b=2 * B), v, k=k)
-        return make_engine(alg, params, engine=engine, storage=storage, records=records).run()
+        return make_engine(alg, params, storage=storage, records=records).run()
 
     (out, rep), (out_all, rep_all) = run(True), run(False)
     assert pickle.dumps(plain_outputs(out)) == pickle.dumps(plain_outputs(out_all))
@@ -233,12 +230,12 @@ def sort_reference():
     return run_reference(CGMSampleSort(wl.uniform_keys(SORT_N, seed=2), SORT_V), SORT_V)[0]
 
 
-@pytest.mark.parametrize("p,engine", [(1, "sequential"), (1, "parallel"), (2, "parallel")])
-def test_the_sort_runs_only_the_groups_that_work_at_superstep_1(p, engine):
+@pytest.mark.parametrize("p", [1, 2], ids=["1-sequential", "2-parallel"])
+def test_the_sort_runs_only_the_groups_that_work_at_superstep_1(p):
     """Superstep 1 runs its first and last groups and vp 0's; with one
     processor that skips five of eight, with two one batch of four."""
-    _out, report = sort(p, engine=engine).run()
-    _out, every = sort(p, declared=False, engine=engine).run()
+    _out, report = sort(p).run()
+    _out, every = sort(p, declared=False).run()
     ngroups = SORT_V // p // SORT_K
     order = group_order(1, ngroups)
     ran = [g for g, _f, _w in report.supersteps[1].ran]
@@ -259,7 +256,7 @@ def test_the_referee_pins_a_fetch_to_the_write_before_the_skip(p):
     wrote it back.  A miscount planted on that fetch, or on that write, is
     caught — and the old rule (each fetch equals the superstep before's
     write-back) no longer holds on an honest run."""
-    _outputs, report = sort(p, engine="parallel").run()
+    _outputs, report = sort(p).run()
     assert check_theorem1_io(report.params, report)[0] == []
     s0, s1, s2 = report.supersteps[:3]
     assert s2.phases.fetch_context != s1.phases.write_context
@@ -304,9 +301,9 @@ def test_the_referee_pins_the_input_load_to_first_fetches_after_a_skip():
 def test_kill_resume_across_skipped_groups_charges_what_the_run_did(backend):
     """A drive dies after superstep 1 skipped its groups; the resumed run
     charges, superstep for superstep, what the uninterrupted run did."""
-    _out, golden = sort(2, engine="parallel").run()
+    _out, golden = sort(2).run()
     dying = sort(
-        2, engine="parallel", checkpoint=True, max_recoveries=0,
+        2, checkpoint=True, max_recoveries=0,
         retry=RetryPolicy(max_retries=2),
         faults=FaultPlan(seed=0, dead_disk=1, dead_after=120, dead_proc=1),
     )
@@ -315,7 +312,7 @@ def test_kill_resume_across_skipped_groups_charges_what_the_run_did(backend):
     ckpt = exc_info.value.checkpoint
     assert ckpt is not None and ckpt.step >= 2
     outputs, report = sort(
-        2, engine="parallel", checkpoint=True, backend=backend
+        2, checkpoint=True, backend=backend
     ).resume_from_checkpoint(ckpt)
     assert check_outputs("resumed", outputs, sort_reference()) == []
     assert report.faults.resumed_from_step == ckpt.step

@@ -177,18 +177,15 @@ def _workload(kind, v, n_per):
     kdiv=st.sampled_from([1, 2, 4]),
     D=st.integers(2, 6),
     B=st.sampled_from([4, 8]),
-    engine=st.sampled_from(["sequential", "parallel"]),
     n_per=st.integers(8, 40),
 )
 def test_holding_a_group_saves_context_swaps_and_changes_nothing_else(
-    kind, p, v, kdiv, D, B, engine, n_per
+    kind, p, v, kdiv, D, B, n_per
 ):
     """Against the same run writing every group back: identical outputs and
     message phases; every context phase, the input load and the output
     unload are strictly cheaper (each skips one group), and 0 with one group
     a processor."""
-    if p > 1:
-        engine = "parallel"
     k = max(1, v // p // kdiv)
 
     def run(write_back):
@@ -197,7 +194,7 @@ def test_holding_a_group_saves_context_swaps_and_changes_nothing_else(
         with pytest.MonkeyPatch.context() as mp:
             if write_back:
                 write_everything_back(mp)
-            return make_engine(alg, params, engine=engine).run()
+            return make_engine(alg, params).run()
 
     out, rep = run(False)
     out_all, rep_all = run(True)

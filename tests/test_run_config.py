@@ -1,7 +1,7 @@
 """One run config: the engine knobs are one frozen object, checked once.
 
 ``RunConfig`` holds every knob of how the host runs a simulation; ``simulate``,
-``make_engine`` and both engines take it as ``config=`` and fold keyword
+``make_engine`` and the engine take it as ``config=`` and fold keyword
 knobs into it at one place.  These tests pin the object itself (frozen,
 picklable with its plans inside, keywords over ``config=``, the reference
 plane), the refusals it makes before anything is claimed, written or loaded,
@@ -22,7 +22,8 @@ from repro.algorithms.graphs import CGMListRanking
 from repro.algorithms.sorting import CGMSampleSort
 from repro.conform import REFERENCE
 from repro.conform.oracles import plain_outputs
-from repro.core import ParallelEMSimulation, RunConfig, SequentialEMSimulation
+from repro.core import ParallelEMSimulation, RunConfig
+from repro.core.engine import EMEngine
 from repro.core.processor import RealProcessor
 from repro.core.simulator import build_params, make_engine, simulate
 from repro.crashcheck import explore
@@ -79,14 +80,14 @@ def test_frozen_and_pickles_with_its_plans_inside():
     assert back.faults == cfg.faults and back.crash == cfg.crash
 
 
-def test_fields_are_the_sixteen_knobs_with_their_defaults():
+def test_fields_are_the_fifteen_knobs_with_their_defaults():
     assert RunConfig() == RunConfig(
-        engine="auto", backend="inline", seed=0, storage="memory", storage_dir=None,
+        backend="inline", seed=0, storage="memory", storage_dir=None,
         fast_io=None, context_cache=None, records=None, faults=None, retry=None,
         checkpoint=False, max_recoveries=8, crash=None, write_schedule=None,
         pad_to_gamma=False, enforce_gamma=True,
     )
-    assert len(FIELDS) == 16
+    assert len(FIELDS) == 15
 
 
 def test_a_keyword_overrides_the_same_field_of_config():
@@ -106,10 +107,11 @@ def test_a_keyword_overrides_the_same_field_of_config():
     [
         lambda: simulate(sort(), machine(), V, bogus_knob=1),
         lambda: make_engine(sort(), params(sort()), bogus_knob=1),
-        lambda: SequentialEMSimulation(sort(), params(sort()), bogus_knob=1),
         lambda: ParallelEMSimulation(sort(), params(sort()), bogus_knob=1),
+        lambda: ParallelEMSimulation(sort(), params(sort(), p=2), bogus_knob=1),
         lambda: RunConfig.of(RunConfig(), bogus_knob=1),
     ],
+    # "sequential" is the one-processor machine, "parallel" a two-processor one.
     ids=["simulate", "make_engine", "sequential", "parallel", "of"],
 )
 def test_an_unknown_knob_is_a_type_error_naming_it(build):
@@ -129,13 +131,17 @@ def test_reference_dict_is_the_reference_plane():
 
 
 def test_pad_to_gamma_is_refused_by_name_on_the_parallel_engine(private_tmpdir):
-    with pytest.raises(ParameterError, match="pad_to_gamma"):
-        ParallelEMSimulation(sort(), params(sort()), pad_to_gamma=True, storage="file")
-    with pytest.raises(ParameterError, match="pad_to_gamma"):
-        simulate(sort(), machine(), V, engine="parallel", pad_to_gamma=True)
+    """Lemma 3's padding is Algorithm 1's: refused on a machine of p > 1,
+    by a message naming p."""
+    with pytest.raises(ParameterError, match="pad_to_gamma.*p=2"):
+        ParallelEMSimulation(
+            sort(), params(sort(), p=2), pad_to_gamma=True, storage="file"
+        )
+    with pytest.raises(ParameterError, match="pad_to_gamma.*p=2"):
+        simulate(sort(), machine(2), V, pad_to_gamma=True)
     assert os.listdir(private_tmpdir) == []
     # ... and honoured where it means something.
-    _out, rep = SequentialEMSimulation(sort(), params(sort()), pad_to_gamma=True).run()
+    _out, rep = simulate(sort(), machine(), V, pad_to_gamma=True)
     assert rep.io_ops > simulate(sort(), machine(), V)[1].io_ops
 
 
@@ -146,7 +152,6 @@ def test_pad_to_gamma_is_refused_by_name_on_the_parallel_engine(private_tmpdir):
 @pytest.mark.parametrize(
     "field,value,allowed",
     [
-        ("engine", "quantum", "('auto', 'sequential', 'parallel')"),
         ("backend", "proces", "('inline', 'process')"),
         ("storage", "cloud", "('memory', 'file', 'mmap')"),
         ("records", "vec", "('object', 'vector')"),
@@ -190,15 +195,6 @@ def test_misspelled_backend_names_backend_and_its_choices(p, private_tmpdir):
     assert "backend" in msg and "('inline', 'process')" in msg
     assert "parallel engine" not in msg
     assert os.listdir(private_tmpdir) == []
-
-
-def test_process_backend_on_the_sequential_engine_keeps_its_two_knob_message():
-    with pytest.raises(ValueError) as ei:
-        simulate(sort(), machine(), V, engine="sequential", backend="process")
-    msg = str(ei.value)
-    for part in ("backend='process'", "engine='sequential'", "engine='parallel'",
-                 "backend='inline'"):
-        assert part in msg
 
 
 def test_unsupported_record_mode_is_refused_before_a_root_is_claimed(private_tmpdir):
@@ -246,12 +242,7 @@ def test_records_reach_the_algorithm_once_on_every_entry(p):
     want = _image(*simulate(ModeProbe(SUCC, V), m, V, records="vector"))
     alg = ModeProbe(SUCC, V)
     prm = build_params(alg, m, V)
-    if p == 1:
-        got = _image(*SequentialEMSimulation(alg, prm, records="vector").run())
-    else:
-        got = _image(
-            *ParallelEMSimulation(alg, prm, backend="process", records="vector").run()
-        )
+    got = _image(*ParallelEMSimulation(alg, prm, backend="process", records="vector").run())
     assert got == want
     assert alg.record_mode == "vector"
     with pytest.raises(RuntimeError, match="record_mode='object'"):
@@ -307,7 +298,8 @@ def test_no_function_in_core_relists_a_knob():
 
 
 def test_the_engines_share_one_constructor():
-    assert "__init__" not in SequentialEMSimulation.__dict__
+    """Algorithms 1 and 3 are one engine, built by the lifecycle's constructor."""
     assert "__init__" not in ParallelEMSimulation.__dict__
-    # index, algorithm, params, config, spec, observe, profile, sole
-    assert len(inspect.signature(RealProcessor.__init__).parameters) - 1 <= 8
+    assert ParallelEMSimulation.__init__ is EMEngine.__init__
+    # index, algorithm, params, config, spec, observe, profile
+    assert len(inspect.signature(RealProcessor.__init__).parameters) - 1 <= 7

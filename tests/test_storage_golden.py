@@ -5,8 +5,9 @@ Counted I/O is defined by the model and charged before any data moves
 files, or mmap — must be invisible to everything the model counts: outputs,
 the cost ledger, per-superstep phase breakdowns, routing statistics, and
 the physical I/O trace.  These tests pin that invariant over the same
-matrix as ``test_fastpath_golden.py``: engines x backends x fast-path knobs
-x fault injection x checkpoint/kill-resume, for each non-memory plane.
+matrix as ``test_fastpath_golden.py``: p = 1 and p = 4 x backends x
+fast-path knobs x fault injection x checkpoint/kill-resume, for each
+non-memory plane.
 """
 
 import pytest
@@ -33,20 +34,20 @@ class TestSequentialPlanes:
     @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_equals_memory(self, make, plane):
-        ref = golden(build(make, "sequential", **REFERENCE))
-        got = golden(build(make, "sequential", storage=plane))
+        ref = golden(build(make, 1, **REFERENCE))
+        got = golden(build(make, 1, storage=plane))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_with_fast_knobs(self, plane):
-        ref = golden(build(make_sort, "sequential", **REFERENCE))
-        got = golden(build(make_sort, "sequential", storage=plane, **FAST))
+        ref = golden(build(make_sort, 1, **REFERENCE))
+        got = golden(build(make_sort, 1, storage=plane, **FAST))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_with_checkpointing(self, plane):
-        ref = golden(build(make_sort, "sequential", checkpoint=True, **REFERENCE))
-        got = golden(build(make_sort, "sequential", checkpoint=True, storage=plane))
+        ref = golden(build(make_sort, 1, checkpoint=True, **REFERENCE))
+        got = golden(build(make_sort, 1, checkpoint=True, storage=plane))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
@@ -54,8 +55,8 @@ class TestSequentialPlanes:
         """The physical operation stream itself is plane-independent."""
         sims, traces = [], []
         for kwargs in (REFERENCE, {"storage": plane}):
-            sim = build(make_sort, "sequential", **kwargs)
-            traces.append(IOTrace.attach(sim.array))
+            sim = build(make_sort, 1, **kwargs)
+            traces.append(IOTrace.attach(sim.procs[0].array))
             sims.append(sim)
         assert golden(sims[1]) == golden(sims[0])
         ref_ops, got_ops = [
@@ -69,8 +70,8 @@ class TestParallelPlanes:
     @pytest.mark.parametrize("make", WORKLOADS)
     @pytest.mark.parametrize("plane", PLANES)
     def test_plane_inline_equals_memory(self, make, plane):
-        ref = golden(build(make, "parallel", **REFERENCE))
-        got = golden(build(make, "parallel", storage=plane))
+        ref = golden(build(make, 4, **REFERENCE))
+        got = golden(build(make, 4, storage=plane))
         assert got == ref
 
     @pytest.mark.parametrize("plane", PLANES)
@@ -78,14 +79,14 @@ class TestParallelPlanes:
         """Each worker claims its own per-processor storage subdirectory;
         the counted run must still match the inline memory reference."""
         for make in WORKLOADS:
-            ref = golden(build(make, "parallel", **REFERENCE))
-            got = golden(build(make, "parallel", backend="process", storage=plane))
+            ref = golden(build(make, 4, **REFERENCE))
+            got = golden(build(make, 4, backend="process", storage=plane))
             assert got == ledger_only(ref), make.__name__
 
     def test_plane_process_fast_knobs_together(self):
-        ref = golden(build(make_sort, "parallel", **REFERENCE))
+        ref = golden(build(make_sort, 4, **REFERENCE))
         got = golden(
-            build(make_sort, "parallel", backend="process", storage="file", **FAST)
+            build(make_sort, 4, backend="process", storage="file", **FAST)
         )
         assert got == ledger_only(ref)
 
@@ -100,7 +101,7 @@ class TestFaultsOnPlanes:
             return golden(
                 build(
                     make_sort,
-                    "sequential",
+                    1,
                     faults=plan,
                     retry=RetryPolicy(),
                     checkpoint=True,
@@ -119,7 +120,7 @@ class TestFaultsOnPlanes:
             return golden(
                 build(
                     make_sort,
-                    "sequential",
+                    1,
                     faults=plan,
                     retry=RetryPolicy(),
                     checkpoint=True,
@@ -133,11 +134,11 @@ class TestFaultsOnPlanes:
     def test_kill_and_resume_onto_plane(self, plane):
         """A run killed on the memory plane resumes onto a file/mmap engine
         via the portable checkpoint blobs (different root: no re-attach)."""
-        expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
+        expected = golden(build(make_sort, 1, **REFERENCE))["outputs"]
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=22)
         dying = build(
             make_sort,
-            "sequential",
+            1,
             faults=plan,
             retry=RetryPolicy(max_retries=2),
             checkpoint=True,
@@ -148,7 +149,7 @@ class TestFaultsOnPlanes:
         ckpt = exc_info.value.checkpoint
         assert ckpt is not None
 
-        fresh = build(make_sort, "sequential", checkpoint=True, storage=plane)
+        fresh = build(make_sort, 1, checkpoint=True, storage=plane)
         outputs, report = fresh.resume_from_checkpoint(ckpt)
         assert outputs == expected
         assert report.faults.resumed_from_step == ckpt.step
@@ -157,11 +158,11 @@ class TestFaultsOnPlanes:
     def test_kill_on_plane_resume_on_memory(self, plane):
         """The reverse direction: checkpoints taken on a non-memory plane
         stay portable (the pickled state blobs are plane-independent)."""
-        expected = golden(build(make_sort, "sequential", **REFERENCE))["outputs"]
+        expected = golden(build(make_sort, 1, **REFERENCE))["outputs"]
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=22)
         dying = build(
             make_sort,
-            "sequential",
+            1,
             faults=plan,
             retry=RetryPolicy(max_retries=2),
             checkpoint=True,
@@ -173,7 +174,7 @@ class TestFaultsOnPlanes:
         ckpt = exc_info.value.checkpoint
         assert ckpt is not None
 
-        fresh = build(make_sort, "sequential", checkpoint=True)
+        fresh = build(make_sort, 1, checkpoint=True)
         outputs, report = fresh.resume_from_checkpoint(ckpt)
         assert outputs == expected
         assert report.faults.resumed_from_step == ckpt.step
@@ -183,13 +184,13 @@ class TestObservability:
     @pytest.mark.parametrize("plane", PLANES)
     def test_storage_byte_counters_flow(self, plane):
         """Non-memory planes report moved bytes; the memory plane stays 0."""
-        sim = build(make_sort, "sequential", storage=plane)
+        sim = build(make_sort, 1, storage=plane)
         sim.run()
-        assert sim.array.storage_read_bytes > 0
-        assert sim.array.storage_write_bytes > 0
+        assert sim.procs[0].array.storage_read_bytes > 0
+        assert sim.procs[0].array.storage_write_bytes > 0
 
     def test_memory_plane_counters_zero(self):
-        sim = build(make_sort, "sequential")
+        sim = build(make_sort, 1)
         sim.run()
-        assert sim.array.storage_read_bytes == 0
-        assert sim.array.storage_write_bytes == 0
+        assert sim.procs[0].array.storage_read_bytes == 0
+        assert sim.procs[0].array.storage_write_bytes == 0

@@ -14,7 +14,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.parsim import ParallelEMSimulation
-from repro.core.seqsim import SequentialEMSimulation
 from repro.core.simulator import build_params, make_engine, simulate
 from repro.crashcheck import explore
 from repro.emio.storage import FileStorage, MmapStorage, StorageSpec
@@ -49,7 +48,6 @@ def test_nothing_below_simulate_accepts_io_overlap(tmp_path, capsys):
     alg = small_sort()
     params = build_params(alg, MACHINE, v=V)
     for build in (
-        lambda: SequentialEMSimulation(alg, params, io_overlap=True),
         lambda: ParallelEMSimulation(alg, params, io_overlap=True),
         lambda: make_engine(alg, params, io_overlap=True),
         lambda: StorageSpec("file", str(tmp_path), io_overlap=True),

@@ -1,8 +1,7 @@
 """Tests for the I/O trace recorder/visualizer."""
 
 from repro.bsp.runner import run_reference
-from repro.core.seqsim import SequentialEMSimulation
-from repro.core.simulator import build_params
+from repro.core.simulator import build_params, make_engine
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
 from repro.emio.trace import IOTrace
@@ -58,24 +57,25 @@ class TestIOTrace:
         alg = AllToAllExchange()
         machine = MachineParams(p=1, M=2 * alg.context_size(), D=4, B=16, b=16)
         params = build_params(AllToAllExchange(), machine, v=8, k=2)
-        sim = SequentialEMSimulation(AllToAllExchange(), params, seed=1)
-        trace = IOTrace.attach(sim.array)
+        sim = make_engine(AllToAllExchange(), params, seed=1)
+        proc = sim.procs[0]  # the machine's one processor
+        trace = IOTrace.attach(proc.array)
         out, report = sim.run()
         ref, _ = run_reference(AllToAllExchange(), 8)
         assert out == ref
         # Every counted op was traced (init + supersteps + output).
-        assert len(trace.ops) == sim.array.parallel_ops
+        assert len(trace.ops) == proc.array.parallel_ops
         # Exactly the utilization the counted phases imply.  Every context
         # pickles into one block, and the context region's stride (mu/B = 256
         # blocks a slot, a multiple of D) puts them all on drive 0: a context
         # op moves one block.  Each message block is written once and fetched
         # once, the writes in full cycles of D.
-        assert sim.contexts._used == [1] * 8
+        assert proc.contexts._used == [1] * 8
         ctx_ops = report.init_io_ops + report.output_io_ops + sum(
             s.phases.fetch_context + s.phases.write_context for s in report.supersteps
         )
         moved = ctx_ops + 2 * sum(s.message_blocks for s in report.supersteps)
-        assert trace.utilization() == moved / (4 * sim.array.parallel_ops)
+        assert trace.utilization() == moved / (4 * proc.array.parallel_ops)
         assert trace.counts()["disk_accesses"] == moved == 68
 
     def test_limit_stops_recording(self):

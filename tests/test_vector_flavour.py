@@ -33,10 +33,11 @@ from repro.params import MachineParams
 
 N, V = 1024, 8
 
-ENGINES = {
-    "sequential": dict(engine="sequential", backend="inline"),
-    "parallel-inline": dict(engine="parallel", backend="inline"),
-    "parallel-process": dict(engine="parallel", backend="process"),
+#: Machine shapes by name: "sequential" is the one-processor machine.
+SHAPES = {
+    "sequential": (1, "inline"),
+    "parallel-inline": (2, "inline"),
+    "parallel-process": (2, "process"),
 }
 
 
@@ -57,13 +58,12 @@ def _make(task: str, as_array: bool, dtype=np.int64):
     return CGMPermutation(keys, perm, v=V)
 
 
-def _run(task, as_array, records, engine, storage, **kw):
-    machine = MachineParams(
-        p=1 if engine == "sequential" else 2, M=1 << 20, D=4, B=32, b=64
-    )
+def _run(task, as_array, records, shape, storage, **kw):
+    p, backend = SHAPES[shape]
+    machine = MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
     return simulate(
         _make(task, as_array, **kw), machine, v=V, seed=1, records=records,
-        storage=storage, **ENGINES[engine],
+        storage=storage, backend=backend,
     )
 
 
@@ -76,14 +76,14 @@ def _assert_array_shares(outputs, v=V):
 
 class TestFlavourMatrix:
     @pytest.mark.parametrize("storage", ["memory", "file"])
-    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("shape", list(SHAPES))
     @pytest.mark.parametrize("records", ["object", "vector"])
     @pytest.mark.parametrize("task", ["sort", "permutation"])
     def test_array_in_array_out_and_nothing_else_moves(
-        self, task, records, engine, storage
+        self, task, records, shape, storage
     ):
-        arr_out, arr_rep = _run(task, True, records, engine, storage)
-        lst_out, lst_rep = _run(task, False, records, engine, storage)
+        arr_out, arr_rep = _run(task, True, records, shape, storage)
+        lst_out, lst_rep = _run(task, False, records, shape, storage)
         _assert_array_shares(arr_out)
         # List in is what it always was: lists of plain ints.
         assert all(type(o) is list for o in lst_out)
@@ -95,7 +95,7 @@ class TestFlavourMatrix:
         # Writing into an output raises (a view of immutable result bytes),
         # or the share is the caller's own copy (it crossed a process pipe).
         for out in arr_out:
-            if engine != "parallel-process":
+            if shape != "parallel-process":
                 assert not out.flags.writeable
                 if len(out):
                     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 The vector mode must be *invisible to the model*: counted costs
 (``io_ops``/``records_io``/``comm_packets``/``comp_ops``), the full report
 summary with its ledgers and Lemma 2 ratios, and the outputs must be
-byte-identical to the object plane across engines, backends, and storage
+byte-identical to the object plane across machines, backends, and storage
 kinds.  These tests pin that matrix, the exact numpy <-> pure-Python kernel
 equivalences the algorithm ports rely on, and the plumbing the plane rides
 on (ndarray-aware blocks, batched track writes, coalesced frame
@@ -43,34 +43,29 @@ from .helpers import assert_plane
 SEED = 3
 N, V = 4096, 8
 
-#: engine x backend x storage x fast-path corners of the golden matrix; a
-#: knob a corner does not name is the reference plane's (see ``_run``).
+#: machine x backend x storage x fast-path corners of the golden matrix, as
+#: ``(p, knobs)``; a knob a corner does not name is the reference plane's
+#: (see ``_run``).  The ids name the machine: "sequential" is p = 1.
 MATRIX = [
-    dict(engine="sequential", backend="inline", storage="memory"),
-    dict(engine="sequential", backend="inline", storage="file",
-         fast_io=True, context_cache=True),
-    dict(engine="parallel", backend="inline", storage="memory"),
-    dict(engine="parallel", backend="inline", storage="file", fast_io=True),
-    dict(engine="parallel", backend="process", storage="memory"),
-    dict(engine="parallel", backend="process", storage="file", fast_io=True),
+    (1, dict(backend="inline", storage="memory")),
+    (1, dict(backend="inline", storage="file", fast_io=True, context_cache=True)),
+    (2, dict(backend="inline", storage="memory")),
+    (2, dict(backend="inline", storage="file", fast_io=True)),
+    (2, dict(backend="process", storage="memory")),
+    (2, dict(backend="process", storage="file", fast_io=True)),
 ]
 
 
-def _machine(cfg):
-    p = 1 if cfg["engine"] == "sequential" else 2
-    return MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
-
-
-def _run(cfg, mode):
+def _run(corner, mode):
     """One corner of the matrix on record plane ``mode``.  A corner's unnamed
     knobs are ``REFERENCE``'s, not the storage plane's default, so the matrix
     keeps a reference-plane memory row next to its fast file rows."""
+    p, cfg = corner
     alg = OutOfCoreSort(N, V, seed=5)
     alg.set_record_mode(mode)
     knobs = {**REFERENCE, **cfg}
-    sim = make_engine(
-        alg, build_params(alg, _machine(cfg), v=V), seed=SEED, **knobs
-    )
+    machine = MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
+    sim = make_engine(alg, build_params(alg, machine, v=V), seed=SEED, **knobs)
     assert_plane(sim, **knobs)
     return sim.run()
 
@@ -89,7 +84,7 @@ def _counted(outputs, report):
 
 class TestGoldenMatrix:
     @pytest.mark.parametrize("cfg", MATRIX, ids=lambda c: "-".join(
-        str(x) for x in c.values()))
+        [("sequential", "parallel")[c[0] > 1], *map(str, c[1].values())]))
     def test_outofcore_sort_object_vs_vector(self, cfg):
         images = {}
         for mode in ("object", "vector"):
