@@ -31,85 +31,37 @@ superstep's incoming messages and charges no round; otherwise it runs
 ``group_loads`` the rule read and whether the store was ``kept``, for the
 Lemma 2 and Theorem 1 oracles.
 
-The two phases follow the paper:
+The two phases are the paper's loop of rounds, each round one parallel read
+plus one parallel write:
 
-* **Phase 1** — "Allocate space for a copy of bucket *i* on disk *i* ...  For
-  the *j*-th parallel read/write: for ``d = 0..D-1`` in parallel, read block
-  ``b_d`` belonging to bucket ``d`` from disk ``(d + j) mod D``; write block
-  ``b_d`` to disk ``d``."  After this phase, bucket ``d`` lies on
-  consecutive tracks of disk ``d`` alone — and, in this implementation,
-  *sorted by final target position*, which the bucket tables make possible
-  without extra I/O (each table entry records its block's destination).
-
+* **Phase 1** — "for the *j*-th parallel read/write: for ``d = 0..D-1`` in
+  parallel, read block ``b_d`` belonging to bucket ``d`` from disk
+  ``(d + j) mod D``; write block ``b_d`` to disk ``d``."  Bucket ``d`` ends
+  on consecutive tracks of disk ``d``, sorted by final target position (the
+  tables record every block's destination, so sorting costs no I/O).
 * **Phase 2** — "read the *j*-th block from disk ``d`` and write it to disk
-  ``(d + j) mod D``".  Because every bucket holds the blocks of a contiguous
-  range of destination slots, its targets form a contiguous linear range of
-  the new region; with the copies sorted, round ``j`` of bucket ``d`` writes
-  to linear position ``offset_d + j`` and a per-bucket start stagger of
-  ``(offset_d - d) mod D`` rounds makes the round's write disks exactly
-  ``(d + j) mod D`` — pairwise distinct, the paper's formula.  Phase 2 thus
-  costs one parallel read + one parallel write per round, ``O(total/D + D)``
-  operations in all.
+  ``(d + j) mod D``."  A bucket covers a contiguous range of destination
+  slots, so copy position ``q`` of bucket ``d`` goes to linear position
+  ``off_d + q``; starting bucket ``d`` ``(off_d - d) mod D`` rounds late
+  makes each round's write disks pairwise distinct.
 
-The returned region satisfies Definition 2, and reading any run of
-consecutive destination slots achieves full disk parallelism.
-
-Both phases are a *schedule*: every ``(disk, track)`` a round reads and
-writes follows from the bucket tables before a byte moves.  Each is built
-once, in closed form, as a :class:`~repro.emio.diskarray.RelaySchedule` —
-five integer arrays (round id, read disk, read track, write disk, write
-track), one row per block:
-
-* bucket ``d``'s ``i``-th block on disk ``s`` is read in phase-1 round
-  ``((s - d) mod D) + i*D`` — the ``i``-th time the paper's rotation brings
-  bucket ``d`` to disk ``s`` — and written to ``(d, copy_base + q)``, ``q``
-  its position in the sorted copy;
-* copy position ``q`` of bucket ``d`` leaves in phase-2 round ``shift_d + q``
-  for ``((off_d + q) mod D, region.base + (off_d + q) div D)``;
-
-rounds in which nothing moves are dropped and the rows lie in (round, bucket)
-order.  Slots, targets and the per-bucket contiguity check come from one
-stable sort of the table entries by slot, and ``slot_of`` is called once per
-distinct destination.  :func:`simulate_routing` hands both schedules to one
-call of :meth:`~repro.emio.diskarray.DiskArray.move_rounds`, which checks
-every round of both and charges them as the paper does: one parallel read
-and one parallel write per round, on the drives and up to the tracks the
-round names, the scratch range allocated and released.  An array that is not
-on the fast data plane then runs them as written, one round at a time — the
-schedule iterates as ``(reads, write_addrs)`` rounds of Python-int pairs.  On
-the fast data plane the two schedules are *composed* before data moves:
-phase 2 reads exactly the tracks phase 1 writes, so each of its reads is
-resolved, by a join on phase 1's own write addresses, to the bucket-store
-track the block started on, and the block makes one hop, from there to its
-final ``(tgt % D, region.base + tgt // D)``,
-:attr:`~repro.emio.diskarray.DiskArray.rounds_in_flight` rounds' worth at a
-time — at most ``M/4`` records in memory.  The copy on disk ``d`` is charged
-and never written: the same bargain the context cache strikes for a swap
-(DESIGN §6).  The schedule stays two-phase because the *count* is the
-paper's claim; how many times the bytes are carried is ours to choose, and
-deriving the hop from the two schedules, not from a second reading of the
-bucket tables, is what keeps the two from drifting apart.  Neither phase
-looks inside a block — the tables already say where each one goes — so the
-blocks travel *sealed*: on the file planes the stored frame is checked and
-written back as read, never decoded.  A message block is encoded once, at
-``write_messages``, decoded once, at ``fetch_messages``, and moved once in
-between.
-
-Whatever leaves the arrays for a report, a :class:`StripedRegion`, a trace or
-a checkpoint leaves through ``tolist()``: a numpy integer in ``slot_sizes``
-or in an ``IOTrace`` op would change pickled golden images.
+:func:`_plan` reads both phases off the bucket tables in closed form before
+a block moves; :func:`simulate_routing` hands them to
+:meth:`~repro.emio.diskarray.DiskArray.move_rounds`, which checks every
+round of both and then runs them read, write, read, write.  The region it
+leaves satisfies Definition 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..emio.disk import DiskError
-from ..emio.diskarray import DiskArray, RelaySchedule
+from ..emio.diskarray import DiskArray
 from ..emio.layout import RegionAllocator, StripedRegion
 from ..emio.linked import LinkedBuckets
 
@@ -161,6 +113,29 @@ def keep_store(group_loads: Sequence[Sequence[int]], D: int) -> bool:
     return sum(max(row, default=0) for row in group_loads) <= floor
 
 
+class _Phase:
+    """One phase of the plan as five integer arrays, one row per block, in
+    round order: the row's round id (from 0, none skipped), the ``(disk,
+    track)`` it reads and the ``(disk, track)`` it writes.  Iterating yields
+    the rounds as ``(reads, write_addrs)`` lists of Python-int pairs, one
+    round at a time and afresh on every walk, so a walk holds one round."""
+
+    __slots__ = ("round", "read_disk", "read_track", "write_disk", "write_track")
+
+    def __init__(self, round, read_disk, read_track, write_disk, write_track):
+        self.round, self.read_disk, self.read_track = round, read_disk, read_track
+        self.write_disk, self.write_track = write_disk, write_track
+
+    def __iter__(self) -> Iterator[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+        nrounds = int(self.round[-1]) + 1 if len(self.round) else 0
+        edges = np.searchsorted(self.round, np.arange(nrounds + 1)).tolist()
+        for lo, hi in zip(edges, edges[1:]):
+            yield (
+                list(zip(self.read_disk[lo:hi].tolist(), self.read_track[lo:hi].tolist())),
+                list(zip(self.write_disk[lo:hi].tolist(), self.write_track[lo:hi].tolist())),
+            )
+
+
 def _in_round_order(raw_round, bucket, D, read_disk, read_track, write_disk, write_track):
     """Rows as a schedule: ordered by (round, bucket) — a bucket moves at
     most one block a round, so the order is total — and the rounds
@@ -168,14 +143,12 @@ def _in_round_order(raw_round, bucket, D, read_disk, read_track, write_disk, wri
     order = np.argsort(raw_round * D + bucket)
     raw_round = raw_round[order]
     ids = np.cumsum(np.diff(raw_round, prepend=raw_round[:1]) != 0)
-    return RelaySchedule(
-        ids, read_disk[order], read_track[order], write_disk[order], write_track[order]
-    )
+    return _Phase(ids, read_disk[order], read_track[order], write_disk[order], write_track[order])
 
 
 def _plan(
     buckets: LinkedBuckets, D: int, nslots: int, slot_of: Callable[[int], int]
-) -> tuple[list[int], int, RelaySchedule, RelaySchedule]:
+) -> tuple[list[int], int, _Phase, _Phase]:
     """Everything SimulateRouting reads off the bucket tables: the target
     region's slot sizes, the largest bucket, and both phases' schedules with
     the tracks of the bucket copies and of the target region counted from 0

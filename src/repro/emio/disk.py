@@ -174,21 +174,19 @@ class Disk:
         if prev_present != (block is not None):
             self._occupied += 1 if not prev_present else -1
 
-    def _load_many(self, tracks: list[int], sealed: bool = False) -> list:
+    def _load_many(self, tracks: list[int]) -> list[Block | None]:
         """Read several tracks with one storage call (file-backed planes
-        coalesce near-adjacent slot extents into single preads) — as
-        blocks, or ``sealed``: as the plane's opaque stored values, fit only
-        for :meth:`_store_many`.  Access counters are the caller's business
-        (``DiskArray`` charges per address)."""
-        return (self.storage.get_sealed if sealed else self.storage.get_many)(tracks)
+        coalesce near-adjacent slot extents into single preads).  Access
+        counters are the caller's business (``DiskArray`` charges per
+        address)."""
+        return self.storage.get_many(tracks)
 
-    def _store_many(self, items: list[tuple[int, Any]], sealed: bool = False) -> None:
-        """Place several blocks (or ``sealed`` values) with one storage call
-        (file-backed planes merge adjacent slot runs into single pwrites);
-        the occupancy bookkeeping is that of in-order :meth:`_store` calls."""
-        put = self.storage.put_sealed if sealed else self.storage.put_many
-        for (_track, value), prev_present in zip(items, put(items)):
-            if prev_present != (value is not None):
+    def _store_many(self, items: list[tuple[int, Block | None]]) -> None:
+        """Place several blocks with one storage call (file-backed planes
+        merge adjacent slot runs into single pwrites); the occupancy
+        bookkeeping is that of in-order :meth:`_store` calls."""
+        for (_track, block), prev_present in zip(items, self.storage.put_many(items)):
+            if prev_present != (block is not None):
                 self._occupied += 1 if not prev_present else -1
 
     def discard_track(self, track: int) -> None:

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from ..obs.profile import NULL_PROFILER
 from .disk import SHADOW_TRACK_BASE, Block, Disk, DiskError
@@ -44,62 +42,13 @@ from .faults import (
     TransientDiskError,
 )
 
-__all__ = ["DiskArray", "RelaySchedule"]
+__all__ = ["DiskArray"]
 
 #: One round of a relay: the tracks it reads, and where each block read goes.
 Round = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
 
 #: The fields of a batched transfer's ``(disk, track[, block])`` tuples.
 _DISK, _TRACK, _BLOCK = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-class RelaySchedule:
-    """The rounds of a relay as five equal-length integer arrays.
-
-    One row per block moved, rows in round order: ``round`` (the row's round
-    id — non-decreasing from 0, no id skipped, so no round is empty), the
-    ``(read_disk, read_track)`` the row reads and the ``(write_disk,
-    write_track)`` its block goes to.  :meth:`DiskArray.move_rounds` checks,
-    charges and composes schedules in this form without looking at a row in
-    Python; iterating one yields the same rounds as ``(reads, write_addrs)``
-    lists of Python-int pairs, afresh on every walk — what the round-by-round
-    planes run and what a trace records.
-    """
-
-    __slots__ = ("round", "read_disk", "read_track", "write_disk", "write_track")
-
-    def __init__(self, round, read_disk, read_track, write_disk, write_track):
-        self.round, self.read_disk, self.read_track, self.write_disk, self.write_track = (
-            np.asarray(column, dtype=np.int64)
-            for column in (round, read_disk, read_track, write_disk, write_track)
-        )
-
-    @classmethod
-    def from_rounds(cls, rounds: Sequence[Round]) -> "RelaySchedule":
-        """Well-formed ``rounds`` (as many writes as reads in each, and at
-        least one) flattened into the five arrays."""
-        sizes = [len(reads) for reads, _ in rounds]
-        reads = np.array(
-            [addr for round_reads, _ in rounds for addr in round_reads], dtype=np.int64
-        ).reshape(-1, 2)
-        writes = np.array(
-            [addr for _, write_addrs in rounds for addr in write_addrs], dtype=np.int64
-        ).reshape(-1, 2)
-        ids = np.repeat(np.arange(len(rounds)), np.asarray(sizes, dtype=np.intp))
-        return cls(ids, reads[:, 0], reads[:, 1], writes[:, 0], writes[:, 1])
-
-    @property
-    def nrounds(self) -> int:
-        return int(self.round[-1]) + 1 if len(self.round) else 0
-
-    def __iter__(self) -> Iterator[Round]:
-        # A round at a time: a walk holds no more of the schedule than that.
-        edges = np.searchsorted(self.round, np.arange(self.nrounds + 1)).tolist()
-        for lo, hi in zip(edges, edges[1:]):
-            yield (
-                list(zip(self.read_disk[lo:hi].tolist(), self.read_track[lo:hi].tolist())),
-                list(zip(self.write_disk[lo:hi].tolist(), self.write_track[lo:hi].tolist())),
-            )
 
 
 class DiskArray:
@@ -137,8 +86,10 @@ class DiskArray:
         in-heap memory plane.  The plane never changes counted costs.
     M:
         The owning processor's internal memory in records.  It bounds how
-        many rounds of a schedule may be in flight at once
-        (:attr:`rounds_in_flight`); an array that is not told holds one.
+        many write cycles of :meth:`LinkedBuckets.append_blocks
+        <repro.emio.linked.LinkedBuckets.append_blocks>` go to the drives in
+        one batch (:attr:`rounds_in_flight`); an array that is not told
+        sends one.
     """
 
     def __init__(
@@ -192,7 +143,7 @@ class DiskArray:
         # full physical-attempt path so traces stay byte-identical.
         self._fast = spec.fast_plane(fast_io) and faults is None and ntracks is None
         self.hooked = False
-        # A quarter of memory's worth of full rounds (D*B records each).
+        # A quarter of memory's worth of full write cycles (D*B records each).
         self._chunk_rounds = max(1, (M or 0) // (4 * D * max(B, 1)))
         # -- robustness state ---------------------------------------------------
         self.dead_disks: set[int] = set()
@@ -215,14 +166,12 @@ class DiskArray:
 
     @property
     def rounds_in_flight(self) -> int:
-        """How many rounds of a schedule move at a time — those
-        :meth:`move_rounds` keeps in flight, and the most whole rounds a
-        caller should hand :meth:`write_batched` in one batch: at most
-        ``M/4`` records' worth on the fast data plane, where a batch moves
-        with one transfer per drive; one round everywhere else, so that a
-        traced, faulty, bounded or degraded array makes its physical
-        attempts read, write, read, write — the order its trace and its
-        fault streams are defined on."""
+        """How many write cycles of ``append_blocks`` go to
+        :meth:`write_batched` in one batch: at most ``M/4`` records' worth
+        on the fast data plane, where a batch moves with one transfer per
+        drive; one cycle everywhere else, so that a traced, faulty, bounded
+        or degraded array makes its physical attempts in the order its
+        trace and its fault streams are defined on."""
         return self._chunk_rounds if self.fast_data_plane else 1
 
     def set_profiler(self, profiler) -> None:
@@ -399,8 +348,8 @@ class DiskArray:
         return self.read_batched(ops)
 
     def _read_round(self, ops: list[tuple[int, int]]) -> list[Block | None]:
-        """One checked, non-empty round of reads on the physical plane:
-        attempts, retries and degraded-mode remaps, each attempt counted."""
+        """One checked, non-empty round of reads, attempt by attempt:
+        retries and degraded-mode remaps included, each attempt counted."""
         results: list[Block | None] = [None] * len(ops)
         fresh = [(i, self._resolve_read(d, t)) for i, (d, t) in enumerate(ops)]
         retry_q: list[tuple[int, tuple[int, int]]] = []
@@ -446,8 +395,7 @@ class DiskArray:
         self.write_batched(ops)
 
     def _write_round(self, ops: list[tuple[int, int, Block | None]]) -> None:
-        """One checked, non-empty round of writes on the physical plane,
-        like :meth:`_read_round`."""
+        """One checked, non-empty round of writes, like :meth:`_read_round`."""
         fresh = [
             (i, (*self._resolve_write(d, t), blk))
             for i, (d, t, blk) in enumerate(ops)
@@ -478,84 +426,38 @@ class DiskArray:
     # -- scheduled rounds --------------------------------------------------------
 
     def move_rounds(
-        self, rounds: "RelaySchedule | Iterable[Round]", then: "RelaySchedule | Iterable[Round]" = ()
+        self, rounds: Iterable[Round], then: Iterable[Round] = ()
     ) -> tuple[int, int]:
         """A relay whose addresses are all known up front: the schedule
-        ``rounds`` and, after it, the schedule ``then`` — each a
-        :class:`RelaySchedule` or a plain list of rounds.  Round ``(reads,
+        ``rounds`` and, after it, the schedule ``then``.  Round ``(reads,
         write_addrs)`` reads the tracks ``reads`` and writes the ``i``-th of
         them to ``write_addrs[i]``.  Returns the parallel operations each
         schedule cost.
 
-        Each round is exactly one counted parallel read plus one counted
-        parallel write (1..D tracks, one per disk, each); every round of
-        both schedules is checked before any data moves or any counter
-        changes — a :class:`RelaySchedule` in bulk, on its arrays; a list
-        round by round — so a malformed schedule leaves the array untouched.
-        Off the fast data plane, which holds nothing of a list it is
-        handed, that takes one walk to check it and another to run it, so
-        it must start over on every ``iter()`` (a list and a
-        :class:`RelaySchedule` do).  No round may read a track an earlier
-        round of its own schedule writes, and ``then`` may write no track
-        that either schedule reads.
-
-        Off the fast data plane the rounds run one by one, read, write,
-        read, write, ``rounds`` to the end and then ``then``.  On it a list
-        is flattened once into the same five arrays, and the two schedules
-        are charged like that — ``parallel_ops``, per-disk ``reads`` /
-        ``writes``, high-water marks (:meth:`_charge`) — and *composed*
-        before data moves (:meth:`_compose`): a read of ``then`` from a
-        track ``rounds`` writes is resolved to the track ``rounds`` read it
-        from, so each block makes one hop, source to final target, and the
-        copy in between is charged but never stored (what its track held
-        before stays; the range is the caller's scratch to release).  A
-        write of ``rounds`` that ``then`` does not read is stored, a read of
-        ``then`` that ``rounds`` did not write is loaded, as they stand.
-        The hops come from the two schedules' own addresses, so what is
-        counted and what moves cannot drift apart; they move
-        :attr:`rounds_in_flight` rounds' worth at a time
-        (:meth:`_relay_sealed`).  No row of a schedule is touched in Python
-        on the way; what reaches a storage plane goes through ``tolist()``.
+        Each round is one parallel read plus one parallel write (1..D
+        tracks, one per disk, each), run read, write, read, write,
+        ``rounds`` to the end and then ``then``, on every plane.  Every
+        round of both schedules is checked before any data moves or any
+        counter changes, so a malformed schedule leaves the array
+        untouched; checking takes one walk and running another, so a
+        schedule must start over on every ``iter()`` (a list does, an
+        iterator does not and is refused).
         """
-        schedules = [rounds, then]
-        fast = self.fast_data_plane
-        if not fast and any(iter(schedule) is schedule for schedule in schedules):
+        schedules = (rounds, then)
+        if any(iter(schedule) is schedule for schedule in schedules):
             raise TypeError("a relay schedule is walked twice: pass a list, not an iterator")
-        for i, schedule in enumerate(schedules):
-            if isinstance(schedule, RelaySchedule):
-                self._check_schedule(schedule)
-            elif fast:
-                schedule = list(schedule)
-                self._check_rounds(schedule)
-                schedules[i] = RelaySchedule.from_rounds(schedule)
-            else:
-                self._check_rounds(schedule)
-        if not fast:
-            ops = []
-            for schedule in schedules:
-                before = self.parallel_ops
-                for reads, write_addrs in schedule:
-                    # One expression: a round's blocks die with it, not with the next read.
-                    self._write_round(
-                        [(d, t, blk) for (d, t), blk in zip(write_addrs, self._read_round(reads))]
-                    )
-                ops.append(self.parallel_ops - before)
-            return ops[0], ops[1]
-        first, second = schedules
-        for kind, disk_ids, tracks in (
-            ("R", (first.read_disk, second.read_disk), (first.read_track, second.read_track)),
-            ("W", (first.write_disk, second.write_disk), (first.write_track, second.write_track)),
-        ):
-            disk_ids, tracks = np.concatenate(disk_ids), np.concatenate(tracks)
-            self._charge(kind, [tracks[disk_ids == d] for d in range(self.D)])
-        ops = 2 * first.nrounds, 2 * second.nrounds
-        self.parallel_ops += sum(ops)
-        hops = self._compose(first, second)
-        del schedules, first, second  # while blocks are in flight, only their hops are held
-        step = self.rounds_in_flight * self.D
-        for lo in range(0, len(hops[0]), step):
-            self._relay_sealed(*(column[lo : lo + step] for column in hops))
-        return ops
+        for schedule in schedules:
+            self._check_rounds(schedule)
+        ops = []
+        for schedule in schedules:
+            before = self.parallel_ops
+            for reads, write_addrs in schedule:
+                # One expression: a round's blocks die with it, not with the next read.
+                self._write_round(
+                    [(d, t, blk) for (d, t), blk in zip(write_addrs, self._read_round(reads))]
+                )
+            ops.append(self.parallel_ops - before)
+        return ops[0], ops[1]
 
     def _check_rounds(self, rounds: Iterable[Round]) -> None:
         """Refuse the first round of ``rounds`` that breaks a rule: 1..D
@@ -567,96 +469,6 @@ class DiskArray:
                 raise DiskError(
                     f"relay round reads {len(reads)} tracks but writes {len(write_addrs)}"
                 )
-
-    def _check_schedule(self, schedule: RelaySchedule) -> None:
-        """The rules of :meth:`_check_rounds` on a schedule's arrays, all
-        rounds at once: no round id skipped (no empty round), every disk one
-        of the array's, and no (round, disk) pair twice on either side —
-        which also caps a round at ``D`` rows; the five columns being of one
-        length is the equal-lengths rule.  A schedule that fails is walked
-        round by round, so the refusal is the one the first broken round
-        would get on its own."""
-        D, ids = self.D, schedule.round
-        sides = (schedule.read_disk, schedule.write_disk)
-        ok = all(
-            len(column) == len(ids)
-            for column in (*sides, schedule.read_track, schedule.write_track)
-        )
-        if ok and len(ids):
-            ok = ids[0] == 0 and np.isin(np.diff(ids), (0, 1)).all()
-            ok = ok and all(
-                0 <= disk.min() and disk.max() < D and np.bincount(ids * D + disk).max() == 1
-                for disk in sides
-            )
-        if not ok:
-            self._check_rounds(schedule)
-            raise DiskError("malformed relay schedule")
-
-    def _compose(self, first: RelaySchedule, then: RelaySchedule) -> tuple[np.ndarray, ...]:
-        """Two relay schedules as one list of hops — four arrays: source
-        disk, source track, target disk, target track.  First the blocks
-        ``first`` writes where ``then`` does not read them, in ``first``'s
-        order; then ``then``'s blocks, every read of a track ``first``
-        writes replaced by the track ``first`` read it from (the last write
-        of a track wins, as it would on the platter), in the order of their
-        targets (track, then disk: the order a striped region is read back
-        in, so on the file planes its frames lie in the track files the way
-        the next fetch sweeps them).  A sort and a search join the two
-        schedules on ``track * D + disk``."""
-        D = self.D
-        wrote = first.write_track * D + first.write_disk
-        wanted = then.read_track * D + then.read_disk
-        # The stable sort keeps equal keys in schedule order, so the rightmost
-        # match of a key is the last write of that track.
-        by_key = np.argsort(wrote, kind="stable")
-        wrote_sorted = wrote[by_key]
-        at = np.searchsorted(wrote_sorted, wanted, side="right") - 1
-        found = at >= 0
-        found[found] = wrote_sorted[at[found]] == wanted[found]
-        writer = by_key[at[found]]  # the rows of ``first`` whose blocks ``then`` picks up
-        src_disk, src_track = then.read_disk.copy(), then.read_track.copy()
-        src_disk[found] = first.read_disk[writer]
-        src_track[found] = first.read_track[writer]
-        kept = np.flatnonzero(~np.isin(wrote, wanted))
-        order = np.argsort(then.write_track * D + then.write_disk, kind="stable")
-        return (
-            np.concatenate((first.read_disk[kept], src_disk[order])),
-            np.concatenate((first.read_track[kept], src_track[order])),
-            np.concatenate((first.write_disk[kept], then.write_disk[order])),
-            np.concatenate((first.write_track[kept], then.write_track[order])),
-        )
-
-    def _relay_sealed(
-        self, src_disk: np.ndarray, src_track: np.ndarray,
-        dst_disk: np.ndarray, dst_track: np.ndarray,
-    ) -> None:
-        """Fast-plane data movement of a chunk of hops: one ``get_sealed``
-        per source drive, then one ``put_sealed`` per target drive, each
-        drive's tracks in hop order.  What travels is the storage plane's
-        sealed value (the frame as read, checked but not decoded; the
-        ``Block`` itself in the heap), and every frame of the chunk is
-        checked before its first write.  Counters are the caller's to
-        charge."""
-        disks = self.disks
-        by_src = np.argsort(src_disk, kind="stable")
-        tracks = src_track[by_src].tolist()
-        sealed: list = []  # sealed[i] is what hop by_src[i] carries
-        for d, n in enumerate(np.bincount(src_disk, minlength=self.D).tolist()):
-            if n:
-                sealed += disks[d]._load_many(tracks[len(sealed) : len(sealed) + n], sealed=True)
-        carried = np.empty(len(by_src), dtype=np.intp)
-        carried[by_src] = np.arange(len(by_src))
-        by_dst = np.argsort(dst_disk, kind="stable")
-        tracks = dst_track[by_dst].tolist()
-        carried = carried[by_dst].tolist()
-        lo = 0
-        for d, n in enumerate(np.bincount(dst_disk, minlength=self.D).tolist()):
-            if n:
-                disks[d]._store_many(
-                    [(t, sealed[i]) for t, i in zip(tracks[lo : lo + n], carried[lo : lo + n])],
-                    sealed=True,
-                )
-                lo += n
 
     # -- batched transfers -------------------------------------------------------
 
@@ -698,9 +510,9 @@ class DiskArray:
             self.parallel_ops += self._charge(kind, [tracks.get(d, ()) for d in range(self.D)])
         return groups, tracks
 
-    def _charge(self, kind: str, per_disk: "Sequence[Sequence[int] | np.ndarray]") -> int:
+    def _charge(self, kind: str, per_disk: Sequence[Sequence[int]]) -> int:
         """Charge a batch of accesses, given as the tracks it touches on
-        each drive (lists or arrays), to the per-disk ``reads`` or
+        each drive, to the per-disk ``reads`` or
         ``writes`` and, a write, to the high-water marks — by the rule
         :meth:`Disk._raise_high_water <repro.emio.disk.Disk._raise_high_water>`
         holds: a shadow track in the batch neither counts nor hides the
@@ -712,10 +524,10 @@ class DiskArray:
                 disk.reads += len(tracks)
             elif len(tracks):
                 disk.writes += len(tracks)
-                top = int(tracks.max()) if isinstance(tracks, np.ndarray) else max(tracks)
+                top = max(tracks)
                 disk._raise_high_water(top)
                 if disk._high_water < top:  # a shadow track tops the batch: track by track
-                    for t in map(int, tracks):
+                    for t in tracks:
                         disk._raise_high_water(t)
         return max(map(len, per_disk))
 

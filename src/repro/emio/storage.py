@@ -11,9 +11,7 @@ live is therefore a free choice — this module makes it a pluggable plane:
   runs of :data:`SLOT_BYTES` *slots*; each stored image is a sealed frame
   written with ``os.pwrite`` / read with ``os.pread`` — several at once
   through ``put_many`` / ``get_many``, which merge adjacent runs into one
-  syscall (the unit is small so that a batch lies dense on the platter),
-  or through ``get_sealed`` / ``put_sealed``, which move the frames
-  themselves.
+  syscall (the unit is small so that a batch lies dense on the platter).
   ndarray records travel as raw little-endian images behind a fixed binary
   header (a message block's segment table in it, its parts back to back),
   everything else as a pickle.  Slot runs freed by
@@ -26,16 +24,6 @@ The storage-plane invariant (DESIGN §8): outputs, the counted-cost ledger,
 and the physical I/O trace are byte-identical across all three planes.
 Storage only adds the ``read_bytes`` / ``write_bytes`` *observability*
 counters, which live outside the model.
-
-Blocks in transit travel *sealed* (DESIGN §6, §8): a relay — SimulateRouting
-moving a block from one track to another without looking inside —
-asks for ``get_sealed`` / ``put_sealed`` instead of blocks.  What comes
-back is opaque to the caller: the ``Block`` itself on the memory plane,
-the frame as read on the file planes — checked like every read (magic,
-length, write generation, CRC32) but not decoded, and written back as it
-is, re-stamped only if a ``snapshot()`` opened a new write generation in
-between.  A block is encoded when it is first written and decoded when it
-is finally fetched, once each.
 
 Durability: :meth:`FileStorage.sync` fsyncs the track file; the engines call
 it at checkpoint barriers.  :meth:`FileStorage.snapshot` returns a metadata
@@ -62,10 +50,8 @@ without unpickling anything — the primitive ``scrub()`` is built on.
 Host I/O is synchronous (DESIGN §12): every transfer is a blocking
 ``pread``/``pwrite`` on the engine's thread, issued through the one pair of
 primitives ``_read_at``/``_write_at``.  What keeps the syscall count low is
-the *schedule*, not concurrency — ``DiskArray.move_rounds`` hands whole
-chunks of rounds to ``get_sealed``/``put_sealed``, and the batched transfers
-hand a batch to ``get_many``/``put_many``, one call per drive, which
-coalesce them.  A background flusher and a streak-guessing readahead were built,
+the *schedule*, not concurrency — the batched transfers hand a batch to
+``get_many``/``put_many``, one call per drive, which coalesce them.  A background flusher and a streak-guessing readahead were built,
 measured three times and deleted; nothing outside this module knows how
 host I/O is issued.
 """
@@ -312,10 +298,6 @@ class BlockStorage(Protocol):
     plane answers ``get_many``/``put_many``/``discard_range`` exactly as
     the in-order per-track calls would (same blocks, same prev-present
     flags, same stored state), and only the data movement may be batched.
-    ``get_sealed``/``put_sealed`` are ``get_many``/``put_many`` for a block
-    nobody will look at before it is stored again: the value in between
-    is the plane's own (the ``Block`` in the heap, the checked frame on
-    the file planes) and fit only to be handed back.
     ``read_bytes``/``write_bytes`` count payload bytes actually
     moved (0 forever on the memory plane) and feed the observer's
     ``storage_read_bytes``/``storage_write_bytes`` samples.
@@ -336,10 +318,6 @@ class BlockStorage(Protocol):
     def put_many(
         self, items: list[tuple[int, Block | None]]
     ) -> list[bool]: ...  # pragma: no cover
-
-    def get_sealed(self, tracks: list[int]) -> list: ...  # pragma: no cover
-
-    def put_sealed(self, items: list[tuple[int, object]]) -> list[bool]: ...  # pragma: no cover
 
     def discard(self, track: int) -> bool: ...  # pragma: no cover
 
@@ -413,10 +391,6 @@ class MemoryStorage(_ProfiledStorage):
             prev_flags.append(stored.get(track) is not None)
             stored[track] = block
         return prev_flags
-
-    # In the heap the block itself is what travels sealed.
-    get_sealed = get_many
-    put_sealed = put_many
 
     def discard_range(self, lo: int, hi: int) -> int:
         """Drop tracks ``lo .. hi-1``; returns how many held a block."""
@@ -694,23 +668,6 @@ class FileStorage(_ProfiledStorage):
             )
         return out
 
-    def get_sealed(self, tracks: list[int]) -> list[memoryview | None]:
-        """:meth:`get_many` that stops short of decoding: each track's frame
-        as read — magic, length, write generation and CRC32 checked, bytes
-        counted — for :meth:`put_sealed` to place elsewhere."""
-        raws = self._read_frames(tracks)
-        out: list[memoryview | None] = []
-        for t in tracks:
-            ext = self._map.get(t)
-            if ext is None:
-                out.append(None)
-                continue
-            raw = raws[t]
-            _open_frame(raw, self.path, ext[0], ext[2], ext[3])
-            self.read_bytes += len(raw)
-            out.append(raw)
-        return out
-
     def peek(self, track: int) -> Block | None:
         return self._load(track, count=False)
 
@@ -747,42 +704,7 @@ class FileStorage(_ProfiledStorage):
             prof.pop()
         return _seal_frame(head, bodies, self._gen)
 
-    def _reseal(self, frame: memoryview) -> "bytes | memoryview":
-        """A frame out of :meth:`get_sealed` (this drive's or another's), as
-        it is — unless it was sealed in another write generation (a
-        ``snapshot()`` since): the map records the generation a track was
-        *placed* in and reads hold the frame to it, so such a frame is
-        re-stamped, header and CRC32, around the same payload."""
-        if _FRAME.unpack_from(frame)[1] == self._gen & 0xFFFFFFFF:
-            return frame
-        return _seal_frame(b"", [frame[FRAME_BYTES:]], self._gen)
-
-    def _put_all(self, items: list, frame_of) -> list[bool]:
-        """Store ``(track, value)`` items, ``frame_of(value)`` being the
-        value's sealed frame; a ``None`` value deletes.
-
-        Map, free-list and file-byte transitions are exactly those of
-        in-order single puts (every frame is padded to the end of its
-        run); only the data movement is batched.  Duplicate tracks in one
-        batch are stored one by one (a later put may free and reuse the
-        earlier one's slots).
-        """
-        if len({t for t, _ in items}) != len(items):
-            return [self._put_all([item], frame_of)[0] for item in items]
-        prev_flags: list[bool] = []
-        writes: list[tuple[int, "bytes | memoryview", int]] = []
-        for track, value in items:
-            if value is None:
-                prev_flags.append(self.discard(track))
-                continue
-            frame = frame_of(value)
-            prev_present, offset, pad = self._place_frame(track, len(frame) - FRAME_BYTES)
-            prev_flags.append(prev_present)
-            writes.append((offset, frame, pad))
-        self._write_runs(writes)
-        return prev_flags
-
-    def _write_runs(self, writes: list[tuple[int, "bytes | memoryview", int]]) -> None:
+    def _write_runs(self, writes: list[tuple[int, bytes, int]]) -> None:
         """Write ``(byte offset, frame, pad)`` records, byte-adjacent ones as
         one pwrite whose buffer is one ``join`` of their frames and pads."""
         writes.sort(key=itemgetter(0))
@@ -812,14 +734,28 @@ class FileStorage(_ProfiledStorage):
 
     def put_many(self, items: list[tuple[int, Block | None]]) -> list[bool]:
         """Store several tracks, merging byte-adjacent slot runs into one
-        pwrite; otherwise exactly in-order ``put`` calls."""
-        return self._put_all(items, self._encode)
+        pwrite; otherwise exactly in-order ``put`` calls.
 
-    def put_sealed(self, items: list[tuple[int, memoryview | None]]) -> list[bool]:
-        """:meth:`put_many` of frames as :meth:`get_sealed` returned them:
-        placed, padded and written like any other, but not decoded,
-        re-encoded or (within one write generation) re-sealed."""
-        return self._put_all(items, self._reseal)
+        Map, free-list and file-byte transitions are exactly those of
+        in-order single puts (every frame is padded to the end of its
+        run); only the data movement is batched.  Duplicate tracks in one
+        batch are stored one by one (a later put may free and reuse the
+        earlier one's slots).
+        """
+        if len({t for t, _ in items}) != len(items):
+            return [self.put(track, block) for track, block in items]
+        prev_flags: list[bool] = []
+        writes: list[tuple[int, bytes, int]] = []
+        for track, block in items:
+            if block is None:
+                prev_flags.append(self.discard(track))
+                continue
+            frame = self._encode(block)
+            prev_present, offset, pad = self._place_frame(track, len(frame) - FRAME_BYTES)
+            prev_flags.append(prev_present)
+            writes.append((offset, frame, pad))
+        self._write_runs(writes)
+        return prev_flags
 
     def discard(self, track: int) -> bool:
         ext = self._map.pop(track, None)
@@ -1105,9 +1041,9 @@ class StorageSpec:
         either knob is spelled — is on exactly when the tracks live on the
         heap: there the fast plane holds nothing the reference plane does
         not.  On ``file`` / ``mmap`` it keeps up to ``M/4`` records of a
-        relay in flight and the pickled contexts host-side, twice the
-        out-of-core heap promise (DESIGN §8), so those planes are fast only
-        by request.
+        batch of write cycles in flight and the pickled contexts host-side,
+        past the out-of-core heap promise (DESIGN §8), so those planes are
+        fast only by request.
         """
         return self.kind == "memory" if knob is None else bool(knob)
 

@@ -1,5 +1,6 @@
-"""One batch-transfer path (DESIGN §6): below ``move_rounds`` every transfer
-is a batch, grouped by drive once, checked once and charged once.
+"""One batch-transfer path (DESIGN §6): ``read_batched``, ``write_batched``
+and ``charge_batched`` group a batch by drive once, check it once and charge
+it once.
 
 Two things are pinned here.  A batch naming an address no drive has is
 refused with a ``DiskError`` before any counter or byte moves, on every

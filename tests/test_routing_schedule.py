@@ -1,18 +1,17 @@
-"""The file plane moves data by schedule (DESIGN §6, §8).
+"""Algorithm 2 moves data by schedule, one round at a time (DESIGN §6, §8).
 
-``simulate_routing`` and ``LinkedBuckets.append_blocks`` hand whole chunks
-of rounds to ``DiskArray.move_rounds`` / ``write_batched``; on the fast data
-plane a chunk reaches each drive as one transfer.  These tests pin what
-that must not change — counted costs, track maps, the bytes of the track
-files — and what the primitives, the tight slots and the binary vector
-image promise on their own.
+``simulate_routing`` reads both phases off the bucket tables in closed form
+and hands them to ``DiskArray.move_rounds``, which checks every round and
+then runs them read, write, read, write on every plane.  These tests pin the
+planner against the paper's generated rounds, what a malformed or damaged
+schedule may not do, what the binary vector image promises on its own, the
+heap bound of a forced Algorithm 2 on the file plane and its crash windows.
 """
 
-import hashlib
 import os
 import random
-import tempfile
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from repro.crashcheck import explore
 from repro.emio.codec import codecs
 from repro.emio.disk import Block, DiskError
 from repro.emio.diskarray import DiskArray
-from repro.emio.faults import ChecksumError
+from repro.emio.faults import ChecksumError, RetryExhaustedError
 from repro.emio.layout import RegionAllocator
 from repro.emio.linked import LinkedBuckets
 from repro.emio.storage import FRAME_BYTES, FileStorage, StorageSpec
@@ -38,9 +37,10 @@ from .test_kept_store import always_route
 
 B = 16
 V = 16
+NDEST = 32  # the planner property's destinations; every bucket and batch boundary divides it
 
 
-# -- (a) chunked == round by round ---------------------------------------------------
+# -- (a) the planner is the paper's loop -------------------------------------------
 
 
 def _blocks(rng: random.Random, n: int) -> list[Block]:
@@ -83,53 +83,170 @@ def _two_supersteps(array: DiskArray, supersteps: list[list[list[Block]]]):
     return stats, delivered
 
 
-def _fingerprint(array: DiskArray) -> dict:
-    files = []
-    for disk in array.disks:
-        with open(disk.storage.path, "rb") as fh:
-            files.append(hashlib.sha256(fh.read()).hexdigest())
-    return {
-        "parallel_ops": array.parallel_ops,
-        "reads": [d.reads for d in array.disks],
-        "writes": [d.writes for d in array.disks],
-        "high_water": array.high_water_per_disk,
-        "used_tracks": array.used_tracks_per_disk,
-        "maps": [dict(d.storage._map) for d in array.disks],
-        "free": [dict(d.storage._free_start) for d in array.disks],
-        "io_bytes": (array.storage_read_bytes, array.storage_write_bytes),
-        "files": files,
-    }
+def _phase1_rounds(queues, D, copy_base):
+    """The oracle of phase 1, as the paper generates it: round ``j`` reads
+    bucket ``d``'s next block off disk ``(d + j) mod D`` and writes it to its
+    sorted position in bucket ``d``'s copy on disk ``d``.  ``queues[d][disk]``
+    is the FIFO of ``(track, copy position)`` pairs of bucket ``d`` on ``disk``.
+    """
+    remaining = sum(len(fifo) for per_disk in queues for fifo in per_disk)
+    heads = [[0] * D for _ in queues]
+    j = 0
+    while remaining > 0:
+        reads, write_addrs = [], []
+        for d, per_disk in enumerate(queues):
+            src = (d + j) % D
+            if heads[d][src] < len(per_disk[src]):
+                track, copy_pos = per_disk[src][heads[d][src]]
+                heads[d][src] += 1
+                reads.append((src, track))
+                write_addrs.append((d, copy_base + copy_pos))
+        j += 1
+        if reads:
+            remaining -= len(reads)
+            yield reads, write_addrs
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    D=st.sampled_from([1, 2, 4, 8]),
-    plane=st.sampled_from(["file", "mmap"]),
-    seed=st.integers(0, 2**16),
-    sizes=st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=3),
-                   min_size=2, max_size=2),
-)
-def test_chunked_equals_round_by_round(D, plane, seed, sizes):
-    rng = random.Random(seed)
-    supersteps = [[_blocks(rng, n) for n in groups] for groups in sizes]
-    runs = {}
-    with tempfile.TemporaryDirectory() as root:
-        # M=None holds one round in flight: the round-by-round execution.
-        for name, M in (("chunked", 1 << 20), ("rounds", None)):
-            spec = StorageSpec.create(plane, os.path.join(root, name))
-            array = DiskArray(D, B, fast_io=True, storage=spec, M=M)
-            try:
-                assert array.rounds_in_flight == (1 if M is None else M // (4 * D * B))
-                stats, delivered = _two_supersteps(array, supersteps)
-                runs[name] = (stats, delivered, _fingerprint(array))
-            finally:
-                array.close_storage()
-    assert runs["chunked"] == runs["rounds"]
+def _phase2_rounds(bucket_range, D, copy_base, region_base):
+    """The oracle of phase 2: round ``j`` reads the next block of every
+    bucket's sorted copy and writes it to its final place in the striped
+    region; bucket ``d`` starts ``(offset_d - d) mod D`` rounds late."""
+    shifts = [(off - d) % D if size else 0 for d, (off, size) in enumerate(bucket_range)]
+    total_rounds = max(
+        (shift + size for shift, (_, size) in zip(shifts, bucket_range)), default=0
+    )
+    for j in range(total_rounds):
+        reads, write_addrs = [], []
+        for d, (off, size) in enumerate(bucket_range):
+            q = j - shifts[d]
+            if 0 <= q < size:
+                reads.append((d, copy_base + q))
+                tgt = off + q
+                write_addrs.append((tgt % D, region_base + tgt // D))
+        if reads:
+            yield reads, write_addrs
+
+
+def _oracle(table, D, nslots, slot_of, copy_base, region_base):
+    """Slot sizes and both phases' rounds by a walk over the bucket tables."""
+    slot_sizes = [0] * nslots
+    for per_disk in table:
+        for fifo in per_disk:
+            for _, dest in fifo:
+                slot_sizes[slot_of(dest)] += 1
+    cursors = list(accumulate(slot_sizes, initial=0))
+    queues, bucket_range = [], []
+    for per_disk in table:
+        entries = []
+        for disk, fifo in enumerate(per_disk):
+            for track, dest in fifo:
+                entries.append((disk, track, cursors[slot_of(dest)]))
+                cursors[slot_of(dest)] += 1
+        off = min((tgt for _, _, tgt in entries), default=0)
+        fifos = [[] for _ in range(D)]
+        for disk, track, tgt in entries:
+            fifos[disk].append((track, tgt - off))
+        queues.append(fifos)
+        bucket_range.append((off, len(entries)))
+    return (
+        slot_sizes,
+        list(_phase1_rounds(queues, D, copy_base)),
+        list(_phase2_rounds(bucket_range, D, copy_base, region_base)),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """Random bucket tables over ``NDEST`` destinations: empty buckets,
+    one-block buckets, a bucket — or everything — on one disk, tracks with
+    gaps."""
+    D = draw(st.sampled_from([1, 2, 4, 8]))
+    nb = draw(st.sampled_from([n for n in (1, 2, 4, 8) if n <= D]))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    shape = draw(st.sampled_from(["uniform", "sparse", "one disk", "one bucket one disk"]))
+    # "sparse": some buckets empty, the others at a block or two.
+    live = [b for b in range(nb) if shape != "sparse" or rng.random() < 0.6] or [0]
+    nblocks = draw(st.integers(0, 2 * len(live) if shape == "sparse" else 120))
+    table = [[[] for _ in range(D)] for _ in range(nb)]
+    next_track = [rng.randrange(4) for _ in range(D)]
+    pinned = rng.randrange(D)
+    for _ in range(nblocks):
+        b = rng.choice(live)
+        dest = rng.randrange(b * NDEST // nb, (b + 1) * NDEST // nb)
+        on_one = shape == "one disk" or (shape == "one bucket one disk" and b == live[0])
+        disk = pinned if on_one else rng.randrange(D)
+        table[b][disk].append((next_track[disk], dest))
+        next_track[disk] += rng.randint(1, 3)
+    k = draw(st.sampled_from([1, 2, 4]))  # vps per batch slot
+    return D, nb, table, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=_tables(), fast=st.booleans())
+def test_planned_rounds_are_the_generated_rounds(tables, fast):
+    """Over random bucket tables the closed-form plan iterates to the very
+    rounds the paper's loop generates, in the same order, as Python ints,
+    afresh on every walk; each round costs two operations and every block
+    arrives in its slot."""
+    D, nb, table, k = tables
+    nslots = NDEST // k
+    slot_of = (lambda dest: dest) if k == 1 else (lambda dest: dest // k)  # batch_of_vp
+    array = DiskArray(D, 8, fast_io=fast, M=1 << 12)
+    allocator = RegionAllocator(array)
+    allocator.allocate(400)  # the bucket store's own tracks: 120 blocks, gaps of up to 3
+    buckets = LinkedBuckets(
+        array, allocator, nbuckets=nb, bucket_of=lambda dest: dest * nb // NDEST,
+        rng=random.Random(0),
+    )
+    buckets.table = table
+    for per_disk in table:
+        for disk, fifo in enumerate(per_disk):
+            for track, dest in fifo:
+                array.disks[disk]._store(track, Block(records=[dest], dest=dest))
+
+    handed, bases = [], []
+    move_rounds, allocate = array.move_rounds, allocator.allocate
+
+    def spy(rounds, then=()):
+        handed.extend([rounds, then])
+        return move_rounds(rounds, then)
+
+    def noted(tracks_per_disk):
+        bases.append(allocate(tracks_per_disk))
+        return bases[-1]
+
+    array.move_rounds, allocator.allocate = spy, noted
+    region, stats = simulate_routing(array, allocator, buckets, nslots, slot_of)
+    total = sum(len(fifo) for per_disk in table for fifo in per_disk)
+    assert stats.total_blocks == total
+    if not total:
+        assert not handed and region.total_blocks == 0
+        return
+    region_base, copy_base = bases
+    assert region.base == region_base
+    slot_sizes, want1, want2 = _oracle(table, D, nslots, slot_of, copy_base, region_base)
+    assert region.slot_sizes == slot_sizes
+    assert all(type(n) is int for n in region.slot_sizes)
+    for phase, want in zip(handed, (want1, want2)):
+        got = list(phase)
+        assert got == want == list(phase)
+        assert all(
+            type(x) is int for reads, writes in got for addr in (*reads, *writes) for x in addr
+        )
+    assert (stats.phase1_ops, stats.phase2_ops) == (2 * len(want1), 2 * len(want2))
+    assert type(stats.phase1_ops) is int and type(stats.phase2_ops) is int
+    delivered = [sorted(b.dest for b in slot) for slot in region.read_slots(range(nslots))]
+    wanted = [[] for _ in range(nslots)]
+    for per_disk in table:
+        for fifo in per_disk:
+            for _, dest in fifo:
+                wanted[slot_of(dest)].append(dest)
+    assert delivered == [sorted(w) for w in wanted]
 
 
 def test_traced_array_keeps_round_by_round_order(tmp_path):
-    """A hooked array never takes the chunked path: its trace is the
-    reference plane's, attempt for attempt."""
+    """A traced array runs the reference plane's attempts, fast knob or
+    not: its trace is the reference plane's, attempt for attempt."""
     supersteps = [[_blocks(random.Random(5), 40)]]
     traces = []
     for fast in (True, False):
@@ -179,21 +296,55 @@ def test_malformed_round_is_refused_before_data_moves(tmp_path, fast):
                 array.write_batched([*good_w, (*bad_addr, Block(records=[0])), *good_w])
             assert _state(array) == before
         for bad in ([(0, 1), (0, 2)], [(0, 1), (1, 1), (0, 2)], []):
-            # A bad read round, a bad write round: anywhere in a chunk.
+            # A bad read round, a bad write round: anywhere in either phase.
             for bad_move in ((bad, [(0, 7), (1, 7)][: len(bad)]), ([(0, 1), (1, 1)], bad)):
-                for at in range(len(good_moves) + 1):
-                    chunk = [*good_moves[:at], bad_move, *good_moves[at:]]
-                    with pytest.raises(DiskError):
-                        array.move_rounds(chunk)
-                    assert _state(array) == before
+                for which in (0, 1):
+                    for at in range(len(good_moves) + 1):
+                        phases = [good_moves, good_moves]
+                        phases[which] = [*good_moves[:at], bad_move, *good_moves[at:]]
+                        with pytest.raises(DiskError):
+                            array.move_rounds(*phases)
+                        assert _state(array) == before
         with pytest.raises(DiskError):  # a round writes every block it reads
-            array.move_rounds([*good_moves, (good_r, [(0, 7)])])
+            array.move_rounds(good_moves, [*good_moves, (good_r, [(0, 7)])])
+        with pytest.raises(TypeError):  # checked in one walk, run in another
+            array.move_rounds(good_moves, iter(good_moves))
         assert _state(array) == before
         array.move_rounds(good_moves)
         moved = array.parallel_read([(1, 5), (0, 5)]), array.parallel_read([(0, 6)])
         assert [[b.records for b in r] for r in moved] == [[[0], [0]], [[-2]]]
         assert array.parallel_ops == 3 + 4 + 2
         assert [d.used_tracks for d in array.disks] == [5, 4]
+    finally:
+        array.close_storage()
+
+
+@pytest.mark.parametrize("plane", ["file", "mmap"])
+def test_damaged_bucket_store_frame_is_a_checksum_error(tmp_path, plane):
+    """Algorithm 2 reads every block it moves through the frame check: a
+    flipped payload byte in the bucket store surfaces as the ``ChecksumError``
+    behind the read's exhausted retry budget (none, with no retry policy) —
+    a fatal I/O fault the engines answer with checkpoint recovery."""
+    array = DiskArray(2, B, fast_io=True, storage=StorageSpec.create(plane, tmp_path / "a"))
+    try:
+        allocator = RegionAllocator(array)
+        buckets = LinkedBuckets(
+            array, allocator, nbuckets=2, bucket_of=lambda dest: dest * 2 // V,
+            rng=random.Random(3),
+        )
+        buckets.append_blocks([b for b in _blocks(random.Random(3), 24) if len(b.records)])
+        array.sync_storage()
+        track = next(fifo[0][0] for per_disk in buckets.table if (fifo := per_disk[1]))
+        store = array.disks[1].storage
+        base, _n, length, _g = store._map[track]
+        with open(store.path, "r+b") as fh:
+            fh.seek(base * store.slot_bytes + FRAME_BYTES + length // 2)
+            byte = fh.read(1)
+            fh.seek(-1, 1)
+            fh.write(bytes([byte[0] ^ 0x04]))
+        with pytest.raises(RetryExhaustedError) as refused:
+            simulate_routing(array, allocator, buckets, nslots=V, slot_of=lambda dest: dest)
+        assert isinstance(refused.value.__cause__, ChecksumError)
     finally:
         array.close_storage()
 
@@ -265,48 +416,27 @@ def test_flipped_header_byte_is_a_checksum_error(tmp_path):
 
 
 def test_fast_file_plane_peak_heap_quarter_of_dataset(monkeypatch):
-    """The fast-plane twin of ``test_storage_oom``'s reference-plane bound.
-
-    This workload's dataset is about the size of its declared ``M``, so the
-    quarter of ``M`` a schedule may hold in flight is not small beside the
-    quarter-of-dataset bound.  The chunk is therefore measured — the heap
-    one chunk of the composed relay (``DiskArray._relay_sealed``) holds at
-    its worst: the sealed frames of its rounds (``tracemalloc`` sees the
-    reads they are views of) plus one write buffer — and allowed once;
-    everything else, the two schedules' index arrays and the hop arrays
-    ``move_rounds`` composes them into included, obeys the reference
-    plane's bound.  A second chunk kept alive, a decoded copy of the first,
-    or anything proportional to the dataset, breaks it.
-    """
+    """The fast-plane twin of ``test_storage_oom``'s reference-plane bound,
+    with Step 2 forced onto Algorithm 2: the peak heap of the whole run —
+    both phases' index arrays, one round of blocks in flight, the append
+    batches and the held contexts — stays within a quarter of the dataset.
+    Anything proportional to the dataset breaks it."""
     N, V_, SEED, RECLEN = 320_000, 64, 0, 64
     alg = OutOfCoreSort(N, V_, seed=SEED, reclen=RECLEN)
     machine = MachineParams(p=1, M=alg.context_size(), D=8, B=1024)
     serialized = serialized_size(SEED, N, V_, RECLEN)
-    chunk_heap, peak_before = [0], [0]
-    relay_sealed = DiskArray._relay_sealed
-
-    def measured(self, *hops):
-        assert len({len(column) for column in hops}) == 1
-        assert len(hops[0]) <= self.rounds_in_flight * self.D
-        before, peak = tracemalloc.get_traced_memory()
-        peak_before[0] = max(peak_before[0], peak)
-        tracemalloc.reset_peak()
-        relay_sealed(self, *hops)
-        chunk_heap[0] = max(chunk_heap[0], tracemalloc.get_traced_memory()[1] - before)
-
-    monkeypatch.setattr(DiskArray, "_relay_sealed", measured)
-    # The measured chunk is Algorithm 2's; force it where the store would be kept.
-    always_route(monkeypatch)
+    always_route(monkeypatch)  # D = 8 keeps this sort's stores otherwise
     tracemalloc.start()
     tracemalloc.reset_peak()
-    out, _report = simulate(alg, machine, v=V_, seed=SEED, storage="file", fast_io=True)
-    peak = max(peak_before[0], tracemalloc.get_traced_memory()[1])
-    tracemalloc.stop()
+    try:
+        out, report = simulate(alg, machine, v=V_, seed=SEED, storage="file", fast_io=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     verify_digests(out, SEED, N, V_, RECLEN)
-    assert chunk_heap[0] > 0
-    assert 4 * (peak - chunk_heap[0]) <= serialized, (
-        f"peak heap {peak} less one chunk of {chunk_heap[0]} exceeds 1/4 of "
-        f"the {serialized}-byte dataset"
+    assert sum(s.phases.reorganize for s in report.supersteps) == 2364
+    assert 4 * peak <= serialized, (
+        f"peak heap {peak} exceeds 1/4 of the {serialized}-byte dataset"
     )
 
 
@@ -326,64 +456,64 @@ def test_fast_vector_plane_recovers_every_crash_point(tmp_path, plane):
     assert "restart" in actions and any(a.startswith("resume@") for a in actions)
 
 
-def test_crash_between_two_chunks_of_a_composed_relay_resumes(tmp_path, monkeypatch):
-    """The window the composed relay opens: some targets of a reorganize
-    written, the rest still only in the bucket store, and — unlike the
-    two-hop relay — no scratch copy anywhere.  Nothing in it is referenced
-    by a committed barrier, so losing unsynced writes there and resuming
-    must reproduce the golden outputs and ledger, for every relay of the
-    run that has a second chunk."""
+@pytest.mark.parametrize("plane", ["file", "mmap"])
+def test_crash_between_two_rounds_of_phase_2_resumes(tmp_path, monkeypatch, plane):
+    """The window inside a reorganize: some targets of phase 2 written, the
+    rest still only in the bucket copies.  Nothing in it is referenced by a
+    committed barrier, so losing unsynced writes there and resuming must
+    reproduce the golden outputs and ledger, for every reorganize of the run
+    whose phase 2 has two rounds or more."""
     from repro.core.simulator import build_params, make_engine
     from repro.crashcheck import crash_and_recover
     from repro.emio.faults import CrashPlan, HostCrash
 
     machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
-    # One round in flight, so that a relay of this small sort has chunks to
-    # crash between; counted costs do not depend on the chunk.  Two drives
-    # keep every store, so Step 2 is forced onto Algorithm 2.
-    monkeypatch.setattr(DiskArray, "rounds_in_flight", property(lambda self: 1))
-    always_route(monkeypatch)
+    always_route(monkeypatch)  # two drives keep every store otherwise
 
     def build(storage_dir, crash=None, max_recoveries=8):
         alg = small_sort()
         alg.set_record_mode("vector")
         return make_engine(
             alg, build_params(alg, machine, 4, k=2), seed=0, checkpoint=True,
-            max_recoveries=max_recoveries, storage="file", storage_dir=storage_dir,
+            max_recoveries=max_recoveries, storage=plane, storage_dir=storage_dir,
             crash=crash, fast_io=True, context_cache=True,
         )
 
-    relay_sealed = DiskArray._relay_sealed
-    chunks_of: list[int] = []  # per relay of the run, how many chunks it moved
-    die_at = [None]  # (relay, chunk) after which the host dies, once
-
-    def relay(self, *hops):
-        relay_sealed(self, *hops)
-        chunks_of[-1] += 1
-        if die_at[0] == (len(chunks_of) - 1, chunks_of[-1]):
-            die_at[0] = None
-            self.crash_storage("lost")
-            raise HostCrash("injected host crash between two chunks of a relay")
-
+    rounds_of: list[int] = []  # per reorganize of the run, phase 2's rounds
+    die_at = [None]  # (reorganize, round) before which the host dies, once
     move_rounds = DiskArray.move_rounds
 
-    def counted(self, rounds, then=()):
-        chunks_of.append(0)
-        return move_rounds(self, rounds, then)
+    def crashing(self, rounds, then=()):
+        then = list(then)
+        rounds_of.append(len(then))
+        if die_at[0] is None or die_at[0][0] != len(rounds_of) - 1:
+            return move_rounds(self, rounds, then)
+        cut, die_at[0] = die_at[0][1], None
+        walks = []
 
-    monkeypatch.setattr(DiskArray, "_relay_sealed", relay)
-    monkeypatch.setattr(DiskArray, "move_rounds", counted)
+        class Phase2:  # its second walk is the one that moves blocks
+            def __iter__(_):
+                walks.append(None)
+                for j, move in enumerate(then):
+                    if len(walks) == 2 and j == cut:
+                        self.crash_storage("lost")
+                        raise HostCrash("injected host crash between two rounds of phase 2")
+                    yield move
+
+        return move_rounds(self, rounds, Phase2())
+
+    monkeypatch.setattr(DiskArray, "move_rounds", crashing)
     golden_out, golden_rep = build(str(tmp_path / "golden")).run()
-    relays = [(i, n) for i, n in enumerate(chunks_of) if n >= 2]
-    assert relays and golden_rep.faults.checkpoints_taken >= 2
+    reorganizes = [(i, n) for i, n in enumerate(rounds_of) if n >= 2]
+    assert reorganizes and golden_rep.faults.checkpoints_taken >= 2
     never = CrashPlan(seed=7, crash_point=10**6)  # arms the write log; never fires itself
     actions = set()
-    for i, n in relays:
-        del chunks_of[:]
+    for i, n in reorganizes:
+        del rounds_of[:]
         die_at[0] = (i, n // 2)
-        run = crash_and_recover(build, str(tmp_path / f"relay{i}"), never)
+        run = crash_and_recover(build, str(tmp_path / f"reorganize{i}"), never)
         assert die_at[0] is None and run.failure is None, run.failure
-        assert run.action != "no-crash" and run.action != "scrub"
+        assert run.action not in ("no-crash", "scrub")
         assert run.outputs == golden_out
         assert run.report.ledger.summary() == golden_rep.ledger.summary()
         actions.add(run.action.split("@")[0])
