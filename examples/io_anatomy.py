@@ -18,7 +18,7 @@ import bisect
 from repro import MachineParams
 from repro.algorithms import CGMMultisearch, CGMSampleSort
 from repro.baselines import EMBatchedSearch, SibeynKaufmannSimulation
-from repro.core.simulator import build_params, make_engine, simulate
+from repro.core import ParallelEMSimulation, build_params, simulate
 from repro.emio.trace import IOTrace
 from repro.workloads import uniform_keys
 
@@ -31,7 +31,7 @@ def main() -> None:
 
     # --- (a) this paper's simulation, traced -------------------------------
     params = build_params(CGMSampleSort(data, v), machine, v=v)
-    sim = make_engine(CGMSampleSort(data, v), params, seed=1)
+    sim = ParallelEMSimulation(CGMSampleSort(data, v), params, seed=1)
     trace = IOTrace.attach(sim.procs[0].array)  # the machine's one processor
     out, report = sim.run()
     assert [x for part in out for x in part] == sorted(data)

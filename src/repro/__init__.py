@@ -19,8 +19,8 @@ Quick start::
     print(report.summary())
 
 ``simulate`` derives the virtual machine ``(v, k, mu, gamma)`` from the
-algorithm's declarations; :func:`repro.core.make_engine` builds the engine
-from explicit :class:`SimulationParams` instead.
+algorithm's declarations; :class:`repro.core.ParallelEMSimulation` is the
+engine, built from explicit :class:`SimulationParams` instead.
 """
 
 from .costs import CostLedger, SuperstepCost, packets_for
@@ -58,7 +58,7 @@ def __getattr__(name):
 
         return getattr(bsp, name)
     if name == "ParallelEMSimulation":
-        from .core.parsim import ParallelEMSimulation
+        from .core.engine import ParallelEMSimulation
 
         return ParallelEMSimulation
     if name == "Pipeline":

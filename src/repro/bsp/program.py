@@ -11,7 +11,7 @@ superstep — exactly the BSP discipline — and communicates by
 The same algorithm object runs unchanged on
 
 * the in-memory reference runner (:mod:`repro.bsp.runner`), and
-* the EM simulation (:mod:`repro.core.parsim`) on a machine of any ``p``:
+* the EM simulation (:mod:`repro.core.engine`) on a machine of any ``p``:
   Algorithm 3, which is Algorithm 1 when ``p = 1``,
 
 which is the whole point of the paper: EM algorithms are *generated*, not

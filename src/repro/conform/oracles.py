@@ -277,8 +277,7 @@ def theorem1_io_bound(
       store's fetch spend in place of Algorithm 2's rounds, summed over
       processors: ``4 (ceil(T_{s-1}/D) + p)``.
     * write messages: ``ceil(T_s/D) + G`` — linked-bucket appends write full
-      cycles of ``D`` blocks, one partial cycle per group (per scatter
-      round on the parallel engine).
+      cycles of ``D`` blocks, one partial cycle per group (round).
     * reorganize: per processor that runs Algorithm 2,
       ``2*min(T, D*maxq + D) + 2*min(T, D + maxb)`` where ``maxq`` is that
       processor's worst (bucket, disk) queue length and ``maxb`` its largest

@@ -27,8 +27,8 @@ from typing import Any, Callable
 
 from ..bsp.runner import run_reference
 from ..core.checkpoint import SimulationAborted
-from ..core.engine import RunConfig
-from ..core.simulator import build_params, make_engine
+from ..core.engine import ParallelEMSimulation, RunConfig
+from ..core.simulator import build_params
 from ..crashcheck import crash_and_recover
 from ..emio.faults import FATAL_IO_FAULTS, FaultPlan
 from .case import ReproCase
@@ -120,7 +120,7 @@ def _build_engine(config: ConformConfig, faults: FaultPlan | None, **knobs):
         retry=config.retry_policy() if faults is not None else None,
         checkpoint=config.checkpoint,
     )
-    return make_engine(alg, params, plane, **knobs)
+    return ParallelEMSimulation(alg, params, plane, **knobs)
 
 
 def run_case(config: ConformConfig) -> CaseResult:

@@ -2,10 +2,9 @@
 
 from .checkpoint import SimulationAborted, SuperstepCheckpoint
 from .context import ContextStore
-from .engine import RunConfig
-from .parsim import ParallelEMSimulation
+from .engine import ParallelEMSimulation, RunConfig
 from .routing import RoutingStats, simulate_routing
-from .simulator import build_params, make_engine, simulate
+from .simulator import build_params, simulate
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
 # The one engine under its Algorithm 1 name, kept only because the frozen
@@ -20,7 +19,6 @@ __all__ = [
     "SequentialEMSimulation",
     "ParallelEMSimulation",
     "simulate",
-    "make_engine",
     "RunConfig",
     "build_params",
     "SimulationReport",

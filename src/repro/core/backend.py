@@ -1,4 +1,4 @@
-"""Execution backends for the parallel engine's real processors.
+"""Execution backends for the engine's real processors.
 
 Algorithm 3 prescribes *what* each of the ``p`` real processors does per
 phase; a backend decides *where* that work physically runs:
@@ -14,8 +14,7 @@ phase; a backend decides *where* that work physically runs:
   message payloads and per-worker ledger deltas.
 
 Both backends execute the identical per-processor code
-(:class:`~repro.core.processor.RealProcessor`, or the subclass the engine
-names — Algorithm 3 adds its round phases) with identical per-processor
+(:class:`~repro.core.processor.RealProcessor`) with identical per-processor
 RNG streams, so counted model costs, outputs, and reports are equal between
 them — the golden equivalence suite asserts this.  On a multi-core host the
 process backend overlaps the processors' computation and (host-side)
@@ -138,10 +137,10 @@ class InlineBackend:
         pass
 
 
-def _worker_main(conn, proc_cls: type, init_args: tuple) -> None:
-    """Command loop of one worker process: owns one ``proc_cls`` processor."""
+def _worker_main(conn, init_args: tuple) -> None:
+    """Command loop of one worker process: owns one real processor."""
     try:
-        proc = proc_cls(*init_args)
+        proc = RealProcessor(*init_args)
         _send_msg(conn, ("ok", None))
     except BaseException as exc:  # noqa: BLE001 - must reach the parent
         _send_msg(conn, ("err", exc))
@@ -176,9 +175,7 @@ class ProcessBackend:
     #: the slowest worker answers — that wait IS the superstep barrier).
     profiler = NULL_PROFILER
 
-    def __init__(
-        self, init_args_list: Sequence[tuple], proc_cls: type = RealProcessor
-    ):
+    def __init__(self, init_args_list: Sequence[tuple]):
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         # Exact pipe traffic: both sides speak the _send_msg/_recv_msg wire
@@ -192,7 +189,7 @@ class ProcessBackend:
         for init_args in init_args_list:
             parent, child = ctx.Pipe()
             worker = ctx.Process(
-                target=_worker_main, args=(child, proc_cls, init_args), daemon=True
+                target=_worker_main, args=(child, init_args), daemon=True
             )
             worker.start()
             child.close()
@@ -262,12 +259,10 @@ class ProcessBackend:
         self._workers = []
 
 
-def make_backend(
-    kind: str, init_args_list: Sequence[tuple], proc_cls: type = RealProcessor
-):
-    """Build the backend named ``kind``: one ``proc_cls`` per init tuple."""
+def make_backend(kind: str, init_args_list: Sequence[tuple]):
+    """Build the backend named ``kind``: one real processor per init tuple."""
     if kind == "inline":
-        return InlineBackend([proc_cls(*args) for args in init_args_list])
+        return InlineBackend([RealProcessor(*args) for args in init_args_list])
     if kind == "process":
-        return ProcessBackend(init_args_list, proc_cls)
+        return ProcessBackend(init_args_list)
     raise ValueError(f"unknown backend {kind!r} (expected one of {BACKENDS})")

@@ -1,13 +1,89 @@
-"""The superstep-barrier lifecycle of the EM simulation.
+"""The EM simulation: Algorithm 3, **ParCompoundSuperstep**, on a
+``p``-processor EM machine, for every ``p >= 1``.
 
-The paper tells its algorithms apart only *inside* a compound superstep
-(and Algorithm 1, ``SeqCompoundSuperstep``, is Algorithm 3,
-``ParCompoundSuperstep``, on one processor); everything around the barrier
-is the same machine.  :class:`EMEngine` is that machine:
-build the real processors (:class:`~repro.core.processor.RealProcessor`)
-behind a backend, load the input, drive compound supersteps until the
-algorithm halts, checkpoint at every barrier, resume from a checkpoint,
-inject host crashes, stream events, unload the output, report the faults.
+Algorithm 1 (``SeqCompoundSuperstep``) is Algorithm 3 run on one processor:
+with ``p = 1`` there is no network, and every other step is the same.
+:class:`ParallelEMSimulation` is the one engine.
+
+Each real processor ``i`` (:class:`~repro.core.processor.RealProcessor`)
+simulates the virtual processors ``i*(v/p) .. (i+1)*(v/p)-1`` and owns its
+own memory, router port, and ``D`` local disks.  A compound superstep runs
+in ``v/(p*k)`` *rounds*; in round ``j`` processor ``i`` simulates virtual
+processors ``i*(v/p)+j*k .. i*(v/p)+(j+1)*k-1`` (the *batch* ``j`` comprises
+the ``p*k`` virtual processors simulated in round ``j`` across all
+processors; Algorithm 1 calls it a *group*).
+
+Per round:
+
+* **Fetching phase** (Step 1(a)) — each processor reads from its local disks
+  the message blocks pertaining to batch ``j`` (scattered there at random in
+  the previous superstep), combines blocks bound for a common simulating
+  processor into packets of size ``b``, and routes them in one h-relation.
+  It also reads its ``k`` current contexts locally.
+* **Computing phase** (Step 1(b)) — the ``k`` virtual supersteps run; changed
+  contexts go back to the local disks.
+* **Writing phase** (Step 1(c)) — the round's whole outbox (every vp of the
+  batch, in message order) is cut into packets of ``b`` records, all full
+  but the last, by the block packer (:func:`~repro.bsp.message.pack_blocks`;
+  a message may split across packets, each packet's segment table says
+  whose records it carries), and the packets are dealt round-robin from one
+  uniformly random offset per processor and round (:func:`deal`).  Each
+  receiver thus gets ``floor(n/p)`` or ``ceil(n/p)`` of a sender's ``n``
+  packets — a deterministic bound beside Lemma 10's whp one.  A round with
+  an empty outbox deals nothing and draws nothing.  Receivers pack the
+  packets' pieces per destination batch's owner — the ``k`` vps it
+  simulates together — into full blocks of size ``B``
+  (:func:`~repro.bsp.message.pack_by_group`) and append them to their local
+  ``D``-bucket stores with random-permutation disk writes.
+
+**One processor** (:attr:`RealProcessor.network
+<repro.core.processor.RealProcessor.network>` is False).  Nothing is
+gathered, cut or dealt, and no random number is drawn for a deal: a
+round's pieces go straight to :func:`~repro.bsp.message.pack_by_group`,
+which is Algorithm 1's Step 1(d) exactly, and the only barrier of a
+compound superstep is Step 2's.  What the machine reports as communication
+is then the *virtual* machine's h-relation
+(:func:`~repro.core.processor.vm_packets` per round, :func:`h_relation` per
+superstep): the max over vps of packets sent plus received,
+``ceil(size/b)`` a message and one for an empty one.  ``pad_to_gamma``
+pads each group's blocks with Lemma 3's dummy blocks to the analysis' worst
+case; it has no meaning with several processors and is refused there.
+
+The rounds run their batches in ascending cyclic order, each compound
+superstep starting with the batch the one before ended with
+(:func:`~repro.core.processor.group_order`), on every processor alike: that
+batch stays in memory across the barrier, so its context write-back and
+fetch are skipped — with one batch (``v == p*k``), every one.  A batch
+whose vps are all declared quiet (:meth:`~repro.bsp.program.BSPAlgorithm.quiet`)
+and whose incoming slot is empty on every processor is skipped before
+anything is read, on every processor alike: no context swap, no compute, no
+scatter (never the first or last batch of the order).
+
+After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
+every processor, producing per-batch standard-consecutive regions for the
+next compound superstep — or, where reading the store as it stands costs the
+next superstep's batch fetches no more than Algorithm 2 could (always with
+``D <= 5``, and with one batch, ``v == p*k``), keeps the store itself as the
+incoming messages and charges no round
+(:meth:`~repro.core.processor.RealProcessor.deliver`).  Each processor
+decides for itself.
+
+Around the barrier the engine builds the real processors behind a backend
+(:mod:`repro.core.backend`): ``"inline"`` (default, the reference) calls
+them in index order in-process; ``"process"`` runs each processor in its own
+``multiprocessing`` worker, the superstep barriers becoming
+send-all/receive-all pipe rounds that exchange packed message payloads and
+per-worker ledger deltas.  Every processor draws from its own deterministic
+RNG stream (seeded ``{seed}/proc{i}``, or ``seed`` itself on a
+one-processor machine), so both backends produce identical outputs, ledgers,
+and reports.  The engine is written against one verb — *call this method on
+every real processor and collect the answers* (``backend.call_all``) — and
+charges every barrier phase as the model prescribes: the maximum over
+processors of computation, packets, and parallel I/O operations, plus the
+barrier cost ``L`` per h-relation.  It loads the input, drives compound
+supersteps until the algorithm halts, checkpoints at every barrier, resumes
+from a checkpoint, injects host crashes, streams events, unloads the output
+and reports the faults.
 
 Robustness (``faults``/``retry``/``checkpoint`` knobs): the disk substrate
 can inject transient errors, corruption, latency spikes, and permanent disk
@@ -26,12 +102,6 @@ Because message reassembly sorts blocks by (source, message, sequence) and
 the computation is deterministic, neither degraded-mode block placement nor
 a superstep re-run can change the simulated algorithm's outputs.
 
-It is written against one verb — *call this method on every real processor
-and collect the answers* (``backend.call_all``) — and charges every barrier
-phase as the model prescribes, the maximum over processors.  A subclass
-(:class:`~repro.core.parsim.ParallelEMSimulation`) supplies
-:meth:`EMEngine._superstep`, the compound superstep itself.
-
 How the host runs all this — backend, storage plane, data plane,
 record plane, faults, checkpoints, crashes — is one frozen
 :class:`RunConfig`, declared and checked here, once.
@@ -40,11 +110,13 @@ record plane, faults, checkpoints, crashes — is one frozen
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any
 
 from ..bsp.program import AlgorithmError, BSPAlgorithm
-from ..costs import CostLedger, SuperstepCost
+from ..costs import CostLedger, SuperstepCost, packets_for
+from ..emio.disk import Block
 from ..emio.faults import FATAL_IO_FAULTS, CrashPlan, FaultPlan, HostCrash, RetryPolicy
 from ..emio.linked import WRITE_SCHEDULES
 from ..emio.storage import STORAGE_KINDS, StorageSpec
@@ -59,11 +131,10 @@ from .checkpoint import (
     freeze,
     thaw,
 )
-from .processor import RealProcessor
-from .routing import RoutingStats
+from .processor import RealProcessor, group_order
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
-__all__ = ["EMEngine", "RunConfig", "RECORD_MODES"]
+__all__ = ["ParallelEMSimulation", "RunConfig", "RECORD_MODES", "deal", "h_relation"]
 
 #: ``RunConfig.records`` values besides ``None`` (keep the algorithm's mode).
 RECORD_MODES = ("object", "vector")
@@ -85,8 +156,7 @@ class RunConfig:
     :class:`~repro.params.SimulationParams` holds what the paper
     parameterises — the machine ``(p, M, D, B, b, G, g, L)`` and the virtual
     machine ``(v, k, mu, gamma)``; a ``RunConfig`` holds the rest.
-    :func:`~repro.core.simulator.simulate`,
-    :func:`~repro.core.simulator.make_engine` and the engine take one as
+    :func:`~repro.core.simulator.simulate` and the engine take one as
     ``config=`` and accept its fields as keywords too (folded by :meth:`of`:
     a keyword wins over the same field of ``config``; a name that is no
     field is a ``TypeError``).  Every enumerated value is refused at
@@ -236,31 +306,53 @@ class RunConfig:
         return replace(config, **knobs) if knobs else config
 
 
-class EMEngine:
-    """Barrier lifecycle of an EM-BSP simulation (see the module docstring).
+def deal(packets: list[Block], offset: int, p: int) -> list[list[Block]]:
+    """The writing phase's deal: packet ``t`` goes to processor
+    ``(offset + t) mod p``, so each of the ``p`` receivers gets
+    ``floor(n/p)`` or ``ceil(n/p)`` of the ``n`` packets, in send order."""
+    return [packets[(q - offset) % p :: p] for q in range(p)]
 
-    ``config`` / ``**knobs`` say how the host runs it (:class:`RunConfig`).
-    ``observer`` is an optional :class:`~repro.obs.spans.Collector`
-    receiving nested spans (superstep > phase), per-disk counter samples,
-    and run metrics — purely read-only at phase boundaries: counted costs,
-    outputs, and reports are byte-identical with and without it, and the
-    fast data plane stays available (unlike
+
+def h_relation(tallies: list[tuple[tuple[int, int, int], ...]]) -> int:
+    """The virtual machine's h-relation over a compound superstep's rounds'
+    :func:`~repro.core.processor.vm_packets` tallies: the max over vps of
+    packets sent plus received."""
+    load: Counter[int] = Counter()
+    for tally in tallies:
+        for vp, sent, received in tally:
+            load[vp] += sent + received
+    return max(load.values(), default=0)
+
+
+class ParallelEMSimulation:
+    """Runs a :class:`BSPAlgorithm` on a ``p``-processor EM machine, for
+    every ``p >= 1``: Algorithm 3, which is Algorithm 1 at ``p = 1`` (see
+    the module docstring).
+
+    ``config`` / ``**knobs`` say how the host runs it (:class:`RunConfig`);
+    ``backend`` places the real processors.  ``observer`` is an optional
+    :class:`~repro.obs.spans.Collector` receiving nested spans (superstep >
+    phase), per-disk counter samples, and run metrics — purely read-only at
+    phase boundaries: counted costs, outputs, and reports are byte-identical
+    with and without it, and the fast data plane stays available (unlike
     :meth:`repro.emio.trace.IOTrace.attach`); export with
     :func:`repro.obs.write_chrome_trace` / :func:`repro.obs.write_jsonl`.  A
     ``Collector(profile=True)`` additionally receives the wall-clock
     attribution profile (DESIGN §11): the engine installs its
     :class:`~repro.obs.profile.CategoryProfiler` into the disk arrays (and
-    therefore the storage plane) and bills each phase to its category.
-    ``events`` is an optional :class:`~repro.obs.live.RunEventLog`: the
-    engine streams ``run_started`` / ``superstep_started`` /
+    therefore the storage plane) and bills each phase to its category.  The
+    engine emits barrier-level spans (superstep >
+    fetch/compute/write/reorganize) on its own track; every real processor
+    collects its own spans, samples, and metrics worker-side — under the
+    process backend they travel back over the pipes — and the engine merges
+    them into ``observer`` as one coherent timeline (``perf_counter`` is
+    host-wide monotonic).  ``events`` is an optional
+    :class:`~repro.obs.live.RunEventLog`: the engine streams ``run_started`` / ``superstep_started`` /
     ``superstep_finished`` / ``run_finished`` events (with counted io_ops,
     storage bytes moved, and an ETA when the log has an ``expected_steps``
     hint) as line-flushed JSONL (``repro watch <file>`` tails it) —
     read-only like the observer.
     """
-
-    #: Processor class the backend instantiates once per real processor.
-    PROCESSOR = RealProcessor
 
     def __init__(
         self,
@@ -279,14 +371,9 @@ class EMEngine:
         self.events = events
         self._crash_counter = 0
 
-        m = params.machine
-        self.p = m.p
+        self.p = params.machine.p
         self.v = params.bsp.v
-        self.k = params.k
-        self.vpp = self.v // self.p  # virtual processors per real processor
-        # Groups of k (Algorithm 3: rounds) per processor and compound superstep.
-        self.nbatches = self.vpp // self.k
-        self.ledger = CostLedger(m)
+        self.ledger = CostLedger(params.machine)
         self.report = SimulationReport(params=params, ledger=self.ledger)
 
         self.last_checkpoint: SuperstepCheckpoint | None = None
@@ -338,7 +425,6 @@ class EMEngine:
                     )
                     for i in range(self.p)
                 ],
-                self.PROCESSOR,
             )
         except BaseException:
             spec.cleanup()
@@ -492,34 +578,113 @@ class EMEngine:
             **extra,
         )
 
-    # -- run skeleton ---------------------------------------------------------------
-
-    def _load_input(self) -> None:
-        with self.obs.span("load_input", cat="layout") as sp:
-            self.report.init_io_ops = max(self.backend.call_all("load_input"))
-            sp.add(io_ops=self.report.init_io_ops)
+    # -- one compound superstep -----------------------------------------------------
 
     def _superstep(self, step: int) -> bool:
         """Run compound superstep ``step`` and append its report; return
         True when the algorithm halted with no traffic in flight."""
-        raise NotImplementedError
+        cost = self.ledger.begin_superstep(label=f"superstep {step}")
+        # A round's gather and deal are h-relations, each ending in a
+        # barrier, only over a network; Step 2's barrier ends every
+        # compound superstep.
+        network = self.p > 1
+        cost.syncs = 1
+        phases = PhaseBreakdown()
+        marks0 = self.backend.call_all("begin_superstep")
+        all_halted = True
+        blocks_generated = 0
+        packing: list[list[tuple[tuple[int, ...], int]]] = []
+        traffic: list[tuple] = []
 
-    def _seal_superstep(
-        self,
-        step: int,
-        cost: SuperstepCost,
-        phases: PhaseBreakdown,
-        routing: RoutingStats | None,
-        blocks_generated: int,
-        all_halted: bool,
-        routing_all: list[RoutingStats] | None = None,
-        packing: list | None = None,
-        ran: list[tuple[int, int, int]] | None = None,
-        traffic: list | None = None,
-    ) -> bool:
-        """Close compound superstep ``step``'s books: charge its phases to
-        the ledger, append its report, record its metrics; return True when
-        the algorithm halted with no traffic in flight."""
+        obs = self.obs
+        k, vpp = self.params.k, self.params.vps_per_processor
+        order = group_order(step, self.params.groups_per_processor)
+        ran: list[tuple[int, int, int]] = []
+        for j in order:
+            # One collective decision, before anything is read: a batch of
+            # quiet vps whose incoming slot is empty on every processor is
+            # skipped on every processor alike — no fetch, no compute, no
+            # scatter; its gather moves nothing.  The superstep's first and
+            # last batches always run: they carry the resident batch across
+            # the barriers.
+            if (
+                j not in (order[0], order[-1])
+                and not any(sizes[j] for _r, _s, sizes in marks0)
+                and all(
+                    self.algorithm.quiet(step, i * vpp + j * k + r)
+                    for i in range(self.p) for r in range(k)
+                )
+            ):
+                all_halted = False  # a quiet vp does not vote halt
+                if network:  # its gather moved nothing, but is a barrier
+                    cost.syncs += 1
+                traffic.append(((), None) if network else ())
+                continue
+
+            # ---- Fetching phase: local reads + gather h-relation ----
+            # inbound[q] = blocks for processor q's current k vps.
+            with obs.span("fetch_barrier", batch=j, cat="layout") as sp:
+                fetches = self.backend.call_all("fetch", [(j,)] * self.p)
+                d = max(io for _by, io, _ctx in fetches)
+                phases.fetch_messages += d
+                sp.add(io_ops=d)
+            fetch_ctx = max(ctx for _by, _io, ctx in fetches)
+            inbound: list[list[Block]] = [[] for _ in range(self.p)]
+            for by_owner, _io, _ctx in fetches:
+                for q, qblocks in by_owner.items():
+                    inbound[q].extend(qblocks)
+            gather = self._gather(fetches, cost) if network else ()
+
+            # ---- Computing phase ----
+            with obs.span("compute_barrier", batch=j, cat="kernel") as sp:
+                computes = self.backend.call_all(
+                    "compute", [(j, step, inbound[q]) for q in range(self.p)]
+                )
+                sp.add(comp_ops=max(r["comp"] for r in computes))
+            cost.comp_ops += max(r["comp"] for r in computes)
+            cost.records_sent += sum(r["sent_records"] for r in computes)
+            if not all(r["halted"] for r in computes):
+                all_halted = False
+
+            # ---- Writing phase: scatter h-relation + bucket and context writes ----
+            if network:
+                outpackets = self._scatter(computes, cost)
+                traffic.append((
+                    gather, tuple((r["sent_records"], r["offset"]) for r in computes)
+                ))
+            else:
+                outpackets = [[]]
+                traffic.append(computes[0]["tally"])
+            with obs.span("write_barrier", batch=j, cat="layout") as sp:
+                writes = self.backend.call_all(
+                    "write", [(j, step, outpackets[q]) for q in range(self.p)]
+                )
+                d = max(w[1] for w in writes)
+                sp.add(io_ops=d, packets=sum(len(r["packets"]) for r in computes))
+            blocks_generated += sum(w[0] for w in writes)
+            phases.write_messages += d
+            packing.append([(loads, dummies) for _n, _io, loads, dummies, _ctx in writes])
+            save_ctx = max(w[4] for w in writes)
+            phases.fetch_context += fetch_ctx
+            phases.write_context += save_ctx
+            ran.append((j, fetch_ctx, save_ctx))
+        if not network:  # the virtual machine's h-relation (Algorithm 1)
+            cost.comm_packets += h_relation(traffic)
+
+        # ---- Step 2: local reorganization on every processor ----
+        with obs.span("reorganize_barrier", cat="routing") as sp:
+            reorgs = self.backend.call_all("reorganize", [(step,)] * self.p)
+            d = max(io for _r, io in reorgs)
+            sp.add(io_ops=d)
+        phases.reorganize += d
+        routing_all = [routing for routing, _io in reorgs]
+        worst_routing = max(routing_all, key=lambda r: r.max_load_ratio)
+
+        marks1 = self.backend.call_all("end_superstep")
+        cost.retry_ops = max(m1[0] - m0[0] for m0, m1 in zip(marks0, marks1))
+        cost.stall_ops = max(m1[1] - m0[1] for m0, m1 in zip(marks0, marks1))
+
+        # ---- Close the books: ledger, report, metrics ----
         m = self.params.machine
         cost.io_ops = phases.total
         cost.records_io = phases.total * m.D * m.B
@@ -527,7 +692,7 @@ class EMEngine:
             SuperstepReport(
                 index=step,
                 phases=phases,
-                routing=routing,
+                routing=worst_routing,
                 comm_packets=cost.comm_packets,
                 message_blocks=blocks_generated,
                 halted=all_halted,
@@ -537,8 +702,10 @@ class EMEngine:
                 traffic=traffic,
             )
         )
-        if self.obs.enabled:
-            mx = self.obs.metrics
+        if obs.enabled:
+            mx = obs.metrics
+            if worst_routing.total_blocks:
+                mx.histogram("lemma2_load_ratio").record(worst_routing.max_load_ratio)
             mx.histogram("superstep_io_ops").record(phases.total)
             mx.counter("comm_packets").inc(cost.comm_packets)
             mx.counter("message_blocks").inc(blocks_generated)
@@ -546,6 +713,51 @@ class EMEngine:
                 mx.counter("retry_ops").inc(cost.retry_ops)
                 mx.counter("stall_ops").inc(cost.stall_ops)
         return all_halted and blocks_generated == 0
+
+    def _gather(self, fetches: list, cost: SuperstepCost) -> tuple:
+        """Charge the fetching phase's h-relation: the max over processors of
+        packets sent plus received, ``max(1, ceil(records/b))`` per pair of
+        distinct processors that moved blocks.  Returns the gather as
+        ``(sender, owner, records)`` per pair, a processor's own included."""
+        b = self.params.machine.b
+        gather = []
+        load = [0] * self.p
+        for i, (by_owner, _io, _ctx) in enumerate(fetches):
+            for q, qblocks in sorted(by_owner.items()):
+                nrec = sum(blk.nrecords() for blk in qblocks)
+                gather.append((i, q, nrec))
+                if q != i:
+                    npk = max(1, packets_for(nrec, b))
+                    load[i] += npk
+                    load[q] += npk
+        cost.comm_packets += max(load)
+        cost.syncs += 1
+        return tuple(gather)
+
+    def _scatter(self, computes: list[dict], cost: SuperstepCost) -> list[list[Block]]:
+        """Deal every processor's packets and charge the writing phase's
+        h-relation; returns each processor's received packets.  A packet a
+        processor deals to itself is charged (the gather's are not): DESIGN
+        §13."""
+        outpackets: list[list[Block]] = [[] for _ in range(self.p)]
+        load = [0] * self.p
+        for i, r in enumerate(computes):
+            load[i] += len(r["packets"])
+            if r["offset"] is None:
+                continue
+            for q, got in enumerate(deal(r["packets"], r["offset"], self.p)):
+                load[q] += len(got)
+                outpackets[q].extend(got)
+        cost.comm_packets += max(load)
+        cost.syncs += 1
+        return outpackets
+
+    # -- run skeleton ---------------------------------------------------------------
+
+    def _load_input(self) -> None:
+        with self.obs.span("load_input", cat="layout") as sp:
+            self.report.init_io_ops = max(self.backend.call_all("load_input"))
+            sp.add(io_ops=self.report.init_io_ops)
 
     def _run_from(self, start: int) -> None:
         """Drive supersteps from ``start``, recovering from fatal faults."""
@@ -624,9 +836,7 @@ class EMEngine:
         self._crash_stage("torn")
         self._crash_stage("lost")
         with self.obs.span("checkpoint", step=step, cat="checkpoint"):
-            exports = self.backend.call_all(
-                "export_checkpoint", [(self.params.k,)] * self.p
-            )
+            exports = self.backend.call_all("export_checkpoint")
             refs = [e[5] for e in exports]
             self.last_checkpoint = SuperstepCheckpoint(
                 step=step,

@@ -4,26 +4,34 @@ A real processor owns ``D`` local disks (a :class:`~repro.emio.diskarray.DiskArr
 their track allocator, the contexts of the virtual processors it simulates,
 the bucket store of the current compound superstep, the incoming messages
 of the next one, and a deterministic RNG stream.  The machine has ``p`` of
-them (Algorithm 3; Algorithm 1 is the case ``p = 1``).  What a processor
-does *around the barrier* — load the input, run a group of virtual
-processors in memory, turn the bucket store into the next incoming
-messages (Step 2), export / restore / re-attach its half of a checkpoint,
-take crash damage, unload the output, tally its faults — lives here.
+them (Algorithm 3; Algorithm 1 is the case ``p = 1``).  Everything a
+processor does lives here: load the input, its half of each round of a
+compound superstep (fetch, compute, write), turn the bucket store into the
+next incoming messages (Step 2), export / restore / re-attach its half of a
+checkpoint, take crash damage, unload the output, tally its faults.
 
 Every method takes and returns plain picklable values plus the parallel
 I/O operations the call itself performed, so
-:class:`~repro.core.engine.EMEngine` does the model's max-over-processors
-accounting identically whether the processor is a local object or lives in
-a ``multiprocessing`` worker (:mod:`repro.core.backend`).
+:class:`~repro.core.engine.ParallelEMSimulation` does the model's
+max-over-processors accounting identically whether the processor is a local
+object or lives in a ``multiprocessing`` worker (:mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from ..bsp.message import Message, blocks_to_messages
+from ..bsp.message import (
+    Message,
+    Piece,
+    block_pieces,
+    blocks_to_messages,
+    pack_blocks,
+    pack_by_group,
+)
 from ..bsp.program import AlgorithmError, BSPAlgorithm, VPContext
+from ..costs import packets_for
 from ..emio.disk import Block
 from ..emio.diskarray import DiskArray
 from ..emio.layout import RegionAllocator, SlotReads, StripedRegion
@@ -38,7 +46,7 @@ from .routing import RoutingStats, keep_store, simulate_routing
 if TYPE_CHECKING:
     from .engine import RunConfig
 
-__all__ = ["RealProcessor", "group_order"]
+__all__ = ["RealProcessor", "group_order", "vm_packets"]
 
 #: How an incoming-message store is re-attached, by its ``reference()`` tag.
 _ADOPT = {"region": StripedRegion.adopt, "store": LinkedBuckets.adopt}
@@ -53,6 +61,22 @@ def group_order(step: int, ngroups: int) -> list[int]:
     ascending and descending saves the same; this keeps the direction of
     travel the groups always had.)"""
     return [(g - step) % ngroups for g in range(ngroups)]
+
+
+def vm_packets(pieces: list[Piece], b: int) -> tuple[tuple[int, int, int], ...]:
+    """The virtual machine's h-relation of one round's outbox, as
+    ``(vp, packets sent, packets received)`` per vp it touches, sorted by
+    vp: a message of ``size`` records is ``ceil(max(size, 1)/b)`` packets."""
+    sent: dict[int, int] = {}
+    received: dict[int, int] = {}
+    for dest, src, _msg, _seq, payload in pieces:
+        n = packets_for(max(len(payload), 1), b)
+        sent[src] = sent.get(src, 0) + n
+        received[dest] = received.get(dest, 0) + n
+    return tuple(
+        (vp, sent.get(vp, 0), received.get(vp, 0))
+        for vp in sorted(sent.keys() | received.keys())
+    )
 
 
 class RealProcessor:
@@ -86,8 +110,8 @@ class RealProcessor:
         self.p = m.p
         self.v = s.v
         self.k = params.k
-        self.vpp = s.v // m.p  # virtual processors per real processor
-        self.nbatches = self.vpp // self.k  # groups of k swapped through memory
+        self.vpp = params.vps_per_processor
+        self.nbatches = params.groups_per_processor  # groups of k swapped through memory
         self.gamma = algorithm.comm_bound() if config.enforce_gamma else None
         # Lemma 3's dummy blocks: every group's traffic padded to k*ceil(gamma/B).
         self.pad = self.k * -(-s.gamma // m.B) if config.pad_to_gamma else 0
@@ -123,11 +147,45 @@ class RealProcessor:
         )
         # Under the process backend this worker's private profiler bills the
         # local storage plane; a local processor is handed the engine's own
-        # profiler right after construction (EMEngine.__init__).
+        # profiler right after construction (ParallelEMSimulation.__init__).
         self.array.set_profiler(self.obs.profile)
         self.obs.profile.start()
 
     # -- placement and bookkeeping ---------------------------------------------
+
+    @property
+    def network(self) -> bool:
+        """Whether the machine has a network to route over: not with one
+        processor, where Algorithm 3 is Algorithm 1 (see
+        :mod:`repro.core.engine`)."""
+        return self.p > 1
+
+    def owner_of_vp(self, vp: int) -> int:
+        """Real processor simulating virtual processor ``vp``."""
+        return vp // self.vpp
+
+    def slot_of_vp(self, vp: int) -> int:
+        """Incoming slot, on its owner, of a block destined for ``vp``: one
+        slot per vp, as Algorithm 1 lays them out, so group ``j`` reads its
+        ``k`` consecutive slots (:meth:`slots`)."""
+        return vp % self.vpp
+
+    def bucket_of_vp(self, vp: int) -> int:
+        """Local disk bucket of a block destined for ``vp``.
+
+        "Each bucket contains the blocks for ``(v/pk)/D`` batches": the
+        paper assumes ``v/(pk) >= D``.  The processor's ``v/p`` virtual
+        processors are ranged evenly into the ``D`` buckets, as Algorithm 1
+        ranges its ``v``; where ``D`` divides the batch count this is
+        exactly the paper's map, batches ranged evenly into buckets.  Ranging
+        batches would use only ``v/(pk)`` buckets when ``1 < v/(pk) < D``
+        and leave the other drives idle in phase 1; ranging vps, a batch may
+        span two buckets, and each bucket is still a contiguous vp range, as
+        Algorithm 2 requires.  A message block, packed per destination batch,
+        is addressed to the batch's first vp, so its bucket is its batch's
+        under either map.
+        """
+        return (vp % self.vpp) * self.params.machine.D // self.vpp
 
     def slots(self, j: int) -> list[int]:
         """Local context slots of group (Algorithm 3: batch) ``j``."""
@@ -220,40 +278,26 @@ class RealProcessor:
             alg.superstep(ctx)
             yield ctx
 
-    def open_buckets(self, bucket_of: Callable[[int], int]) -> LinkedBuckets:
-        """Open the compound superstep's ``D``-bucket store (Step 1(d)/(c))."""
-        self.buckets = LinkedBuckets(
-            self.array,
-            self.allocator,
-            nbuckets=self.params.machine.D,
-            bucket_of=bucket_of,
-            rng=self.rng,
-            schedule=self.write_schedule,
-        )
-        return self.buckets
-
-    def deliver(
-        self, nslots: int, slot_of: Callable[[int], int], name: str
-    ) -> RoutingStats:
-        """Step 2: make this superstep's bucket store the next one's incoming
-        messages, in ``nslots`` slots by ``slot_of(dest)``; the ``nbatches``
-        fetch groups take the slots in equal consecutive runs.
+    def deliver(self, step: int) -> RoutingStats:
+        """Step 2: make superstep ``step``'s bucket store the next one's
+        incoming messages, one slot per vp (:meth:`slot_of_vp`); the
+        ``nbatches`` fetch groups take the slots in equal consecutive runs.
 
         The store's tables say, before any block moves, what each group's
         fetch would cost reading the store as it stands (``group_loads``).
         Where :func:`~repro.core.routing.keep_store` finds that no dearer than
         Algorithm 2 could be, the store is kept (:meth:`LinkedBuckets.retain`)
         and no round is charged; otherwise Algorithm 2 reorganizes it into a
-        fresh standard-consecutive region named ``name``.
+        fresh standard-consecutive region.
         """
-        store = self.buckets
-        loads = store.retain(nslots, slot_of).group_loads(self.nbatches)
+        store, slot_of = self.buckets, self.slot_of_vp
+        loads = store.retain(self.vpp, slot_of).group_loads(self.nbatches)
         if keep_store(loads, self.array.D):
             incoming, routing = store, RoutingStats.of(store)
         else:
             incoming, routing = simulate_routing(
-                self.array, self.allocator, store, nslots=nslots, slot_of=slot_of,
-                name=name,
+                self.array, self.allocator, store, nslots=self.vpp, slot_of=slot_of,
+                name=f"incoming@p{self.index}s{step + 1}",
             )
         routing.group_loads, routing.kept = loads, incoming is store
         self.swap_incoming(incoming)
@@ -270,10 +314,151 @@ class RealProcessor:
             self.incoming.free()
         self.incoming = region
 
+    # -- one compound superstep's rounds (Algorithm 3, Step 1) ------------------
+    #
+    # Driven by the engine through a backend; each returns this processor's
+    # parallel-I/O deltas, so the engine does the model's max-over-processors
+    # accounting identically for every backend.
+
+    def begin_superstep(self) -> tuple[int, int, list[int]]:
+        """Open a compound superstep and its ``D``-bucket store; returns
+        (retry_ops, stall_ops) marks and the blocks each batch's incoming
+        slot holds (what the engine tells an idle batch by before anything
+        is fetched)."""
+        self.buckets = LinkedBuckets(
+            self.array,
+            self.allocator,
+            nbuckets=self.params.machine.D,
+            bucket_of=self.bucket_of_vp,
+            rng=self.rng,
+            schedule=self.write_schedule,
+        )
+        # The round's pieces while they wait for Step 1(d) without a
+        # network, and the Lemma 3 dummy blocks written so far.
+        self.held: list[Piece] = []
+        self.dummies = 0
+        inc = self.incoming
+        sizes = [sum(inc.slot_sizes[s] for s in self.slots(j)) if inc else 0
+                 for j in range(self.nbatches)]
+        return self.array.retry_ops, self.stall_total(), sizes
+
+    def fetch(self, j: int) -> tuple[dict[int, list[Block]], int, int]:
+        """Step 1(a): read batch ``j``'s contexts, kept here for
+        :meth:`compute`, and its message blocks, grouped by owning
+        processor.  Returns the blocks and the message and context I/O."""
+        with self.obs.span("fetch_context", batch=j, cat="layout") as sp:
+            t = self.array.parallel_ops
+            self.states = self.contexts.load_group(self.slots(j))
+            ctx_io = self.array.parallel_ops - t
+            sp.add(io_ops=ctx_io)
+        with self.obs.span("fetch", batch=j, cat="layout") as sp:
+            t = self.array.parallel_ops
+            blks = self.fetch_group(self.slots(j))
+            by_owner: dict[int, list[Block]] = {}
+            for blk in blks:
+                by_owner.setdefault(self.owner_of_vp(blk.dest), []).append(blk)
+            delta = self.array.parallel_ops - t
+            sp.add(io_ops=delta, blocks=len(blks))
+        return by_owner, delta, ctx_io
+
+    def compute(self, j: int, step: int, inbound: list[Block]) -> dict[str, Any]:
+        """Step 1(b): run batch ``j``'s ``k`` virtual supersteps; the new
+        contexts stay here for :meth:`write`.
+
+        Returns the round's outbox cut into packets of ``b`` records and
+        the deal offset (``None`` for an empty outbox, which draws no random
+        number) — or, without a network, no packets and the virtual
+        machine's h-relation tally (:func:`vm_packets`), the pieces staying
+        here for :meth:`write` — plus this processor's cost contributions.
+        """
+        b = self.params.machine.b
+        new_states: list[Any] = []
+        pieces: list[Piece] = []
+        comp = 0.0
+        sent_records = 0
+        halted = True
+        with self.obs.span("compute", batch=j, step=step, cat="kernel") as sp:
+            for ctx in self.run_vps(self.vps(j), self.states, inbound, step):
+                new_states.append(ctx.state)
+                if not ctx.halted:
+                    halted = False
+                comp += ctx.comp_ops
+                sent_records += ctx.sent_records
+                for mi, msg in enumerate(ctx.outbox):
+                    pieces.append((msg.dest, msg.src, mi, 0, msg.payload))
+            self.states = new_states
+            packets: list[Block] = []
+            offset = tally = None
+            if not self.network:
+                self.held, tally = pieces, vm_packets(pieces, b)
+            elif pieces:
+                packets = pack_blocks(pieces, b, self.index)
+                offset = self.rng.randrange(self.p)
+            sp.add(comp_ops=comp, packets=len(packets))
+        return {
+            "packets": packets,
+            "offset": offset,
+            "tally": tally,
+            "comp": comp,
+            "sent_records": sent_records,
+            "halted": halted,
+        }
+
+    def write(
+        self, j: int, step: int, packets: list[Block]
+    ) -> tuple[int, int, tuple[int, ...], int, int]:
+        """Step 1(c): pack the pieces of the received packets (or, without
+        a network, the round's own) into full blocks per destination group,
+        pad them with Lemma 3's dummy blocks under ``pad_to_gamma``, and
+        append them to the buckets; then write batch ``j``'s contexts back.
+        Returns the message blocks, the message I/O, each destination
+        group's records and the dummy blocks (for the packing referee), and
+        the context I/O."""
+        B = self.params.machine.B
+        with self.obs.span("write_messages", batch=j, cat="layout") as sp:
+            t = self.array.parallel_ops
+            pieces, self.held = self.held + block_pieces(packets), []
+            rblocks, loads = pack_by_group(pieces, B, self.k)
+            nblocks = len(rblocks)
+            dummies = max(0, self.pad - nblocks)
+            for _ in range(dummies):
+                rblocks.append(Block(records=[], dest=self.dummies % self.v, dummy=True))
+                self.dummies += 1
+            self.buckets.append_blocks(rblocks)
+            delta = self.array.parallel_ops - t
+            sp.add(io_ops=delta, blocks=len(rblocks), packets=len(packets))
+        with self.obs.span("write_context", batch=j, cat="layout") as sp:
+            t = self.array.parallel_ops
+            # The last round's group stays in memory: it opens the next superstep.
+            last = group_order(step, self.nbatches)[-1]
+            self.contexts.save_group(self.slots(j), self.states, hold=j == last)
+            self.states = None
+            save_io = self.array.parallel_ops - t
+            sp.add(io_ops=save_io)
+        return nblocks, delta, loads, dummies, save_io
+
+    def reorganize(self, step: int) -> tuple[RoutingStats, int]:
+        """Step 2 on the local buckets (:meth:`deliver`)."""
+        if self.obs.enabled:
+            self._sample_disks()
+        with self.obs.span("reorganize", step=step, cat="routing") as sp:
+            t = self.array.parallel_ops
+            routing = self.deliver(step)
+            delta = self.array.parallel_ops - t
+            sp.add(io_ops=delta, blocks=routing.total_blocks)
+        if self.obs.enabled:
+            self.obs.metrics.histogram("lemma2_load_ratio").record(
+                routing.max_load_ratio
+            )
+        return routing, delta
+
+    def end_superstep(self) -> tuple[int, int]:
+        return self.array.retry_ops, self.stall_total()
+
     # -- checkpoint/restore ------------------------------------------------------
 
     def export_checkpoint(
-        self, group_size: int
+        self,
     ) -> tuple[bytes, bytes | None, Any, set[int], int, dict | None]:
         """This processor's half of a barrier checkpoint.
 
@@ -285,7 +470,7 @@ class RealProcessor:
         """
         with self.obs.span("checkpoint", cat="checkpoint") as sp:
             t = self.array.parallel_ops
-            state_blob = freeze(self.contexts.export_all(group_size=group_size))
+            state_blob = freeze(self.contexts.export_all(group_size=self.k))
             inc = self.incoming
             if inc is not None:
                 layout = (inc.slot_sizes, inc.read_slots(range(inc.nslots)))

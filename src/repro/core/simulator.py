@@ -2,7 +2,7 @@
 
 :func:`simulate` assembles :class:`SimulationParams` from an algorithm's own
 resource declarations and runs the engine
-(:class:`~repro.core.parsim.ParallelEMSimulation`: Algorithm 3, which is
+(:class:`~repro.core.engine.ParallelEMSimulation`: Algorithm 3, which is
 Algorithm 1 at ``p = 1``) on the machine.  This is the
 "automatically generated EM algorithm" of the paper's conclusion: the caller
 supplies a parallel algorithm and a machine description; blocking, parallel
@@ -18,11 +18,10 @@ from ..bsp.program import BSPAlgorithm
 from ..obs.live import RunEventLog
 from ..obs.spans import Collector
 from ..params import BSPParams, MachineParams, SimulationParams
-from .engine import RunConfig
-from .parsim import ParallelEMSimulation
+from .engine import ParallelEMSimulation, RunConfig
 from .stats import SimulationReport
 
-__all__ = ["simulate", "make_engine", "build_params"]
+__all__ = ["simulate", "build_params"]
 
 
 def build_params(
@@ -42,22 +41,6 @@ def build_params(
         ),
         k=k,
         strict=strict,
-    )
-
-
-def make_engine(
-    algorithm: BSPAlgorithm,
-    params: SimulationParams,
-    config: RunConfig | None = None,
-    *,
-    observer: Collector | None = None,
-    events: RunEventLog | None = None,
-    **knobs: Any,
-) -> ParallelEMSimulation:
-    """Build the engine for ``params``; ``knobs`` are :class:`RunConfig`
-    fields."""
-    return ParallelEMSimulation(
-        algorithm, params, config, observer=observer, events=events, **knobs
     )
 
 
@@ -81,7 +64,7 @@ def simulate(
     ``config`` and ``knobs`` say how the host runs it — the fields of
     :class:`~repro.core.engine.RunConfig`, documented there once — and
     ``observer`` / ``events`` watch it (see
-    :class:`~repro.core.engine.EMEngine`).  ``io_overlap`` is deprecated and
+    :class:`~repro.core.engine.ParallelEMSimulation`).  ``io_overlap`` is deprecated and
     ignored: the overlapped-I/O plane it selected was deleted (DESIGN §12);
     ``True`` warns, and nothing below this function accepts it.
 
@@ -98,6 +81,6 @@ def simulate(
             stacklevel=2,
         )
     params = build_params(algorithm, machine, v, k=k, strict=strict)
-    return make_engine(
+    return ParallelEMSimulation(
         algorithm, params, config, observer=observer, events=events, **knobs
     ).run()

@@ -91,9 +91,9 @@ class SuperstepReport:
     comm_packets: int = 0
     message_blocks: int = 0
     halted: bool = False
-    # Every real processor's routing stats (the parallel engine's `routing`
-    # keeps only the worst-deviation processor, but the reorganize phase is
-    # charged as a max over *ops*, so bound checks need all of them).
+    # Every real processor's routing stats (`routing` keeps only the
+    # worst-deviation processor, but the reorganize phase is charged as a
+    # max over *ops*, so bound checks need all of them).
     routing_all: list[RoutingStats] | None = None
     # Step 1(d)'s packing, per write round (Algorithm 1: group) and real
     # processor: the records packed for each destination group, and the

@@ -40,8 +40,8 @@ from typing import Any, Callable
 
 from .bsp.program import BSPAlgorithm
 from .core.checkpoint import ScrubResult, scrub
-from .core.engine import RunConfig
-from .core.simulator import build_params, make_engine
+from .core.engine import ParallelEMSimulation, RunConfig
+from .core.simulator import build_params
 from .emio.faults import CRASH_STAGES, CrashPlan, HostCrash
 from .params import MachineParams
 
@@ -179,7 +179,7 @@ def explore(
         """One engine over a fresh algorithm instance, on the sweep's plane
         with ``kw`` (``storage_dir``, ``crash``, ``max_recoveries``) set."""
         alg = algorithm_factory()
-        return make_engine(alg, build_params(alg, machine, v, k=k), plane, **kw)
+        return ParallelEMSimulation(alg, build_params(alg, machine, v, k=k), plane, **kw)
 
     golden_out, golden_rep = build(storage_dir=os.path.join(root, "golden")).run()
     checkpoints = golden_rep.faults.checkpoints_taken

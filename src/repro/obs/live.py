@@ -20,7 +20,7 @@ an ``expected_steps`` hint (``eta_s`` is ``null`` without one — compound
 superstep counts are algorithm-dependent and the log does not guess).
 
 ``run_finished`` carries ``io_ops``, defined once by the engine
-(:meth:`repro.core.engine.EMEngine._counted_io_ops`) as every counted
+(:meth:`repro.core.engine.ParallelEMSimulation._counted_io_ops`) as every counted
 parallel I/O operation the run's report accounts for::
 
     init_io_ops + sum(superstep phases.total) + output_io_ops

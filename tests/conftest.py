@@ -70,6 +70,14 @@ def session_tmpdir():
         shutil.rmtree(own, ignore_errors=True)
 
 
+@pytest.fixture
+def private_tmpdir(tmp_path, monkeypatch):
+    """Point ``tempfile`` at an empty directory so claimed roots are countable."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # drop the cached choice
+    return tmp_path
+
+
 def _storage_roots():
     """The owned roots ``StorageSpec.create`` makes when given no directory."""
     return set(glob.glob(os.path.join(tempfile.gettempdir(), "em-storage-*")))

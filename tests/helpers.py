@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from repro.bsp.program import BSPAlgorithm, VPContext
 from repro.bsp.runner import run_reference
-from repro.core.simulator import make_engine
+from repro.core import ParallelEMSimulation
 from repro.params import BSPParams, MachineParams, SimulationParams
 
 __all__ = [
@@ -30,7 +30,7 @@ def run_on(make, p=1, D=2, B=16, k=2, v=8, **knobs):
         bsp=BSPParams(v=v, mu=mu, gamma=max(alg.comm_bound(), 1)),
         k=k,
     )
-    outputs, report = make_engine(alg, params, **knobs).run()
+    outputs, report = ParallelEMSimulation(alg, params, **knobs).run()
     return outputs, report, run_reference(make(), v)[0]
 
 

@@ -13,7 +13,7 @@ from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from repro.core.backend import InlineBackend, ProcessBackend, make_backend
 from repro.core.checkpoint import SimulationAborted
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.params import MachineParams

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.conform import REFERENCE
 from repro.core.context import ContextStore, _Meter
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.emio.disk import DiskError
 from repro.emio.diskarray import DiskArray
 from repro.emio.layout import RegionAllocator, bytes_to_blocks
@@ -189,7 +189,7 @@ def _engine(storage, backend, storage_dir=None, **knobs):
     kw = dict(knobs)
     if storage != "memory":
         kw.update(storage=storage, storage_dir=str(storage_dir))
-    return make_engine(
+    return ParallelEMSimulation(
         alg, build_params(alg, machine, 8), backend=backend,
         seed=0, checkpoint=True, **kw,
     )

@@ -1,6 +1,6 @@
 """The barrier lifecycle is one piece of code — drive it through every shape.
 
-``repro.core.engine.EMEngine`` owns run/resume, checkpointing, fatal-fault
+``repro.core.engine.ParallelEMSimulation`` owns run/resume, checkpointing, fatal-fault
 rollback, crash injection, event emission and the fault report.  These
 tests push each machine shape (p=1 and p=2, inline and over worker
 processes) through the lifecycle's four exits and require the same
@@ -21,9 +21,10 @@ import pytest
 from repro.algorithms.graphs import CGMListRanking
 from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.runner import run_reference
+from repro.core import backend
 from repro.core.backend import ProcessBackend
 from repro.core.checkpoint import SimulationAborted, scrub
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.emio.disk import DiskError
 from repro.emio.faults import CRASH_STAGES, CrashPlan, FaultPlan, HostCrash
 from repro.emio.storage import StorageSpec
@@ -49,7 +50,7 @@ def build(p, backend, **knobs):
     alg = CGMSampleSort(list(KEYS), v=V)
     machine = MachineParams(p=p, M=1 << 12, D=4, B=16, b=32)
     params = build_params(alg, machine, v=V)
-    return make_engine(alg, params, backend=backend, seed=3, **knobs)
+    return ParallelEMSimulation(alg, params, backend=backend, seed=3, **knobs)
 
 
 def dying_drive(p):
@@ -147,16 +148,6 @@ def test_a_checkpoint_of_the_retired_sequential_engine_is_refused(tmp_path):
 # Constructor failures must hand back what they claimed
 
 
-@pytest.fixture
-def private_tmpdir(tmp_path, monkeypatch):
-    """Point ``tempfile`` at an empty directory so leaks are countable."""
-    import tempfile
-
-    monkeypatch.setenv("TMPDIR", str(tmp_path))
-    monkeypatch.setattr(tempfile, "tempdir", None)  # drop the cached choice
-    return tmp_path
-
-
 class _Unbuildable(CGMSampleSort):
     """Fine while the params are derived; once armed, no processor (local
     or forked into a worker) can be constructed around it."""
@@ -182,7 +173,7 @@ class TestFailedConstructionLeaksNothing:
         params = build_params(alg, machine, v=V)
         alg.armed = True
         with pytest.raises(RuntimeError, match="cannot be built"):
-            make_engine(alg, params, backend=backend, storage="file")
+            ParallelEMSimulation(alg, params, backend=backend, storage="file")
         assert os.listdir(private_tmpdir) == []
         assert multiprocessing.active_children() == []
 
@@ -208,14 +199,16 @@ def test_failed_process_backend_startup_reaps_its_workers(tmp_path):
     del ei
 
 
-def test_process_backend_reaps_on_failed_startup_directly():
+def test_process_backend_reaps_on_failed_startup_directly(monkeypatch):
     class Boom:
         def __init__(self, index):
             if index == 1:
                 raise RuntimeError("no processor for you")
 
+    # The forked workers build the patched class.
+    monkeypatch.setattr(backend, "RealProcessor", Boom)
     with pytest.raises(RuntimeError, match="no processor") as ei:
-        ProcessBackend([(0,), (1,)], Boom)
+        ProcessBackend([(0,), (1,)])
     assert multiprocessing.active_children() == []
     del ei
 
@@ -313,7 +306,7 @@ def test_one_processor_counts_algorithm_1s_columns(case, tmp_path, monkeypatch):
         knobs = dict(knobs, storage_dir=str(tmp_path / "tracks"))
     alg = make()
     params = build_params(alg, MachineParams(p=1, M=M, D=D, B=B, b=b), alg.v)
-    emitted, rep = _streamed(tmp_path, lambda ev: make_engine(alg, params, events=ev, **knobs))
+    emitted, rep = _streamed(tmp_path, lambda ev: ParallelEMSimulation(alg, params, events=ev, **knobs))
     phases = ("fetch_context", "fetch_messages", "write_messages", "write_context",
               "reorganize")
     assert (

@@ -9,7 +9,7 @@ import pytest
 
 from repro.bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from repro.bsp.runner import run_reference
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.emio.disk import DiskError
 from repro.params import MachineParams

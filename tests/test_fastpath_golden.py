@@ -20,7 +20,7 @@ from repro.algorithms.permutation import CGMPermutation
 from repro.algorithms.sorting import CGMSampleSort
 from repro.conform import REFERENCE
 from repro.core.checkpoint import SimulationAborted
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.emio.trace import IOTrace

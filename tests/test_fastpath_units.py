@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.emio.disk import Block, Disk, DiskError
 from repro.emio.diskarray import DiskArray
 from repro.emio.faults import FaultPlan, RetryPolicy
@@ -242,7 +242,7 @@ class TestFastPlaneGating:
             kwargs.update(
                 faults=FaultPlan(seed=0, read_error_rate=0.02), retry=RetryPolicy()
             )
-        sim = make_engine(
+        sim = ParallelEMSimulation(
             alg, build_params(alg, machine, v=4), storage=kind,
             storage_dir=tmp_path, **kwargs,
         )

@@ -18,7 +18,7 @@ import pytest
 
 from repro.algorithms import CGMPermutation, CGMSampleSort
 from repro.core.checkpoint import SimulationAborted, SuperstepCheckpoint
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray

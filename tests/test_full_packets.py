@@ -30,9 +30,8 @@ from repro.conform.oracles import (
 )
 from repro.conform.runner import fuzz, run_case
 from repro.conform.strategies import QUICK
-from repro.core import parsim
+from repro.core import ParallelEMSimulation, build_params, engine, processor
 from repro.core.checkpoint import SimulationAborted
-from repro.core.simulator import build_params, make_engine
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.params import MachineParams
 
@@ -44,7 +43,7 @@ N, V, K, b = 512, 16, 2, 16  # two batches a processor at p = 4
 def listrank(p, **knobs):
     alg = CGMListRanking(wl.random_linked_list(N, seed=1), V)
     params = build_params(alg, MachineParams(p=p, M=1 << 16, D=2, B=8, b=b), V, k=K)
-    return make_engine(alg, params, **knobs)
+    return ParallelEMSimulation(alg, params, **knobs)
 
 
 def reference():
@@ -54,7 +53,7 @@ def reference():
 def per_message(monkeypatch):
     """Planted: the old writing phase, one message's packets at a time."""
     monkeypatch.setattr(
-        parsim, "pack_blocks",
+        processor, "pack_blocks",
         lambda pieces, b, dest: [
             pkt for piece in pieces for pkt in pack_blocks([piece], b, dest)
         ],
@@ -71,14 +70,14 @@ def test_each_round_cuts_full_packets_and_deals_them_evenly(monkeypatch, p):
     ``floor`` or ``ceil`` of ``n/p`` of them, and the report's traffic says
     so; the answer is the reference's."""
     deals = []
-    real_deal = parsim.deal
+    real_deal = engine.deal
 
     def spy(packets, offset, p):
         got = real_deal(packets, offset, p)
         deals.append((packets, got))
         return got
 
-    monkeypatch.setattr(parsim, "deal", spy)
+    monkeypatch.setattr(engine, "deal", spy)
     outputs, report = listrank(p).run()
     assert check_outputs("listrank", outputs, reference()) == []
     assert check_theorem1_io(report.params, report)[0] == []
@@ -135,12 +134,12 @@ def test_only_a_round_with_pieces_draws_a_deal_offset(monkeypatch):
     for p in (2, 1):
         alg = TotalExchangeSum()
         params = build_params(alg, MachineParams(p=p, M=1 << 16, D=2, B=4, b=8), 4, k=1)
-        engine = make_engine(alg, params)
+        sim = ParallelEMSimulation(alg, params)
         draws.clear()
         monkeypatch.setattr(random.Random, "randrange", counting)
         if p == 1:
-            monkeypatch.setattr(parsim, "deal", None)  # no network: no deal
-        _out, report = engine.run()
+            monkeypatch.setattr(engine, "deal", None)  # no network: no deal
+        _out, report = sim.run()
         monkeypatch.undo()
         if p == 1:
             assert draws == []
@@ -149,7 +148,7 @@ def test_only_a_round_with_pieces_draws_a_deal_offset(monkeypatch):
             assert [t for t in report.supersteps[1].traffic if t] == [
                 ((0, 4, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1))]
             assert [s.comm_packets for s in report.supersteps] == [
-                parsim.h_relation(s.traffic) for s in report.supersteps]
+                engine.h_relation(s.traffic) for s in report.supersteps]
             continue
         offsets = [
             offset
@@ -202,8 +201,8 @@ def test_the_fuzzer_catches_and_shrinks_a_planted_packet_at_p1(monkeypatch):
     """Planted: one packet more than the virtual machine's h-relation on a
     one-processor machine, which the referee recomputes from each round's
     per-vp tallies."""
-    real = parsim.h_relation
-    monkeypatch.setattr(parsim, "h_relation", lambda tallies: real(tallies) + 1)
+    real = engine.h_relation
+    monkeypatch.setattr(engine, "h_relation", lambda tallies: real(tallies) + 1)
     assert "virtual machine's messages" in shrunk_failure(1).message
 
 

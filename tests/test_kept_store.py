@@ -29,7 +29,7 @@ from repro.conform.oracles import (
 from repro.core import processor
 from repro.core.checkpoint import SimulationAborted
 from repro.core.routing import keep_store
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.crashcheck import crash_and_recover
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
@@ -90,7 +90,7 @@ def piled(**knobs):
     stands that is 64 ops; Algorithm 2 plus its region's fetch is 54."""
     alg = AllToAllExchange()
     params = build_params(alg, MachineParams(p=1, M=1 << 13, D=8, B=8, b=16), 8, k=1)
-    return make_engine(alg, params, write_schedule="static", **knobs)
+    return ParallelEMSimulation(alg, params, write_schedule="static", **knobs)
 
 
 # The ids name the machine: "sequential" is the one-processor machine.
@@ -159,7 +159,7 @@ def test_no_superstep_pays_more_than_algorithm_2(kind, v, kdiv, D, B, schedule, 
         with pytest.MonkeyPatch.context() as mp:
             if route:
                 always_route(mp)
-            return make_engine(alg, params, write_schedule=schedule).run()
+            return ParallelEMSimulation(alg, params, write_schedule=schedule).run()
 
     out, rep = run(False)
     out_a2, rep_a2 = run(True)
@@ -193,7 +193,7 @@ def sort(**knobs):
     alg = CGMSampleSort(wl.uniform_keys(SORT_N, seed=2), SORT_V)
     params = build_params(alg, SORT_MACHINE, SORT_V, k=SORT_K)
     assert params.groups_per_processor == 8
-    return make_engine(alg, params, **knobs)
+    return ParallelEMSimulation(alg, params, **knobs)
 
 
 def sort_reference():

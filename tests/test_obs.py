@@ -14,7 +14,7 @@ import pytest
 
 from repro.algorithms.sorting import CGMSampleSort
 from repro.core.checkpoint import freeze
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.core.stats import FaultReport, PhaseBreakdown
 from repro.obs import (

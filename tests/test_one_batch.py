@@ -27,10 +27,10 @@ from repro.conform.oracles import (
     check_theorem1_io,
     record_bytes,
 )
+from repro.core import ParallelEMSimulation, build_params
 from repro.core.checkpoint import SimulationAborted
-from repro.core.parsim import _Placement
+from repro.core.processor import RealProcessor
 from repro.core.routing import simulate_routing
-from repro.core.simulator import build_params, make_engine
 from repro.crashcheck import crash_and_recover
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
@@ -53,7 +53,7 @@ def build(shape, **knobs):
     machine = MachineParams(p=s["p"], M=1 << 16, D=4, B=8, b=16)
     params = build_params(alg, machine, s["v"], k=s["k"])
     assert params.groups_per_processor == 1
-    return make_engine(alg, params, **knobs)
+    return ParallelEMSimulation(alg, params, **knobs)
 
 
 def reference_outputs(shape):
@@ -236,7 +236,7 @@ def test_bucket_map_is_the_papers_where_D_divides_the_batch_count():
                     place = SimpleNamespace(vpp=vpp, k=k, nbatches=nbatches,
                                             params=SimpleNamespace(machine=SimpleNamespace(D=D)))
                     for vp in range(v):
-                        assert _Placement.bucket_of_vp(place, vp) == _batch_map(vp, p, v, k, D)
+                        assert RealProcessor.bucket_of_vp(place, vp) == _batch_map(vp, p, v, k, D)
                     checked += 1
     assert checked > 20
 
@@ -257,14 +257,14 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     always_route(monkeypatch)
     place = SimpleNamespace(vpp=8, k=4, nbatches=2,
                             params=SimpleNamespace(machine=SimpleNamespace(D=4)))
-    assert {_Placement.bucket_of_vp(place, vp) for vp in range(8)} == {0, 1, 2, 3}
+    assert {RealProcessor.bucket_of_vp(place, vp) for vp in range(8)} == {0, 1, 2, 3}
     assert {_batch_map(vp, 2, 16, 4, 4) for vp in range(8)} == {0, 2}
 
     def run():
         alg = CGMListRanking(wl.random_linked_list(1024, seed=1), 16)
         params = build_params(alg, MachineParams(p=2, M=1 << 16, D=4, B=8, b=16), 16, k=4)
         assert params.groups_per_processor == 2
-        outputs, report = make_engine(alg, params).run()
+        outputs, report = ParallelEMSimulation(alg, params).run()
         return outputs, sum(s.phases.reorganize for s in report.supersteps), report.io_ops
 
     # (1976, 4090) and (3176, 5290) below while each superstep ran its batches
@@ -273,7 +273,7 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     outputs, reorganize, io_ops = run()
     assert (reorganize, io_ops) == (1994, 3145)
     monkeypatch.setattr(
-        _Placement, "bucket_of_vp",
+        RealProcessor, "bucket_of_vp",
         lambda self, vp: _batch_map(vp, self.p, self.v, self.k, self.params.machine.D),
     )
     # (3092, 4522) under the batch map before the packing, against the vp

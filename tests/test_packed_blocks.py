@@ -16,7 +16,7 @@ import pytest
 from repro.bsp import message
 from repro.bsp.message import blocks_to_messages, pack_blocks
 from repro.conform.oracles import check_theorem1_io, plain_outputs
-from repro.core import make_engine, simulate
+from repro.core import ParallelEMSimulation, simulate
 from repro.core.simulator import build_params
 from repro.emio.disk import Block
 from repro.emio.faults import (
@@ -38,7 +38,7 @@ KEYS = uniform_keys(2048, seed=4)
 def sort_run(p, **knobs):
     alg = CGMSampleSort(list(KEYS), v=8)
     machine = MachineParams(p=p, M=1 << 14, D=4, B=16, b=32)
-    return make_engine(alg, build_params(alg, machine, v=8, k=2), **knobs).run()
+    return ParallelEMSimulation(alg, build_params(alg, machine, v=8, k=2), **knobs).run()
 
 
 def packed(vector: bool) -> Block:

@@ -8,7 +8,7 @@ import pytest
 from repro import workloads
 from repro.algorithms.prefix import CGMPrefixSums
 from repro.bsp.runner import run_reference
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray

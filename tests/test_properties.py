@@ -20,7 +20,8 @@ from repro.bsp.collectives import (
     regular_samples,
     share_bounds,
 )
-from repro.core.parsim import ParallelEMSimulation, deal
+from repro.core import ParallelEMSimulation
+from repro.core.engine import deal
 from repro.core.routing import simulate_routing
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray

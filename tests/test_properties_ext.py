@@ -12,7 +12,7 @@ from repro.algorithms.geometry.triangulate import delaunay_triangulation
 from repro.algorithms.multisearch import CGMMultisearch
 from repro.algorithms.prefix import CGMPrefixSums
 from repro.bsp.runner import run_reference
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params
 from repro.params import MachineParams
 

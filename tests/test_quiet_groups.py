@@ -30,7 +30,7 @@ from repro.conform.runner import fuzz, run_case
 from repro.conform.strategies import QUICK
 from repro.core.checkpoint import SimulationAborted
 from repro.core.processor import group_order
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.crashcheck import crash_and_recover, explore
 from repro.emio.faults import CRASH_STAGES, CrashPlan, FaultPlan, RetryPolicy
 from repro.params import MachineParams
@@ -173,7 +173,7 @@ def test_skipping_quiet_groups_changes_nothing_but_the_context_swaps(
         if not declared:
             declared_nothing(alg)
         params = build_params(alg, MachineParams(p=p, M=1 << 18, D=D, B=B, b=2 * B), v, k=k)
-        return make_engine(alg, params, storage=storage, records=records).run()
+        return ParallelEMSimulation(alg, params, storage=storage, records=records).run()
 
     (out, rep), (out_all, rep_all) = run(True), run(False)
     assert pickle.dumps(plain_outputs(out)) == pickle.dumps(plain_outputs(out_all))
@@ -207,7 +207,7 @@ def test_a_quiet_vp_that_receives_still_runs():
     superstep 2 each receives the sum, so no group is skipped there."""
     alg = LateQuiet()
     params = build_params(alg, MachineParams(p=1, M=1 << 16, D=2, B=4, b=8), 16, k=2)
-    outputs, report = make_engine(alg, params).run()
+    outputs, report = ParallelEMSimulation(alg, params).run()
     assert check_outputs("late", outputs, run_reference(LateQuiet(), 16)[0]) == []
     assert [len(s.ran) for s in report.supersteps] == [8, 3, 8]
 
@@ -223,7 +223,7 @@ def sort(p=1, declared=True, **knobs):
         declared_nothing(alg)
     machine = MachineParams(p=p, M=1 << 16, D=4, B=8, b=16)
     params = build_params(alg, machine, SORT_V, k=SORT_K)
-    return make_engine(alg, params, **knobs)
+    return ParallelEMSimulation(alg, params, **knobs)
 
 
 def sort_reference():
@@ -286,7 +286,7 @@ def test_the_referee_pins_the_input_load_to_first_fetches_after_a_skip():
     superstep 1, and the input load still equals the first fetches."""
     alg = Broadcast()
     params = build_params(alg, MachineParams(p=1, M=1 << 16, D=2, B=4, b=8), 16, k=2)
-    _out, report = make_engine(alg, params).run()
+    _out, report = ParallelEMSimulation(alg, params).run()
     assert [g for g, _f, _w in report.supersteps[0].ran] == [0, 7]
     assert check_theorem1_io(report.params, report)[0] == []
     report.init_io_ops += 1

@@ -25,7 +25,7 @@ from repro.core import processor
 from repro.core.checkpoint import SimulationAborted
 from repro.core.context import ContextStore
 from repro.core.processor import group_order
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.crashcheck import crash_and_recover
 from repro.emio.disk import DiskError
 from repro.emio.diskarray import DiskArray
@@ -122,7 +122,7 @@ def listrank(p=2, **knobs):
     params = build_params(alg, MachineParams(p=p, M=1 << 16, D=4, B=8, b=16), LR_V,
                           k=LR_V // p)
     assert params.groups_per_processor == 1
-    return make_engine(alg, params, **knobs)
+    return ParallelEMSimulation(alg, params, **knobs)
 
 
 def listrank_reference():
@@ -194,7 +194,7 @@ def test_holding_a_group_saves_context_swaps_and_changes_nothing_else(
         with pytest.MonkeyPatch.context() as mp:
             if write_back:
                 write_everything_back(mp)
-            return make_engine(alg, params).run()
+            return ParallelEMSimulation(alg, params).run()
 
     out, rep = run(False)
     out_all, rep_all = run(True)
@@ -221,7 +221,7 @@ def sort(**knobs):
     alg = CGMSampleSort(wl.uniform_keys(SORT_N, seed=2), SORT_V)
     params = build_params(alg, MachineParams(p=1, M=1 << 16, D=4, B=8, b=16), SORT_V, k=SORT_K)
     assert params.groups_per_processor == 8
-    return make_engine(alg, params, **knobs)
+    return ParallelEMSimulation(alg, params, **knobs)
 
 
 @pytest.mark.parametrize("build", [sort, listrank], ids=["8-groups-p1", "1-group-p2"])

@@ -190,7 +190,7 @@ def test_planned_rounds_are_the_generated_rounds(tables, fast):
     arrives in its slot."""
     D, nb, table, k = tables
     nslots = NDEST // k
-    slot_of = (lambda dest: dest) if k == 1 else (lambda dest: dest // k)  # batch_of_vp
+    slot_of = (lambda dest: dest) if k == 1 else (lambda dest: dest // k)  # one slot a group of k
     array = DiskArray(D, 8, fast_io=fast, M=1 << 12)
     allocator = RegionAllocator(array)
     allocator.allocate(400)  # the bucket store's own tracks: 120 blocks, gaps of up to 3
@@ -463,7 +463,7 @@ def test_crash_between_two_rounds_of_phase_2_resumes(tmp_path, monkeypatch, plan
     committed barrier, so losing unsynced writes there and resuming must
     reproduce the golden outputs and ledger, for every reorganize of the run
     whose phase 2 has two rounds or more."""
-    from repro.core.simulator import build_params, make_engine
+    from repro.core import ParallelEMSimulation, build_params
     from repro.crashcheck import crash_and_recover
     from repro.emio.faults import CrashPlan, HostCrash
 
@@ -473,7 +473,7 @@ def test_crash_between_two_rounds_of_phase_2_resumes(tmp_path, monkeypatch, plan
     def build(storage_dir, crash=None, max_recoveries=8):
         alg = small_sort()
         alg.set_record_mode("vector")
-        return make_engine(
+        return ParallelEMSimulation(
             alg, build_params(alg, machine, 4, k=2), seed=0, checkpoint=True,
             max_recoveries=max_recoveries, storage=plane, storage_dir=storage_dir,
             crash=crash, fast_io=True, context_cache=True,

@@ -1,8 +1,8 @@
 """One run config: the engine knobs are one frozen object, checked once.
 
-``RunConfig`` holds every knob of how the host runs a simulation; ``simulate``,
-``make_engine`` and the engine take it as ``config=`` and fold keyword
-knobs into it at one place.  These tests pin the object itself (frozen,
+``RunConfig`` holds every knob of how the host runs a simulation; ``simulate``
+and the engine take it as ``config=`` and fold keyword knobs into it at one
+place.  These tests pin the object itself (frozen,
 picklable with its plans inside, keywords over ``config=``, the reference
 plane), the refusals it makes before anything is claimed, written or loaded,
 the one place the record plane is applied, and an AST guard that no function
@@ -22,10 +22,9 @@ from repro.algorithms.graphs import CGMListRanking
 from repro.algorithms.sorting import CGMSampleSort
 from repro.conform import REFERENCE
 from repro.conform.oracles import plain_outputs
-from repro.core import ParallelEMSimulation, RunConfig
-from repro.core.engine import EMEngine
+from repro.core import ParallelEMSimulation, RunConfig, build_params, simulate
+from repro.core.backend import make_backend
 from repro.core.processor import RealProcessor
-from repro.core.simulator import build_params, make_engine, simulate
 from repro.crashcheck import explore
 from repro.emio.faults import CrashPlan, FaultPlan, RetryPolicy
 from repro.emio.linked import WRITE_SCHEDULES
@@ -50,16 +49,6 @@ def sort():
 
 def params(alg, p=1):
     return build_params(alg, machine(p), v=V)
-
-
-@pytest.fixture
-def private_tmpdir(tmp_path, monkeypatch):
-    """Point ``tempfile`` at an empty directory so claimed roots are countable."""
-    import tempfile
-
-    monkeypatch.setenv("TMPDIR", str(tmp_path))
-    monkeypatch.setattr(tempfile, "tempdir", None)
-    return tmp_path
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +81,7 @@ def test_fields_are_the_fifteen_knobs_with_their_defaults():
 
 def test_a_keyword_overrides_the_same_field_of_config():
     base = RunConfig(seed=1, fast_io=False, checkpoint=True)
-    sim = make_engine(sort(), params(sort()), base, seed=3, fast_io=True)
+    sim = ParallelEMSimulation(sort(), params(sort()), base, seed=3, fast_io=True)
     assert (sim.config.seed, sim.fast_io, sim.config.checkpoint) == (3, True, True)
     assert base.seed == 1  # the caller's config is not touched
 
@@ -106,13 +95,12 @@ def test_a_keyword_overrides_the_same_field_of_config():
     "build",
     [
         lambda: simulate(sort(), machine(), V, bogus_knob=1),
-        lambda: make_engine(sort(), params(sort()), bogus_knob=1),
         lambda: ParallelEMSimulation(sort(), params(sort()), bogus_knob=1),
         lambda: ParallelEMSimulation(sort(), params(sort(), p=2), bogus_knob=1),
         lambda: RunConfig.of(RunConfig(), bogus_knob=1),
     ],
     # "sequential" is the one-processor machine, "parallel" a two-processor one.
-    ids=["simulate", "make_engine", "sequential", "parallel", "of"],
+    ids=["simulate", "sequential", "parallel", "of"],
 )
 def test_an_unknown_knob_is_a_type_error_naming_it(build):
     with pytest.raises(TypeError, match="bogus_knob"):
@@ -121,12 +109,12 @@ def test_an_unknown_knob_is_a_type_error_naming_it(build):
 
 def test_reference_dict_is_the_reference_plane():
     cfg = RunConfig(**REFERENCE)
-    sim = make_engine(sort(), params(sort(), p=2), cfg)
+    sim = ParallelEMSimulation(sort(), params(sort(), p=2), cfg)
     assert (sim.fast_io, sim.context_cache) == (False, False)
     for pr in sim.procs:
         assert pr.array.fast_data_plane is False and pr.contexts.cache is False
     out, rep = sim.run()
-    ref_out, ref_rep = make_engine(sort(), params(sort(), p=2), **REFERENCE).run()
+    ref_out, ref_rep = ParallelEMSimulation(sort(), params(sort(), p=2), **REFERENCE).run()
     assert out == ref_out and rep.ledger.summary() == ref_rep.ledger.summary()
 
 
@@ -206,7 +194,7 @@ def test_unsupported_record_mode_is_refused_before_a_root_is_claimed(private_tmp
     for storage_dir in (str(root), None):  # explicit, and an owned temp root
         alg = CGMPrefixSums(list(range(64)), 4)
         with pytest.raises(AlgorithmError, match="vector"):
-            make_engine(
+            ParallelEMSimulation(
                 alg, build_params(alg, machine(), 4),
                 records="vector", storage="file", storage_dir=storage_dir,
             )
@@ -298,8 +286,10 @@ def test_no_function_in_core_relists_a_knob():
 
 
 def test_the_engines_share_one_constructor():
-    """Algorithms 1 and 3 are one engine, built by the lifecycle's constructor."""
-    assert "__init__" not in ParallelEMSimulation.__dict__
-    assert ParallelEMSimulation.__init__ is EMEngine.__init__
+    """Algorithms 1 and 3 are one engine class, driving one processor class,
+    which both backends build without being told which."""
+    assert ParallelEMSimulation.__mro__ == (ParallelEMSimulation, object)
+    assert RealProcessor.__subclasses__() == []
+    assert list(inspect.signature(make_backend).parameters) == ["kind", "init_args_list"]
     # index, algorithm, params, config, spec, observe, profile
     assert len(inspect.signature(RealProcessor.__init__).parameters) - 1 <= 7

@@ -20,7 +20,7 @@ import textwrap
 import pytest
 
 from repro.algorithms.sorting import CGMSampleSort
-from repro.core.parsim import ParallelEMSimulation
+from repro.core import ParallelEMSimulation
 from repro.core.simulator import build_params
 from repro.params import MachineParams
 from repro.workloads import uniform_keys
@@ -70,7 +70,7 @@ _RESUME_CHILD = textwrap.dedent("""
     import json, pickle, sys
 
     from repro.algorithms.sorting import CGMSampleSort
-    from repro.core.parsim import ParallelEMSimulation
+    from repro.core import ParallelEMSimulation
     from repro.core.simulator import build_params
     from repro.params import MachineParams
     from repro.workloads import uniform_keys

@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.core.parsim import ParallelEMSimulation
-from repro.core.simulator import build_params, make_engine, simulate
+from repro.core import ParallelEMSimulation, build_params, simulate
 from repro.crashcheck import explore
 from repro.emio.storage import FileStorage, MmapStorage, StorageSpec
 from repro.params import MachineParams
@@ -49,7 +48,6 @@ def test_nothing_below_simulate_accepts_io_overlap(tmp_path, capsys):
     params = build_params(alg, MACHINE, v=V)
     for build in (
         lambda: ParallelEMSimulation(alg, params, io_overlap=True),
-        lambda: make_engine(alg, params, io_overlap=True),
         lambda: StorageSpec("file", str(tmp_path), io_overlap=True),
         lambda: FileStorage(tmp_path / "d0.dat", B=16, io_overlap=True),
         lambda: MmapStorage(tmp_path / "d1.dat", B=16, io_overlap=True),

@@ -1,7 +1,7 @@
 """Tests for the I/O trace recorder/visualizer."""
 
 from repro.bsp.runner import run_reference
-from repro.core.simulator import build_params, make_engine
+from repro.core import ParallelEMSimulation, build_params
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
 from repro.emio.trace import IOTrace
@@ -57,7 +57,7 @@ class TestIOTrace:
         alg = AllToAllExchange()
         machine = MachineParams(p=1, M=2 * alg.context_size(), D=4, B=16, b=16)
         params = build_params(AllToAllExchange(), machine, v=8, k=2)
-        sim = make_engine(AllToAllExchange(), params, seed=1)
+        sim = ParallelEMSimulation(AllToAllExchange(), params, seed=1)
         proc = sim.procs[0]  # the machine's one processor
         trace = IOTrace.attach(proc.array)
         out, report = sim.run()

@@ -31,7 +31,7 @@ from repro.bsp.collectives import (
 )
 from repro.bsp.program import AlgorithmError
 from repro.conform import REFERENCE
-from repro.core.simulator import build_params, make_engine, simulate
+from repro.core import ParallelEMSimulation, build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.faults import _corrupted_copy, block_checksum
 from repro.emio.storage import FileStorage, verify_extents
@@ -65,7 +65,7 @@ def _run(corner, mode):
     alg.set_record_mode(mode)
     knobs = {**REFERENCE, **cfg}
     machine = MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
-    sim = make_engine(alg, build_params(alg, machine, v=V), seed=SEED, **knobs)
+    sim = ParallelEMSimulation(alg, build_params(alg, machine, v=V), seed=SEED, **knobs)
     assert_plane(sim, **knobs)
     return sim.run()
 
