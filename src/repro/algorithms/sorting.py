@@ -3,20 +3,23 @@
 A single-sample-round CGM sort in the style of communication-efficient
 parallel sorting [Goodrich 96] / parallel sorting by regular sampling:
 
-* **Superstep 0** — each virtual processor sorts its ``n/v`` local items and
-  sends ``v`` regularly spaced samples to vp 0.
+* **Superstep 0** — each virtual processor sorts a copy of its ``n/v`` local
+  items and sends ``v`` regularly spaced samples of it to vp 0.
 * **Superstep 1** — vp 0 sorts the ``v^2`` samples, selects ``v-1`` splitters,
   and broadcasts them.
-* **Superstep 2** — each vp partitions its sorted run by the splitters and
-  routes partition ``j`` to vp ``j`` (the single ``h``-relation with
-  ``h = O(n/v)``; regular sampling guarantees no vp receives more than
-  ``2n/v`` items).
+* **Superstep 2** — each vp sorts its items again and partitions the sorted
+  run by the splitters, routing partition ``j`` to vp ``j`` (the single
+  ``h``-relation with ``h = O(n/v)``; regular sampling guarantees no vp
+  receives more than ``2n/v`` items).
 * **Superstep 3** — each vp merges the received sorted runs; the
   concatenation of the outputs over vp ids is the sorted sequence.
 
 ``lambda = O(1)`` supersteps, ``T_comp = O((n/v) log n)``, ``M = O(n/v)``
 — the Table 1 row.  Requires ``n >= v^2`` (the usual CGM coarseness
-condition ``n/p >= p``).
+condition ``n/p >= p``).  Every vp keeps its state through supersteps 0 and
+1 (:meth:`CGMSampleSort.keeps_state`), so the EM engines write no context
+back there: sorting twice costs one more local sort, where keeping the
+sorted run would cost a context write-back of the whole input.
 
 **Record planes.**  When the input is exactly int64 (plain ints or a signed
 integer ndarray) and no ``key`` is given, the algorithm is *codec-eligible*
@@ -117,6 +120,11 @@ class CGMSampleSort(BSPAlgorithm):
         # Superstep 1 is vp 0's alone: every other vp waits for the splitters.
         return step == 1 and pid != 0
 
+    def keeps_state(self, step: int, pid: int) -> bool:
+        # Samples are taken from a sorted copy and splitters are only sent:
+        # the items are first changed when superstep 2 cuts them.
+        return step in (0, 1)
+
     # -- the algorithm -----------------------------------------------------------
 
     def initial_state(self, pid: int, nprocs: int):
@@ -142,11 +150,9 @@ class CGMSampleSort(BSPAlgorithm):
         v, key = ctx.nprocs, self.key
         st = ctx.state
         if ctx.step == 0:
-            st["items"].sort(key=key)
-            ctx.charge(len(st["items"]) * max(1, len(st["items"]).bit_length()))
-            samples = regular_samples(
-                [key(x) for x in st["items"]] if key else st["items"], v
-            )
+            items = sorted(st["items"], key=key)
+            ctx.charge(len(items) * max(1, len(items).bit_length()))
+            samples = regular_samples([key(x) for x in items] if key else items, v)
             ctx.send(0, samples)
         elif ctx.step == 1:
             if ctx.pid == 0:
@@ -157,8 +163,9 @@ class CGMSampleSort(BSPAlgorithm):
                     ctx.send(dest, splitters)
         elif ctx.step == 2:
             splitters = list(ctx.incoming[0].payload)
-            parts = partition_by_splitters(st["items"], splitters, key=key)
-            ctx.charge(len(st["items"]))
+            items = sorted(st["items"], key=key)
+            parts = partition_by_splitters(items, splitters, key=key)
+            ctx.charge(len(items) * max(1, len(items).bit_length()) + len(items))
             for dest, part in enumerate(parts):
                 if dest < v and part:
                     ctx.send(dest, part)
@@ -179,7 +186,6 @@ class CGMSampleSort(BSPAlgorithm):
             items.sort()
             ctx.charge(len(items) * max(1, len(items).bit_length()))
             ctx.send(0, regular_samples(items, v))
-            st["items"] = codec.to_bytes(items)
         elif ctx.step == 1:
             if ctx.pid == 0:
                 allsamples = sorted(r for m in ctx.incoming for r in m.payload)
@@ -190,8 +196,9 @@ class CGMSampleSort(BSPAlgorithm):
         elif ctx.step == 2:
             splitters = list(ctx.incoming[0].payload)
             items = codec.decode(codec.from_bytes(st["items"]))
+            items.sort()
             parts = partition_by_splitters(items, splitters)
-            ctx.charge(len(items))
+            ctx.charge(len(items) * max(1, len(items).bit_length()) + len(items))
             for dest, part in enumerate(parts):
                 if dest < v and part:
                     ctx.send(dest, part)
@@ -213,7 +220,6 @@ class CGMSampleSort(BSPAlgorithm):
             n_loc = len(arr)
             ctx.charge(n_loc * max(1, n_loc.bit_length()))
             ctx.send(0, arr[sample_positions(n_loc, v)])
-            st["items"] = arr.tobytes()
         elif ctx.step == 1:
             if ctx.pid == 0:
                 allsamples = np.sort(
@@ -226,9 +232,10 @@ class CGMSampleSort(BSPAlgorithm):
                     ctx.send(dest, splitters)
         elif ctx.step == 2:
             splitters = as_i64(ctx.incoming[0].payload)
-            arr = codec.from_bytes(st["items"])
+            arr = np.sort(codec.from_bytes(st["items"]))
+            n_loc = len(arr)
             bounds = np.searchsorted(arr, splitters, side="left").tolist()
-            ctx.charge(len(arr))
+            ctx.charge(n_loc * max(1, n_loc.bit_length()) + n_loc)
             prev = 0
             for dest, hi in enumerate([*bounds, len(arr)]):
                 part = arr[prev:hi]

@@ -249,8 +249,9 @@ def _run_cgm(
         alg, machine, v, seed=0, backend=backend, storage=storage
     )
     flat = [x for part in plain_outputs(outputs) for x in part]
-    params = build_params(_cgm_algorithm(task, v, data, perm), machine, v)
-    failures, checked = check_theorem1_io(params, report)
+    fresh = _cgm_algorithm(task, v, data, perm)
+    params = build_params(fresh, machine, v)
+    failures, checked = check_theorem1_io(params, report, fresh)
     sim_bound = theorem1_io_bound(params, report)
     measured = report.io_ops + report.init_io_ops + report.output_io_ops
     bound = float(sim_bound + report.init_io_ops + report.output_io_ops)

@@ -225,6 +225,24 @@ class BSPAlgorithm(abc.ABC):
         EM engines then skip the context swap of any group (Algorithm 3:
         batch) whose vps are all quiet and which receives nothing; the
         reference runner still runs every quiet vp and refuses a broken
+        declaration with :class:`AlgorithmError`.  A quiet vp that receives
+        runs like any other; to say it leaves its state alone whatever it
+        receives, declare :meth:`keeps_state` as well.
+        """
+        return False
+
+    def keeps_state(self, step: int, pid: int) -> bool:
+        """Declare that vp ``pid`` leaves its state as it found it in
+        superstep ``step``, whatever it receives.
+
+        Contract: the vp's state pickles to the same bytes after the
+        superstep as before it; unlike a :meth:`quiet` vp it may still
+        receive, send, charge operations and vote halt.  The EM engines then
+        skip the context write-back (Step 1(e)) of any group (Algorithm 3:
+        batch) whose vps all declare it — except the first group of the
+        superstep, which was held in memory across the barrier and whose
+        disk image is stale, and the last, which stays in memory as always.
+        The reference runner checks every declared vp and refuses a broken
         declaration with :class:`AlgorithmError`.
         """
         return False

@@ -11,11 +11,13 @@ The reference runner is the ground truth for invariant **I3** (simulation
 transparency): for every algorithm and input, the EM simulations must produce
 bit-identical outputs to this runner.
 
-It is also where a :meth:`~repro.bsp.program.BSPAlgorithm.quiet` declaration
-is checked rather than trusted: every quiet vp still runs here, and one whose
+It is also where the :meth:`~repro.bsp.program.BSPAlgorithm.quiet` and
+:meth:`~repro.bsp.program.BSPAlgorithm.keeps_state` declarations are checked
+rather than trusted: every declared vp still runs here.  A quiet one whose
 inbox is empty but which sends, charges, changes its state (its pickled bytes
 before and after) or votes halt raises :class:`AlgorithmError` — the engines
-would have skipped it.
+would have skipped it — and so does one that keeps its state but changes it
+— the engines would not have written it back.
 """
 
 from __future__ import annotations
@@ -70,13 +72,19 @@ class ReferenceRunner:
 
             for pid in range(v):
                 quiet = not inboxes[pid] and alg.quiet(step, pid)
-                before = _image(states[pid]) if quiet else None
+                keeps = alg.keeps_state(step, pid)
+                before = _image(states[pid]) if quiet or keeps else None
                 ctx = VPContext(
                     pid, v, step, states[pid], inboxes[pid], comm_bound=gamma
                 )
                 alg.superstep(ctx)
                 if quiet:
                     _check_quiet(ctx, before)
+                if keeps and _image(ctx.state) != before:
+                    raise AlgorithmError(
+                        f"vp {pid} declares that it keeps its state in superstep "
+                        f"{step}, but changed it"
+                    )
                 states[pid] = ctx.state
                 if not ctx.halted:
                     all_halted = False

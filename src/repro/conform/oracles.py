@@ -54,6 +54,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.processor import group_order
 from ..core.stats import SimulationReport
 from ..params import SimulationParams
 
@@ -389,8 +390,27 @@ def _traffic_packets(traffic: list, p: int, b: int) -> int:
     return total
 
 
+def _context_ops(counts: tuple[int, ...], j: int, params: SimulationParams) -> int:
+    """What one processor's transfer of group ``j``'s contexts costs by
+    their block counts (slot by slot, the group's ``k`` slots): the
+    consecutive layout puts block ``t`` of local slot ``s`` on drive
+    ``(s * ceil(mu/B) + t) mod D``, and a batch takes as many parallel
+    operations as its busiest drive has blocks."""
+    D, cbp, k = params.machine.D, params.context_blocks_per_vp, params.k
+    per_drive = [0] * D
+    for r, n in enumerate(counts):
+        base = (j * k + r) * cbp
+        for t in range(n % D):
+            per_drive[(base + t) % D] += 1
+        for d in range(D):
+            per_drive[d] += n // D
+    return max(per_drive)
+
+
 def check_theorem1_io(
-    params: SimulationParams, report: SimulationReport
+    params: SimulationParams,
+    report: SimulationReport,
+    algorithm: Any = None,
 ) -> tuple[list[OracleFailure], int]:
     """Per-superstep counted I/O against :func:`theorem1_io_bound`.
 
@@ -409,17 +429,24 @@ def check_theorem1_io(
       of the kept store's heaviest drive, or of ``ceil(m/D)`` for a region
       Algorithm 2 laid out, summed over groups;
     * the contexts, group by group (``SuperstepReport.ran``): a group's
-      contexts are fetched as they were last written back — by the last
-      superstep that ran the group, which is not always the one before, since
-      a group of quiet vps that receives nothing is skipped — and the group a
-      barrier holds in memory is written and fetched at 0
-      (:func:`~repro.core.processor.group_order`), so each group's
-      ``fetch_context`` equals its last ``write_context``, and each
-      superstep's phase totals are those of the groups that ran.  The input
-      load and the output unload move every group once more, each charged as
-      one max over processors rather than a sum over rounds of maxima: equal
-      to the groups' first fetches and last writes with one processor, no
-      more than them with several;
+      contexts are fetched as they were last written back — by the input
+      load (``SimulationReport.loaded``) or by the last superstep that wrote
+      the group, which is not always the one before, since a group of quiet
+      vps that receives nothing is skipped and a group whose vps all keep
+      their state is not written back — and the group a barrier holds in
+      memory is written and fetched at 0
+      (:func:`~repro.core.processor.group_order`).  So each group's
+      ``fetch_context`` equals its last real write, each write equals what
+      its block counts cost on the consecutive layout (the max over
+      processors of the busiest drive), and each superstep's phase totals
+      are those of the groups that ran.  The groups kept unwritten are
+      exactly the declared ones: given the ``algorithm``, every group but
+      the first and last of the order whose vps all declare
+      :meth:`~repro.bsp.program.BSPAlgorithm.keeps_state`; without it, no
+      first or last group.  The input load and the output unload move
+      every group once more, each charged as one max over processors of
+      the sum over groups: the input load by its block counts, the unload
+      by the last written ones;
     * the packed write (Step 1(d)), from the records the engine packed for
       each destination group (``SuperstepReport.packing``, counted from the
       messages, not the blocks): ``message_blocks`` equals the sum over
@@ -437,114 +464,124 @@ def check_theorem1_io(
     h-relation, from each round's per-vp packet tallies.
     """
     bounds = theorem1_io_bound(params, report, per_superstep=True)
-    D, B = params.machine.D, params.machine.B
-    sole = params.machine.p == 1
+    D, B, p = params.machine.D, params.machine.B, params.machine.p
+    k, vpp = params.k, params.vps_per_processor
+    ngroups = params.groups_per_processor
     fetch = 0  # what this superstep's fetches of the incoming set cost
-    written: dict[int, tuple[int, int]] = {}  # group -> (step, ops) of its last write
-    first_fetches = 0  # the fetches of what the input load wrote
+    # group -> (who wrote its contexts last, the ops, each processor's block
+    # counts), from the input load on
+    written = {
+        g: ("the input load", max(_context_ops(c, g, params) for c in counts), counts)
+        for g, counts in enumerate(report.loaded or ())
+    }
     failures = []
 
-    def ends(what: str, got: int, phase: str, want: int) -> None:
-        if (got != want) if sole else (got > want):
-            failures.append(
-                OracleFailure(
-                    "theorem1_io",
-                    f"{what} charged {got} ops, but the {phase} moving the "
-                    f"same contexts cost {want}",
-                )
-            )
+    def fail(message: str) -> None:
+        failures.append(OracleFailure("theorem1_io", message))
 
     for s, bound in zip(report.supersteps, bounds):
         fetched = wrote = 0
-        for g, got, put in s.ran:
-            if g not in written:
-                first_fetches += got
-                want = got
-            else:
-                last, want = written[g]
-                if got != want:
-                    failures.append(
-                        OracleFailure(
-                            "theorem1_io",
-                            f"superstep {s.index}: group {g}'s fetch_context "
-                            f"charged {got} ops, but writing those contexts back "
-                            f"in superstep {last} cost {want}",
-                        )
-                    )
+        order = group_order(s.index, ngroups)
+        for g, got, put, counts in s.ran:
+            who, want, _counts = written[g]
+            if got != want:
+                fail(
+                    f"superstep {s.index}: group {g}'s fetch_context charged "
+                    f"{got} ops, but {who} of those contexts cost {want}"
+                )
             fetched += want
+            may_keep = g not in (order[0], order[-1])
+            declared = may_keep and (
+                put is None if algorithm is None
+                else all(
+                    algorithm.keeps_state(s.index, i * vpp + g * k + r)
+                    for i in range(p) for r in range(k)
+                )
+            )
+            if put is None and not declared:
+                fail(
+                    f"superstep {s.index}: group {g} was not written back, but "
+                    + ("it opens or closes the superstep" if not may_keep
+                       else "not all its vps declare keeps_state")
+                )
+            elif put is not None and declared:
+                fail(
+                    f"superstep {s.index}: group {g} was written back at "
+                    f"{put} ops, but all its vps declare keeps_state"
+                )
+            if put is None:
+                continue
+            predicted = max(_context_ops(c, g, params) for c in counts)
+            if put != predicted:
+                fail(
+                    f"superstep {s.index}: group {g}'s write_context charged "
+                    f"{put} ops, but its block counts on the consecutive "
+                    f"layout cost {predicted}"
+                )
             wrote += put
-            written[g] = (s.index, put)
+            written[g] = (f"superstep {s.index}'s write-back", put, counts)
         for phase, want in (("fetch_context", fetched), ("write_context", wrote)):
             got = getattr(s.phases, phase)
             if got != want:
-                failures.append(
-                    OracleFailure(
-                        "theorem1_io",
-                        f"superstep {s.index}: {phase} charged {got} ops, but "
-                        f"writing those contexts back, group by group, cost {want}",
-                    )
+                fail(
+                    f"superstep {s.index}: {phase} charged {got} ops, but "
+                    f"writing those contexts back, group by group, cost {want}"
                 )
         if s.phases.total > bound:
-            failures.append(
-                OracleFailure(
-                    "theorem1_io",
-                    f"superstep {s.index}: counted io_ops {s.phases.total} "
-                    f"exceed the closed-form bound {bound} "
-                    f"(phases={s.phases!r})",
-                )
+            fail(
+                f"superstep {s.index}: counted io_ops {s.phases.total} "
+                f"exceed the closed-form bound {bound} (phases={s.phases!r})"
             )
         if s.phases.fetch_messages != fetch:
-            failures.append(
-                OracleFailure(
-                    "theorem1_io",
-                    f"superstep {s.index}: fetch_messages charged "
-                    f"{s.phases.fetch_messages} ops, but the incoming set's "
-                    f"group loads (heaviest drive where kept) cost {fetch}",
-                )
+            fail(
+                f"superstep {s.index}: fetch_messages charged "
+                f"{s.phases.fetch_messages} ops, but the incoming set's "
+                f"group loads (heaviest drive where kept) cost {fetch}"
             )
         if s.packing is not None:
             blocks, ops = _packed_write(s.packing, B, D)
             if (s.message_blocks, s.phases.write_messages) != (blocks, ops):
-                failures.append(
-                    OracleFailure(
-                        "theorem1_io",
-                        f"superstep {s.index}: the packed write charged "
-                        f"{s.message_blocks} message blocks in "
-                        f"{s.phases.write_messages} ops, but the records packed "
-                        f"per destination group make {blocks} blocks in {ops}",
-                    )
+                fail(
+                    f"superstep {s.index}: the packed write charged "
+                    f"{s.message_blocks} message blocks in "
+                    f"{s.phases.write_messages} ops, but the records packed "
+                    f"per destination group make {blocks} blocks in {ops}"
                 )
         if s.traffic is not None:
-            want = _traffic_packets(s.traffic, params.machine.p, params.machine.b)
+            want = _traffic_packets(s.traffic, p, params.machine.b)
             if s.comm_packets != want:
-                sent = ("the virtual machine's messages, in packets" if sole
+                sent = ("the virtual machine's messages, in packets" if p == 1
                         else "the records gathered and dealt, in full packets")
-                failures.append(
-                    OracleFailure(
-                        "theorem1_io",
-                        f"superstep {s.index}: comm_packets {s.comm_packets}, "
-                        f"but {sent} of b = {params.machine.b}, make {want}",
-                    )
+                fail(
+                    f"superstep {s.index}: comm_packets {s.comm_packets}, "
+                    f"but {sent} of b = {params.machine.b}, make {want}"
                 )
         routing = s.routing_stats()
         if routing:
             expected = max(r.io_ops for r in routing)
             if s.phases.reorganize != expected:
                 kept = all(r.kept for r in routing)
-                failures.append(
-                    OracleFailure(
-                        "theorem1_io",
-                        f"superstep {s.index}: reorganize phase charged "
-                        f"{s.phases.reorganize} ops but "
-                        + ("every processor kept its store"
-                           if kept else f"Algorithm 2's own stats count {expected}"),
-                    )
+                fail(
+                    f"superstep {s.index}: reorganize phase charged "
+                    f"{s.phases.reorganize} ops but "
+                    + ("every processor kept its store"
+                       if kept else f"Algorithm 2's own stats count {expected}")
                 )
         fetch = _fetch_ops(routing, D)
-    if written:
-        ends("input load", report.init_io_ops, "first fetch_context", first_fetches)
-        ends("output unload", report.output_io_ops, "last write_context",
-             sum(ops for _step, ops in written.values()))
+    # The input load and the output unload: each processor moves every group
+    # it does not hold, the input load's block counts in and the last
+    # written ones out; one max over processors of the sum over groups.
+    for what, got, moved in (
+        ("input load", report.init_io_ops, list(enumerate(report.loaded or ()))),
+        ("output unload", report.output_io_ops,
+         [(g, c) for g, (_who, _ops, c) in written.items()]),
+    ):
+        want = max(sum(_context_ops(c[i], g, params) for g, c in moved) for i in range(p))
+        if got != want:
+            fail(
+                f"{what} charged {got} ops, but the block counts of the "
+                f"contexts it moved cost {want}"
+            )
     packed = sum(s.packing is not None for s in report.supersteps)
     dealt = sum(s.traffic is not None for s in report.supersteps)
     return failures, 3 * len(bounds) + packed + dealt

@@ -166,7 +166,7 @@ def run_case(config: ConformConfig) -> CaseResult:
             if config.fault == "none":
                 # Retries/stalls charge ops the model does not count, so the
                 # Theorem 1 bound is only claimed for healthy runs.
-                fails, n = check_theorem1_io(params, report)
+                fails, n = check_theorem1_io(params, report, config.algorithm())
                 result.checks["theorem1_io"] += n
                 result.failures.extend(fails)
 
@@ -388,7 +388,7 @@ def _run_kill_case(
         # Every superstep of the resumed report ran healthy (the checkpoint
         # predates the death), and the portable restore puts the incoming set
         # back where it lay, so the exact Theorem 1 layer holds across it.
-        fails, n = check_theorem1_io(report.params, report)
+        fails, n = check_theorem1_io(report.params, report, config.algorithm())
         result.checks["theorem1_io"] += n
         result.failures.extend(fails)
         return

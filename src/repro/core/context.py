@@ -23,9 +23,14 @@ bytes, so the stream is metered as the pickler emits it and never assembled
 reference path would — via
 :meth:`~repro.emio.diskarray.DiskArray.charge_batched`, which replays the
 exact greedy round packing arithmetic — without materializing a single
-``Block``; a load charges the same way and unpickles nothing.  There is no
-dirty bit: every save re-measures, so a kernel that grows its state in place
-is re-counted (and refused past ``mu``) at the next save.
+``Block``; a load charges the same way and unpickles nothing.  The store
+keeps no dirty bit: every save re-measures, so a kernel that grows its state
+in place is re-counted (and refused past ``mu``) at the next save.  What is
+not saved is the algorithm's call — a group whose vps all declare
+:meth:`~repro.bsp.program.BSPAlgorithm.keeps_state` is not saved at all
+(the engine decides, :mod:`repro.core.engine`), so its slots keep their
+block counts, their disk image and, on the cached plane, the very objects
+the kernel was handed, which the declaration says it left as they were.
 
 *Aliasing contract*: between a load and the next save of a slot, the kernel
 owns the held object and may mutate it in place; nobody else reads it.  This
@@ -189,8 +194,9 @@ class ContextStore:
 
     def save_group(
         self, slots: Sequence[int], states: Sequence[Any], hold: bool = False
-    ) -> None:
-        """Write a whole group of contexts with jointly packed parallel ops.
+    ) -> list[int]:
+        """Write a whole group of contexts with jointly packed parallel ops;
+        returns the block count of each slot written (none when held).
 
         ``hold`` keeps the group in memory instead, as the *resident* group:
         the group a barrier leaves in memory, which the next superstep runs
@@ -242,6 +248,7 @@ class ContextStore:
                 self._cached[slot] = (state,)
             if not hold:
                 self._resident.pop(slot, None)
+        return [] if hold else counts
 
     def load_group(self, slots: Sequence[int]) -> list[Any]:
         """Read a whole group of contexts with jointly packed parallel ops —

@@ -57,7 +57,10 @@ fetch are skipped — with one batch (``v == p*k``), every one.  A batch
 whose vps are all declared quiet (:meth:`~repro.bsp.program.BSPAlgorithm.quiet`)
 and whose incoming slot is empty on every processor is skipped before
 anything is read, on every processor alike: no context swap, no compute, no
-scatter (never the first or last batch of the order).
+scatter.  A batch whose vps all declare that they keep their state
+(:meth:`~repro.bsp.program.BSPAlgorithm.keeps_state`) runs but is not written
+back (Step 1(e)): its disk image is still its state.  Neither applies to the
+first or last batch of the order.
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
@@ -599,27 +602,29 @@ class ParallelEMSimulation:
         obs = self.obs
         k, vpp = self.params.k, self.params.vps_per_processor
         order = group_order(step, self.params.groups_per_processor)
-        ran: list[tuple[int, int, int]] = []
+        ran: list[tuple[int, int, int | None, tuple[tuple[int, ...], ...]]] = []
         for j in order:
-            # One collective decision, before anything is read: a batch of
-            # quiet vps whose incoming slot is empty on every processor is
-            # skipped on every processor alike — no fetch, no compute, no
-            # scatter; its gather moves nothing.  The superstep's first and
-            # last batches always run: they carry the resident batch across
-            # the barriers.
+            batch = [i * vpp + j * k + r for i in range(self.p) for r in range(k)]
+            # Two collective decisions, made alike for every processor
+            # before anything is read.  A batch of quiet vps whose incoming
+            # slot is empty on every processor is skipped — no fetch, no
+            # compute, no scatter; its gather moves nothing.  A batch whose
+            # vps all keep their state is run but not written back: its
+            # disk image is still theirs.  Neither applies to the
+            # superstep's first and last batches, which carry the resident
+            # batch across the barriers (the first's disk image is stale).
+            inner = j not in (order[0], order[-1])
             if (
-                j not in (order[0], order[-1])
+                inner
                 and not any(sizes[j] for _r, _s, sizes in marks0)
-                and all(
-                    self.algorithm.quiet(step, i * vpp + j * k + r)
-                    for i in range(self.p) for r in range(k)
-                )
+                and all(self.algorithm.quiet(step, vp) for vp in batch)
             ):
                 all_halted = False  # a quiet vp does not vote halt
                 if network:  # its gather moved nothing, but is a barrier
                     cost.syncs += 1
                 traffic.append(((), None) if network else ())
                 continue
+            kept = inner and all(self.algorithm.keeps_state(step, vp) for vp in batch)
 
             # ---- Fetching phase: local reads + gather h-relation ----
             # inbound[q] = blocks for processor q's current k vps.
@@ -657,17 +662,17 @@ class ParallelEMSimulation:
                 traffic.append(computes[0]["tally"])
             with obs.span("write_barrier", batch=j, cat="layout") as sp:
                 writes = self.backend.call_all(
-                    "write", [(j, step, outpackets[q]) for q in range(self.p)]
+                    "write", [(j, step, outpackets[q], kept) for q in range(self.p)]
                 )
                 d = max(w[1] for w in writes)
                 sp.add(io_ops=d, packets=sum(len(r["packets"]) for r in computes))
             blocks_generated += sum(w[0] for w in writes)
             phases.write_messages += d
-            packing.append([(loads, dummies) for _n, _io, loads, dummies, _ctx in writes])
-            save_ctx = max(w[4] for w in writes)
+            packing.append([(w[2], w[3]) for w in writes])
+            save_ctx = None if kept else max(w[4] for w in writes)
             phases.fetch_context += fetch_ctx
-            phases.write_context += save_ctx
-            ran.append((j, fetch_ctx, save_ctx))
+            phases.write_context += save_ctx or 0
+            ran.append((j, fetch_ctx, save_ctx, tuple(w[5] for w in writes)))
         if not network:  # the virtual machine's h-relation (Algorithm 1)
             cost.comm_packets += h_relation(traffic)
 
@@ -756,7 +761,9 @@ class ParallelEMSimulation:
 
     def _load_input(self) -> None:
         with self.obs.span("load_input", cat="layout") as sp:
-            self.report.init_io_ops = max(self.backend.call_all("load_input"))
+            loads = self.backend.call_all("load_input")
+            self.report.init_io_ops = max(io for io, _counts in loads)
+            self.report.loaded = [tuple(g) for g in zip(*(c for _io, c in loads))]
             sp.add(io_ops=self.report.init_io_ops)
 
     def _run_from(self, start: int) -> None:
@@ -932,12 +939,18 @@ class ParallelEMSimulation:
     # -- wrap-up ---------------------------------------------------------------------
 
     def _finish(self) -> tuple[list[Any], SimulationReport]:
+        # A fatal fault in the unload ends like one in a superstep: restore
+        # the last checkpoint and run on from it, within max_recoveries.
+        while True:
+            try:
+                with self.obs.span("collect_outputs", cat="layout"):
+                    collected = self.backend.call_all("collect_outputs")
+                break
+            except FATAL_IO_FAULTS as exc:
+                self._run_from(self._handle_fault(exc))
         self.ledger.close()
         self.report.ledger = self.ledger
-
-        with self.obs.span("collect_outputs", cat="layout"):
-            collected = self.backend.call_all("collect_outputs")
-            self.report.output_io_ops = max(io for _o, io, _hw in collected)
+        self.report.output_io_ops = max(io for _o, io, _hw in collected)
         outputs: list[Any] = [None] * self.v
         for outs, _io, _hw in collected:
             for vp, out in outs.items():

@@ -224,19 +224,23 @@ class RealProcessor:
 
     # -- input, computation, message regions -----------------------------------
 
-    def load_input(self) -> int:
+    def load_input(self) -> tuple[int, list[tuple[int, ...]]]:
         """Create and store the initial contexts, ``k`` at a time; the group
-        superstep 0 runs first stays in memory."""
+        superstep 0 runs first stays in memory.  Returns the I/O and each
+        group's written block counts, slot by slot (none for the held one)."""
         alg = self.algorithm
         with self.obs.span("load_input", cat="layout") as sp:
             t = self.array.parallel_ops
             first = group_order(0, self.nbatches)[0]
+            counts = []
             for j in range(self.nbatches):
                 states = [alg.initial_state(vp, self.v) for vp in self.vps(j)]
-                self.contexts.save_group(self.slots(j), states, hold=j == first)
+                counts.append(tuple(
+                    self.contexts.save_group(self.slots(j), states, hold=j == first)
+                ))
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta)
-        return delta
+        return delta, counts
 
     def fetch_group(self, slots: Sequence[int]) -> list[Block]:
         """The incoming message blocks of ``slots`` — one batch's — in one
@@ -405,15 +409,18 @@ class RealProcessor:
         }
 
     def write(
-        self, j: int, step: int, packets: list[Block]
-    ) -> tuple[int, int, tuple[int, ...], int, int]:
+        self, j: int, step: int, packets: list[Block], kept: bool = False
+    ) -> tuple[int, int, tuple[int, ...], int, int | None, tuple[int, ...]]:
         """Step 1(c): pack the pieces of the received packets (or, without
         a network, the round's own) into full blocks per destination group,
         pad them with Lemma 3's dummy blocks under ``pad_to_gamma``, and
-        append them to the buckets; then write batch ``j``'s contexts back.
-        Returns the message blocks, the message I/O, each destination
-        group's records and the dummy blocks (for the packing referee), and
-        the context I/O."""
+        append them to the buckets; then write batch ``j``'s contexts back —
+        unless the batch is ``kept`` (its vps all declared
+        :meth:`~repro.bsp.program.BSPAlgorithm.keeps_state`), whose slots
+        keep their disk image and block counts.  Returns the message blocks,
+        the message I/O, each destination group's records and the dummy
+        blocks (for the packing referee), the context I/O (``None`` when
+        kept) and the block counts of the slots written."""
         B = self.params.machine.B
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
@@ -429,13 +436,15 @@ class RealProcessor:
             sp.add(io_ops=delta, blocks=len(rblocks), packets=len(packets))
         with self.obs.span("write_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            # The last round's group stays in memory: it opens the next superstep.
-            last = group_order(step, self.nbatches)[-1]
-            self.contexts.save_group(self.slots(j), self.states, hold=j == last)
+            counts: list[int] = []
+            if not kept:
+                # The last round's group stays in memory: it opens the next superstep.
+                last = group_order(step, self.nbatches)[-1]
+                counts = self.contexts.save_group(self.slots(j), self.states, hold=j == last)
             self.states = None
             save_io = self.array.parallel_ops - t
             sp.add(io_ops=save_io)
-        return nblocks, delta, loads, dummies, save_io
+        return nblocks, delta, loads, dummies, None if kept else save_io, tuple(counts)
 
     def reorganize(self, step: int) -> tuple[RoutingStats, int]:
         """Step 2 on the local buckets (:meth:`deliver`)."""

@@ -190,7 +190,7 @@ def test_skipping_quiet_groups_changes_nothing_but_the_context_swaps(
             t.message_blocks, t.comm_packets, t.halted)
         assert (c.comp_ops, c.comm_packets, c.records_sent) == (
             c_all.comp_ops, c_all.comm_packets, c_all.records_sent)
-        assert [g for g, _f, _w in t.ran] == group_order(s.index, ngroups)
+        assert [g for g, *_ in t.ran] == group_order(s.index, ngroups)
         skipped = len(s.ran) < ngroups
         for phase in CTX:
             assert getattr(s.phases, phase) <= getattr(t.phases, phase)
@@ -238,7 +238,7 @@ def test_the_sort_runs_only_the_groups_that_work_at_superstep_1(p):
     _out, every = sort(p, declared=False).run()
     ngroups = SORT_V // p // SORT_K
     order = group_order(1, ngroups)
-    ran = [g for g, _f, _w in report.supersteps[1].ran]
+    ran = [g for g, *_ in report.supersteps[1].ran]
     assert ran == [order[0], 0, order[-1]]
     for s, t in zip(report.supersteps, every.supersteps, strict=True):
         if s.index != 1:
@@ -252,15 +252,17 @@ def test_the_sort_runs_only_the_groups_that_work_at_superstep_1(p):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_the_referee_pins_a_fetch_to_the_write_before_the_skip(p):
-    """A group skipped at superstep 1 is fetched at superstep 2 as superstep 0
-    wrote it back.  A miscount planted on that fetch, or on that write, is
-    caught — and the old rule (each fetch equals the superstep before's
-    write-back) no longer holds on an honest run."""
+    """A group skipped at superstep 1 was kept unwritten at superstep 0 (the
+    sort keeps its state there), so superstep 2 fetches it as the input load
+    wrote it.  A miscount planted on that fetch, or on superstep 0's fetch
+    of the same contexts, is caught — and the old rule (each fetch equals
+    the superstep before's write-back) no longer holds on an honest run."""
     _outputs, report = sort(p).run()
     assert check_theorem1_io(report.params, report)[0] == []
     s0, s1, s2 = report.supersteps[:3]
     assert s2.phases.fetch_context != s1.phases.write_context
-    skipped = next(g for g, _f, _w in s0.ran if g not in {g for g, _f, _w in s1.ran})
+    skipped = next(g for g, *_ in s0.ran if g not in {g for g, *_ in s1.ran})
+    assert next(put for g, _f, put, _c in s0.ran if g == skipped) is None
 
     def plant(step, col, phase):
         i = next(i for i, row in enumerate(step.ran) if row[0] == skipped)
@@ -274,10 +276,10 @@ def test_the_referee_pins_a_fetch_to_the_write_before_the_skip(p):
         setattr(step.phases, phase, getattr(step.phases, phase) - 1)
         return [f.message for f in fails if f.oracle == "theorem1_io"]
 
-    want = f"superstep 2: group {skipped}'s fetch_context charged"
-    for step, col, phase in ((s2, 1, "fetch_context"), (s0, 2, "write_context")):
-        messages = plant(step, col, phase)
-        assert any(m.startswith(want) and "in superstep 0" in m for m in messages), messages
+    for step in (s2, s0):
+        want = f"superstep {step.index}: group {skipped}'s fetch_context charged"
+        messages = plant(step, 1, "fetch_context")
+        assert any(m.startswith(want) and "the input load" in m for m in messages), messages
     assert check_theorem1_io(report.params, report)[0] == []
 
 
@@ -287,7 +289,7 @@ def test_the_referee_pins_the_input_load_to_first_fetches_after_a_skip():
     alg = Broadcast()
     params = build_params(alg, MachineParams(p=1, M=1 << 16, D=2, B=4, b=8), 16, k=2)
     _out, report = ParallelEMSimulation(alg, params).run()
-    assert [g for g, _f, _w in report.supersteps[0].ran] == [0, 7]
+    assert [g for g, *_ in report.supersteps[0].ran] == [0, 7]
     assert check_theorem1_io(report.params, report)[0] == []
     report.init_io_ops += 1
     fails = check_theorem1_io(report.params, report)[0]
