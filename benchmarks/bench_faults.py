@@ -29,6 +29,9 @@ from .common import emit
 
 V = 8
 MACHINE = MachineParams(p=1, M=1 << 13, D=4, B=32, b=64)
+#: M holds every context of this sort: the group size is pinned to the one
+#: the sweep was recorded at, so contexts swap and a dying drive is reached.
+K = 2
 
 
 def sort_data(n=1024, seed=11):
@@ -39,7 +42,7 @@ def sort_data(n=1024, seed=11):
 def run_sort(faults=None, checkpoint=False, seed=4):
     data = sort_data()
     return simulate(
-        CGMSampleSort(list(data), v=V), MACHINE, v=V, seed=seed,
+        CGMSampleSort(list(data), v=V), MACHINE, v=V, k=K, seed=seed,
         faults=faults, checkpoint=checkpoint,
     )
 
@@ -83,8 +86,8 @@ def test_fault_rate_sweep(benchmark):
 
 def test_disk_death_recovery():
     base_out, base_rep = run_sort()
-    # Drive 2's accesses 73-96 are superstep 3 (packed message blocks; at
-    # 100 the death fell in the output unload, which no checkpoint covers).
+    # Drive 2 sees 99 accesses before the output unload starts: the 81st is
+    # in a superstep, and the run rolls back to the last checkpoint.
     plan = FaultPlan(seed=1, read_error_rate=0.01, dead_disk=2, dead_after=80)
     out, rep = run_sort(faults=plan, checkpoint=True)
     assert out == base_out  # the run survived losing a drive, exactly

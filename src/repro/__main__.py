@@ -21,7 +21,7 @@ import sys
 from . import workloads
 from .core.backend import BACKENDS
 from .core.engine import RunConfig
-from .core.simulator import simulate
+from .core.simulator import pick_v, simulate
 from .emio.storage import STORAGE_KINDS
 from .params import MachineParams
 
@@ -120,6 +120,20 @@ def _machine(args, mu: int) -> MachineParams:
     )
 
 
+def _resolve_v(args, make=None) -> None:
+    """Fill in ``--v`` where it was not given: the smallest admissible ``v``
+    on the ``--memory`` machine (:func:`~repro.core.simulator.pick_v`), or 8
+    where the machine is sized from the algorithm instead."""
+    if args.v is not None:
+        return
+    if make is None or args.memory is None:
+        args.v = 8
+        return
+    args.v = pick_v(make, _machine(args, args.memory), args.n)
+    if args.v is None:
+        raise SystemExit(f"repro: no v up to n={args.n} fits M={args.memory}")
+
+
 def _run(args, algorithm, machine, **kw):
     """``simulate`` with the CLI's run flags and observability flags applied."""
     config = RunConfig(
@@ -145,6 +159,9 @@ def _report(name: str, report, n: int) -> None:
           f"({report.io_ops / scan:.1f} scans of the data)")
     print(f"  theoretical bound v*mu*lambda/(p*B*D) : "
           f"{report.theoretical_io_bound():.0f}")
+    bsp = report.params.bsp
+    print(f"  largest context / inbox      : {report.mu_used} of mu={bsp.mu} / "
+          f"{report.gamma_used} of gamma={bsp.gamma} records")
     print(f"  communication packets        : {led.total_comm_packets}")
     print(f"  computation operations       : {led.total_comp:.0f}")
     print(f"  model time (G={machine.G:g}, g={machine.g:g}, L={machine.L:g}) : "
@@ -156,6 +173,7 @@ def cmd_sort(args) -> int:
     from .algorithms import CGMSampleSort
 
     data = workloads.uniform_keys(args.n, seed=args.seed)
+    _resolve_v(args, lambda v: CGMSampleSort(data, v))
     alg = CGMSampleSort(data, args.v)
     out, report = _run(
         args, CGMSampleSort(data, args.v), _machine(args, alg.context_size()),
@@ -183,6 +201,7 @@ def cmd_permute(args) -> int:
 
     vals = list(range(args.n))
     perm = workloads.random_permutation(args.n, seed=args.seed)
+    _resolve_v(args, lambda v: CGMPermutation(vals, perm, v))
     alg = CGMPermutation(vals, perm, args.v)
     out, report = _run(
         args, CGMPermutation(vals, perm, args.v), _machine(args, alg.context_size()),
@@ -206,6 +225,7 @@ def cmd_transpose(args) -> int:
     r = args.rows or int(args.n**0.5)
     c = args.n // r
     entries = workloads.matrix_entries(r, c, seed=args.seed)
+    _resolve_v(args, lambda v: CGMMatrixTranspose(entries, r, c, v))
     alg = CGMMatrixTranspose(entries, r, c, args.v)
     _, report = _run(
         args, CGMMatrixTranspose(entries, r, c, args.v),
@@ -219,6 +239,7 @@ def cmd_listrank(args) -> int:
     from .algorithms.graphs import CGMListRanking
 
     succ = workloads.random_linked_list(args.n, seed=args.seed)
+    _resolve_v(args, lambda v: CGMListRanking(succ, v))
     alg = CGMListRanking(succ, args.v)
     _, report = _run(
         args, CGMListRanking(succ, args.v), _machine(args, alg.context_size()),
@@ -240,6 +261,7 @@ def cmd_cc(args) -> int:
 
     nv = args.n
     edges = workloads.random_graph_edges(nv, 2 * nv, seed=args.seed)
+    _resolve_v(args, lambda v: CGMConnectedComponents(nv, edges, v))
     alg = CGMConnectedComponents(nv, edges, args.v)
     out, report = _run(
         args, CGMConnectedComponents(nv, edges, args.v),
@@ -255,6 +277,7 @@ def cmd_hull(args) -> int:
     from .algorithms.geometry import CGMConvexHull
 
     pts = workloads.random_points(args.n, seed=args.seed)
+    _resolve_v(args, lambda v: CGMConvexHull(pts, v))
     alg = CGMConvexHull(pts, args.v)
     out, report = _run(
         args, CGMConvexHull(pts, args.v), _machine(args, alg.context_size()),
@@ -268,6 +291,7 @@ def cmd_delaunay(args) -> int:
     from .algorithms.geometry import CGMDelaunay
 
     pts = workloads.random_points(args.n, seed=args.seed)
+    _resolve_v(args, lambda v: CGMDelaunay(pts, v))
     alg = CGMDelaunay(pts, args.v)
     out, report = _run(
         args, CGMDelaunay(pts, args.v), _machine(args, alg.context_size()),
@@ -476,6 +500,7 @@ def cmd_machines(args) -> int:
 
     vals = list(range(args.n))
     perm = workloads.random_permutation(args.n, seed=args.seed)
+    _resolve_v(args)
     mu = CGMPermutation(vals, perm, args.v).context_size()
     print(f"permutation of n={args.n} on four machines (same algorithm):\n")
     print(f"{'machine':<30}{'io_ops':>8}{'packets':>9}{'model time':>12}")
@@ -485,7 +510,7 @@ def cmd_machines(args) -> int:
         ("diskarray p=1 D=8 B=128", 1, 8, 128),
         ("cluster   p=4 D=2 B=64", 4, 2, 64),
     ):
-        machine = MachineParams(p=p, M=2 * mu, D=D, B=B, b=B, G=args.G)
+        machine = MachineParams(p=p, M=max(2 * mu, D * B), D=D, B=B, b=B, G=args.G)
         _, rep = _run(args, CGMPermutation(vals, perm, args.v), machine, v=args.v)
         print(f"{name:<30}{rep.io_ops:>8}{rep.ledger.total_comm_packets:>9}"
               f"{rep.ledger.total_time():>12.0f}")
@@ -511,7 +536,9 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("--n", type=int, default=4096, help="problem size")
-        p.add_argument("--v", type=int, default=8, help="virtual processors")
+        p.add_argument("--v", type=int, default=None,
+                       help="virtual processors (default: the smallest v whose "
+                            "contexts fit --memory, or 8 without it)")
         p.add_argument("--procs", "-p", type=int, default=1, help="real processors")
         p.add_argument("--disks", "-D", type=int, default=4, help="disks per processor")
         p.add_argument("--block", "-B", type=int, default=64, help="disk block size (records)")

@@ -7,8 +7,9 @@ equivalences relied on:
 
 * ``np.sort`` on integers == ``list.sort()`` (same total order, and ties
   are indistinguishable values).
-* ``np.searchsorted(items, splitters, side="left")`` on sorted inputs ==
-  the cumulative ``bisect_left`` of ``partition_by_splitters``.
+* ``np.lexsort((positions, keys))`` == ``sorted`` over ``(key, position)``
+  pairs, and ``np.searchsorted(items, keys, side=...)`` on sorted inputs ==
+  ``bisect`` of the same side (the sample sort's splitters and cuts).
 * ``np.argsort(kind="stable")`` grouping == dict ``setdefault``/append
   insertion order (stability preserves original order within a group).
 * :func:`owners_of_indices` == ``owner_of_index`` mapped over an array.
@@ -31,8 +32,14 @@ import numpy as np
 
 I64 = np.dtype("<i8")
 
+#: Pickle framing of a codec-eligible state dict, in 8-byte records: the
+#: dict, its keys and the codec bytes' headers measure at most 80 bytes;
+#: 128 are allowed.
+STATE_FRAMING = 16
+
 __all__ = [
     "I64",
+    "STATE_FRAMING",
     "int64_array",
     "share_output",
     "as_i64",

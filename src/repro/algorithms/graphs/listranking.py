@@ -136,16 +136,39 @@ class CGMListRanking(BSPAlgorithm):
         self.seed = seed
         # The reduced list must fit in one vp's memory.
         self.gather_threshold = max(64, 2 * -(-n // v), 2 * v)
+        # The largest |int| a context holds: a node id, or a rank, which is
+        # at most the sum of the weights' magnitudes; None for non-int
+        # weights.
+        if self.values is None:
+            self._magnitude = n
+        elif all(type(x) is int for x in self.values):
+            self._magnitude = max(n, sum(abs(x) for x in self.values))
+        else:
+            self._magnitude = None
 
     # -- resource declarations -----------------------------------------------------
 
     def context_size(self) -> int:
-        per_node = 8
-        return 1024 + per_node * (2 * -(-self.n // self.v) + self.gather_threshold)
+        m, big = -(-self.n // self.v), self._magnitude
+        if big is None:
+            # Non-int weights have no per-record pickle bound, so they keep a
+            # generous declaration: eight records a node and a gathered node.
+            return 1024 + 8 * (2 * m + self.gather_threshold)
+        # Six per-node lists (succ, pred, w, rank, and the expansion log's x
+        # and s: a node is logged once), an int each (pickled as BININT, or
+        # LONG1 past 32 bits), plus a byte a node for the lists' framing; the
+        # rest is the dict's keys and scalars and log_at, an int a
+        # contraction round (O(log v) of them whp).
+        ib = 5 if big < 1 << 31 else 2 + (big.bit_length() + 8) // 8
+        return -(-(6 * ib + 1) * m // 8) + 64
 
     def comm_bound(self) -> int:
-        per_node = 4
-        return 256 + per_node * (2 * -(-self.n // self.v) + self.gather_threshold)
+        # A contract round sends or receives at most two 3-record updates a
+        # node plus a 3-record header from or to every vp; vp 0 gathers at
+        # most gather_threshold 3-record survivors and scatters their ranks
+        # in pairs; link-back and expansion move one pair a node.
+        m = -(-self.n // self.v)
+        return max(6 * m + 3 * self.v, 3 * self.gather_threshold)
 
     # -- state -----------------------------------------------------------------------
 

@@ -34,6 +34,7 @@ from ..bsp.program import BSPAlgorithm, VPContext
 from ..emio.codec import get_codec
 from ._vec import (
     I64,
+    STATE_FRAMING,
     as_i64,
     int64_array,
     owners_of_indices,
@@ -77,10 +78,19 @@ class CGMPermutation(BSPAlgorithm):
         self.n = len(values)
 
     def context_size(self) -> int:
-        return 256 + 8 * -(-self.n // self.v) * 4
+        m = -(-self.n // self.v)
+        if self._codec is None:
+            # Arbitrary values have no per-record pickle bound, so the object
+            # path keeps a generous declaration: 32 records a pair.
+            return 256 + 32 * m
+        # A pair is two 8-byte records of the state's codec bytes, a placed
+        # value one; the pairs are emptied before the result is written.
+        return 2 * m + STATE_FRAMING
 
     def comm_bound(self) -> int:
-        return 64 + 4 * -(-self.n // self.v) + 2 * self.v
+        # A vp sends its pairs and receives the pairs its share's positions
+        # are the targets of: two records a pair either way.
+        return 2 * -(-self.n // self.v)
 
     def initial_state(self, pid: int, nprocs: int):
         lo, hi = share_bounds(self.n, nprocs, pid)

@@ -9,12 +9,30 @@ parallel sorting [Goodrich 96] / parallel sorting by regular sampling:
   and broadcasts them.
 * **Superstep 2** — each vp sorts its items again and partitions the sorted
   run by the splitters, routing partition ``j`` to vp ``j`` (the single
-  ``h``-relation with ``h = O(n/v)``; regular sampling guarantees no vp
-  receives more than ``2n/v`` items).
+  ``h``-relation with ``h = O(n/v)``).
 * **Superstep 3** — each vp merges the received sorted runs; the
   concatenation of the outputs over vp ids is the sorted sequence.
 
-``lambda = O(1)`` supersteps, ``T_comp = O((n/v) log n)``, ``M = O(n/v)``
+**Ties.**  Every record is ordered by ``(key, position)``, its position being
+its index in the concatenation of the vps' sorted runs (vp ``r``'s run starts
+at ``share_bounds(n, v, r)[0]``), so no two records compare equal.  A sample
+still travels as its key alone: vp 0 rebuilds each sample's position from the
+sender (``Message.src``), the sample's index and ``share_bounds``.  The
+``v-1`` splitters go out as ``(key, position)`` pairs, and vp ``pid`` cuts
+its run before a splitter ``(s, q)`` owned by vp ``js`` at
+``bisect_right(s)`` if ``pid < js`` (every equal key lies before it),
+``bisect_left(s)`` if ``pid > js``, and at ``q``'s own index if ``pid ==
+js``.  On distinct keys that is the plain ``bisect_left`` cut.
+
+**The bucket bound.**  With ties broken, a vp of ``m <= ceil(n/v)`` records,
+sampled at indices ``(i+1)*m//(v+1)``, has at most ``(c+1)*m/(v+1)`` records
+below a splitter that ``c`` of its samples are below, and at least
+``c*m/(v+1)``.  Between two consecutive splitters the ``c`` of
+the ``v`` vps rise by ``v`` in all, so a bucket holds at most
+``2v*ceil(n/v)/(v+1) < 2*ceil(n/v)`` records, whatever the keys, duplicates
+included.  ``context_size`` and ``comm_bound`` are declared from that bound.
+
+``lambda = O(1)`` supersteps, ``T_comp = O((n/v) log n)``, ``mu = O(n/v)``
 — the Table 1 row.  Requires ``n >= v^2`` (the usual CGM coarseness
 condition ``n/p >= p``).  Every vp keeps its state through supersteps 0 and
 1 (:meth:`CGMSampleSort.keeps_state`), so the EM engines write no context
@@ -29,7 +47,8 @@ I/O cost derived from them, are equal by construction.  The ``"object"``
 mode decodes the bytes and runs the per-record reference logic; the
 ``"vector"`` mode runs ``np.sort``/``searchsorted`` kernels over zero-copy
 views and ships ndarray message payloads.  Ineligible inputs (custom keys,
-non-int records) keep the historical list-state path untouched.
+non-int records) keep the list-state path, with the same tie-break over
+their keys.
 
 **Output flavour.**  An ndarray in gives read-only ``<i8`` array views out,
 a Python sequence in gives lists of plain ``int``s out — in both record
@@ -38,13 +57,14 @@ modes alike (see :mod:`._vec`).
 
 from __future__ import annotations
 
+import bisect
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..bsp.collectives import (
     merge_sorted,
-    partition_by_splitters,
+    owner_of_index,
     regular_samples,
     share_bounds,
 )
@@ -52,8 +72,10 @@ from ..bsp.program import BSPAlgorithm, VPContext
 from ..emio.codec import get_codec
 from ._vec import (
     I64,
+    STATE_FRAMING,
     as_i64,
     int64_array,
+    owners_of_indices,
     sample_positions,
     share_output,
 )
@@ -105,16 +127,25 @@ class CGMSampleSort(BSPAlgorithm):
     # -- resource declarations ------------------------------------------------------
 
     def context_size(self) -> int:
-        # Local share (<= 2n/v after balancing) plus vp 0's v^2 samples,
-        # in 8-byte records with pickle overhead headroom.
-        per_item = 4
-        return 256 + per_item * (4 * -(-self.n // self.v) + 2 * self.v * self.v)
+        m = -(-self.n // self.v)
+        if self._codec is None:
+            # Arbitrary records have no per-record pickle bound, so the
+            # object path keeps a generous declaration: its share and vp 0's
+            # samples at four records an item.
+            return 256 + 4 * (4 * m + 2 * self.v * self.v)
+        # One key is one 8-byte record of the state's codec bytes.  The
+        # largest state is the result: a bucket of fewer than 2*ceil(n/v)
+        # keys (module docstring), held alone (the share is emptied first).
+        return 2 * m + STATE_FRAMING
 
     def comm_bound(self) -> int:
-        per_item = 2
-        return 64 + per_item * max(
-            self.v * self.v, 4 * -(-self.n // self.v) + self.v
-        )
+        m, v = -(-self.n // self.v), self.v
+        if self._codec is None:
+            return 64 + 2 * max(v * v, 4 * m + v)
+        # vp 0 receives v samples from every vp and sends v-1 (key, position)
+        # splitters to every vp; a data superstep sends a share and
+        # receives a bucket.
+        return max(v * v, 2 * v * (v - 1), 2 * m)
 
     def quiet(self, step: int, pid: int) -> bool:
         # Superstep 1 is vp 0's alone: every other vp waits for the splitters.
@@ -124,6 +155,39 @@ class CGMSampleSort(BSPAlgorithm):
         # Samples are taken from a sorted copy and splitters are only sent:
         # the items are first changed when superstep 2 cuts them.
         return step in (0, 1)
+
+    # -- the tie-break -------------------------------------------------------------
+
+    def _sample_ranks(self, src: int, v: int) -> list[int]:
+        """Global positions of vp ``src``'s regular samples in the sorted runs."""
+        lo, hi = share_bounds(self.n, v, src)
+        return [lo + i for i in sample_positions(hi - lo, v)]
+
+    def _splitters(self, incoming, v: int) -> list:
+        """vp 0's ``v-1`` splitters as a flat ``[key, position, ...]`` list:
+        regular samples of every vp's samples in ``(key, position)`` order."""
+        tagged = sorted(
+            (x, r)
+            for m in incoming
+            for x, r in zip(m.payload, self._sample_ranks(m.src, v))
+        )
+        return [e for pair in regular_samples(tagged, v - 1) for e in pair]
+
+    def _cuts(self, keys: Sequence[Any], splitters: Sequence[Any], pid: int, v: int):
+        """Where vp ``pid``'s sorted run is cut: for each splitter, the count
+        of its items below it in ``(key, position)`` order."""
+        lo = share_bounds(self.n, v, pid)[0]
+        cuts = []
+        it = iter(splitters)
+        for s, pos in zip(it, it):
+            owner = owner_of_index(pos, self.n, v)
+            if owner > pid:  # every key equal to s lies before it
+                cuts.append(bisect.bisect_right(keys, s))
+            elif owner < pid:  # every key equal to s lies after it
+                cuts.append(bisect.bisect_left(keys, s))
+            else:
+                cuts.append(pos - lo)
+        return cuts
 
     # -- the algorithm -----------------------------------------------------------
 
@@ -146,6 +210,13 @@ class CGMSampleSort(BSPAlgorithm):
         else:
             self._superstep_object(ctx)
 
+    def _send_parts(self, ctx: VPContext, items: Sequence[Any], cuts: list[int]) -> None:
+        prev = 0
+        for dest, hi in enumerate([*cuts, len(items)]):
+            if hi > prev:
+                ctx.send(dest, items[prev:hi])
+            prev = hi
+
     def _superstep_legacy(self, ctx: VPContext) -> None:
         v, key = ctx.nprocs, self.key
         st = ctx.state
@@ -156,19 +227,17 @@ class CGMSampleSort(BSPAlgorithm):
             ctx.send(0, samples)
         elif ctx.step == 1:
             if ctx.pid == 0:
-                allsamples = sorted(r for m in ctx.incoming for r in m.payload)
-                ctx.charge(len(allsamples) * max(1, len(allsamples).bit_length()))
-                splitters = regular_samples(allsamples, v - 1)
+                splitters = self._splitters(ctx.incoming, v)
+                n_s = sum(m.size for m in ctx.incoming)
+                ctx.charge(n_s * max(1, n_s.bit_length()))
                 for dest in range(v):
                     ctx.send(dest, splitters)
         elif ctx.step == 2:
-            splitters = list(ctx.incoming[0].payload)
             items = sorted(st["items"], key=key)
-            parts = partition_by_splitters(items, splitters, key=key)
+            keys = [key(x) for x in items] if key else items
+            cuts = self._cuts(keys, ctx.incoming[0].payload, ctx.pid, v)
             ctx.charge(len(items) * max(1, len(items).bit_length()) + len(items))
-            for dest, part in enumerate(parts):
-                if dest < v and part:
-                    ctx.send(dest, part)
+            self._send_parts(ctx, items, cuts)
             st["items"] = []
         else:
             runs = [list(m.payload) for m in ctx.incoming]
@@ -188,20 +257,17 @@ class CGMSampleSort(BSPAlgorithm):
             ctx.send(0, regular_samples(items, v))
         elif ctx.step == 1:
             if ctx.pid == 0:
-                allsamples = sorted(r for m in ctx.incoming for r in m.payload)
-                ctx.charge(len(allsamples) * max(1, len(allsamples).bit_length()))
-                splitters = regular_samples(allsamples, v - 1)
+                splitters = self._splitters(ctx.incoming, v)
+                n_s = sum(m.size for m in ctx.incoming)
+                ctx.charge(n_s * max(1, n_s.bit_length()))
                 for dest in range(v):
                     ctx.send(dest, splitters)
         elif ctx.step == 2:
-            splitters = list(ctx.incoming[0].payload)
             items = codec.decode(codec.from_bytes(st["items"]))
             items.sort()
-            parts = partition_by_splitters(items, splitters)
+            cuts = self._cuts(items, ctx.incoming[0].payload, ctx.pid, v)
             ctx.charge(len(items) * max(1, len(items).bit_length()) + len(items))
-            for dest, part in enumerate(parts):
-                if dest < v and part:
-                    ctx.send(dest, part)
+            self._send_parts(ctx, items, cuts)
             st["items"] = b""
         else:
             runs = [list(m.payload) for m in ctx.incoming]
@@ -222,26 +288,36 @@ class CGMSampleSort(BSPAlgorithm):
             ctx.send(0, arr[sample_positions(n_loc, v)])
         elif ctx.step == 1:
             if ctx.pid == 0:
-                allsamples = np.sort(
-                    np.concatenate([as_i64(m.payload) for m in ctx.incoming])
+                keys = np.concatenate([as_i64(m.payload) for m in ctx.incoming])
+                ranks = np.asarray(
+                    [r for m in ctx.incoming for r in self._sample_ranks(m.src, v)],
+                    I64,
                 )
-                n_s = len(allsamples)
+                order = np.lexsort((ranks, keys))
+                n_s = len(order)
                 ctx.charge(n_s * max(1, n_s.bit_length()))
-                splitters = allsamples[sample_positions(n_s, v - 1)]
+                pick = order[sample_positions(n_s, v - 1)]
+                splitters = np.empty(2 * len(pick), I64)
+                splitters[0::2] = keys[pick]
+                splitters[1::2] = ranks[pick]
                 for dest in range(v):
                     ctx.send(dest, splitters)
         elif ctx.step == 2:
-            splitters = as_i64(ctx.incoming[0].payload)
+            spl = as_i64(ctx.incoming[0].payload)
+            keys, ranks = spl[0::2], spl[1::2]
             arr = np.sort(codec.from_bytes(st["items"]))
             n_loc = len(arr)
-            bounds = np.searchsorted(arr, splitters, side="left").tolist()
+            lo = share_bounds(self.n, v, ctx.pid)[0]
+            owner = owners_of_indices(ranks, self.n, v)
+            cuts = np.where(
+                owner > ctx.pid,
+                np.searchsorted(arr, keys, side="right"),
+                np.where(
+                    owner < ctx.pid, np.searchsorted(arr, keys, side="left"), ranks - lo
+                ),
+            )
             ctx.charge(n_loc * max(1, n_loc.bit_length()) + n_loc)
-            prev = 0
-            for dest, hi in enumerate([*bounds, len(arr)]):
-                part = arr[prev:hi]
-                if dest < v and len(part):
-                    ctx.send(dest, part)
-                prev = hi
+            self._send_parts(ctx, arr, cuts.tolist())
             st["items"] = b""
         else:
             runs = [as_i64(m.payload) for m in ctx.incoming]

@@ -36,7 +36,7 @@ from typing import Any, Iterable, Sequence
 from . import workloads as wl
 from .baselines import SORTING_BASELINES
 from .conform.oracles import check_theorem1_io, plain_outputs, theorem1_io_bound
-from .core.simulator import build_params, simulate
+from .core.simulator import build_params, pick_v, simulate
 from .params import MachineParams
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "CONTENDERS",
     "BakeoffConfig",
     "default_sweep",
-    "pick_v",
     "run_row",
     "run_sweep",
     "validate_bakeoff_dict",
@@ -117,26 +116,18 @@ def _cgm_algorithm(task: str, v: int, data: list, perm: "list | None"):
     raise ValueError(f"unknown bakeoff task {task!r}")
 
 
-def pick_v(
+def _cgm_v(
     task: str, cfg: BakeoffConfig, machine: MachineParams, data: list, perm
 ) -> "int | None":
-    """Smallest admissible virtual-processor count for the CGM run:
-    ``v`` divides ``n``, is a multiple of ``p``, satisfies the sort's
-    ``n >= v^2`` coarseness and fits one context in ``M``."""
-    v = max(2, machine.p)
-    while v <= cfg.n:
-        if cfg.n % v == 0 and v % machine.p == 0 and (
-            task != "sort" or cfg.n >= v * v
-        ):
-            try:
-                alg = _cgm_algorithm(task, v, data, perm)
-                if alg.context_size() <= machine.M:
-                    build_params(alg, machine, v)
-                    return v
-            except (ValueError, AssertionError):
-                pass
-        v *= 2
-    return None
+    """The CGM run's ``v``: :func:`~repro.core.simulator.pick_v`, over the
+    ``v`` that divide ``n``."""
+
+    def make(v: int):
+        if cfg.n % v:
+            raise ValueError(f"v={v} does not divide n={cfg.n}")
+        return _cgm_algorithm(task, v, data, perm)
+
+    return pick_v(make, machine, cfg.n)
 
 
 # -- one sweep row --------------------------------------------------------------------
@@ -241,7 +232,7 @@ def _run_cgm(
     p_cgm: int,
 ) -> dict:
     machine = cfg.machine(p=p_cgm)
-    v = pick_v(task, cfg, machine, data, perm)
+    v = _cgm_v(task, cfg, machine, data, perm)
     if v is None:
         return {"skipped": "no admissible v for this machine"}
     alg = _cgm_algorithm(task, v, data, perm)
@@ -261,6 +252,8 @@ def _run_cgm(
         "ok": not failures and measured <= bound,
         "match": pickle.dumps(flat, protocol=4) == ref_bytes,
         "v": v,
+        "mu": params.bsp.mu,
+        "mu_used": report.mu_used,
         "supersteps": len(report.supersteps),
         "theorem1_failures": [f.detail for f in failures],
         "theorem1_checked": int(checked),

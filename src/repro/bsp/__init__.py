@@ -3,7 +3,6 @@
 from .collectives import (
     merge_sorted,
     owner_of_index,
-    partition_by_splitters,
     regular_samples,
     share_bounds,
     share_size,
@@ -25,6 +24,5 @@ __all__ = [
     "share_size",
     "owner_of_index",
     "regular_samples",
-    "partition_by_splitters",
     "merge_sorted",
 ]

@@ -9,7 +9,6 @@ They perform no communication themselves — communication always goes through
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Callable, Sequence
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "share_size",
     "owner_of_index",
     "regular_samples",
-    "partition_by_splitters",
     "merge_sorted",
 ]
 
@@ -64,30 +62,6 @@ def regular_samples(sorted_items: Sequence[Any], count: int) -> list[Any]:
         return []
     idxs = sorted({min(n - 1, (i + 1) * n // (count + 1)) for i in range(count)})
     return [sorted_items[i] for i in idxs]
-
-
-def partition_by_splitters(
-    sorted_items: Sequence[Any],
-    splitters: Sequence[Any],
-    key: Callable[[Any], Any] | None = None,
-) -> list[list[Any]]:
-    """Split a locally sorted sequence into ``len(splitters)+1`` runs.
-
-    Run ``j`` holds the items with ``splitters[j-1] <= key(item) < splitters[j]``
-    (run 0 has everything below ``splitters[0]``).  Both inputs must be sorted.
-    """
-    if key is None:
-        keys = list(sorted_items)
-    else:
-        keys = [key(x) for x in sorted_items]
-    parts: list[list[Any]] = []
-    lo = 0
-    for s in splitters:
-        hi = bisect.bisect_left(keys, s, lo)
-        parts.append(list(sorted_items[lo:hi]))
-        lo = hi
-    parts.append(list(sorted_items[lo:]))
-    return parts
 
 
 def merge_sorted(

@@ -265,8 +265,9 @@ def theorem1_io_bound(
 
     In the terms of Theorem 1 / Lemma 4 (``k`` group size, ``D`` disks,
     ``G`` groups per processor, ``cbp = ceil(mu/B)`` context blocks per vp,
-    ``T_s`` message blocks generated in superstep ``s``), each phase of
-    compound superstep ``s`` is bounded by:
+    ``T_s`` message blocks written in superstep ``s``: the packed records'
+    blocks and Lemma 3's dummy blocks, which are written and fetched alike),
+    each phase of compound superstep ``s`` is bounded by:
 
     * contexts (fetch + write back): ``2 G (ceil(k*cbp/D) + 1)`` — a group's
       contexts are ``k*cbp`` consecutive blocks of a striped region, read at
@@ -297,7 +298,7 @@ def theorem1_io_bound(
     bounds = []
     prev, prev_kept = 0, False
     for s in report.supersteps:
-        T = s.message_blocks
+        T = s.message_blocks + sum(d for rnd in s.packing or () for _l, d in rnd)
         ctx = 2 * groups * (-(-kcbp // D) + 1)
         fetch = -(-prev // D) + 2 * groups
         if prev_kept:

@@ -4,7 +4,7 @@ from .checkpoint import SimulationAborted, SuperstepCheckpoint
 from .context import ContextStore
 from .engine import ParallelEMSimulation, RunConfig
 from .routing import RoutingStats, simulate_routing
-from .simulator import build_params, simulate
+from .simulator import build_params, pick_v, simulate
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
 # The one engine under its Algorithm 1 name, kept only because the frozen
@@ -21,6 +21,7 @@ __all__ = [
     "simulate",
     "RunConfig",
     "build_params",
+    "pick_v",
     "SimulationReport",
     "SuperstepReport",
     "PhaseBreakdown",

@@ -145,6 +145,8 @@ class ContextStore:
         # (repro.obs) as the context-cache hit rate.
         self.cache_hits = 0
         self.cache_misses = 0
+        # The largest context measured here, in records (mu_used).
+        self.max_records = 0
 
     @property
     def tracks_per_disk(self) -> int:
@@ -226,7 +228,7 @@ class ContextStore:
                     data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
             finally:
                 prof.pop()
-            check_context_bound(data, self.mu)
+            self.max_records = max(self.max_records, check_context_bound(data, self.mu))
             n = -(-max(len(data), 1) // chunk)
             counts.append(n)
             if hold:

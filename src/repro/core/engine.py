@@ -956,6 +956,9 @@ class ParallelEMSimulation:
             for vp, out in outs.items():
                 outputs[vp] = out
         self.report.disk_space_tracks = max(hw for _o, _io, hw in collected)
+        used = self.backend.call_all("bounds_used")
+        self.report.mu_used = max(mu for mu, _g in used)
+        self.report.gamma_used = max(g for _mu, g in used)
         self._attach_fault_report()
         if self.obs.enabled:
             # Pull every processor-side collector's telemetry into the

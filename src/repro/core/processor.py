@@ -115,6 +115,7 @@ class RealProcessor:
         self.gamma = algorithm.comm_bound() if config.enforce_gamma else None
         # Lemma 3's dummy blocks: every group's traffic padded to k*ceil(gamma/B).
         self.pad = self.k * -(-s.gamma // m.B) if config.pad_to_gamma else 0
+        self.max_inbox = 0  # the largest inbox received here, in records (gamma_used)
         self.write_schedule = config.write_schedule or "random"
         # Per-processor deterministic RNG stream: identical across backends,
         # independent across processors (no cross-processor draw ordering).
@@ -271,13 +272,13 @@ class RealProcessor:
             inbox[m.dest].append(m)
         for vp, state in zip(vps, states):
             msgs = inbox[vp]
-            if gamma is not None:
-                nrecv = sum(m.size for m in msgs)
-                if nrecv > gamma:
-                    raise AlgorithmError(
-                        f"vp {vp} received {nrecv} records in superstep "
-                        f"{step}, exceeding gamma={gamma}"
-                    )
+            nrecv = sum(m.size for m in msgs)
+            self.max_inbox = max(self.max_inbox, nrecv)
+            if gamma is not None and nrecv > gamma:
+                raise AlgorithmError(
+                    f"vp {vp} received {nrecv} records in superstep "
+                    f"{step}, exceeding gamma={gamma}"
+                )
             ctx = VPContext(vp, self.v, step, state, msgs, comm_bound=gamma)
             alg.superstep(ctx)
             yield ctx
@@ -618,6 +619,11 @@ class RealProcessor:
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta)
         return outs, delta, self.allocator.high_water
+
+    def bounds_used(self) -> tuple[int, int]:
+        """The largest context saved and the largest inbox received here, in
+        records: this processor's ``(mu_used, gamma_used)``."""
+        return self.contexts.max_records, self.max_inbox
 
     def drain_obs(self) -> dict | None:
         """Ship this processor's telemetry track to the engine (picklable),

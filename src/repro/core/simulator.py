@@ -12,7 +12,7 @@ disks, and multiple processors are handled by the simulation.
 from __future__ import annotations
 
 import warnings
-from typing import Any
+from typing import Any, Callable
 
 from ..bsp.program import BSPAlgorithm
 from ..obs.live import RunEventLog
@@ -21,7 +21,7 @@ from ..params import BSPParams, MachineParams, SimulationParams
 from .engine import ParallelEMSimulation, RunConfig
 from .stats import SimulationReport
 
-__all__ = ["simulate", "build_params"]
+__all__ = ["simulate", "build_params", "pick_v"]
 
 
 def build_params(
@@ -42,6 +42,28 @@ def build_params(
         k=k,
         strict=strict,
     )
+
+
+def pick_v(
+    make: Callable[[int], BSPAlgorithm], machine: MachineParams, limit: int
+) -> int | None:
+    """The smallest admissible virtual-processor count for ``machine``.
+
+    Tries ``v = max(2, p)`` and its doublings up to ``limit`` and returns the
+    first that ``make(v)`` builds an algorithm for (it raises ``ValueError``
+    where ``v`` does not suit the input, as the sort does below ``n >= v^2``)
+    and :func:`build_params` admits: one context fits in ``M``, whole groups
+    fill every processor.  None if no ``v`` up to ``limit`` does.  The fewer
+    the vps, the fewer and fuller their messages and context slots.
+    """
+    v = max(2, machine.p)
+    while v <= limit:
+        try:
+            build_params(make(v), machine, v)
+            return v
+        except ValueError:  # ParameterError included
+            v *= 2
+    return None
 
 
 def simulate(

@@ -146,6 +146,10 @@ class SimulationReport:
     # load a group's contexts are fetched at until they are first written.
     loaded: list[tuple[tuple[int, ...], ...]] | None = None
     output_io_ops: int = 0  # result unloading
+    # The largest serialized context and the largest inbox of any vp, in
+    # records, measured where the engine checks them against mu and gamma.
+    mu_used: int = 0
+    gamma_used: int = 0
     faults: FaultReport | None = None  # set when fault injection or
     # checkpointing was active (see repro.emio.faults, repro.core.checkpoint)
 
@@ -194,6 +198,8 @@ class SimulationReport:
                 "theory_io_bound": self.theoretical_io_bound(),
                 "max_load_ratio": self.max_load_ratio,
                 "disk_space_tracks": self.disk_space_tracks,
+                "mu_used": self.mu_used,
+                "gamma_used": self.gamma_used,
             }
         )
         if self.faults is not None:

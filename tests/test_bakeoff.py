@@ -22,7 +22,6 @@ from repro.bakeoff import (
     BakeoffConfig,
     default_sweep,
     format_table,
-    pick_v,
     run_row,
     run_sweep,
     validate_bakeoff_dict,
@@ -54,12 +53,18 @@ class TestSweepGeometry:
 
     def test_pick_v_is_admissible(self):
         from repro import workloads as wl
+        from repro.algorithms import CGMSampleSort
+        from repro.core import build_params, pick_v
 
         machine = JOINT.machine(p=2)
         data = wl.uniform_keys(JOINT.n, seed=0)
-        v = pick_v("sort", JOINT, machine, data, None)
+        v = pick_v(lambda v: CGMSampleSort(data, v), machine, JOINT.n)
         assert v is not None
-        assert JOINT.n % v == 0 and v % 2 == 0 and JOINT.n >= v * v
+        assert v % 2 == 0 and JOINT.n >= v * v
+        build_params(CGMSampleSort(data, v), machine, v)
+        if v > 2:  # the smallest: half of it is refused
+            with pytest.raises(ValueError):
+                build_params(CGMSampleSort(data, v // 2), machine, v // 2)
 
 
 # -- the quick sweep referees clean -------------------------------------------
@@ -176,6 +181,13 @@ class TestValidate:
         # And it survives a dump/load round trip byte-for-byte.
         dumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert dumped == ARTIFACT.read_text()
+
+    def test_committed_joint_rows_use_half_their_mu(self):
+        """The CGM's declared context bound is one its runs come within a
+        factor of two of, so ``k = floor(M/mu)`` fills memory."""
+        payload = json.loads(ARTIFACT.read_text())
+        cells = [r["engines"]["cgm"] for r in payload["rows"] if r["mode"] == "joint"]
+        assert cells and all(0.5 <= c["mu_used"] / c["mu"] <= 1 for c in cells)
 
 
 # -- CLI ----------------------------------------------------------------------

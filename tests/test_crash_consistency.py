@@ -473,8 +473,9 @@ class TestCrashExplorer:
         ]
         # 184 extents while every barrier wrote the one group of contexts
         # back; 56 once it stayed in memory and only message blocks were on
-        # disk; 14 since those are packed into full blocks per group.
-        assert (res.checkpoints, res.extents_verified) == (4, 14)
+        # disk; 14 since those are packed into full blocks per group; 19
+        # since the splitters are (key, position) pairs.
+        assert (res.checkpoints, res.extents_verified) == (4, 19)
 
         for point, checks in ((0, {"crash_restart": 1}), (4, {"crash_resume": 1}),
                               (6, {"crash_resume": 1}), (10_000, {"crash_survived": 1})):

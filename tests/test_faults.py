@@ -39,6 +39,10 @@ SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 SEQ = MachineParams(p=1, M=4096, D=4, B=32)
 PAR = MachineParams(p=2, M=4096, D=4, B=32)
+#: M holds every context of ``sort_input()`` at v = 8, and a run that never
+#: swaps has no drive access for a death to land on: the drive-death tests
+#: pin a group of one vp, which gives every drive 44 accesses or more.
+SWAPPING_K = 1
 
 
 def sort_input(n=512, seed=7):
@@ -286,7 +290,7 @@ class TestEngineFaultTransparency:
         plan = FaultPlan(seed=SEED + 1, read_error_rate=0.01,
                          dead_disk=2, dead_after=60)
         out, rep = simulate(
-            CGMSampleSort(list(data), v=8), SEQ, v=8, seed=3,
+            CGMSampleSort(list(data), v=8), SEQ, v=8, k=SWAPPING_K, seed=3,
             faults=plan, checkpoint=True,
         )
         assert out == baseline
@@ -297,11 +301,11 @@ class TestEngineFaultTransparency:
     def test_parallel_disk_death_recovers(self):
         data = sort_input()
         baseline, _ = simulate(CGMSampleSort(list(data), v=8), PAR, v=8, seed=3)
-        # Processor 1's drive 1 sees 49 accesses in all; 21 is in superstep 2.
+        # Processor 1's drive 1 sees 45 accesses in all.
         plan = FaultPlan(seed=SEED + 2, read_error_rate=0.02,
                          dead_disk=1, dead_after=20, dead_proc=1)
         out, rep = simulate(
-            CGMSampleSort(list(data), v=8), PAR, v=8, seed=3,
+            CGMSampleSort(list(data), v=8), PAR, v=8, k=SWAPPING_K, seed=3,
             faults=plan, checkpoint=True,
         )
         assert out == baseline
@@ -341,7 +345,7 @@ class TestEngineFaultTransparency:
     def test_recovery_budget_respected(self):
         data = sort_input()
         plan = FaultPlan(seed=SEED, dead_disk=0, dead_after=80)
-        params = build_params(CGMSampleSort(list(data), v=8), SEQ, v=8)
+        params = build_params(CGMSampleSort(list(data), v=8), SEQ, v=8, k=SWAPPING_K)
         eng = ParallelEMSimulation(
             CGMSampleSort(list(data), v=8), params, seed=3,
             faults=plan, checkpoint=True, max_recoveries=0,
@@ -408,7 +412,7 @@ class TestCheckpointResume:
         v = 8
         machine = MachineParams(p=2, M=4096, D=4, B=32)
         data = sort_input()
-        params = build_params(CGMSampleSort(list(data), v=v), machine, v=v)
+        params = build_params(CGMSampleSort(list(data), v=v), machine, v=v, k=SWAPPING_K)
         baseline, _ = ParallelEMSimulation(
             CGMSampleSort(list(data), v=v), params, seed=3
         ).run()

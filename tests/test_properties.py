@@ -16,7 +16,6 @@ from repro.bsp.message import (
 )
 from repro.bsp.collectives import (
     owner_of_index,
-    partition_by_splitters,
     regular_samples,
     share_bounds,
 )
@@ -275,23 +274,6 @@ def test_owner_of_index_consistent(n, v, data):
     owner = owner_of_index(i, n, v)
     lo, hi = share_bounds(n, v, owner)
     assert lo <= i < hi
-
-
-@given(
-    items=st.lists(st.integers(-50, 50), max_size=60),
-    splitters=st.lists(st.integers(-50, 50), max_size=8),
-)
-@slow
-def test_partition_by_splitters_preserves_and_orders(items, splitters):
-    items, splitters = sorted(items), sorted(splitters)
-    parts = partition_by_splitters(items, splitters)
-    assert [x for part in parts for x in part] == items
-    for j, part in enumerate(parts):
-        for x in part:
-            if j > 0:
-                assert x >= splitters[j - 1]
-            if j < len(splitters):
-                assert x < splitters[j]
 
 
 @given(items=st.lists(st.integers(), min_size=0, max_size=60), c=st.integers(0, 12))

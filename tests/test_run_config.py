@@ -248,7 +248,8 @@ def test_crashcheck_on_the_fast_vector_plane_keeps_its_counts(tmp_path):
     for o in res.outcomes:
         actions[o.action] = actions.get(o.action, 0) + 1
     assert res.passed
-    assert (res.total_points, res.checkpoints, res.extents_verified) == (20, 4, 14)
+    # 14 extents before the splitters were (key, position) pairs.
+    assert (res.total_points, res.checkpoints, res.extents_verified) == (20, 4, 19)
     assert actions == {"restart": 4, "resume@0": 5, "resume@1": 5, "resume@2": 5,
                        "resume@3": 1}
     # 116 before the one group (k == v) kept its bucket store: the 60 ops of

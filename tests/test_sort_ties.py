@@ -1,0 +1,155 @@
+"""The sample sort's ``2n/v`` bucket bound holds for every input, and the
+declared ``mu`` and ``gamma`` are bounds the runs fill.
+
+Regular sampling bounds a bucket by ``2n/v`` only if no two keys are equal;
+the sort therefore orders records by ``(key, global position in the sorted
+runs)`` (:mod:`repro.algorithms.sorting`).  These tests drive duplicate-heavy
+inputs through every code path (the legacy object path, and the codec
+path's object and vector record planes) at one and two processors, with the
+engine enforcing ``mu`` at every context save and ``gamma`` at every inbox.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms.graphs import CGMListRanking
+from repro.algorithms.permutation import CGMPermutation
+from repro.algorithms.sorting import CGMSampleSort
+from repro.bsp.runner import run_reference
+from repro.core.simulator import simulate
+from repro.params import MachineParams
+from repro.workloads import random_linked_list
+
+N = 8192
+
+
+def _machine(p: int, alg) -> MachineParams:
+    # Four contexts a processor in memory (one block a drive at least): the
+    # larger runs swap, and every context is measured against mu when saved.
+    return MachineParams(p=p, M=max(4 * alg.context_size(), 256), D=4, B=64, b=128)
+
+
+def _keys(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    if kind == "all-equal":
+        return np.full(n, 5, dtype=np.int64)
+    if kind == "two-key":
+        return rng.integers(0, 2, n, dtype=np.int64)
+    if kind == "three-key":
+        return rng.integers(0, 3, n, dtype=np.int64)
+    if kind == "sorted":
+        return np.arange(n, dtype=np.int64)
+    if kind == "reversed":
+        return np.arange(n, dtype=np.int64)[::-1].copy()
+    return rng.integers(0, 1 << 30, n, dtype=np.int64)
+
+
+def _check_sorted(outputs, data, v: int) -> None:
+    flat = np.concatenate([np.asarray(o, dtype=np.int64) for o in outputs])
+    assert np.array_equal(flat, np.sort(np.asarray(data, dtype=np.int64)))
+    assert max(len(o) for o in outputs) <= 2 * -(-len(data) // v)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("records", ["object", "vector"])
+@pytest.mark.parametrize("v", [8, 32, 64])
+@pytest.mark.parametrize("kind", ["all-equal", "two-key", "three-key"])
+def test_duplicate_heavy_input_sorts_inside_the_bucket_bound(kind, v, records, p):
+    data = _keys(kind, N)
+    alg = CGMSampleSort(data, v)
+    outputs, report = simulate(alg, _machine(p, alg), v, records=records)
+    _check_sorted(outputs, data, v)
+    assert report.mu_used <= report.params.bsp.mu
+    assert report.gamma_used <= report.params.bsp.gamma
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", ["all-equal", "three-key"])
+def test_both_record_planes_cut_ties_alike(kind, p):
+    """The vector plane's lexsort and searchsorted cuts are the object
+    plane's sorted pairs and bisects: every share and count agree."""
+    data, v = _keys(kind, 2048), 16
+    images = []
+    for records in ("object", "vector"):
+        alg = CGMSampleSort(data, v)
+        outputs, report = simulate(alg, _machine(p, alg), v, records=records)
+        images.append(([o.tolist() for o in outputs], report.summary()))
+    assert images[0] == images[1]
+
+
+@pytest.mark.parametrize("kind", ["all-equal", "two-key", "three-key"])
+def test_the_object_path_breaks_ties_by_position_too(kind):
+    """Records sorted by a ``key`` take the legacy object path; equal keys
+    keep their input order there, as a stable sort's do."""
+    v = 16
+    data = [(int(x), i) for i, x in enumerate(_keys(kind, 1024))]
+    alg = CGMSampleSort(data, v, key=lambda r: r[0])
+    outputs, _report = simulate(alg, _machine(1, alg), v)
+    assert [r for out in outputs for r in out] == sorted(data, key=lambda r: r[0])
+    assert max(len(o) for o in outputs) <= 2 * -(-len(data) // v)
+
+
+def test_distinct_keys_cut_where_they_always_did():
+    """With no key repeated, ``(key, position)`` orders records as the key
+    does: every vp's bucket is the records between consecutive splitters."""
+    v = 16
+    data = np.random.default_rng(1).permutation(4096).astype(np.int64)
+    outputs, _ = run_reference(CGMSampleSort(data, v), v)
+    keys = np.sort(data)
+    edges = np.cumsum([0, *(len(o) for o in outputs)])
+    # The splitters are regular samples of the regular samples; each bucket
+    # after the first starts at one of them.
+    samples = np.concatenate([
+        np.sort(part)[[(i + 1) * len(part) // (v + 1) for i in range(v)]]
+        for part in np.array_split(data, v)
+    ])
+    splitters = np.sort(samples)[[(i + 1) * v for i in range(v - 1)]]
+    assert keys[edges[1:-1]].tolist() == splitters.tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    v=st.sampled_from([2, 4, 8]),
+    extra=st.integers(0, 200),
+    shape=st.sampled_from(["sorted", "reversed", "dups"]),
+    distinct=st.integers(1, 4),
+    records=st.sampled_from(["object", "vector"]),
+    p=st.sampled_from([1, 2]),
+)
+def test_no_input_trips_mu_or_gamma(v, extra, shape, distinct, records, p):
+    n = v * v + extra
+    if shape == "sorted":
+        data = np.arange(n, dtype=np.int64)
+    elif shape == "reversed":
+        data = np.arange(n, dtype=np.int64)[::-1].copy()
+    else:
+        data = np.random.default_rng(n).integers(0, distinct, n, dtype=np.int64)
+    alg = CGMSampleSort(data, v)
+    outputs, report = simulate(alg, _machine(p, alg), v, records=records)
+    _check_sorted(outputs, data, v)
+    assert report.mu_used <= report.params.bsp.mu
+    assert report.gamma_used <= report.params.bsp.gamma
+
+
+@pytest.mark.parametrize("records", ["object", "vector"])
+@pytest.mark.parametrize("task", ["sort", "permutation", "listranking"])
+def test_the_declared_mu_is_at_least_half_used(task, records):
+    """``mu`` is a bound the run comes within a factor of two of, so
+    ``k = floor(M/mu)`` fills memory with what the contexts hold."""
+    n, v = 1 << 14, 16
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 1 << 30, n, dtype=np.int64)
+    if task == "sort":
+        alg = CGMSampleSort(keys, v)
+    elif task == "permutation":
+        alg = CGMPermutation(keys, rng.permutation(n).astype(np.int64), v)
+    else:
+        alg = CGMListRanking(random_linked_list(n, seed=3), v)
+    _outputs, report = simulate(alg, _machine(1, alg), v, records=records)
+    bsp = report.params.bsp
+    assert 0.5 <= report.mu_used / bsp.mu <= 1
+    assert 0 < report.gamma_used <= bsp.gamma

@@ -134,16 +134,19 @@ class TestFlavourMatrix:
             assert np.array_equal(flat, np.sort(_keys().astype(np.int32)))
 
     def test_empty_share_is_an_empty_array(self):
-        # Every key equal: regular sampling routes all of them to one vp.
+        # Fewer values than vps: the last vp's share of the permutation is
+        # empty.  (The sort breaks key ties by position, so no bucket of it
+        # is ever empty: tests/test_sort_ties.py.)
+        vals, perm = np.array([7, 8, 9], dtype=np.int64), [2, 0, 1]
         for records in ("object", "vector"):
             outputs, _ = simulate(
-                CGMSampleSort(np.zeros(64, dtype=np.int64), v=4),
+                CGMPermutation(vals, perm, v=4),
                 MachineParams(p=1, M=1 << 20, D=2, B=8, b=16), v=4, records=records,
             )
             _assert_array_shares(outputs, v=4)
-            assert sorted(len(o) for o in outputs) == [0, 0, 0, 64]
+            assert [len(o) for o in outputs] == [1, 1, 1, 0]
             as_lists, _ = simulate(
-                CGMSampleSort([0] * 64, v=4),
+                CGMPermutation(vals.tolist(), perm, v=4),
                 MachineParams(p=1, M=1 << 20, D=2, B=8, b=16), v=4, records=records,
             )
             assert [o.tolist() for o in outputs] == as_lists

@@ -26,7 +26,6 @@ from repro.algorithms.permutation import CGMPermutation
 from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.collectives import (
     owner_of_index,
-    partition_by_splitters,
     regular_samples,
 )
 from repro.bsp.program import AlgorithmError
@@ -181,20 +180,6 @@ class TestKernelEquivalence:
                 assert owners_of_indices(idx, n, v).tolist() == [
                     owner_of_index(i, n, v) for i in range(n)
                 ]
-
-    def test_searchsorted_matches_partition_by_splitters(self):
-        rng = random.Random(5)
-        items = sorted(rng.randrange(100) for _ in range(60))
-        splitters = sorted(rng.randrange(100) for _ in range(7))
-        arr = np.asarray(items, dtype="<i8")
-        bounds = np.searchsorted(arr, np.asarray(splitters, "<i8"),
-                                 side="left").tolist()
-        parts = []
-        prev = 0
-        for hi in [*bounds, len(arr)]:
-            parts.append(arr[prev:hi].tolist())
-            prev = hi
-        assert parts == partition_by_splitters(items, splitters)
 
 
 class TestVectorPlumbing:
