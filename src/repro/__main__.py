@@ -526,7 +526,8 @@ _PERF_WORKLOADS.update(
 )
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` command line: every subcommand and its flags."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Run coarse-grained parallel algorithms as external-memory "
@@ -690,7 +691,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_watch, trace_out=None, jsonl_out=None,
                    metrics=False)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     rc = args.func(args)
     _export_obs(args)
     log = getattr(args, "_event_log", None)

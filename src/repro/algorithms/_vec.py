@@ -1,9 +1,9 @@
 """Vectorized-plane helpers shared by the codec-eligible CGM algorithms.
 
 Each function here is the numpy twin of a pure-Python helper in
-:mod:`repro.bsp.collectives` and must agree with it *exactly* — the golden
-matrix compares object- and vector-mode runs element for element.  The
-equivalences relied on:
+:mod:`repro.bsp.collectives` and must agree with it *exactly* — the vector
+plane's outputs are checked against the list-state path's on the same
+values.  The equivalences relied on:
 
 * ``np.sort`` on integers == ``list.sort()`` (same total order, and ties
   are indistinguishable values).
@@ -15,13 +15,12 @@ equivalences relied on:
 * :func:`owners_of_indices` == ``owner_of_index`` mapped over an array.
 
 **Output flavour follows input flavour.**  A codec-eligible algorithm keeps
-its result as canonical codec bytes in both record modes; what the caller
-gets back is decided by what the caller handed in and nothing else: an
-ndarray that :func:`int64_array` accepted gives read-only array views out,
-a Python sequence gives lists of plain ``int``s out (:func:`share_output`).
-The algorithm records which at construction, so the pickled algorithm
-carries it to process workers.  The record mode never enters into it, so
-the object and vector planes agree byte for byte on any given input.
+its result as canonical codec bytes; what the caller gets back is decided
+by what the caller handed in and nothing else: an ndarray that
+:func:`int64_array` accepted gives read-only array views out, a Python
+list gives lists of plain ``int``s out (:func:`share_output`).  The
+algorithm records which at construction, so the pickled algorithm carries
+it to process workers.
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ __all__ = [
 def int64_array(data: Sequence[Any]) -> np.ndarray | None:
     """``data`` as a 1-D ``<i8`` array, or ``None`` if not *exactly* int64.
 
-    This is the codec-eligibility gate: only data whose every record is a
-    plain Python ``int`` (``bool`` excluded — its repr differs) within the
-    int64 range, or an ndarray of a signed integer dtype, may run on the
-    vectorized plane.  Anything else keeps the legacy object path with
-    byte-identical behaviour.
+    This is the codec-eligibility gate, so it picks the record plane: only
+    a list whose every record is a plain Python ``int`` (``bool`` excluded —
+    its repr differs) within the int64 range, or an ndarray of a signed
+    integer dtype, runs on the vector plane.  Anything else (another
+    sequence type included) keeps the list-state path.
     """
     if isinstance(data, np.ndarray):
         if data.ndim == 1 and data.dtype.kind == "i" and data.dtype.itemsize <= 8:

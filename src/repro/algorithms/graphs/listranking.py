@@ -109,12 +109,13 @@ class CGMListRanking(BSPAlgorithm):
 
     Output ``j`` is the list of ``(node, rank)`` pairs for vp ``j``'s nodes.
 
-    The ``"vector"`` record mode computes each round's removal mask with
-    numpy (:func:`_prio_arr`); contexts and message payloads are untouched,
-    so golden identity with the object plane is structural.
+    Node ids are always ints, so every input runs on the vector record
+    plane: each round's removal mask is computed with numpy
+    (:func:`_prio_arr`, checked against the per-record :func:`_prio`);
+    contexts and message payloads are plain lists either way.
     """
 
-    RECORD_MODES = ("object", "vector")
+    record_mode = "vector"
 
     def __init__(
         self,
@@ -299,30 +300,17 @@ class CGMListRanking(BSPAlgorithm):
         """Local indices of the nodes removed in round ``rnd``, ascending:
         the active non-tail nodes whose priority is below both neighbours'."""
         lo, seed = st["lo"], self.seed
-        if self.record_mode == "vector":
-            succ = np.asarray(st["succ"], np.int64)
-            idx = np.flatnonzero(succ >= 0)
-            idx = idx[succ[idx] != idx + lo]  # the tail is never removed
-            u, s = idx + lo, succ[idx]
-            p = np.asarray(st["pred"], np.int64)[idx]
-            hu = _prio_arr(u, rnd, seed)
-            hp = _prio_arr(np.maximum(p, 0), rnd, seed)
-            mask = _below(hu, u, _prio_arr(s, rnd, seed), s) & (
-                (p < 0) | _below(hu, u, hp, p)
-            )
-            return idx[mask].tolist()
-        out = []
-        pred = st["pred"]
-        for li, s in enumerate(st["succ"]):
-            u = lo + li
-            if s < 0 or s == u:
-                continue  # contracted away, or the tail
-            key = (_prio(u, rnd, seed), u)
-            if key < (_prio(s, rnd, seed), s):
-                p = pred[li]
-                if p < 0 or key < (_prio(p, rnd, seed), p):
-                    out.append(li)
-        return out
+        succ = np.asarray(st["succ"], np.int64)
+        idx = np.flatnonzero(succ >= 0)
+        idx = idx[succ[idx] != idx + lo]  # the tail is never removed
+        u, s = idx + lo, succ[idx]
+        p = np.asarray(st["pred"], np.int64)[idx]
+        hu = _prio_arr(u, rnd, seed)
+        hp = _prio_arr(np.maximum(p, 0), rnd, seed)
+        mask = _below(hu, u, _prio_arr(s, rnd, seed), s) & (
+            (p < 0) | _below(hu, u, hp, p)
+        )
+        return idx[mask].tolist()
 
     def _gather(self, ctx: VPContext) -> None:
         """Ship the reduced list to vp 0 for the sequential solve."""

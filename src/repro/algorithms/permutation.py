@@ -9,18 +9,18 @@ Table 1 EM permutation bound ``T_I/O = O~(G n/(pBD))``, beating the naive
 one-record-per-I/O approach by a factor of ``~BD`` (see the T1-A-PERM
 benchmark).
 
-**Record planes.**  With int64 values *and* perm (and only then) the per-vp
-state holds the ``(target, value)`` pairs as one flat canonical ``i64``
-byte string ``[t0, x0, t1, x1, ...]`` in both record modes, so context
-images and counted costs agree with the object plane by construction.  The
-vector mode groups pairs by owner with a stable argsort and scatters
-arrivals by fancy indexing; message payloads stay flat interleaved arrays,
-preserving the legacy record count of ``2 * npairs`` per message.
+**Record planes: the input picks.**  With int64 values *and* perm (and
+only then) a codec applies: the per-vp state holds the ``(target, value)``
+pairs as one flat canonical ``i64`` byte string ``[t0, x0, t1, x1, ...]``,
+pairs are grouped by owner with a stable argsort and arrivals scattered by
+fancy indexing (``record_mode == "vector"``).  Message payloads stay flat
+interleaved arrays, ``2 * npairs`` records a message like the list-state
+path's, which every other input runs and which is the per-record reference
+on the same values (DESIGN §10).
 
 **Output flavour.**  The outputs are the values, so ``values`` decides: an
-ndarray in gives read-only ``<i8`` array views out, a Python sequence in
-gives lists of plain ``int``s out — in both record modes alike (see
-:mod:`._vec`).
+ndarray in gives read-only ``<i8`` array views out, a Python list of
+ints in gives lists of plain ``int``s out (see :mod:`._vec`).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class CGMPermutation(BSPAlgorithm):
             self._codec = "i64"
             self.values = vals_arr
             self.perm = perm_arr
-            self.RECORD_MODES = ("object", "vector")
+            self.record_mode = "vector"
         else:
             self._codec = None
             self.values = list(values)
@@ -115,10 +115,8 @@ class CGMPermutation(BSPAlgorithm):
     def superstep(self, ctx: VPContext) -> None:
         if self._codec is None:
             self._superstep_legacy(ctx)
-        elif self.record_mode == "vector":
-            self._superstep_vector(ctx)
         else:
-            self._superstep_object(ctx)
+            self._superstep_vector(ctx)
 
     def _superstep_legacy(self, ctx: VPContext) -> None:
         st = ctx.state
@@ -141,31 +139,6 @@ class CGMPermutation(BSPAlgorithm):
             st["result"] = out
             ctx.vote_halt()
 
-    def _superstep_object(self, ctx: VPContext) -> None:
-        """Codec-eligible reference plane over decoded flat pairs."""
-        st = ctx.state
-        codec = get_codec(st["enc"])
-        if ctx.step == 0:
-            flat = codec.decode(codec.from_bytes(st["pairs"]))
-            by_owner: dict[int, list] = {}
-            it = iter(flat)
-            for target, val in zip(it, it):
-                owner = owner_of_index(target, self.n, ctx.nprocs)
-                by_owner.setdefault(owner, []).extend((target, val))
-            ctx.charge(len(flat) // 2)
-            ctx.send_all(by_owner)
-            st["pairs"] = b""
-        else:
-            lo, hi = st["lo"], st["hi"]
-            out: list = [0] * (hi - lo)
-            for m in ctx.incoming:
-                it = iter(m.payload)
-                for target, val in zip(it, it):
-                    out[target - lo] = val
-            ctx.charge(hi - lo)
-            st["result"] = codec.to_bytes(out)
-            ctx.vote_halt()
-
     def _superstep_vector(self, ctx: VPContext) -> None:
         """The same routing over stable-argsort grouping and fancy indexing."""
         st = ctx.state
@@ -175,7 +148,7 @@ class CGMPermutation(BSPAlgorithm):
             targets = flat[0::2]
             owners = owners_of_indices(targets, self.n, ctx.nprocs)
             # Stable sort keeps original pair order within each owner group —
-            # the setdefault/extend order of the object plane.
+            # the setdefault/extend order of the list-state path.
             order = np.argsort(owners, kind="stable")
             by_owner: dict[int, np.ndarray] = {}
             keys, starts = np.unique(owners[order], return_index=True)

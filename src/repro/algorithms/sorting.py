@@ -39,20 +39,18 @@ condition ``n/p >= p``).  Every vp keeps its state through supersteps 0 and
 back there: sorting twice costs one more local sort, where keeping the
 sorted run would cost a context write-back of the whole input.
 
-**Record planes.**  When the input is exactly int64 (plain ints or a signed
-integer ndarray) and no ``key`` is given, the algorithm is *codec-eligible*
-and its per-vp state holds the share as canonical ``i64`` codec bytes in
-**both** record modes — so context pickles, and therefore every counted
-I/O cost derived from them, are equal by construction.  The ``"object"``
-mode decodes the bytes and runs the per-record reference logic; the
-``"vector"`` mode runs ``np.sort``/``searchsorted`` kernels over zero-copy
-views and ships ndarray message payloads.  Ineligible inputs (custom keys,
-non-int records) keep the list-state path, with the same tie-break over
-their keys.
+**Record planes: the input picks.**  When the input is exactly int64
+(plain ints or a signed integer ndarray) and no ``key`` is given, a codec
+applies: the per-vp state holds the share as canonical ``i64`` codec bytes
+and the supersteps run ``np.sort``/``searchsorted`` kernels over zero-copy
+views, shipping ndarray message payloads (``record_mode == "vector"``).
+Every other input (custom keys, non-int records) runs the list-state path,
+with the same tie-break over its keys; on the same values it is the
+per-record reference the vector plane is tested against (DESIGN §10).
 
 **Output flavour.**  An ndarray in gives read-only ``<i8`` array views out,
-a Python sequence in gives lists of plain ``int``s out — in both record
-modes alike (see :mod:`._vec`).
+a Python list of ints in gives lists of plain ``int``s out (see
+:mod:`._vec`).
 """
 
 from __future__ import annotations
@@ -91,14 +89,14 @@ class CGMSampleSort(BSPAlgorithm):
     ----------
     data:
         The records to sort (any totally ordered values, or use ``key``).
-        Plain int64 data (or a signed integer ndarray) enables the
-        vectorized record plane (``RECORD_MODES`` grows ``"vector"``); the
-        ndarray also makes every output an ``<i8`` array instead of a list.
+        Plain int64 data (or a signed integer ndarray) runs on the vector
+        record plane (``record_mode == "vector"``); the ndarray also makes
+        every output an ``<i8`` array instead of a list.
     v:
         Number of virtual processors; ``len(data) >= v*v`` is required for
         the regular-sampling balance guarantee.
     key:
-        Optional sort key (disables codec eligibility).
+        Optional sort key (keeps the list-state path).
     """
 
     LAMBDA = 4  # supersteps (communication rounds lambda = 3 + final halt)
@@ -119,7 +117,7 @@ class CGMSampleSort(BSPAlgorithm):
         if arr is not None:
             self._codec = "i64"
             self.data = arr
-            self.RECORD_MODES = ("object", "vector")
+            self.record_mode = "vector"
         else:
             self._codec = None
             self.data = list(data)
@@ -195,7 +193,6 @@ class CGMSampleSort(BSPAlgorithm):
         lo, hi = share_bounds(self.n, nprocs, pid)
         if self._codec is None:
             return {"items": self.data[lo:hi], "result": None}
-        # Canonical codec bytes: identical state image in both record modes.
         return {
             "enc": self._codec,
             "items": self.data[lo:hi].tobytes(),
@@ -205,10 +202,8 @@ class CGMSampleSort(BSPAlgorithm):
     def superstep(self, ctx: VPContext) -> None:
         if self._codec is None:
             self._superstep_legacy(ctx)
-        elif self.record_mode == "vector":
-            self._superstep_vector(ctx)
         else:
-            self._superstep_object(ctx)
+            self._superstep_vector(ctx)
 
     def _send_parts(self, ctx: VPContext, items: Sequence[Any], cuts: list[int]) -> None:
         prev = 0
@@ -245,39 +240,9 @@ class CGMSampleSort(BSPAlgorithm):
             ctx.charge(sum(len(r) for r in runs) * max(1, v.bit_length()))
             ctx.vote_halt()
 
-    def _superstep_object(self, ctx: VPContext) -> None:
-        """Codec-eligible reference plane: decode bytes, run per-record logic."""
-        v = ctx.nprocs
-        st = ctx.state
-        codec = get_codec(st["enc"])
-        if ctx.step == 0:
-            items = codec.decode(codec.from_bytes(st["items"]))
-            items.sort()
-            ctx.charge(len(items) * max(1, len(items).bit_length()))
-            ctx.send(0, regular_samples(items, v))
-        elif ctx.step == 1:
-            if ctx.pid == 0:
-                splitters = self._splitters(ctx.incoming, v)
-                n_s = sum(m.size for m in ctx.incoming)
-                ctx.charge(n_s * max(1, n_s.bit_length()))
-                for dest in range(v):
-                    ctx.send(dest, splitters)
-        elif ctx.step == 2:
-            items = codec.decode(codec.from_bytes(st["items"]))
-            items.sort()
-            cuts = self._cuts(items, ctx.incoming[0].payload, ctx.pid, v)
-            ctx.charge(len(items) * max(1, len(items).bit_length()) + len(items))
-            self._send_parts(ctx, items, cuts)
-            st["items"] = b""
-        else:
-            runs = [list(m.payload) for m in ctx.incoming]
-            result = merge_sorted(runs)
-            ctx.charge(sum(len(r) for r in runs) * max(1, v.bit_length()))
-            st["result"] = codec.to_bytes(result)
-            ctx.vote_halt()
-
     def _superstep_vector(self, ctx: VPContext) -> None:
-        """The same supersteps over array kernels and zero-copy payloads."""
+        """The codec plane: the same supersteps over array kernels and
+        zero-copy payloads."""
         v = ctx.nprocs
         st = ctx.state
         codec = get_codec(st["enc"])

@@ -169,27 +169,23 @@ class BSPAlgorithm(abc.ABC):
     #: safety cap on supersteps (runaway-algorithm guard)
     MAX_SUPERSTEPS = 10_000
 
-    #: record planes this algorithm implements.  Algorithms that port their
-    #: hot supersteps onto a RecordCodec advertise ("object", "vector");
-    #: everything else runs only on the reference object plane.
-    RECORD_MODES: tuple[str, ...] = ("object",)
-
-    #: active record plane; switch with :meth:`set_record_mode`.
+    #: record plane the input put this algorithm on: ``"vector"`` where a
+    #: codec applies to the input (numpy kernels over canonical codec
+    #: bytes), ``"object"`` — the per-record list-state path — everywhere
+    #: else.  Subclasses set it from their input; nothing switches it.
     record_mode: str = "object"
 
     def set_record_mode(self, mode: str) -> None:
-        """Select the record plane ("object" or "vector") for this run.
+        """Check that ``mode`` is the plane the input picked.
 
-        The mode travels with the algorithm object — including through
-        pickling to process-backend workers — and must be golden-invisible:
-        counted costs, ledgers, and outputs are identical across modes.
+        A check, not a switch: the plane the input runs on is accepted and
+        changes nothing, any other raises :class:`AlgorithmError` naming it.
         """
-        if mode not in self.RECORD_MODES:
+        if mode != self.record_mode:
             raise AlgorithmError(
-                f"{type(self).__name__} does not implement record mode "
-                f"{mode!r} (supported: {self.RECORD_MODES})"
+                f"{type(self).__name__} runs on the {self.record_mode!r} record "
+                f"plane for this input, not {mode!r}: the input picks the plane"
             )
-        self.record_mode = mode
 
     @abc.abstractmethod
     def initial_state(self, pid: int, nprocs: int) -> Any:

@@ -1,8 +1,8 @@
 """Differential conformance fuzzer for the EM simulation.
 
 The equivalence of this repo's execution planes — reference vs ``fast_io`` /
-``context_cache``, inline vs process backend, memory vs file storage, object
-vs vector records — and the paper's quantitative guarantees (Lemma 2
+``context_cache``, inline vs process backend, memory vs file storage — and
+the paper's quantitative guarantees (Lemma 2
 bucket balance, Theorem 1 counted-I/O bounds) hold for *every* admissible
 parameter tuple, not just the hand-picked golden configurations in
 ``tests/``.  This package checks them at random points of the configuration

@@ -40,7 +40,7 @@ WORKLOADS = ("sort", "permute", "prefix", "listrank", "transpose")
 #: sorting baselines (``repro.baselines.SORTING_BASELINES``) on the same
 #: DiskArray substrate instead of a CGM simulation.  They share the config
 #: schema but fold the CGM-only axes (``v``, backends, faults,
-#: crashes, record planes) to their trivial values — see
+#: crashes) to their trivial values — see
 #: ``strategies._repair_baseline``.
 BASELINE_WORKLOADS = ("guidesort", "emmergesort", "buffertree")
 
@@ -79,11 +79,6 @@ class ConformConfig:
     workload: str = "sort"
     n: int = 64
     data_seed: int = 0
-    #: Record plane the algorithm runs on (``"object"`` or ``"vector"``);
-    #: repair folds ``"vector"`` back to ``"object"`` for workloads that
-    #: don't support it.  Counted costs and outputs must be identical — the
-    #: runner adds the other mode as a differential plane.
-    records: str = "object"
     # -- execution plane --
     backend: str = "inline"
     context_cache: bool = False
@@ -144,11 +139,6 @@ class ConformConfig:
 
     def algorithm(self) -> BSPAlgorithm:
         """A fresh algorithm instance over this config's deterministic input."""
-        alg = self._build_algorithm()
-        alg.set_record_mode(self.records)
-        return alg
-
-    def _build_algorithm(self) -> BSPAlgorithm:
         from .. import workloads as wl
 
         n, v, seed = self.n, self.v, self.data_seed
@@ -222,7 +212,8 @@ class ConformConfig:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ConformConfig":
         """The config ``d`` describes; a key that is no field is ignored
-        (an ``"engine"`` from before there was one engine, for one)."""
+        (an ``"engine"`` from before there was one engine, or a
+        ``"records"`` from before the input picked the record plane)."""
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{key: val for key, val in d.items() if key in known})
 
@@ -240,8 +231,6 @@ class ConformConfig:
             plane.append("ckpt")
         if self.storage != "memory":
             plane.append(f"storage={self.storage}")
-        if self.records != "object":
-            plane.append(f"records={self.records}")
         if self.crash:
             plane.append(f"crash@{self.crash_point}")
         fault = "" if self.fault == "none" else f" fault={self.fault}"

@@ -74,15 +74,14 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
     """The configured plane plus every plane that must be byte-equivalent.
 
     The flags flipped here are exactly the ones documented as counted-cost
-    invisible: ``fast_io``, ``context_cache``, the process backend, the
-    block-storage plane, and the record plane (``records="vector"`` for
-    algorithms that support it).  ``p`` is *not* an equivalent plane (it
+    invisible: ``fast_io``, ``context_cache``, the process backend and the
+    block-storage plane.  ``p`` is *not* an equivalent plane (it
     changes the counted schedule), and kill configs
     run single-plane through the kill-resume protocol instead.
     """
     planes = [("primary", config)]
     reference = config.with_(
-        **REFERENCE, backend="inline", storage="memory", records="object",
+        **REFERENCE, backend="inline", storage="memory",
     )
     if reference != config:
         planes.append(("reference", reference))
@@ -93,13 +92,6 @@ def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
         filed = config.with_(storage="file")
         if filed not in (p for _, p in planes):
             planes.append(("file-storage", filed))
-    # The other record mode is a differential plane: counted costs, ledgers,
-    # and outputs must be byte-identical across object and vector.
-    other = "object" if config.records == "vector" else "vector"
-    if other in config.algorithm().RECORD_MODES:
-        vec = config.with_(records=other)
-        if vec not in (p for _, p in planes):
-            planes.append((f"{other}-records", vec))
     return planes
 
 
@@ -115,7 +107,6 @@ def _build_engine(config: ConformConfig, faults: FaultPlan | None, **knobs):
         storage=config.storage,
         fast_io=config.fast_io,
         context_cache=config.context_cache,
-        records=config.records,
         faults=faults,
         retry=config.retry_policy() if faults is not None else None,
         checkpoint=config.checkpoint,

@@ -48,8 +48,6 @@ def shrink_candidates(config: ConformConfig) -> Iterator[ConformConfig]:
         yield repair(c.with_(storage="memory"))
     if c.storage == "mmap":
         yield repair(c.with_(storage="file"))
-    if c.records != "object":
-        yield repair(c.with_(records="object"))
     if c.n > 2:
         yield repair(c.with_(n=c.n // 2))
     if c.v > 1:

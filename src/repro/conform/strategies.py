@@ -53,9 +53,6 @@ class StrategyProfile:
     #: Upper bound (exclusive) of the drawn global crash point; points past
     #: the run's last barrier simply let the run finish (``crash_survived``).
     crash_point_max: int = 25
-    #: Fraction of configs drawn on the vectorized record plane (repair
-    #: folds it back to ``"object"`` for workloads without the mode).
-    vector_rate: float = 0.35
     #: Competitor-sorter workload pool (``repro.baselines`` registry names);
     #: drawn *instead of* a CGM workload at ``baseline_rate``.
     baselines: tuple[str, ...] = BASELINE_WORKLOADS
@@ -125,7 +122,6 @@ def _draw(rng: random.Random, profile: StrategyProfile) -> dict[str, Any]:
         crash=rng.random() < profile.crash_rate,
         crash_point=rng.randrange(0, profile.crash_point_max),
         crash_seed=rng.randrange(1 << 16),
-        records="vector" if rng.random() < profile.vector_rate else "object",
     )
     # Competitor sorters replace the CGM workload; the rest of the draw is
     # reused (repair folds the axes they don't have).
@@ -171,16 +167,6 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
         n = max(n, v * v)  # CGMSampleSort requires n >= v^2
     n = -(-n // v) * v  # clean shares (and transpose's n = r*c with r = v)
     d.update(workload=wl, n=n)
-
-    # -- record plane: fold "vector" back to "object" when unsupported --
-    records = d.get("records", "object")
-    if records != "object":
-        probe = ConformConfig.from_dict(
-            {**d, "M": 1 << 30, "k": None, "records": "object"}
-        )
-        if records not in probe.algorithm().RECORD_MODES:
-            records = "object"
-    d["records"] = records
 
     # -- memory: hold one block per disk and one virtual context --
     cfg = ConformConfig.from_dict({**d, "M": 1 << 30, "k": None})
@@ -240,7 +226,7 @@ def _repair_baseline(d: dict[str, Any]) -> ConformConfig:
     Competitors are sequential single-processor programs charging I/O
     through the same counted :class:`~repro.emio.disks.DiskArray`, so the
     CGM-only axes — virtual processors, backends, checkpoints,
-    faults, crashes, record planes — fold to their trivial values.  The
+    faults, crashes — fold to their trivial values.  The
     live axes are ``(workload, n, data_seed, M, D, B, storage, fast_io)``.
     The machine shape (``p``/``D``/``B``/``b``/costs) is already normalized
     by :func:`repair` before it dispatches here.
@@ -252,7 +238,6 @@ def _repair_baseline(d: dict[str, Any]) -> ConformConfig:
         backend="inline",
         context_cache=False, checkpoint=False,
         crash=False, fault="none",
-        records="object",
         # One block per disk plus working headroom; every competitor sizes
         # its buffers defensively below this but the bound formulas assume
         # at least a couple of blocks of memory.

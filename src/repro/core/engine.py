@@ -106,7 +106,7 @@ the computation is deterministic, neither degraded-mode block placement nor
 a superstep re-run can change the simulated algorithm's outputs.
 
 How the host runs all this — backend, storage plane, data plane,
-record plane, faults, checkpoints, crashes — is one frozen
+faults, checkpoints, crashes — is one frozen
 :class:`RunConfig`, declared and checked here, once.
 """
 
@@ -137,10 +137,7 @@ from .checkpoint import (
 from .processor import RealProcessor, group_order
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
-__all__ = ["ParallelEMSimulation", "RunConfig", "RECORD_MODES", "deal", "h_relation"]
-
-#: ``RunConfig.records`` values besides ``None`` (keep the algorithm's mode).
-RECORD_MODES = ("object", "vector")
+__all__ = ["ParallelEMSimulation", "RunConfig", "deal", "h_relation"]
 
 
 def _refuse_unknown(field: str, value: Any, allowed: tuple, none_ok: bool = False) -> None:
@@ -167,7 +164,9 @@ class RunConfig:
     root is claimed, written or loaded.  ``RunConfig(**repro.conform.REFERENCE)``
     is the reference plane.  The run's sinks, ``observer`` and ``events``,
     are arguments of the engine, not fields: they watch a run and change
-    nothing in it.
+    nothing in it.  Nor is the record plane a field: the algorithm's input
+    picks it (:attr:`BSPAlgorithm.record_mode
+    <repro.bsp.program.BSPAlgorithm.record_mode>`, DESIGN §10).
 
     Fields
     ------
@@ -218,15 +217,6 @@ class RunConfig:
         plane; ``False`` for both is the *reference plane* the golden tests
         name (``repro.conform.REFERENCE``).  The engine's own config holds
         the resolved values, and so does ``run_started``.
-    records:
-        Record plane the algorithm's supersteps run on: ``None`` keeps the
-        algorithm's current mode (``"object"`` by default), ``"object"``
-        forces the per-record reference plane, ``"vector"`` selects the
-        numpy kernels of codec-eligible algorithms (see
-        :mod:`repro.emio.codec` and ``DESIGN.md`` §10).  Counted costs,
-        ledgers, and outputs are identical across modes.  The engine sets
-        it before it claims a storage root; an algorithm that does not
-        support the mode raises ``AlgorithmError`` there.
     faults:
         A :class:`~repro.emio.faults.FaultPlan` injecting disk faults
         (transient errors, corruption, latency spikes, disk death) into the
@@ -276,7 +266,6 @@ class RunConfig:
     storage_dir: str | os.PathLike | None = None
     fast_io: bool | None = None
     context_cache: bool | None = None
-    records: str | None = None
     faults: FaultPlan | None = None
     retry: RetryPolicy | None = None
     checkpoint: bool = False
@@ -289,7 +278,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         _refuse_unknown("backend", self.backend, BACKENDS)
         _refuse_unknown("storage", self.storage, STORAGE_KINDS)
-        _refuse_unknown("records", self.records, RECORD_MODES, none_ok=True)
         _refuse_unknown("write_schedule", self.write_schedule, WRITE_SCHEDULES, none_ok=True)
         if self.crash is not None and (self.storage == "memory" or not self.checkpoint):
             raise ParameterError(
@@ -386,17 +374,14 @@ class ParallelEMSimulation:
         self._recovery_io_ops = 0
         self._resumed_from: int | None = None
 
-        # Refuse what this machine cannot run and put the algorithm on its
-        # record plane before the storage root is claimed; hand the root back
-        # if anything later in the constructor fails (a worker whose
-        # processor cannot be built).
+        # Refuse what this machine cannot run before the storage root is
+        # claimed; hand the root back if anything later in the constructor
+        # fails (a worker whose processor cannot be built).
         if config.pad_to_gamma and self.p > 1:
             raise ParameterError(
                 "pad_to_gamma=True pads Algorithm 1's groups to the analysis' "
                 f"worst case on a one-processor machine; this one has p={self.p}"
             )
-        if config.records is not None:
-            algorithm.set_record_mode(config.records)
         spec = StorageSpec.create(config.storage, config.storage_dir).with_crash(
             config.crash
         )

@@ -77,6 +77,7 @@ def simulate(
     observer: Collector | None = None,
     events: RunEventLog | None = None,
     io_overlap: bool = False,
+    records: str | None = None,
     **knobs: Any,
 ) -> tuple[list[Any], SimulationReport]:
     """Run ``algorithm`` with ``v`` virtual processors on ``machine``.
@@ -89,6 +90,9 @@ def simulate(
     :class:`~repro.core.engine.ParallelEMSimulation`).  ``io_overlap`` is deprecated and
     ignored: the overlapped-I/O plane it selected was deleted (DESIGN §12);
     ``True`` warns, and nothing below this function accepts it.
+    ``records`` is a check, not a knob: the input picks the record plane,
+    and a plane other than the one it picked raises ``AlgorithmError``
+    (:meth:`~repro.bsp.program.BSPAlgorithm.set_record_mode`).
 
     Returns ``(outputs, report)``: ``outputs[i]`` is virtual processor
     ``i``'s output; ``report`` holds counted model costs and per-phase I/O
@@ -102,6 +106,8 @@ def simulate(
             DeprecationWarning,
             stacklevel=2,
         )
+    if records is not None:
+        algorithm.set_record_mode(records)
     params = build_params(algorithm, machine, v, k=k, strict=strict)
     return ParallelEMSimulation(
         algorithm, params, config, observer=observer, events=events, **knobs

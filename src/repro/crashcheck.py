@@ -166,7 +166,7 @@ def explore(
     scratch directory the sweep fills with one storage root per crash
     point (``golden``, ``pt0``, ``pt1``, ...), left behind for post-mortem.
     ``knobs`` (:class:`~repro.core.engine.RunConfig` fields, e.g.
-    ``records="vector", fast_io=True, context_cache=True``) pick the plane
+    ``fast_io=True, context_cache=True``) pick the plane
     every engine of the sweep runs on; ``storage`` defaults to ``"file"``
     here, and every run is checkpointed.
     """

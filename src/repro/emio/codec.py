@@ -1,6 +1,6 @@
 """Fixed-width record codecs: the dtype registry of the vectorized plane.
 
-The reference ("object") data plane moves records as Python objects and
+The list-state ("object") record plane moves records as Python objects and
 serializes whole contexts through :mod:`pickle`.  The vectorized plane
 instead represents a run of records as a 1-D numpy array of a fixed-width
 dtype, so a block payload is an array *slice* (zero-copy view), a context
@@ -13,11 +13,11 @@ object<->array conversion.  The golden contract every codec must satisfy::
     codec.decode(codec.encode(records)) == records      (round trip)
     codec.encode(records).tobytes()                      (canonical bytes)
 
-*Canonical bytes* is what makes the vectorized plane counted-cost identical
-to the object plane: algorithms store codec bytes in their contexts in
-**both** record modes, so pickled context sizes — the quantity the
-simulation's I/O accounting derives block counts from — are equal by
-construction, not by measurement.  Conversions happen only at the edges
+*Canonical bytes* is what makes a codec state's counted costs a function of
+its records alone: algorithms store codec bytes in their contexts, so
+pickled context sizes — the quantity the simulation's I/O accounting derives
+block counts from — follow the record count, whatever kernel produced them.
+Conversions happen only at the edges
 (``encode`` on ingest, ``decode``/``tolist`` on output), which is the
 "pickle at the edges" rule of DESIGN.md §10.
 

@@ -86,7 +86,9 @@ class OutOfCoreSort(CGMSampleSort):
     Same supersteps, counted costs, and balance guarantees as
     :class:`CGMSampleSort`; only the endpoints differ — shares are
     generated inside ``initial_state`` and outputs are digests (see module
-    docstring).  ``n >= v*v`` is still required.
+    docstring).  ``n >= v*v`` is still required.  The input picks the
+    record plane as for the parent: int streams run the vector kernels,
+    byte strings (``reclen``) the list-state path.
     """
 
     def __init__(self, n: int, v: int, seed: int = 0, reclen: int | None = None):
@@ -101,10 +103,10 @@ class OutOfCoreSort(CGMSampleSort):
         self.seed = seed
         self.reclen = reclen
         # Int streams draw from randrange(1 << 30): exactly int64, so the
-        # codec planes apply; byte-string records keep the legacy path.
+        # codec plane applies; byte-string records keep the list-state path.
         self._codec = "i64" if reclen is None else None
         if self._codec is not None:
-            self.RECORD_MODES = ("object", "vector")
+            self.record_mode = "vector"
 
     def context_size(self) -> int:
         if self.reclen is None:
@@ -132,14 +134,9 @@ class OutOfCoreSort(CGMSampleSort):
         }
 
     def output(self, pid: int, state) -> dict[str, Any]:
-        if self._codec is not None and self.record_mode == "vector":
+        if self._codec is not None:
             return self._output_vector(state)
-        if self._codec is None:
-            run = state["result"] if state["result"] is not None else []
-        else:
-            codec = get_codec(state["enc"])
-            raw = state["result"]
-            run = codec.decode(codec.from_bytes(raw)) if raw is not None else []
+        run = state["result"] if state["result"] is not None else []
         keys = [_key(x) for x in run]
         digest = {
             "count": len(run),
@@ -153,7 +150,8 @@ class OutOfCoreSort(CGMSampleSort):
         return digest
 
     def _output_vector(self, state) -> dict[str, Any]:
-        """The digest over array kernels — same Python values, no decode.
+        """The digest of a codec run over array kernels — plain Python
+        values, no decode.
 
         Keys are < 2**30 (``share_stream`` draws) so the plain sum fits
         int64 even at n=10M; the sum of squares does not, and is computed

@@ -1,9 +1,12 @@
 """Shared test fixtures: small BSP algorithms exercising the simulation, a
-runner of one against the reference, and the check that a golden helper
-built the plane it was asked for."""
+runner of one against the reference, the check that a golden helper built
+the plane it was asked for, and the per-record references the vector record
+plane is checked against."""
 
 from __future__ import annotations
 
+from repro.algorithms.graphs.listranking import CGMListRanking, _prio
+from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.program import BSPAlgorithm, VPContext
 from repro.bsp.runner import run_reference
 from repro.core import ParallelEMSimulation
@@ -12,6 +15,9 @@ from repro.params import BSPParams, MachineParams, SimulationParams
 __all__ = [
     "run_on",
     "assert_plane",
+    "list_state_sort",
+    "leaving_per_record",
+    "PerRecordListRanking",
     "RingShift",
     "AllToAllExchange",
     "TotalExchangeSum",
@@ -50,6 +56,37 @@ def assert_plane(sim, fast_io=None, context_cache=None, faults=None, **_other):
             assert pr.array.fast_data_plane is (fast_io and faults is None)
         if context_cache is not None:
             assert pr.contexts.cache is (context_cache and faults is None)
+
+
+def list_state_sort(data, v: int) -> CGMSampleSort:
+    """The sample sort of ``data``'s ints on the list-state path: an identity
+    key keeps the order of the same values but no codec applies."""
+    return CGMSampleSort([int(x) for x in data], v, key=int)
+
+
+def leaving_per_record(st: dict, rnd: int, seed: int) -> list[int]:
+    """List ranking's removal rule one node at a time over :func:`_prio`:
+    the local indices of the active non-tail nodes whose ``(priority, id)``
+    is below both neighbours'."""
+    lo, pred, out = st["lo"], st["pred"], []
+    for li, s in enumerate(st["succ"]):
+        u = lo + li
+        if s < 0 or s == u:
+            continue  # contracted away, or the tail
+        key = (_prio(u, rnd, seed), u)
+        p = pred[li]
+        if key < (_prio(s, rnd, seed), s) and (p < 0 or key < (_prio(p, rnd, seed), p)):
+            out.append(li)
+    return out
+
+
+class PerRecordListRanking(CGMListRanking):
+    """List ranking whose removal rule is :func:`leaving_per_record`, the
+    per-record reference of the vector kernel; contexts and messages are the
+    same lists, so every counted cost is too."""
+
+    def _leaving(self, st, rnd):
+        return leaving_per_record(st, rnd, self.seed)
 
 
 class RingShift(BSPAlgorithm):

@@ -23,6 +23,8 @@ from repro.bsp.runner import run_reference
 from repro.core.simulator import simulate
 from repro.params import MachineParams
 
+from .helpers import PerRecordListRanking, leaving_per_record
+
 MACHINE = MachineParams(p=1, M=1 << 16, D=2, B=32, b=32)
 
 
@@ -48,15 +50,20 @@ def ranks_from(outputs, n):
 
 
 class WatchedListRanking(CGMListRanking):
-    """List ranking that logs ``(round, s, pred(s), succ(s))`` for every node
-    it removes, as the round saw them."""
+    """List ranking on record plane ``records`` — the vector kernel, checked
+    round by round against the per-record removal rule, or (``"object"``)
+    that rule alone — which logs ``(round, s, pred(s), succ(s))`` for every
+    node it removes, as the round saw them."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, records, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.per_record = records == "object"
         self.left = []
 
     def _leaving(self, st, rnd):
-        out = super()._leaving(st, rnd)
+        out = leaving_per_record(st, rnd, self.seed)
+        if not self.per_record:
+            assert super()._leaving(st, rnd) == out
         lo = st["lo"]
         self.left.extend((rnd, lo + li, st["pred"][li], st["succ"][li]) for li in out)
         return out
@@ -107,9 +114,9 @@ class TestListRanking:
         # n <= gather_threshold: gather, solve, apply -- no round can help.
         n, v = 64, 4
         succ = workloads.random_linked_list(n, seed=1)
-        alg = CGMListRanking(succ, v)
+        alg = (PerRecordListRanking if records == "object" else CGMListRanking)(succ, v)
         assert n <= alg.gather_threshold
-        out, report = simulate(alg, MACHINE, v=v, seed=1, records=records)
+        out, report = simulate(alg, MACHINE, v=v, seed=1)
         assert ranks_from(out, n) == true_ranks(succ)
         assert report.num_supersteps == 3
 
@@ -130,8 +137,7 @@ class TestListRanking:
         if wseed is not None:  # weights include 0 and negatives
             rng = random.Random(wseed)
             values = [rng.randint(-3, 3) for _ in range(n)]
-        alg = CGMListRanking(succ, v, values=values, seed=seed)
-        alg.set_record_mode(records)
+        alg = WatchedListRanking(records, succ, v, values=values, seed=seed)
         out, _ = run_reference(alg, v)
         assert ranks_from(out, n) == true_ranks(succ, values)
 
@@ -147,8 +153,7 @@ class TestListRanking:
     def test_no_two_adjacent_nodes_leave_in_one_round(self, records):
         n, v = 3000, 8
         succ = workloads.random_linked_list(n, seed=11)
-        alg = WatchedListRanking(succ, v)
-        alg.set_record_mode(records)
+        alg = WatchedListRanking(records, succ, v)
         out, _ = run_reference(alg, v)
         assert ranks_from(out, n) == true_ranks(succ)
         rounds: dict[int, dict[int, tuple[int, int]]] = {}

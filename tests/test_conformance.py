@@ -61,7 +61,6 @@ class TestRepair:
                 assert cfg.backend == "inline"
                 assert cfg.fault == "none" and not cfg.crash
                 assert not cfg.checkpoint
-                assert cfg.records == "object"
                 assert cfg.M >= 2 * cfg.D * cfg.B
                 cfg.baseline_sorter()  # constructible, i.e. admissible
                 continue
@@ -110,47 +109,29 @@ class TestRepair:
 class TestEquivalentPlanes:
     def test_plain_config_gets_fastpath_and_storage_planes(self):
         planes = dict(equivalent_planes(small_config()))
-        assert set(planes) == {
-            "primary", "fastpath", "file-storage", "vector-records",
-        }
+        assert set(planes) == {"primary", "fastpath", "file-storage"}
         assert planes["fastpath"].fast_io and planes["fastpath"].context_cache
         assert planes["file-storage"].storage == "file"
-        assert planes["vector-records"].records == "vector"
 
     def test_fast_config_gets_a_reference_plane(self):
         planes = dict(
             equivalent_planes(small_config(fast_io=True, context_cache=True))
         )
-        assert set(planes) == {
-            "primary", "reference", "file-storage", "vector-records",
-        }
+        assert set(planes) == {"primary", "reference", "file-storage"}
         assert not planes["reference"].fast_io
 
-    def test_process_backend_yields_five_planes(self):
+    def test_process_backend_yields_four_planes(self):
         cfg = small_config(p=2, v=4, backend="process", fast_io=True)
         planes = dict(equivalent_planes(cfg))
-        assert set(planes) == {
-            "primary", "reference", "fastpath", "file-storage",
-            "vector-records",
-        }
+        assert set(planes) == {"primary", "reference", "fastpath", "file-storage"}
         assert planes["reference"].backend == "inline"
 
-    def test_vector_config_gets_an_object_records_plane(self):
-        # A plain vector config folds object-records into the reference
-        # plane (they would be identical); a fast vector config keeps both.
-        planes = dict(equivalent_planes(small_config(records="vector")))
-        assert planes["primary"].records == "vector"
-        assert planes["reference"].records == "object"
-        assert "object-records" not in planes
-        planes = dict(equivalent_planes(
-            small_config(records="vector", fast_io=True, context_cache=True)
-        ))
-        assert planes["object-records"].records == "object"
-        assert planes["object-records"].fast_io
-
     def test_no_vector_plane_for_ineligible_workloads(self):
-        planes = dict(equivalent_planes(small_config(workload="prefix")))
-        assert "vector-records" not in planes
+        # The input picks the record plane: no workload, eligible or not,
+        # gets a records plane.
+        for workload in ("prefix", "sort", "listrank"):
+            planes = dict(equivalent_planes(small_config(workload=workload)))
+            assert not [key for key in planes if key.endswith("-records")]
 
     def test_storage_config_gets_a_memory_reference(self):
         planes = dict(equivalent_planes(small_config(storage="mmap")))
@@ -179,8 +160,8 @@ class TestOracles:
         assert result.checks["lemma2_balance"] > 0
         assert result.checks["theorem1_io"] > 0
         # One equivalence check per non-primary plane: fastpath +
-        # file-storage + vector-records.
-        assert result.checks["plane_equivalence"] == 3
+        # file-storage.
+        assert result.checks["plane_equivalence"] == 2
 
     def test_kill_case_exercises_resume_or_skip(self):
         cfg = small_config(fault="kill", checkpoint=True, dead_after=10)
@@ -267,13 +248,12 @@ class TestBaselineWorkloads:
         cfg = repair(dict(
             workload="guidesort", p=4, v=8, k=3, backend="process",
             fault="kill", crash=True, checkpoint=True,
-            records="vector", storage="file",
+            storage="file",
             n=50, M=1, D=2, B=8,
         ))
         assert (cfg.p, cfg.v, cfg.k) == (1, 1, None)
         assert cfg.backend == "inline"
         assert cfg.fault == "none" and not cfg.crash and not cfg.checkpoint
-        assert cfg.records == "object"
         assert cfg.storage == "file"  # the live axes survive repair
         assert cfg.n == 50 and cfg.B == 8
         assert cfg.M >= 2 * cfg.D * cfg.B
@@ -367,6 +347,19 @@ class TestReproCase:
         case = ReproCase.from_json(json.dumps(payload))
         assert case.config == small_config(storage="file")
         assert case.original == small_config(n=256)
+        result = run_case(case.config)
+        assert result.passed, [str(f) for f in result.failures]
+
+    def test_case_saved_with_the_retired_records_axis_loads_and_runs(self):
+        """One written while the record plane was a conform axis drops the
+        key and replays on the plane its input picks."""
+        payload = json.loads(self.make().to_json())
+        payload["config"]["records"] = "vector"
+        payload["original"]["records"] = "object"
+        case = ReproCase.from_json(json.dumps(payload))
+        assert case.config == small_config()
+        assert case.original == small_config(n=256)
+        assert case.config.algorithm().record_mode == "vector"
         result = run_case(case.config)
         assert result.passed, [str(f) for f in result.failures]
 

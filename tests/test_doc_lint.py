@@ -3,12 +3,15 @@
 A backticked ``repro.<dotted>`` name resolves by import and attribute lookup
 (an instance attribute by its class's syntax tree), ``path.py`` to a file by
 its path or bare name, ``path.py::Symbol[.attr]`` to a top-level name of
-that file and a name its body binds.  A passage that describes the past on
-purpose is exempt between ``<!-- doc-lint: off -->`` and
-``<!-- doc-lint: on -->``, and nowhere else.  CLI flags and test ids are not
-checked.
+that file and a name its body binds, and a span that is a command line,
+``[python -m] repro <subcommand> [--flag ...]``, against the parser of
+``repro.__main__.build_parser``: each subcommand must exist (a ``<workload>``
+placeholder stands for any) and each flag belong to it.  A passage that
+describes the past on purpose is exempt between ``<!-- doc-lint: off -->``
+and ``<!-- doc-lint: on -->``, and nowhere else.  Test ids are not checked.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -33,6 +36,9 @@ OFF, ON = "<!-- doc-lint: off -->", "<!-- doc-lint: on -->"
 SPAN = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 PATH = re.compile(r"(?<![\w./*<-])(\w[\w./-]*\.py)(?!\w)((?:(?:::|\.)[A-Za-z_]\w*)*)")
+#: A span that is a ``repro`` command line (after any ``VAR=value`` and
+#: ``python -m``); group 1 is its arguments.
+COMMAND = re.compile(r"(?:\w+=\S*\s+)*(?:python3?\s+-m\s+)?repro\s+(.+)")
 #: Every Python file of the tree, hidden and cache directories aside.
 PY_FILES = [
     f.relative_to(ROOT).as_posix()
@@ -96,6 +102,36 @@ def resolves_dotted(name: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def cli() -> argparse.ArgumentParser:
+    from repro.__main__ import build_parser
+
+    return build_parser()
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def resolves_command(args: str) -> bool:
+    """Whether ``repro <args>`` names live subcommands and flags.  Tokens
+    after a subcommand without subcommands of its own are values, and
+    square brackets only mark what is optional."""
+    parsers = [cli()]
+    for token in args.replace("[", " ").replace("]", " ").split():
+        subs = [_subcommands(p) for p in parsers]
+        if token.startswith("-"):
+            flag = token.split("=", 1)[0]
+            parsers = [p for p in parsers if flag in p._option_string_actions]
+        elif any(subs):
+            parsers = [p for choices in subs for name, p in choices.items()
+                       if token.startswith("<") or name == token]
+        if not parsers:
+            return False
+    return True
+
+
 def resolves(name: str) -> bool:
     m = PATH.fullmatch(name)
     return resolves_file(m.group(1), m.group(2)) if m else resolves_dotted(name)
@@ -110,6 +146,9 @@ def dead_names(doc: str, text: str) -> list[str]:
             on = line.strip() == ON
             continue
         for span in SPAN.findall(line) if on else ():
+            command = COMMAND.fullmatch(span)
+            if command and not resolves_command(command.group(1)):
+                dead.append(f"{doc}:{lineno}: `{span}`")
             cited = [m.group(0) for m in PATH.finditer(span)]
             cited += DOTTED.findall(PATH.sub(" ", span))
             dead += [
@@ -129,12 +168,17 @@ def test_the_lint_finds_planted_dead_names_outside_a_marked_passage():
     planted = (ROOT / "DESIGN.md").read_text(encoding="utf-8") + (
         "\n`repro.core.engine.NoSuchEngine`, `core/nosuch.py`, `repro.no_module`,"
         f" `core/engine.py::RunConfig.no_such_field`\n{OFF}\n`core/gone.py`\n{ON}\n"
+        "`repro nosuch --n 4`, `python -m repro sort --no-such-flag`,"
+        " `repro perf nosuch`\n"
     )
     assert [d.split(": ", 1)[1] for d in dead_names("DESIGN.md", planted)] == [
         "`repro.core.engine.NoSuchEngine`",
         "`core/nosuch.py`",
         "`repro.no_module`",
         "`core/engine.py::RunConfig.no_such_field`",
+        "`repro nosuch --n 4`",
+        "`python -m repro sort --no-such-flag`",
+        "`repro perf nosuch`",
     ]
 
 

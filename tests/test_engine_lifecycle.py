@@ -314,7 +314,7 @@ def _suite_list(n):
     return succ.tolist()
 
 
-FAST_VECTOR = dict(context_cache=True, fast_io=True, records="vector")
+FAST_VECTOR = dict(context_cache=True, fast_io=True)
 
 #: Per run — its algorithm, (M, D, B, b) and knobs — the columns supersteps,
 #: init, fetch_context, fetch_messages, write_messages, write_context,

@@ -35,13 +35,13 @@ from repro.core.checkpoint import SimulationAborted
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.params import MachineParams
 
-from .helpers import TotalExchangeSum
+from .helpers import PerRecordListRanking, TotalExchangeSum
 
 N, V, K, b = 512, 16, 2, 16  # two batches a processor at p = 4
 
 
-def listrank(p, **knobs):
-    alg = CGMListRanking(wl.random_linked_list(N, seed=1), V)
+def listrank(p, cls=CGMListRanking, **knobs):
+    alg = cls(wl.random_linked_list(N, seed=1), V)
     params = build_params(alg, MachineParams(p=p, M=1 << 16, D=2, B=8, b=b), V, k=K)
     return ParallelEMSimulation(alg, params, **knobs)
 
@@ -222,20 +222,21 @@ def test_the_fuzzer_catches_and_shrinks_a_per_message_packetizer(monkeypatch, p)
 def test_process_file_faults_equal_memory_inline_at_p2(records):
     """Transient faults on every drive: the process backend on the file
     plane charges, byte for byte, what the inline memory plane does under
-    the same faults, and the network ledger is the fault-free run's."""
+    the same faults, and the network ledger is the fault-free run's — with
+    the vector removal kernel and with the per-record rule alike."""
+    cls = PerRecordListRanking if records == "object" else CGMListRanking
     faults = FaultPlan(seed=3, read_error_rate=0.05, write_error_rate=0.05)
     retry = RetryPolicy(max_retries=8)
     runs = {}
     for backend, storage in (("inline", "memory"), ("process", "file")):
         outputs, report = listrank(
-            2, backend=backend, storage=storage, records=records,
-            faults=faults, retry=retry,
+            2, cls, backend=backend, storage=storage, faults=faults, retry=retry,
         ).run()
         assert check_outputs(storage, outputs, reference()) == []
         assert report.faults.retry_ops > 0
         runs[backend] = (record_bytes(canonical_record(outputs, report)), report)
     assert runs["inline"][0] == runs["process"][0]
-    _out, healthy = listrank(2, records=records).run()
+    _out, healthy = listrank(2, cls).run()
     assert [(s.comm_packets, s.traffic) for s in runs["process"][1].supersteps] == [
         (s.comm_packets, s.traffic) for s in healthy.supersteps
     ]

@@ -35,7 +35,7 @@ from repro.core import ParallelEMSimulation, build_params, processor
 from repro.core.processor import group_order
 from repro.params import MachineParams
 
-from .helpers import TotalExchangeSum
+from .helpers import TotalExchangeSum, list_state_sort
 
 
 class SortKeepingNothing(CGMSampleSort):
@@ -89,13 +89,16 @@ def test_nothing_keeps_its_state_unless_declared():
 
 @pytest.mark.parametrize("records", ["object", "vector"])
 def test_the_sort_leaves_its_items_alone_until_superstep_2(records):
-    """Honest on every path: the reference runner checks each declared vp."""
-    for data in (wl.uniform_keys(256, seed=1), [str(x) for x in wl.uniform_keys(256, seed=1)]):
-        alg = CGMSampleSort(data, 8)
-        if records in alg.RECORD_MODES:
-            alg.set_record_mode(records)
-            outputs, _ledger = run_reference(alg, 8)
-            assert [x for part in plain_outputs(outputs) for x in part] == sorted(data)
+    """Honest on every path: the reference runner checks each declared vp —
+    on int keys (the vector plane, or the list-state path by an identity
+    key) and on strings (the list-state path)."""
+    keys = wl.uniform_keys(256, seed=1)
+    strings = [str(x) for x in keys]
+    ints = CGMSampleSort(keys, 8) if records == "vector" else list_state_sort(keys, 8)
+    assert ints.record_mode == records
+    for alg, data in ((ints, keys), (CGMSampleSort(strings, 8), strings)):
+        outputs, _ledger = run_reference(alg, 8)
+        assert [x for part in plain_outputs(outputs) for x in part] == sorted(data)
 
 
 def test_the_reference_runner_refuses_a_vp_that_changes_a_kept_state():
@@ -118,7 +121,7 @@ def test_conform_reports_a_broken_declaration_as_a_crash(monkeypatch):
     (1, 16, "inline", REFERENCE),
     (2, 16, "process", REFERENCE),
     (2, 16, "inline", dict(storage="file")),
-    (4, 32, "inline", dict(context_cache=True, fast_io=True, records="vector")),
+    (4, 32, "inline", dict(context_cache=True, fast_io=True)),
     (4, 32, "process", dict(storage="file", **REFERENCE)),
 ])
 def test_kept_groups_change_nothing_but_the_context_writes(p, v, backend, plane):

@@ -272,7 +272,7 @@ def test_restore_puts_every_block_back_on_its_drive():
         assert again.group_loads(ngroups) == store.group_loads(ngroups)
 
 
-@pytest.mark.parametrize("knobs", [REFERENCE, dict(records="vector", **FAST)],
+@pytest.mark.parametrize("knobs", [REFERENCE, dict(FAST)],
                          ids=["reference", "fast-vector"])
 def test_crash_resume_attaches_a_multi_group_kept_store_at_zero_io(knobs, tmp_path):
     def engine(**kw):

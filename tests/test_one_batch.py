@@ -138,7 +138,7 @@ def test_kill_resume_from_a_kept_store(backend):
     assert_nothing_reorganized(report)
 
 
-@pytest.mark.parametrize("knobs", [REFERENCE, dict(records="vector", **FAST)],
+@pytest.mark.parametrize("knobs", [REFERENCE, dict(FAST)],
                          ids=["reference", "fast-vector"])
 @pytest.mark.parametrize("shape,backend",
                          [("alg1", "inline"), ("alg3", "inline"), ("alg3", "process")])

@@ -32,6 +32,8 @@ from repro.algorithms.sorting import CGMSampleSort
 from repro.params import MachineParams
 from repro.workloads import uniform_keys
 
+from .helpers import list_state_sort
+
 KEYS = uniform_keys(2048, seed=4)
 
 
@@ -155,12 +157,15 @@ def test_mixed_parts_fall_back_to_the_pickle_image(tmp_path):
 def test_p2_process_file_faults_run_equals_the_memory_reference(tmp_path):
     """Packed vector frames and pickled packed object blocks cross the
     workers' pipes and track files under injected faults, and every count
-    and answer equals the memory plane's inline run."""
-    def run(records, **knobs):
-        alg = CGMSampleSort(np.array(KEYS, dtype=np.int64), v=8)
+    and answer equals the memory plane's inline run.  The object blocks are
+    the list-state path's (an identity key on the same keys), whose answers are
+    the vector plane's."""
+    def run(keyed, **knobs):
+        alg = (list_state_sort(KEYS, 8) if keyed
+               else CGMSampleSort(np.array(KEYS, dtype=np.int64), v=8))
         outputs, report = simulate(
             alg, MachineParams(p=2, M=1 << 14, D=4, B=16, b=32), 8, seed=1,
-            records=records, checkpoint=True, retry=RetryPolicy(max_retries=4),
+            checkpoint=True, retry=RetryPolicy(max_retries=4),
             faults=FaultPlan(seed=2, read_error_rate=0.03, corruption_rate=0.03),
             **knobs,
         )
@@ -168,12 +173,14 @@ def test_p2_process_file_faults_run_equals_the_memory_reference(tmp_path):
             (repr(s.phases), s.message_blocks) for s in report.supersteps
         ]
 
-    for records in ("object", "vector"):
-        reference = run(records)
+    references = []
+    for keyed in (False, True):
+        references.append(run(keyed))
         assert run(
-            records, backend="process", storage="file",
-            storage_dir=str(tmp_path / records),
-        ) == reference
+            keyed, backend="process", storage="file",
+            storage_dir=str(tmp_path / f"keyed{keyed}"),
+        ) == references[-1]
+    assert references[0][0] == references[1][0]
 
 
 def test_empty_messages_cost_one_block_a_group():

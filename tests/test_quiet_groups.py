@@ -17,7 +17,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import workloads as wl
@@ -155,17 +155,15 @@ def _workload(kind: str, v: int, n_per: int) -> BSPAlgorithm:
     D=st.integers(2, 5),
     B=st.sampled_from([4, 8]),
     storage=st.sampled_from(["memory", "file"]),
-    records=st.sampled_from(["object", "vector"]),
     n_per=st.integers(8, 40),
 )
 def test_skipping_quiet_groups_changes_nothing_but_the_context_swaps(
-    kind, p, v, kdiv, D, B, storage, records, n_per
+    kind, p, v, kdiv, D, B, storage, n_per
 ):
     """Against the same algorithm with nothing declared: byte-identical
     outputs, the same messages, packets, blocks and operations superstep for
     superstep, context swaps never dearer — strictly cheaper in a superstep
     that skips a group — and the exact referee on both sides."""
-    assume(records in _workload(kind, v, n_per).RECORD_MODES)
     k = max(1, v // p // kdiv)
 
     def run(declared: bool):
@@ -173,7 +171,7 @@ def test_skipping_quiet_groups_changes_nothing_but_the_context_swaps(
         if not declared:
             declared_nothing(alg)
         params = build_params(alg, MachineParams(p=p, M=1 << 18, D=D, B=B, b=2 * B), v, k=k)
-        return ParallelEMSimulation(alg, params, storage=storage, records=records).run()
+        return ParallelEMSimulation(alg, params, storage=storage).run()
 
     (out, rep), (out_all, rep_all) = run(True), run(False)
     assert pickle.dumps(plain_outputs(out)) == pickle.dumps(plain_outputs(out_all))

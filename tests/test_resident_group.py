@@ -138,7 +138,7 @@ def assert_no_context_moved(report):
     (1, dict(storage="memory", **REFERENCE)),
     (1, dict(storage="file", **FAST)),
     (2, dict(storage="memory", **REFERENCE)),
-    (2, dict(storage="memory", records="vector", **FAST)),
+    (2, dict(storage="memory", **FAST)),
     (2, dict(storage="file", backend="process")),
 ], ids=["p1-reference", "p1-fast-file", "p2-reference", "p2-fast-vector", "p2-process-file"])
 def test_one_group_a_processor_swaps_no_context(p, knobs):

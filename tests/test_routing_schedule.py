@@ -448,7 +448,7 @@ def test_fast_vector_plane_recovers_every_crash_point(tmp_path, plane):
     machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
     res = explore(
         small_sort, machine, 4, tmp_path, storage=plane,
-        fast_io=True, context_cache=True, records="vector",
+        fast_io=True, context_cache=True,
     )
     assert res.total_points > 0
     assert res.passed, [str(o) for o in res.failures]
@@ -472,7 +472,6 @@ def test_crash_between_two_rounds_of_phase_2_resumes(tmp_path, monkeypatch, plan
 
     def build(storage_dir, crash=None, max_recoveries=8):
         alg = small_sort()
-        alg.set_record_mode("vector")
         return ParallelEMSimulation(
             alg, build_params(alg, machine, 4, k=2), seed=0, checkpoint=True,
             max_recoveries=max_recoveries, storage=plane, storage_dir=storage_dir,

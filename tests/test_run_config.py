@@ -5,8 +5,8 @@ and the engine take it as ``config=`` and fold keyword knobs into it at one
 place.  These tests pin the object itself (frozen,
 picklable with its plans inside, keywords over ``config=``, the reference
 plane), the refusals it makes before anything is claimed, written or loaded,
-the one place the record plane is applied, and an AST guard that no function
-in ``repro.core`` re-lists a knob as a parameter.
+the record plane the input picks (``records=`` is a check, not a knob), and an
+AST guard that no function in ``repro.core`` re-lists a knob as a parameter.
 """
 
 import ast
@@ -36,6 +36,7 @@ from .test_crash_consistency import small_sort
 CORE = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
 FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 KEYS = uniform_keys(256, seed=11)
+SUCC = random_linked_list(256, seed=4)
 V = 8
 
 
@@ -69,14 +70,14 @@ def test_frozen_and_pickles_with_its_plans_inside():
     assert back.faults == cfg.faults and back.crash == cfg.crash
 
 
-def test_fields_are_the_fifteen_knobs_with_their_defaults():
+def test_fields_are_the_fourteen_knobs_with_their_defaults():
     assert RunConfig() == RunConfig(
         backend="inline", seed=0, storage="memory", storage_dir=None,
-        fast_io=None, context_cache=None, records=None, faults=None, retry=None,
+        fast_io=None, context_cache=None, faults=None, retry=None,
         checkpoint=False, max_recoveries=8, crash=None, write_schedule=None,
         pad_to_gamma=False, enforce_gamma=True,
     )
-    assert len(FIELDS) == 15
+    assert len(FIELDS) == 14
 
 
 def test_a_keyword_overrides_the_same_field_of_config():
@@ -142,7 +143,6 @@ def test_pad_to_gamma_is_refused_by_name_on_the_parallel_engine(private_tmpdir):
     [
         ("backend", "proces", "('inline', 'process')"),
         ("storage", "cloud", "('memory', 'file', 'mmap')"),
-        ("records", "vec", "('object', 'vector')"),
         ("write_schedule", "rotat", str(WRITE_SCHEDULES)),
     ],
 )
@@ -185,6 +185,10 @@ def test_misspelled_backend_names_backend_and_its_choices(p, private_tmpdir):
     assert os.listdir(private_tmpdir) == []
 
 
+# ---------------------------------------------------------------------------
+# The input picks the record plane; ``records=`` only checks it
+
+
 def test_unsupported_record_mode_is_refused_before_a_root_is_claimed(private_tmpdir):
     from repro.algorithms.prefix import CGMPrefixSums
     from repro.bsp.program import AlgorithmError
@@ -192,24 +196,38 @@ def test_unsupported_record_mode_is_refused_before_a_root_is_claimed(private_tmp
     root = private_tmpdir / "tracks"
     root.mkdir()
     for storage_dir in (str(root), None):  # explicit, and an owned temp root
-        alg = CGMPrefixSums(list(range(64)), 4)
-        with pytest.raises(AlgorithmError, match="vector"):
-            ParallelEMSimulation(
-                alg, build_params(alg, machine(), 4),
-                records="vector", storage="file", storage_dir=storage_dir,
-            )
+        with pytest.raises(AlgorithmError, match="'object'.*'vector'"):
+            simulate(CGMPrefixSums(list(range(64)), 4), machine(), 4,
+                     records="vector", storage="file", storage_dir=storage_dir)
     assert os.listdir(root) == []
     assert os.listdir(private_tmpdir) == ["tracks"]
 
 
-# ---------------------------------------------------------------------------
-# Records once: the engine constructor applies the record plane
+@pytest.mark.parametrize(
+    "make,picked,other",
+    [
+        (sort, "vector", "object"),  # int64 keys: a codec applies
+        (lambda: CGMSampleSort(list(KEYS), v=V, key=abs), "object", "vector"),
+        (lambda: CGMListRanking(SUCC, V), "vector", "object"),  # node ids
+    ],
+    ids=["int64-sort", "keyed-sort", "listrank"],
+)
+def test_the_input_picks_the_plane_and_any_other_is_refused(make, picked, other):
+    from repro.bsp.program import AlgorithmError
+
+    alg = make()
+    alg.set_record_mode(picked)  # accepted, and nothing changes
+    assert alg.record_mode == picked
+    with pytest.raises(AlgorithmError, match=repr(picked)):
+        simulate(make(), machine(), V, records=other)
+    want, got = simulate(make(), machine(), V), simulate(alg, machine(), V, records=picked)
+    assert plain_outputs(got[0]) == plain_outputs(want[0])
+    assert got[1].ledger.summary() == want[1].ledger.summary()
 
 
 class ModeProbe(CGMListRanking):
-    """List ranking that refuses to load its input on the object plane: the
-    record mode must reach the algorithm (in a worker, too) before
-    ``load_input``."""
+    """List ranking that refuses to load its input off the vector plane: the
+    plane the input picked travels with the algorithm into a worker."""
 
     def initial_state(self, pid, nprocs):
         if self.record_mode != "vector":
@@ -217,32 +235,21 @@ class ModeProbe(CGMListRanking):
         return super().initial_state(pid, nprocs)
 
 
-SUCC = random_linked_list(256, seed=4)
-
-
-def _image(outputs, report):
-    return plain_outputs(outputs), report.ledger.summary()
-
-
 @pytest.mark.parametrize("p", [1, 2])
 def test_records_reach_the_algorithm_once_on_every_entry(p):
     m = MachineParams(p=p, M=1 << 15, D=2, B=16, b=32)
-    want = _image(*simulate(ModeProbe(SUCC, V), m, V, records="vector"))
+    out, rep = simulate(ModeProbe(SUCC, V), m, V, records="vector")
     alg = ModeProbe(SUCC, V)
-    prm = build_params(alg, m, V)
-    got = _image(*ParallelEMSimulation(alg, prm, backend="process", records="vector").run())
-    assert got == want
-    assert alg.record_mode == "vector"
-    with pytest.raises(RuntimeError, match="record_mode='object'"):
-        simulate(ModeProbe(SUCC, V), m, V)
+    got = ParallelEMSimulation(alg, build_params(alg, m, V), backend="process").run()
+    assert plain_outputs(got[0]) == plain_outputs(out)
+    assert got[1].ledger.summary() == rep.ledger.summary()
 
 
 def test_crashcheck_on_the_fast_vector_plane_keeps_its_counts(tmp_path):
-    """The sweep the benchmark's plane gets, with ``records`` now applied by
-    the engine: the counts recorded before the move."""
+    """The sweep the benchmark's plane gets, and its counts."""
     res = explore(
         small_sort, MachineParams(p=1, M=1 << 14, D=2, B=16, b=16), 4, tmp_path,
-        records="vector", fast_io=True, context_cache=True,
+        fast_io=True, context_cache=True,
     )
     actions = {}
     for o in res.outcomes:

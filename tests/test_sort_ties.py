@@ -4,9 +4,10 @@ declared ``mu`` and ``gamma`` are bounds the runs fill.
 Regular sampling bounds a bucket by ``2n/v`` only if no two keys are equal;
 the sort therefore orders records by ``(key, global position in the sorted
 runs)`` (:mod:`repro.algorithms.sorting`).  These tests drive duplicate-heavy
-inputs through every code path (the legacy object path, and the codec
-path's object and vector record planes) at one and two processors, with the
-engine enforcing ``mu`` at every context save and ``gamma`` at every inbox.
+inputs through both record planes — the codec path's vector kernels, and the
+list-state path on the same values by an identity key — at one and two
+processors, with the engine enforcing ``mu`` at every context save and
+``gamma`` at every inbox.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.bsp.runner import run_reference
 from repro.core.simulator import simulate
 from repro.params import MachineParams
 from repro.workloads import random_linked_list
+
+from .helpers import PerRecordListRanking, list_state_sort
 
 N = 8192
 
@@ -48,6 +51,10 @@ def _keys(kind: str, n: int) -> np.ndarray:
     return rng.integers(0, 1 << 30, n, dtype=np.int64)
 
 
+def _sort(records: str, data: np.ndarray, v: int) -> CGMSampleSort:
+    return CGMSampleSort(data, v) if records == "vector" else list_state_sort(data, v)
+
+
 def _check_sorted(outputs, data, v: int) -> None:
     flat = np.concatenate([np.asarray(o, dtype=np.int64) for o in outputs])
     assert np.array_equal(flat, np.sort(np.asarray(data, dtype=np.int64)))
@@ -60,8 +67,8 @@ def _check_sorted(outputs, data, v: int) -> None:
 @pytest.mark.parametrize("kind", ["all-equal", "two-key", "three-key"])
 def test_duplicate_heavy_input_sorts_inside_the_bucket_bound(kind, v, records, p):
     data = _keys(kind, N)
-    alg = CGMSampleSort(data, v)
-    outputs, report = simulate(alg, _machine(p, alg), v, records=records)
+    alg = _sort(records, data, v)
+    outputs, report = simulate(alg, _machine(p, alg), v)
     _check_sorted(outputs, data, v)
     assert report.mu_used <= report.params.bsp.mu
     assert report.gamma_used <= report.params.bsp.gamma
@@ -70,20 +77,19 @@ def test_duplicate_heavy_input_sorts_inside_the_bucket_bound(kind, v, records, p
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("kind", ["all-equal", "three-key"])
 def test_both_record_planes_cut_ties_alike(kind, p):
-    """The vector plane's lexsort and searchsorted cuts are the object
-    plane's sorted pairs and bisects: every share and count agree."""
+    """The vector plane's lexsort and searchsorted cuts are the list-state
+    path's sorted pairs and bisects on the same values: every share agrees."""
     data, v = _keys(kind, 2048), 16
-    images = []
-    for records in ("object", "vector"):
-        alg = CGMSampleSort(data, v)
-        outputs, report = simulate(alg, _machine(p, alg), v, records=records)
-        images.append(([o.tolist() for o in outputs], report.summary()))
-    assert images[0] == images[1]
+    shares = []
+    for alg in (_sort("vector", data, v), _sort("object", data, v)):
+        outputs, _report = simulate(alg, _machine(p, alg), v)
+        shares.append([list(o) for o in outputs])
+    assert shares[0] == shares[1]
 
 
 @pytest.mark.parametrize("kind", ["all-equal", "two-key", "three-key"])
 def test_the_object_path_breaks_ties_by_position_too(kind):
-    """Records sorted by a ``key`` take the legacy object path; equal keys
+    """Records sorted by a ``key`` take the list-state path; equal keys
     keep their input order there, as a stable sort's do."""
     v = 16
     data = [(int(x), i) for i, x in enumerate(_keys(kind, 1024))]
@@ -117,10 +123,9 @@ def test_distinct_keys_cut_where_they_always_did():
     extra=st.integers(0, 200),
     shape=st.sampled_from(["sorted", "reversed", "dups"]),
     distinct=st.integers(1, 4),
-    records=st.sampled_from(["object", "vector"]),
     p=st.sampled_from([1, 2]),
 )
-def test_no_input_trips_mu_or_gamma(v, extra, shape, distinct, records, p):
+def test_no_input_trips_mu_or_gamma(v, extra, shape, distinct, p):
     n = v * v + extra
     if shape == "sorted":
         data = np.arange(n, dtype=np.int64)
@@ -129,17 +134,22 @@ def test_no_input_trips_mu_or_gamma(v, extra, shape, distinct, records, p):
     else:
         data = np.random.default_rng(n).integers(0, distinct, n, dtype=np.int64)
     alg = CGMSampleSort(data, v)
-    outputs, report = simulate(alg, _machine(p, alg), v, records=records)
+    outputs, report = simulate(alg, _machine(p, alg), v)
     _check_sorted(outputs, data, v)
     assert report.mu_used <= report.params.bsp.mu
     assert report.gamma_used <= report.params.bsp.gamma
 
 
-@pytest.mark.parametrize("records", ["object", "vector"])
-@pytest.mark.parametrize("task", ["sort", "permutation", "listranking"])
+@pytest.mark.parametrize("task,records", [
+    ("sort", "vector"), ("permutation", "vector"),
+    ("listranking", "object"), ("listranking", "vector"),
+])
 def test_the_declared_mu_is_at_least_half_used(task, records):
     """``mu`` is a bound the run comes within a factor of two of, so
-    ``k = floor(M/mu)`` fills memory with what the contexts hold."""
+    ``k = floor(M/mu)`` fills memory with what the contexts hold — on the
+    vector plane int64 input picks, and for list ranking's per-record
+    removal rule too (its contexts are the same lists).  The list-state
+    path of other input declares a generous ``mu`` by design."""
     n, v = 1 << 14, 16
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 1 << 30, n, dtype=np.int64)
@@ -148,8 +158,9 @@ def test_the_declared_mu_is_at_least_half_used(task, records):
     elif task == "permutation":
         alg = CGMPermutation(keys, rng.permutation(n).astype(np.int64), v)
     else:
-        alg = CGMListRanking(random_linked_list(n, seed=3), v)
-    _outputs, report = simulate(alg, _machine(1, alg), v, records=records)
+        cls = PerRecordListRanking if records == "object" else CGMListRanking
+        alg = cls(random_linked_list(n, seed=3), v)
+    _outputs, report = simulate(alg, _machine(1, alg), v)
     bsp = report.params.bsp
     assert 0.5 <= report.mu_used / bsp.mu <= 1
     assert 0 < report.gamma_used <= bsp.gamma

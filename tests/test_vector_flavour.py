@@ -2,8 +2,9 @@
 
 A codec-eligible sort or permutation answers in the flavour it was asked
 in: an ndarray in gives read-only ``<i8`` array shares out, a Python
-sequence in gives lists of plain ``int``s out — whatever the record mode,
-engine, backend or storage plane, and with every counted cost untouched.
+sequence in gives lists of plain ``int``s out — whatever the engine, backend
+or storage plane, with every counted cost untouched, and with the values the
+list-state path gives.
 The second half pins ``get_many`` / ``put_many`` / ``discard_range`` to the
 per-track calls they batch.
 """
@@ -11,7 +12,6 @@ per-track calls they batch.
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 
 import numpy as np
@@ -30,6 +30,8 @@ from repro.emio.faults import FaultPlan, FaultyDisk
 from repro.emio.layout import RegionAllocator, StripedRegion
 from repro.emio.storage import FileStorage, MemoryStorage
 from repro.params import MachineParams
+
+from .helpers import list_state_sort
 
 N, V = 1024, 8
 
@@ -58,12 +60,12 @@ def _make(task: str, as_array: bool, dtype=np.int64):
     return CGMPermutation(keys, perm, v=V)
 
 
-def _run(task, as_array, records, shape, storage, **kw):
+def _run(task, as_array, shape, storage, **kw):
     p, backend = SHAPES[shape]
     machine = MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
     return simulate(
-        _make(task, as_array, **kw), machine, v=V, seed=1, records=records,
-        storage=storage, backend=backend,
+        _make(task, as_array, **kw), machine, v=V, seed=1, storage=storage,
+        backend=backend,
     )
 
 
@@ -77,13 +79,10 @@ def _assert_array_shares(outputs, v=V):
 class TestFlavourMatrix:
     @pytest.mark.parametrize("storage", ["memory", "file"])
     @pytest.mark.parametrize("shape", list(SHAPES))
-    @pytest.mark.parametrize("records", ["object", "vector"])
     @pytest.mark.parametrize("task", ["sort", "permutation"])
-    def test_array_in_array_out_and_nothing_else_moves(
-        self, task, records, shape, storage
-    ):
-        arr_out, arr_rep = _run(task, True, records, shape, storage)
-        lst_out, lst_rep = _run(task, False, records, shape, storage)
+    def test_array_in_array_out_and_nothing_else_moves(self, task, shape, storage):
+        arr_out, arr_rep = _run(task, True, shape, storage)
+        lst_out, lst_rep = _run(task, False, shape, storage)
         _assert_array_shares(arr_out)
         # List in is what it always was: lists of plain ints.
         assert all(type(o) is list for o in lst_out)
@@ -103,15 +102,20 @@ class TestFlavourMatrix:
 
     @pytest.mark.parametrize("task", ["sort", "permutation"])
     def test_record_planes_agree_byte_for_byte(self, task):
-        images = {
-            (as_array, records): pickle.dumps(
-                [np.asarray(o).tobytes() for o in _run(
-                    task, as_array, records, "sequential", "memory")[0]]
-            )
-            for as_array in (True, False)
-            for records in ("object", "vector")
-        }
-        assert len(set(images.values())) == 1
+        """Both flavours give the list-state path's values, byte for byte."""
+        keys, perm = _keys().tolist(), _perm().tolist()
+        if task == "sort":
+            listed = list_state_sort(keys, V)
+        else:  # a tuple is no list or ndarray: the list-state path
+            listed = CGMPermutation(tuple(keys), tuple(perm), v=V)
+        assert listed.record_mode == "object"
+        machine = MachineParams(p=1, M=1 << 20, D=4, B=32, b=64)
+        def images(outputs):
+            return [np.asarray(o, dtype=np.int64).tobytes() for o in outputs]
+
+        want = images(simulate(listed, machine, v=V, seed=1)[0])
+        for as_array in (True, False):
+            assert images(_run(task, as_array, "sequential", "memory")[0]) == want
 
     @pytest.mark.parametrize("task", ["sort", "permutation"])
     def test_reference_runner_follows_the_flavour(self, task):
@@ -123,9 +127,9 @@ class TestFlavourMatrix:
 
     @pytest.mark.parametrize("task", ["sort", "permutation"])
     def test_int32_in_gives_i8_out(self, task):
-        outputs, _ = _run(task, True, "vector", "sequential", "memory", dtype=np.int32)
+        outputs, _ = _run(task, True, "sequential", "memory", dtype=np.int32)
         _assert_array_shares(outputs)
-        wide, _ = _run(task, True, "vector", "sequential", "memory")
+        wide, _ = _run(task, True, "sequential", "memory")
         want = [o.astype(np.int32).astype("<i8").tolist() for o in wide]
         if task == "permutation":
             assert [o.tolist() for o in outputs] == want
@@ -138,19 +142,13 @@ class TestFlavourMatrix:
         # empty.  (The sort breaks key ties by position, so no bucket of it
         # is ever empty: tests/test_sort_ties.py.)
         vals, perm = np.array([7, 8, 9], dtype=np.int64), [2, 0, 1]
-        for records in ("object", "vector"):
-            outputs, _ = simulate(
-                CGMPermutation(vals, perm, v=4),
-                MachineParams(p=1, M=1 << 20, D=2, B=8, b=16), v=4, records=records,
-            )
-            _assert_array_shares(outputs, v=4)
-            assert [len(o) for o in outputs] == [1, 1, 1, 0]
-            as_lists, _ = simulate(
-                CGMPermutation(vals.tolist(), perm, v=4),
-                MachineParams(p=1, M=1 << 20, D=2, B=8, b=16), v=4, records=records,
-            )
-            assert [o.tolist() for o in outputs] == as_lists
-            assert [] in as_lists
+        machine = MachineParams(p=1, M=1 << 20, D=2, B=8, b=16)
+        outputs, _ = simulate(CGMPermutation(vals, perm, v=4), machine, v=4)
+        _assert_array_shares(outputs, v=4)
+        assert [len(o) for o in outputs] == [1, 1, 1, 0]
+        as_lists, _ = simulate(CGMPermutation(vals.tolist(), perm, v=4), machine, v=4)
+        assert [o.tolist() for o in outputs] == as_lists
+        assert [] in as_lists
 
     def test_unfinished_share_follows_the_flavour(self):
         alg = CGMSampleSort(_keys(), v=V)
@@ -172,10 +170,7 @@ class TestFlavourMatrix:
         vals = [f"r{i}" for i in range(N)]
         moved, _ = simulate(CGMPermutation(vals, _perm(), v=V), machine, v=V)
         assert all(type(o) is list for o in moved)
-        mixed, _ = simulate(
-            CGMPermutation(_keys().tolist(), _perm(), v=V), machine, v=V,
-            records="vector",
-        )
+        mixed, _ = simulate(CGMPermutation(_keys().tolist(), _perm(), v=V), machine, v=V)
         assert all(type(o) is list for o in mixed)
 
 

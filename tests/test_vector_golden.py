@@ -1,13 +1,13 @@
-"""Golden discipline of the vectorized record plane (DESIGN §10).
+"""Golden discipline of the vector record plane (DESIGN §10).
 
-The vector mode must be *invisible to the model*: counted costs
-(``io_ops``/``records_io``/``comm_packets``/``comp_ops``), the full report
-summary with its ledgers and Lemma 2 ratios, and the outputs must be
-byte-identical to the object plane across machines, backends, and storage
-kinds.  These tests pin that matrix, the exact numpy <-> pure-Python kernel
-equivalences the algorithm ports rely on, and the plumbing the plane rides
-on (ndarray-aware blocks, batched track writes, coalesced frame
-verification, ndarray fault corruption).
+The input picks the plane: int64 input runs the vector kernels, anything
+else the list-state path.  The vector plane must be *invisible to the
+model*: its outputs equal the list-state path's on the same values, and its
+counted columns across machines, backends and storage kinds are the ones the
+object plane committed (``GOLDEN``).  These tests pin that, the exact numpy
+<-> pure-Python kernel equivalences the algorithm ports rely on, and the
+plumbing the plane rides on (ndarray-aware blocks, batched track writes,
+coalesced frame verification, ndarray fault corruption).
 """
 
 from __future__ import annotations
@@ -29,15 +29,16 @@ from repro.bsp.collectives import (
     regular_samples,
 )
 from repro.bsp.program import AlgorithmError
+from repro.bsp.runner import run_reference
 from repro.conform import REFERENCE
 from repro.core import ParallelEMSimulation, build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.faults import _corrupted_copy, block_checksum
 from repro.emio.storage import FileStorage, verify_extents
-from repro.outofcore import OutOfCoreSort, verify_digests
+from repro.outofcore import OutOfCoreSort, share_stream, verify_digests
 from repro.params import MachineParams
 
-from .helpers import assert_plane
+from .helpers import assert_plane, list_state_sort
 
 SEED = 3
 N, V = 4096, 8
@@ -54,14 +55,24 @@ MATRIX = [
     (2, dict(backend="process", storage="file", fast_io=True)),
 ]
 
+#: The counted columns io_ops, comm_packets, comp_ops, disk tracks, message
+#: blocks and supersteps, per machine size ``p``, of the n = 4096, v = 8 sort
+#: and of the n = 1024 permutation, as the object plane counted them before
+#: the input picked the plane.
+GOLDEN = {
+    1: (68, 45, 102848.0, 66, 134, 4),
+    2: (38, 107, 52276.0, 33, 136, 4),
+    "permutation": (32, 16, 2048.0, 18, 64, 2),
+}
+MACHINE = MachineParams(p=1, M=1 << 20, D=4, B=32, b=64)
 
-def _run(corner, mode):
-    """One corner of the matrix on record plane ``mode``.  A corner's unnamed
-    knobs are ``REFERENCE``'s, not the storage plane's default, so the matrix
-    keeps a reference-plane memory row next to its fast file rows."""
+
+def _run(corner):
+    """One corner of the matrix.  A corner's unnamed knobs are
+    ``REFERENCE``'s, not the storage plane's default, so the matrix keeps a
+    reference-plane memory row next to its fast file rows."""
     p, cfg = corner
     alg = OutOfCoreSort(N, V, seed=5)
-    alg.set_record_mode(mode)
     knobs = {**REFERENCE, **cfg}
     machine = MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
     sim = ParallelEMSimulation(alg, build_params(alg, machine, v=V), seed=SEED, **knobs)
@@ -69,50 +80,47 @@ def _run(corner, mode):
     return sim.run()
 
 
-def _counted(outputs, report):
-    """Everything the golden discipline pins, as one comparable image.
+def _columns(report):
+    return (report.io_ops, report.ledger.total_comm_packets, report.ledger.total_comp,
+            report.disk_space_tracks, sum(s.message_blocks for s in report.supersteps),
+            report.num_supersteps)
 
-    ``repr`` rather than ``pickle.dumps``: pickle memoizes on object
-    *identity*, so two value-identical output lists can pickle to different
-    bytes depending on which backend materialized them.  ``repr`` of the
-    plain-Python outputs is identity-insensitive and type-strict enough
-    (``1`` vs ``np.int64(1)`` vs ``True`` all render differently).
-    """
-    return repr((outputs, report.io_ops, report.summary()))
+
+def _list_state_digests():
+    """``OutOfCoreSort``'s share digests, computed per record from the
+    list-state path (an identity key) over the same stream."""
+    stream = [x for pid in range(V) for x in share_stream(5, pid, N // V)]
+    return [
+        {"count": len(run), "sorted": run == sorted(run), "lo": run[0], "hi": run[-1],
+         "sum": sum(run), "sq": sum(x * x for x in run)}
+        for run in run_reference(list_state_sort(stream, V), V)[0]
+    ]
 
 
 class TestGoldenMatrix:
     @pytest.mark.parametrize("cfg", MATRIX, ids=lambda c: "-".join(
         [("sequential", "parallel")[c[0] > 1], *map(str, c[1].values())]))
     def test_outofcore_sort_object_vs_vector(self, cfg):
-        images = {}
-        for mode in ("object", "vector"):
-            outputs, report = _run(cfg, mode)
-            verify_digests(outputs, 5, N, V)
-            images[mode] = _counted(outputs, report)
-        assert images["object"] == images["vector"]
+        """The vector plane counts what the object plane committed."""
+        outputs, report = _run(cfg)
+        verify_digests(outputs, 5, N, V)
+        assert _columns(report) == GOLDEN[cfg[0]]
 
     def test_matrix_configs_agree_on_outputs(self):
-        outs = []
+        """Every corner's digests are the list-state path's on the stream."""
+        want = _list_state_digests()
         for cfg in MATRIX:
-            outputs, _ = _run(cfg, "vector")
-            outs.append(repr(outputs))
-        assert len(set(outs)) == 1
+            assert _run(cfg)[0] == want
 
     def test_sample_sort_golden_and_plain_int_outputs(self):
         rng = random.Random(17)
         data = [rng.randrange(1 << 30) for _ in range(N)]
-        images = {}
-        for mode in ("object", "vector"):
-            outputs, report = simulate(
-                CGMSampleSort(list(data), V), MachineParams(p=1, M=1 << 20,
-                D=4, B=32, b=64), v=V, seed=SEED, records=mode,
-            )
-            images[mode] = _counted(outputs, report)
-            flat = [x for out in outputs for x in out]
-            assert flat == sorted(data)
-            assert all(type(x) is int for x in flat)
-        assert images["object"] == images["vector"]
+        outputs, report = simulate(CGMSampleSort(list(data), V), MACHINE, v=V, seed=SEED)
+        keyed, _ = simulate(list_state_sort(data, V), MACHINE, v=V, seed=SEED)
+        assert outputs == keyed
+        assert [x for out in outputs for x in out] == sorted(data)
+        assert all(type(x) is int for out in outputs for x in out)
+        assert _columns(report) == GOLDEN[1]
 
     def test_permutation_golden(self):
         rng = random.Random(23)
@@ -120,31 +128,23 @@ class TestGoldenMatrix:
         vals = [rng.randrange(1 << 30) for _ in range(n)]
         perm = list(range(n))
         rng.shuffle(perm)
-        images = {}
-        for mode in ("object", "vector"):
-            outputs, report = simulate(
-                CGMPermutation(list(vals), list(perm), V),
-                MachineParams(p=1, M=1 << 20, D=4, B=32, b=64),
-                v=V, seed=SEED, records=mode,
-            )
-            images[mode] = _counted(outputs, report)
-        assert images["object"] == images["vector"]
-        outputs, _ = simulate(
-            CGMPermutation(list(vals), list(perm), V),
-            MachineParams(p=1, M=1 << 20, D=4, B=32, b=64),
-            v=V, seed=SEED, records="vector",
-        )
+        outputs, report = simulate(CGMPermutation(vals, perm, V), MACHINE, v=V, seed=SEED)
+        # A tuple is no list or ndarray: the same values on the list-state path.
+        listed = CGMPermutation(tuple(vals), tuple(perm), V)
+        assert listed.record_mode == "object"
+        assert outputs == simulate(listed, MACHINE, v=V, seed=SEED)[0]
         expect = [None] * n
         for i in range(n):
             expect[perm[i]] = vals[i]
         assert [x for out in outputs for x in out] == expect
+        assert _columns(report) == GOLDEN["permutation"]
 
 
 class TestEligibility:
     def test_custom_key_disables_vector_mode(self):
         alg = CGMSampleSort(list(range(100)), 4, key=lambda x: -x)
-        assert alg.RECORD_MODES == ("object",)
-        with pytest.raises(AlgorithmError):
+        assert alg.record_mode == "object"
+        with pytest.raises(AlgorithmError, match="'object'"):
             alg.set_record_mode("vector")
 
     def test_non_int_records_disable_vector_mode(self):
@@ -161,8 +161,8 @@ class TestEligibility:
         assert arr is not None and arr.dtype.itemsize == 8
 
     def test_bytes_records_keep_the_legacy_plane(self):
-        alg = OutOfCoreSort(256, 4, seed=0, reclen=16)
-        assert alg.RECORD_MODES == ("object",)
+        assert OutOfCoreSort(256, 4, seed=0, reclen=16).record_mode == "object"
+        assert OutOfCoreSort(256, 4, seed=0).record_mode == "vector"
 
 
 class TestKernelEquivalence:
