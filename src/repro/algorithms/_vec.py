@@ -50,24 +50,22 @@ __all__ = [
 def int64_array(data: Sequence[Any]) -> np.ndarray | None:
     """``data`` as a 1-D ``<i8`` array, or ``None`` if not *exactly* int64.
 
-    This is the codec-eligibility gate, so it picks the record plane: only
-    a list whose every record is a plain Python ``int`` (``bool`` excluded —
-    its repr differs) within the int64 range, or an ndarray of a signed
-    integer dtype, runs on the vector plane.  Anything else (another
-    sequence type included) keeps the list-state path.
+    This is the codec-eligibility gate, so it picks the record plane: an
+    ndarray of a signed integer dtype, or any other sequence (a list, a
+    tuple, a ``range``) whose every record is a plain Python ``int``
+    (``bool`` excluded — its repr differs) within the int64 range, runs on
+    the vector plane.  Anything else keeps the list-state path.
     """
     if isinstance(data, np.ndarray):
         if data.ndim == 1 and data.dtype.kind == "i" and data.dtype.itemsize <= 8:
             return np.ascontiguousarray(data.astype(I64, copy=False))
         return None
-    if isinstance(data, list):
-        if not all(type(x) is int for x in data):
-            return None
-        try:
-            return np.asarray(data, dtype=I64)
-        except OverflowError:
-            return None
-    return None
+    if not all(type(x) is int for x in data):
+        return None
+    try:
+        return np.asarray(data, dtype=I64)
+    except OverflowError:
+        return None
 
 
 def share_output(codec, result: bytes | None, as_array: bool) -> np.ndarray | list:

@@ -26,6 +26,7 @@ from ..params import MachineParams
 
 if TYPE_CHECKING:
     from ..baselines import CountedSorter
+    from ..core.engine import RunConfig
 
 __all__ = ["ConformConfig", "WORKLOADS", "BASELINE_WORKLOADS", "FAULT_KINDS"]
 
@@ -195,6 +196,21 @@ class ConformConfig:
 
     def retry_policy(self) -> RetryPolicy | None:
         return RetryPolicy() if self.fault != "none" else None
+
+    def run_config(self, **knobs) -> RunConfig:
+        """The config's plane as the engine takes it: the one place a conform
+        config becomes a :class:`~repro.core.engine.RunConfig`.  ``knobs``
+        replace the fields they name (``faults=None, retry=None`` is the
+        healthy engine a killed run resumes on)."""
+        from ..core.engine import RunConfig
+
+        plane = RunConfig(
+            backend=self.backend, seed=self.sim_seed, storage=self.storage,
+            fast_io=self.fast_io, context_cache=self.context_cache,
+            faults=self.fault_plan(), retry=self.retry_policy(),
+            checkpoint=self.checkpoint,
+        )
+        return RunConfig.of(plane, **knobs)
 
     def crash_plan(self):
         """The config's :class:`~repro.emio.faults.CrashPlan` (or ``None``)."""

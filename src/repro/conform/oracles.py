@@ -125,32 +125,32 @@ def plain_outputs(outputs: list[Any]) -> list[Any]:
     return [_plain(o) for o in outputs]
 
 
-def canonical_record(outputs: list[Any], report: SimulationReport) -> dict:
-    """Everything two equivalent planes must agree on, as one plain dict.
+def canonical_record(outputs: list[Any], report: SimulationReport, procs=None, traces=None) -> dict:
+    """The one golden image: everything two equivalent planes must agree on.
 
-    Mirrors the golden-comparison shape of ``tests/test_fastpath_golden.py``:
-    outputs, the full ledger/report summary, and per-superstep phase +
-    routing breakdowns (``repr`` of the stat dataclasses pins every field).
+    Outputs (by value, :func:`plain_outputs`), ``report.summary()``, each
+    superstep's phases / routing / ``routing_all`` (``repr`` pins every
+    field), packets, message blocks and halts, init / output I/O and disk
+    tracks; with ``procs`` (``sim.procs``) every drive's reads, writes and
+    high-water mark — a miscount inside one drive moves no ledger line — and
+    with ``traces`` (their :class:`~repro.emio.trace.IOTrace` s) the op streams.
     """
-    return {
+    record = {
         "outputs": plain_outputs(outputs),
         "summary": report.summary(),
-        "supersteps": [
-            (
-                s.index,
-                repr(s.phases),
-                repr(s.routing),
-                repr(s.routing_all),
-                s.comm_packets,
-                s.message_blocks,
-                s.halted,
-            )
-            for s in report.supersteps
-        ],
+        "supersteps": [(s.index, repr(s.phases), repr(s.routing), repr(s.routing_all),
+                        s.comm_packets, s.message_blocks, s.halted) for s in report.supersteps],
         "init_io_ops": report.init_io_ops,
         "output_io_ops": report.output_io_ops,
         "disk_space_tracks": report.disk_space_tracks,
     }
+    if procs is not None:
+        record["drives"] = [[(d.reads, d.writes, d.high_water) for d in pr.array.disks]
+                            for pr in procs]
+    if traces is not None:
+        record["traces"] = [[(op.kind, op.disks, op.tracks, op.retry) for op in t.ops]
+                            for t in traces]
+    return record
 
 
 def record_bytes(record: dict) -> bytes:

@@ -1,8 +1,8 @@
 """Run one config through the oracle stack; fuzz a seeded budget of them.
 
 :func:`run_case` is the differential heart: it executes the configured
-plane *and* every equivalent plane of the same configuration (reference
-knobs off, fast knobs on, process backend folded back to inline), compares
+plane *and* every equivalent plane of the same configuration
+(:func:`equivalent_planes` of its :meth:`ConformConfig.run_config`), compares
 all of them byte-for-byte, and checks the quantitative oracles on the
 primary plane.  Kill configs instead drive the checkpoint/kill-resume
 protocol: run to the injected disk death, resume the aborted run from its
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -30,7 +30,7 @@ from ..core.checkpoint import SimulationAborted
 from ..core.engine import ParallelEMSimulation, RunConfig
 from ..core.simulator import build_params
 from ..crashcheck import crash_and_recover
-from ..emio.faults import FATAL_IO_FAULTS, FaultPlan
+from ..emio.faults import FATAL_IO_FAULTS
 from .case import ReproCase
 from .config import ConformConfig
 from .oracles import (
@@ -70,47 +70,37 @@ class CaseResult:
         return not self.failures
 
 
-def equivalent_planes(config: ConformConfig) -> list[tuple[str, ConformConfig]]:
-    """The configured plane plus every plane that must be byte-equivalent.
+def equivalent_planes(config: RunConfig) -> list[tuple[str, RunConfig]]:
+    """The configured plane plus every plane that must count what it counts.
 
-    The flags flipped here are exactly the ones documented as counted-cost
-    invisible: ``fast_io``, ``context_cache``, the process backend and the
-    block-storage plane.  ``p`` is *not* an equivalent plane (it
-    changes the counted schedule), and kill configs
-    run single-plane through the kill-resume protocol instead.
+    Only ``backend``, ``storage``, ``fast_io`` and ``context_cache`` are
+    flipped: the fields documented as counted-cost invisible (DESIGN §8).
+    The reference plane is inline, in memory, on ``REFERENCE``'s knobs;
+    seed, faults, checkpointing and the rest stay the configured plane's.
+    ``p`` is no field here (it changes the counted schedule), and kill
+    configs run single-plane through the kill-resume protocol instead.
     """
-    planes = [("primary", config)]
-    reference = config.with_(
-        **REFERENCE, backend="inline", storage="memory",
-    )
-    if reference != config:
-        planes.append(("reference", reference))
-    fastpath = config.with_(fast_io=True, context_cache=True)
-    if fastpath not in (config, reference):
-        planes.append(("fastpath", fastpath))
-    if config.storage == "memory":
-        filed = config.with_(storage="file")
-        if filed not in (p for _, p in planes):
-            planes.append(("file-storage", filed))
+    candidates = [
+        ("primary", config),
+        ("reference", replace(config, backend="inline", storage="memory", **REFERENCE)),
+        ("fastpath", replace(config, fast_io=True, context_cache=True)),
+    ]
+    if config.storage != "file":
+        candidates.append(("file-storage", replace(config, storage="file")))
+    planes: list[tuple[str, RunConfig]] = []
+    for key, plane in candidates:
+        if plane not in [seen for _, seen in planes]:
+            planes.append((key, plane))
     return planes
 
 
-def _build_engine(config: ConformConfig, faults: FaultPlan | None, **knobs):
-    """One engine instance for ``config`` (fresh algorithm, fresh params);
-    ``knobs`` (``storage_dir``, ``crash``, ``max_recoveries``) complete its
-    :class:`~repro.core.engine.RunConfig`."""
+def _build_engine(config: ConformConfig, plane: RunConfig | None = None, **knobs):
+    """One engine for ``config``'s workload (fresh algorithm, fresh params)
+    on ``plane`` (default: the config's own); ``knobs`` (``storage_dir``,
+    ``crash``, ``max_recoveries``) complete it."""
     alg = config.algorithm()
     params = build_params(alg, config.machine(), config.v, k=config.k)
-    plane = RunConfig(
-        backend=config.backend,
-        seed=config.sim_seed,
-        storage=config.storage,
-        fast_io=config.fast_io,
-        context_cache=config.context_cache,
-        faults=faults,
-        retry=config.retry_policy() if faults is not None else None,
-        checkpoint=config.checkpoint,
-    )
+    plane = config.run_config() if plane is None else plane
     return ParallelEMSimulation(alg, params, plane, **knobs)
 
 
@@ -136,11 +126,9 @@ def run_case(config: ConformConfig) -> CaseResult:
         _run_kill_case(config, reference_out, result)
         return result
 
-    for key, plane_cfg in equivalent_planes(config):
+    for key, plane in equivalent_planes(config.run_config()):
         try:
-            outputs, report = _build_engine(
-                plane_cfg, faults=plane_cfg.fault_plan()
-            ).run()
+            outputs, report = _build_engine(config, plane).run()
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             result.failures.append(
                 OracleFailure("no_crash", f"plane {key}: raised {exc!r}")
@@ -170,9 +158,9 @@ def run_case(config: ConformConfig) -> CaseResult:
 def _run_baseline_case(config: ConformConfig, result: CaseResult) -> None:
     """Differential + bound oracles for the competitor-sorter workloads.
 
-    The same counted-cost sorter runs on three planes over one deterministic
-    input: the config's own ``(storage, fast_io)`` plane, the reference
-    plane (memory storage, fast paths off), and the file plane.  Every
+    The same counted-cost sorter runs over one deterministic input on the
+    ``(storage, fast_io)`` pair of each of :func:`equivalent_planes` (a
+    competitor has no backend or context cache to flip).  Every
     plane must return exactly the sorted reference (``output_vs_reference``)
     and all planes must charge *identical* parallel I/O — storage kind and
     ``fast_io`` are counted-cost invisible for competitors just as for the
@@ -185,17 +173,11 @@ def _run_baseline_case(config: ConformConfig, result: CaseResult) -> None:
 
     data = config.baseline_input()
     want = pickle.dumps(sorted(data))
-    planes = [
-        ("primary", config.storage, config.fast_io),
-        ("reference", "memory", REFERENCE["fast_io"]),
-        ("file-storage", "file", config.fast_io),
-    ]
+    planes: dict[tuple[str, bool], str] = {}
+    for key, plane in equivalent_planes(config.run_config()):
+        planes.setdefault((plane.storage, plane.fast_io), key)
     costs: dict[str, int] = {}
-    for key, storage, fast_io in planes:
-        if key != "primary" and (storage, fast_io) == (
-            config.storage, config.fast_io
-        ):
-            continue  # identical to the primary plane; nothing differential
+    for (storage, fast_io), key in planes.items():
         sorter = config.baseline_sorter(storage=storage, fast_io=fast_io)
         try:
             out, stats = sorter.sort(list(data))
@@ -269,7 +251,7 @@ def _run_crash_case(
     root = tempfile.mkdtemp(prefix="conform-crash-")
     try:
         run = crash_and_recover(
-            lambda **kw: _build_engine(config, faults=None, **kw),
+            lambda **kw: _build_engine(config, **kw),
             root,
             config.crash_plan(),
         )
@@ -342,9 +324,7 @@ def _run_kill_case(
     skipped).
     """
     try:
-        outputs, report = _build_engine(
-            config, faults=config.fault_plan(), max_recoveries=0
-        ).run()
+        outputs, report = _build_engine(config, max_recoveries=0).run()
     except SimulationAborted as abort:
         if abort.checkpoint is None:
             result.checks["kill_resume_skipped"] += 1
@@ -352,7 +332,7 @@ def _run_kill_case(
         ckpt = abort.checkpoint
         try:
             outputs, report = _build_engine(
-                config, faults=None
+                config, config.run_config(faults=None, retry=None)
             ).resume_from_checkpoint(ckpt)
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             result.failures.append(

@@ -33,7 +33,7 @@ the process backend.
 
 Like every ``repro.obs`` surface, the event log is read-only with respect
 to the simulation: emitting events never changes counted costs, ledgers,
-or outputs (the golden suite proves byte identity with the bus on or off).
+or outputs (the equivalence harness proves it with the bus on or off).
 """
 
 from __future__ import annotations

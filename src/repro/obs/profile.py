@@ -35,9 +35,9 @@ Category taxonomy (see DESIGN.md §11):
 The profiler is threaded through the stack as plain object references —
 ``Collector(profile=True)`` owns one, engines install it into their disk
 arrays (and therefore storages) and backends — never as module-global
-state.  Like the span layer, profiling is strictly read-only: the golden
-suite proves counted costs, ledgers, and outputs are byte-identical with
-profiling enabled or disabled, and :data:`NULL_PROFILER` keeps the
+state.  Like the span layer, profiling is strictly read-only: the
+equivalence harness proves counted costs, ledgers, and outputs identical
+with profiling enabled or disabled, and :data:`NULL_PROFILER` keeps the
 disabled path at a few no-op attribute calls.
 """
 

@@ -12,7 +12,7 @@ open span of the same collector), the emitting real processor, and arbitrary
 counted-cost attributes added at exit (parallel I/O operations, packets,
 retry events, ...).  Spans never *write* to the objects they observe — they
 sample counters at phase boundaries — so attaching a collector cannot change
-ledgers, routing stats, or outputs (the golden suite asserts byte identity).
+ledgers, routing stats, or outputs (the equivalence harness asserts it).
 
 :data:`NULL_OBSERVER` is the detached fast path: its ``span()`` returns one
 shared no-op context manager and its metrics registry hands out shared no-op

@@ -1,11 +1,7 @@
-"""Process-backend transparency: ``backend="process"`` must be invisible.
-
-The engine's real processors can run inline (the reference) or one
-per ``multiprocessing`` worker.  Every counted quantity — outputs, ledger,
-reports — must be identical, and the robustness machinery (fault recovery,
-checkpoint resume, contract enforcement) must work across the process
-boundary exactly as it does inline.
-"""
+"""The process backend: fault recovery, checkpoint resume and contract
+enforcement work across the process boundary as they do inline, and the
+workers go with the run.  That it counts what the inline backend counts is
+``tests/test_plane_equivalence.py``'s."""
 
 import pytest
 
@@ -14,6 +10,7 @@ from repro.bsp.program import AlgorithmError, BSPAlgorithm, VPContext
 from repro.core.backend import InlineBackend, ProcessBackend, make_backend
 from repro.core.checkpoint import SimulationAborted
 from repro.core import ParallelEMSimulation
+from repro.conform.oracles import canonical_record
 from repro.core.simulator import build_params
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.params import MachineParams
@@ -25,21 +22,6 @@ def build(p=4, seed=0, n=512, v=8, **kwargs):
     machine = MachineParams(p=p, M=1 << 18, D=4, B=16, b=32)
     params = build_params(alg, machine, v=v)
     return ParallelEMSimulation(alg, params, seed=seed, **kwargs)
-
-
-def golden(sim):
-    outputs, report = sim.run()
-    return {
-        "outputs": outputs,
-        "ledger": report.ledger.summary(),
-        "supersteps": [
-            (repr(s.phases), repr(s.routing), s.comm_packets, s.halted)
-            for s in report.supersteps
-        ],
-        "init_io": report.init_io_ops,
-        "output_io": report.output_io_ops,
-        "tracks": report.disk_space_tracks,
-    }
 
 
 class GammaLiar(BSPAlgorithm):
@@ -63,21 +45,11 @@ class GammaLiar(BSPAlgorithm):
         return None
 
 
-class TestProcessTransparency:
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_matches_inline(self, p):
-        assert golden(build(p=p, backend="process")) == golden(build(p=p))
-
-    def test_matches_inline_with_checkpointing(self):
-        ref = golden(build(checkpoint=True))
-        assert golden(build(checkpoint=True, backend="process")) == ref
-
-
 class TestProcessRobustness:
     def test_fault_recovery_inside_workers(self):
         """A disk death inside a worker rolls every worker back to the
         barrier and the run still completes correctly."""
-        expected = golden(build())["outputs"]
+        expected = build().run()[0]
         # v == p*k: one batch a processor, so nothing is reorganized and no
         # context is swapped; the drive sees 9 accesses in all, and death
         # after 4 lands in superstep 2.
@@ -96,7 +68,7 @@ class TestProcessRobustness:
     def test_cross_backend_checkpoint_resume(self):
         """A checkpoint written by the inline backend restores into process
         workers (and vice-versa the state layout is engine-owned)."""
-        expected = golden(build())["outputs"]
+        expected = build().run()[0]
         # Processor 0's drive 0 sees 9 accesses in all; the 6th is in superstep 3.
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=5, dead_proc=0)
         dying = build(
@@ -132,7 +104,9 @@ class TestBackendPlumbing:
     def test_one_processor_runs_over_a_worker_too(self):
         """``p = 1`` is the same engine: its one processor may live in a
         worker, and nothing counted or computed changes."""
-        assert golden(build(p=1, backend="process")) == golden(build(p=1))
+        inline, worker = (canonical_record(*build(p=1, backend=kind).run())
+                          for kind in ("inline", "process"))
+        assert worker == inline
 
     def test_workers_shut_down_after_run(self):
         sim = build(p=2, backend="process")

@@ -26,7 +26,9 @@ from repro.emio.linked import WRITE_SCHEDULES, LinkedBuckets
 from repro.emio.storage import StorageSpec
 from repro.emio.trace import IOTrace
 
-from .test_routing_schedule import B, V, _blocks, _state
+from .helpers import array_state, mixed_blocks
+
+B = V = 16  # mixed_blocks' block size and vp count
 
 # -- a bad address moves nothing ------------------------------------------------------
 
@@ -47,7 +49,7 @@ OPS = {
 
 
 def _whole_state(array: DiskArray):
-    return _state(array), array.storage_read_bytes, array.storage_write_bytes
+    return array_state(array), array.storage_read_bytes, array.storage_write_bytes
 
 
 @pytest.mark.parametrize("bad", BAD_ADDRS, ids=str)
@@ -133,7 +135,7 @@ def test_append_blocks_writes_exactly_its_cycles(
 ):
     dead = dead if 0 <= dead < D and D > 1 else None  # a degraded array, or not
     rng = random.Random(seed)
-    groups = [_blocks(rng, n) for n in sizes]
+    groups = [mixed_blocks(rng, n) for n in sizes]
     M = in_flight * 4 * D * B
     images, cycles = {}, {}
     with tempfile.TemporaryDirectory() as root:

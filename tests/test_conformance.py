@@ -11,13 +11,13 @@ point.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.conform import (
     ConformConfig,
-    OracleFailure,
     ReproCase,
     fuzz,
     random_config,
@@ -37,6 +37,8 @@ from repro.conform.oracles import (
 from repro.conform.runner import _build_engine, equivalent_planes
 from repro.conform.shrinker import shrink_candidates
 from repro.conform.strategies import QUICK
+
+from .helpers import PLANE_AXES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -108,45 +110,41 @@ class TestRepair:
 
 class TestEquivalentPlanes:
     def test_plain_config_gets_fastpath_and_storage_planes(self):
-        planes = dict(equivalent_planes(small_config()))
+        planes = dict(equivalent_planes(small_config().run_config()))
         assert set(planes) == {"primary", "fastpath", "file-storage"}
         assert planes["fastpath"].fast_io and planes["fastpath"].context_cache
         assert planes["file-storage"].storage == "file"
 
     def test_fast_config_gets_a_reference_plane(self):
         planes = dict(
-            equivalent_planes(small_config(fast_io=True, context_cache=True))
+            equivalent_planes(small_config(fast_io=True, context_cache=True).run_config())
         )
         assert set(planes) == {"primary", "reference", "file-storage"}
         assert not planes["reference"].fast_io
 
     def test_process_backend_yields_four_planes(self):
         cfg = small_config(p=2, v=4, backend="process", fast_io=True)
-        planes = dict(equivalent_planes(cfg))
+        planes = dict(equivalent_planes(cfg.run_config()))
         assert set(planes) == {"primary", "reference", "fastpath", "file-storage"}
         assert planes["reference"].backend == "inline"
 
-    def test_no_vector_plane_for_ineligible_workloads(self):
-        # The input picks the record plane: no workload, eligible or not,
-        # gets a records plane.
-        for workload in ("prefix", "sort", "listrank"):
-            planes = dict(equivalent_planes(small_config(workload=workload)))
-            assert not [key for key in planes if key.endswith("-records")]
-
     def test_storage_config_gets_a_memory_reference(self):
-        planes = dict(equivalent_planes(small_config(storage="mmap")))
+        planes = dict(equivalent_planes(small_config(storage="mmap").run_config()))
         assert planes["primary"].storage == "mmap"
         assert planes["reference"].storage == "memory"
-        # The file plane is only added when the primary is on memory; a
-        # non-memory primary already exercises the storage differential.
-        assert "file-storage" not in planes
+        # Every primary off the file plane gets a file plane; a file
+        # primary is its own.
+        assert planes["file-storage"].storage == "file"
+        assert "file-storage" not in dict(
+            equivalent_planes(small_config(storage="file").run_config()))
 
     def test_planes_never_flip_counted_knobs(self):
-        cfg = small_config(p=2, v=4, checkpoint=True)
+        """Only the plane fields move: seed, checkpoint, faults, retry and
+        every other field stay the configured plane's."""
+        cfg = small_config(p=2, v=4, checkpoint=True, fault="transient", backend="process",
+                           storage="mmap").run_config()
         for _key, plane in equivalent_planes(cfg):
-            assert (plane.p, plane.checkpoint, plane.fault) == (
-                cfg.p, cfg.checkpoint, cfg.fault
-            )
+            assert plane == replace(cfg, **{f: getattr(plane, f) for f in PLANE_AXES})
 
 
 # -- oracles ------------------------------------------------------------------
@@ -181,7 +179,7 @@ class TestOracles:
 
     def test_plane_equivalence_names_the_diverging_field(self):
         cfg = small_config()
-        outputs, report = _build_engine(cfg, faults=None).run()
+        outputs, report = _build_engine(cfg).run()
         rec = canonical_record(outputs, report)
         twin = dict(rec, outputs=list(rec["outputs"]) + ["extra"])
         fails = check_plane_equivalence({"a": rec, "b": twin})
@@ -200,7 +198,7 @@ class TestOracles:
         reorganize counter of a superstep that runs Algorithm 2 (eight
         drives, and traffic the identity permutations pile onto one drive
         a group, so Step 2 does not keep the store)."""
-        from .test_kept_store import piled
+        from .helpers import piled
 
         _outputs, report = piled().run()
         fails, n = check_theorem1_io(report.params, report)

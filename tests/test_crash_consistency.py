@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 from repro.core.checkpoint import CheckpointJournal, SuperstepCheckpoint, scrub
-from repro.emio.disk import Block, DiskError
+from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
 from repro.emio.faults import (
     CRASH_STAGES,
@@ -35,6 +35,8 @@ from repro.emio.storage import (
 )
 from repro.params import MachineParams, ParameterError
 
+from .helpers import small_sort
+
 
 def blk(tag, n=1):
     return Block(records=[tag] * n, dest=tag)
@@ -43,14 +45,6 @@ def blk(tag, n=1):
 def make(impl, tmp_path, **kw):
     kw.setdefault("slot_bytes", 64)
     return impl(tmp_path / f"{impl.__name__}.dat", B=4, **kw)
-
-
-def small_sort(n=64, v=4, data_seed=0):
-    """A fresh tiny sample-sort instance (factory for the explorer)."""
-    from repro import workloads as wl
-    from repro.algorithms import CGMSampleSort
-
-    return CGMSampleSort(wl.uniform_keys(n, seed=data_seed), v)
 
 
 def run_sort(tmp_path, name="run", crash=None, p=1, storage="file", **kw):

@@ -8,7 +8,8 @@ that file and a name its body binds, and a span that is a command line,
 ``repro.__main__.build_parser``: each subcommand must exist (a ``<workload>``
 placeholder stands for any) and each flag belong to it.  A passage that
 describes the past on purpose is exempt between ``<!-- doc-lint: off -->``
-and ``<!-- doc-lint: on -->``, and nowhere else.  Test ids are not checked.
+and ``<!-- doc-lint: on -->``, and nowhere else.  A test id
+``file.py::Class::test`` resolves like a symbol (its ``[param]`` is not read).
 """
 
 import argparse
@@ -186,7 +187,9 @@ def test_the_lint_finds_planted_dead_names_outside_a_marked_passage():
     pytest.param("repro.core.engine.ParallelEMSimulation.procs", id="instance-attribute"),
     pytest.param("repro.conform.REFERENCE", id="module-constant"),
     pytest.param("core/processor.py::RealProcessor.deliver", id="file-class-method"),
-    pytest.param("tests/test_kept_store.py::piled", id="file-function"),
+    pytest.param("tests/helpers.py::piled", id="file-function"),
+    pytest.param("tests/test_vector_golden.py::TestEligibility::test_custom_key_disables_vector_mode",
+                 id="test-id"),
     pytest.param("processor.py", id="bare-file"),
 ])
 def test_a_live_name_resolves(name):

@@ -1,7 +1,7 @@
 """Unit tests for the block-storage planes (:mod:`repro.emio.storage`).
 
-The golden suite (``test_storage_golden.py``) proves plane equivalence end
-to end; these tests pin the mechanisms that make it work — slot-run
+The equivalence harness (``test_plane_equivalence.py``) proves the planes
+equivalent end to end; these tests pin the mechanisms that make it work — slot-run
 allocation and neighbour-coalescing frees, copy-on-write pinning around
 snapshots, crash-reattach via snapshot/restore, the storage-dir marker
 protocol — plus the failure modes (corrupt images, mismatched slot sizes,

@@ -356,7 +356,7 @@ def test_one_processor_counts_algorithm_1s_columns(case, tmp_path, monkeypatch):
     ``run_finished.io_ops`` and the exact referee agree with Algorithm 1's."""
     from repro.conform.oracles import check_theorem1_io
 
-    from .test_kept_store import always_route
+    from .helpers import always_route
 
     make, (M, D, B, b), knobs, columns = P1_COLUMNS[case]
     if case == "forced_algorithm_2_sort":

@@ -317,7 +317,7 @@ class TestEngineFaultTransparency:
         need (the store is kept), so Step 2 is forced onto it."""
         import random as _random
 
-        from .test_kept_store import always_route
+        from .helpers import always_route
 
         always_route(monkeypatch)
 

@@ -28,9 +28,9 @@ from repro.conform.oracles import (
     check_theorem1_io,
     record_bytes,
 )
-from repro.conform.runner import fuzz, run_case
+from repro.conform.runner import equivalent_planes, fuzz, run_case
 from repro.conform.strategies import QUICK
-from repro.core import ParallelEMSimulation, build_params, engine, processor
+from repro.core import ParallelEMSimulation, RunConfig, build_params, engine, processor
 from repro.core.checkpoint import SimulationAborted
 from repro.emio.faults import FaultPlan, RetryPolicy
 from repro.params import MachineParams
@@ -226,18 +226,16 @@ def test_process_file_faults_equal_memory_inline_at_p2(records):
     the vector removal kernel and with the per-record rule alike."""
     cls = PerRecordListRanking if records == "object" else CGMListRanking
     faults = FaultPlan(seed=3, read_error_rate=0.05, write_error_rate=0.05)
-    retry = RetryPolicy(max_retries=8)
     runs = {}
-    for backend, storage in (("inline", "memory"), ("process", "file")):
-        outputs, report = listrank(
-            2, cls, backend=backend, storage=storage, faults=faults, retry=retry,
-        ).run()
-        assert check_outputs(storage, outputs, reference()) == []
+    for key, config in equivalent_planes(RunConfig(
+            backend="process", storage="file", faults=faults, retry=RetryPolicy(max_retries=8))):
+        outputs, report = listrank(2, cls, config=config).run()
+        assert check_outputs(key, outputs, reference()) == []
         assert report.faults.retry_ops > 0
-        runs[backend] = (record_bytes(canonical_record(outputs, report)), report)
-    assert runs["inline"][0] == runs["process"][0]
+        runs[key] = (record_bytes(canonical_record(outputs, report)), report)
+    assert len({image for image, _report in runs.values()}) == 1
     _out, healthy = listrank(2, cls).run()
-    assert [(s.comm_packets, s.traffic) for s in runs["process"][1].supersteps] == [
+    assert [(s.comm_packets, s.traffic) for s in runs["primary"][1].supersteps] == [
         (s.comm_packets, s.traffic) for s in healthy.supersteps
     ]
 

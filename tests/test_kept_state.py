@@ -35,7 +35,7 @@ from repro.core import ParallelEMSimulation, build_params, processor
 from repro.core.processor import group_order
 from repro.params import MachineParams
 
-from .helpers import TotalExchangeSum, list_state_sort
+from .helpers import PLANES, TotalExchangeSum, list_state_sort
 
 
 class SortKeepingNothing(CGMSampleSort):
@@ -117,21 +117,19 @@ def test_conform_reports_a_broken_declaration_as_a_crash(monkeypatch):
 # -- same outputs, fewer writes; collective ----------------------------------------------------
 
 
-@pytest.mark.parametrize("p,v,backend,plane", [
-    (1, 16, "inline", REFERENCE),
-    (2, 16, "process", REFERENCE),
-    (2, 16, "inline", dict(storage="file")),
-    (4, 32, "inline", dict(context_cache=True, fast_io=True)),
-    (4, 32, "process", dict(storage="file", **REFERENCE)),
-])
-def test_kept_groups_change_nothing_but_the_context_writes(p, v, backend, plane):
+SHAPES = [(1, 16), (2, 16), (4, 32)]  # p and v: four groups a processor or more
+
+
+@pytest.mark.parametrize("p,v,plane", [(*SHAPES[i % 3], knobs) for i, (_n, knobs) in enumerate(PLANES)],
+                         ids=[f"p{SHAPES[i % 3][0]}-{name}" for i, (name, _k) in enumerate(PLANES)])
+def test_kept_groups_change_nothing_but_the_context_writes(p, v, plane):
     """Against the sort with nothing declared: byte-identical outputs; the
     same messages, packets, computation and fetches superstep for
     superstep; fewer context writes exactly where groups are kept — every
     inner group of supersteps 0 and 1 that runs — and the exact referee,
     told the declarations, on both sides."""
     (out, rep), (out_all, rep_all) = (
-        sort(cls, p, v, backend=backend, **plane).run()
+        sort(cls, p, v, **plane).run()
         for cls in (CGMSampleSort, SortKeepingNothing)
     )
     assert pickle.dumps(plain_outputs(out)) == pickle.dumps(plain_outputs(out_all))

@@ -38,14 +38,9 @@ from repro.emio.layout import RegionAllocator
 from repro.emio.linked import WRITE_SCHEDULES, LinkedBuckets
 from repro.params import MachineParams
 
-from .helpers import AllToAllExchange
+from .helpers import PLANES, AllToAllExchange, always_route, piled
 
 FAST = dict(fast_io=True, context_cache=True)
-
-
-def always_route(monkeypatch):
-    """Force Step 2 onto Algorithm 2 in this process (inline backend only)."""
-    monkeypatch.setattr(processor, "keep_store", lambda loads, D: False)
 
 
 # -- the rule ---------------------------------------------------------------------------
@@ -83,16 +78,6 @@ def test_rule_routes_a_store_piled_onto_one_drive_a_group():
 # -- the fallback: traffic that piles each group onto one drive -----------------------
 
 
-def piled(**knobs):
-    """D = 8, k = 1, identity write permutations: every vp sends one block to
-    each of 8 vps in destination order, so each cycle puts destination d on
-    drive d and each fetch group's 8 blocks pile onto one drive.  Read as it
-    stands that is 64 ops; Algorithm 2 plus its region's fetch is 54."""
-    alg = AllToAllExchange()
-    params = build_params(alg, MachineParams(p=1, M=1 << 13, D=8, B=8, b=16), 8, k=1)
-    return ParallelEMSimulation(alg, params, write_schedule="static", **knobs)
-
-
 # The ids name the machine: "sequential" is the one-processor machine.
 @pytest.mark.parametrize(
     "backend", ["inline", "process"], ids=["sequential", "sequential-process"]
@@ -100,9 +85,8 @@ def piled(**knobs):
 def test_fallback_runs_algorithm_2_where_the_store_piles(backend):
     want = run_reference(AllToAllExchange(), 8)[0]
     records = set()
-    for knobs in (dict(storage="memory", **REFERENCE), dict(storage="memory", **FAST),
-                  dict(storage="file", **FAST)):
-        outputs, report = piled(backend=backend, **knobs).run()
+    for knobs in (knobs for _name, knobs in PLANES if knobs["backend"] == backend):
+        outputs, report = piled(**knobs).run()
         assert check_outputs(backend, outputs, want) == []
         first = report.supersteps[0]
         (routing,) = first.routing_stats()

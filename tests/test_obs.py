@@ -1,10 +1,9 @@
-"""Observability layer tests: spans, metrics, worker merge, exporters, golden
-non-interference.
+"""Observability layer tests: spans, metrics, worker merge, exporters.
 
-The load-bearing invariant is the last one: ``simulate(..., observer=...)``
-may change *nothing* the model counts — outputs, ledgers, routing stats,
-reports — at any p, on any backend, fast or reference data plane, and it
-must not force the arrays off the fast data plane (unlike ``IOTrace.attach``).
+That ``simulate(..., observer=...)`` changes *nothing* the model counts, at
+any p, on any backend and plane, and keeps the arrays on the fast data plane
+(unlike ``IOTrace.attach``), is the equivalence harness's
+(``tests/test_plane_equivalence.py``, its ``observed`` cases).
 """
 
 import dataclasses
@@ -13,9 +12,8 @@ import json
 import pytest
 
 from repro.algorithms.sorting import CGMSampleSort
-from repro.core.checkpoint import freeze
 from repro.core import ParallelEMSimulation
-from repro.core.simulator import build_params, simulate
+from repro.core.simulator import build_params
 from repro.core.stats import FaultReport, PhaseBreakdown
 from repro.obs import (
     NULL_OBSERVER,
@@ -30,8 +28,6 @@ from repro.obs import (
 )
 from repro.params import MachineParams
 from repro.workloads import uniform_keys
-
-from .test_fastpath_golden import WORKLOADS, build
 
 
 def make_sim(p=2, n=384, v=8, seed=0, **kwargs):
@@ -194,63 +190,6 @@ class TestReportKeys:
             assert pb.total == 11, f"phase field {name} missing from total"
         pb = PhaseBreakdown(**{name: 1 for name in fields})
         assert pb.total == len(fields)
-
-
-# -- golden non-interference --------------------------------------------------------
-
-
-def golden(sim):
-    outputs, report = sim.run()
-    return freeze(
-        {
-            "outputs": outputs,
-            "ledger": report.ledger.summary(),
-            "supersteps": [
-                (repr(s.phases), repr(s.routing), s.comm_packets, s.message_blocks)
-                for s in report.supersteps
-            ],
-            "init_io": report.init_io_ops,
-            "output_io": report.output_io_ops,
-            "tracks": report.disk_space_tracks,
-        }
-    )
-
-
-class TestGoldenNonInterference:
-    # The ids name the machine: "sequential" is the one-processor machine.
-    @pytest.mark.parametrize("p", [1, 2], ids=["sequential", "parallel"])
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_observer_changes_nothing(self, p, fast):
-        kw = {"context_cache": fast, "fast_io": fast}
-        for make in WORKLOADS:
-            ref = golden(build(make, p, **kw))
-            obs = Collector()
-            watched = golden(build(make, p, observer=obs, **kw))
-            assert watched == ref, make.__name__  # byte-identical frozen blobs
-            assert obs.spans and all(s.t1 is not None for s in obs.spans)
-
-    def test_observer_changes_nothing_process_backend(self):
-        ref = golden(make_sim())
-        obs = Collector()
-        watched = golden(make_sim(backend="process", observer=obs))
-        assert watched == ref
-
-    def test_observer_keeps_fast_data_plane(self):
-        """Unlike IOTrace.attach, observing must not force the physical path."""
-        sim = make_sim(1, observer=Collector(), fast_io=True)
-        assert sim.procs[0].array.fast_data_plane is True
-        sim.run()
-        assert sim.procs[0].array.fast_data_plane is True
-
-    def test_simulate_front_door(self):
-        alg = lambda: CGMSampleSort(uniform_keys(256, seed=7), v=4)  # noqa: E731
-        machine = MachineParams(p=1, M=1 << 18, D=2, B=16, b=32)
-        out_ref, rep_ref = simulate(alg(), machine, v=4)
-        obs = Collector()
-        out, rep = simulate(alg(), machine, v=4, observer=obs)
-        assert out == out_ref
-        assert freeze(rep.ledger.summary()) == freeze(rep_ref.ledger.summary())
-        assert obs.by_name("superstep")
 
 
 # -- worker merge -------------------------------------------------------------------

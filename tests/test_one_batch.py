@@ -39,7 +39,7 @@ from repro.emio.layout import RegionAllocator
 from repro.emio.linked import WRITE_SCHEDULES, LinkedBuckets
 from repro.params import MachineParams
 
-from .test_kept_store import always_route
+from .helpers import PLANES, always_route
 
 N = 128  # above list ranking's gather threshold at v = 4: contraction rounds
 #: Algorithm 1 with k == v and Algorithm 3 with v == p*k.
@@ -59,16 +59,6 @@ def build(shape, **knobs):
 def reference_outputs(shape):
     v = SHAPES[shape]["v"]
     return run_reference(CGMListRanking(wl.random_linked_list(N, seed=1), v), v)[0]
-
-
-PLANES = [
-    ("memory-reference", dict(storage="memory", **REFERENCE)),
-    ("memory-fast", dict(storage="memory", **FAST)),
-    ("file-reference", dict(storage="file", **REFERENCE)),
-    ("file-fast", dict(storage="file", **FAST)),
-    ("memory-fast-process", dict(storage="memory", backend="process", **FAST)),
-    ("file-reference-process", dict(storage="file", backend="process", **REFERENCE)),
-]
 
 
 def assert_nothing_reorganized(report):

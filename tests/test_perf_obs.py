@@ -5,14 +5,16 @@ Two surfaces (DESIGN §11), three invariants:
 * the :class:`CategoryProfiler` is an honest exclusive-time accountant —
   nested scopes carve time out of their parents and the totals never exceed
   the profiled wall-clock;
-* profiling and event streaming are strictly read-only — the golden matrix
-  proves counted costs, ledgers, and outputs are byte-identical with the
-  observatory on or off, across machines × backends × storage planes;
+* profiling and event streaming are strictly read-only — the equivalence
+  harness (``tests/test_plane_equivalence.py``) proves counted costs,
+  ledgers, and outputs identical with the observatory on or off, across
+  machines × backends × storage planes;
 * the disabled path (``NULL_OBSERVER``/``NULL_PROFILER``) costs ~nothing —
   the overhead guard hard-asserts counted identity and soft-checks wall.
 """
 
 import json
+import statistics
 import time
 import warnings
 
@@ -20,7 +22,7 @@ import pytest
 
 from repro.algorithms.sorting import CGMSampleSort
 from repro.conform import REFERENCE
-from repro.core.checkpoint import freeze
+from repro.conform.oracles import canonical_record
 from repro.core.simulator import simulate
 from repro.obs import (
     Collector,
@@ -297,78 +299,6 @@ class TestRunStartedNamesThePlane:
         assert f"fast_io={fast}" in line and f"context_cache={fast}" in line
 
 
-# -- golden byte-identity matrix ----------------------------------------------------
-
-
-def run_golden(p, backend, storage, observed, tmp_path):
-    alg = CGMSampleSort(uniform_keys(384, seed=7), v=8)
-    machine = MachineParams(p=p, M=1 << 18, D=4, B=16, b=32)
-    kw = {}
-    obs = events = None
-    if observed:
-        obs = Collector(profile=True)
-        events = RunEventLog(
-            tmp_path / f"p{p}-{backend}-{storage}.jsonl",
-            expected_steps=4,
-        )
-        kw = {"observer": obs, "events": events}
-    outputs, report = simulate(
-        alg, machine, v=8, backend=backend, storage=storage, **kw,
-    )
-    if events is not None:
-        events.close()
-    blob = freeze(
-        {
-            "outputs": outputs,
-            "ledger": report.ledger.summary(),
-            "supersteps": [
-                (repr(s.phases), repr(s.routing), s.comm_packets)
-                for s in report.supersteps
-            ],
-        }
-    )
-    return blob, obs, events
-
-
-# The ids name the machine: "sequential" is p = 1, "parallel" p = 2.
-MATRIX = [
-    pytest.param(p, backend, storage, id=f"{name}-{backend}-{storage}")
-    for name, p, backend in (
-        ("sequential", 1, "inline"), ("parallel", 2, "inline"), ("parallel", 2, "process")
-    )
-    for storage in ("memory", "file")
-]
-
-
-class TestGoldenProfilingMatrix:
-    @pytest.mark.parametrize("p,backend,storage", MATRIX)
-    def test_profiling_and_events_change_nothing(
-        self, p, backend, storage, tmp_path
-    ):
-        ref, _, _ = run_golden(p, backend, storage, False, tmp_path)
-        got, obs, events = run_golden(p, backend, storage, True, tmp_path)
-        assert got == ref  # byte-identical frozen blobs
-
-        # The profile is real and schema-valid ...
-        report = build_report(
-            obs, meta={"p": p, "backend": backend}
-        )
-        validate_report_dict(report.to_dict())
-        assert report.wall > 0 and report.track_totals()
-        if backend == "process":
-            assert any(t.startswith("p") for t in report.tracks)
-        # ... and so is the event stream.
-        stream = read_events(events.path, strict=True)
-        kinds = [e["kind"] for e in stream]
-        assert kinds[0] == "run_started" and kinds[-1] == "run_finished"
-        assert stream[-1]["status"] == "ok"
-        finished = [e for e in stream if e["kind"] == "superstep_finished"]
-        assert finished and all(
-            e["io_ops"] > 0 and e["bytes_moved"] >= 0 and e["eta_s"] is not None
-            for e in finished
-        )
-
-
 class TestAttribution:
     def test_file_storage_sort_is_mostly_attributed(self):
         """The acceptance bar: a file-plane sort names >=90% of its wall."""
@@ -386,32 +316,33 @@ class TestAttribution:
 
 
 class TestOverheadGuard:
-    def test_null_observer_counted_identity_and_wall_budget(self, tmp_path):
-        """S2: instrumentation must not move a counted cost; wall is soft."""
-        ref, _, _ = run_golden(1, "inline", "memory", False, tmp_path)
-        got, _, _ = run_golden(1, "inline", "memory", True, tmp_path)
-        assert got == ref  # hard: counted identity
+    def test_null_observer_counted_identity_and_wall_budget(self):
+        """S2: instrumentation must not move a counted cost; wall is soft:
+        the medians of ten alternating pairs of a 32768-key sort (a run of a
+        few milliseconds cannot resolve 5%)."""
+        machine = MachineParams(p=1, M=1 << 18, D=4, B=32, b=32)
+        keys = uniform_keys(32768, seed=7)
 
-        def wall(observed):
-            best = float("inf")
-            for _ in range(3):
-                alg = CGMSampleSort(uniform_keys(2048, seed=7), v=8)
-                machine = MachineParams(p=1, M=1 << 18, D=4, B=32, b=32)
-                kw = {"observer": Collector(profile=True)} if observed else {}
-                t0 = time.perf_counter()
-                simulate(alg, machine, v=8, **kw)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def run(observed):
+            alg = CGMSampleSort(list(keys), v=8)
+            kw = {"observer": Collector(profile=True)} if observed else {}
+            t0 = time.perf_counter()
+            outputs, report = simulate(alg, machine, v=8, **kw)
+            return time.perf_counter() - t0, canonical_record(outputs, report)
 
-        base, inst = wall(False), wall(True)
+        walls, images = {False: [], True: []}, {}
+        for pair in range(10):
+            for observed in (False, True) if pair % 2 else (True, False):
+                wall, images[observed] = run(observed)
+                walls[observed].append(wall)
+        assert images[True] == images[False]  # hard: counted identity
+        base, inst = statistics.median(walls[False]), statistics.median(walls[True])
         overhead = inst / base - 1.0
         # Soft 5% budget: warn, don't flake CI on scheduler noise.  The hard
         # backstop only trips when instrumentation costs more than the run.
         if overhead > 0.05:
-            warnings.warn(
-                f"observer overhead {overhead:+.1%} exceeds the 5% budget "
-                f"(instrumented {inst:.3f}s vs {base:.3f}s)"
-            )
+            warnings.warn(f"observer overhead {overhead:+.1%} exceeds the 5% budget "
+                          f"(median instrumented {inst:.4f}s vs {base:.4f}s)")
         assert overhead < 1.0
 
 

@@ -33,9 +33,8 @@ from repro.emio.faults import CRASH_STAGES, CrashPlan, FaultPlan, RetryPolicy
 from repro.emio.layout import RegionAllocator
 from repro.params import MachineParams
 
-from .helpers import AllToAllExchange
+from .helpers import PLANES, AllToAllExchange
 
-FAST = dict(fast_io=True, context_cache=True)
 CTX = ("fetch_context", "write_context")
 
 
@@ -134,13 +133,8 @@ def assert_no_context_moved(report):
     assert report.init_io_ops == report.output_io_ops == 0
 
 
-@pytest.mark.parametrize("p,knobs", [
-    (1, dict(storage="memory", **REFERENCE)),
-    (1, dict(storage="file", **FAST)),
-    (2, dict(storage="memory", **REFERENCE)),
-    (2, dict(storage="memory", **FAST)),
-    (2, dict(storage="file", backend="process")),
-], ids=["p1-reference", "p1-fast-file", "p2-reference", "p2-fast-vector", "p2-process-file"])
+@pytest.mark.parametrize("p,knobs", [(1 + i % 2, knobs) for i, (_n, knobs) in enumerate(PLANES)],
+                         ids=[f"p{1 + i % 2}-{name}" for i, (name, _k) in enumerate(PLANES)])
 def test_one_group_a_processor_swaps_no_context(p, knobs):
     outputs, report = listrank(p, **knobs).run()
     assert check_outputs("listrank", outputs, listrank_reference()) == []

@@ -8,7 +8,6 @@ schedule may not do, what the binary vector image promises on its own, the
 heap bound of a forced Algorithm 2 on the file plane and its crash windows.
 """
 
-import os
 import random
 import tracemalloc
 from itertools import accumulate
@@ -32,26 +31,13 @@ from repro.emio.trace import IOTrace
 from repro.outofcore import OutOfCoreSort, serialized_size, verify_digests
 from repro.params import MachineParams
 
-from .test_crash_consistency import small_sort
-from .test_kept_store import always_route
+from .helpers import always_route, array_state, mixed_blocks, small_sort
 
-B = 16
-V = 16
+B = V = 16
 NDEST = 32  # the planner property's destinations; every bucket and batch boundary divides it
 
 
 # -- (a) the planner is the paper's loop -------------------------------------------
-
-
-def _blocks(rng: random.Random, n: int) -> list[Block]:
-    """Message blocks of every fill level, vector and object records mixed."""
-    out = []
-    for i in range(n):
-        fill = rng.randrange(B + 1)
-        keys = [rng.randrange(1 << 40) for _ in range(fill)]
-        records = keys if i % 5 == 0 else np.asarray(keys, dtype="<i8")
-        out.append(Block(records=records, dest=rng.randrange(V), src=i % V, msg=i, seq=0))
-    return out
 
 
 def _two_supersteps(array: DiskArray, supersteps: list[list[list[Block]]]):
@@ -247,7 +233,7 @@ def test_planned_rounds_are_the_generated_rounds(tables, fast):
 def test_traced_array_keeps_round_by_round_order(tmp_path):
     """A traced array runs the reference plane's attempts, fast knob or
     not: its trace is the reference plane's, attempt for attempt."""
-    supersteps = [[_blocks(random.Random(5), 40)]]
+    supersteps = [[mixed_blocks(random.Random(5), 40)]]
     traces = []
     for fast in (True, False):
         spec = StorageSpec.create("file", tmp_path / f"fast{fast}")
@@ -274,27 +260,19 @@ def _loaded_array(tmp_path, fast: bool) -> DiskArray:
     return array
 
 
-def _state(array: DiskArray):
-    return (
-        array.parallel_ops,
-        [(d.reads, d.writes, d.used_tracks, d.high_water) for d in array.disks],
-        [sorted(d.occupied()) for d in array.disks],
-    )
-
-
 @pytest.mark.parametrize("fast", [True, False])
 def test_malformed_round_is_refused_before_data_moves(tmp_path, fast):
     array = _loaded_array(tmp_path, fast)
     try:
         assert array.parallel_ops == 3
-        before = _state(array)
+        before = array_state(array)
         good_r = [(0, 0), (1, 0)]
         good_w = [(0, 5, Block(records=[5])), (1, 5, Block(records=[5]))]
         good_moves = [(good_r, [(1, 5), (0, 5)]), ([(1, 2)], [(0, 6)])]
         for bad_addr in ((2, 1), (-1, 1), (0, -1)):  # anywhere in a batch
             with pytest.raises(DiskError):
                 array.write_batched([*good_w, (*bad_addr, Block(records=[0])), *good_w])
-            assert _state(array) == before
+            assert array_state(array) == before
         for bad in ([(0, 1), (0, 2)], [(0, 1), (1, 1), (0, 2)], []):
             # A bad read round, a bad write round: anywhere in either phase.
             for bad_move in ((bad, [(0, 7), (1, 7)][: len(bad)]), ([(0, 1), (1, 1)], bad)):
@@ -304,12 +282,12 @@ def test_malformed_round_is_refused_before_data_moves(tmp_path, fast):
                         phases[which] = [*good_moves[:at], bad_move, *good_moves[at:]]
                         with pytest.raises(DiskError):
                             array.move_rounds(*phases)
-                        assert _state(array) == before
+                        assert array_state(array) == before
         with pytest.raises(DiskError):  # a round writes every block it reads
             array.move_rounds(good_moves, [*good_moves, (good_r, [(0, 7)])])
         with pytest.raises(TypeError):  # checked in one walk, run in another
             array.move_rounds(good_moves, iter(good_moves))
-        assert _state(array) == before
+        assert array_state(array) == before
         array.move_rounds(good_moves)
         moved = array.parallel_read([(1, 5), (0, 5)]), array.parallel_read([(0, 6)])
         assert [[b.records for b in r] for r in moved] == [[[0], [0]], [[-2]]]
@@ -332,7 +310,7 @@ def test_damaged_bucket_store_frame_is_a_checksum_error(tmp_path, plane):
             array, allocator, nbuckets=2, bucket_of=lambda dest: dest * 2 // V,
             rng=random.Random(3),
         )
-        buckets.append_blocks([b for b in _blocks(random.Random(3), 24) if len(b.records)])
+        buckets.append_blocks([b for b in mixed_blocks(random.Random(3), 24) if len(b.records)])
         array.sync_storage()
         track = next(fifo[0][0] for per_disk in buckets.table if (fifo := per_disk[1]))
         store = array.disks[1].storage

@@ -31,7 +31,7 @@ from repro.emio.linked import WRITE_SCHEDULES
 from repro.params import MachineParams, ParameterError
 from repro.workloads import random_linked_list, uniform_keys
 
-from .test_crash_consistency import small_sort
+from .helpers import small_sort
 
 CORE = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
 FIELDS = {f.name for f in dataclasses.fields(RunConfig)}

@@ -18,7 +18,7 @@ from repro.crashcheck import explore
 from repro.emio.storage import FileStorage, MmapStorage, StorageSpec
 from repro.params import MachineParams
 
-from .test_crash_consistency import small_sort
+from .helpers import small_sort
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 MACHINE = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)

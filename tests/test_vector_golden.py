@@ -1,18 +1,18 @@
-"""Golden discipline of the vector record plane (DESIGN §10).
+"""The vector record plane (DESIGN §10).
 
 The input picks the plane: int64 input runs the vector kernels, anything
 else the list-state path.  The vector plane must be *invisible to the
-model*: its outputs equal the list-state path's on the same values, and its
-counted columns across machines, backends and storage kinds are the ones the
-object plane committed (``GOLDEN``).  These tests pin that, the exact numpy
-<-> pure-Python kernel equivalences the algorithm ports rely on, and the
-plumbing the plane rides on (ndarray-aware blocks, batched track writes,
-coalesced frame verification, ndarray fault corruption).
+model*: its outputs equal the list-state path's on the same values
+(``test_vector_flavour.py``, and the digests here), and its counted columns are the ones the object plane committed (the
+equivalence harness's ``GOLDEN``, ``tests/test_plane_equivalence.py``, which
+also holds them across machines, backends and storage kinds).  These tests
+pin the outputs, the eligibility gate, the exact numpy <-> pure-Python
+kernel equivalences the algorithm ports rely on, and the plumbing the plane
+rides on (ndarray-aware blocks, batched track writes, coalesced frame
+verification, ndarray fault corruption).
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 import pytest
@@ -30,114 +30,32 @@ from repro.bsp.collectives import (
 )
 from repro.bsp.program import AlgorithmError
 from repro.bsp.runner import run_reference
-from repro.conform import REFERENCE
-from repro.core import ParallelEMSimulation, build_params, simulate
+from repro.core import simulate
 from repro.emio.disk import Block
 from repro.emio.faults import _corrupted_copy, block_checksum
 from repro.emio.storage import FileStorage, verify_extents
 from repro.outofcore import OutOfCoreSort, share_stream, verify_digests
 from repro.params import MachineParams
 
-from .helpers import assert_plane, list_state_sort
+from .helpers import list_state_sort
 
-SEED = 3
 N, V = 4096, 8
-
-#: machine x backend x storage x fast-path corners of the golden matrix, as
-#: ``(p, knobs)``; a knob a corner does not name is the reference plane's
-#: (see ``_run``).  The ids name the machine: "sequential" is p = 1.
-MATRIX = [
-    (1, dict(backend="inline", storage="memory")),
-    (1, dict(backend="inline", storage="file", fast_io=True, context_cache=True)),
-    (2, dict(backend="inline", storage="memory")),
-    (2, dict(backend="inline", storage="file", fast_io=True)),
-    (2, dict(backend="process", storage="memory")),
-    (2, dict(backend="process", storage="file", fast_io=True)),
-]
-
-#: The counted columns io_ops, comm_packets, comp_ops, disk tracks, message
-#: blocks and supersteps, per machine size ``p``, of the n = 4096, v = 8 sort
-#: and of the n = 1024 permutation, as the object plane counted them before
-#: the input picked the plane.
-GOLDEN = {
-    1: (68, 45, 102848.0, 66, 134, 4),
-    2: (38, 107, 52276.0, 33, 136, 4),
-    "permutation": (32, 16, 2048.0, 18, 64, 2),
-}
 MACHINE = MachineParams(p=1, M=1 << 20, D=4, B=32, b=64)
 
 
-def _run(corner):
-    """One corner of the matrix.  A corner's unnamed knobs are
-    ``REFERENCE``'s, not the storage plane's default, so the matrix keeps a
-    reference-plane memory row next to its fast file rows."""
-    p, cfg = corner
-    alg = OutOfCoreSort(N, V, seed=5)
-    knobs = {**REFERENCE, **cfg}
-    machine = MachineParams(p=p, M=1 << 20, D=4, B=32, b=64)
-    sim = ParallelEMSimulation(alg, build_params(alg, machine, v=V), seed=SEED, **knobs)
-    assert_plane(sim, **knobs)
-    return sim.run()
-
-
-def _columns(report):
-    return (report.io_ops, report.ledger.total_comm_packets, report.ledger.total_comp,
-            report.disk_space_tracks, sum(s.message_blocks for s in report.supersteps),
-            report.num_supersteps)
-
-
-def _list_state_digests():
-    """``OutOfCoreSort``'s share digests, computed per record from the
-    list-state path (an identity key) over the same stream."""
+def test_outofcore_digests_are_the_list_state_paths():
+    """``OutOfCoreSort``'s share digests on the vector plane equal the ones
+    computed per record from the list-state path (an identity key) over the
+    same stream."""
     stream = [x for pid in range(V) for x in share_stream(5, pid, N // V)]
-    return [
+    want = [
         {"count": len(run), "sorted": run == sorted(run), "lo": run[0], "hi": run[-1],
          "sum": sum(run), "sq": sum(x * x for x in run)}
         for run in run_reference(list_state_sort(stream, V), V)[0]
     ]
-
-
-class TestGoldenMatrix:
-    @pytest.mark.parametrize("cfg", MATRIX, ids=lambda c: "-".join(
-        [("sequential", "parallel")[c[0] > 1], *map(str, c[1].values())]))
-    def test_outofcore_sort_object_vs_vector(self, cfg):
-        """The vector plane counts what the object plane committed."""
-        outputs, report = _run(cfg)
-        verify_digests(outputs, 5, N, V)
-        assert _columns(report) == GOLDEN[cfg[0]]
-
-    def test_matrix_configs_agree_on_outputs(self):
-        """Every corner's digests are the list-state path's on the stream."""
-        want = _list_state_digests()
-        for cfg in MATRIX:
-            assert _run(cfg)[0] == want
-
-    def test_sample_sort_golden_and_plain_int_outputs(self):
-        rng = random.Random(17)
-        data = [rng.randrange(1 << 30) for _ in range(N)]
-        outputs, report = simulate(CGMSampleSort(list(data), V), MACHINE, v=V, seed=SEED)
-        keyed, _ = simulate(list_state_sort(data, V), MACHINE, v=V, seed=SEED)
-        assert outputs == keyed
-        assert [x for out in outputs for x in out] == sorted(data)
-        assert all(type(x) is int for out in outputs for x in out)
-        assert _columns(report) == GOLDEN[1]
-
-    def test_permutation_golden(self):
-        rng = random.Random(23)
-        n = 1024
-        vals = [rng.randrange(1 << 30) for _ in range(n)]
-        perm = list(range(n))
-        rng.shuffle(perm)
-        outputs, report = simulate(CGMPermutation(vals, perm, V), MACHINE, v=V, seed=SEED)
-        # A tuple is no list or ndarray: the same values on the list-state path.
-        listed = CGMPermutation(tuple(vals), tuple(perm), V)
-        assert listed.record_mode == "object"
-        assert outputs == simulate(listed, MACHINE, v=V, seed=SEED)[0]
-        expect = [None] * n
-        for i in range(n):
-            expect[perm[i]] = vals[i]
-        assert [x for out in outputs for x in out] == expect
-        assert _columns(report) == GOLDEN["permutation"]
+    outputs = run_reference(OutOfCoreSort(N, V, seed=5), V)[0]
+    verify_digests(outputs, 5, N, V)
+    assert outputs == want
 
 
 class TestEligibility:
@@ -157,8 +75,17 @@ class TestEligibility:
 
     def test_int64_array_accepts_ints_and_signed_ndarrays(self):
         assert int64_array([1, -2, 3]).dtype == np.dtype("<i8")
+        assert int64_array((1, -2, 3)).tolist() == [1, -2, 3]
+        assert int64_array(range(4)).tolist() == [0, 1, 2, 3]
+        assert int64_array((1, True)) is None and int64_array(range(1 << 63, (1 << 63) + 1)) is None
         arr = int64_array(np.array([5, 6], dtype=np.int32))
         assert arr is not None and arr.dtype.itemsize == 8
+
+    def test_tuples_and_ranges_of_ints_run_the_vector_plane_with_list_out(self):
+        perm = CGMPermutation(tuple(range(64)), range(63, -1, -1), 4)
+        assert perm.record_mode == CGMSampleSort(range(64), 4).record_mode == "vector"
+        outputs, _ = simulate(perm, MACHINE, v=4)
+        assert outputs == [list(range(63 - 16 * j, 47 - 16 * j, -1)) for j in range(4)]
 
     def test_bytes_records_keep_the_legacy_plane(self):
         assert OutOfCoreSort(256, 4, seed=0, reclen=16).record_mode == "object"
