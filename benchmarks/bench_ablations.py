@@ -12,8 +12,6 @@
   Sibeyn–Kaufmann regime) versus memory-filling groups.
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms import CGMPermutation
 from repro.core.simulator import simulate

@@ -9,8 +9,6 @@ blocks divided by ``D`` — and verifies the output layout invariant.
 
 import random
 
-import pytest
-
 from repro.core.routing import simulate_routing
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray

@@ -16,8 +16,6 @@ rounds simulate as BSP* supersteps with communication packets within the
 ``O(g * lambda * n/(p*b))`` budget.
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms import CGMSampleSort
 from repro.bsp.collectives import share_bounds

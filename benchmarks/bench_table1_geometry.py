@@ -9,8 +9,6 @@ by a constant independent of ``n`` (the paper's optimality claim for this
 group, versus the ``log_{M/B}`` factor of the previous-results column).
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms.geometry import (
     CGM3DConvexHull,

@@ -8,8 +8,6 @@ list ranking both ways on the same substrate, plus the Euler-tour and
 connectivity rows through the simulation.
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms.graphs import (
     CGMConnectedComponents,

@@ -12,8 +12,6 @@ up to a factor of 10^3 (the blocking factor) too high"), while the
 generated algorithm moves whole blocks.
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms import CGMPermutation
 from repro.baselines import NaiveEMPermute, SortBasedEMPermute

@@ -13,8 +13,6 @@ prior simulation pays roughly a factor ``D`` more I/O operations (no
 parallel disks) on the same algorithm.
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms import CGMSampleSort
 from repro.baselines import EMMergeSort, SibeynKaufmannSimulation

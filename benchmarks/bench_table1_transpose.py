@@ -8,8 +8,6 @@ shape.  The benchmark sweeps shapes at fixed ``n = r*c`` and compares with
 the sort-based sequential baseline.
 """
 
-import pytest
-
 from repro import workloads
 from repro.algorithms import CGMMatrixTranspose
 from repro.baselines import EMTranspose

@@ -13,8 +13,6 @@ sequential engine while sweeping ``D``, ``B``, ``k``, and ``v``, and checks
   the sweep — the "adapts to the machine parameters" claim of the paper.
 """
 
-import pytest
-
 from repro.core.simulator import simulate
 from repro.params import MachineParams
 

@@ -39,11 +39,6 @@ def _line(seg: Segment) -> tuple[float, float]:
     return m, y1 - m * x1
 
 
-def _eval(seg: Segment, x: float) -> float:
-    m, c = _line(seg)
-    return m * x + c
-
-
 def _merge(
     a: list[Piece], b: list[Piece], segs: Sequence[Segment]
 ) -> list[Piece]:

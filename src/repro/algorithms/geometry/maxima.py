@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ...bsp.collectives import owner_of_index
 from ...bsp.program import VPContext
 from .common import SlabAlgorithm, staircase_2d
 

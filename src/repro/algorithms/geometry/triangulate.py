@@ -9,7 +9,6 @@ workload generators guarantee distinct coordinates and random placement.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 __all__ = ["circumcircle", "delaunay_triangulation"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from ...bsp.runner import run_reference
-from .eulertour import CGMEulerTourSuccessor, arc_endpoints
+from .eulertour import CGMEulerTourSuccessor
 from .listranking import CGMListRanking
 
 __all__ = [

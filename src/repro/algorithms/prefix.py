@@ -57,9 +57,9 @@ class CGMPrefixSums(BSPAlgorithm):
     def comm_bound(self) -> int:
         return 64 + 8 * 2 * self.v
 
-    def quiet(self, step: int, pid: int) -> bool:
-        # Superstep 1 is vp 0's alone: every other vp waits for its offset.
-        return step == 1 and pid != 0
+    def state_use(self, step: int, pid: int) -> str:
+        # Superstep 1 is vp 0's alone, and it needs only its inbox.
+        return "none" if step == 1 else "write"
 
     def initial_state(self, pid: int, nprocs: int):
         lo, hi = share_bounds(self.n, nprocs, pid)

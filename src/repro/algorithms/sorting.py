@@ -34,10 +34,11 @@ included.  ``context_size`` and ``comm_bound`` are declared from that bound.
 
 ``lambda = O(1)`` supersteps, ``T_comp = O((n/v) log n)``, ``mu = O(n/v)``
 — the Table 1 row.  Requires ``n >= v^2`` (the usual CGM coarseness
-condition ``n/p >= p``).  Every vp keeps its state through supersteps 0 and
-1 (:meth:`CGMSampleSort.keeps_state`), so the EM engines write no context
-back there: sorting twice costs one more local sort, where keeping the
-sorted run would cost a context write-back of the whole input.
+condition ``n/p >= p``).  Superstep 0 only reads a vp's state and superstep
+1 does not touch it (:meth:`CGMSampleSort.state_use`), so the EM engines
+write no context back there and fetch none in superstep 1: sorting twice
+costs one more local sort, where keeping the sorted run would cost a
+context write-back of the whole input.
 
 **Record planes: the input picks.**  When the input is exactly int64
 (plain ints or a signed integer ndarray) and no ``key`` is given, a codec
@@ -145,14 +146,11 @@ class CGMSampleSort(BSPAlgorithm):
         # receives a bucket.
         return max(v * v, 2 * v * (v - 1), 2 * m)
 
-    def quiet(self, step: int, pid: int) -> bool:
-        # Superstep 1 is vp 0's alone: every other vp waits for the splitters.
-        return step == 1 and pid != 0
-
-    def keeps_state(self, step: int, pid: int) -> bool:
-        # Samples are taken from a sorted copy and splitters are only sent:
-        # the items are first changed when superstep 2 cuts them.
-        return step in (0, 1)
+    def state_use(self, step: int, pid: int) -> str:
+        # Samples are taken from a sorted copy, and vp 0 picks the splitters
+        # from its inbox alone: the items are first changed when superstep 2
+        # cuts them.
+        return {0: "read", 1: "none"}.get(step, "write")
 
     # -- the tie-break -------------------------------------------------------------
 
@@ -245,9 +243,8 @@ class CGMSampleSort(BSPAlgorithm):
         zero-copy payloads."""
         v = ctx.nprocs
         st = ctx.state
-        codec = get_codec(st["enc"])
         if ctx.step == 0:
-            arr = np.sort(codec.from_bytes(st["items"]))
+            arr = np.sort(get_codec(st["enc"]).from_bytes(st["items"]))
             n_loc = len(arr)
             ctx.charge(n_loc * max(1, n_loc.bit_length()))
             ctx.send(0, arr[sample_positions(n_loc, v)])
@@ -270,7 +267,7 @@ class CGMSampleSort(BSPAlgorithm):
         elif ctx.step == 2:
             spl = as_i64(ctx.incoming[0].payload)
             keys, ranks = spl[0::2], spl[1::2]
-            arr = np.sort(codec.from_bytes(st["items"]))
+            arr = np.sort(get_codec(st["enc"]).from_bytes(st["items"]))
             n_loc = len(arr)
             lo = share_bounds(self.n, v, ctx.pid)[0]
             owner = owners_of_indices(ranks, self.n, v)

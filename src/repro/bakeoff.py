@@ -27,7 +27,6 @@ drive this module; ``BENCH_BAKEOFF.json`` is the committed artifact.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass
 from operator import itemgetter

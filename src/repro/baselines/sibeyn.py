@@ -29,7 +29,6 @@ correct simulation — just an I/O-inefficient one).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Literal
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .message import Message
 
-__all__ = ["BSPAlgorithm", "VPContext", "AlgorithmError"]
+__all__ = ["BSPAlgorithm", "VPContext", "AlgorithmError", "state_uses"]
 
 
 class AlgorithmError(RuntimeError):
@@ -213,35 +213,21 @@ class BSPAlgorithm(abc.ABC):
         """Declared maximum records sent (or received) per vp per superstep (gamma)."""
         return self.context_size()
 
-    def quiet(self, step: int, pid: int) -> bool:
-        """Declare vp ``pid`` quiet in superstep ``step``.
+    def state_use(self, step: int, pid: int) -> str:
+        """What vp ``pid`` does with its state in superstep ``step``:
+        ``"none"``, ``"read"`` or ``"write"`` (the default).
 
-        Contract: a quiet vp whose inbox is empty sends nothing, charges no
-        operations, leaves its state unchanged and does not vote halt.  The
-        EM engines then skip the context swap of any group (Algorithm 3:
-        batch) whose vps are all quiet and which receives nothing; the
-        reference runner still runs every quiet vp and refuses a broken
-        declaration with :class:`AlgorithmError`.  A quiet vp that receives
-        runs like any other; to say it leaves its state alone whatever it
-        receives, declare :meth:`keeps_state` as well.
+        ``"none"``: the vp sees ``ctx.state is None`` and must leave it so;
+        with an empty inbox it also sends nothing, charges nothing and does
+        not vote halt.  ``"read"``: its state pickles to the same bytes
+        after the superstep as before.  The EM engines fetch a batch's
+        contexts only if some vp of it reads, write back only the slots a
+        ``"write"`` vp rewrote, and skip a batch whose vps are all
+        ``"none"`` and which receives nothing (DESIGN §13).  The reference
+        runner checks every declaration and refuses a broken one with
+        :class:`AlgorithmError`.
         """
-        return False
-
-    def keeps_state(self, step: int, pid: int) -> bool:
-        """Declare that vp ``pid`` leaves its state as it found it in
-        superstep ``step``, whatever it receives.
-
-        Contract: the vp's state pickles to the same bytes after the
-        superstep as before it; unlike a :meth:`quiet` vp it may still
-        receive, send, charge operations and vote halt.  The EM engines then
-        skip the context write-back (Step 1(e)) of any group (Algorithm 3:
-        batch) whose vps all declare it — except the first group of the
-        superstep, which was held in memory across the barrier and whose
-        disk image is stale, and the last, which stays in memory as always.
-        The reference runner checks every declared vp and refuses a broken
-        declaration with :class:`AlgorithmError`.
-        """
-        return False
+        return "write"
 
     # -- conveniences ---------------------------------------------------------------
 
@@ -250,3 +236,16 @@ class BSPAlgorithm(abc.ABC):
         from .runner import ReferenceRunner
 
         return ReferenceRunner(self, v, **kwargs).run()
+
+
+def state_uses(algorithm: BSPAlgorithm, step: int, pids: Sequence[int]) -> str:
+    """:meth:`BSPAlgorithm.state_use` of each of ``pids`` in superstep
+    ``step``, one letter a vp (``n`` / ``r`` / ``w``); any other answer
+    raises :class:`AlgorithmError`."""
+    uses = [algorithm.state_use(step, pid) for pid in pids]
+    bad = set(uses) - {"none", "read", "write"}
+    if bad:
+        raise AlgorithmError(
+            f"state_use must be 'none', 'read' or 'write', got {sorted(bad)}"
+        )
+    return "".join(u[0] for u in uses)

@@ -11,13 +11,12 @@ The reference runner is the ground truth for invariant **I3** (simulation
 transparency): for every algorithm and input, the EM simulations must produce
 bit-identical outputs to this runner.
 
-It is also where the :meth:`~repro.bsp.program.BSPAlgorithm.quiet` and
-:meth:`~repro.bsp.program.BSPAlgorithm.keeps_state` declarations are checked
-rather than trusted: every declared vp still runs here.  A quiet one whose
-inbox is empty but which sends, charges, changes its state (its pickled bytes
-before and after) or votes halt raises :class:`AlgorithmError` — the engines
-would have skipped it — and so does one that keeps its state but changes it
-— the engines would not have written it back.
+It is also where :meth:`~repro.bsp.program.BSPAlgorithm.state_use` is
+checked rather than trusted: every vp runs here, a ``"none"`` one on
+``state=None`` as on the engines.  One that sets its state, or that sends,
+charges or votes halt with an empty inbox (the engines may skip it), raises
+:class:`AlgorithmError`, and so does a ``"read"`` one whose pickled state
+changes (the engines would not write it back).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Any
 from ..costs import CostLedger, packets_for
 from ..params import MachineParams
 from .message import Message
-from .program import AlgorithmError, BSPAlgorithm, VPContext
+from .program import AlgorithmError, BSPAlgorithm, VPContext, state_uses
 
 __all__ = ["ReferenceRunner", "run_reference"]
 
@@ -70,22 +69,14 @@ class ReferenceRunner:
             sent_packets = [0] * v
             total_sent = 0
 
-            for pid in range(v):
-                quiet = not inboxes[pid] and alg.quiet(step, pid)
-                keeps = alg.keeps_state(step, pid)
-                before = _image(states[pid]) if quiet or keeps else None
-                ctx = VPContext(
-                    pid, v, step, states[pid], inboxes[pid], comm_bound=gamma
-                )
+            for pid, use in enumerate(state_uses(alg, step, range(v))):
+                state = None if use == "n" else states[pid]
+                before = _image(state) if use == "r" else None
+                ctx = VPContext(pid, v, step, state, inboxes[pid], comm_bound=gamma)
                 alg.superstep(ctx)
-                if quiet:
-                    _check_quiet(ctx, before)
-                if keeps and _image(ctx.state) != before:
-                    raise AlgorithmError(
-                        f"vp {pid} declares that it keeps its state in superstep "
-                        f"{step}, but changed it"
-                    )
-                states[pid] = ctx.state
+                _check_use(ctx, use, before)
+                if use == "w":
+                    states[pid] = ctx.state
                 if not ctx.halted:
                     all_halted = False
                 max_comp = max(max_comp, ctx.comp_ops)
@@ -134,22 +125,21 @@ def _image(state: Any) -> bytes:
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _check_quiet(ctx: VPContext, before: bytes) -> None:
-    """Refuse a vp declared quiet, with an empty inbox, that did anything."""
-    broken = [
-        what
-        for what, did in (
-            ("sent messages", ctx.outbox),
-            ("charged operations", ctx.comp_ops),
-            ("voted halt", ctx.halted),
-            ("changed its state", _image(ctx.state) != before),
-        )
-        if did
-    ]
+def _check_use(ctx: VPContext, use: str, before: bytes | None) -> None:
+    """Refuse a vp that did what its declared state use rules out."""
+    quiet = use == "n" and not ctx.incoming
+    broken = [what for what, did in (
+        ("set its state", use == "n" and ctx.state is not None),
+        ("changed its state", use == "r" and _image(ctx.state) != before),
+        ("sent messages", quiet and ctx.outbox),
+        ("charged operations", quiet and ctx.comp_ops),
+        ("voted halt", quiet and ctx.halted),
+    ) if did]
     if broken:
+        declared = {"n": "none", "r": "read"}[use]
         raise AlgorithmError(
-            f"vp {ctx.pid} is declared quiet in superstep {ctx.step} and "
-            f"received nothing, but {' and '.join(broken)}"
+            f"vp {ctx.pid} declares state use {declared!r} in superstep "
+            f"{ctx.step}, but {' and '.join(broken)}"
         )
 
 

@@ -54,6 +54,7 @@ from typing import Any
 
 import numpy as np
 
+from ..bsp.program import state_uses
 from ..core.processor import group_order
 from ..core.stats import SimulationReport
 from ..params import SimulationParams
@@ -429,25 +430,17 @@ def check_theorem1_io(
       costs by its ``group_loads``: per fetch group, the max over processors
       of the kept store's heaviest drive, or of ``ceil(m/D)`` for a region
       Algorithm 2 laid out, summed over groups;
-    * the contexts, group by group (``SuperstepReport.ran``): a group's
-      contexts are fetched as they were last written back — by the input
-      load (``SimulationReport.loaded``) or by the last superstep that wrote
-      the group, which is not always the one before, since a group of quiet
-      vps that receives nothing is skipped and a group whose vps all keep
-      their state is not written back — and the group a barrier holds in
-      memory is written and fetched at 0
-      (:func:`~repro.core.processor.group_order`).  So each group's
-      ``fetch_context`` equals its last real write, each write equals what
-      its block counts cost on the consecutive layout (the max over
-      processors of the busiest drive), and each superstep's phase totals
-      are those of the groups that ran.  The groups kept unwritten are
-      exactly the declared ones: given the ``algorithm``, every group but
-      the first and last of the order whose vps all declare
-      :meth:`~repro.bsp.program.BSPAlgorithm.keeps_state`; without it, no
-      first or last group.  The input load and the output unload move
-      every group once more, each charged as one max over processors of
-      the sum over groups: the input load by its block counts, the unload
-      by the last written ones;
+    * the contexts, group by group (``SuperstepReport.ran``), replaying the
+      engine's rule (:mod:`repro.core.engine`) on each row's state uses —
+      the ``algorithm``'s, when given, which the rows must match.  A group
+      is fetched iff a vp reads, at 0 if it is in memory and otherwise at
+      what its disk image costs, slot by slot as the input load
+      (``SimulationReport.loaded``) or the last write-back left it; leaving
+      memory it writes exactly its dirty slots, at what their block counts
+      cost on the consecutive layout (the max over processors of the
+      busiest drive).  Each superstep's phase totals are its rows'.  The
+      input load and the output unload move every group not in memory, one
+      max over processors of the sum over groups;
     * the packed write (Step 1(d)), from the records the engine packed for
       each destination group (``SuperstepReport.packing``, counted from the
       messages, not the blocks): ``message_blocks`` equals the sum over
@@ -469,12 +462,12 @@ def check_theorem1_io(
     k, vpp = params.k, params.vps_per_processor
     ngroups = params.groups_per_processor
     fetch = 0  # what this superstep's fetches of the incoming set cost
-    # group -> (who wrote its contexts last, the ops, each processor's block
-    # counts), from the input load on
-    written = {
-        g: ("the input load", max(_context_ops(c, g, params) for c in counts), counts)
-        for g, counts in enumerate(report.loaded or ())
-    }
+    # group -> (who wrote its disk image last, each processor's block counts
+    # slot by slot); the batch in memory and its dirty (processor, slot)s
+    disk = {g: ("the input load", [list(c) for c in counts])
+            for g, counts in enumerate(report.loaded or ())}
+    every = {(i, r) for i in range(p) for r in range(k)}
+    mem = (group_order(0, ngroups)[0], every) if disk else None
     failures = []
 
     def fail(message: str) -> None:
@@ -482,45 +475,55 @@ def check_theorem1_io(
 
     for s, bound in zip(report.supersteps, bounds):
         fetched = wrote = 0
-        order = group_order(s.index, ngroups)
-        for g, got, put, counts in s.ran:
-            who, want, _counts = written[g]
+        last = group_order(s.index, ngroups)[-1]
+        for g, uses, got, put, counts in s.ran:
+            at = f"superstep {s.index}: group {g}"
+            if algorithm is not None:
+                declared = state_uses(algorithm, s.index, [
+                    i * vpp + g * k + r for i in range(p) for r in range(k)])
+                if uses != declared:
+                    fail(f"{at}'s row says state uses {uses!r}, but its vps declare {declared!r}")
+                uses = declared
+            who, image = disk[g]
+            held = mem is not None and mem[0] == g
+            if not uses.strip("n"):
+                want = None
+            elif held:
+                want, who = 0, "the barrier, in memory,"
+            else:
+                want = max(_context_ops(c, g, params) for c in image)
             if got != want:
                 fail(
-                    f"superstep {s.index}: group {g}'s fetch_context charged "
-                    f"{got} ops, but {who} of those contexts cost {want}"
+                    f"{at}'s contexts were fetched at {got} ops, but none of its vps reads"
+                    if want is None else f"{at}'s contexts were not fetched, but a vp reads"
+                    if got is None else f"{at}'s fetch_context charged {got} ops, "
+                    f"but those contexts cost {want} as {who} left them"
                 )
-            fetched += want
-            may_keep = g not in (order[0], order[-1])
-            declared = may_keep and (
-                put is None if algorithm is None
-                else all(
-                    algorithm.keeps_state(s.index, i * vpp + g * k + r)
-                    for i in range(p) for r in range(k)
-                )
-            )
-            if put is None and not declared:
-                fail(
-                    f"superstep {s.index}: group {g} was not written back, but "
-                    + ("it opens or closes the superstep" if not may_keep
-                       else "not all its vps declare keeps_state")
-                )
-            elif put is not None and declared:
-                fail(
-                    f"superstep {s.index}: group {g} was written back at "
-                    f"{put} ops, but all its vps declare keeps_state"
-                )
-            if put is None:
-                continue
-            predicted = max(_context_ops(c, g, params) for c in counts)
+            fetched += want or 0
+            dirty = (mem[1] if held else set()) | {
+                (i, r) for i in range(p) for r in range(k) if uses[i * k + r] == "w"}
+            if g == last and (held or want is not None):
+                mem, dirty = (g, dirty), set()
+            elif held:
+                mem = None
+            written = {(i, r) for i in range(p) for r in range(k) if counts[i][r]}
+            if written - dirty:
+                fail(f"{at} wrote (processor, slot) {sorted(written - dirty)} back, "
+                     "but their disk image is their state or they stay in memory")
+            if dirty - written:
+                fail(f"{at} left memory with dirty (processor, slot) "
+                     f"{sorted(dirty - written)} unwritten")
+            predicted = max(_context_ops(c, g, params) for c in counts) if written else None
             if put != predicted:
                 fail(
-                    f"superstep {s.index}: group {g}'s write_context charged "
-                    f"{put} ops, but its block counts on the consecutive "
-                    f"layout cost {predicted}"
+                    f"{at}'s write_context charged {put} ops, but its block counts "
+                    f"on the consecutive layout cost {predicted}"
                 )
-            wrote += put
-            written[g] = (f"superstep {s.index}'s write-back", put, counts)
+            wrote += predicted or 0
+            for i, r in written:
+                image[i][r] = counts[i][r]
+            if written:
+                disk[g] = (f"superstep {s.index}'s write-back", image)
         for phase, want in (("fetch_context", fetched), ("write_context", wrote)):
             got = getattr(s.phases, phase)
             if got != want:
@@ -575,7 +578,7 @@ def check_theorem1_io(
     for what, got, moved in (
         ("input load", report.init_io_ops, list(enumerate(report.loaded or ()))),
         ("output unload", report.output_io_ops,
-         [(g, c) for g, (_who, _ops, c) in written.items()]),
+         [(g, c) for g, (_who, c) in disk.items() if mem is None or g != mem[0]]),
     ):
         want = max(sum(_context_ops(c[i], g, params) for g, c in moved) for i in range(p))
         if got != want:

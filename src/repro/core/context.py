@@ -23,14 +23,9 @@ bytes, so the stream is metered as the pickler emits it and never assembled
 reference path would — via
 :meth:`~repro.emio.diskarray.DiskArray.charge_batched`, which replays the
 exact greedy round packing arithmetic — without materializing a single
-``Block``; a load charges the same way and unpickles nothing.  The store
-keeps no dirty bit: every save re-measures, so a kernel that grows its state
-in place is re-counted (and refused past ``mu``) at the next save.  What is
-not saved is the algorithm's call — a group whose vps all declare
-:meth:`~repro.bsp.program.BSPAlgorithm.keeps_state` is not saved at all
-(the engine decides, :mod:`repro.core.engine`), so its slots keep their
-block counts, their disk image and, on the cached plane, the very objects
-the kernel was handed, which the declaration says it left as they were.
+``Block``; a load charges the same way and unpickles nothing.  Every save
+re-measures, so a kernel that grows its state in place is re-counted (and
+refused past ``mu``) at the next save.
 
 *Aliasing contract*: between a load and the next save of a slot, the kernel
 owns the held object and may mutate it in place; nobody else reads it.  This
@@ -40,14 +35,14 @@ tested under it.  A checkpoint freezes the states into a blob at the barrier
 and every recovery thaws fresh objects from it (:meth:`prime_cache`,
 :meth:`import_all`), so no held object ever outlives a rollback.
 
-**The resident group** (``save_group(..., hold=True)``): the group a barrier
-leaves in memory, because the next compound superstep runs it first
-(:func:`~repro.core.processor.group_order`).  It is measured like any save
-but neither written nor charged, and the next :meth:`ContextStore.load_group`
-of its slots hands the same objects back at no I/O.  Its tracks hold an older
-state or nothing, so every recovery holds it again from a checkpoint's
-states — :meth:`ContextStore.import_all`'s ``resident`` on a portable
-restore, a held save after an attach — never from disk.
+**The batch in memory** (:meth:`ContextStore.end_round`): at most one
+batch's states are in memory between rounds — the one a barrier holds —
+with the slots whose disk image is not their state marked *dirty*.  A
+round's batch leaves memory at its end, its dirty slots written and its
+clean ones dropped at no I/O, unless it is held across the barrier; its
+next :meth:`load_group` then hands the same objects back at no I/O.  A
+checkpoint records the held batch and its dirty slots (:meth:`held`), and
+every recovery holds it again from the checkpoint's states.
 
 On a traced array the physical path runs unchanged — the blocks written are
 cut from the fresh pickle and the load still reads them, so traces stay
@@ -138,9 +133,10 @@ class ContextStore:
         # Held state objects, boxed so that a state which *is* ``None`` still
         # reads as present; ``None`` marks a slot the cache does not hold.
         self._cached: list[tuple[Any] | None] = [None] * nslots
-        # The resident group, slot -> state: the one group a barrier leaves in
-        # memory (``save_group(..., hold=True)``).  Its disk image is stale.
+        # The batch in memory, slot -> state (empty when none is), and those
+        # of its slots whose disk image is not their state.
         self._resident: dict[int, Any] = {}
+        self._dirty: set[int] = set()
         # Cheap always-on tallies, sampled by the observability layer
         # (repro.obs) as the context-cache hit rate.
         self.cache_hits = 0
@@ -152,19 +148,11 @@ class ContextStore:
     def tracks_per_disk(self) -> int:
         return self.region.tracks_per_disk
 
-    def save(self, slot: int, state: Any) -> None:
-        """Pickle and write one context (fully parallel I/O)."""
-        self.save_group([slot], [state])
-
-    def load(self, slot: int) -> Any:
-        """Read and unpickle one context."""
-        return self.load_group([slot])[0]
-
     def invalidate_cache(self) -> None:
-        """Drop every held context, the resident group's too (next loads hit
+        """Drop every held context, the batch in memory's too (next loads hit
         the disk image)."""
         self._cached = [None] * self.nslots
-        self._resident = {}
+        self._resident, self._dirty = {}, set()
 
     def prime_cache(self, states: Sequence[Any]) -> None:
         """Re-seed the cache from checkpointed states (attach-time recovery).
@@ -195,25 +183,19 @@ class ContextStore:
         return addrs
 
     def save_group(
-        self, slots: Sequence[int], states: Sequence[Any], hold: bool = False
+        self, slots: Sequence[int], states: Sequence[Any], write: bool = True
     ) -> list[int]:
-        """Write a whole group of contexts with jointly packed parallel ops;
-        returns the block count of each slot written (none when held).
-
-        ``hold`` keeps the group in memory instead, as the *resident* group:
-        the group a barrier leaves in memory, which the next superstep runs
-        first.  It is measured (block count, ``mu`` refusal) but neither
-        written nor charged, and the next :meth:`load_group` of these slots
-        hands the states back at no I/O.  One group is resident at a time.
-        """
-        if hold and self._resident.keys() - set(slots):
-            raise DiskError("a second group cannot be held beside the resident one")
+        """Write a whole group of contexts with jointly packed parallel ops
+        — or, with ``write`` False, only measure them — and return the
+        block count of each slot; either way ``mu`` is enforced."""
         # One pickle per state: its length is what the block count, the mu
         # refusal and the charge are defined on.  The blocks are cut from the
-        # bytes, except where nothing reads them — a held group, or a cached
-        # state whose write the fast data plane charges without storing it:
-        # there the stream is metered and never assembled.
-        metered = hold or (self.cache and self.array.fast_data_plane)
+        # bytes, except where nothing reads them — a state only measured, or
+        # a cached one whose write the fast data plane charges without
+        # storing it: there the stream is metered and never assembled.
+        if not slots:
+            return []
+        metered = not write or (self.cache and self.array.fast_data_plane)
         chunk = self.B * Block.BYTES_PER_RECORD
         counts: list[int] = []
         ops: list = []
@@ -231,34 +213,67 @@ class ContextStore:
             self.max_records = max(self.max_records, check_context_bound(data, self.mu))
             n = -(-max(len(data), 1) // chunk)
             counts.append(n)
-            if hold:
+            self._used[slot] = n
+            if not write:
                 continue
+            if self.cache:
+                self._cached[slot] = (state,)
             addrs = self.region.slot_addrs(slot, n)
             if metered:
                 ops += addrs
             else:
                 ops += [(d, t, blk) for (d, t), blk in zip(addrs, bytes_to_blocks(data, self.B))]
+        if write and metered:
+            self.array.charge_batched("W", ops)
+        elif write:
+            self.array.write_batched(ops)
+        return counts
+
+    def held(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The batch in memory and its dirty slots, or None."""
+        if not self._resident:
+            return None
+        return tuple(self._resident), tuple(sorted(self._dirty))
+
+    def end_round(
+        self, slots: Sequence[int], states: Sequence[Any] | None, wrote: Sequence[bool],
+        hold: bool,
+    ) -> list[int]:
+        """Step 1(e) for batch ``slots``: ``states`` are its states if fetched
+        (None: then only a batch already in memory is), ``wrote`` marks the
+        ones rewritten, which become dirty.  With ``hold`` the batch stays in
+        memory, its rewritten states measured; otherwise its dirty slots are
+        written and its clean ones dropped at no I/O.  Returns the block
+        count written per slot, 0 for one not written."""
+        slots = list(slots)
+        resident = bool(slots) and slots[0] in self._resident
+        if states is None:
+            if not resident:
+                return [0] * len(slots)
+            states = [self._resident[s] for s in slots]
+        if hold and self._resident and not resident:
+            raise DiskError("a second batch cannot be held beside the one in memory")
+        dirty = [w or (resident and s in self._dirty) for s, w in zip(slots, wrote)]
+        pick = wrote if hold else dirty
+        counts = iter(self.save_group(
+            [s for s, x in zip(slots, pick) if x], [st for st, x in zip(states, pick) if x],
+            write=not hold,
+        ))
         if hold:
             self._resident = dict(zip(slots, states))
-        elif metered:
-            self.array.charge_batched("W", ops)
-        else:
-            self.array.write_batched(ops)
-        for slot, state, n in zip(slots, states, counts):
-            self._used[slot] = n
-            if self.cache:
-                self._cached[slot] = (state,)
-            if not hold:
-                self._resident.pop(slot, None)
-        return [] if hold else counts
+            self._dirty = {s for s, d in zip(slots, dirty) if d}
+            return [0] * len(slots)
+        if resident:
+            self._resident, self._dirty = {}, set()
+        return [next(counts) if d else 0 for d in dirty]
 
     def load_group(self, slots: Sequence[int]) -> list[Any]:
         """Read a whole group of contexts with jointly packed parallel ops —
-        none for the resident group, which is handed back as it is held."""
+        none for the batch in memory, which is handed back as it is held."""
         held = [s in self._resident for s in slots]
         if any(held):
             if not all(held):
-                raise DiskError(f"slots {list(slots)} straddle the resident group")
+                raise DiskError(f"slots {list(slots)} straddle the batch in memory")
             return [self._resident[s] for s in slots]
         if self.cache and all(self._cached[s] is not None for s in slots):
             self.cache_hits += len(slots)
@@ -303,11 +318,11 @@ class ContextStore:
         self,
         states: Sequence[Any],
         group_size: int | None = None,
-        resident: int | None = None,
+        held: tuple[Sequence[int], Sequence[int]] | None = None,
     ) -> None:
-        """Rewrite every context from ``states`` (restore path); group
-        ``resident`` (of ``group_size``) is held in memory, not written, as
-        it was at the barrier the states come from.
+        """Rewrite every context from ``states`` (restore path), but the
+        dirty slots of the batch ``held`` (:meth:`held`), which is held in
+        memory again as it was at the barrier the states come from.
 
         The cache is invalidated first: a restore replaces every slot, so a
         stale object must never survive it (save_group then holds the
@@ -319,7 +334,9 @@ class ContextStore:
                 f"restore of {len(states)} contexts into {self.nslots} slots"
             )
         self.invalidate_cache()
+        slots, dirty = held or ((), ())
         g = group_size or self.nslots
         for base in range(0, self.nslots, g):
-            hi = min(base + g, self.nslots)
-            self.save_group(range(base, hi), states[base:hi], hold=base // g == resident)
+            clean = [s for s in range(base, min(base + g, self.nslots)) if s not in dirty]
+            self.save_group(clean, [states[s] for s in clean])
+        self.end_round(slots, [states[s] for s in slots], [s in dirty for s in slots], hold=True)

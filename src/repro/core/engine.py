@@ -49,18 +49,19 @@ superstep): the max over vps of packets sent plus received,
 pads each group's blocks with Lemma 3's dummy blocks to the analysis' worst
 case; it has no meaning with several processors and is refused there.
 
-The rounds run their batches in ascending cyclic order, each compound
-superstep starting with the batch the one before ended with
-(:func:`~repro.core.processor.group_order`), on every processor alike: that
-batch stays in memory across the barrier, so its context write-back and
-fetch are skipped — with one batch (``v == p*k``), every one.  A batch
-whose vps are all declared quiet (:meth:`~repro.bsp.program.BSPAlgorithm.quiet`)
-and whose incoming slot is empty on every processor is skipped before
-anything is read, on every processor alike: no context swap, no compute, no
-scatter.  A batch whose vps all declare that they keep their state
-(:meth:`~repro.bsp.program.BSPAlgorithm.keeps_state`) runs but is not written
-back (Step 1(e)): its disk image is still its state.  Neither applies to the
-first or last batch of the order.
+What a round moves of the contexts follows one rule, from each vp's
+:meth:`~repro.bsp.program.BSPAlgorithm.state_use` (``none`` / ``read`` /
+``write``), decided alike on every processor before anything is read.  A
+batch whose vps are all ``none`` and whose incoming slot is empty on every
+processor is skipped: no compute, no scatter.  A batch that runs fetches its
+contexts only if some vp reads; a ``write`` vp's slot becomes dirty.  Every
+batch but the superstep's last leaves memory after its round, or in place of
+a round skipped: its dirty slots are written back (Step 1(e)), its clean ones
+dropped at no I/O.  The rounds run their batches in ascending cyclic order,
+each compound superstep starting with the batch the one before ended with
+(:func:`~repro.core.processor.group_order`): that batch stays in memory
+across the barrier if it is there, and its next fetch costs nothing — with
+one batch (``v == p*k``), every one.
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
@@ -117,7 +118,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..bsp.program import AlgorithmError, BSPAlgorithm
+from ..bsp.program import AlgorithmError, BSPAlgorithm, state_uses
 from ..costs import CostLedger, SuperstepCost, packets_for
 from ..emio.disk import Block
 from ..emio.faults import FATAL_IO_FAULTS, CrashPlan, FaultPlan, HostCrash, RetryPolicy
@@ -586,39 +587,37 @@ class ParallelEMSimulation:
 
         obs = self.obs
         k, vpp = self.params.k, self.params.vps_per_processor
-        order = group_order(step, self.params.groups_per_processor)
-        ran: list[tuple[int, int, int | None, tuple[tuple[int, ...], ...]]] = []
-        for j in order:
-            batch = [i * vpp + j * k + r for i in range(self.p) for r in range(k)]
-            # Two collective decisions, made alike for every processor
-            # before anything is read.  A batch of quiet vps whose incoming
-            # slot is empty on every processor is skipped — no fetch, no
-            # compute, no scatter; its gather moves nothing.  A batch whose
-            # vps all keep their state is run but not written back: its
-            # disk image is still theirs.  Neither applies to the
-            # superstep's first and last batches, which carry the resident
-            # batch across the barriers (the first's disk image is stale).
-            inner = j not in (order[0], order[-1])
-            if (
-                inner
-                and not any(sizes[j] for _r, _s, sizes in marks0)
-                and all(self.algorithm.quiet(step, vp) for vp in batch)
-            ):
-                all_halted = False  # a quiet vp does not vote halt
+        resident = marks0[0][3]
+        ran: list[tuple[int, str, int | None, int | None, tuple[tuple[int, ...], ...]]] = []
+        for j in group_order(step, self.params.groups_per_processor):
+            # The batch's state uses, processor by processor, decide alike
+            # for every processor before anything is read whether it runs
+            # and whether it fetches (module docstring).
+            uses = state_uses(self.algorithm, step, [
+                i * vpp + j * k + r for i in range(self.p) for r in range(k)])
+            mine = [uses[q * k:(q + 1) * k] for q in range(self.p)]
+            read = uses.strip("n") != ""
+            if not read and not any(m[2][j] for m in marks0):
+                all_halted = False  # a none vp with an empty inbox does not vote halt
                 if network:  # its gather moved nothing, but is a barrier
                     cost.syncs += 1
                 traffic.append(((), None) if network else ())
+                # Step 1(e) alone: only the batch in memory has any to do.
+                settled = (self.backend.call_all("settle", [(j, step)] * self.p)
+                           if j == resident else [(None, (0,) * k)] * self.p)
+                save_ctx = max((w[0] for w in settled if w[0] is not None), default=None)
+                phases.write_context += save_ctx or 0
+                ran.append((j, uses, None, save_ctx, tuple(w[1] for w in settled)))
                 continue
-            kept = inner and all(self.algorithm.keeps_state(step, vp) for vp in batch)
 
             # ---- Fetching phase: local reads + gather h-relation ----
             # inbound[q] = blocks for processor q's current k vps.
             with obs.span("fetch_barrier", batch=j, cat="layout") as sp:
-                fetches = self.backend.call_all("fetch", [(j,)] * self.p)
+                fetches = self.backend.call_all("fetch", [(j, read)] * self.p)
                 d = max(io for _by, io, _ctx in fetches)
                 phases.fetch_messages += d
                 sp.add(io_ops=d)
-            fetch_ctx = max(ctx for _by, _io, ctx in fetches)
+            fetch_ctx = max(ctx for _by, _io, ctx in fetches) if read else None
             inbound: list[list[Block]] = [[] for _ in range(self.p)]
             for by_owner, _io, _ctx in fetches:
                 for q, qblocks in by_owner.items():
@@ -628,7 +627,7 @@ class ParallelEMSimulation:
             # ---- Computing phase ----
             with obs.span("compute_barrier", batch=j, cat="kernel") as sp:
                 computes = self.backend.call_all(
-                    "compute", [(j, step, inbound[q]) for q in range(self.p)]
+                    "compute", [(j, step, inbound[q], mine[q]) for q in range(self.p)]
                 )
                 sp.add(comp_ops=max(r["comp"] for r in computes))
             cost.comp_ops += max(r["comp"] for r in computes)
@@ -647,17 +646,17 @@ class ParallelEMSimulation:
                 traffic.append(computes[0]["tally"])
             with obs.span("write_barrier", batch=j, cat="layout") as sp:
                 writes = self.backend.call_all(
-                    "write", [(j, step, outpackets[q], kept) for q in range(self.p)]
+                    "write", [(j, step, outpackets[q]) for q in range(self.p)]
                 )
                 d = max(w[1] for w in writes)
                 sp.add(io_ops=d, packets=sum(len(r["packets"]) for r in computes))
             blocks_generated += sum(w[0] for w in writes)
             phases.write_messages += d
             packing.append([(w[2], w[3]) for w in writes])
-            save_ctx = None if kept else max(w[4] for w in writes)
-            phases.fetch_context += fetch_ctx
+            save_ctx = max((w[4] for w in writes if w[4] is not None), default=None)
+            phases.fetch_context += fetch_ctx or 0
             phases.write_context += save_ctx or 0
-            ran.append((j, fetch_ctx, save_ctx, tuple(w[5] for w in writes)))
+            ran.append((j, uses, fetch_ctx, save_ctx, tuple(w[5] for w in writes)))
         if not network:  # the virtual machine's h-relation (Algorithm 1)
             cost.comm_packets += h_relation(traffic)
 

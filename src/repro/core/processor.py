@@ -227,8 +227,9 @@ class RealProcessor:
 
     def load_input(self) -> tuple[int, list[tuple[int, ...]]]:
         """Create and store the initial contexts, ``k`` at a time; the group
-        superstep 0 runs first stays in memory.  Returns the I/O and each
-        group's written block counts, slot by slot (none for the held one)."""
+        superstep 0 runs first stays in memory, every slot dirty.  Returns
+        the I/O and each group's written block counts, slot by slot (0 for
+        the held one's)."""
         alg = self.algorithm
         with self.obs.span("load_input", cat="layout") as sp:
             t = self.array.parallel_ops
@@ -237,7 +238,8 @@ class RealProcessor:
             for j in range(self.nbatches):
                 states = [alg.initial_state(vp, self.v) for vp in self.vps(j)]
                 counts.append(tuple(
-                    self.contexts.save_group(self.slots(j), states, hold=j == first)
+                    self.contexts.end_round(self.slots(j), states, [True] * self.k, hold=True)
+                    if j == first else self.contexts.save_group(self.slots(j), states)
                 ))
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta)
@@ -325,11 +327,11 @@ class RealProcessor:
     # parallel-I/O deltas, so the engine does the model's max-over-processors
     # accounting identically for every backend.
 
-    def begin_superstep(self) -> tuple[int, int, list[int]]:
+    def begin_superstep(self) -> tuple[int, int, list[int], int | None]:
         """Open a compound superstep and its ``D``-bucket store; returns
-        (retry_ops, stall_ops) marks and the blocks each batch's incoming
-        slot holds (what the engine tells an idle batch by before anything
-        is fetched)."""
+        (retry_ops, stall_ops) marks, the blocks each batch's incoming slot
+        holds (what the engine tells an idle batch by before anything is
+        fetched) and the batch in memory, if any."""
         self.buckets = LinkedBuckets(
             self.array,
             self.allocator,
@@ -345,17 +347,20 @@ class RealProcessor:
         inc = self.incoming
         sizes = [sum(inc.slot_sizes[s] for s in self.slots(j)) if inc else 0
                  for j in range(self.nbatches)]
-        return self.array.retry_ops, self.stall_total(), sizes
+        held = self.contexts.held()
+        return self.array.retry_ops, self.stall_total(), sizes, held and held[0][0] // self.k
 
-    def fetch(self, j: int) -> tuple[dict[int, list[Block]], int, int]:
-        """Step 1(a): read batch ``j``'s contexts, kept here for
-        :meth:`compute`, and its message blocks, grouped by owning
-        processor.  Returns the blocks and the message and context I/O."""
+    def fetch(self, j: int, read: bool) -> tuple[dict[int, list[Block]], int, int | None]:
+        """Step 1(a): read batch ``j``'s contexts if ``read`` (some vp of the
+        batch reads; a batch in memory costs no I/O), kept here for
+        :meth:`compute`, and its message blocks, grouped by owning processor.
+        Returns the blocks and the message and context I/O (None for no
+        context fetch)."""
         with self.obs.span("fetch_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            self.states = self.contexts.load_group(self.slots(j))
-            ctx_io = self.array.parallel_ops - t
-            sp.add(io_ops=ctx_io)
+            self.states = self.contexts.load_group(self.slots(j)) if read else None
+            ctx_io = self.array.parallel_ops - t if read else None
+            sp.add(io_ops=ctx_io or 0)
         with self.obs.span("fetch", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
             blks = self.fetch_group(self.slots(j))
@@ -366,9 +371,10 @@ class RealProcessor:
             sp.add(io_ops=delta, blocks=len(blks))
         return by_owner, delta, ctx_io
 
-    def compute(self, j: int, step: int, inbound: list[Block]) -> dict[str, Any]:
-        """Step 1(b): run batch ``j``'s ``k`` virtual supersteps; the new
-        contexts stay here for :meth:`write`.
+    def compute(self, j: int, step: int, inbound: list[Block], uses: str) -> dict[str, Any]:
+        """Step 1(b): run batch ``j``'s ``k`` virtual supersteps, each vp on
+        its state or, where its letter of ``uses`` is ``n``, on None; the
+        states ``w`` vps leave stay here for :meth:`write`.
 
         Returns the round's outbox cut into packets of ``b`` records and
         the deal offset (``None`` for an empty outbox, which draws no random
@@ -377,21 +383,23 @@ class RealProcessor:
         here for :meth:`write` — plus this processor's cost contributions.
         """
         b = self.params.machine.b
-        new_states: list[Any] = []
+        states = self.states  # None unless fetched, and fetched if some vp writes
         pieces: list[Piece] = []
         comp = 0.0
         sent_records = 0
         halted = True
+        self.wrote = [u == "w" for u in uses]
         with self.obs.span("compute", batch=j, step=step, cat="kernel") as sp:
-            for ctx in self.run_vps(self.vps(j), self.states, inbound, step):
-                new_states.append(ctx.state)
+            given = [None if u == "n" else states[r] for r, u in enumerate(uses)]
+            for r, ctx in enumerate(self.run_vps(self.vps(j), given, inbound, step)):
+                if self.wrote[r]:
+                    states[r] = ctx.state
                 if not ctx.halted:
                     halted = False
                 comp += ctx.comp_ops
                 sent_records += ctx.sent_records
                 for mi, msg in enumerate(ctx.outbox):
                     pieces.append((msg.dest, msg.src, mi, 0, msg.payload))
-            self.states = new_states
             packets: list[Block] = []
             offset = tally = None
             if not self.network:
@@ -410,18 +418,15 @@ class RealProcessor:
         }
 
     def write(
-        self, j: int, step: int, packets: list[Block], kept: bool = False
+        self, j: int, step: int, packets: list[Block]
     ) -> tuple[int, int, tuple[int, ...], int, int | None, tuple[int, ...]]:
         """Step 1(c): pack the pieces of the received packets (or, without
         a network, the round's own) into full blocks per destination group,
         pad them with Lemma 3's dummy blocks under ``pad_to_gamma``, and
-        append them to the buckets; then write batch ``j``'s contexts back —
-        unless the batch is ``kept`` (its vps all declared
-        :meth:`~repro.bsp.program.BSPAlgorithm.keeps_state`), whose slots
-        keep their disk image and block counts.  Returns the message blocks,
-        the message I/O, each destination group's records and the dummy
-        blocks (for the packing referee), the context I/O (``None`` when
-        kept) and the block counts of the slots written."""
+        append them to the buckets; then Step 1(e), :meth:`settle`.  Returns
+        the message blocks, the message I/O, each destination group's
+        records and the dummy blocks (for the packing referee), then what
+        :meth:`settle` returns."""
         B = self.params.machine.B
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
@@ -435,17 +440,25 @@ class RealProcessor:
             self.buckets.append_blocks(rblocks)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=len(rblocks), packets=len(packets))
+        return (nblocks, delta, loads, dummies, *self.settle(j, step, self.states, self.wrote))
+
+    def settle(
+        self, j: int, step: int, states: list[Any] | None = None, wrote: list[bool] | None = None
+    ) -> tuple[int | None, tuple[int, ...]]:
+        """Step 1(e) for batch ``j``, alone in place of a skipped round
+        (:meth:`~repro.core.context.ContextStore.end_round`; the superstep's
+        last batch is held).  Returns the context I/O (None if nothing was
+        written) and the block counts written, slot by slot."""
         with self.obs.span("write_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            counts: list[int] = []
-            if not kept:
-                # The last round's group stays in memory: it opens the next superstep.
-                last = group_order(step, self.nbatches)[-1]
-                counts = self.contexts.save_group(self.slots(j), self.states, hold=j == last)
+            last = group_order(step, self.nbatches)[-1]
+            counts = self.contexts.end_round(
+                self.slots(j), states, wrote or [False] * self.k, hold=j == last
+            )
             self.states = None
             save_io = self.array.parallel_ops - t
             sp.add(io_ops=save_io)
-        return nblocks, delta, loads, dummies, None if kept else save_io, tuple(counts)
+        return (save_io if any(counts) else None), tuple(counts)
 
     def reorganize(self, step: int) -> tuple[RoutingStats, int]:
         """Step 2 on the local buckets (:meth:`deliver`)."""
@@ -480,7 +493,8 @@ class RealProcessor:
         """
         with self.obs.span("checkpoint", cat="checkpoint") as sp:
             t = self.array.parallel_ops
-            state_blob = freeze(self.contexts.export_all(group_size=self.k))
+            state_blob = freeze((self.contexts.export_all(group_size=self.k),
+                                 self.contexts.held()))
             inc = self.incoming
             if inc is not None:
                 layout = (inc.slot_sizes, inc.read_slots(range(inc.nslots)))
@@ -522,12 +536,6 @@ class RealProcessor:
             "incoming": None if inc is None else inc.reference(),
         }
 
-    def _hold_resident(self, states: list[Any], step: int) -> None:
-        """Hold the group that opens superstep ``step`` in memory again, from
-        a checkpoint's ``states`` (local slot order)."""
-        slots = self.slots(group_order(step, self.nbatches)[0])
-        self.contexts.save_group(slots, [states[s] for s in slots], hold=True)
-
     def attach_storage(
         self, ref: dict, rng_state: Any, step: int, state_blob: bytes
     ) -> int:
@@ -551,11 +559,14 @@ class RealProcessor:
             # Cache-mode saves are charge-only on the fast plane, so the
             # attached disk image has no context bytes — reseed the cache
             # from the checkpoint's portable states (no counted I/O).  The
-            # resident group never reached the disk at all: hold it again.
-            states = thaw(state_blob)
+            # held batch's dirty slots never reached the disk: hold it again.
+            states, held = thaw(state_blob)
             if self.contexts.cache:
                 self.contexts.prime_cache(states)
-            self._hold_resident(states, step)
+            slots, dirty = held or ((), ())
+            self.contexts.end_round(
+                slots, [states[s] for s in slots], [s in dirty for s in slots], hold=True
+            )
             if ref["incoming"] is not None:
                 kind, *layout = ref["incoming"]
                 self.incoming = _ADOPT[kind](self.array, self.allocator, *layout)
@@ -574,10 +585,8 @@ class RealProcessor:
             self.swap_incoming(None)
             if rng_state is not None:
                 self.rng.setstate(rng_state)
-            self.contexts.import_all(
-                thaw(state_blob), group_size=self.k,
-                resident=group_order(step, self.nbatches)[0],
-            )
+            states, held = thaw(state_blob)
+            self.contexts.import_all(states, group_size=self.k, held=held)
             # The blob holds blocks by slot, and a kept store's drives too: it
             # comes back with every block on its drive, so each fetch costs
             # what it would have.

@@ -100,15 +100,14 @@ class SuperstepReport:
     # Lemma 3 dummy blocks added — what the exact write referee
     # (repro.conform.oracles.check_theorem1_io) counts blocks and ops from.
     packing: list[list[tuple[tuple[int, ...], int]]] | None = None
-    # The groups (Algorithm 3: batches) that ran, in run order, each as
-    # ``(group, fetch_context ops, write_context ops, block counts)``: the
-    # ops are maxima over processors, the write ``None`` for a kept group
-    # (its vps all keep their state: not written back) and 0 for the group
-    # held in memory; the block counts are each processor's, slot by slot,
-    # of the slots written (empty when none was).  A group of quiet vps that
-    # received nothing is skipped and absent.  What the context referee pins
-    # each group's fetch to its last write by, and predicts each write from.
-    ran: list[tuple[int, int, int | None, tuple[tuple[int, ...], ...]]] | None = None
+    # Every group (Algorithm 3: batch) in run order, skipped ones too, as
+    # ``(group, state uses, fetch_context ops, write_context ops, block
+    # counts)``: the uses one letter a vp (``n`` / ``r`` / ``w``, processor
+    # by processor), the ops maxima over processors — ``None`` for a fetch
+    # or a write-back that did not happen — and the block counts each
+    # processor's, slot by slot, of the slots written (0 for one not
+    # written).  What the context referee replays the engine's rule on.
+    ran: list[tuple[int, str, int | None, int | None, tuple[tuple[int, ...], ...]]] | None = None
     # Each round's communication, in run order.  With several processors,
     # Algorithm 3's two h-relations as ``(gather, deal)``: the gather as
     # ``(sender, owner, records)`` per pair of processors that moved blocks
@@ -142,7 +141,7 @@ class SimulationReport:
     disk_space_tracks: int = 0  # allocator high water, tracks per disk
     init_io_ops: int = 0  # input loading (excluded from superstep costs)
     # Per group, each processor's block counts the input load wrote, slot by
-    # slot (empty for the group it held in memory): the share of the input
+    # slot (0 for the group it held in memory): the share of the input
     # load a group's contexts are fetched at until they are first written.
     loaded: list[tuple[tuple[int, ...], ...]] | None = None
     output_io_ops: int = 0  # result unloading

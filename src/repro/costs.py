@@ -121,11 +121,6 @@ class CostLedger:
         self.current.comm_packets += packets_for(nrecords, self.machine.b)
         self.current.records_sent += nrecords
 
-    def charge_comm_packets(self, npackets: int, nrecords: int = 0) -> None:
-        """Charge ``npackets`` already-packetized units of communication."""
-        self.current.comm_packets += npackets
-        self.current.records_sent += nrecords
-
     def charge_io(self, ops: int, nrecords: int = 0) -> None:
         """Charge ``ops`` parallel I/O operations to the open superstep."""
         self.current.io_ops += ops

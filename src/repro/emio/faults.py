@@ -46,7 +46,7 @@ import random
 import zlib
 
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .disk import Block, Disk, DiskError
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .disk import Block, DiskError
 from .diskarray import DiskArray
@@ -234,12 +234,6 @@ class LinkedBuckets(SlotReads):
             expected = R / self.array.D
             worst = max(worst, max(self.bucket_disk_loads(j)) / expected)
         return worst
-
-    def iter_bucket_tracks(self, bucket: int) -> Iterable[tuple[int, int, int]]:
-        """Yield (disk, track, dest) triples of a bucket's blocks."""
-        for disk, entries in enumerate(self.table[bucket]):
-            for t, dest in entries:
-                yield disk, t, dest
 
     @property
     def total_blocks(self) -> int:

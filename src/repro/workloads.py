@@ -8,7 +8,6 @@ speed where convenient.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 import numpy as np
 

@@ -21,10 +21,10 @@ def make_store(nslots=4, mu=256, B=16, D=2):
 class TestContextStore:
     def test_save_load_roundtrip(self):
         _, store = make_store()
-        store.save(0, {"a": [1, 2, 3]})
-        store.save(3, ("x", 4.5))
-        assert store.load(0) == {"a": [1, 2, 3]}
-        assert store.load(3) == ("x", 4.5)
+        store.save_group([0], [{"a": [1, 2, 3]}])
+        store.save_group([3], [("x", 4.5)])
+        assert store.load_group([0])[0] == {"a": [1, 2, 3]}
+        assert store.load_group([3])[0] == ("x", 4.5)
 
     def test_group_roundtrip(self):
         _, store = make_store()
@@ -34,21 +34,21 @@ class TestContextStore:
 
     def test_only_used_blocks_transferred(self):
         array, store = make_store(mu=1024, B=16)
-        store.save(0, 7)  # tiny context: one block
+        store.save_group([0], [7])  # tiny context: one block
         array.reset_stats()
-        store.load(0)
+        store.load_group([0])[0]
         assert array.parallel_ops == 1
 
     def test_shrinking_context_reads_correctly(self):
         _, store = make_store(mu=1024)
-        store.save(1, list(range(500)))  # many blocks
-        store.save(1, "small")  # fewer blocks; stale ones must be ignored
-        assert store.load(1) == "small"
+        store.save_group([1], [list(range(500))])  # many blocks
+        store.save_group([1], ["small"])  # fewer blocks; stale ones must be ignored
+        assert store.load_group([1])[0] == "small"
 
     def test_mu_enforced(self):
         _, store = make_store(mu=8)
         with pytest.raises(DiskError):
-            store.save(0, list(range(10_000)))
+            store.save_group([0], [list(range(10_000))])
 
     def test_area_preallocated(self):
         array, store = make_store(nslots=8, mu=256, B=16, D=2)

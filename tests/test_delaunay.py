@@ -5,7 +5,6 @@ position (distinct coordinates, random placement), where the Delaunay
 triangulation is unique and the comparison is exact.
 """
 
-import math
 import random
 
 import pytest

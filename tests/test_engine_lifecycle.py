@@ -333,16 +333,16 @@ P1_COLUMNS = {
     "smoke_sort": (
         lambda: CGMSampleSort(np.random.default_rng(3).integers(0, 1 << 30, 156_250), 128),
         (40_000, 4, 1024, 2048), FAST_VECTOR,
-        (4, 56, 156, 71, 64, 100, 0, 56, 514, 240, 96, 0, 5089510)),
+        (4, 56, 148, 71, 64, 92, 0, 56, 514, 240, 96, 0, 5089510)),
     "smoke_listrank": (
         lambda: CGMListRanking(_suite_list(2048), 8),
         (1 << 22, 4, 256, 512), dict(FAST_VECTOR, storage="file", checkpoint=True),
         (14, 0, 0, 25, 25, 0, 0, 0, 194, 87, 10, 25, 26887)),
-    # Step 2 forced onto Algorithm 2: 15 + 247 + 13 I/O ops, 69 to checkpoint.
+    # Step 2 forced onto Algorithm 2: 15 + 237 + 13 I/O ops, 74 to checkpoint.
     "forced_algorithm_2_sort": (
         lambda: CGMSampleSort(uniform_keys(512, seed=11), 4),
         (512, 4, 8, 16), dict(seed=3, checkpoint=True),
-        (4, 15, 43, 25, 25, 26, 128, 13, 35, 81, 34, 69, 10320)),
+        (4, 15, 38, 25, 25, 21, 128, 13, 35, 81, 34, 74, 10320)),
     "listrank_d8": (
         lambda: CGMListRanking(random_linked_list(8192, seed=3), 64),
         (1 << 14, 8, 32, 64), dict(seed=3),

@@ -1,8 +1,6 @@
 """Coverage for the remaining small surfaces: collectives, trace windows,
 strict-mode reporting, Sibeyn cells accounting, non-numeric records."""
 
-import pytest
-
 from repro import workloads
 from repro.algorithms import CGMSampleSort
 from repro.bsp.collectives import merge_sorted, regular_samples

@@ -1,7 +1,6 @@
 """Tests for CGM multisearch and the direct EM batched-search baseline."""
 
 import bisect
-import random
 
 import pytest
 

@@ -1,10 +1,7 @@
 """Tests for the Pipeline composition helper."""
 
-import pytest
-
 from repro import workloads
 from repro.algorithms.graphs import batched_lca, biconnected_components, tree_depths
-from repro.bsp.runner import run_reference
 from repro.params import MachineParams
 from repro.pipeline import Pipeline
 

@@ -1,7 +1,5 @@
 """Tests for the workload generators (S12)."""
 
-import pytest
-
 from repro import workloads
 
 
