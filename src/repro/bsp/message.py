@@ -133,13 +133,13 @@ def pack_blocks(pieces: Iterable[Piece], B: int, dest: int) -> list[Block]:
 
 def pack_by_group(
     pieces: Iterable[Piece], B: int, k: int
-) -> tuple[list[Block], tuple[int, ...]]:
+) -> tuple[list[Block], tuple[tuple[int, int], ...]]:
     """Step 1(d): pack ``pieces`` per destination group of ``k`` virtual
     processors (key ``dest - dest % k``), groups in ascending key order,
     pieces in arrival order within a group.
 
-    Returns the blocks and, group by group, the records packed — counted
-    from the pieces, not the blocks, so that
+    Returns the blocks and, group by group, ``(key, records packed)`` — the
+    records counted from the pieces, not the blocks, so that
     :func:`~repro.conform.oracles.check_theorem1_io` can referee the packing.
     """
     groups: dict[int, list[Piece]] = {}
@@ -150,7 +150,7 @@ def pack_by_group(
     loads = []
     for key in sorted(groups):
         blocks.extend(pack_blocks(groups[key], B, key))
-        loads.append(sum(len(piece[4]) for piece in groups[key]))
+        loads.append((key, sum(len(piece[4]) for piece in groups[key])))
     return blocks, tuple(loads)
 
 

@@ -55,6 +55,7 @@ from typing import Any
 import numpy as np
 
 from ..bsp.program import state_uses
+from ..core.engine import RunConfig
 from ..core.processor import group_order
 from ..core.stats import SimulationReport
 from ..params import SimulationParams
@@ -287,6 +288,10 @@ def theorem1_io_bound(
       bucket — the exact round counts of Algorithm 2's two phases; the
       superstep charges the max over processors (0 for a kept store).
 
+    Where the superstep's last batch holds its inbox in memory
+    (``report.inbox_held``), the blocks a processor packs for its own vps
+    of it count in ``T_s`` but are neither written nor fetched, so each
+    term still over-approximates its phase.
     Summed over supersteps this is the ``O(lambda * (v/p) * mu/(D*B))`` of
     Theorem 1 with explicit constants and lower-order terms.  The bound is
     checked only on healthy runs: retries and degraded writes charge extra
@@ -337,18 +342,21 @@ def _fetch_ops(routing: list, D: int) -> int:
     return sum(map(max, zip(*per_proc)))
 
 
-def _packed_write(packing: list, B: int, D: int) -> tuple[int, int]:
+def _packed_write(packing: list, B: int, D: int, kept) -> tuple[int, int]:
     """What Step 1(d)'s packing costs by its own record counts, as
     ``(message blocks, write ops)``: a destination group of ``r`` records
     packs into ``ceil(r/B)`` full-but-the-last blocks (one if every message
     in it is empty), and a round's blocks plus its Lemma 3 dummies go out in
-    cycles of ``D``, the round charging its slowest processor."""
+    cycles of ``D``, the round charging its slowest processor — all but the
+    blocks of the groups ``kept(processor, key)`` holds in memory."""
     blocks = ops = 0
     for round_ in packing:
-        per_proc = [sum(-(-r // B) or 1 for r in loads) for loads, _dummies in round_]
-        blocks += sum(per_proc)
+        per_proc = [[(-(-r // B) or 1, kept(i, key)) for key, r in loads]
+                    for i, (loads, _d) in enumerate(round_)]
+        blocks += sum(n for row in per_proc for n, _held in row)
         ops += max(
-            (-(-(n + dummies) // D) for n, (_loads, dummies) in zip(per_proc, round_)),
+            (-(-(sum(n for n, held in row if not held) + dummies) // D)
+             for row, (_loads, dummies) in zip(per_proc, round_)),
             default=0,
         )
     return blocks, ops
@@ -429,7 +437,8 @@ def check_theorem1_io(
     * the next superstep's ``fetch_messages`` equals what the incoming set
       costs by its ``group_loads``: per fetch group, the max over processors
       of the kept store's heaviest drive, or of ``ceil(m/D)`` for a region
-      Algorithm 2 laid out, summed over groups;
+      Algorithm 2 laid out, summed over groups (a held inbox is in no
+      group's loads: it is read from memory);
     * the contexts, group by group (``SuperstepReport.ran``), replaying the
       engine's rule (:mod:`repro.core.engine`) on each row's state uses —
       the ``algorithm``'s, when given, which the rows must match.  A group
@@ -447,7 +456,11 @@ def check_theorem1_io(
       (writing group or receiving processor-round, destination group) of
       ``ceil(records/B)`` — 1 for a group of empty messages only — and
       ``write_messages`` equals the sum over rounds of the max over
-      processors of ``ceil((blocks + Lemma 3 dummies)/D)``.
+      processors of ``ceil((blocks + Lemma 3 dummies)/D)`` — the blocks a
+      processor packs for its own vps of the held batch counted but not
+      written where the run held its inbox (``report.inbox_held``, which
+      :meth:`RunConfig.holds_inbox <repro.core.engine.RunConfig.holds_inbox>`
+      must allow at the run's ``M``).
 
     And one exact layer on the network ledger: ``comm_packets`` equals what
     ``SuperstepReport.traffic`` says was sent.  With several processors
@@ -461,6 +474,7 @@ def check_theorem1_io(
     D, B, p = params.machine.D, params.machine.B, params.machine.p
     k, vpp = params.k, params.vps_per_processor
     ngroups = params.groups_per_processor
+    held_inbox = report.inbox_held
     fetch = 0  # what this superstep's fetches of the incoming set cost
     # group -> (who wrote its disk image last, each processor's block counts
     # slot by slot); the batch in memory and its dirty (processor, slot)s
@@ -472,6 +486,10 @@ def check_theorem1_io(
 
     def fail(message: str) -> None:
         failures.append(OracleFailure("theorem1_io", message))
+
+    if held_inbox and not RunConfig().holds_inbox(params):
+        fail(f"the run held an inbox, but k*(mu + gamma) = "
+             f"{k * (params.bsp.mu + params.bsp.gamma)} records exceed M = {params.machine.M}")
 
     for s, bound in zip(report.supersteps, bounds):
         fetched = wrote = 0
@@ -543,13 +561,16 @@ def check_theorem1_io(
                 f"group loads (heaviest drive where kept) cost {fetch}"
             )
         if s.packing is not None:
-            blocks, ops = _packed_write(s.packing, B, D)
+            blocks, ops = _packed_write(
+                s.packing, B, D,
+                lambda i, key: held_inbox and key // vpp == i and key % vpp // k == last)
             if (s.message_blocks, s.phases.write_messages) != (blocks, ops):
                 fail(
                     f"superstep {s.index}: the packed write charged "
                     f"{s.message_blocks} message blocks in "
                     f"{s.phases.write_messages} ops, but the records packed "
                     f"per destination group make {blocks} blocks in {ops}"
+                    + (" (the held inbox's written nowhere)" if held_inbox else "")
                 )
         if s.traffic is not None:
             want = _traffic_packets(s.traffic, p, params.machine.b)

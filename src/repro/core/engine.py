@@ -286,6 +286,15 @@ class RunConfig:
                 "it requires checkpoint=True and a non-memory storage plane"
             )
 
+    def holds_inbox(self, params: SimulationParams) -> bool:
+        """Whether the batch held across the barrier keeps its inbox in
+        memory too (DESIGN §13): iff a processor's ``k`` held contexts and
+        the at most ``k*gamma`` records bound for them fit in ``M``,
+        ``gamma`` is enforced, and ``pad_to_gamma``, which charges the
+        analysis' worst case, is off."""
+        m, s, k = params.machine, params.bsp, params.k
+        return self.enforce_gamma and not self.pad_to_gamma and k * (s.mu + s.gamma) <= m.M
+
     @classmethod
     def of(cls, config: RunConfig | None = None, **knobs: Any) -> RunConfig:
         """``config`` (every field at its default when ``None``) with
@@ -366,7 +375,9 @@ class ParallelEMSimulation:
         self.p = params.machine.p
         self.v = params.bsp.v
         self.ledger = CostLedger(params.machine)
-        self.report = SimulationReport(params=params, ledger=self.ledger)
+        self.report = SimulationReport(
+            params=params, ledger=self.ledger, inbox_held=config.holds_inbox(params)
+        )
 
         self.last_checkpoint: SuperstepCheckpoint | None = None
         self._recoveries = 0

@@ -140,6 +140,12 @@ class RealProcessor:
         # superstep's bucket store itself (see deliver()).
         self.incoming: SlotReads | None = None
         self.buckets: LinkedBuckets | None = None
+        # The held batch's inbox (RunConfig.holds_inbox): the blocks this
+        # processor packs for its own held vps stay here, not in the bucket
+        # store, while they are packed (``keeping``) and across the barrier,
+        # by batch, until its fetch (``inbox``).
+        self.holds_inbox = config.holds_inbox(params)
+        self.inbox: dict[int, list[Block]] = {}
         # Worker-side telemetry: spans/samples/metrics collected here and
         # drained to the engine (over the pipe, under the process backend)
         # by drain_obs() — per-worker visibility with zero cost when off.
@@ -247,12 +253,15 @@ class RealProcessor:
 
     def fetch_group(self, slots: Sequence[int]) -> list[Block]:
         """The incoming message blocks of ``slots`` — one batch's — in one
-        read, empty slots dropped.  Lemma 3's dummy blocks are kept: a batch
-        they were written to is not idle, and the messages they carry are
-        none (:func:`~repro.bsp.message.blocks_to_messages`)."""
+        read, empty slots dropped, then the batch's held inbox, taken from
+        memory at no I/O.  Lemma 3's dummy blocks are kept: a batch they
+        were written to is not idle, and the messages they carry are none
+        (:func:`~repro.bsp.message.blocks_to_messages`)."""
+        inbox = self.inbox.pop(slots[0] // self.k, [])
         if self.incoming is None:
-            return []
-        return [blk for blks in self.incoming.read_slots(slots) for blk in blks if blk is not None]
+            return inbox
+        return [blk for blks in self.incoming.read_slots(slots) for blk in blks
+                if blk is not None] + inbox
 
     def run_vps(
         self,
@@ -288,7 +297,8 @@ class RealProcessor:
     def deliver(self, step: int) -> RoutingStats:
         """Step 2: make superstep ``step``'s bucket store the next one's
         incoming messages, one slot per vp (:meth:`slot_of_vp`); the
-        ``nbatches`` fetch groups take the slots in equal consecutive runs.
+        ``nbatches`` fetch groups take the slots in equal consecutive runs;
+        the held batch's inbox becomes its next fetch's, in memory.
 
         The store's tables say, before any block moves, what each group's
         fetch would cost reading the store as it stands (``group_loads``).
@@ -299,6 +309,8 @@ class RealProcessor:
         """
         store, slot_of = self.buckets, self.slot_of_vp
         loads = store.retain(self.vpp, slot_of).group_loads(self.nbatches)
+        last = group_order(step, self.nbatches)[-1]
+        self.inbox = {last: self.keeping} if self.keeping else {}
         if keep_store(loads, self.array.D):
             incoming, routing = store, RoutingStats.of(store)
         else:
@@ -330,8 +342,8 @@ class RealProcessor:
     def begin_superstep(self) -> tuple[int, int, list[int], int | None]:
         """Open a compound superstep and its ``D``-bucket store; returns
         (retry_ops, stall_ops) marks, the blocks each batch's incoming slot
-        holds (what the engine tells an idle batch by before anything is
-        fetched) and the batch in memory, if any."""
+        and held inbox hold (what the engine tells an idle batch by before
+        anything is fetched) and the batch in memory, if any."""
         self.buckets = LinkedBuckets(
             self.array,
             self.allocator,
@@ -344,9 +356,10 @@ class RealProcessor:
         # network, and the Lemma 3 dummy blocks written so far.
         self.held: list[Piece] = []
         self.dummies = 0
+        self.keeping: list[Block] = []
         inc = self.incoming
-        sizes = [sum(inc.slot_sizes[s] for s in self.slots(j)) if inc else 0
-                 for j in range(self.nbatches)]
+        sizes = [(sum(inc.slot_sizes[s] for s in self.slots(j)) if inc else 0)
+                 + len(self.inbox.get(j, ())) for j in range(self.nbatches)]
         held = self.contexts.held()
         return self.array.retry_ops, self.stall_total(), sizes, held and held[0][0] // self.k
 
@@ -423,10 +436,12 @@ class RealProcessor:
         """Step 1(c): pack the pieces of the received packets (or, without
         a network, the round's own) into full blocks per destination group,
         pad them with Lemma 3's dummy blocks under ``pad_to_gamma``, and
-        append them to the buckets; then Step 1(e), :meth:`settle`.  Returns
-        the message blocks, the message I/O, each destination group's
-        records and the dummy blocks (for the packing referee), then what
-        :meth:`settle` returns."""
+        append them to the buckets — but for those bound for this
+        processor's own vps of the held batch, kept in memory where it holds
+        its inbox; then Step 1(e), :meth:`settle`.  Returns the message
+        blocks, the message I/O, each destination group's records and the
+        dummy blocks (for the packing referee), then what :meth:`settle`
+        returns."""
         B = self.params.machine.B
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
@@ -437,9 +452,15 @@ class RealProcessor:
             for _ in range(dummies):
                 rblocks.append(Block(records=[], dest=self.dummies % self.v, dummy=True))
                 self.dummies += 1
+            if self.holds_inbox:
+                last = group_order(step, self.nbatches)[-1]
+                kept = [self.owner_of_vp(blk.dest) == self.index
+                        and self.slot_of_vp(blk.dest) // self.k == last for blk in rblocks]
+                self.keeping += [blk for blk, x in zip(rblocks, kept) if x]
+                rblocks = [blk for blk, x in zip(rblocks, kept) if not x]
             self.buckets.append_blocks(rblocks)
             delta = self.array.parallel_ops - t
-            sp.add(io_ops=delta, blocks=len(rblocks), packets=len(packets))
+            sp.add(io_ops=delta, blocks=nblocks + dummies, packets=len(packets))
         return (nblocks, delta, loads, dummies, *self.settle(j, step, self.states, self.wrote))
 
     def settle(
@@ -487,14 +508,14 @@ class RealProcessor:
 
         Reading the contexts and the incoming messages off the simulated
         disks is charged as real parallel I/O (the returned delta) — all but
-        the resident group's, which is read from memory; holding the pickled
-        snapshot on the host side is free, like writing it to a durable
-        service outside the machine model.
+        the resident group's and the held inbox, which are read from memory;
+        holding the pickled snapshot on the host side is free, like writing
+        it to a durable service outside the machine model.
         """
         with self.obs.span("checkpoint", cat="checkpoint") as sp:
             t = self.array.parallel_ops
             state_blob = freeze((self.contexts.export_all(group_size=self.k),
-                                 self.contexts.held()))
+                                 self.contexts.held(), self.inbox))
             inc = self.incoming
             if inc is not None:
                 layout = (inc.slot_sizes, inc.read_slots(range(inc.nslots)))
@@ -559,8 +580,9 @@ class RealProcessor:
             # Cache-mode saves are charge-only on the fast plane, so the
             # attached disk image has no context bytes — reseed the cache
             # from the checkpoint's portable states (no counted I/O).  The
-            # held batch's dirty slots never reached the disk: hold it again.
-            states, held = thaw(state_blob)
+            # held batch's dirty slots and its inbox never reached the disk:
+            # hold them again.
+            states, held, self.inbox = thaw(state_blob)
             if self.contexts.cache:
                 self.contexts.prime_cache(states)
             slots, dirty = held or ((), ())
@@ -585,7 +607,7 @@ class RealProcessor:
             self.swap_incoming(None)
             if rng_state is not None:
                 self.rng.setstate(rng_state)
-            states, held = thaw(state_blob)
+            states, held, self.inbox = thaw(state_blob)
             self.contexts.import_all(states, group_size=self.k, held=held)
             # The blob holds blocks by slot, and a kept store's drives too: it
             # comes back with every block on its drive, so each fetch costs

@@ -96,10 +96,11 @@ class SuperstepReport:
     # max over *ops*, so bound checks need all of them).
     routing_all: list[RoutingStats] | None = None
     # Step 1(d)'s packing, per write round (Algorithm 1: group) and real
-    # processor: the records packed for each destination group, and the
-    # Lemma 3 dummy blocks added — what the exact write referee
-    # (repro.conform.oracles.check_theorem1_io) counts blocks and ops from.
-    packing: list[list[tuple[tuple[int, ...], int]]] | None = None
+    # processor: ``(destination group's first vp, records packed)`` per
+    # destination group, and the Lemma 3 dummy blocks added — what the exact
+    # write referee (repro.conform.oracles.check_theorem1_io) counts blocks
+    # and ops from.
+    packing: list[list[tuple[tuple[tuple[int, int], ...], int]]] | None = None
     # Every group (Algorithm 3: batch) in run order, skipped ones too, as
     # ``(group, state uses, fetch_context ops, write_context ops, block
     # counts)``: the uses one letter a vp (``n`` / ``r`` / ``w``, processor
@@ -149,6 +150,10 @@ class SimulationReport:
     # records, measured where the engine checks them against mu and gamma.
     mu_used: int = 0
     gamma_used: int = 0
+    # Whether each superstep's last batch kept its inbox in memory across
+    # the barrier (RunConfig.holds_inbox): the blocks each processor packed
+    # for its own vps of it were neither written nor fetched.
+    inbox_held: bool = False
     faults: FaultReport | None = None  # set when fault injection or
     # checkpointing was active (see repro.emio.faults, repro.core.checkpoint)
 

@@ -157,9 +157,10 @@ def piled(config=None, **knobs):
     """D = 8, k = 1, identity write permutations: every vp sends one block to
     each of 8 vps in destination order, so each cycle puts destination d on
     drive d and each fetch group's 8 blocks pile onto one drive.  Read as it
-    stands that is 64 ops; Algorithm 2 plus its region's fetch is 54."""
+    stands that is 64 ops; Algorithm 2 plus its region's fetch is 54.  ``M``
+    is the one context, so no inbox stays in memory beside it."""
     alg = AllToAllExchange()
-    params = build_params(alg, MachineParams(p=1, M=1 << 13, D=8, B=8, b=16), 8, k=1)
+    params = build_params(alg, MachineParams(p=1, M=1 << 12, D=8, B=8, b=16), 8, k=1)
     return ParallelEMSimulation(alg, params, config, write_schedule="static", **knobs)
 
 

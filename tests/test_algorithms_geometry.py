@@ -64,7 +64,7 @@ class TestConvexHull:
 
     def test_em_sequential_matches(self):
         pts = workloads.random_points(80, seed=5)
-        out, report = simulate(CGMConvexHull(pts, 4), MACHINE, v=4)
+        out, report = simulate(CGMConvexHull(pts, 4), MACHINE, v=4, k=1)
         assert set(out[0]) == set(convex_hull(pts))
         assert report.io_ops > 0
 

@@ -170,7 +170,7 @@ class TestListRanking:
     def test_em_sequential_matches(self, seed):
         n, v = 64, 4
         succ = workloads.random_linked_list(n, seed=seed)
-        out, report = simulate(CGMListRanking(succ, v), MACHINE, v=v, seed=seed)
+        out, report = simulate(CGMListRanking(succ, v), MACHINE, v=v, k=1, seed=seed)
         assert ranks_from(out, n) == true_ranks(succ)
         assert report.io_ops > 0
 

@@ -226,7 +226,7 @@ class TestExpressionEval:
         edges, ops, leaves = workloads.random_expression_tree(32, seed=6)
         want = brute_eval(edges, ops, leaves)
         out, report = simulate(
-            CGMExpressionEval(edges, ops, leaves, 4), MACHINE, v=4, seed=4
+            CGMExpressionEval(edges, ops, leaves, 4), MACHINE, v=4, k=1, seed=4
         )
         assert out[0] == [want]
         assert report.io_ops > 0

@@ -60,7 +60,7 @@ class TestSampleSort:
 
     def test_em_sequential_matches(self):
         data = workloads.uniform_keys(128, seed=3)
-        out, report = simulate(CGMSampleSort(data, 4), SMALL_MACHINE, v=4, seed=9)
+        out, report = simulate(CGMSampleSort(data, 4), SMALL_MACHINE, v=4, k=1, seed=9)
         assert flat(out) == sorted(data)
         assert report.io_ops > 0
 

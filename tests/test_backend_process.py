@@ -51,8 +51,8 @@ class TestProcessRobustness:
         barrier and the run still completes correctly."""
         expected = build().run()[0]
         # v == p*k: one batch a processor, so nothing is reorganized and no
-        # context is swapped; the drive sees 9 accesses in all, and death
-        # after 4 lands in superstep 2.
+        # context is swapped; the drive sees 12 accesses in all, and death
+        # after 4 lands in the checkpoint before superstep 2.
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=4, dead_proc=1)
         sim = build(
             backend="process",
@@ -69,7 +69,8 @@ class TestProcessRobustness:
         """A checkpoint written by the inline backend restores into process
         workers (and vice-versa the state layout is engine-owned)."""
         expected = build().run()[0]
-        # Processor 0's drive 0 sees 9 accesses in all; the 6th is in superstep 3.
+        # Processor 0's drive 0 sees 6 accesses in all (the blocks it packs for
+        # its own vps of the held batch stay in memory); the 6th is in superstep 3.
         plan = FaultPlan(seed=0, dead_disk=0, dead_after=5, dead_proc=0)
         dying = build(
             faults=plan,

@@ -152,7 +152,9 @@ class TestEquivalentPlanes:
 
 class TestOracles:
     def test_small_case_passes_all_oracles(self):
-        result = run_case(small_config())
+        # k = 1: four batches, three of which write their inbox to disk for
+        # Lemma 2 to check (one batch holds all of it in memory).
+        result = run_case(small_config(k=1))
         assert result.passed, [str(f) for f in result.failures]
         assert result.checks["output_vs_reference"] >= 2  # both planes
         assert result.checks["lemma2_balance"] > 0
@@ -162,7 +164,9 @@ class TestOracles:
         assert result.checks["plane_equivalence"] == 2
 
     def test_kill_case_exercises_resume_or_skip(self):
-        cfg = small_config(fault="kill", checkpoint=True, dead_after=10)
+        # k = 1, so the drive is read and written at all (at the default k
+        # the whole run stays in memory and the death never fires).
+        cfg = small_config(fault="kill", checkpoint=True, dead_after=10, k=1)
         result = run_case(cfg)
         assert result.passed, [str(f) for f in result.failures]
         assert (

@@ -47,6 +47,11 @@ def make(impl, tmp_path, **kw):
     return impl(tmp_path / f"{impl.__name__}.dat", B=4, **kw)
 
 
+#: A group size at which the sort swaps its contexts and writes messages to
+#: disk: at the default, k = v, the whole run stays in memory.
+SWAPPING_K = 1
+
+
 def run_sort(tmp_path, name="run", crash=None, p=1, storage="file", **kw):
     from repro.core.simulator import simulate
 
@@ -301,7 +306,7 @@ class TestCheckpointJournal:
 
 class TestScrub:
     def test_honest_run_scrubs_clean(self, tmp_path):
-        _out, rep = run_sort(tmp_path)
+        _out, rep = run_sort(tmp_path, k=SWAPPING_K)
         res = scrub(os.path.join(tmp_path, "run"))
         assert res.quarantined == []
         assert res.generation is not None
@@ -323,14 +328,18 @@ class TestScrub:
         assert res.errors and "corrupt frame" in res.errors[0]
 
     def test_damaged_track_extent_quarantines_generation(self, tmp_path):
-        run_sort(tmp_path)
+        run_sort(tmp_path, k=SWAPPING_K)
         root = os.path.join(tmp_path, "run")
         j = CheckpointJournal(root)
         newest = j.generations()[-1]
         ref = j.load(newest).storage_refs[0]
-        snap = next(s for s in ref["disks"] if s and s["map"])
-        base = next(iter(snap["map"].values()))[0]
-        disk_id = ref["disks"].index(snap)
+        # The extent written last, which no older generation references.
+        disk_id, (base, *_rest) = max(
+            ((d, ext) for d, snap in enumerate(ref["disks"]) if snap
+             for ext in snap["map"].values()),
+            key=lambda e: e[1][-1],
+        )
+        snap = ref["disks"][disk_id]
         with open(os.path.join(ref["root"], f"disk{disk_id}.dat"), "r+b") as fh:
             fh.seek(base * snap["slot_bytes"] + FRAME_BYTES)
             fh.write(b"\xff")
@@ -341,7 +350,7 @@ class TestScrub:
     def test_scrub_reports_metrics(self, tmp_path):
         from repro.obs import Collector
 
-        run_sort(tmp_path)
+        run_sort(tmp_path, k=SWAPPING_K)
         obs = Collector()
         scrub(os.path.join(tmp_path, "run"), observer=obs)
         snap = obs.metrics.snapshot()
@@ -468,8 +477,9 @@ class TestCrashExplorer:
         # 184 extents while every barrier wrote the one group of contexts
         # back; 56 once it stayed in memory and only message blocks were on
         # disk; 14 since those are packed into full blocks per group; 19
-        # since the splitters are (key, position) pairs.
-        assert (res.checkpoints, res.extents_verified) == (4, 19)
+        # since the splitters are (key, position) pairs; none since the one
+        # batch keeps its inbox in memory too.
+        assert (res.checkpoints, res.extents_verified) == (4, 0)
 
         for point, checks in ((0, {"crash_restart": 1}), (4, {"crash_resume": 1}),
                               (6, {"crash_resume": 1}), (10_000, {"crash_survived": 1})):
@@ -484,15 +494,15 @@ class TestCrashExplorer:
         files before committing.  The 'lost' stage then rolls back writes
         from *before* the committed barrier, and scrub must quarantine.
 
-        The one group of contexts never reaches the disk: before barrier 3
-        (points < 15) only the few sample and splitter blocks do, and this
-        seed's drops miss them, so the crash is at barrier 3.  (Seed 3's
-        drops missed the fewer, fuller blocks of the packed message write.)"""
+        At the default group size the whole run stays in memory and there is
+        nothing to lose; at k = 1 the contexts swap and three batches of four
+        write their inbox, so the drops hit at barriers 1, 2 and 3 (points 6,
+        11, 16) for seeds 1 and 3 alike.  The crash is at barrier 3."""
         from repro.conform.runner import run_case
         from repro.conform.strategies import repair
 
         cfg = repair(dict(workload="sort", n=64, v=4, p=1, M=4096, D=2,
-                          B=16, b=16, crash=True, crash_point=16,
+                          B=16, b=16, k=1, crash=True, crash_point=16,
                           crash_seed=1))
         with mock.patch.object(DiskArray, "sync_storage", lambda self: None):
             result = run_case(cfg)

@@ -96,7 +96,7 @@ class TestCGMDelaunay:
 
     def test_em_sequential_matches(self):
         pts = workloads.random_points(48, seed=8)
-        out, report = simulate(CGMDelaunay(pts, 4), MACHINE, v=4, seed=2)
+        out, report = simulate(CGMDelaunay(pts, 4), MACHINE, v=4, k=1, seed=2)
         got = sorted(t for part in out for t in part)
         assert got == scipy_triangles(pts)
         assert report.io_ops > 0

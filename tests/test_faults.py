@@ -40,8 +40,9 @@ SEED = int(os.environ.get("FAULT_SEED", "0"))
 SEQ = MachineParams(p=1, M=4096, D=4, B=32)
 PAR = MachineParams(p=2, M=4096, D=4, B=32)
 #: M holds every context of ``sort_input()`` at v = 8, and a run that never
-#: swaps has no drive access for a death to land on: the drive-death tests
-#: pin a group of one vp, which gives every drive 44 accesses or more.
+#: swaps (and, at p = 1, keeps its one batch's inbox in memory) has no drive
+#: access for a fault to land on: those tests pin a group of one vp, which
+#: gives every drive 44 accesses or more.
 SWAPPING_K = 1
 
 
@@ -259,7 +260,7 @@ class TestEngineFaultTransparency:
             corruption_rate=0.02, latency_rate=0.03,
         )
         out, rep = simulate(
-            CGMSampleSort(list(data), v=8), SEQ, v=8, seed=3,
+            CGMSampleSort(list(data), v=8), SEQ, v=8, k=SWAPPING_K, seed=3,
             faults=plan, checkpoint=True,
         )
         assert out == baseline
@@ -339,7 +340,7 @@ class TestEngineFaultTransparency:
         data = sort_input()
         plan = FaultPlan(seed=SEED, dead_disk=0, dead_after=10)
         with pytest.raises(SimulationAborted, match="no checkpoint"):
-            simulate(CGMSampleSort(list(data), v=8), SEQ, v=8, seed=3,
+            simulate(CGMSampleSort(list(data), v=8), SEQ, v=8, k=SWAPPING_K, seed=3,
                      faults=plan)
 
     def test_recovery_budget_respected(self):

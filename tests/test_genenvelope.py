@@ -103,7 +103,7 @@ class TestCGMGeneralLowerEnvelope:
 
     def test_em_sequential_matches(self):
         segs = random_crossing_segments(24, seed=9)
-        out, report = simulate(CGMGeneralLowerEnvelope(segs, 4), MACHINE, v=4)
+        out, report = simulate(CGMGeneralLowerEnvelope(segs, 4), MACHINE, v=4, k=1)
         check_envelope(segs, out[0])
         assert report.io_ops > 0
 

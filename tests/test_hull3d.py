@@ -107,7 +107,7 @@ class TestCGM3DHull:
 
     def test_em_sequential_matches(self):
         pts = workloads.random_points(48, seed=6, dims=3)
-        out, report = simulate(CGM3DConvexHull(pts, 4), MACHINE, v=4)
+        out, report = simulate(CGM3DConvexHull(pts, 4), MACHINE, v=4, k=1)
         vertices, faces = out[0]
         assert vertices == scipy_vertices(pts)
         assert faces == scipy_faces(pts)

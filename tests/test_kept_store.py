@@ -174,8 +174,10 @@ SORT_MACHINE = MachineParams(p=1, M=1 << 16, D=4, B=8, b=16)
 
 
 def sort(**knobs):
+    """``M`` is the group's contexts, so every group's inbox goes to disk."""
     alg = CGMSampleSort(wl.uniform_keys(SORT_N, seed=2), SORT_V)
-    params = build_params(alg, SORT_MACHINE, SORT_V, k=SORT_K)
+    machine = SORT_MACHINE.with_(M=SORT_K * alg.context_size())
+    params = build_params(alg, machine, SORT_V, k=SORT_K)
     assert params.groups_per_processor == 8
     return ParallelEMSimulation(alg, params, **knobs)
 

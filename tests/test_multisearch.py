@@ -68,7 +68,7 @@ class TestCGMMultisearch:
     def test_em_sequential_matches(self):
         keys = sorted(workloads.uniform_keys(100, seed=4, hi=1000))
         queries = workloads.uniform_keys(40, seed=5, hi=1100)
-        out, report = simulate(CGMMultisearch(keys, queries, 4), MACHINE, v=4)
+        out, report = simulate(CGMMultisearch(keys, queries, 4), MACHINE, v=4, k=1)
         got = collect(out)
         assert [got[i] for i in range(40)] == oracle(keys, queries)
         assert report.io_ops > 0

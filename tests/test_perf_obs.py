@@ -303,7 +303,8 @@ class TestAttribution:
     def test_file_storage_sort_is_mostly_attributed(self):
         """The acceptance bar: a file-plane sort names >=90% of its wall."""
         alg = CGMSampleSort(uniform_keys(4096, seed=7), v=8)
-        machine = MachineParams(p=1, M=1 << 18, D=4, B=64, b=64)
+        # M is the one group's k = 8 contexts, so its inbox goes to the files.
+        machine = MachineParams(p=1, M=8 * alg.context_size(), D=4, B=64, b=64)
         obs = Collector(profile=True)
         simulate(alg, machine, v=8, storage="file", observer=obs)
         report = build_report(obs)

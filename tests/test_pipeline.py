@@ -6,6 +6,9 @@ from repro.params import MachineParams
 from repro.pipeline import Pipeline
 
 MACHINE = MachineParams(p=1, M=1 << 14, D=4, B=32, b=32)
+#: M = D*B: the pipeline raises it to two contexts of each stage, so every
+#: stage swaps its groups and writes its messages to disk.
+TIGHT = MACHINE.with_(M=4 * 32)
 
 
 class TestPipeline:
@@ -18,7 +21,7 @@ class TestPipeline:
         queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(10)]
         ref = batched_lca(edges, 0, queries, v)  # reference runner
 
-        pipe = Pipeline(MACHINE, seed=5)
+        pipe = Pipeline(TIGHT, seed=5)
         got = batched_lca(edges, 0, queries, v, run=pipe.run)
         assert got == ref
         assert pipe.stages == 4  # tour + 2 rankings + RMQ

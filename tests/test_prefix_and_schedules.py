@@ -60,7 +60,7 @@ class TestPrefixSums:
 
     def test_em_sequential_matches(self):
         vals = workloads.uniform_keys(128, seed=2, hi=100)
-        out, report = simulate(CGMPrefixSums(vals, 4), MACHINE, v=4)
+        out, report = simulate(CGMPrefixSums(vals, 4), MACHINE, v=4, k=1)
         want, acc = [], 0
         for x in vals:
             acc += x

@@ -155,7 +155,7 @@ def test_group_packer_roundtrip(sizes, B, b, k, vector, data):
         per_key = {}
         for dest, _src, _msg, _seq, records in mine:
             per_key[dest - dest % k] = per_key.get(dest - dest % k, 0) + len(records)
-        assert loads == tuple(per_key[key] for key in sorted(per_key))
+        assert loads == tuple((key, per_key[key]) for key in sorted(per_key))
         assert [blk.dest for blk in got] == sorted(
             key for key in per_key for _ in range(max(1, -(-per_key[key] // B)))
         )

@@ -628,8 +628,9 @@ def test_a_restore_holds_the_batch_the_checkpoint_records():
     """Erase the record of a dirty batch: the restore writes it out and the
     resumed superstep fetches it from disk — same outputs, dearer."""
     ckpt = checkpoints()[3]
-    states = [thaw(b)[0] for b in ckpt.proc_states]
-    tampered = dataclasses.replace(ckpt, proc_states=[freeze((s, None)) for s in states])
+    records = [thaw(b) for b in ckpt.proc_states]
+    tampered = dataclasses.replace(
+        ckpt, proc_states=[freeze((s, None, inbox)) for s, _held, inbox in records])
     honest = sort(2, checkpoint=True).resume_from_checkpoint(ckpt)
     erased = sort(2, checkpoint=True).resume_from_checkpoint(tampered)
     assert plain_outputs(honest[0]) == plain_outputs(erased[0])

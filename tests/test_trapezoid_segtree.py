@@ -183,7 +183,7 @@ class TestCGMSegmentTree:
         rng = random.Random(11)
         ivs = [(a := rng.uniform(0, 500), a + rng.uniform(0, 200)) for _ in range(40)]
         queries = [rng.uniform(0, 700) for _ in range(24)]
-        out, report = simulate(CGMSegmentTreeStab(ivs, queries, 4), MACHINE, v=4)
+        out, report = simulate(CGMSegmentTreeStab(ivs, queries, 4), MACHINE, v=4, k=1)
         got = {}
         for part in out:
             got.update(dict(part))
