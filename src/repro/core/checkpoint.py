@@ -5,7 +5,8 @@ simulation: between two compound supersteps the *entire* live state of the
 virtual machine is (a) the virtual-processor contexts in their standard
 consecutive region — all but the one group a processor holds in memory
 across the barrier, which the checkpoint reads from memory and every restore
-holds again — (b) the incoming-message region produced by Algorithm 2,
+holds again, with the inbox it holds beside them — (b) the incoming-message
+region produced by Algorithm 2,
 (c) the engine's RNG state, and (d) the cost ledger.  Nothing else persists
 across the barrier — the bucket stores are freed by the reorganization step.
 A checkpoint is therefore a faithful snapshot of exactly those four things,
@@ -73,8 +74,9 @@ class SuperstepCheckpoint:
         restored runs redraw exactly the permutations and deal offsets they
         would have.
     proc_states:
-        Per real processor: pickled list of that processor's context states
-        (local slot order).
+        Per real processor: pickled ``(states, held, inbox)`` — its context
+        states (local slot order), the batch in memory and its dirty slots
+        (``ContextStore.held``), and the held inbox by batch.
     proc_incoming:
         Per real processor: pickled ``(slot_sizes, blocks_per_slot)`` of the
         incoming-message region, or ``None`` before the first superstep.

@@ -61,7 +61,11 @@ dropped at no I/O.  The rounds run their batches in ascending cyclic order,
 each compound superstep starting with the batch the one before ended with
 (:func:`~repro.core.processor.group_order`): that batch stays in memory
 across the barrier if it is there, and its next fetch costs nothing — with
-one batch (``v == p*k``), every one.
+one batch (``v == p*k``), every one.  Where ``M`` also holds that batch's
+inbox (:meth:`RunConfig.holds_inbox`), Step 1(d) keeps the blocks a
+processor packs for its own vps of it in memory instead of the bucket store,
+the slot sizes the skip reads count them, and the batch's next fetch takes
+them at no I/O — with one batch on one processor, every message.
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the

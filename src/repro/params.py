@@ -161,10 +161,10 @@ class SimulationParams:
     k:
         Number of virtual processors simulated concurrently per real
         processor ("group size").  The paper chooses ``k = floor(M / mu)``
-        to maximize memory use; pass ``k=None`` for that default.  Memory
-        is charged for contexts only: ``k*mu <= M`` is the check, and a
-        group's inbox (up to ``k*gamma`` records) is outside ``mu`` and
-        outside ``M``.
+        to maximize memory use; pass ``k=None`` for that default.
+        ``k*mu <= M`` is the check; the held group keeps its inbox (up to
+        ``k*gamma`` records) in memory only where ``k*(mu + gamma) <= M``
+        (:meth:`RunConfig.holds_inbox <repro.core.engine.RunConfig.holds_inbox>`).
     strict:
         If True, enforce all side conditions of Theorem 1 (slackness,
         ``b >= B``, ``M/B >= p^eps``).  If False, only hard structural
