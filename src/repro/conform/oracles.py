@@ -50,7 +50,7 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -292,6 +292,7 @@ def theorem1_io_bound(
     (``report.inbox_held``), the blocks a processor packs for its own vps
     of it count in ``T_s`` but are neither written nor fetched, so each
     term still over-approximates its phase.
+
     Summed over supersteps this is the ``O(lambda * (v/p) * mu/(D*B))`` of
     Theorem 1 with explicit constants and lower-order terms.  The bound is
     checked only on healthy runs: retries and degraded writes charge extra
@@ -342,7 +343,9 @@ def _fetch_ops(routing: list, D: int) -> int:
     return sum(map(max, zip(*per_proc)))
 
 
-def _packed_write(packing: list, B: int, D: int, kept) -> tuple[int, int]:
+def _packed_write(
+    packing: list, B: int, D: int, kept: Callable[[int, int], bool]
+) -> tuple[int, int]:
     """What Step 1(d)'s packing costs by its own record counts, as
     ``(message blocks, write ops)``: a destination group of ``r`` records
     packs into ``ceil(r/B)`` full-but-the-last blocks (one if every message

@@ -8,10 +8,10 @@ instead of running Algorithm 2, so ``reorganize`` is 0 and
 ``fetch_messages`` is the store's heaviest drive.  These tests hold that
 path to the in-memory reference runner on every plane, write schedule and
 backend, on a degraded array, through kill-resume and crash-resume, and pin
-the bucket map Algorithm 3 uses below ``v/(pk) >= D``.  Their machine's
-``M`` is the group's ``k`` contexts, so the group's inbox does not fit
-beside them and goes to disk (where it fits, it stays in memory:
-``tests/test_held_inbox.py``).
+the bucket map Algorithm 3 uses below ``v/(pk) >= D``.  The one-batch
+machine's ``M`` (:func:`build`) is the group's ``k`` contexts, so its inbox
+does not fit beside them and goes to disk (where it fits, it stays in
+memory: ``tests/test_held_inbox.py``).
 """
 
 import random
