@@ -566,7 +566,7 @@ def check_theorem1_io(
         if s.packing is not None:
             blocks, ops = _packed_write(
                 s.packing, B, D,
-                lambda i, key: held_inbox and key // vpp == i and key % vpp // k == last)
+                lambda i, key: held_inbox and key == i * vpp + last * k)
             if (s.message_blocks, s.phases.write_messages) != (blocks, ops):
                 fail(
                     f"superstep {s.index}: the packed write charged "

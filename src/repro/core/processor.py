@@ -452,12 +452,10 @@ class RealProcessor:
             for _ in range(dummies):
                 rblocks.append(Block(records=[], dest=self.dummies % self.v, dummy=True))
                 self.dummies += 1
-            if self.holds_inbox:
-                last = group_order(step, self.nbatches)[-1]
-                kept = [self.owner_of_vp(blk.dest) == self.index
-                        and self.slot_of_vp(blk.dest) // self.k == last for blk in rblocks]
-                self.keeping += [blk for blk, x in zip(rblocks, kept) if x]
-                rblocks = [blk for blk, x in zip(rblocks, kept) if not x]
+            if self.holds_inbox:  # a block's dest is its group's first vp
+                first = self.vps(group_order(step, self.nbatches)[-1])[0]
+                self.keeping += [blk for blk in rblocks if blk.dest == first]
+                rblocks = [blk for blk in rblocks if blk.dest != first]
             self.buckets.append_blocks(rblocks)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=nblocks + dummies, packets=len(packets))
