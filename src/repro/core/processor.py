@@ -452,11 +452,15 @@ class RealProcessor:
             for _ in range(dummies):
                 rblocks.append(Block(records=[], dest=self.dummies % self.v, dummy=True))
                 self.dummies += 1
+            written = rblocks
             if self.holds_inbox:  # a block's dest is its group's first vp
                 first = self.vps(group_order(step, self.nbatches)[-1])[0]
                 self.keeping += [blk for blk in rblocks if blk.dest == first]
-                rblocks = [blk for blk in rblocks if blk.dest != first]
-            self.buckets.append_blocks(rblocks)
+                written = [blk for blk in rblocks if blk.dest != first]
+            # The deal offsets draw from the same RNG: the kept blocks' write
+            # cycles draw their permutations too, so the offsets are those of
+            # a run that writes every block.
+            self.buckets.append_blocks(written, kept=len(rblocks) - len(written))
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=nblocks + dummies, packets=len(packets))
         return (nblocks, delta, loads, dummies, *self.settle(j, step, self.states, self.wrote))

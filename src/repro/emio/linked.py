@@ -127,11 +127,14 @@ class LinkedBuckets(SlotReads):
 
     # -- writing (Step 1(d) of Algorithm 1) -----------------------------------
 
-    def append_blocks(self, blocks: Sequence[Block]) -> int:
+    def append_blocks(self, blocks: Sequence[Block], kept: int = 0) -> int:
         """Write message blocks in random-permutation cycles of ``D`` blocks.
 
         Returns the number of parallel I/O operations used
-        (``ceil(len(blocks)/D)``).
+        (``ceil(len(blocks)/D)``).  ``kept`` more blocks of the same write
+        stay in memory: the cycles they would have filled still draw their
+        permutations, unused, so the RNG is where the whole write would have
+        left it for whatever else draws from it.
 
         In degraded mode (a dead drive, see
         :meth:`repro.emio.diskarray.DiskArray.mark_dead`) cycles shrink to
@@ -155,6 +158,8 @@ class LinkedBuckets(SlotReads):
             self.array.write_batched(
                 [op for start in chunk for op in self._place_cycle(blocks[start : start + D], live)]
             )
+        for _ in range(-(-(len(blocks) + kept) // D) - -(-len(blocks) // D)):
+            self._place_cycle((), live)
         self.blocks_written += len(blocks)
         return self.array.parallel_ops - ops_before
 

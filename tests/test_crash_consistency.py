@@ -465,7 +465,7 @@ class TestCrashExplorer:
         from repro.crashcheck import explore
 
         machine = MachineParams(p=1, M=1 << 14, D=2, B=16, b=16)
-        res = explore(small_sort, machine, 4, tmp_path)
+        res = explore(small_sort, machine, 4, tmp_path, k=SWAPPING_K)
         # Four barriers; only the last stage ("committed") of a barrier leaves
         # its generation behind, so each resume step starts one point late.
         actions = ["restart"] * 4 + ["resume@0"] * 5 + ["resume@1"] * 5 \
@@ -474,12 +474,10 @@ class TestCrashExplorer:
             (CRASH_STAGES[i % len(CRASH_STAGES)], action, True)
             for i, action in enumerate(actions)
         ]
-        # 184 extents while every barrier wrote the one group of contexts
-        # back; 56 once it stayed in memory and only message blocks were on
-        # disk; 14 since those are packed into full blocks per group; 19
-        # since the splitters are (key, position) pairs; none since the one
-        # batch keeps its inbox in memory too.
-        assert (res.checkpoints, res.extents_verified) == (4, 0)
+        # At k = v the one batch keeps its contexts and inbox in memory and
+        # no extent is left to verify; at k = 1, 174 before the last batch
+        # kept its inbox.
+        assert (res.checkpoints, res.extents_verified) == (4, 165)
 
         for point, checks in ((0, {"crash_restart": 1}), (4, {"crash_resume": 1}),
                               (6, {"crash_resume": 1}), (10_000, {"crash_survived": 1})):

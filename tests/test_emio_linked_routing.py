@@ -49,6 +49,16 @@ class TestLinkedBuckets(_OnPlane):
         assert ops == 3  # ceil(10/4)
         assert store.total_blocks == 10
 
+    def test_kept_blocks_draw_their_cycles_unwritten(self):
+        """Six blocks written and five kept: two cycles written, the RNG
+        left where writing all eleven (three cycles) leaves it."""
+        _, _, store = self.make_store(D=4)
+        _, _, whole = self.make_store(D=4)
+        assert store.append_blocks(blocks_for(range(6)), kept=5) == 2
+        whole.append_blocks(blocks_for(range(11)))
+        assert store.total_blocks == 6
+        assert store.rng.getstate() == whole.rng.getstate()
+
     def test_bucket_assignment(self):
         _, _, store = self.make_store(D=4, v=16)
         store.append_blocks(blocks_for(range(16)))

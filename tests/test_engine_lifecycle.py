@@ -329,8 +329,9 @@ FAST_VECTOR = dict(context_cache=True, fast_io=True)
 #: k = 2, and the sorts' splitters are (key, position) pairs.  The two sorts
 #: take a smaller M so that they still swap: smoke_sort at k = 16 like the
 #: suite's full-size sort, the forced Algorithm 2 sort at k = 1 as before.
-#: smoke_listrank's one batch keeps its inbox in memory (k*mu + p*k*gamma
-#: <= M), so its message and checkpoint columns went 25 -> 0.
+#: smoke_listrank's one batch keeps its inbox in memory (k*(mu + gamma) <=
+#: M, RunConfig.holds_inbox), so its message and checkpoint columns went
+#: 25 -> 0.
 P1_COLUMNS = {
     "smoke_sort": (
         lambda: CGMSampleSort(np.random.default_rng(3).integers(0, 1 << 30, 156_250), 128),

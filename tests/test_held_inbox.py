@@ -80,10 +80,10 @@ def test_the_predicate_charges_the_held_contexts_and_their_inbox():
 @pytest.mark.parametrize("p", [1, 2])
 def test_only_the_message_io_moves(p):
     """Against the machine whose ``M`` holds only the contexts: the same
-    outputs, rows, packing and context phases; at p = 1 the same packets
-    and blocks and no message I/O at all, at p = 2 less of it (the blocks
-    for the other processor's vps still go to disk, and fewer bucket writes
-    draw from the RNG the deal offsets come from)."""
+    outputs, rows, packing, context phases, packets and blocks (the kept
+    blocks' write cycles draw their permutations, so the deal offsets drawn
+    after them do not move); at p = 1 no message I/O at all, at p = 2 less
+    of it (the blocks for the other processor's vps still go to disk)."""
     want = listrank_reference()
     (out, rep), (out_w, rep_w) = (engine(listrank(), LR_V, p, held).run() for held in (True, False))
     assert rep.inbox_held and not rep_w.inbox_held
@@ -94,11 +94,11 @@ def test_only_the_message_io_moves(p):
     for phase in ("fetch_context", "write_context", "reorganize"):
         assert total(rep, phase) == total(rep_w, phase) == 0
     assert sum(s.message_blocks for s in rep.supersteps) > 0
+    assert rep.ledger.summary()["comm_packets"] == rep_w.ledger.summary()["comm_packets"]
+    assert [s.message_blocks for s in rep.supersteps] == [
+        s.message_blocks for s in rep_w.supersteps]
     if p == 1:
         assert all(getattr(s.phases, ph) == 0 for s in rep.supersteps for ph in MESSAGE)
-        assert rep.ledger.summary()["comm_packets"] == rep_w.ledger.summary()["comm_packets"]
-        assert [s.message_blocks for s in rep.supersteps] == [
-            s.message_blocks for s in rep_w.supersteps]
     else:
         assert 0 < total(rep, "write_messages") < total(rep_w, "write_messages")
 

@@ -249,7 +249,7 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     3205) -> (1994, 3145), under either map.  The honest list-ranking ``mu``
     packs the context slots closer: (1994, 3113).  The batch held across
     each barrier keeps the blocks each processor packs for its own vps of it
-    in memory: (1882, 2900)."""
+    in memory: (1912, 2932)."""
     always_route(monkeypatch)
     place = SimpleNamespace(vpp=8, k=4, nbatches=2,
                             params=SimpleNamespace(machine=SimpleNamespace(D=4)))
@@ -267,7 +267,7 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     # in one order and wrote them all back: the cyclic order holds one batch
     # across each barrier and appends the batches' blocks in a new order.
     outputs, reorganize, io_ops = run()
-    assert (reorganize, io_ops) == (1882, 2900)
+    assert (reorganize, io_ops) == (1912, 2932)
     monkeypatch.setattr(
         RealProcessor, "bucket_of_vp",
         lambda self, vp: _batch_map(vp, self.p, self.v, self.k, self.params.machine.D),
@@ -275,5 +275,5 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     # (3092, 4522) under the batch map before the packing, against the vp
     # map's (1908, 3338).
     old_outputs, old_reorganize, old_io_ops = run()
-    assert (old_reorganize, old_io_ops) == (1882, 2900)
+    assert (old_reorganize, old_io_ops) == (1912, 2932)
     assert old_outputs == outputs

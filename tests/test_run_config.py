@@ -249,24 +249,19 @@ def test_crashcheck_on_the_fast_vector_plane_keeps_its_counts(tmp_path):
     """The sweep the benchmark's plane gets, and its counts."""
     res = explore(
         small_sort, MachineParams(p=1, M=1 << 14, D=2, B=16, b=16), 4, tmp_path,
-        fast_io=True, context_cache=True,
+        k=1, fast_io=True, context_cache=True,
     )
     actions = {}
     for o in res.outcomes:
         actions[o.action] = actions.get(o.action, 0) + 1
     assert res.passed
-    # 14 extents before the splitters were (key, position) pairs, 19 before
-    # the one group kept its inbox in memory.
-    assert (res.total_points, res.checkpoints, res.extents_verified) == (20, 4, 0)
+    # At k = 1 the four batches swap, so there are extents to verify (at
+    # k = v the one batch keeps its contexts and inbox in memory: none).
+    assert (res.total_points, res.checkpoints, res.extents_verified) == (20, 4, 47)
     assert actions == {"restart": 4, "resume@0": 5, "resume@1": 5, "resume@2": 5,
                        "resume@3": 1}
-    # 116 before the one group (k == v) kept its bucket store: the 60 ops of
-    # Algorithm 2 went; 56 before the group stayed in memory across each
-    # barrier: its 32 ops of context swap went, every other phase is unchanged;
-    # 24 before the one group's messages were packed into full blocks: 24
-    # message blocks became 6, and writing and fetching them 12 ops each, 4;
-    # 8 before the one group kept its inbox in memory.
-    assert res.golden_summary["io_ops"] == 0
+    # 46 (and 56 extents) before the last batch kept its inbox in memory.
+    assert res.golden_summary["io_ops"] == 43
     assert res.golden_summary["comm_packets"] == 18
 
 
