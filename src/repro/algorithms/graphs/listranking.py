@@ -13,9 +13,9 @@ locally there, then undo the contractions in reverse order.  Each round is
 Per node ``u`` the algorithm maintains a successor ``succ(u)`` and an edge
 weight ``w(u)`` (the weight of the edge ``u -> succ(u)``); the *rank* of
 ``u`` is the total edge weight on the path from ``u`` to the list tail.
-With unit weights that is the distance to the tail; with arbitrary weights
-this computes suffix sums over the list — the primitive the Euler-tour
-applications (:mod:`repro.algorithms.graphs.treealgos`) build on.
+With unit weights that is the distance to the tail; with arbitrary integer
+weights this computes suffix sums over the list — the primitive the
+Euler-tour applications (:mod:`repro.algorithms.graphs.treealgos`) build on.
 
 The schedule:
 
@@ -31,31 +31,56 @@ The schedule:
   ``x``, which logs ``s`` under round ``r``; ``w(s)`` stays frozen at ``s``.
   Active counts ride along to vp 0, which tells every vp to gather in the
   round it sees the total at most ``gather_threshold`` (a one-round lag).
-* **Gather, solve**: the survivors go to vp 0, which ranks them by walking
-  back from the tail and scatters the ranks.  A list no longer than the
-  threshold gathers at superstep 0 and skips contraction altogether.
+* **Gather, solve**: the survivors go to vp 0, which ranks them by pointer
+  jumping and scatters the ranks in walk order from the tail.  A list no
+  longer than the threshold gathers at superstep 0 and skips contraction.
 * **Expand round** ``r`` (one superstep each, last round first): every node
   ``x`` pushes ``rank(x)`` to each ``s`` it logged in round ``r``, and ``s``
   sets ``rank(s) = rank(x) + w(s)``.
 
-Contexts are stored as parallel lists indexed by ``node - lo`` — an order
-of magnitude tighter under pickling than per-node dicts, which directly
-reduces the generated EM algorithm's I/O volume.  Messages are flat integer
-runs with no per-record tags.
+**Contexts at fixed width.**  A context holds its per-node fields as
+canonical little-endian codec bytes (:mod:`repro.emio.codec`), each at the
+narrowest of ``i16`` / ``i32`` / ``i64`` its values need: node ids
+(``succ``, ``pred``, the log's ``s``) by ``n - 1`` with ``-1`` the only
+sentinel, the log's local indices by ``ceil(n/v) - 1``, and ``w`` / ``rank``
+by the sum of the weights' magnitudes (``n - 1`` for unit weights).  A
+field exists only while a superstep needs it: ``rank`` from the first expand
+superstep, ``succ`` and ``pred`` until the gather, each expand round's log
+until it is pushed.  The supersteps are array kernels over views of those
+bytes, and messages are ``<i8`` arrays of flat integer runs with no
+per-record tags, so ``context_size()`` is the pickled size of the largest
+such state (see :meth:`CGMListRanking.context_size`).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import pickle
 from typing import Any, Sequence
 
 import numpy as np
 
-from ...bsp.collectives import owner_of_index, share_bounds
+from ...bsp.collectives import share_bounds
 from ...bsp.program import BSPAlgorithm, VPContext
+from ...emio.codec import get_codec
+from .._vec import I64, as_i64, owners_of_indices
 
 __all__ = ["CGMListRanking"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+
+#: The signed codecs a context field may take, narrowest first.
+_WIDTHS = ("i16", "i32", "i64")
+
+
+def _narrowest(bound: int) -> str:
+    """The narrowest codec of :data:`_WIDTHS` holding every value in
+    ``[-bound, bound]``."""
+    for name in _WIDTHS:
+        if bound <= np.iinfo(get_codec(name).dtype).max:
+            return name
+    raise ValueError(f"values up to {bound} do not fit in int64")
 
 
 def _prio(node: int, rnd: int, seed: int) -> int:
@@ -91,6 +116,17 @@ def _below(hu: np.ndarray, u: np.ndarray, hv: np.ndarray, v: np.ndarray) -> np.n
     return (hu < hv) | ((hu == hv) & (u < v))
 
 
+def _rows(*cols: np.ndarray) -> np.ndarray:
+    """Equal-length columns as one ``<i8`` row per element."""
+    return np.stack(cols, axis=1).astype(I64, copy=False)
+
+
+def _concat(parts: list[np.ndarray], width: int) -> np.ndarray:
+    """Message slices joined into ``<i8`` rows of ``width`` records."""
+    flat = np.concatenate(parts) if parts else np.empty(0, I64)
+    return flat.reshape(-1, width)
+
+
 class CGMListRanking(BSPAlgorithm):
     """Rank every node of a linked list given as a ``succ`` array.
 
@@ -102,17 +138,15 @@ class CGMListRanking(BSPAlgorithm):
     v:
         Number of virtual processors (nodes are block-distributed by id).
     values:
-        Optional per-node edge weights (``w(u)`` for the edge out of ``u``);
-        default is 1 for every non-tail node.  The tail's value is ignored.
+        Optional per-node integer edge weights (``w(u)`` for the edge out of
+        ``u``); default is 1 for every non-tail node.  The tail's value is
+        ignored.  Anything but integers is refused with a ``TypeError``, and
+        weights whose magnitudes sum past int64 with a ``ValueError``.
     seed:
         Seed of the contraction priorities.
 
-    Output ``j`` is the list of ``(node, rank)`` pairs for vp ``j``'s nodes.
-
-    Node ids are always ints, so every input runs on the vector record
-    plane: each round's removal mask is computed with numpy
-    (:func:`_prio_arr`, checked against the per-record :func:`_prio`);
-    contexts and message payloads are plain lists either way.
+    Output ``j`` is the list of ``(node, rank)`` pairs of plain ``int`` for
+    vp ``j``'s nodes.  Every input runs on the vector record plane.
     """
 
     record_mode = "vector"
@@ -127,41 +161,72 @@ class CGMListRanking(BSPAlgorithm):
         n = len(succ)
         if values is not None and len(values) != n:
             raise ValueError("values must have one entry per node")
-        tails = [i for i in range(n) if succ[i] == i]
+        nxt = np.asarray(succ, dtype=I64).reshape(-1)
+        tails = np.flatnonzero(nxt == np.arange(n))
         if n and len(tails) != 1:
             raise ValueError(f"expected exactly one tail (succ[t]==t), got {len(tails)}")
-        self.succ = list(succ)
-        self.values = list(values) if values is not None else None
+        if values is None:
+            weights = [1] * n
+        elif all(isinstance(x, numbers.Integral) for x in values):
+            weights = [int(x) for x in values]
+        else:
+            raise TypeError("list ranking weights must be integers")
+        if n:
+            weights[int(tails[0])] = 0
         self.v = v
         self.n = n
         self.seed = seed
         # The reduced list must fit in one vp's memory.
         self.gather_threshold = max(64, 2 * -(-n // v), 2 * v)
-        # The largest |int| a context holds: a node id, or a rank, which is
-        # at most the sum of the weights' magnitudes; None for non-int
-        # weights.
-        if self.values is None:
-            self._magnitude = n
-        elif all(type(x) is int for x in self.values):
-            self._magnitude = max(n, sum(abs(x) for x in self.values))
-        else:
-            self._magnitude = None
+        # |w(u)| and |rank(u)| never exceed the sum of the weights' magnitudes.
+        ids, wts = _narrowest(n - 1), _narrowest(sum(abs(x) for x in weights))
+        self._fields = {
+            key: get_codec(name)
+            for key, name in (
+                ("succ", ids), ("pred", ids), ("log_s", ids),
+                ("log_x", _narrowest(-(-n // v) - 1)),
+                ("w", wts), ("rank", wts),
+            )
+        }
+        self._succ = self._fields["succ"].encode(nxt)
+        self._w = self._fields["w"].encode(weights)
 
     # -- resource declarations -----------------------------------------------------
 
     def context_size(self) -> int:
-        m, big = -(-self.n // self.v), self._magnitude
-        if big is None:
-            # Non-int weights have no per-record pickle bound, so they keep a
-            # generous declaration: eight records a node and a gathered node.
-            return 1024 + 8 * (2 * m + self.gather_threshold)
-        # Six per-node lists (succ, pred, w, rank, and the expansion log's x
-        # and s: a node is logged once), an int each (pickled as BININT, or
-        # LONG1 past 32 bits), plus a byte a node for the lists' framing; the
-        # rest is the dict's keys and scalars and log_at, an int a
-        # contraction round (O(log v) of them whp).
-        ib = 5 if big < 1 << 31 else 2 + (big.bit_length() + 8) // 8
-        return -(-(6 * ib + 1) * m // 8) + 64
+        """The pickled size, in 8-byte records, of the largest state a vp
+        holds: at the gather (``succ``, ``pred``, ``w`` and the whole log) or
+        at the first expand superstep (``w``, ``rank`` and the whole log),
+        every scalar at its largest.
+
+        Two counts in it hold with high probability, not for every input.
+        The log a vp holds: every removed node is logged once, by its
+        successor's owner, ``m = ceil(n/v)`` entries a vp on average; the
+        excess over ``m`` measured up to ``3.5*sqrt(m)`` on random lists and
+        Euler tours, and ``6*sqrt(m) + 16`` are allowed.  The contraction
+        rounds: each removes an expected third of the list until it is below
+        ``gather_threshold >= 2n/v``, ``log_{3/2}(v/2) < 1.71*bitlen(v)``
+        rounds, so ``log_at`` is allowed ``2*bitlen(v) + 8`` entries (twice
+        the rounds measured at ``v`` up to 128).
+        """
+        m = -(-self.n // self.v)
+        log = m + 6 * math.isqrt(m) + 16
+        rounds = 2 * self.v.bit_length() + 8
+
+        def blank(key: str, count: int) -> bytes:
+            return bytes(count * self._fields[key].itemsize)
+
+        common = {
+            "lo": self.n, "m": m, "live": m, "log_x": blank("log_x", log),
+            "log_s": blank("log_s", log), "log_at": [log] * rounds,
+            "phase": "CONTRACT", "round": rounds, "R": rounds, "eround": rounds,
+        }
+        gathering = {**common, "succ": blank("succ", m),
+                     "pred": blank("pred", m), "w": blank("w", m)}
+        expanding = {**common, "w": blank("w", m), "rank": blank("rank", m)}
+        size = max(len(pickle.dumps(st, pickle.HIGHEST_PROTOCOL))
+                   for st in (gathering, expanding))
+        return -(-size // 8)
 
     def comm_bound(self) -> int:
         # A contract round sends or receives at most two 3-record updates a
@@ -173,28 +238,30 @@ class CGMListRanking(BSPAlgorithm):
 
     # -- state -----------------------------------------------------------------------
 
+    def _get(self, st: dict, key: str) -> np.ndarray:
+        """A writable ``<i8`` copy of a context field."""
+        return self._fields[key].from_bytes(st[key]).astype(I64)
+
+    def _put(self, st: dict, key: str, arr: np.ndarray) -> None:
+        st[key] = self._fields[key].to_bytes(arr)
+
     def initial_state(self, pid: int, nprocs: int):
-        # Parallel lists indexed by (node - lo): far tighter under pickle
-        # than per-node dicts, and the simulation's I/O tracks pickle size.
+        if nprocs != self.v:
+            raise ValueError(f"built for v={self.v} vps, run with {nprocs}")
         lo, hi = share_bounds(self.n, nprocs, pid)
-        succ, w = [], []
-        for i in range(lo, hi):
-            is_tail = self.succ[i] == i
-            succ.append(self.succ[i])
-            w.append(0 if is_tail else (self.values[i] if self.values else 1))
         m = hi - lo
+        ids = self._fields["pred"]
         return {
             "lo": lo,
             "m": m,
-            "succ": succ,  # -1 once the node is contracted away
-            "pred": [-1] * m,  # -1: the head (or not yet linked back)
-            "w": w,  # frozen at removal: rank(s) = rank(x) + w(s)
+            "succ": self._succ[lo:hi].tobytes(),  # -1 once contracted away
+            "pred": ids.to_bytes(np.full(m, -1, ids.dtype)),  # -1: the head
+            "w": self._w[lo:hi].tobytes(),  # frozen at removal
             "live": m,  # active nodes
-            "rank": [None] * m,
             # Expansion log: round r's removed nodes s and the local index of
             # the successor x that ranks each, from log_at[r] on.
-            "log_x": [],
-            "log_s": [],
+            "log_x": b"",
+            "log_s": b"",
             "log_at": [],
             "phase": "GATHER" if self.n <= self.gather_threshold else "LINK",
             "round": 0,
@@ -221,18 +288,27 @@ class CGMListRanking(BSPAlgorithm):
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown phase {phase}")
 
-    def _owner(self, node: int, v: int) -> int:
-        return owner_of_index(node, self.n, v)
+    def _by_owner(self, nodes: np.ndarray, rows: np.ndarray, v: int):
+        """``rows`` stably grouped by the owner of ``nodes``, and each vp's
+        ``[start, end)`` within them."""
+        owner = owners_of_indices(nodes, self.n, v)
+        counts = np.bincount(owner, minlength=v)
+        ends = np.cumsum(counts)
+        return rows[np.argsort(owner, kind="stable")], ends - counts, ends
+
+    def _send_by_owner(self, ctx: VPContext, nodes: np.ndarray, rows: np.ndarray) -> None:
+        """One message of ``rows`` per owner of ``nodes``, ascending."""
+        rows, starts, ends = self._by_owner(nodes, rows, ctx.nprocs)
+        for d in np.flatnonzero(ends > starts).tolist():
+            ctx.send(d, rows[starts[d]:ends[d]].reshape(-1))
 
     def _link_back(self, ctx: VPContext) -> None:
         st = ctx.state
-        lo = st["lo"]
-        by_dest: dict[int, list] = {}
-        for li, s in enumerate(st["succ"]):
-            if s != lo + li:
-                by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend((s, lo + li))
+        succ = self._get(st, "succ")
+        u = st["lo"] + np.arange(st["m"], dtype=I64)
+        keep = succ != u
         ctx.charge(st["m"])
-        ctx.send_all(by_dest)
+        self._send_by_owner(ctx, succ[keep], _rows(succ[keep], u[keep]))
         st["phase"] = "CONTRACT"
 
     def _contract(self, ctx: VPContext) -> None:
@@ -244,151 +320,154 @@ class CGMListRanking(BSPAlgorithm):
         pairs ``(x, p)`` instead.
         """
         st = ctx.state
-        lo, rnd = st["lo"], st["round"]
-        succ, pred, w = st["succ"], st["pred"], st["w"]
+        lo, rnd, v = st["lo"], st["round"], ctx.nprocs
+        succ, pred, w = self._get(st, "succ"), self._get(st, "pred"), self._get(st, "w")
         total, gather = 0, False
         if rnd == 0:
-            for m in ctx.incoming:
-                it = iter(m.payload)
-                for x in it:
-                    pred[x - lo] = next(it)
+            links = _concat([as_i64(m.payload) for m in ctx.incoming], 2)
+            pred[links[:, 0] - lo] = links[:, 1]
         else:
-            log_x, log_s = st["log_x"], st["log_s"]
-            st["log_at"].append(len(log_s))
+            heads, tails = [], []
             for m in ctx.incoming:
-                pl = m.payload
-                split = 3 + 3 * pl[0]
-                total += pl[1]
+                pl = as_i64(m.payload)
+                split = 3 + 3 * int(pl[0])
+                total += int(pl[1])
                 gather = gather or bool(pl[2])
-                it = iter(pl[3:split])
-                for p in it:
-                    li = p - lo
-                    succ[li] = next(it)
-                    w[li] += next(it)
-                it = iter(pl[split:])
-                for x in it:
-                    li = x - lo
-                    pred[li] = next(it)
-                    log_x.append(li)
-                    log_s.append(next(it))
+                heads.append(pl[3:split])
+                tails.append(pl[split:])
+            head, tail = _concat(heads, 3), _concat(tails, 3)
+            li = head[:, 0] - lo
+            succ[li] = head[:, 1]
+            w[li] += head[:, 2]
+            li = tail[:, 0] - lo
+            pred[li] = tail[:, 1]
+            st["log_at"].append(len(st["log_s"]) // self._fields["log_s"].itemsize)
+            st["log_x"] += self._fields["log_x"].to_bytes(li)
+            st["log_s"] += self._fields["log_s"].to_bytes(tail[:, 2])
+        self._put(st, "pred", pred)
+        self._put(st, "w", w)
         if gather:
+            self._put(st, "succ", succ)
             self._gather(ctx)
             return
 
         ctx.charge(st["m"])
-        v = ctx.nprocs
-        to_pred: dict[int, list] = {}
-        to_succ: dict[int, list] = {}
-        leaving = self._leaving(st, rnd)
-        for li in leaving:
-            p, x = pred[li], succ[li]
-            if p >= 0:
-                to_pred.setdefault(self._owner(p, v), []).extend((p, x, w[li]))
-            to_succ.setdefault(self._owner(x, v), []).extend((x, p, lo + li))
-            succ[li] = -1
-        st["live"] -= len(leaving)
+        li = np.asarray(self._leaving(lo, succ, pred, rnd), I64)
+        p, x = pred[li], succ[li]
+        has_p = p >= 0
+        head, hs, he = self._by_owner(
+            p[has_p], _rows(p[has_p], x[has_p], w[li][has_p]), v)
+        tail, ts, te = self._by_owner(x, _rows(x, p, lo + li), v)
+        succ[li] = -1
+        st["live"] -= len(li)
+        self._put(st, "succ", succ)
         # vp 0 decides on the counts of the round before: one round of lag.
         decide = ctx.pid == 0 and rnd > 0 and total <= self.gather_threshold
-        dests = range(v) if decide else sorted({0, *to_pred, *to_succ})
+        if decide:
+            dests = range(v)
+        else:
+            dests = sorted({0, *np.flatnonzero((he > hs) | (te > ts)).tolist()})
         for d in dests:
-            head = to_pred.get(d, ())
-            ctx.send(d, [len(head) // 3, st["live"] if d == 0 else 0, int(decide),
-                         *head, *to_succ.get(d, ())])
+            ctx.send(d, np.concatenate((
+                np.array([he[d] - hs[d], st["live"] if d == 0 else 0, decide], I64),
+                head[hs[d]:he[d]].reshape(-1), tail[ts[d]:te[d]].reshape(-1))))
         st["round"] = rnd + 1
 
-    def _leaving(self, st: dict, rnd: int) -> list[int]:
+    def _leaving(self, lo: int, succ: np.ndarray, pred: np.ndarray, rnd: int) -> np.ndarray:
         """Local indices of the nodes removed in round ``rnd``, ascending:
-        the active non-tail nodes whose priority is below both neighbours'."""
-        lo, seed = st["lo"], self.seed
-        succ = np.asarray(st["succ"], np.int64)
+        the active non-tail nodes whose priority is below both neighbours'.
+        ``succ`` and ``pred`` are the vp's ``<i8`` fields, ``lo`` its first
+        node."""
         idx = np.flatnonzero(succ >= 0)
         idx = idx[succ[idx] != idx + lo]  # the tail is never removed
-        u, s = idx + lo, succ[idx]
-        p = np.asarray(st["pred"], np.int64)[idx]
-        hu = _prio_arr(u, rnd, seed)
-        hp = _prio_arr(np.maximum(p, 0), rnd, seed)
-        mask = _below(hu, u, _prio_arr(s, rnd, seed), s) & (
+        u, s, p = idx + lo, succ[idx], pred[idx]
+        hu = _prio_arr(u, rnd, self.seed)
+        hp = _prio_arr(np.maximum(p, 0), rnd, self.seed)
+        mask = _below(hu, u, _prio_arr(s, rnd, self.seed), s) & (
             (p < 0) | _below(hu, u, hp, p)
         )
-        return idx[mask].tolist()
+        return idx[mask]
 
     def _gather(self, ctx: VPContext) -> None:
-        """Ship the reduced list to vp 0 for the sequential solve."""
+        """Ship the reduced list to vp 0 for the sequential solve; the links
+        are not needed after it."""
         st = ctx.state
-        lo, w = st["lo"], st["w"]
-        payload = []
-        for li, s in enumerate(st["succ"]):
-            if s >= 0:
-                payload.extend((lo + li, s, w[li]))
+        succ = self._get(st, "succ")
+        idx = np.flatnonzero(succ >= 0)
         ctx.charge(st["m"])
-        if payload:
-            ctx.send(0, payload)
+        if len(idx):
+            ctx.send(0, _rows(st["lo"] + idx, succ[idx],
+                              self._get(st, "w")[idx]).reshape(-1))
+        del st["succ"], st["pred"]
         st["R"] = st["round"]
         st["phase"] = "SOLVE"
 
     def _solve(self, ctx: VPContext) -> None:
         st = ctx.state
         if ctx.pid == 0:
-            reduced: dict[int, tuple[int, Any]] = {}
-            for m in ctx.incoming:
-                it = iter(m.payload)
-                for u in it:
-                    reduced[u] = (next(it), next(it))
-            ctx.charge(len(reduced))
-            # Rank the reduced list by walking backwards from the tail.
-            pred: dict[int, int] = {}
-            tail = None
-            for u, (s, _w) in reduced.items():
-                if s == u:
-                    tail = u
-                else:
-                    pred[s] = u
-            ranks: dict[int, Any] = {}
-            if tail is not None:
-                ranks[tail] = 0
-                cur = tail
-                while cur in pred:
-                    p_ = pred[cur]
-                    ranks[p_] = ranks[cur] + reduced[p_][1]
-                    cur = p_
-            if len(ranks) != len(reduced):  # pragma: no cover - defensive
-                raise AssertionError("reduced list is not a single chain")
-            by_dest: dict[int, list] = {}
-            for u, r in ranks.items():
-                by_dest.setdefault(self._owner(u, ctx.nprocs), []).extend((u, r))
-            ctx.send_all(by_dest)
+            reduced = _concat([as_i64(m.payload) for m in ctx.incoming], 3)
+            u, s, w = reduced[:, 0], reduced[:, 1], reduced[:, 2]
+            count = len(u)
+            ctx.charge(count)
+            if count:
+                # Rank the reduced list by pointer jumping: after ceil(log2)
+                # doublings every node points at the tail, and rank / hops
+                # sum the weights / edges on the way.
+                order = np.argsort(u)
+                at = np.minimum(np.searchsorted(u[order], s), count - 1)
+                nxt = order[at]
+                tail = nxt == np.arange(count)
+                rank = np.where(tail, 0, w)
+                hops = (~tail).astype(I64)
+                for _ in range(count.bit_length()):
+                    rank += rank[nxt]
+                    hops += hops[nxt]
+                    nxt = nxt[nxt]
+                if (np.count_nonzero(tail) != 1 or not np.array_equal(u[order][at], s)
+                        or not np.array_equal(np.sort(hops), np.arange(count))):
+                    raise AssertionError("reduced list is not a single chain")
+                # Scatter in walk order: the tail first, then back along it.
+                walk = np.argsort(hops)
+                self._send_by_owner(ctx, u[walk], _rows(u[walk], rank[walk]))
         st["eround"] = st["R"]
         st["phase"] = "EXPAND"
 
     def _expand(self, ctx: VPContext) -> None:
-        """Take in ranks ``(s, r)``, then push expansion round ``eround - 1``.
+        """Take in ranks ``(s, r)``, then push expansion round ``eround - 1``
+        and drop its log.
 
-        The first expand superstep receives the solved ranks themselves;
-        after that ``r`` is ``rank(x)`` and ``rank(s) = r + w(s)``.
+        The first expand superstep receives the solved ranks themselves and
+        creates ``rank``; after that ``r`` is ``rank(x)`` and ``rank(s) = r +
+        w(s)``.
         """
         st = ctx.state
-        lo, rank, w = st["lo"], st["rank"], st["w"]
-        solved = st["eround"] == st["R"]
-        for m in ctx.incoming:
-            it = iter(m.payload)
-            for s in it:
-                li = s - lo
-                rank[li] = next(it) if solved else next(it) + w[li]
+        lo, w = st["lo"], self._get(st, "w")
+        pairs = _concat([as_i64(m.payload) for m in ctx.incoming], 2)
+        li = pairs[:, 0] - lo
+        if st["eround"] == st["R"]:
+            rank = np.zeros(st["m"], I64)
+            rank[li] = pairs[:, 1]
+        else:
+            rank = self._get(st, "rank")
+            rank[li] = pairs[:, 1] + w[li]
         ctx.charge(st["m"])
         er = st["eround"] = st["eround"] - 1
         if er < 0:
+            self._put(st, "rank", rank)
+            del st["w"]
             st["phase"] = "DONE"
             ctx.vote_halt()
             return
-        log_at = st["log_at"]
-        end = log_at[er + 1] if er + 1 < len(log_at) else len(st["log_s"])
-        by_dest: dict[int, list] = {}
-        for x, s in zip(st["log_x"][log_at[er]:end], st["log_s"][log_at[er]:end]):
-            by_dest.setdefault(self._owner(s, ctx.nprocs), []).extend((s, rank[x]))
+        start = st["log_at"].pop()
+        xs = self._fields["log_x"].from_bytes(st["log_x"])[start:].astype(I64)
+        ss = self._fields["log_s"].from_bytes(st["log_s"])[start:].astype(I64)
         # Even with nothing to push the vp stays in lockstep: other vps may
         # push to *it* this round.
-        ctx.send_all(by_dest)
+        self._send_by_owner(ctx, ss, _rows(ss, rank[xs]))
+        st["log_x"] = st["log_x"][:start * self._fields["log_x"].itemsize]
+        st["log_s"] = st["log_s"][:start * self._fields["log_s"].itemsize]
+        self._put(st, "rank", rank)
 
-    def output(self, pid: int, state) -> list[tuple[int, Any]]:
-        lo = state["lo"]
-        return [(lo + li, state["rank"][li]) for li in range(state["m"])]
+    def output(self, pid: int, state) -> list[tuple[int, int]]:
+        rank = self._fields["rank"].from_bytes(state["rank"]).tolist()
+        return list(zip(range(state["lo"], state["lo"] + state["m"]), rank))

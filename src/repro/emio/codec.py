@@ -39,6 +39,8 @@ __all__ = [
     "register_codec",
     "get_codec",
     "codecs",
+    "I16",
+    "I32",
     "I64",
     "F64",
     "KV_I64",
@@ -144,6 +146,11 @@ def codecs() -> dict[str, RecordCodec]:
 
 #: int64 keys — the workhorse of the sort/permutation/list-ranking planes.
 I64 = register_codec(RecordCodec("i64", np.dtype("<i8")))
+
+#: Narrower signed ints: list ranking stores each context field at the
+#: narrowest of ``i16`` / ``i32`` / ``i64`` its values need.
+I16 = register_codec(RecordCodec("i16", np.dtype("<i2")))
+I32 = register_codec(RecordCodec("i32", np.dtype("<i4")))
 
 #: float64 records (IEEE-exact round trip, including NaN payload bits
 #: within a single canonical NaN — ``tolist`` preserves inf/-0.0 exactly).

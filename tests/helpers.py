@@ -123,17 +123,17 @@ def list_state_permutation(values, perm, v: int) -> CGMPermutation:
     return alg
 
 
-def leaving_per_record(st: dict, rnd: int, seed: int) -> list[int]:
+def leaving_per_record(lo: int, succ, pred, rnd: int, seed: int) -> list[int]:
     """List ranking's removal rule one node at a time over :func:`_prio`:
     the local indices of the active non-tail nodes whose ``(priority, id)``
-    is below both neighbours'."""
-    lo, pred, out = st["lo"], st["pred"], []
-    for li, s in enumerate(st["succ"]):
+    is below both neighbours'.  ``succ`` / ``pred`` are a vp's fields from
+    ``lo`` on, as the kernel sees them."""
+    out = []
+    for li, (s, p) in enumerate(zip(succ.tolist(), pred.tolist())):
         u = lo + li
         if s < 0 or s == u:
             continue  # contracted away, or the tail
         key = (_prio(u, rnd, seed), u)
-        p = pred[li]
         if key < (_prio(s, rnd, seed), s) and (p < 0 or key < (_prio(p, rnd, seed), p)):
             out.append(li)
     return out
@@ -142,10 +142,10 @@ def leaving_per_record(st: dict, rnd: int, seed: int) -> list[int]:
 class PerRecordListRanking(CGMListRanking):
     """List ranking whose removal rule is :func:`leaving_per_record`, the
     per-record reference of the vector kernel; contexts and messages are the
-    same lists, so every counted cost is too."""
+    same, so every counted cost is too."""
 
-    def _leaving(self, st, rnd):
-        return leaving_per_record(st, rnd, self.seed)
+    def _leaving(self, lo, succ, pred, rnd):
+        return leaving_per_record(lo, succ, pred, rnd, self.seed)
 
 
 def small_sort(n=64, v=4, data_seed=0):

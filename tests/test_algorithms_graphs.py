@@ -29,16 +29,18 @@ MACHINE = MachineParams(p=1, M=1 << 16, D=2, B=32, b=32)
 
 
 def true_ranks(succ, values=None):
-    """The pointer walk: follow ``succ`` from each node, summing weights."""
-
-    def walk(i):
-        r = 0
-        while succ[i] != i:
-            r += 1 if values is None else values[i]
-            i = succ[i]
-        return r
-
-    return [walk(i) for i in range(len(succ))]
+    """The pointer walk: follow ``succ`` from the head to the tail, then sum
+    the weights back."""
+    n = len(succ)
+    node = (set(range(n)) - {s for i, s in enumerate(succ) if s != i}).pop()
+    order = [node]
+    while succ[node] != node:
+        node = succ[node]
+        order.append(node)
+    ranks = [0] * n
+    for u in reversed(order[:-1]):
+        ranks[u] = ranks[succ[u]] + (1 if values is None else values[u])
+    return ranks
 
 
 def ranks_from(outputs, n):
@@ -60,12 +62,11 @@ class WatchedListRanking(CGMListRanking):
         self.per_record = records == "object"
         self.left = []
 
-    def _leaving(self, st, rnd):
-        out = leaving_per_record(st, rnd, self.seed)
+    def _leaving(self, lo, succ, pred, rnd):
+        out = leaving_per_record(lo, succ, pred, rnd, self.seed)
         if not self.per_record:
-            assert super()._leaving(st, rnd) == out
-        lo = st["lo"]
-        self.left.extend((rnd, lo + li, st["pred"][li], st["succ"][li]) for li in out)
+            assert super()._leaving(lo, succ, pred, rnd).tolist() == out
+        self.left.extend((rnd, lo + li, int(pred[li]), int(succ[li])) for li in out)
         return out
 
 
@@ -165,6 +166,54 @@ class TestListRanking:
                 assert p not in left and x not in left
         # A 3-window minimum: an expected third of the list leaves at once.
         assert 0.3 < len(rounds[0]) / n < 0.37
+
+    @pytest.mark.parametrize("n,ids", [
+        ((1 << 15) - 1, "i16"), (1 << 15, "i16"), ((1 << 15) + 1, "i32"),
+    ])
+    def test_node_ids_take_the_narrowest_width_that_holds_them(self, n, ids):
+        """Ids run 0..n-1 and -1 is the only sentinel, so 2^15 nodes still
+        fit int16; unit weights size w and rank alike."""
+        succ = workloads.random_linked_list(n, seed=n)
+        alg = CGMListRanking(succ, 32)
+        widths = {key: codec.name for key, codec in alg._fields.items()}
+        assert widths == dict(succ=ids, pred=ids, log_s=ids, log_x="i16", w=ids, rank=ids)
+        out, _ = simulate(alg, MACHINE, v=32, seed=1)
+        assert ranks_from(out, n) == true_ranks(succ)
+
+    @pytest.mark.parametrize("bound,sign,width", [
+        ((1 << 15) - 1, -1, "i16"), (1 << 15, 1, "i32"), (1 << 15, -1, "i32"),
+        ((1 << 31) - 1, -1, "i32"), (1 << 31, 1, "i64"), (1 << 31, -1, "i64"),
+    ])
+    def test_weights_take_the_width_of_their_magnitudes_sum(self, bound, sign, width):
+        """w and rank hold at most the sum of the weights' magnitudes; the
+        head's rank reaches it exactly, of either sign."""
+        n, v = 300, 4
+        succ = workloads.random_linked_list(n, seed=bound)
+        head = (set(range(n)) - set(succ)).pop()
+        values = [0] * n
+        values[head], values[succ[head]] = sign * (bound // 2), sign * (bound - bound // 2)
+        alg = CGMListRanking(succ, v, values=values)
+        assert alg._fields["w"].name == alg._fields["rank"].name == width
+        assert alg._fields["succ"].name == "i16"
+        out, _ = simulate(alg, MACHINE, v=v, seed=1)
+        ranks = ranks_from(out, n)
+        assert ranks == true_ranks(succ, values) and ranks[head] == sign * bound
+
+    def test_large_weights_of_both_signs_rank_exactly(self):
+        n, v = 2000, 8
+        succ = workloads.random_linked_list(n, seed=5)
+        rng = random.Random(5)
+        values = [rng.choice((-1, 1)) * rng.randint((1 << 31) - 64, 1 << 31) for _ in range(n)]
+        alg = CGMListRanking(succ, v, values=values)
+        assert alg._fields["w"].name == "i64"
+        out, _ = simulate(alg, MACHINE, v=v, seed=2)
+        assert ranks_from(out, n) == true_ranks(succ, values)
+
+    def test_refuses_weights_it_cannot_hold(self):
+        with pytest.raises(TypeError):
+            CGMListRanking([1, 1], 2, values=[0.5, 0])
+        with pytest.raises(ValueError):
+            CGMListRanking([1, 2, 2], 2, values=[1 << 62, 1 << 62, 0])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_em_sequential_matches(self, seed):

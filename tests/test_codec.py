@@ -22,6 +22,8 @@ from repro.emio.codec import RecordCodec, codecs, get_codec, register_codec
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
 i64s = st.integers(min_value=I64_MIN, max_value=I64_MAX)
+i32s = st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1)
+i16s = st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1)
 f64s = st.floats(allow_nan=True, allow_infinity=True, width=64)
 kvs = st.tuples(i64s, i64s)
 
@@ -54,6 +56,29 @@ def test_i64_roundtrip(records):
     _roundtrip(get_codec("i64"), records)
 
 
+@given(st.lists(i32s, max_size=64))
+def test_i32_roundtrip(records):
+    _roundtrip(get_codec("i32"), records)
+
+
+@given(st.lists(i16s, max_size=64))
+def test_i16_roundtrip(records):
+    _roundtrip(get_codec("i16"), records)
+
+
+@pytest.mark.parametrize("name,width", [("i16", 2), ("i32", 4), ("i64", 8)])
+def test_int_codecs_write_canonical_little_endian_bytes(name, width):
+    """The bytes a context holds depend on the records alone: little-endian
+    two's complement at the codec's width, from a list or any int array."""
+    codec = get_codec(name)
+    lo, hi = -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
+    records = [0, 1, -1, lo, hi]
+    expected = b"".join(x.to_bytes(width, "little", signed=True) for x in records)
+    assert codec.to_bytes(records) == expected
+    assert codec.to_bytes(np.array(records, dtype=">i8")) == expected
+    assert codec.itemsize == width
+
+
 @given(st.lists(f64s, max_size=64))
 def test_f64_roundtrip(records):
     _roundtrip(get_codec("f64"), records)
@@ -65,19 +90,21 @@ def test_kv_i64_roundtrip(records):
 
 
 def test_every_registered_codec_roundtrips_empty_and_extremes():
-    boundary = {
-        "i": [0, 1, -1, I64_MIN, I64_MAX],
-        "f": [0.0, -0.0, 1.5, math.inf, -math.inf, math.nan,
-              5e-324, 1.7976931348623157e308],
-    }
+    def boundary(dtype):
+        if dtype.kind == "i":
+            info = np.iinfo(dtype)
+            return [0, 1, -1, int(info.min), int(info.max)]
+        return [0.0, -0.0, 1.5, math.inf, -math.inf, math.nan,
+                5e-324, 1.7976931348623157e308]
+
     for codec in codecs().values():
         _roundtrip(codec, [])
         if codec.dtype.names:
-            fields = [codec.dtype[name].kind for name in codec.dtype.names]
-            rows = list(zip(*(boundary[k][:3] for k in fields)))
+            fields = [codec.dtype[name] for name in codec.dtype.names]
+            rows = list(zip(*(boundary(f)[:3] for f in fields)))
             _roundtrip(codec, rows)
         else:
-            _roundtrip(codec, boundary[codec.dtype.kind])
+            _roundtrip(codec, boundary(codec.dtype))
 
 
 def test_decode_returns_plain_python_scalars():

@@ -331,7 +331,9 @@ FAST_VECTOR = dict(context_cache=True, fast_io=True)
 #: suite's full-size sort, the forced Algorithm 2 sort at k = 1 as before.
 #: smoke_listrank's one batch keeps its inbox in memory (k*(mu + gamma) <=
 #: M, RunConfig.holds_inbox), so its message and checkpoint columns went
-#: 25 -> 0.
+#: 25 -> 0.  List ranking's fixed-width contexts (mu 560 -> 227 for
+#: listrank_d8) moved its context columns, output and disk_tracks only;
+#: listrank_d8 takes M = 16*mu so that it still runs k = 16 and swaps.
 P1_COLUMNS = {
     "smoke_sort": (
         lambda: CGMSampleSort(np.random.default_rng(3).integers(0, 1 << 30, 156_250), 128),
@@ -340,7 +342,7 @@ P1_COLUMNS = {
     "smoke_listrank": (
         lambda: CGMListRanking(_suite_list(2048), 8),
         (1 << 22, 4, 256, 512), dict(FAST_VECTOR, storage="file", checkpoint=True),
-        (14, 0, 0, 0, 0, 0, 0, 0, 194, 87, 10, 0, 26887)),
+        (14, 0, 0, 0, 0, 0, 0, 0, 194, 87, 4, 0, 26887)),
     # Step 2 forced onto Algorithm 2: 15 + 237 + 13 I/O ops, 74 to checkpoint.
     "forced_algorithm_2_sort": (
         lambda: CGMSampleSort(uniform_keys(512, seed=11), 4),
@@ -348,8 +350,8 @@ P1_COLUMNS = {
         (4, 15, 38, 25, 25, 21, 128, 13, 35, 81, 34, 74, 10320)),
     "listrank_d8": (
         lambda: CGMListRanking(random_linked_list(8192, seed=3), 64),
-        (1 << 14, 8, 32, 64), dict(seed=3),
-        (24, 48, 1354, 604, 513, 1370, 0, 64, 1404, 3802, 144, 0, 188558)),
+        (16 * 227, 8, 32, 64), dict(seed=3),
+        (24, 48, 1152, 604, 513, 1152, 0, 48, 1404, 3802, 64, 0, 188558)),
 }
 
 

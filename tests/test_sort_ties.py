@@ -148,8 +148,10 @@ def test_the_declared_mu_is_at_least_half_used(task, records):
     """``mu`` is a bound the run comes within a factor of two of, so
     ``k = floor(M/mu)`` fills memory with what the contexts hold — on the
     vector plane int64 input picks, and for list ranking's per-record
-    removal rule too (its contexts are the same lists).  The list-state
-    path of other input declares a generous ``mu`` by design."""
+    removal rule too (its contexts are the same bytes).  List ranking's
+    fixed-width contexts come within 10%: its ``mu`` is the measured size of
+    its largest state.  The list-state path of other input declares a
+    generous ``mu`` by design."""
     n, v = 1 << 14, 16
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 1 << 30, n, dtype=np.int64)
@@ -162,5 +164,5 @@ def test_the_declared_mu_is_at_least_half_used(task, records):
         alg = cls(random_linked_list(n, seed=3), v)
     _outputs, report = simulate(alg, _machine(1, alg), v)
     bsp = report.params.bsp
-    assert 0.5 <= report.mu_used / bsp.mu <= 1
+    assert (0.9 if task == "listranking" else 0.5) <= report.mu_used / bsp.mu <= 1
     assert 0 < report.gamma_used <= bsp.gamma
