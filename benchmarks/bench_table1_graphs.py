@@ -23,6 +23,10 @@ from .common import emit
 
 V, D, B = 8, 4, 32
 
+#: The PRAM rival's memory per row: half the list, fixed, so that a change to
+#: list ranking's contexts moves the CGM columns only.
+PRAM_M = {512: 256, 4096: 2048}
+
 
 def machine_for(alg, p=1):
     return MachineParams(
@@ -47,7 +51,7 @@ def test_table1_list_ranking_vs_pram(benchmark):
         out, report = simulate(CGMListRanking(succ, V), machine, v=V, seed=n)
         cgm_io = report.io_ops
 
-        pram_machine = MachineParams(p=1, M=machine.M, D=D, B=B, b=B)
+        pram_machine = MachineParams(p=1, M=PRAM_M[n], D=D, B=B, b=B)
         ranks, pram_stats = PRAMListRanking(pram_machine).rank(succ)
         # Cross-validate the two implementations against each other.
         got = {}

@@ -93,11 +93,14 @@ def as_i64(payload: Any) -> np.ndarray:
     return np.asarray(payload, dtype=I64)
 
 
-def sample_positions(n: int, count: int) -> list[int]:
-    """The index set :func:`~repro.bsp.collectives.regular_samples` picks."""
+def sample_positions(n: int, count: int) -> np.ndarray:
+    """The index set :func:`~repro.bsp.collectives.regular_samples` picks,
+    as an ascending ``<i8`` array.  Up to ``count == n`` the ``count``
+    positions are distinct; past it they repeat and are deduplicated."""
     if n == 0 or count <= 0:
-        return []
-    return sorted({min(n - 1, (i + 1) * n // (count + 1)) for i in range(count)})
+        return np.empty(0, I64)
+    pos = np.arange(1, count + 1, dtype=I64) * n // (count + 1)
+    return pos if count <= n else np.unique(pos)
 
 
 def owners_of_indices(idx: np.ndarray, n: int, v: int) -> np.ndarray:

@@ -4,9 +4,10 @@ A single-sample-round CGM sort in the style of communication-efficient
 parallel sorting [Goodrich 96] / parallel sorting by regular sampling:
 
 * **Superstep 0** — each virtual processor sorts a copy of its ``n/v`` local
-  items and sends ``v`` regularly spaced samples of it to vp 0.
-* **Superstep 1** — vp 0 sorts the ``v^2`` samples, selects ``v-1`` splitters,
-  and broadcasts them.
+  items and sends ``s = max(v, floor(ceil(n/v)/v))`` regularly spaced
+  samples of it to vp 0 (:meth:`CGMSampleSort.samples_per_vp`).
+* **Superstep 1** — vp 0 sorts the ``v*s`` samples, selects ``v-1``
+  splitters, one every ``s``, and broadcasts them.
 * **Superstep 2** — each vp sorts its items again and partitions the sorted
   run by the splitters, routing partition ``j`` to vp ``j`` (the single
   ``h``-relation with ``h = O(n/v)``).
@@ -24,13 +25,21 @@ its run before a splitter ``(s, q)`` owned by vp ``js`` at
 ``bisect_left(s)`` if ``pid > js``, and at ``q``'s own index if ``pid ==
 js``.  On distinct keys that is the plain ``bisect_left`` cut.
 
-**The bucket bound.**  With ties broken, a vp of ``m <= ceil(n/v)`` records,
-sampled at indices ``(i+1)*m//(v+1)``, has at most ``(c+1)*m/(v+1)`` records
-below a splitter that ``c`` of its samples are below, and at least
-``c*m/(v+1)``.  Between two consecutive splitters the ``c`` of
-the ``v`` vps rise by ``v`` in all, so a bucket holds at most
-``2v*ceil(n/v)/(v+1) < 2*ceil(n/v)`` records, whatever the keys, duplicates
-included.  ``context_size`` and ``comm_bound`` are declared from that bound.
+**The bucket bound.**  Let ``m = ceil(n/v)``.  With ties broken, a vp of
+``m_r <= m`` records, sampled at indices ``(i+1)*m_r//(s+1)`` for ``i < s``
+(``s <= m_r``, so the ``s`` indices are distinct), has at most
+``(c+1)*m_r/(s+1)`` records below a splitter that ``c`` of its samples are
+below, and more than ``c*m_r/(s+1)``.  vp 0 picks splitter ``j`` at index
+``(j+1)*s`` of the ``v*s`` tagged samples, so between two consecutive
+splitters (and below the first, and from the last on) the ``c`` of the
+``v`` vps rise by ``s`` in all, and a bucket holds at most
+``(s+v)*m/(s+1) = m + (v-1)*m/(s+1)`` records, whatever the keys,
+duplicates included.  That is below ``2m`` because ``s >= v``, and below
+``m + v^2`` because ``s + 1 > m/v``.  At the coarseness floor ``n = v^2``,
+``s = v``: the classic ``2v*m/(v+1)`` of ``v`` samples a vp.  vp 0's inbox
+of ``v*s <= max(v^2, m)`` samples stays inside the same declarations.
+``context_size`` and ``comm_bound`` are declared from that bound
+(:meth:`CGMSampleSort.bucket_bound`).
 
 ``lambda = O(1)`` supersteps, ``T_comp = O((n/v) log n)``, ``mu = O(n/v)``
 — the Table 1 row.  Requires ``n >= v^2`` (the usual CGM coarseness
@@ -125,6 +134,17 @@ class CGMSampleSort(BSPAlgorithm):
 
     # -- resource declarations ------------------------------------------------------
 
+    def samples_per_vp(self, v: int | None = None) -> int:
+        """``s``: the regular samples each of ``v`` (default ``self.v``)
+        vps sends to vp 0."""
+        v = self.v if v is None else v
+        return max(v, -(-self.n // v) // v)
+
+    def bucket_bound(self) -> int:
+        """The most records any vp's bucket holds (module docstring)."""
+        m, s = -(-self.n // self.v), self.samples_per_vp()
+        return (s + self.v) * m // (s + 1)
+
     def context_size(self) -> int:
         m = -(-self.n // self.v)
         if self._codec is None:
@@ -133,18 +153,19 @@ class CGMSampleSort(BSPAlgorithm):
             # samples at four records an item.
             return 256 + 4 * (4 * m + 2 * self.v * self.v)
         # One key is one 8-byte record of the state's codec bytes.  The
-        # largest state is the result: a bucket of fewer than 2*ceil(n/v)
-        # keys (module docstring), held alone (the share is emptied first).
-        return 2 * m + STATE_FRAMING
+        # largest state is the result: a bucket (module docstring), held
+        # alone (the share, at most m <= bucket_bound() keys, is emptied
+        # first).
+        return self.bucket_bound() + STATE_FRAMING
 
     def comm_bound(self) -> int:
         m, v = -(-self.n // self.v), self.v
         if self._codec is None:
             return 64 + 2 * max(v * v, 4 * m + v)
-        # vp 0 receives v samples from every vp and sends v-1 (key, position)
+        # vp 0 receives s samples from every vp and sends v-1 (key, position)
         # splitters to every vp; a data superstep sends a share and
-        # receives a bucket.
-        return max(v * v, 2 * v * (v - 1), 2 * m)
+        # receives a bucket, which is no smaller.
+        return max(v * self.samples_per_vp(), 2 * v * (v - 1), self.bucket_bound())
 
     def state_use(self, step: int, pid: int) -> str:
         # Samples are taken from a sorted copy, and vp 0 picks the splitters
@@ -154,19 +175,20 @@ class CGMSampleSort(BSPAlgorithm):
 
     # -- the tie-break -------------------------------------------------------------
 
-    def _sample_ranks(self, src: int, v: int) -> list[int]:
-        """Global positions of vp ``src``'s regular samples in the sorted runs."""
-        lo, hi = share_bounds(self.n, v, src)
-        return [lo + i for i in sample_positions(hi - lo, v)]
+    def _sample_ranks(self, srcs: Sequence[int], v: int) -> np.ndarray:
+        """Global positions in the sorted runs of the regular samples of
+        vps ``srcs``, vp after vp (``s`` each, since ``s`` is at most any
+        share's size)."""
+        lo, hi = np.array([share_bounds(self.n, v, r) for r in srcs], I64).reshape(-1, 2).T
+        s = self.samples_per_vp(v)
+        idx = np.arange(1, s + 1, dtype=I64)
+        return (lo[:, None] + idx * (hi - lo)[:, None] // (s + 1)).ravel()
 
     def _splitters(self, incoming, v: int) -> list:
         """vp 0's ``v-1`` splitters as a flat ``[key, position, ...]`` list:
         regular samples of every vp's samples in ``(key, position)`` order."""
-        tagged = sorted(
-            (x, r)
-            for m in incoming
-            for x, r in zip(m.payload, self._sample_ranks(m.src, v))
-        )
+        ranks = self._sample_ranks([m.src for m in incoming], v).tolist()
+        tagged = sorted(zip((x for m in incoming for x in m.payload), ranks))
         return [e for pair in regular_samples(tagged, v - 1) for e in pair]
 
     def _cuts(self, keys: Sequence[Any], splitters: Sequence[Any], pid: int, v: int):
@@ -216,8 +238,8 @@ class CGMSampleSort(BSPAlgorithm):
         if ctx.step == 0:
             items = sorted(st["items"], key=key)
             ctx.charge(len(items) * max(1, len(items).bit_length()))
-            samples = regular_samples([key(x) for x in items] if key else items, v)
-            ctx.send(0, samples)
+            keys = [key(x) for x in items] if key else items
+            ctx.send(0, regular_samples(keys, self.samples_per_vp(v)))
         elif ctx.step == 1:
             if ctx.pid == 0:
                 splitters = self._splitters(ctx.incoming, v)
@@ -247,14 +269,11 @@ class CGMSampleSort(BSPAlgorithm):
             arr = np.sort(get_codec(st["enc"]).from_bytes(st["items"]))
             n_loc = len(arr)
             ctx.charge(n_loc * max(1, n_loc.bit_length()))
-            ctx.send(0, arr[sample_positions(n_loc, v)])
+            ctx.send(0, arr[sample_positions(n_loc, self.samples_per_vp(v))])
         elif ctx.step == 1:
             if ctx.pid == 0:
                 keys = np.concatenate([as_i64(m.payload) for m in ctx.incoming])
-                ranks = np.asarray(
-                    [r for m in ctx.incoming for r in self._sample_ranks(m.src, v)],
-                    I64,
-                )
+                ranks = self._sample_ranks([m.src for m in ctx.incoming], v)
                 order = np.lexsort((ranks, keys))
                 n_s = len(order)
                 ctx.charge(n_s * max(1, n_s.bit_length()))

@@ -328,7 +328,10 @@ FAST_VECTOR = dict(context_cache=True, fast_io=True)
 #: disk_tracks follow mu and gamma, listrank_d8 runs k = 16 where it ran
 #: k = 2, and the sorts' splitters are (key, position) pairs.  The two sorts
 #: take a smaller M so that they still swap: smoke_sort at k = 16 like the
-#: suite's full-size sort, the forced Algorithm 2 sort at k = 1 as before.
+#: suite's full-size sort, the forced Algorithm 2 sort at k = 1 as before
+#: (M = 256 since its oversampled bucket bound took mu 272 -> 155; at
+#: n = 512, v = 4 each vp sends s = 32 samples where it sent 4, which moved
+#: the sample superstep's message, reorganize and comp columns).
 #: smoke_listrank's one batch keeps its inbox in memory (k*(mu + gamma) <=
 #: M, RunConfig.holds_inbox), so its message and checkpoint columns went
 #: 25 -> 0.  List ranking's fixed-width contexts (mu 560 -> 227 for
@@ -343,11 +346,11 @@ P1_COLUMNS = {
         lambda: CGMListRanking(_suite_list(2048), 8),
         (1 << 22, 4, 256, 512), dict(FAST_VECTOR, storage="file", checkpoint=True),
         (14, 0, 0, 0, 0, 0, 0, 0, 194, 87, 4, 0, 26887)),
-    # Step 2 forced onto Algorithm 2: 15 + 237 + 13 I/O ops, 74 to checkpoint.
+    # Step 2 forced onto Algorithm 2: 15 + 263 + 15 I/O ops, 76 to checkpoint.
     "forced_algorithm_2_sort": (
         lambda: CGMSampleSort(uniform_keys(512, seed=11), 4),
-        (512, 4, 8, 16), dict(seed=3, checkpoint=True),
-        (4, 15, 38, 25, 25, 21, 128, 13, 35, 81, 34, 74, 10320)),
+        (256, 4, 8, 16), dict(seed=3, checkpoint=True),
+        (4, 15, 38, 27, 25, 23, 150, 15, 35, 90, 20, 76, 11264)),
     "listrank_d8": (
         lambda: CGMListRanking(random_linked_list(8192, seed=3), 64),
         (16 * 227, 8, 32, 64), dict(seed=3),

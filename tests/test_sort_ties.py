@@ -1,9 +1,11 @@
-"""The sample sort's ``2n/v`` bucket bound holds for every input, and the
-declared ``mu`` and ``gamma`` are bounds the runs fill.
+"""The sample sort's bucket bound holds for every input, and the declared
+``mu`` and ``gamma`` are bounds the runs fill.
 
-Regular sampling bounds a bucket by ``2n/v`` only if no two keys are equal;
-the sort therefore orders records by ``(key, global position in the sorted
-runs)`` (:mod:`repro.algorithms.sorting`).  These tests drive duplicate-heavy
+With ``s = max(v, floor(m/v))`` regular samples a vp (``m = ceil(n/v)``),
+a bucket holds at most ``(s+v)*m/(s+1) < min(2m, m + v^2)`` records, but
+only if no two keys are equal; the sort therefore orders records by
+``(key, global position in the sorted runs)``
+(:mod:`repro.algorithms.sorting`).  These tests drive duplicate-heavy
 inputs through both record planes — the codec path's vector kernels, and the
 list-state path on the same values by an identity key — at one and two
 processors, with the engine enforcing ``mu`` at every context save and
@@ -55,10 +57,17 @@ def _sort(records: str, data: np.ndarray, v: int) -> CGMSampleSort:
     return CGMSampleSort(data, v) if records == "vector" else list_state_sort(data, v)
 
 
+def _bound(n: int, v: int) -> int:
+    """The bucket bound, from the module docstring's formula."""
+    m = -(-n // v)
+    s = max(v, m // v)
+    return (s + v) * m // (s + 1)
+
+
 def _check_sorted(outputs, data, v: int) -> None:
     flat = np.concatenate([np.asarray(o, dtype=np.int64) for o in outputs])
     assert np.array_equal(flat, np.sort(np.asarray(data, dtype=np.int64)))
-    assert max(len(o) for o in outputs) <= 2 * -(-len(data) // v)
+    assert max(len(o) for o in outputs) <= _bound(len(data), v)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -71,6 +80,33 @@ def test_duplicate_heavy_input_sorts_inside_the_bucket_bound(kind, v, records, p
     outputs, report = simulate(alg, _machine(p, alg), v)
     _check_sorted(outputs, data, v)
     assert report.mu_used <= report.params.bsp.mu
+    assert report.gamma_used <= report.params.bsp.gamma
+
+
+KINDS = ["sorted", "reversed", "all-equal", "two-key", "three-key", "random"]
+
+
+#: (n, v, s): at v = 8 the sample count leaves v at m = 72 (n = 569); at
+#: v = 16 at m = 272 (n = 4337).  The rows on either side of each switch,
+#: and one far past it.
+SWITCH = [(568, 8, 8), (576, 8, 9), (8192, 8, 128), (4336, 16, 16), (4352, 16, 17)]
+
+
+@pytest.mark.parametrize("records", ["object", "vector"])
+@pytest.mark.parametrize("n,v,s", SWITCH, ids=[f"n{n}-v{v}-s{s}" for n, v, s in SWITCH])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_bucket_is_inside_the_oversampled_bound(kind, n, v, s, records):
+    """The largest bucket is at most ``(s+v)*m/(s+1)`` on every input, on
+    both sides of the ``s = v`` switch, and no superstep's traffic is
+    refused by the ``gamma`` declared from it (the engine raises if it is)."""
+    data = _keys(kind, n)
+    alg = _sort(records, data, v)
+    m = -(-n // v)
+    assert alg.samples_per_vp() == s and alg.bucket_bound() == _bound(n, v)
+    assert alg.bucket_bound() < min(2 * m, m + v * v)
+    outputs, report = simulate(alg, _machine(2, alg), v)
+    _check_sorted(outputs, data, v)
+    assert max(len(o) for o in outputs) <= alg.bucket_bound()
     assert report.gamma_used <= report.params.bsp.gamma
 
 
@@ -96,24 +132,27 @@ def test_the_object_path_breaks_ties_by_position_too(kind):
     alg = CGMSampleSort(data, v, key=lambda r: r[0])
     outputs, _report = simulate(alg, _machine(1, alg), v)
     assert [r for out in outputs for r in out] == sorted(data, key=lambda r: r[0])
-    assert max(len(o) for o in outputs) <= 2 * -(-len(data) // v)
+    assert max(len(o) for o in outputs) <= _bound(len(data), v)
 
 
 def test_distinct_keys_cut_where_they_always_did():
     """With no key repeated, ``(key, position)`` orders records as the key
     does: every vp's bucket is the records between consecutive splitters."""
     v = 16
-    data = np.random.default_rng(1).permutation(4096).astype(np.int64)
-    outputs, _ = run_reference(CGMSampleSort(data, v), v)
+    data = np.random.default_rng(1).permutation(8192).astype(np.int64)
+    alg = CGMSampleSort(data, v)
+    s = alg.samples_per_vp()
+    assert s == 32
+    outputs, _ = run_reference(alg, v)
     keys = np.sort(data)
     edges = np.cumsum([0, *(len(o) for o in outputs)])
-    # The splitters are regular samples of the regular samples; each bucket
-    # after the first starts at one of them.
+    # The splitters are every s-th of the vps' s regular samples each; each
+    # bucket after the first starts at one of them.
     samples = np.concatenate([
-        np.sort(part)[[(i + 1) * len(part) // (v + 1) for i in range(v)]]
+        np.sort(part)[[(i + 1) * len(part) // (s + 1) for i in range(s)]]
         for part in np.array_split(data, v)
     ])
-    splitters = np.sort(samples)[[(i + 1) * v for i in range(v - 1)]]
+    splitters = np.sort(samples)[[(i + 1) * s for i in range(v - 1)]]
     assert keys[edges[1:-1]].tolist() == splitters.tolist()
 
 
@@ -150,8 +189,10 @@ def test_the_declared_mu_is_at_least_half_used(task, records):
     vector plane int64 input picks, and for list ranking's per-record
     removal rule too (its contexts are the same bytes).  List ranking's
     fixed-width contexts come within 10%: its ``mu`` is the measured size of
-    its largest state.  The list-state path of other input declares a
-    generous ``mu`` by design."""
+    its largest state.  The sort's oversampled bucket bound is pinned where
+    this input fills it: 1184 of 1276 records (0.928; 1691 of 2064, 0.819,
+    with ``v`` samples a vp).  The list-state path of other input declares
+    a generous ``mu`` by design."""
     n, v = 1 << 14, 16
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 1 << 30, n, dtype=np.int64)
@@ -166,3 +207,5 @@ def test_the_declared_mu_is_at_least_half_used(task, records):
     bsp = report.params.bsp
     assert (0.9 if task == "listranking" else 0.5) <= report.mu_used / bsp.mu <= 1
     assert 0 < report.gamma_used <= bsp.gamma
+    if task == "sort":
+        assert (report.mu_used, bsp.mu) == (1184, 1276)

@@ -39,7 +39,8 @@ RECLEN = 64
 
 
 def _machine(alg, D=8, B=1024):
-    return MachineParams(p=1, M=alg.context_size(), D=D, B=B)
+    # One context in memory, but never less than a block a drive.
+    return MachineParams(p=1, M=max(alg.context_size(), D * B), D=D, B=B)
 
 
 class TestDigests:

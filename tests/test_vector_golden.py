@@ -27,6 +27,7 @@ from repro.algorithms.sorting import CGMSampleSort
 from repro.bsp.collectives import (
     owner_of_index,
     regular_samples,
+    share_bounds,
 )
 from repro.bsp.program import AlgorithmError
 from repro.bsp.runner import run_reference
@@ -99,6 +100,18 @@ class TestKernelEquivalence:
                 items = list(range(1000, 1000 + n))
                 assert [items[i] for i in sample_positions(n, count)] == \
                     regular_samples(items, count)
+
+    def test_sort_sample_ranks_match_the_per_vp_regular_samples(self):
+        """vp 0's array arithmetic for the samples' global positions is
+        ``regular_samples`` of each sender's index range, sender by sender."""
+        for n, v in ((64, 4), (568, 8), (576, 8), (1000, 7), (4352, 16)):
+            alg = CGMSampleSort(np.zeros(n, np.int64), v)
+            srcs = list(range(v))[::-1]
+            want = []
+            for r in srcs:
+                lo, hi = share_bounds(n, v, r)
+                want += regular_samples(list(range(lo, hi)), alg.samples_per_vp())
+            assert alg._sample_ranks(srcs, v).tolist() == want
 
     def test_owners_of_indices_matches_owner_of_index(self):
         for n in (1, 7, 16, 65):
