@@ -45,9 +45,9 @@ of ``v*s <= max(v^2, m)`` samples stays inside the same declarations.
 — the Table 1 row.  Requires ``n >= v^2`` (the usual CGM coarseness
 condition ``n/p >= p``).  Superstep 0 only reads a vp's state and superstep
 1 does not touch it (:meth:`CGMSampleSort.state_use`), so the EM engines
-write no context back there and fetch none in superstep 1: sorting twice
-costs one more local sort, where keeping the sorted run would cost a
-context write-back of the whole input.
+write no context back there and fetch none in superstep 1 (nor superstep 2
+its first batch, kept in memory): sorting twice costs one more local sort,
+where keeping the sorted run would cost a context write-back of the input.
 
 **Record planes: the input picks.**  When the input is exactly int64
 (plain ints or a signed integer ndarray) and no ``key`` is given, a codec

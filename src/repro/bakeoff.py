@@ -80,8 +80,8 @@ def default_sweep(quick: bool = False) -> list[BakeoffConfig]:
     regime.  ``quick`` is the CI/test subset."""
     if quick:
         return [
-            BakeoffConfig(1024, 4096, 16, 2, "joint"),
-            BakeoffConfig(2048, 8192, 16, 4, "joint"),
+            BakeoffConfig(8192, 2048, 16, 2, "joint"),
+            BakeoffConfig(16384, 4096, 16, 4, "joint"),
             BakeoffConfig(4096, 128, 8, 2, "deep"),
             BakeoffConfig(4096, 256, 16, 4, "deep"),
         ]

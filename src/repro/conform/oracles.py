@@ -56,7 +56,6 @@ import numpy as np
 
 from ..bsp.program import state_uses
 from ..core.engine import RunConfig
-from ..core.processor import group_order
 from ..core.stats import SimulationReport
 from ..params import SimulationParams
 
@@ -288,7 +287,7 @@ def theorem1_io_bound(
       bucket — the exact round counts of Algorithm 2's two phases; the
       superstep charges the max over processors (0 for a kept store).
 
-    Where the superstep's last batch holds its inbox in memory
+    Where the batch held across the barrier holds its inbox in memory
     (``report.inbox_held``), the blocks a processor packs for its own vps
     of it count in ``T_s`` but are neither written nor fetched, so each
     term still over-approximates its phase.
@@ -444,15 +443,16 @@ def check_theorem1_io(
       group's loads: it is read from memory);
     * the contexts, group by group (``SuperstepReport.ran``), replaying the
       engine's rule (:mod:`repro.core.engine`) on each row's state uses —
-      the ``algorithm``'s, when given, which the rows must match.  A group
-      is fetched iff a vp reads, at 0 if it is in memory and otherwise at
-      what its disk image costs, slot by slot as the input load
+      the ``algorithm``'s, when given, which the rows must match, in the
+      plan's order (:func:`~repro.core.engine.plan_rounds`).  A group is
+      fetched iff a vp reads, at 0 if it is in memory and otherwise at what
+      its disk image costs, slot by slot as the input load
       (``SimulationReport.loaded``) or the last write-back left it; leaving
-      memory it writes exactly its dirty slots, at what their block counts
-      cost on the consecutive layout (the max over processors of the
-      busiest drive).  Each superstep's phase totals are its rows'.  The
-      input load and the output unload move every group not in memory, one
-      max over processors of the sum over groups;
+      memory (all but the plan's held group) it writes exactly its dirty
+      slots, at what their block counts cost on the consecutive layout (the
+      max over processors of the busiest drive).  Each superstep's phase
+      totals are its rows'.  The input load and the output unload move every
+      group not in memory, one max over processors of the sum over groups;
     * the packed write (Step 1(d)), from the records the engine packed for
       each destination group (``SuperstepReport.packing``, counted from the
       messages, not the blocks): ``message_blocks`` equals the sum over
@@ -484,7 +484,7 @@ def check_theorem1_io(
     disk = {g: ("the input load", [list(c) for c in counts])
             for g, counts in enumerate(report.loaded or ())}
     every = {(i, r) for i in range(p) for r in range(k)}
-    mem = (group_order(0, ngroups)[0], every) if disk else None
+    mem = (0, every) if disk else None
     failures = []
 
     def fail(message: str) -> None:
@@ -496,15 +496,22 @@ def check_theorem1_io(
 
     for s, bound in zip(report.supersteps, bounds):
         fetched = wrote = 0
-        last = group_order(s.index, ngroups)[-1]
-        for g, uses, got, put, counts in s.ran:
+        rows = []
+        for g, uses, *rest in s.ran:
+            declared = uses if algorithm is None else state_uses(algorithm, s.index, [
+                i * vpp + g * k + r for i in range(p) for r in range(k)])
+            if uses != declared:
+                fail(f"superstep {s.index}: group {g}'s row says state uses {uses!r}, "
+                     f"but its vps declare {declared!r}")
+            rows.append((g, declared, *rest))
+        resident = mem and mem[0]
+        order = [((resident or 0) + i) % ngroups for i in range(ngroups)]
+        if [row[0] for row in rows] != order:
+            fail(f"superstep {s.index} ran its groups in the order "
+                 f"{[row[0] for row in rows]}, but from the group in memory it is {order}")
+        last = next((row[0] for row in reversed(rows) if row[1].strip("n")), resident)
+        for g, uses, got, put, counts in rows:
             at = f"superstep {s.index}: group {g}"
-            if algorithm is not None:
-                declared = state_uses(algorithm, s.index, [
-                    i * vpp + g * k + r for i in range(p) for r in range(k)])
-                if uses != declared:
-                    fail(f"{at}'s row says state uses {uses!r}, but its vps declare {declared!r}")
-                uses = declared
             who, image = disk[g]
             held = mem is not None and mem[0] == g
             if not uses.strip("n"):
@@ -523,7 +530,7 @@ def check_theorem1_io(
             fetched += want or 0
             dirty = (mem[1] if held else set()) | {
                 (i, r) for i in range(p) for r in range(k) if uses[i * k + r] == "w"}
-            if g == last and (held or want is not None):
+            if g == last:
                 mem, dirty = (g, dirty), set()
             elif held:
                 mem = None

@@ -54,18 +54,18 @@ What a round moves of the contexts follows one rule, from each vp's
 ``write``), decided alike on every processor before anything is read.  A
 batch whose vps are all ``none`` and whose incoming slot is empty on every
 processor is skipped: no compute, no scatter.  A batch that runs fetches its
-contexts only if some vp reads; a ``write`` vp's slot becomes dirty.  Every
-batch but the superstep's last leaves memory after its round, or in place of
-a round skipped: its dirty slots are written back (Step 1(e)), its clean ones
-dropped at no I/O.  The rounds run their batches in ascending cyclic order,
-each compound superstep starting with the batch the one before ended with
-(:func:`~repro.core.processor.group_order`): that batch stays in memory
-across the barrier if it is there, and its next fetch costs nothing — with
-one batch (``v == p*k``), every one.  Where ``M`` also holds that batch's
-inbox (:meth:`RunConfig.holds_inbox`), Step 1(d) keeps the blocks a
-processor packs for its own vps of it in memory instead of the bucket store,
-the slot sizes the skip reads count them, and the batch's next fetch takes
-them at no I/O — with one batch on one processor, every message.
+contexts only if some vp reads; a ``write`` vp's slot becomes dirty.  The
+rounds run in ascending cyclic order from the batch in memory (batch 0 when
+none is), which leaves memory only when another batch's contexts come in:
+its dirty slots are written back (Step 1(e)), its clean ones dropped at no
+I/O (:func:`plan_rounds`).  The batch that ends the superstep in memory —
+the last whose contexts came in, else the one already there — opens the
+next superstep at no I/O; with one batch (``v == p*k``), every one.  Where
+``M`` also holds that batch's inbox (:meth:`RunConfig.holds_inbox`), Step
+1(d) keeps the blocks a processor packs for its own vps of it in memory
+instead of the bucket store, the slot sizes the skip reads count them, and
+the batch's next fetch takes them at no I/O — with one batch on one
+processor, every message.
 
 After the last round, Step 2 runs Algorithm 2 (`simulate_routing`) locally on
 every processor, producing per-batch standard-consecutive regions for the
@@ -139,10 +139,10 @@ from .checkpoint import (
     freeze,
     thaw,
 )
-from .processor import RealProcessor, group_order
+from .processor import RealProcessor
 from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepReport
 
-__all__ = ["ParallelEMSimulation", "RunConfig", "deal", "h_relation"]
+__all__ = ["ParallelEMSimulation", "RunConfig", "deal", "h_relation", "plan_rounds"]
 
 
 def _refuse_unknown(field: str, value: Any, allowed: tuple, none_ok: bool = False) -> None:
@@ -316,6 +316,17 @@ def deal(packets: list[Block], offset: int, p: int) -> list[list[Block]]:
     ``(offset + t) mod p``, so each of the ``p`` receivers gets
     ``floor(n/p)`` or ``ceil(n/p)`` of the ``n`` packets, in send order."""
     return [packets[(q - offset) % p :: p] for q in range(p)]
+
+
+def plan_rounds(resident: int | None, reads: list[bool]) -> tuple[list[int], int | None]:
+    """One compound superstep's plan, from the batch in memory (None if
+    none is) and, batch by batch, whether its contexts come in (some vp
+    reads): the rounds' order, ascending and cyclic from the batch in memory
+    or from batch 0, and the batch that ends the superstep in memory — the
+    last whose contexts come in, or, if none do, the one already there."""
+    start = resident or 0
+    order = [(start + g) % len(reads) for g in range(len(reads))]
+    return order, next((j for j in reversed(order) if reads[j]), resident)
 
 
 def h_relation(tallies: list[tuple[tuple[int, int, int], ...]]) -> int:
@@ -602,24 +613,27 @@ class ParallelEMSimulation:
 
         obs = self.obs
         k, vpp = self.params.k, self.params.vps_per_processor
+        # The batches' state uses and the batch in memory plan the superstep
+        # alike for every processor before anything is read (module docstring).
         resident = marks0[0][3]
+        uses_of = [state_uses(self.algorithm, step, [
+            i * vpp + j * k + r for i in range(self.p) for r in range(k)])
+            for j in range(self.params.groups_per_processor)]
+        reads = [u.strip("n") != "" for u in uses_of]
+        order, holder = plan_rounds(resident, reads)
         ran: list[tuple[int, str, int | None, int | None, tuple[tuple[int, ...], ...]]] = []
-        for j in group_order(step, self.params.groups_per_processor):
-            # The batch's state uses, processor by processor, decide alike
-            # for every processor before anything is read whether it runs
-            # and whether it fetches (module docstring).
-            uses = state_uses(self.algorithm, step, [
-                i * vpp + j * k + r for i in range(self.p) for r in range(k)])
+        for j in order:
+            uses, read = uses_of[j], reads[j]
             mine = [uses[q * k:(q + 1) * k] for q in range(self.p)]
-            read = uses.strip("n") != ""
             if not read and not any(m[2][j] for m in marks0):
                 all_halted = False  # a none vp with an empty inbox does not vote halt
                 if network:  # its gather moved nothing, but is a barrier
                     cost.syncs += 1
                 traffic.append(((), None) if network else ())
-                # Step 1(e) alone: only the batch in memory has any to do.
-                settled = (self.backend.call_all("settle", [(j, step)] * self.p)
-                           if j == resident else [(None, (0,) * k)] * self.p)
+                # Step 1(e) alone: only the batch in memory has any to do,
+                # and only if it leaves memory.
+                settled = (self.backend.call_all("settle", [(j,)] * self.p)
+                           if j == resident != holder else [(None, (0,) * k)] * self.p)
                 save_ctx = max((w[0] for w in settled if w[0] is not None), default=None)
                 phases.write_context += save_ctx or 0
                 ran.append((j, uses, None, save_ctx, tuple(w[1] for w in settled)))
@@ -661,7 +675,7 @@ class ParallelEMSimulation:
                 traffic.append(computes[0]["tally"])
             with obs.span("write_barrier", batch=j, cat="layout") as sp:
                 writes = self.backend.call_all(
-                    "write", [(j, step, outpackets[q]) for q in range(self.p)]
+                    "write", [(j, holder, outpackets[q]) for q in range(self.p)]
                 )
                 d = max(w[1] for w in writes)
                 sp.add(io_ops=d, packets=sum(len(r["packets"]) for r in computes))
@@ -677,7 +691,7 @@ class ParallelEMSimulation:
 
         # ---- Step 2: local reorganization on every processor ----
         with obs.span("reorganize_barrier", cat="routing") as sp:
-            reorgs = self.backend.call_all("reorganize", [(step,)] * self.p)
+            reorgs = self.backend.call_all("reorganize", [(step, holder)] * self.p)
             d = max(io for _r, io in reorgs)
             sp.add(io_ops=d)
         phases.reorganize += d

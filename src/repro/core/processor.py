@@ -46,21 +46,10 @@ from .routing import RoutingStats, keep_store, simulate_routing
 if TYPE_CHECKING:
     from .engine import RunConfig
 
-__all__ = ["RealProcessor", "group_order", "vm_packets"]
+__all__ = ["RealProcessor", "vm_packets"]
 
 #: How an incoming-message store is re-attached, by its ``reference()`` tag.
 _ADOPT = {"region": StripedRegion.adopt, "store": LinkedBuckets.adopt}
-
-
-def group_order(step: int, ngroups: int) -> list[int]:
-    """The order compound superstep ``step`` runs its groups (Algorithm 3:
-    batches) in: ascending and cyclic, starting one group further back each
-    superstep (``-step mod ngroups``), so it starts with the group the
-    superstep before ended with.  That group stays in memory across the
-    barrier, so its write-back and its next fetch are skipped.  (Alternating
-    ascending and descending saves the same; this keeps the direction of
-    travel the groups always had.)"""
-    return [(g - step) % ngroups for g in range(ngroups)]
 
 
 def vm_packets(pieces: list[Piece], b: int) -> tuple[tuple[int, int, int], ...]:
@@ -232,20 +221,19 @@ class RealProcessor:
     # -- input, computation, message regions -----------------------------------
 
     def load_input(self) -> tuple[int, list[tuple[int, ...]]]:
-        """Create and store the initial contexts, ``k`` at a time; the group
-        superstep 0 runs first stays in memory, every slot dirty.  Returns
-        the I/O and each group's written block counts, slot by slot (0 for
-        the held one's)."""
+        """Create and store the initial contexts, ``k`` at a time; group 0,
+        which superstep 0 runs first, stays in memory, every slot dirty.
+        Returns the I/O and each group's written block counts, slot by slot
+        (0 for the held one's)."""
         alg = self.algorithm
         with self.obs.span("load_input", cat="layout") as sp:
             t = self.array.parallel_ops
-            first = group_order(0, self.nbatches)[0]
             counts = []
             for j in range(self.nbatches):
                 states = [alg.initial_state(vp, self.v) for vp in self.vps(j)]
                 counts.append(tuple(
                     self.contexts.end_round(self.slots(j), states, [True] * self.k, hold=True)
-                    if j == first else self.contexts.save_group(self.slots(j), states)
+                    if j == 0 else self.contexts.save_group(self.slots(j), states)
                 ))
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta)
@@ -294,11 +282,12 @@ class RealProcessor:
             alg.superstep(ctx)
             yield ctx
 
-    def deliver(self, step: int) -> RoutingStats:
+    def deliver(self, step: int, holder: int | None) -> RoutingStats:
         """Step 2: make superstep ``step``'s bucket store the next one's
         incoming messages, one slot per vp (:meth:`slot_of_vp`); the
         ``nbatches`` fetch groups take the slots in equal consecutive runs;
-        the held batch's inbox becomes its next fetch's, in memory.
+        the inbox of ``holder``, the batch held across the barrier, becomes
+        its next fetch's, in memory.
 
         The store's tables say, before any block moves, what each group's
         fetch would cost reading the store as it stands (``group_loads``).
@@ -309,8 +298,7 @@ class RealProcessor:
         """
         store, slot_of = self.buckets, self.slot_of_vp
         loads = store.retain(self.vpp, slot_of).group_loads(self.nbatches)
-        last = group_order(step, self.nbatches)[-1]
-        self.inbox = {last: self.keeping} if self.keeping else {}
+        self.inbox = {holder: self.keeping} if self.keeping else {}
         if keep_store(loads, self.array.D):
             incoming, routing = store, RoutingStats.of(store)
         else:
@@ -431,17 +419,17 @@ class RealProcessor:
         }
 
     def write(
-        self, j: int, step: int, packets: list[Block]
+        self, j: int, holder: int | None, packets: list[Block]
     ) -> tuple[int, int, tuple[int, ...], int, int | None, tuple[int, ...]]:
         """Step 1(c): pack the pieces of the received packets (or, without
         a network, the round's own) into full blocks per destination group,
         pad them with Lemma 3's dummy blocks under ``pad_to_gamma``, and
         append them to the buckets — but for those bound for this
-        processor's own vps of the held batch, kept in memory where it holds
-        its inbox; then Step 1(e), :meth:`settle`.  Returns the message
-        blocks, the message I/O, each destination group's records and the
-        dummy blocks (for the packing referee), then what :meth:`settle`
-        returns."""
+        processor's own vps of ``holder``, the batch the plan holds across
+        the barrier, kept in memory where it holds its inbox; then Step
+        1(e), :meth:`settle`.  Returns the message blocks, the message I/O,
+        each destination group's records and the dummy blocks (for the
+        packing referee), then what :meth:`settle` returns."""
         B = self.params.machine.B
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
@@ -453,8 +441,8 @@ class RealProcessor:
                 rblocks.append(Block(records=[], dest=self.dummies % self.v, dummy=True))
                 self.dummies += 1
             written = rblocks
-            if self.holds_inbox:  # a block's dest is its group's first vp
-                first = self.vps(group_order(step, self.nbatches)[-1])[0]
+            if self.holds_inbox and holder is not None:
+                first = self.vps(holder)[0]  # a block's dest is its group's first vp
                 self.keeping += [blk for blk in rblocks if blk.dest == first]
                 written = [blk for blk in rblocks if blk.dest != first]
             # The deal offsets draw from the same RNG: the kept blocks' write
@@ -463,33 +451,34 @@ class RealProcessor:
             self.buckets.append_blocks(written, kept=len(rblocks) - len(written))
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=nblocks + dummies, packets=len(packets))
-        return (nblocks, delta, loads, dummies, *self.settle(j, step, self.states, self.wrote))
+        settled = self.settle(j, j == holder, self.states, self.wrote)
+        return (nblocks, delta, loads, dummies, *settled)
 
     def settle(
-        self, j: int, step: int, states: list[Any] | None = None, wrote: list[bool] | None = None
+        self, j: int, hold: bool = False, states: list[Any] | None = None,
+        wrote: list[bool] | None = None,
     ) -> tuple[int | None, tuple[int, ...]]:
         """Step 1(e) for batch ``j``, alone in place of a skipped round
-        (:meth:`~repro.core.context.ContextStore.end_round`; the superstep's
-        last batch is held).  Returns the context I/O (None if nothing was
-        written) and the block counts written, slot by slot."""
+        (:meth:`~repro.core.context.ContextStore.end_round`; held if
+        ``hold``).  Returns the context I/O (None if nothing was written)
+        and the block counts written, slot by slot."""
         with self.obs.span("write_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
-            last = group_order(step, self.nbatches)[-1]
             counts = self.contexts.end_round(
-                self.slots(j), states, wrote or [False] * self.k, hold=j == last
+                self.slots(j), states, wrote or [False] * self.k, hold=hold
             )
             self.states = None
             save_io = self.array.parallel_ops - t
             sp.add(io_ops=save_io)
         return (save_io if any(counts) else None), tuple(counts)
 
-    def reorganize(self, step: int) -> tuple[RoutingStats, int]:
+    def reorganize(self, step: int, holder: int | None) -> tuple[RoutingStats, int]:
         """Step 2 on the local buckets (:meth:`deliver`)."""
         if self.obs.enabled:
             self._sample_disks()
         with self.obs.span("reorganize", step=step, cat="routing") as sp:
             t = self.array.parallel_ops
-            routing = self.deliver(step)
+            routing = self.deliver(step, holder)
             delta = self.array.parallel_ops - t
             sp.add(io_ops=delta, blocks=routing.total_blocks)
         if self.obs.enabled:

@@ -150,7 +150,7 @@ class SimulationReport:
     # records, measured where the engine checks them against mu and gamma.
     mu_used: int = 0
     gamma_used: int = 0
-    # Whether each superstep's last batch kept its inbox in memory across
+    # Whether the batch each superstep held kept its inbox in memory across
     # the barrier (RunConfig.holds_inbox): the blocks each processor packed
     # for its own vps of it were neither written nor fetched.
     inbox_held: bool = False

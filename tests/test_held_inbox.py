@@ -148,10 +148,10 @@ def test_a_held_block_dropped_at_the_barrier_changes_the_outputs(monkeypatch):
     way, so the referee cannot see it, and the outputs do."""
     deliver = RealProcessor.deliver
 
-    def lossy(self, step):
+    def lossy(self, step, holder):
         if self.keeping:
             self.keeping.pop()
-        return deliver(self, step)
+        return deliver(self, step, holder)
 
     monkeypatch.setattr(RealProcessor, "deliver", lossy)
     outputs, _report = engine(AllToAllExchange(), 8).run()
@@ -164,8 +164,8 @@ def test_a_held_block_dropped_uncounted_is_caught(monkeypatch, with_algorithm):
     block count from the packed records does."""
     write = RealProcessor.write
 
-    def lossy(self, j, step, packets):
-        nblocks, *rest = write(self, j, step, packets)
+    def lossy(self, j, holder, packets):
+        nblocks, *rest = write(self, j, holder, packets)
         if self.keeping:
             self.keeping.pop()
             nblocks -= 1
@@ -237,8 +237,8 @@ def test_a_run_whose_last_messages_are_held_does_not_halt_early(monkeypatch):
 
     write = RealProcessor.write
 
-    def written_only(self, j, step, packets):  # message_blocks without the held ones
-        nblocks, *rest = write(self, j, step, packets)
+    def written_only(self, j, holder, packets):  # message_blocks without the held ones
+        nblocks, *rest = write(self, j, holder, packets)
         return (nblocks - len(self.keeping), *rest)
 
     monkeypatch.setattr(RealProcessor, "write", written_only)

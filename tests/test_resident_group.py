@@ -1,12 +1,15 @@
 """The batch in memory at a barrier opens the next superstep.
 
-Compound superstep ``s`` runs its groups (Algorithm 3: batches) in ascending
-cyclic order from group ``-s mod G``
-(:func:`~repro.core.processor.group_order`), so the group it runs last is
-the group ``s + 1`` runs first, and it stays in memory across the barrier.
-With one group a processor no context is ever swapped.  The rule for what a
-superstep moves is held in ``tests/test_state_use.py``.
+Each compound superstep runs its groups (Algorithm 3: batches) in ascending
+cyclic order from the group in memory
+(:func:`~repro.core.engine.plan_rounds`), and the group it holds at the end
+is the last whose contexts came in, or the one it started with if none did:
+so the group held across the barrier is the group the next superstep runs
+first.  With one group a processor no context is ever swapped.  The rule for
+what a superstep moves is held in ``tests/test_state_use.py``.
 """
+
+import itertools
 
 import pytest
 
@@ -14,8 +17,8 @@ from repro import workloads as wl
 from repro.algorithms.graphs.listranking import CGMListRanking
 from repro.bsp.runner import run_reference
 from repro.conform.oracles import check_outputs, check_theorem1_io
-from repro.core.processor import group_order
 from repro.core import ParallelEMSimulation, build_params
+from repro.core.engine import plan_rounds
 from repro.params import MachineParams
 
 from .helpers import PLANES
@@ -27,12 +30,22 @@ CTX = ("fetch_context", "write_context")
 
 
 def test_the_last_group_of_a_superstep_is_the_first_of_the_next():
-    for ngroups in range(1, 7):
-        for step in range(6):
-            order = group_order(step, ngroups)
-            assert sorted(order) == list(range(ngroups))
-            assert group_order(step + 1, ngroups)[0] == order[-1]
-    assert [group_order(s, 3) for s in range(4)] == [[0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 1, 2]]
+    for ngroups in range(1, 6):
+        for resident in (None, *range(ngroups)):
+            for reads in itertools.product([False, True], repeat=ngroups):
+                order, holder = plan_rounds(resident, list(reads))
+                assert sorted(order) == list(range(ngroups))
+                assert order[0] == (resident or 0)
+                assert holder == ([j for j in order if reads[j]] or [resident])[-1]
+                if holder is not None:
+                    assert plan_rounds(holder, list(reads))[0][0] == holder
+    # Where every group's contexts come in, the order steps one group back
+    # each superstep, from the input load's group 0.
+    orders, resident = [], 0
+    for _step in range(4):
+        order, resident = plan_rounds(resident, [True] * 3)
+        orders.append(order)
+    assert orders == [[0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 1, 2]]
 
 
 # -- one group a processor: no context is ever swapped --------------------------------------

@@ -4,13 +4,15 @@ Each vp declares what it does with its state in a superstep
 (``BSPAlgorithm.state_use``: ``"none"``, ``"read"`` or ``"write"``).  The
 engine skips a batch whose vps are all ``"none"`` and which receives
 nothing, fetches a batch's contexts only if some vp reads, marks a
-``"write"`` vp's slot dirty, and lets every batch but the superstep's last
-leave memory after its round, writing its dirty slots and dropping its clean
-ones; the last stays in memory across the barrier if it is there.  These
-tests hold the reference runner to checking the declarations, the store to
-the rule, the engine to "same outputs, never dearer" against the same
-algorithm declaring ``"write"`` everywhere and holding nothing, the Theorem 1
-referee to faults planted in the rows it replays, the recovery paths to the
+``"write"`` vp's slot dirty, and runs the batches in ascending cyclic order
+from the one in memory, which leaves memory only when another batch's
+contexts come in, writing its dirty slots and dropping its clean ones: the
+last batch whose contexts came in, or the one already there, stays in
+memory across the barrier.  These tests hold the reference runner to
+checking the declarations, the store to the rule, the engine to "same
+outputs, never dearer" against the same algorithm declaring ``"write"``
+everywhere, run to the same plan, and holding nothing, the Theorem 1 referee to faults planted in
+the rows it replays and in the engine's plan, the recovery paths to the
 batch a checkpoint records, and the fuzzer to a wrong declaration.
 """
 
@@ -31,7 +33,7 @@ from repro.conform.config import ConformConfig
 from repro.conform.oracles import check_outputs, check_theorem1_io, plain_outputs
 from repro.conform.runner import fuzz, run_case
 from repro.conform.strategies import QUICK
-from repro.core import ParallelEMSimulation, build_params, processor
+from repro.core import ParallelEMSimulation, build_params, engine, processor
 from repro.core.checkpoint import freeze, thaw
 from repro.core.context import ContextStore
 from repro.crashcheck import crash_and_recover, explore
@@ -123,10 +125,46 @@ def writing_everything(alg: BSPAlgorithm) -> BSPAlgorithm:
 
 def holding_nothing(monkeypatch) -> None:
     """The engines without the batch in memory: nothing is held across a
-    barrier, the input load's batch included (inline backend only)."""
+    barrier, the input load's batch included, while the rounds run in the
+    order the plan gives a run that holds it (inline backend only)."""
     end_round = ContextStore.end_round
     monkeypatch.setattr(ContextStore, "end_round", lambda self, slots, states, wrote, hold:
                         end_round(self, slots, states, wrote, False))
+    plan, would_hold = engine.plan_rounds, [0]
+
+    def same_order(_resident, reads):
+        order, would_hold[0] = plan(would_hold[0], reads)
+        return order, would_hold[0]
+    monkeypatch.setattr(engine, "plan_rounds", same_order)
+
+
+def recording_the_plan(monkeypatch, plans: list) -> None:
+    """Log each superstep's plan, ``(order, holder)``, as the engine makes it."""
+    plan = engine.plan_rounds
+
+    def logged(resident, reads):
+        plans.append(plan(resident, reads))
+        return plans[-1]
+    monkeypatch.setattr(engine, "plan_rounds", logged)
+
+
+def replaying_the_plan(monkeypatch, plans: list) -> None:
+    """Run each superstep to the plan another run logged: its rounds' order
+    and the batch held across the barrier, whatever this run reads."""
+    replay = iter(plans)
+    monkeypatch.setattr(engine, "plan_rounds", lambda _resident, _reads: next(replay))
+
+
+def dropping_the_batch_in_memory(monkeypatch) -> None:
+    """A planted regression in the plan: a superstep in which no batch's
+    contexts come in drops the batch in memory, so the next superstep starts
+    at batch 0 and fetches it again."""
+    plan = engine.plan_rounds
+
+    def dropping(resident, reads):
+        order, holder = plan(resident, reads)
+        return order, holder if any(reads) else None
+    monkeypatch.setattr(engine, "plan_rounds", dropping)
 
 
 def rounds_run(report) -> list[int]:
@@ -275,7 +313,7 @@ def _workload(kind: str, v: int, n_per: int) -> BSPAlgorithm:
     return {"gather": Gather, "broadcast": Broadcast}[kind]()
 
 
-def _run(kind, p, v, kdiv, D, B, n_per, declared: bool, held: bool):
+def _run(kind, p, v, kdiv, D, B, n_per, declared: bool, held: bool, patch=None):
     alg = _workload(kind, v, n_per)
     if not declared:
         writing_everything(alg)
@@ -284,6 +322,8 @@ def _run(kind, p, v, kdiv, D, B, n_per, declared: bool, held: bool):
     with pytest.MonkeyPatch.context() as mp:
         if not held:
             holding_nothing(mp)
+        if patch is not None:
+            patch(mp)
         return ParallelEMSimulation(alg, params).run()
 
 
@@ -312,20 +352,33 @@ shapes = given(
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @shapes
 def test_the_declarations_change_nothing_but_the_context_phases(kind, p, v, kdiv, D, B, n_per):
-    """Against the same algorithm declaring ``"write"`` everywhere:
-    byte-identical outputs, the same messages and operations, each context
-    phase never dearer over the run, the same input load and output unload,
-    and the exact referee on both."""
-    (out, rep), (out_all, rep_all) = (
-        _run(kind, p, v, kdiv, D, B, n_per, declared, True) for declared in (True, False))
-    assert pickle.dumps(plain_outputs(out)) == pickle.dumps(plain_outputs(out_all))
-    for r in (rep, rep_all):
-        assert check_theorem1_io(r.params, r)[0] == []
+    """Against the same algorithm declaring ``"write"`` everywhere, run to
+    the declared run's plan (each superstep's round order and the batch it
+    holds across the barrier): byte-identical outputs, the same messages,
+    packets, blocks and operations superstep for superstep, the same input
+    load and output unload, and each context phase never dearer over the
+    run.  The replay holds a batch through rounds that fetch others, off the
+    rule by construction; run to its own plan, which holds the last batch
+    of every superstep, the write-everywhere run is exact under the referee
+    as the declared run is, with the same outputs and operations, and it is
+    never cheaper either."""
+    plans: list = []
+    shape = (kind, p, v, kdiv, D, B, n_per)
+    out, rep = _run(*shape, True, True, lambda mp: recording_the_plan(mp, plans))
+    out_all, rep_all = _run(*shape, False, True, lambda mp: replaying_the_plan(mp, plans))
+    out_own, rep_own = _run(*shape, False, True)
+    for other in (out_all, out_own):
+        assert pickle.dumps(plain_outputs(out)) == pickle.dumps(plain_outputs(other))
     _same_but_the_context(rep, rep_all)
-    for phase in CTX:  # a fetch may move to a later superstep, never cost more
-        assert (sum(getattr(s.phases, phase) for s in rep.supersteps)
-                <= sum(getattr(s.phases, phase) for s in rep_all.supersteps))
     assert (rep.init_io_ops, rep.output_io_ops) == (rep_all.init_io_ops, rep_all.output_io_ops)
+    for r in (rep, rep_own):
+        assert check_theorem1_io(r.params, r)[0] == []
+    assert [c.comp_ops for c in rep.ledger.supersteps] == [
+        c.comp_ops for c in rep_own.ledger.supersteps]
+    for phase in CTX:  # a fetch may move to a later superstep, never cost more
+        for other in (rep_all, rep_own):
+            assert (sum(getattr(s.phases, phase) for s in rep.supersteps)
+                    <= sum(getattr(s.phases, phase) for s in other.supersteps))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -371,9 +424,9 @@ def make(cls=CGMSampleSort):
     return cls(wl.uniform_keys(SORT_N, seed=2), SORT_V)
 
 
-def sort(p=1, cls=CGMSampleSort, **knobs):
+def sort(p=1, cls=CGMSampleSort, k=SORT_K, **knobs):
     alg = make(cls)
-    params = build_params(alg, MachineParams(p=p, M=1 << 16, D=4, B=8, b=16), SORT_V, k=SORT_K)
+    params = build_params(alg, MachineParams(p=p, M=1 << 16, D=4, B=8, b=16), SORT_V, k=k)
     return ParallelEMSimulation(alg, params, **knobs)
 
 
@@ -388,21 +441,22 @@ def moved(report, step):
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_the_sort_moves_only_what_it_declares(p):
-    """Superstep 0 reads every batch and writes back only the one the input
-    load held; superstep 1 runs vp 0's batch alone and moves no context, so
-    it holds nothing; superstep 2 fetches every batch and writes back all
-    but the last, held; superstep 3 fetches that one at 0."""
+    """Superstep 0 reads every batch from batch 0 and writes back only the
+    one the input load held; superstep 1 runs vp 0's batch alone and moves
+    no context, so it keeps the batch superstep 0 ended with; superstep 2
+    starts there, fetches every batch and writes back all but the last,
+    held; superstep 3 starts with that one.  Each first fetch costs 0."""
     outputs, report = sort(p).run()
     assert check_outputs("sort", outputs, sort_reference()) == []
     assert check_theorem1_io(report.params, report, make())[0] == []
     G = SORT_V // p // SORT_K
-    order = [[(g - s) % G for g in range(G)] for s in range(4)]
+    order = [[(g - back) % G for g in range(G)] for back in (0, 1, 1, 2)]
     assert moved(report, 0) == [(0, True, True)] + [(g, True, False) for g in order[0][1:]]
     assert moved(report, 1) == [(g, False, False) for g in order[1]]
     assert rounds_run(report)[1] == 1
     for s in (2, 3):
         assert moved(report, s) == [(g, True, g != order[s][-1]) for g in order[s]]
-    assert report.supersteps[3].ran[0][2] == 0
+    assert report.supersteps[2].ran[0][2] == report.supersteps[3].ran[0][2] == 0
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -443,6 +497,7 @@ def plant(report, step, group, fetched=None, wrote=None, counts=None):
     for col, value in ((2, fetched), (3, wrote), (4, counts)):
         if value is not None:
             new[col] = None if value == "none" else value
+    assert tuple(new) != row, f"the plant leaves superstep {step}'s row for group {group} as it was"
     s.ran[i] = tuple(new)
     s.phases.fetch_context += (new[2] or 0) - (row[2] or 0)
     s.phases.write_context += (new[3] or 0) - (row[3] or 0)
@@ -472,8 +527,8 @@ def test_the_referee_catches_a_planted_move(fault, p):
         undo = plant(report, 2, g, wrote="none", counts=tuple((0,) * len(c) for c in counts))
         needles = (f"superstep 2: group {g} left memory with dirty",)
     elif fault == "clean-written":  # superstep 0 writes back a batch it only read
-        g = s0.ran[1][0]
-        _h, _u, _f, ops, counts = next(row for row in report.supersteps[3].ran if row[0] == g)
+        g = s0.ran[1][0]  # with what superstep 2, which holds another, wrote of it
+        _h, _u, _f, ops, counts = next(row for row in s2.ran if row[0] == g)
         undo = plant(report, 0, g, wrote=ops, counts=counts)
         needles = (f"superstep 0: group {g} wrote (processor, slot)",)
     else:  # superstep 1 fetches a batch none of whose vps reads
@@ -508,17 +563,26 @@ def test_the_referee_catches_a_miscounted_write_or_fetch(p):
 def test_the_referee_pins_a_fetch_after_a_skip_to_the_input_load(p):
     """A batch superstep 0 only read and superstep 1 skipped is fetched at
     superstep 2 as the input load wrote it: +1 on that fetch, or on
-    superstep 0's of the same contexts, is caught."""
+    superstep 0's of the same contexts, is caught.  The batch superstep 0
+    ended with, kept through superstep 1, opens superstep 2 from memory:
+    a fetch charged for it there is caught too."""
     _out, report = sort(p).run()
     alg = make()
-    g, _u, f, _w, _c = report.supersteps[2].ran[1]
-    assert next(w for h, _u, _f, w, _c in report.supersteps[0].ran if h == g) is None
+    s0, s2 = report.supersteps[0], report.supersteps[2]
+    kept, _u, f, _w, _c = s2.ran[0]
+    assert kept == s0.ran[-1][0] and f == 0
+    written0 = {h for h, _u, _f, w, _c in s0.ran if w is not None}
+    g = next(h for h, _u, _f, _w, _c in s2.ran[1:] if h not in written0)
     for step in (2, 0):
         f = next(f for h, _u, f, _w, _c in report.supersteps[step].ran if h == g)
         undo = plant(report, step, g, fetched=f + 1)
         refuses(report, alg, f"superstep {step}: group {g}'s fetch_context charged",
                 "the input load")
         undo()
+    undo = plant(report, 2, kept, fetched=1)
+    refuses(report, alg, f"superstep 2: group {kept}'s fetch_context charged 1 ops",
+            "the barrier, in memory")
+    undo()
     assert check_theorem1_io(report.params, report, alg)[0] == []
 
 
@@ -576,9 +640,9 @@ def test_the_referee_pins_the_input_load_to_first_fetches_after_a_skip():
 # -- recovery: the batch a checkpoint records -------------------------------------------------
 
 
-def checkpoints(**knobs):
+def checkpoints(p=2, **knobs):
     """Run the sort with a checkpoint at every barrier; return them all."""
-    sim = sort(2, checkpoint=True, **knobs)
+    sim = sort(p, checkpoint=True, **knobs)
     taken, take = [], sim._take_checkpoint
     sim._take_checkpoint = lambda step: (take(step), taken.append(sim.last_checkpoint))
     sim.run()
@@ -586,8 +650,9 @@ def checkpoints(**knobs):
 
 
 #: What each barrier holds: the input load's batch, dirty; after superstep 0
-#: a batch it only read; after superstep 1 none; after superstep 2 a dirty one.
-HELD = {0: "dirty", 1: "clean", 2: None, 3: "dirty"}
+#: a batch it only read, which superstep 1, leaving every context alone,
+#: keeps; after superstep 2 a dirty one.
+HELD = {0: "dirty", 1: "clean", 2: "clean", 3: "dirty"}
 
 
 def held(ckpt):
@@ -622,6 +687,46 @@ def test_kill_resume_charges_what_the_run_did(barrier, how, backend, tmp_path):
     assert check_theorem1_io(report.params, report, make())[0] == []
     assert [(repr(s.phases), s.ran) for s in report.supersteps] == [
         (repr(s.phases), s.ran) for s in golden.supersteps]
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_a_resume_after_a_superstep_that_left_the_contexts_alone_holds_its_batch(backend):
+    """A 4-group sort at p = 1 resumed at the barrier after superstep 1 (at
+    p = 2, barrier 2 of the matrix above): the checkpoint records the clean
+    batch superstep 0 ended with, and the resumed run takes it from memory
+    at superstep 2, charging superstep for superstep what the uninterrupted
+    run did."""
+    p = 1
+    k = SORT_V // p // 4
+    _out, golden = sort(p, k=k).run()
+    ckpt = checkpoints(p, k=k)[2]
+    assert held(ckpt) == "clean"
+    outputs, report = sort(p, k=k, checkpoint=True, backend=backend).resume_from_checkpoint(ckpt)
+    assert report.faults.resumed_from_step == 2
+    assert check_outputs("resumed", outputs, sort_reference()) == []
+    assert check_theorem1_io(report.params, report, make())[0] == []
+    assert report.supersteps[2].ran[0][2] == 0
+    assert [(repr(s.phases), s.ran) for s in report.supersteps] == [
+        (repr(s.phases), s.ran) for s in golden.supersteps]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_referee_catches_a_batch_dropped_across_a_superstep_that_left_it_alone(
+    p, monkeypatch
+):
+    """Planted in the engine's plan: superstep 1, in which no batch's
+    contexts come in, drops the batch in memory, and superstep 2 starts at
+    batch 0 and fetches it again.  The outputs are right and the run is
+    dearer; the referee names the order and the fetch, with and without the
+    algorithm."""
+    _out, golden = sort(p).run()
+    dropping_the_batch_in_memory(monkeypatch)
+    outputs, report = sort(p).run()
+    assert check_outputs("sort", outputs, sort_reference()) == []
+    assert report.supersteps[2].phases.fetch_context > golden.supersteps[2].phases.fetch_context
+    kept = golden.supersteps[2].ran[0][0]
+    refuses(report, make(), "superstep 2 ran its groups in the order",
+            f"superstep 2: group {kept}'s fetch_context charged", "the barrier, in memory")
 
 
 def test_a_restore_holds_the_batch_the_checkpoint_records():
