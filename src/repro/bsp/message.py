@@ -6,8 +6,8 @@ messages are cut into blocks of the disk block size ``B``.  Section 5.1 cuts
 each message on its own ("we cut the messages into blocks of size ``B``.
 Each block inherits the destination address from its original message"),
 which leaves every message's last block part-empty.  Here the cut is per
-*destination group* instead — the ``k`` virtual processors one real
-processor simulates together, key ``dest - dest % k``: :func:`pack_blocks`
+*destination group* instead — the virtual processors one real processor
+simulates together, keyed by the group's first vp: :func:`pack_blocks`
 fills each block to ``B`` records before it opens the next, messages may
 split across blocks, and a segment table beside the records (``Block.segs``,
 not counted against ``B``) says whose records are where.  The block inherits
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -132,11 +132,11 @@ def pack_blocks(pieces: Iterable[Piece], B: int, dest: int) -> list[Block]:
 
 
 def pack_by_group(
-    pieces: Iterable[Piece], B: int, k: int
+    pieces: Iterable[Piece], B: int, key: Callable[[int], int]
 ) -> tuple[list[Block], tuple[tuple[int, int], ...]]:
-    """Step 1(d): pack ``pieces`` per destination group of ``k`` virtual
-    processors (key ``dest - dest % k``), groups in ascending key order,
-    pieces in arrival order within a group.
+    """Step 1(d): pack ``pieces`` per destination group (``key(dest)``, the
+    group's first vp), groups in ascending key order, pieces in arrival
+    order within a group.
 
     Returns the blocks and, group by group, ``(key, records packed)`` — the
     records counted from the pieces, not the blocks, so that
@@ -145,7 +145,7 @@ def pack_by_group(
     groups: dict[int, list[Piece]] = {}
     for piece in pieces:
         dest = piece[0]
-        groups.setdefault(dest - dest % k, []).append(piece)
+        groups.setdefault(key(dest), []).append(piece)
     blocks: list[Block] = []
     loads = []
     for key in sorted(groups):

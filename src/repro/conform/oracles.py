@@ -264,14 +264,14 @@ def theorem1_io_bound(
 ):
     """Closed-form upper bound on counted parallel I/O ops per superstep.
 
-    In the terms of Theorem 1 / Lemma 4 (``k`` group size, ``D`` disks,
+    In the terms of Theorem 1 / Lemma 4 (``k`` the largest group, ``D`` disks,
     ``G`` groups per processor, ``cbp = ceil(mu/B)`` context blocks per vp,
     ``T_s`` message blocks written in superstep ``s``: the packed records'
     blocks and Lemma 3's dummy blocks, which are written and fetched alike),
     each phase of compound superstep ``s`` is bounded by:
 
     * contexts (fetch + write back): ``2 G (ceil(k*cbp/D) + 1)`` — a group's
-      contexts are ``k*cbp`` consecutive blocks of a striped region, read at
+      contexts are at most ``k*cbp`` consecutive blocks of a striped region, read at
       full parallelism up to one alignment op.
     * fetch messages: ``ceil(T_{s-1}/D) + 2G`` — each group's slot range is
       consecutive in the reorganized region (Definition 2) — plus, where a
@@ -404,14 +404,14 @@ def _traffic_packets(traffic: list, p: int, b: int) -> int:
 
 def _context_ops(counts: tuple[int, ...], j: int, params: SimulationParams) -> int:
     """What one processor's transfer of group ``j``'s contexts costs by
-    their block counts (slot by slot, the group's ``k`` slots): the
+    their block counts (slot by slot, the group's slots): the
     consecutive layout puts block ``t`` of local slot ``s`` on drive
     ``(s * ceil(mu/B) + t) mod D``, and a batch takes as many parallel
     operations as its busiest drive has blocks."""
-    D, cbp, k = params.machine.D, params.context_blocks_per_vp, params.k
+    D, cbp = params.machine.D, params.context_blocks_per_vp
     per_drive = [0] * D
-    for r, n in enumerate(counts):
-        base = (j * k + r) * cbp
+    for s, n in zip(params.groups[j], counts):
+        base = s * cbp
         for t in range(n % D):
             per_drive[(base + t) % D] += 1
         for d in range(D):
@@ -476,7 +476,7 @@ def check_theorem1_io(
     bounds = theorem1_io_bound(params, report, per_superstep=True)
     D, B, p = params.machine.D, params.machine.B, params.machine.p
     k, vpp = params.k, params.vps_per_processor
-    ngroups = params.groups_per_processor
+    groups, ngroups = params.groups, params.groups_per_processor
     held_inbox = report.inbox_held
     fetch = 0  # what this superstep's fetches of the incoming set cost
     # group -> (who wrote its disk image last, each processor's block counts
@@ -499,7 +499,7 @@ def check_theorem1_io(
         rows = []
         for g, uses, *rest in s.ran:
             declared = uses if algorithm is None else state_uses(algorithm, s.index, [
-                i * vpp + g * k + r for i in range(p) for r in range(k)])
+                i * vpp + slot for i in range(p) for slot in groups[g]])
             if uses != declared:
                 fail(f"superstep {s.index}: group {g}'s row says state uses {uses!r}, "
                      f"but its vps declare {declared!r}")
@@ -511,7 +511,7 @@ def check_theorem1_io(
                  f"{[row[0] for row in rows]}, but from the group in memory it is {order}")
         last = next((row[0] for row in reversed(rows) if row[1].strip("n")), resident)
         for g, uses, got, put, counts in rows:
-            at = f"superstep {s.index}: group {g}"
+            at, n = f"superstep {s.index}: group {g}", len(groups[g])
             who, image = disk[g]
             held = mem is not None and mem[0] == g
             if not uses.strip("n"):
@@ -529,12 +529,12 @@ def check_theorem1_io(
                 )
             fetched += want or 0
             dirty = (mem[1] if held else set()) | {
-                (i, r) for i in range(p) for r in range(k) if uses[i * k + r] == "w"}
+                (i, r) for i in range(p) for r in range(n) if uses[i * n + r] == "w"}
             if g == last:
                 mem, dirty = (g, dirty), set()
             elif held:
                 mem = None
-            written = {(i, r) for i in range(p) for r in range(k) if counts[i][r]}
+            written = {(i, r) for i in range(p) for r in range(n) if counts[i][r]}
             if written - dirty:
                 fail(f"{at} wrote (processor, slot) {sorted(written - dirty)} back, "
                      "but their disk image is their state or they stay in memory")
@@ -573,7 +573,7 @@ def check_theorem1_io(
         if s.packing is not None:
             blocks, ops = _packed_write(
                 s.packing, B, D,
-                lambda i, key: held_inbox and key == i * vpp + last * k)
+                lambda i, key: held_inbox and key == i * vpp + groups[last].start)
             if (s.message_blocks, s.phases.write_messages) != (blocks, ops):
                 fail(
                     f"superstep {s.index}: the packed write charged "

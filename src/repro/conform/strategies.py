@@ -1,14 +1,14 @@
 """Seeded config generation: random draws + an admissibility repair step.
 
 Random machine tuples almost never satisfy the simulation's structural
-constraints (``M >= D*B``, ``M >= mu``, ``v`` a multiple of ``k*p``, one
-whole group per processor, workload-specific input shapes).  Rejection
+constraints (``M >= D*B``, ``M >= mu``, ``v`` a multiple of ``p``, a
+group of ``k`` that fits memory, workload-specific input shapes).  Rejection
 sampling over those constraints would waste nearly the whole budget and
 bias coverage toward "easy" corners, so the fuzzer instead draws *freely*
 and then **repairs**: :func:`repair` projects an arbitrary draw onto the
 admissible set by the smallest upward adjustments (round ``v`` up to a
 multiple of ``p``, grow ``M`` to fit one context and one block per disk,
-clamp an explicit ``k`` to a divisor of ``v/p`` that fits memory, reshape
+clamp an explicit ``k`` to what fits memory and ``v/p``, reshape
 ``n`` for the workload, wire fault/checkpoint implications).  Repair is
 deterministic and idempotent, and the shrinker reuses it so every shrink
 candidate is admissible by construction.
@@ -38,7 +38,7 @@ class StrategyProfile:
     p_choices: tuple[int, ...] = (1, 1, 1, 2, 2, 3, 4)
     D_max: int = 6
     B_choices: tuple[int, ...] = (4, 8, 16, 32)
-    v_choices: tuple[int, ...] = (1, 2, 4, 4, 6, 8, 12, 16)
+    v_choices: tuple[int, ...] = (1, 2, 4, 4, 5, 6, 7, 8, 10, 12, 16)
     n_max: int = 256
     #: (none, transient, kill) draw weights.
     fault_weights: tuple[float, ...] = (0.6, 0.25, 0.15)
@@ -152,7 +152,7 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
     if d.get("workload") in BASELINE_WORKLOADS:
         return _repair_baseline(d)
 
-    # -- virtual machine: one whole group per real processor needs p | v --
+    # -- virtual machine: the same v/p vps on every real processor --
     v = max(1, int(d.get("v", 1)))
     v = -(-v // p) * p
     d["v"] = v
@@ -174,14 +174,10 @@ def repair(raw: dict[str, Any] | ConformConfig) -> ConformConfig:
     M = max(int(d.get("M", 0)), D * B, mu)
     d["M"] = M
 
-    # -- explicit k: fit memory, divide v/p --
+    # -- explicit k: fit memory, at most v/p (the last groups may be short) --
     k = d.get("k")
     if k is not None:
-        vpp = v // p
-        k = max(1, min(int(k), M // mu, vpp))
-        while vpp % k:
-            k -= 1
-        d["k"] = k
+        d["k"] = max(1, min(int(k), M // mu, v // p))
 
     # -- execution plane implications --
     if d.get("backend") not in BACKENDS:

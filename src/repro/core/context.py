@@ -301,28 +301,29 @@ class ContextStore:
     def nslots(self) -> int:
         return len(self._used)
 
-    def export_all(self, group_size: int | None = None) -> list[Any]:
-        """Read every context, ``group_size`` at a time (memory-bounded).
+    def export_all(self, groups: Sequence[Sequence[int]] | None = None) -> list[Any]:
+        """Read every context, one of ``groups`` (consecutive slot runs
+        covering every slot; all slots as one when None) at a time.
 
-        The engines pass their group size ``k`` so a checkpoint never holds
-        more than one group of contexts in memory at once — the same
-        discipline as the simulation itself.
+        The engines pass their groups so a checkpoint never holds more than
+        one group of contexts in memory at once — the same discipline as
+        the simulation itself.
         """
-        g = group_size or self.nslots
         out: list[Any] = []
-        for base in range(0, self.nslots, g):
-            out.extend(self.load_group(range(base, min(base + g, self.nslots))))
+        for slots in groups or [range(self.nslots)]:
+            out.extend(self.load_group(slots))
         return out
 
     def import_all(
         self,
         states: Sequence[Any],
-        group_size: int | None = None,
+        groups: Sequence[Sequence[int]] | None = None,
         held: tuple[Sequence[int], Sequence[int]] | None = None,
     ) -> None:
         """Rewrite every context from ``states`` (restore path), but the
         dirty slots of the batch ``held`` (:meth:`held`), which is held in
-        memory again as it was at the barrier the states come from.
+        memory again as it was at the barrier the states come from;
+        ``groups`` as :meth:`export_all` reads them.
 
         The cache is invalidated first: a restore replaces every slot, so a
         stale object must never survive it (save_group then holds the
@@ -335,8 +336,7 @@ class ContextStore:
             )
         self.invalidate_cache()
         slots, dirty = held or ((), ())
-        g = group_size or self.nslots
-        for base in range(0, self.nslots, g):
-            clean = [s for s in range(base, min(base + g, self.nslots)) if s not in dirty]
+        for group in groups or [range(self.nslots)]:
+            clean = [s for s in group if s not in dirty]
             self.save_group(clean, [states[s] for s in clean])
         self.end_round(slots, [states[s] for s in slots], [s in dirty for s in slots], hold=True)

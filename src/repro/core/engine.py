@@ -8,10 +8,10 @@ with ``p = 1`` there is no network, and every other step is the same.
 Each real processor ``i`` (:class:`~repro.core.processor.RealProcessor`)
 simulates the virtual processors ``i*(v/p) .. (i+1)*(v/p)-1`` and owns its
 own memory, router port, and ``D`` local disks.  A compound superstep runs
-in ``v/(p*k)`` *rounds*; in round ``j`` processor ``i`` simulates virtual
-processors ``i*(v/p)+j*k .. i*(v/p)+(j+1)*k-1`` (the *batch* ``j`` comprises
-the ``p*k`` virtual processors simulated in round ``j`` across all
-processors; Algorithm 1 calls it a *group*).
+in ``ceil((v/p)/k)`` *rounds*; in round ``j`` processor ``i`` simulates its
+vps of group ``j``, at most ``k`` (:attr:`~repro.params.SimulationParams.groups`;
+the *batch* ``j`` comprises them across all processors; Algorithm 1 calls
+it a *group*).
 
 Per round:
 
@@ -612,18 +612,18 @@ class ParallelEMSimulation:
         traffic: list[tuple] = []
 
         obs = self.obs
-        k, vpp = self.params.k, self.params.vps_per_processor
+        vpp = self.params.vps_per_processor
+        groups = self.params.groups
         # The batches' state uses and the batch in memory plan the superstep
         # alike for every processor before anything is read (module docstring).
         resident = marks0[0][3]
         uses_of = [state_uses(self.algorithm, step, [
-            i * vpp + j * k + r for i in range(self.p) for r in range(k)])
-            for j in range(self.params.groups_per_processor)]
+            i * vpp + s for i in range(self.p) for s in slots]) for slots in groups]
         reads = [u.strip("n") != "" for u in uses_of]
         order, holder = plan_rounds(resident, reads)
         ran: list[tuple[int, str, int | None, int | None, tuple[tuple[int, ...], ...]]] = []
         for j in order:
-            uses, read = uses_of[j], reads[j]
+            uses, read, k = uses_of[j], reads[j], len(groups[j])
             mine = [uses[q * k:(q + 1) * k] for q in range(self.p)]
             if not read and not any(m[2][j] for m in marks0):
                 all_halted = False  # a none vp with an empty inbox does not vote halt
@@ -640,7 +640,7 @@ class ParallelEMSimulation:
                 continue
 
             # ---- Fetching phase: local reads + gather h-relation ----
-            # inbound[q] = blocks for processor q's current k vps.
+            # inbound[q] = blocks for processor q's current vps.
             with obs.span("fetch_barrier", batch=j, cat="layout") as sp:
                 fetches = self.backend.call_all("fetch", [(j, read)] * self.p)
                 d = max(io for _by, io, _ctx in fetches)

@@ -98,12 +98,14 @@ class RealProcessor:
         m, s = params.machine, params.bsp
         self.p = m.p
         self.v = s.v
-        self.k = params.k
         self.vpp = params.vps_per_processor
-        self.nbatches = params.groups_per_processor  # groups of k swapped through memory
+        self.nbatches = params.groups_per_processor  # groups of at most k swapped through memory
+        # Each vp's group's first vp: the key of the blocks packed for it.
+        first = [params.groups[params.group_of_slot(s)].start for s in range(self.vpp)]
+        self.group_key = [vp - vp % self.vpp + first[vp % self.vpp] for vp in range(self.v)]
         self.gamma = algorithm.comm_bound() if config.enforce_gamma else None
-        # Lemma 3's dummy blocks: every group's traffic padded to k*ceil(gamma/B).
-        self.pad = self.k * -(-s.gamma // m.B) if config.pad_to_gamma else 0
+        # Lemma 3's dummy blocks: a group of n vps' traffic padded to n*ceil(gamma/B).
+        self.pad = -(-s.gamma // m.B) if config.pad_to_gamma else 0
         self.max_inbox = 0  # the largest inbox received here, in records (gamma_used)
         self.write_schedule = config.write_schedule or "random"
         # Per-processor deterministic RNG stream: identical across backends,
@@ -163,7 +165,7 @@ class RealProcessor:
     def slot_of_vp(self, vp: int) -> int:
         """Incoming slot, on its owner, of a block destined for ``vp``: one
         slot per vp, as Algorithm 1 lays them out, so group ``j`` reads its
-        ``k`` consecutive slots (:meth:`slots`)."""
+        run of consecutive slots (:meth:`slots`)."""
         return vp % self.vpp
 
     def bucket_of_vp(self, vp: int) -> int:
@@ -185,12 +187,12 @@ class RealProcessor:
 
     def slots(self, j: int) -> list[int]:
         """Local context slots of group (Algorithm 3: batch) ``j``."""
-        return list(range(j * self.k, (j + 1) * self.k))
+        return list(self.params.groups[j])
 
     def vps(self, j: int) -> list[int]:
         """Virtual processors this processor simulates in group ``j``."""
-        base = self.index * self.vpp + j * self.k
-        return list(range(base, base + self.k))
+        base = self.index * self.vpp
+        return [base + s for s in self.params.groups[j]]
 
     def stall_total(self) -> int:
         """Stall op-equivalents so far: retry backoff plus latency spikes."""
@@ -221,7 +223,7 @@ class RealProcessor:
     # -- input, computation, message regions -----------------------------------
 
     def load_input(self) -> tuple[int, list[tuple[int, ...]]]:
-        """Create and store the initial contexts, ``k`` at a time; group 0,
+        """Create and store the initial contexts, a group at a time; group 0,
         which superstep 0 runs first, stays in memory, every slot dirty.
         Returns the I/O and each group's written block counts, slot by slot
         (0 for the held one's)."""
@@ -232,7 +234,7 @@ class RealProcessor:
             for j in range(self.nbatches):
                 states = [alg.initial_state(vp, self.v) for vp in self.vps(j)]
                 counts.append(tuple(
-                    self.contexts.end_round(self.slots(j), states, [True] * self.k, hold=True)
+                    self.contexts.end_round(self.slots(j), states, [True] * len(states), hold=True)
                     if j == 0 else self.contexts.save_group(self.slots(j), states)
                 ))
             delta = self.array.parallel_ops - t
@@ -245,7 +247,7 @@ class RealProcessor:
         memory at no I/O.  Lemma 3's dummy blocks are kept: a batch they
         were written to is not idle, and the messages they carry are none
         (:func:`~repro.bsp.message.blocks_to_messages`)."""
-        inbox = self.inbox.pop(slots[0] // self.k, [])
+        inbox = self.inbox.pop(self.params.group_of_slot(slots[0]), [])
         if self.incoming is None:
             return inbox
         return [blk for blks in self.incoming.read_slots(slots) for blk in blks
@@ -285,7 +287,7 @@ class RealProcessor:
     def deliver(self, step: int, holder: int | None) -> RoutingStats:
         """Step 2: make superstep ``step``'s bucket store the next one's
         incoming messages, one slot per vp (:meth:`slot_of_vp`); the
-        ``nbatches`` fetch groups take the slots in equal consecutive runs;
+        ``nbatches`` fetch groups take the slots in balanced consecutive runs;
         the inbox of ``holder``, the batch held across the barrier, becomes
         its next fetch's, in memory.
 
@@ -297,7 +299,8 @@ class RealProcessor:
         fresh standard-consecutive region.
         """
         store, slot_of = self.buckets, self.slot_of_vp
-        loads = store.retain(self.vpp, slot_of).group_loads(self.nbatches)
+        loads = store.retain(self.vpp, slot_of).group_loads(
+            self.nbatches, self.params.group_of_slot)
         self.inbox = {holder: self.keeping} if self.keeping else {}
         if keep_store(loads, self.array.D):
             incoming, routing = store, RoutingStats.of(store)
@@ -349,7 +352,8 @@ class RealProcessor:
         sizes = [(sum(inc.slot_sizes[s] for s in self.slots(j)) if inc else 0)
                  + len(self.inbox.get(j, ())) for j in range(self.nbatches)]
         held = self.contexts.held()
-        return self.array.retry_ops, self.stall_total(), sizes, held and held[0][0] // self.k
+        return (self.array.retry_ops, self.stall_total(), sizes,
+                held and self.params.group_of_slot(held[0][0]))
 
     def fetch(self, j: int, read: bool) -> tuple[dict[int, list[Block]], int, int | None]:
         """Step 1(a): read batch ``j``'s contexts if ``read`` (some vp of the
@@ -373,7 +377,7 @@ class RealProcessor:
         return by_owner, delta, ctx_io
 
     def compute(self, j: int, step: int, inbound: list[Block], uses: str) -> dict[str, Any]:
-        """Step 1(b): run batch ``j``'s ``k`` virtual supersteps, each vp on
+        """Step 1(b): run batch ``j``'s virtual supersteps, each vp on
         its state or, where its letter of ``uses`` is ``n``, on None; the
         states ``w`` vps leave stay here for :meth:`write`.
 
@@ -434,9 +438,9 @@ class RealProcessor:
         with self.obs.span("write_messages", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
             pieces, self.held = self.held + block_pieces(packets), []
-            rblocks, loads = pack_by_group(pieces, B, self.k)
+            rblocks, loads = pack_by_group(pieces, B, self.group_key.__getitem__)
             nblocks = len(rblocks)
-            dummies = max(0, self.pad - nblocks)
+            dummies = max(0, self.pad * len(self.params.groups[j]) - nblocks)
             for _ in range(dummies):
                 rblocks.append(Block(records=[], dest=self.dummies % self.v, dummy=True))
                 self.dummies += 1
@@ -465,7 +469,7 @@ class RealProcessor:
         with self.obs.span("write_context", batch=j, cat="layout") as sp:
             t = self.array.parallel_ops
             counts = self.contexts.end_round(
-                self.slots(j), states, wrote or [False] * self.k, hold=hold
+                self.slots(j), states, wrote or [False] * len(self.slots(j)), hold=hold
             )
             self.states = None
             save_io = self.array.parallel_ops - t
@@ -505,7 +509,7 @@ class RealProcessor:
         """
         with self.obs.span("checkpoint", cat="checkpoint") as sp:
             t = self.array.parallel_ops
-            state_blob = freeze((self.contexts.export_all(group_size=self.k),
+            state_blob = freeze((self.contexts.export_all(self.params.groups),
                                  self.contexts.held(), self.inbox))
             inc = self.incoming
             if inc is not None:
@@ -599,7 +603,7 @@ class RealProcessor:
             if rng_state is not None:
                 self.rng.setstate(rng_state)
             states, held, self.inbox = thaw(state_blob)
-            self.contexts.import_all(states, group_size=self.k, held=held)
+            self.contexts.import_all(states, self.params.groups, held=held)
             # The blob holds blocks by slot, and a kept store's drives too: it
             # comes back with every block on its drive, so each fetch costs
             # what it would have.
@@ -629,7 +633,7 @@ class RealProcessor:
     # -- wrap-up -----------------------------------------------------------------
 
     def collect_outputs(self) -> tuple[dict[int, Any], int, int]:
-        """Unload the output, ``k`` contexts at a time."""
+        """Unload the output, a group of contexts at a time."""
         alg = self.algorithm
         with self.obs.span("collect_outputs", cat="layout") as sp:
             t = self.array.parallel_ops

@@ -52,8 +52,8 @@ def pick_v(
     Tries ``v = max(2, p)`` and its doublings up to ``limit`` and returns the
     first that ``make(v)`` builds an algorithm for (it raises ``ValueError``
     where ``v`` does not suit the input, as the sort does below ``n >= v^2``)
-    and :func:`build_params` admits: one context fits in ``M``, whole groups
-    fill every processor.  None if no ``v`` up to ``limit`` does.  The fewer
+    and :func:`build_params` admits: one context fits in ``M`` and the ``v``
+    vps split evenly over the processors.  None if no ``v`` up to ``limit`` does.  The fewer
     the vps, the fewer and fuller their messages and context slots.
     """
     v = max(2, machine.p)

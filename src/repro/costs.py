@@ -49,7 +49,7 @@ class SuperstepCost:
     records_sent: int = 0  # total records communicated (diagnostic)
     records_io: int = 0  # total records moved to/from disk (diagnostic)
     syncs: int = 1  # barrier synchronizations (compound supersteps of the
-    # parallel simulation run v/(p*k) rounds, each with its own barriers)
+    # parallel simulation run ceil(v/(p*k)) rounds, each with its own barriers)
     retry_ops: int = 0  # of io_ops: retry rounds masking transient faults
     stall_ops: int = 0  # op-equivalents lost to backoff + latency spikes
     label: str = ""

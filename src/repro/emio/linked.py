@@ -283,15 +283,16 @@ class LinkedBuckets(SlotReads):
         self.slot_sizes = [len(addrs) for addrs in per_slot]
         return self
 
-    def group_loads(self, ngroups: int) -> tuple[tuple[int, ...], ...]:
+    def group_loads(
+        self, ngroups: int, group_of: Callable[[int], int]
+    ) -> tuple[tuple[int, ...], ...]:
         """Per fetch group, per drive, the blocks of a :meth:`retain`-ed store
-        that group reads: the slots split into ``ngroups`` equal consecutive
-        runs (Algorithm 1: ``k`` vp slots a group; Algorithm 3: one batch
-        slot).  Reading group ``g``'s slots costs its heaviest drive."""
+        that group reads: slot ``s`` is group ``group_of(s)``'s, of
+        ``ngroups`` (one vp slot each, the groups' runs of slots).  Reading
+        group ``g``'s slots costs its heaviest drive."""
         loads = [[0] * self.array.D for _ in range(ngroups)]
-        width = self.nslots // ngroups
         for s, addrs in enumerate(self._slot_addrs):
-            row = loads[s // width]
+            row = loads[group_of(s)]
             for disk, _track in addrs:
                 row[disk] += 1
         return tuple(map(tuple, loads))

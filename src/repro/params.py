@@ -159,9 +159,11 @@ class SimulationParams:
     bsp:
         The simulated virtual machine.
     k:
-        Number of virtual processors simulated concurrently per real
-        processor ("group size").  The paper chooses ``k = floor(M / mu)``
-        to maximize memory use; pass ``k=None`` for that default.
+        Most virtual processors simulated concurrently per real processor
+        ("group size").  The paper chooses ``k = floor(M / mu)`` to maximize
+        memory use; pass ``k=None`` for that default.  The ``v/p`` vps go in
+        the fewest balanced groups of at most ``k`` (:attr:`groups`), and
+        ``k`` becomes the largest.
         ``k*mu <= M`` is the check; the held group keeps its inbox (up to
         ``k*gamma`` records) in memory only where ``k*(mu + gamma) <= M``
         (:meth:`RunConfig.holds_inbox <repro.core.engine.RunConfig.holds_inbox>`).
@@ -171,6 +173,11 @@ class SimulationParams:
         requirements are enforced (enough memory for one group, enough
         virtual processors for one group per real processor) so that small
         unit-test configurations remain expressible.
+    groups:
+        Set at construction, the group map: group ``j``'s local context
+        slots, ``range(*share_bounds(v/p, g, j))`` for the ``g`` groups --
+        ``k`` slots in the first ``(v/p) mod g``, ``k - 1`` after.
+        :meth:`group_of_slot` inverts it.
     """
 
     machine: MachineParams
@@ -181,16 +188,8 @@ class SimulationParams:
 
     def __post_init__(self) -> None:
         m, s = self.machine, self.bsp
-        if self.k is not None:
-            k = self.k
-        else:
-            # The paper's choice k = floor(M/mu), clamped to the per-processor
-            # virtual machine size and rounded down to a divisor of v/p so
-            # the compound superstep splits into whole groups.
-            vpp = max(1, s.v // m.p)
-            k = max(1, min(m.M // s.mu, vpp))
-            while vpp % k:
-                k -= 1
+        # The paper's choice k = floor(M/mu) unless given (describe() shows it).
+        k = max(1, m.M // s.mu) if self.k is None else self.k
         object.__setattr__(self, "k", k)
         if k < 1:
             self._reject(f"group size k must be >= 1, got {k}")
@@ -202,12 +201,21 @@ class SimulationParams:
             self._reject(
                 f"group of k={k} contexts (k*mu={k * s.mu}) exceeds M={m.M}"
             )
-        if s.v % (k * m.p) != 0:
+        if s.v % m.p != 0:
             self._reject(
-                f"v={s.v} must be a multiple of k*p={k * m.p} "
-                "(whole groups per real processor; pad with idle virtual "
+                f"v={s.v} must be a multiple of p={m.p} (the same v/p virtual "
+                "processors per real processor; pad with idle virtual "
                 "processors if necessary)"
             )
+        # The fewest groups of at most k, balanced: k becomes the largest.
+        from .bsp.collectives import share_bounds  # bsp imports this module
+
+        vpp = s.v // m.p
+        g = -(-vpp // min(k, vpp))
+        groups = tuple(range(*share_bounds(vpp, g, j)) for j in range(g))
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "_group_of", tuple(j for j, r in enumerate(groups) for _ in r))
+        object.__setattr__(self, "k", len(groups[0]))
         if self.strict:
             self.check_theorem1()
 
@@ -264,8 +272,12 @@ class SimulationParams:
 
     @property
     def groups_per_processor(self) -> int:
-        """Number of simulation rounds per compound superstep (``v / (k*p)``)."""
-        return self.bsp.v // (self.k * self.machine.p)
+        """Groups a processor, the rounds of a superstep: ``ceil((v/p)/k)``."""
+        return len(self.groups)
+
+    def group_of_slot(self, slot: int) -> int:
+        """The group whose :attr:`groups` entry holds local slot ``slot``."""
+        return self._group_of[slot]
 
     @property
     def vps_per_processor(self) -> int:

@@ -326,9 +326,10 @@ class TestEngineFaultTransparency:
         perm = list(range(256))
         _random.Random(1).shuffle(perm)
         baseline, _ = simulate(CGMPermutation(vals, perm, v=8), SEQ, v=8, seed=5)
-        # Drive 2's accesses 7-30 are superstep 0's Algorithm 2.
+        # Drive 2's accesses 5-12 are superstep 0's Algorithm 2 (three
+        # groups of 3, 3, 2 at this M).
         plan = FaultPlan(seed=SEED + 1, read_error_rate=0.01,
-                         dead_disk=2, dead_after=22)
+                         dead_disk=2, dead_after=10)
         out, rep = simulate(
             CGMPermutation(vals, perm, v=8), SEQ, v=8, seed=5,
             faults=plan, checkpoint=True,

@@ -36,7 +36,7 @@ from repro.emio.diskarray import DiskArray
 from repro.emio.faults import CRASH_STAGES, CrashPlan, FaultPlan, RetryPolicy
 from repro.emio.layout import RegionAllocator
 from repro.emio.linked import WRITE_SCHEDULES, LinkedBuckets
-from repro.params import MachineParams
+from repro.params import BSPParams, MachineParams, SimulationParams
 
 from .helpers import PLANES, AllToAllExchange, always_route, piled
 
@@ -254,8 +254,10 @@ def test_restore_puts_every_block_back_on_its_drive():
     assert again.slot_drives() == store.slot_drives()
     assert again.slot_sizes == store.slot_sizes
     assert again.read_slots(range(v)) == blocks
-    for ngroups in (1, 2, 4, 8):
-        assert again.group_loads(ngroups) == store.group_loads(ngroups)
+    for ngroups in (1, 2, 3, 4, 8):
+        group_of = SimulationParams(MachineParams(), BSPParams(v=v, mu=1, gamma=0),
+                                    k=-(-v // ngroups)).group_of_slot
+        assert again.group_loads(ngroups, group_of) == store.group_loads(ngroups, group_of)
 
 
 @pytest.mark.parametrize("knobs", [REFERENCE, dict(FAST)],

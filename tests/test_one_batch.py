@@ -271,7 +271,7 @@ def test_bucket_map_uses_every_drive_below_one_batch_a_bucket(monkeypatch):
     assert (reorganize, io_ops) == (1912, 2652)
     monkeypatch.setattr(
         RealProcessor, "bucket_of_vp",
-        lambda self, vp: _batch_map(vp, self.p, self.v, self.k, self.params.machine.D),
+        lambda self, vp: _batch_map(vp, self.p, self.v, self.params.k, self.params.machine.D),
     )
     # (3092, 4522) under the batch map before the packing, against the vp
     # map's (1908, 3338).

@@ -183,7 +183,7 @@ def test_p2_process_file_faults_run_equals_the_memory_reference(tmp_path):
 
 def test_empty_messages_cost_one_block_a_group():
     pieces = [(d, d, 0, 0, []) for d in (8, 9, 10, 11)]
-    blocks, loads = message.pack_by_group(pieces, B=4, k=2)
+    blocks, loads = message.pack_by_group(pieces, B=4, key=lambda d: d - d % 2)
     assert [b.dest for b in blocks] == [8, 10] and loads == ((8, 0), (10, 0))
     back = blocks_to_messages(blocks)
     assert [(m.src, m.dest, m.payload) for m in back] == [(d, d, []) for d in (8, 9, 10, 11)]

@@ -59,17 +59,42 @@ class TestSimulationParams:
         )
         assert p.k == 8
 
-    def test_default_k_divides_vpp(self):
+    @staticmethod
+    def sizes(params):
+        return [len(slots) for slots in params.groups]
+
+    @pytest.mark.parametrize("fit,sizes", [(6, [6, 5, 5]), (5, [4, 4, 4, 4])],
+                             ids=["6-5-5", "4x4"])
+    def test_default_k_is_the_fewest_groups_that_fit(self, fit, sizes):
+        """``v/p = 16`` in ``ceil(16/floor(M/mu))`` balanced groups, ``k``
+        the largest: 6 fit gives 6, 5, 5 (no divisor of 16 needed), 5 fit
+        gives 4x4."""
         p = SimulationParams(
-            machine=MachineParams(M=64 * 5, B=16), bsp=self.bsp(v=16, mu=64)
+            machine=MachineParams(M=64 * fit, B=16), bsp=self.bsp(v=16, mu=64)
         )
-        assert 16 % p.k == 0 and p.k <= 5
+        assert self.sizes(p) == sizes and p.k == sizes[0]
+        slots = [s for group in p.groups for s in group]
+        assert slots == list(range(16))
+        assert [p.group_of_slot(s) for s in slots] == [
+            j for j, n in enumerate(sizes) for _ in range(n)]
 
     def test_explicit_k_validated(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"k\*mu=192\) exceeds M=128"):
             SimulationParams(
                 machine=MachineParams(M=128, B=16), bsp=self.bsp(mu=64), k=3
-            )  # 3 does not divide 16
+            )
+
+    def test_explicit_k_need_not_divide_vpp(self):
+        p = SimulationParams(
+            machine=MachineParams(M=64 * 3, B=16), bsp=self.bsp(v=16, mu=64), k=3
+        )
+        assert self.sizes(p) == [3, 3, 3, 3, 2, 2] and p.k == 3
+        again = SimulationParams(machine=p.machine, bsp=p.bsp, k=p.k)
+        assert self.sizes(again) == self.sizes(p)
+
+    def test_v_must_split_evenly_over_processors(self):
+        with pytest.raises(ParameterError, match="multiple of p=3"):
+            SimulationParams(machine=MachineParams(p=3, M=1 << 12, B=16), bsp=self.bsp())
 
     def test_group_must_fit_memory(self):
         with pytest.raises(ParameterError):

@@ -56,7 +56,7 @@ class TestBatchGeometry:
         assert buckets == {0, 1, 2, 3}
         # Contiguity requirement of SimulateRouting: bucket is monotone
         # non-decreasing in the batch index.
-        seq = [pr.bucket_of_vp(b * pr.k) for b in range(pr.nbatches)]
+        seq = [pr.bucket_of_vp(pr.vps(b)[0]) for b in range(pr.nbatches)]
         assert seq == sorted(seq)
 
     def test_init_and_output_io_accounted(self):

@@ -151,7 +151,7 @@ def test_group_packer_roundtrip(sizes, B, b, k, vector, data):
     blocks = []
     for q in range(receivers):
         mine = [piece for piece, to in zip(pieces, spread) if to == q]
-        got, loads = pack_by_group(mine, B, k)
+        got, loads = pack_by_group(mine, B, lambda d: d - d % k)
         per_key = {}
         for dest, _src, _msg, _seq, records in mine:
             per_key[dest - dest % k] = per_key.get(dest - dest % k, 0) + len(records)
@@ -204,7 +204,7 @@ def test_packet_cutter_roundtrip(sizes, b, B, k, p, vector, data):
     offset = data.draw(st.integers(0, p - 1), label="offset")
     blocks = []
     for got in deal(packets, offset, p):
-        blocks += pack_by_group(block_pieces(got), B, k)[0]
+        blocks += pack_by_group(block_pieces(got), B, lambda d: d - d % k)[0]
     back = blocks_to_messages(data.draw(st.permutations(blocks), label="order"))
     want = sorted(enumerate(msgs), key=lambda e: (e[1].src, e[0]))
     assert [(m.src, m.dest) for m in back] == [(m.src, m.dest) for _mi, m in want]

@@ -295,7 +295,7 @@ def test_leaving_memory_writes_the_dirty_slots_and_drops_the_clean_ones():
 def test_a_restore_writes_the_clean_slots_and_holds_the_batch_again():
     array, cs = store()
     states = [[s] * 30 for s in range(6)]
-    cs.import_all(states, group_size=2, held=((2, 3), (3,)))
+    cs.import_all(states, [range(0, 2), range(2, 4), range(4, 6)], held=((2, 3), (3,)))
     assert cs.held() == ((2, 3), (3,))
     cs.end_round([2, 3], None, [False, False], hold=False)
     assert cs.load_group(range(6)) == states
