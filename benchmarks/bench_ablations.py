@@ -14,7 +14,7 @@
 
 from repro import workloads
 from repro.algorithms import CGMPermutation
-from repro.core.simulator import simulate
+from repro.core import ParallelEMSimulation, build_params
 from repro.params import MachineParams
 
 from .common import emit
@@ -33,10 +33,9 @@ def run_perm(n, D=4, B=32, k=None, seed=0, **kw):
         B=B,
         b=max(B, 16),
     )
-    _, report = simulate(
-        CGMPermutation(vals, perm, V), machine, v=V, k=k, seed=seed, **kw
-    )
-    return report
+    # The engine, not simulate(): the ablations are its arguments.
+    params = build_params(alg, machine, V, k=k)
+    return ParallelEMSimulation(alg, params, seed=seed, **kw).run()[1]
 
 
 def test_ablation_blocking_factor(benchmark):

@@ -55,7 +55,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..bsp.program import state_uses
-from ..core.engine import RunConfig
 from ..core.stats import SimulationReport
 from ..params import SimulationParams
 
@@ -462,8 +461,8 @@ def check_theorem1_io(
       processors of ``ceil((blocks + Lemma 3 dummies)/D)`` — the blocks a
       processor packs for its own vps of the held batch counted but not
       written where the run held its inbox (``report.inbox_held``, which
-      :meth:`RunConfig.holds_inbox <repro.core.engine.RunConfig.holds_inbox>`
-      must allow at the run's ``M``).
+      :attr:`SimulationParams.holds_inbox
+      <repro.params.SimulationParams.holds_inbox>` must allow).
 
     And one exact layer on the network ledger: ``comm_packets`` equals what
     ``SuperstepReport.traffic`` says was sent.  With several processors
@@ -490,7 +489,7 @@ def check_theorem1_io(
     def fail(message: str) -> None:
         failures.append(OracleFailure("theorem1_io", message))
 
-    if held_inbox and not RunConfig().holds_inbox(params):
+    if held_inbox and not params.holds_inbox:
         fail(f"the run held an inbox, but k*(mu + gamma) = "
              f"{k * (params.bsp.mu + params.bsp.gamma)} records exceed M = {params.machine.M}")
 

@@ -45,9 +45,8 @@ compound superstep is Step 2's.  What the machine reports as communication
 is then the *virtual* machine's h-relation
 (:func:`~repro.core.processor.vm_packets` per round, :func:`h_relation` per
 superstep): the max over vps of packets sent plus received,
-``ceil(size/b)`` a message and one for an empty one.  ``pad_to_gamma``
-pads each group's blocks with Lemma 3's dummy blocks to the analysis' worst
-case; it has no meaning with several processors and is refused there.
+``ceil(size/b)`` a message and one for an empty one.  Lemma 3's dummy
+blocks (the ``pad_to_gamma`` ablation) are padded only here.
 
 What a round moves of the contexts follows one rule, from each vp's
 :meth:`~repro.bsp.program.BSPAlgorithm.state_use` (``none`` / ``read`` /
@@ -61,7 +60,8 @@ its dirty slots are written back (Step 1(e)), its clean ones dropped at no
 I/O (:func:`plan_rounds`).  The batch that ends the superstep in memory —
 the last whose contexts came in, else the one already there — opens the
 next superstep at no I/O; with one batch (``v == p*k``), every one.  Where
-``M`` also holds that batch's inbox (:meth:`RunConfig.holds_inbox`), Step
+``M`` also holds that batch's inbox (:attr:`SimulationParams.holds_inbox
+<repro.params.SimulationParams.holds_inbox>`) and no dummy block pads it, Step
 1(d) keeps the blocks a processor packs for its own vps of it in memory
 instead of the bucket store, the slot sizes the skip reads count them, and
 the batch's next fetch takes them at no I/O — with one batch on one
@@ -145,18 +145,16 @@ from .stats import FaultReport, PhaseBreakdown, SimulationReport, SuperstepRepor
 __all__ = ["ParallelEMSimulation", "RunConfig", "deal", "h_relation", "plan_rounds"]
 
 
-def _refuse_unknown(field: str, value: Any, allowed: tuple, none_ok: bool = False) -> None:
+def _refuse_unknown(field: str, value: Any, allowed: tuple) -> None:
     """Raise a :class:`ParameterError` naming ``field`` and ``allowed``
-    unless ``value`` is one of them (or ``None``, where that means a default)."""
-    if value in allowed or (none_ok and value is None):
-        return
-    expected = f"None or one of {allowed}" if none_ok else f"one of {allowed}"
-    raise ParameterError(f"unknown {field} {value!r} (expected {expected})")
+    unless ``value`` is one of them."""
+    if value not in allowed:
+        raise ParameterError(f"unknown {field} {value!r} (expected one of {allowed})")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """How the host runs a simulation: every engine knob, declared once.
+    """How the host runs a simulation: every knob of a run, declared once.
 
     :class:`~repro.params.SimulationParams` holds what the paper
     parameterises — the machine ``(p, M, D, B, b, G, g, L)`` and the virtual
@@ -248,21 +246,6 @@ class RunConfig:
         :class:`~repro.emio.faults.HostCrash` and is meant to be scrubbed
         (:func:`~repro.core.checkpoint.scrub`) and resumed by a fresh engine
         (see ``repro crashcheck`` and DESIGN §9).
-    write_schedule:
-        Disk-write schedule ("random", "rotate", "static", "balance"; see
-        :class:`~repro.emio.linked.LinkedBuckets`); ``None`` is "random",
-        the paper's.  "rotate" is the ablation that replaces the random
-        write permutation with a deterministic rotation (see the ABL
-        benchmark); "balance" is the paper's deterministic variant for
-        predetermined (CGM) traffic.
-    pad_to_gamma:
-        If True, pad every group's message traffic with dummy blocks to the
-        worst case ``k * ceil(gamma/B)`` the analysis assumes (Lemma 3's
-        "introduction of dummy blocks").  Costs rise to the analytic bound;
-        results are unaffected.  Algorithm 1 only: refused when ``p > 1``.
-    enforce_gamma:
-        Enforce the declared per-superstep communication bound on both the
-        sending and receiving side.
     """
 
     backend: str = "inline"
@@ -276,28 +259,15 @@ class RunConfig:
     checkpoint: bool = False
     max_recoveries: int = 8
     crash: CrashPlan | None = None
-    write_schedule: str | None = None
-    pad_to_gamma: bool = False
-    enforce_gamma: bool = True
 
     def __post_init__(self) -> None:
         _refuse_unknown("backend", self.backend, BACKENDS)
         _refuse_unknown("storage", self.storage, STORAGE_KINDS)
-        _refuse_unknown("write_schedule", self.write_schedule, WRITE_SCHEDULES, none_ok=True)
         if self.crash is not None and (self.storage == "memory" or not self.checkpoint):
             raise ParameterError(
                 "crash= injects byte-level damage at checkpoint barriers; "
                 "it requires checkpoint=True and a non-memory storage plane"
             )
-
-    def holds_inbox(self, params: SimulationParams) -> bool:
-        """Whether the batch held across the barrier keeps its inbox in
-        memory too (DESIGN §13): iff a processor's ``k`` held contexts and
-        the at most ``k*gamma`` records bound for them fit in ``M``,
-        ``gamma`` is enforced, and ``pad_to_gamma``, which charges the
-        analysis' worst case, is off."""
-        m, s, k = params.machine, params.bsp, params.k
-        return self.enforce_gamma and not self.pad_to_gamma and k * (s.mu + s.gamma) <= m.M
 
     @classmethod
     def of(cls, config: RunConfig | None = None, **knobs: Any) -> RunConfig:
@@ -346,7 +316,16 @@ class ParallelEMSimulation:
     the module docstring).
 
     ``config`` / ``**knobs`` say how the host runs it (:class:`RunConfig`);
-    ``backend`` places the real processors.  ``observer`` is an optional
+    ``backend`` places the real processors.  ``write_schedule`` and
+    ``pad_to_gamma`` ablate Lemmas 2 and 3, the engine's arguments only,
+    checked before any storage root is claimed: Step 1(d)'s disk-write
+    schedule, one of ``WRITE_SCHEDULES`` (``"random"``, the paper's random
+    permutation, or a deterministic ``"rotate"``, ``"static"`` or
+    ``"balance"``, the paper's variant for predetermined CGM traffic; see
+    :class:`~repro.emio.linked.LinkedBuckets`), and Lemma 3's dummy blocks,
+    padding every group's message blocks to the analysis' worst case
+    ``k*ceil(gamma/B)``: costs rise to the analytic bound, outputs do not
+    change, no inbox is held, and ``p > 1`` is refused.  ``observer`` is an optional
     :class:`~repro.obs.spans.Collector` receiving nested spans (superstep >
     phase), per-disk counter samples, and run metrics — purely read-only at
     phase boundaries: counted costs, outputs, and reports are byte-identical
@@ -376,6 +355,8 @@ class ParallelEMSimulation:
         params: SimulationParams,
         config: RunConfig | None = None,
         *,
+        write_schedule: str = "random",
+        pad_to_gamma: bool = False,
         observer: Collector | None = None,
         events: RunEventLog | None = None,
         **knobs: Any,
@@ -391,7 +372,8 @@ class ParallelEMSimulation:
         self.v = params.bsp.v
         self.ledger = CostLedger(params.machine)
         self.report = SimulationReport(
-            params=params, ledger=self.ledger, inbox_held=config.holds_inbox(params)
+            params=params, ledger=self.ledger,
+            inbox_held=params.holds_inbox and not pad_to_gamma,
         )
 
         self.last_checkpoint: SuperstepCheckpoint | None = None
@@ -404,7 +386,8 @@ class ParallelEMSimulation:
         # Refuse what this machine cannot run before the storage root is
         # claimed; hand the root back if anything later in the constructor
         # fails (a worker whose processor cannot be built).
-        if config.pad_to_gamma and self.p > 1:
+        _refuse_unknown("write_schedule", write_schedule, WRITE_SCHEDULES)
+        if pad_to_gamma and self.p > 1:
             raise ParameterError(
                 "pad_to_gamma=True pads Algorithm 1's groups to the analysis' "
                 f"worst case on a one-processor machine; this one has p={self.p}"
@@ -441,6 +424,8 @@ class ParallelEMSimulation:
                     for i in range(self.p)
                 ],
             )
+            if (write_schedule, pad_to_gamma) != ("random", False):
+                self.backend.call_all("ablate", [(write_schedule, pad_to_gamma)] * self.p)
         except BaseException:
             spec.cleanup()
             raise

@@ -103,11 +103,10 @@ class RealProcessor:
         # Each vp's group's first vp: the key of the blocks packed for it.
         first = [params.groups[params.group_of_slot(s)].start for s in range(self.vpp)]
         self.group_key = [vp - vp % self.vpp + first[vp % self.vpp] for vp in range(self.v)]
-        self.gamma = algorithm.comm_bound() if config.enforce_gamma else None
-        # Lemma 3's dummy blocks: a group of n vps' traffic padded to n*ceil(gamma/B).
-        self.pad = -(-s.gamma // m.B) if config.pad_to_gamma else 0
+        self.gamma = algorithm.comm_bound()
         self.max_inbox = 0  # the largest inbox received here, in records (gamma_used)
-        self.write_schedule = config.write_schedule or "random"
+        # The paper's schedule and no dummy blocks unless ablated (ablate()).
+        self.write_schedule, self.pad = "random", 0
         # Per-processor deterministic RNG stream: identical across backends,
         # independent across processors (no cross-processor draw ordering).
         # The machine's only processor draws from the seed itself, the
@@ -131,11 +130,11 @@ class RealProcessor:
         # superstep's bucket store itself (see deliver()).
         self.incoming: SlotReads | None = None
         self.buckets: LinkedBuckets | None = None
-        # The held batch's inbox (RunConfig.holds_inbox): the blocks this
-        # processor packs for its own held vps stay here, not in the bucket
-        # store, while they are packed (``keeping``) and across the barrier,
-        # by batch, until its fetch (``inbox``).
-        self.holds_inbox = config.holds_inbox(params)
+        # The held batch's inbox (SimulationParams.holds_inbox): the blocks
+        # this processor packs for its own held vps stay here, not in the
+        # bucket store, while they are packed (``keeping``) and across the
+        # barrier, by batch, until its fetch (``inbox``).
+        self.holds_inbox = params.holds_inbox
         self.inbox: dict[int, list[Block]] = {}
         # Worker-side telemetry: spans/samples/metrics collected here and
         # drained to the engine (over the pipe, under the process backend)
@@ -148,6 +147,16 @@ class RealProcessor:
         # profiler right after construction (ParallelEMSimulation.__init__).
         self.array.set_profiler(self.obs.profile)
         self.obs.profile.start()
+
+    def ablate(self, write_schedule: str, pad_to_gamma: bool) -> None:
+        """Run the engine's Lemma 2/3 ablations (see
+        :class:`~repro.core.engine.ParallelEMSimulation`): the disk-write
+        schedule, and Lemma 3's dummy blocks, a group of ``n`` vps' traffic
+        padded to ``n*ceil(gamma/B)``, which hold no inbox."""
+        self.write_schedule = write_schedule
+        if pad_to_gamma:
+            self.pad = -(-self.params.bsp.gamma // self.params.machine.B)
+            self.holds_inbox = False
 
     # -- placement and bookkeeping ---------------------------------------------
 
@@ -275,7 +284,7 @@ class RealProcessor:
             msgs = inbox[vp]
             nrecv = sum(m.size for m in msgs)
             self.max_inbox = max(self.max_inbox, nrecv)
-            if gamma is not None and nrecv > gamma:
+            if nrecv > gamma:
                 raise AlgorithmError(
                     f"vp {vp} received {nrecv} records in superstep "
                     f"{step}, exceeding gamma={gamma}"

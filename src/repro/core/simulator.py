@@ -29,7 +29,6 @@ def build_params(
     machine: MachineParams,
     v: int,
     k: int | None = None,
-    strict: bool = False,
 ) -> SimulationParams:
     """Derive :class:`SimulationParams` from the algorithm's declarations."""
     return SimulationParams(
@@ -40,7 +39,6 @@ def build_params(
             gamma=max(algorithm.comm_bound(), 1),
         ),
         k=k,
-        strict=strict,
     )
 
 
@@ -71,7 +69,6 @@ def simulate(
     machine: MachineParams,
     v: int,
     k: int | None = None,
-    strict: bool = False,
     config: RunConfig | None = None,
     *,
     observer: Collector | None = None,
@@ -82,14 +79,14 @@ def simulate(
 ) -> tuple[list[Any], SimulationReport]:
     """Run ``algorithm`` with ``v`` virtual processors on ``machine``.
 
-    ``k`` (default ``floor(M/mu)``) and ``strict`` (enforce Theorem 1's side
-    conditions: slackness etc.) complete :class:`SimulationParams`;
+    ``k`` (default ``floor(M/mu)``) completes :class:`SimulationParams`;
     ``config`` and ``knobs`` say how the host runs it — the fields of
-    :class:`~repro.core.engine.RunConfig`, documented there once — and
-    ``observer`` / ``events`` watch it (see
-    :class:`~repro.core.engine.ParallelEMSimulation`).  ``io_overlap`` is deprecated and
-    ignored: the overlapped-I/O plane it selected was deleted (DESIGN §12);
-    ``True`` warns, and nothing below this function accepts it.
+    :class:`~repro.core.engine.RunConfig`, documented there once (any other
+    name, the engine's ablations too, is a ``TypeError``) — and ``observer``
+    / ``events`` watch it (see :class:`~repro.core.engine.ParallelEMSimulation`).
+    ``io_overlap`` is deprecated and ignored: the overlapped-I/O plane it
+    selected was deleted (DESIGN §12); ``True`` warns, and nothing below
+    this function accepts it.
     ``records`` is a check, not a knob: the input picks the record plane,
     and a plane other than the one it picked raises ``AlgorithmError``
     (:meth:`~repro.bsp.program.BSPAlgorithm.set_record_mode`).
@@ -108,7 +105,8 @@ def simulate(
         )
     if records is not None:
         algorithm.set_record_mode(records)
-    params = build_params(algorithm, machine, v, k=k, strict=strict)
+    config = RunConfig.of(config, **knobs)
+    params = build_params(algorithm, machine, v, k=k)
     return ParallelEMSimulation(
-        algorithm, params, config, observer=observer, events=events, **knobs
+        algorithm, params, config, observer=observer, events=events
     ).run()

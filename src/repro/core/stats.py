@@ -151,8 +151,9 @@ class SimulationReport:
     mu_used: int = 0
     gamma_used: int = 0
     # Whether the batch each superstep held kept its inbox in memory across
-    # the barrier (RunConfig.holds_inbox): the blocks each processor packed
-    # for its own vps of it were neither written nor fetched.
+    # the barrier (SimulationParams.holds_inbox, and no Lemma 3 padding):
+    # the blocks each processor packed for its own vps of it were neither
+    # written nor fetched.
     inbox_held: bool = False
     faults: FaultReport | None = None  # set when fault injection or
     # checkpointing was active (see repro.emio.faults, repro.core.checkpoint)

@@ -152,6 +152,11 @@ class BSPParams:
 class SimulationParams:
     """Joint parameters of one simulation run, with Theorem 1's side conditions.
 
+    Construction enforces only the structural requirements (one group's
+    contexts fit in ``M``, ``p`` divides ``v``), so small configurations
+    stay expressible; :meth:`check_theorem1` checks the theorem's side
+    conditions.
+
     Attributes
     ----------
     machine:
@@ -164,26 +169,22 @@ class SimulationParams:
         memory use; pass ``k=None`` for that default.  The ``v/p`` vps go in
         the fewest balanced groups of at most ``k`` (:attr:`groups`), and
         ``k`` becomes the largest.
-        ``k*mu <= M`` is the check; the held group keeps its inbox (up to
-        ``k*gamma`` records) in memory only where ``k*(mu + gamma) <= M``
-        (:meth:`RunConfig.holds_inbox <repro.core.engine.RunConfig.holds_inbox>`).
-    strict:
-        If True, enforce all side conditions of Theorem 1 (slackness,
-        ``b >= B``, ``M/B >= p^eps``).  If False, only hard structural
-        requirements are enforced (enough memory for one group, enough
-        virtual processors for one group per real processor) so that small
-        unit-test configurations remain expressible.
+        ``k*mu <= M`` is the check (with the inbox: :attr:`holds_inbox`).
     groups:
         Set at construction, the group map: group ``j``'s local context
         slots, ``range(*share_bounds(v/p, g, j))`` for the ``g`` groups --
         ``k`` slots in the first ``(v/p) mod g``, ``k - 1`` after.
         :meth:`group_of_slot` inverts it.
+    holds_inbox:
+        Set at construction: whether the batch held across the barrier
+        keeps its inbox in memory too (DESIGN §13) -- iff a processor's
+        ``k`` held contexts and the at most ``k*gamma`` records bound for
+        them fit in ``M``, ``k*(mu + gamma) <= M``.
     """
 
     machine: MachineParams
     bsp: BSPParams
     k: int | None = None
-    strict: bool = False
     eps: float = field(default=0.5)
 
     def __post_init__(self) -> None:
@@ -216,8 +217,7 @@ class SimulationParams:
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "_group_of", tuple(j for j, r in enumerate(groups) for _ in r))
         object.__setattr__(self, "k", len(groups[0]))
-        if self.strict:
-            self.check_theorem1()
+        object.__setattr__(self, "holds_inbox", self.k * (s.mu + s.gamma) <= m.M)
 
     def describe(self) -> str:
         """The full parameter tuple, in the paper's letters, on one line.

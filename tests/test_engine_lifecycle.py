@@ -333,7 +333,7 @@ FAST_VECTOR = dict(context_cache=True, fast_io=True)
 #: n = 512, v = 4 each vp sends s = 32 samples where it sent 4, which moved
 #: the sample superstep's message, reorganize and comp columns).
 #: smoke_listrank's one batch keeps its inbox in memory (k*(mu + gamma) <=
-#: M, RunConfig.holds_inbox), so its message and checkpoint columns went
+#: M, SimulationParams.holds_inbox), so its message and checkpoint columns went
 #: 25 -> 0.  List ranking's fixed-width contexts (mu 560 -> 227 for
 #: listrank_d8) moved its context columns, output and disk_tracks only;
 #: listrank_d8 takes M = 16*mu so that it still runs k = 16 and swaps.

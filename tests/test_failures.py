@@ -151,14 +151,6 @@ class TestGammaViolation:
                 FloodsOneReceiver(), params_for(FloodsOneReceiver(), v=8)
             ).run()
 
-    def test_enforcement_can_be_disabled(self):
-        out, _ = ParallelEMSimulation(
-            FloodsOneReceiver(),
-            params_for(FloodsOneReceiver(), v=8),
-            enforce_gamma=False,
-        ).run()
-        assert out == [None] * 8
-
 
 class TestBadDestination:
     def test_rejected_everywhere(self):
@@ -217,12 +209,13 @@ class TestSimulatorFacade:
         assert out == ref
 
     def test_strict_mode_propagates(self):
+        from repro.core import build_params
         from repro.params import ParameterError
         from tests.helpers import NoCommunication
 
         machine = MachineParams(p=1, M=1 << 12, D=8, B=16, b=16)
         with pytest.raises(ParameterError, match="slackness"):
-            simulate(NoCommunication(), machine, v=4, strict=True)
+            build_params(NoCommunication(), machine, v=4).check_theorem1()
 
 
 class TestFaultPaths:

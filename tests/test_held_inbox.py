@@ -1,7 +1,7 @@
 """What fits in ``M`` stays in memory: the held batch keeps its inbox.
 
 Where a processor's ``k`` held contexts and the at most ``k*gamma`` records
-bound for them fit in ``M`` (``RunConfig.holds_inbox``), the blocks a
+bound for them fit in ``M`` (``SimulationParams.holds_inbox``), the blocks a
 processor packs in Step 1(d) for its own vps of the superstep's last batch
 stay in memory across the barrier, and that batch's next fetch takes them
 from there.  At one batch and ``p = 1`` that is every message, so the run
@@ -24,7 +24,7 @@ from repro.bsp.program import BSPAlgorithm, VPContext
 from repro.bsp.runner import run_reference
 from repro.conform import REFERENCE
 from repro.conform.oracles import check_outputs, check_theorem1_io
-from repro.core import ParallelEMSimulation, RunConfig, build_params
+from repro.core import ParallelEMSimulation, build_params
 from repro.core.checkpoint import freeze, thaw
 from repro.core.processor import RealProcessor
 from repro.crashcheck import crash_and_recover
@@ -67,11 +67,14 @@ def test_the_predicate_charges_the_held_contexts_and_their_inbox():
     fits = build_params(alg, MachineParams(p=2, M=k * (mu + gamma), D=4, B=8, b=16), LR_V, k=k)
     short = build_params(alg, MachineParams(p=2, M=k * (mu + gamma) - 1, D=4, B=8, b=16),
                          LR_V, k=k)
-    assert RunConfig().holds_inbox(fits) and not RunConfig().holds_inbox(short)
-    assert not RunConfig(enforce_gamma=False).holds_inbox(fits)
-    assert not RunConfig(pad_to_gamma=True).holds_inbox(fits)
+    assert fits.holds_inbox and not short.holds_inbox
     assert ParallelEMSimulation(alg, fits).report.inbox_held
     assert not ParallelEMSimulation(alg, short).report.inbox_held
+    # Lemma 3's padding charges the analysis' worst case: it holds no inbox.
+    one = build_params(alg, MachineParams(p=1, M=k * (mu + gamma), D=4, B=8, b=16), LR_V, k=k)
+    padded = ParallelEMSimulation(alg, one, pad_to_gamma=True)
+    assert one.holds_inbox and not padded.report.inbox_held
+    assert not any(pr.holds_inbox for pr in padded.procs)
 
 
 # -- the engine against the run that writes every block ----------------------------------------
@@ -116,6 +119,16 @@ def test_several_batches_hold_the_last_ones_inbox():
 
 
 # -- the referee, on faults planted in the held inbox -----------------------------------------
+
+
+def test_an_inbox_held_where_it_does_not_fit_is_caught():
+    """The report says the inbox was held on a machine whose ``M`` holds
+    only the contexts."""
+    _outputs, report = engine(listrank(), LR_V, held=False).run()
+    assert not report.params.holds_inbox and check_theorem1_io(report.params, report)[0] == []
+    report.inbox_held = True
+    fails = check_theorem1_io(report.params, report)[0]
+    assert any("held an inbox" in f.message and "exceed M" in f.message for f in fails), fails
 
 
 @pytest.mark.parametrize("with_algorithm", [False, True])

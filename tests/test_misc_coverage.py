@@ -5,7 +5,7 @@ from repro import workloads
 from repro.algorithms import CGMSampleSort
 from repro.bsp.collectives import merge_sorted, regular_samples
 from repro.bsp.runner import run_reference
-from repro.core.simulator import simulate
+from repro.core.simulator import build_params, simulate
 from repro.emio.disk import Block
 from repro.emio.diskarray import DiskArray
 from repro.emio.trace import IOTrace
@@ -49,9 +49,8 @@ class TestStrictMode:
         machine = MachineParams(
             p=1, M=2 * alg.context_size(), D=2, B=16, b=16
         )
-        out, report = simulate(
-            CGMSampleSort(data, v), machine, v=v, k=2, strict=True, seed=1
-        )
+        assert build_params(alg, machine, v, k=2).check_theorem1()
+        out, report = simulate(CGMSampleSort(data, v), machine, v=v, k=2, seed=1)
         assert [x for part in out for x in part] == sorted(data)
 
 

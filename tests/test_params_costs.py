@@ -112,22 +112,21 @@ class TestSimulationParams:
         machine = MachineParams(M=256, B=16, D=8)
         with pytest.raises(ParameterError):
             SimulationParams(
-                machine=machine, bsp=self.bsp(v=16, mu=64), k=2, strict=True
-            )
+                machine=machine, bsp=self.bsp(v=16, mu=64), k=2
+            ).check_theorem1()
 
     def test_strict_accepts_valid(self):
         machine = MachineParams(M=1 << 12, B=16, b=16, D=2)
         bsp = BSPParams(v=1 << 10, mu=64, gamma=32)
-        p = SimulationParams(machine=machine, bsp=bsp, k=4, strict=True)
+        p = SimulationParams(machine=machine, bsp=bsp, k=4)
         assert p.check_theorem1()
 
     def test_strict_requires_b_ge_B(self):
         machine = MachineParams(M=1 << 12, B=64, b=16, D=1)
         with pytest.raises(ParameterError):
             SimulationParams(
-                machine=machine, bsp=BSPParams(v=1 << 10, mu=64, gamma=32),
-                k=2, strict=True,
-            )
+                machine=machine, bsp=BSPParams(v=1 << 10, mu=64, gamma=32), k=2
+            ).check_theorem1()
 
     def test_derived_quantities(self):
         p = SimulationParams(

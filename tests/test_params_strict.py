@@ -1,6 +1,6 @@
 """Theorem 1 side conditions, each violated in isolation.
 
-``SimulationParams(strict=True)`` enforces the four side conditions of
+``SimulationParams.check_theorem1()`` enforces the four side conditions of
 Theorem 1.  Each test here builds a configuration that satisfies three of
 them and breaks exactly one, so a regression in any single check (or in
 the order they run) is pinned to its own test.  The happy path asserts
@@ -21,9 +21,10 @@ from repro.params import (
 
 
 def params(machine, v, mu, k=1, strict=True):
-    return SimulationParams(
-        machine=machine, bsp=BSPParams(v=v, mu=mu, gamma=mu), k=k, strict=strict
-    )
+    sp = SimulationParams(machine=machine, bsp=BSPParams(v=v, mu=mu, gamma=mu), k=k)
+    if strict:
+        sp.check_theorem1()
+    return sp
 
 
 class TestEachConditionInIsolation:

@@ -70,14 +70,13 @@ def test_frozen_and_pickles_with_its_plans_inside():
     assert back.faults == cfg.faults and back.crash == cfg.crash
 
 
-def test_fields_are_the_fourteen_knobs_with_their_defaults():
+def test_fields_are_the_eleven_knobs_with_their_defaults():
     assert RunConfig() == RunConfig(
         backend="inline", seed=0, storage="memory", storage_dir=None,
         fast_io=None, context_cache=None, faults=None, retry=None,
-        checkpoint=False, max_recoveries=8, crash=None, write_schedule=None,
-        pad_to_gamma=False, enforce_gamma=True,
+        checkpoint=False, max_recoveries=8, crash=None,
     )
-    assert len(FIELDS) == 14
+    assert len(FIELDS) == 11
 
 
 def test_a_keyword_overrides_the_same_field_of_config():
@@ -93,18 +92,22 @@ def test_a_keyword_overrides_the_same_field_of_config():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,name",
     [
-        lambda: simulate(sort(), machine(), V, bogus_knob=1),
-        lambda: ParallelEMSimulation(sort(), params(sort()), bogus_knob=1),
-        lambda: ParallelEMSimulation(sort(), params(sort(), p=2), bogus_knob=1),
-        lambda: RunConfig.of(RunConfig(), bogus_knob=1),
+        (lambda: simulate(sort(), machine(), V, bogus_knob=1), "bogus_knob"),
+        (lambda: ParallelEMSimulation(sort(), params(sort()), bogus_knob=1), "bogus_knob"),
+        (lambda: ParallelEMSimulation(sort(), params(sort(), p=2), bogus_knob=1), "bogus_knob"),
+        (lambda: RunConfig.of(RunConfig(), bogus_knob=1), "bogus_knob"),
+        # The engine's ablations and Theorem 1's check are no knobs of a run.
+        (lambda: simulate(sort(), machine(), V, write_schedule="rotate"), "write_schedule"),
+        (lambda: simulate(sort(), machine(), V, pad_to_gamma=True), "pad_to_gamma"),
+        (lambda: simulate(sort(), machine(), V, strict=True), "strict"),
     ],
     # "sequential" is the one-processor machine, "parallel" a two-processor one.
-    ids=["simulate", "sequential", "parallel", "of"],
+    ids=["simulate", "sequential", "parallel", "of", "write_schedule", "pad_to_gamma", "strict"],
 )
-def test_an_unknown_knob_is_a_type_error_naming_it(build):
-    with pytest.raises(TypeError, match="bogus_knob"):
+def test_an_unknown_knob_is_a_type_error_naming_it(build, name):
+    with pytest.raises(TypeError, match=name):
         build()
 
 
@@ -126,11 +129,9 @@ def test_pad_to_gamma_is_refused_by_name_on_the_parallel_engine(private_tmpdir):
         ParallelEMSimulation(
             sort(), params(sort(), p=2), pad_to_gamma=True, storage="file"
         )
-    with pytest.raises(ParameterError, match="pad_to_gamma.*p=2"):
-        simulate(sort(), machine(2), V, pad_to_gamma=True)
     assert os.listdir(private_tmpdir) == []
     # ... and honoured where it means something.
-    _out, rep = simulate(sort(), machine(), V, pad_to_gamma=True)
+    _out, rep = ParallelEMSimulation(sort(), params(sort()), pad_to_gamma=True).run()
     assert rep.io_ops > simulate(sort(), machine(), V)[1].io_ops
 
 
@@ -148,7 +149,10 @@ def test_pad_to_gamma_is_refused_by_name_on_the_parallel_engine(private_tmpdir):
 )
 def test_every_enumerated_value_is_refused_naming_field_and_choices(field, value, allowed):
     with pytest.raises(ParameterError) as ei:
-        RunConfig(**{field: value})
+        if field in FIELDS:
+            RunConfig(**{field: value})
+        else:  # the engine's ablation
+            ParallelEMSimulation(sort(), params(sort()), **{field: value})
     msg = str(ei.value)
     assert field in msg and repr(value) in msg and allowed in msg
 
@@ -163,11 +167,11 @@ def test_bad_write_schedule_claims_writes_and_loads_nothing(tmp_path):
             loaded.append(pid)
             return super().initial_state(pid, nprocs)
 
+    alg = Watched(list(KEYS), v=V)
     with pytest.raises(ParameterError) as ei:
-        simulate(
-            Watched(list(KEYS), v=V), machine(), V,
-            storage="file", storage_dir=str(root), write_schedule="rotat",
-        )
+        ParallelEMSimulation(
+            alg, params(alg), storage="file", storage_dir=str(root), write_schedule="rotat",
+        ).run()
     msg = str(ei.value)
     assert "write_schedule" in msg
     assert all(repr(name) in msg for name in ("random", "rotate", "static", "balance"))
