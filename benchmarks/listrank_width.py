@@ -1,17 +1,22 @@
-"""LISTRANK-WIDTH — list ranking's contexts at fixed width, before and after.
+"""LISTRANK-WIDTH / LISTRANK-WIRE — list ranking at the width of its values,
+before and after.
 
 Records, for a checkout of the code before the change and for this tree,
-what list ranking's context bound ``mu`` sets: ``mu`` itself, the batch
-size ``k = floor(M/mu)``, the groups a processor runs, ``disk_tracks`` and
+what list ranking's context and message bounds set: ``mu`` and ``gamma``
+with the largest context and inbox a run saw, the batch size ``k =
+floor(M/mu)``, the groups a processor runs, whether the held batch keeps its
+inbox (``k*(mu + gamma) <= M``), ``disk_tracks``, message blocks, packets and
 the superstep I/O in scans of the data (``io_ops / ceil(n/(D*B))``, as the
-benchmark suite counts it), on four rows:
+benchmark suite counts it), on six rows:
 
 * ``gated``: the suite's ``listrank_par_default`` (``n = 32768``, ``v = 32``,
   ``p = 4``, ``M = 1Mi``, ``D = 4``, ``B = 32``, ``b = 64``);
 * ``probe_p4`` / ``probe_p1``: ``n = 32768``, ``v = 64``, ``M = 8Ki``, the
   same drives and blocks, at ``p = 4`` and ``p = 1``: out of core;
+* ``probe_p4_v8`` / ``probe_p1_v8``: the same at ``v = 8``, the ``v`` that
+  ``pick_v`` takes there;
 * ``n2^20``: ``n = 2^20``, ``v = 64``, ``p = 1``, ``B = 1024``, ``b = 2048``
-  and ``M = 254208`` on both sides (four of the old contexts).
+  and ``M = 254208`` on both sides.
 
 Each row's input is the suite's list generator at seed 3 and the run's seed
 is 3; ``wall_s`` there is one run, not a claim.  Then ``--pairs`` alternating
@@ -23,7 +28,10 @@ Run from the repository root (``--before`` is a checkout of the parent
 commit, e.g. made with ``git clone``)::
 
     python3 benchmarks/listrank_width.py --before ../parent \\
-        --out benchmarks/results/LISTRANK-WIDTH.json
+        --out benchmarks/results/LISTRANK-WIRE.json
+
+``LISTRANK-WIDTH.json`` is the record of the contexts' narrowing (four rows,
+no message columns); ``LISTRANK-WIRE.json`` that of the messages'.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ ROWS = {
     "gated": (32768, 32, dict(p=4, M=1 << 20, D=4, B=32, b=64)),
     "probe_p4": (32768, 64, dict(p=4, M=8192, D=4, B=32, b=64)),
     "probe_p1": (32768, 64, dict(p=1, M=8192, D=4, B=32, b=64)),
+    "probe_p4_v8": (32768, 8, dict(p=4, M=8192, D=4, B=32, b=64)),
+    "probe_p1_v8": (32768, 8, dict(p=1, M=8192, D=4, B=32, b=64)),
     "n2^20": (1 << 20, 64, dict(p=1, M=254208, D=4, B=1024, b=2048)),
 }
 SEED = 3
@@ -72,10 +82,13 @@ def measure_rows() -> dict:
         scan = -(-n // (machine["D"] * machine["B"]))
         out[name] = {
             "n": n, "v": v, "machine": machine,
-            "mu": params.bsp.mu, "mu_used": report.mu_used, "k": params.k,
+            "mu": params.bsp.mu, "mu_used": report.mu_used,
+            "gamma": params.bsp.gamma, "gamma_used": report.gamma_used, "k": params.k,
             "groups_a_processor": params.groups_per_processor,
+            "holds_inbox": params.holds_inbox,
             "disk_tracks": report.disk_space_tracks,
             "io_scans": round(report.io_ops / scan, 4),
+            "message_blocks": sum(s.message_blocks for s in report.supersteps),
             "comm_packets": report.ledger.total_comm_packets,
             "supersteps": report.num_supersteps,
             "wall_s": round(wall, 3),
@@ -107,7 +120,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", help="checkout of the code before the change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--out", default=os.path.join(HERE, "results", "LISTRANK-WIDTH.json"))
+    ap.add_argument("--out", default=os.path.join(HERE, "results", "LISTRANK-WIRE.json"))
     ap.add_argument("--rows", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.rows:
@@ -129,7 +142,7 @@ def main() -> int:
         fh.write("\n")
     for side in trees:
         for name, row in result["rows"][side].items():
-            print(f"{side:6} {name:8} mu {row['mu']:6} k {row['k']:3} "
+            print(f"{side:6} {name:11} mu {row['mu']:6} gamma {row['gamma']:6} k {row['k']:3} "
                   f"groups {row['groups_a_processor']:3} tracks {row['disk_tracks']:5} "
                   f"scans {row['io_scans']:8} packets {row['comm_packets']:6} "
                   f"wall {row['wall_s']}")

@@ -47,9 +47,18 @@ by the sum of the weights' magnitudes (``n - 1`` for unit weights).  A
 field exists only while a superstep needs it: ``rank`` from the first expand
 superstep, ``succ`` and ``pred`` until the gather, each expand round's log
 until it is pushed.  The supersteps are array kernels over views of those
-bytes, and messages are ``<i8`` arrays of flat integer runs with no
-per-record tags, so ``context_size()`` is the pickled size of the largest
-such state (see :meth:`CGMListRanking.context_size`).
+bytes, so ``context_size()`` is the pickled size of the largest such state
+(see :meth:`CGMListRanking.context_size`).
+
+**Messages at the same width.**  A message is flat runs of the
+algorithm's integers with no per-record tags, at one wire codec: the wider
+of the ids' and the weights' (every count a message carries is at most
+``ceil(n/v) < n`` once contraction runs).  Its values are packed into
+``<i8`` records (zero-copy ``.view`` both ways), so a message's ``len``, the
+records the engine charges, is its bytes / 8.  The first value counts the
+zero pad values that fill the last record; the receiver drops both
+(:func:`_frame`, :func:`_values`).  A ``-1`` pad sentinel would not do:
+``rank`` can be negative.
 """
 
 from __future__ import annotations
@@ -122,9 +131,31 @@ def _rows(*cols: np.ndarray) -> np.ndarray:
 
 
 def _concat(parts: list[np.ndarray], width: int) -> np.ndarray:
-    """Message slices joined into ``<i8`` rows of ``width`` records."""
-    flat = np.concatenate(parts) if parts else np.empty(0, I64)
+    """Message values joined into ``<i8`` rows of ``width`` values."""
+    flat = np.concatenate(parts).astype(I64) if parts else np.empty(0, I64)
     return flat.reshape(-1, width)
+
+
+def _frame(dtype: np.dtype, *parts: np.ndarray) -> np.ndarray:
+    """``parts``' values as one message of ``<i8`` records: a view of a
+    ``dtype`` buffer that leads with the count of the zero pad values filling
+    its last record."""
+    count = 1 + sum(len(part) for part in parts)
+    per = 8 // dtype.itemsize
+    buf = np.zeros(-(-count // per) * per, dtype)
+    buf[0] = len(buf) - count
+    at = 1
+    for part in parts:
+        buf[at:at + len(part)] = part
+        at += len(part)
+    return buf.view(I64)
+
+
+def _values(dtype: np.dtype, payload: Any) -> np.ndarray:
+    """The values of a message made by :func:`_frame`, without its frame and
+    pad: a ``dtype`` view of the records."""
+    vals = as_i64(payload).view(dtype)
+    return vals[1:len(vals) - int(vals[0])]
 
 
 class CGMListRanking(BSPAlgorithm):
@@ -190,6 +221,9 @@ class CGMListRanking(BSPAlgorithm):
         }
         self._succ = self._fields["succ"].encode(nxt)
         self._w = self._fields["w"].encode(weights)
+        #: The messages' value width: ids, counts, weights and ranks.
+        self._wire = max(self._fields["succ"].dtype, self._fields["w"].dtype,
+                         key=lambda dt: dt.itemsize)
 
     # -- resource declarations -----------------------------------------------------
 
@@ -229,12 +263,15 @@ class CGMListRanking(BSPAlgorithm):
         return -(-size // 8)
 
     def comm_bound(self) -> int:
-        # A contract round sends or receives at most two 3-record updates a
-        # node plus a 3-record header from or to every vp; vp 0 gathers at
-        # most gather_threshold 3-record survivors and scatters their ranks
-        # in pairs; link-back and expansion move one pair a node.
+        # In values: a contract round sends or receives at most two 3-value
+        # updates a node plus a 3-value header from or to every vp; vp 0
+        # gathers at most gather_threshold 3-value survivors and scatters
+        # their ranks in pairs; link-back and expansion move one pair a node.
+        # Each of at most v messages adds its pad count and rounds its bytes
+        # up to whole records, under one record of pad.
         m = -(-self.n // self.v)
-        return max(6 * m + 3 * self.v, 3 * self.gather_threshold)
+        values = max(6 * m + 3 * self.v, 3 * self.gather_threshold) + self.v
+        return (values * self._wire.itemsize + 7 * self.v) // 8
 
     # -- state -----------------------------------------------------------------------
 
@@ -300,7 +337,11 @@ class CGMListRanking(BSPAlgorithm):
         """One message of ``rows`` per owner of ``nodes``, ascending."""
         rows, starts, ends = self._by_owner(nodes, rows, ctx.nprocs)
         for d in np.flatnonzero(ends > starts).tolist():
-            ctx.send(d, rows[starts[d]:ends[d]].reshape(-1))
+            ctx.send(d, _frame(self._wire, rows[starts[d]:ends[d]].reshape(-1)))
+
+    def _received(self, ctx: VPContext, width: int) -> np.ndarray:
+        """Every incoming message's values as ``<i8`` rows of ``width``."""
+        return _concat([_values(self._wire, m.payload) for m in ctx.incoming], width)
 
     def _link_back(self, ctx: VPContext) -> None:
         st = ctx.state
@@ -314,22 +355,22 @@ class CGMListRanking(BSPAlgorithm):
     def _contract(self, ctx: VPContext) -> None:
         """Apply the previous round's updates, then run round ``st["round"]``.
 
-        A round-``r`` message is ``[k, live, gather]`` followed by ``k``
-        successor updates ``(p, x, w(s))`` and then pred updates ``(x, p,
-        s)``; ``live`` counts for vp 0 only.  Round 0 receives the link-back
-        pairs ``(x, p)`` instead.
+        A round-``r`` message's values are ``[k, live, gather]`` followed by
+        ``k`` successor updates ``(p, x, w(s))`` and then pred updates ``(x,
+        p, s)``; ``live`` counts for vp 0 only.  Round 0 receives the
+        link-back pairs ``(x, p)`` instead.
         """
         st = ctx.state
         lo, rnd, v = st["lo"], st["round"], ctx.nprocs
         succ, pred, w = self._get(st, "succ"), self._get(st, "pred"), self._get(st, "w")
         total, gather = 0, False
         if rnd == 0:
-            links = _concat([as_i64(m.payload) for m in ctx.incoming], 2)
+            links = self._received(ctx, 2)
             pred[links[:, 0] - lo] = links[:, 1]
         else:
             heads, tails = [], []
             for m in ctx.incoming:
-                pl = as_i64(m.payload)
+                pl = _values(self._wire, m.payload)
                 split = 3 + 3 * int(pl[0])
                 total += int(pl[1])
                 gather = gather or bool(pl[2])
@@ -368,9 +409,9 @@ class CGMListRanking(BSPAlgorithm):
         else:
             dests = sorted({0, *np.flatnonzero((he > hs) | (te > ts)).tolist()})
         for d in dests:
-            ctx.send(d, np.concatenate((
-                np.array([he[d] - hs[d], st["live"] if d == 0 else 0, decide], I64),
-                head[hs[d]:he[d]].reshape(-1), tail[ts[d]:te[d]].reshape(-1))))
+            ctx.send(d, _frame(
+                self._wire, (he[d] - hs[d], st["live"] if d == 0 else 0, decide),
+                head[hs[d]:he[d]].reshape(-1), tail[ts[d]:te[d]].reshape(-1)))
         st["round"] = rnd + 1
 
     def _leaving(self, lo: int, succ: np.ndarray, pred: np.ndarray, rnd: int) -> np.ndarray:
@@ -396,8 +437,8 @@ class CGMListRanking(BSPAlgorithm):
         idx = np.flatnonzero(succ >= 0)
         ctx.charge(st["m"])
         if len(idx):
-            ctx.send(0, _rows(st["lo"] + idx, succ[idx],
-                              self._get(st, "w")[idx]).reshape(-1))
+            ctx.send(0, _frame(self._wire, _rows(
+                st["lo"] + idx, succ[idx], self._get(st, "w")[idx]).reshape(-1)))
         del st["succ"], st["pred"]
         st["R"] = st["round"]
         st["phase"] = "SOLVE"
@@ -405,7 +446,7 @@ class CGMListRanking(BSPAlgorithm):
     def _solve(self, ctx: VPContext) -> None:
         st = ctx.state
         if ctx.pid == 0:
-            reduced = _concat([as_i64(m.payload) for m in ctx.incoming], 3)
+            reduced = self._received(ctx, 3)
             u, s, w = reduced[:, 0], reduced[:, 1], reduced[:, 2]
             count = len(u)
             ctx.charge(count)
@@ -442,7 +483,7 @@ class CGMListRanking(BSPAlgorithm):
         """
         st = ctx.state
         lo, w = st["lo"], self._get(st, "w")
-        pairs = _concat([as_i64(m.payload) for m in ctx.incoming], 2)
+        pairs = self._received(ctx, 2)
         li = pairs[:, 0] - lo
         if st["eround"] == st["R"]:
             rank = np.zeros(st["m"], I64)

@@ -345,6 +345,12 @@ FAST_VECTOR = dict(context_cache=True, fast_io=True)
 #: its reorganize went 150 -> 152: superstep 2 runs its batches from group
 #: 3, not group 2, so the write cycles draw their permutations in another
 #: order and Algorithm 2 meets other queues.
+#: List ranking's messages at the width of their values (i16 at both sizes:
+#: four values a record behind a one-value frame) moved its message columns
+#: only: message blocks 87 -> 30 and 3802 -> 1493, listrank_d8's fetch /
+#: write messages 604 / 513 -> 302 / 225.  comm_packets stays: at p = 1 it
+#: is the virtual machine's h-relation, and every message was one packet
+#: of b already.
 P1_COLUMNS = {
     "smoke_sort": (
         lambda: CGMSampleSort(np.random.default_rng(3).integers(0, 1 << 30, 156_250), 128),
@@ -353,7 +359,7 @@ P1_COLUMNS = {
     "smoke_listrank": (
         lambda: CGMListRanking(_suite_list(2048), 8),
         (1 << 22, 4, 256, 512), dict(FAST_VECTOR, storage="file", checkpoint=True),
-        (14, 0, 0, 0, 0, 0, 0, 0, 194, 87, 4, 0, 26887)),
+        (14, 0, 0, 0, 0, 0, 0, 0, 194, 30, 4, 0, 26887)),
     # Step 2 forced onto Algorithm 2: 15 + 260 + 15 I/O ops, 71 to checkpoint.
     "forced_algorithm_2_sort": (
         lambda: CGMSampleSort(uniform_keys(512, seed=11), 4),
@@ -362,7 +368,7 @@ P1_COLUMNS = {
     "listrank_d8": (
         lambda: CGMListRanking(random_linked_list(8192, seed=3), 64),
         (16 * 227, 8, 32, 64), dict(seed=3),
-        (24, 48, 1152, 604, 513, 1152, 0, 48, 1404, 3802, 64, 0, 188558)),
+        (24, 48, 1152, 302, 225, 1152, 0, 48, 1404, 1493, 64, 0, 188558)),
 }
 
 

@@ -175,9 +175,19 @@ def test_the_referee_catches_a_planted_packet():
         f"and dealt, in full packets of b = {b}, make {s.comm_packets - 1}"
     ]
     s.comm_packets -= 1
+    # b records more dealt by the processor that carries the round's max
+    # load (the packets it deals plus those dealt to it) is one packet more
+    # on that max; planted on another processor it may not be.
     gather, round_ = s.traffic[0]
-    (records, offset), *rest = round_
-    s.traffic[0] = (gather, ((records + b, offset), *rest))
+    load = [0] * 2
+    for i, (records, offset) in enumerate(round_):
+        load[i] += -(-records // b)
+        for q, got in enumerate(engine.deal(list(range(-(-records // b))), offset, 2)):
+            load[q] += len(got)
+    top = load.index(max(load))
+    dealt = list(round_)
+    dealt[top] = (dealt[top][0] + b, dealt[top][1])
+    s.traffic[0] = (gather, tuple(dealt))
     assert any("comm_packets" in f.message for f in check_theorem1_io(report.params, report)[0])
 
 
